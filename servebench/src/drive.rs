@@ -5,13 +5,22 @@ use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
 use gnn4ip_core::{run_service, AuditPipeline, ServiceConfig, ServiceReport};
+use gnn4ip_data::Design;
 
 use crate::protocol::{frame, parse_response, Client, PipeIn, PipeOut, Response};
-use crate::workload::{Kind, Request};
+use crate::workload::{Kind, Plan, Request, Workload};
 
 /// No phase sends for longer than this, minimums met or not, so a run
 /// always ends within its time limit.
 const MAX_PHASE: Duration = Duration::from_secs(60);
+
+/// Audits `recall_at_1` is computed over: the plan's first ones,
+/// wherever answered. On a read-only workload a body's verdict does not
+/// depend on when it is sent, so the figure repeats exactly for a seed.
+const RECALL_AUDITS: usize = 2_000;
+
+/// One verdict in this many is kept for the serial verdict check.
+const CHECK_EVERY: usize = 64;
 
 /// When a phase stops sending: after `budget`, once it has answered at
 /// least `min_audits` audits and `min_ingests` ingests.
@@ -22,17 +31,81 @@ pub struct Until {
     pub min_ingests: usize,
 }
 
-/// One answered audit.
+/// A request whose body is rendered, waiting to be sent.
+struct Ready {
+    pos: usize,
+    req: Request,
+    body: String,
+}
+
+/// The requests a session sends, in plan order, with their bodies
+/// rendered ahead by [`Feed::fill`] before a segment starts, so no clock
+/// runs while they are made. Memory for bodies is one `fill` at most,
+/// however fast the service answers.
+pub struct Feed<'a> {
+    plan: Plan<'a>,
+    ready: VecDeque<Ready>,
+    /// Position of the next request to render.
+    next: usize,
+    /// Position just past the plan's [`RECALL_AUDITS`]-th audit.
+    recall_end: usize,
+    /// Verdicts at positions with this remainder mod [`CHECK_EVERY`] are
+    /// kept: a seeded sample.
+    check_offset: usize,
+    /// Body bytes held now, and at most.
+    held: usize,
+    pub held_max: usize,
+}
+
+impl<'a> Feed<'a> {
+    pub fn new(w: Workload, corpus: &'a [Design], seed: u64) -> Self {
+        let recall_end = Plan::new(w, corpus, seed)
+            .enumerate()
+            .filter(|(_, r)| r.kind == Kind::Audit)
+            .nth(RECALL_AUDITS - 1)
+            .map(|(i, _)| i + 1)
+            .expect("the plan never ends");
+        Self {
+            plan: Plan::new(w, corpus, seed),
+            ready: VecDeque::new(),
+            next: 0,
+            recall_end,
+            check_offset: (seed % CHECK_EVERY as u64) as usize,
+            held: 0,
+            held_max: 0,
+        }
+    }
+
+    /// The plan the feed draws from, for rendering a kept request again.
+    pub fn plan(&self) -> &Plan<'a> {
+        &self.plan
+    }
+
+    /// Renders until at least `n` requests are ready to send.
+    pub fn fill(&mut self, n: usize) {
+        while self.ready.len() < n {
+            let req = self.plan.next().expect("the plan never ends");
+            let body = self.plan.body(&req);
+            self.held += body.capacity();
+            self.ready.push_back(Ready {
+                pos: self.next,
+                req,
+                body,
+            });
+            self.next += 1;
+        }
+        self.held_max = self.held_max.max(self.held);
+    }
+}
+
+/// A verdict kept for the serial check.
 #[derive(Debug, Clone)]
 pub struct Answered {
-    /// Position in the phase's request list (wrapping included).
-    pub pos: usize,
+    pub req: Request,
     /// Request name sent.
     pub name: String,
     /// The raw response line.
     pub line: String,
-    /// Best match named by the verdict.
-    pub best: Option<String>,
 }
 
 /// What one phase measured.
@@ -43,17 +116,21 @@ pub struct Phase {
     /// Client-observed latencies, ms.
     pub audit_ms: Vec<f64>,
     pub ingest_ms: Vec<f64>,
-    /// Every verdict, in protocol order.
-    pub verdicts: Vec<Answered>,
+    /// A seeded sample of the verdicts, one in [`CHECK_EVERY`].
+    pub kept: Vec<Answered>,
+    /// Verdicts among the plan's first [`RECALL_AUDITS`] audits, and how
+    /// many of them name their source design as the best match.
+    pub recall_answered: usize,
+    pub recall_hits: usize,
     /// ERR lines, wrong-kind, missing, extra, or out-of-order responses.
     pub failures: usize,
     /// First failure, for the log.
     pub first_failure: Option<String>,
     /// First send to last response.
     pub wall: Duration,
-    /// Next unsent position.
-    pub next: usize,
-    /// Audit bodies that had been sent before in this run.
+    /// Whether the phase stopped early because no rendered body was left.
+    pub ran_dry: bool,
+    /// Audits whose body repeats an earlier one byte for byte.
     pub resubmitted: usize,
     /// Body bytes sent, per kind.
     pub bytes: [usize; 3],
@@ -72,13 +149,14 @@ impl Phase {
         }
         self.audit_ms.extend(later.audit_ms);
         self.ingest_ms.extend(later.ingest_ms);
-        self.verdicts.extend(later.verdicts);
+        self.kept.extend(later.kept);
+        self.recall_answered += later.recall_answered;
+        self.recall_hits += later.recall_hits;
         self.failures += later.failures;
         if self.first_failure.is_none() {
             self.first_failure = later.first_failure;
         }
         self.wall += later.wall;
-        self.next = later.next;
         self.resubmitted += later.resubmitted;
     }
 
@@ -89,7 +167,7 @@ impl Phase {
 }
 
 struct Pending {
-    kind: Kind,
+    req: Request,
     pos: usize,
     name: String,
     sent: Instant,
@@ -132,40 +210,41 @@ pub fn session<R>(
     })
 }
 
-/// Drives `requests` (from `start`, wrapping) with at most `window` in
-/// flight until `until` says stop, then drains what is in flight.
-/// `seen` marks audit bodies already sent in this run.
-#[allow(clippy::too_many_arguments)]
+/// Sends `feed`'s requests with at most `window` in flight until `until`
+/// says stop, then drains what is in flight. With one in flight, a feed
+/// that runs dry renders the next body on the spot (nothing is in flight
+/// then, so no latency sample includes it); with more, the phase stops
+/// early instead, so its rate never includes rendering.
 pub fn run_phase(
     client: &mut Client,
-    requests: &[Request],
-    bodies: &[String],
-    start: usize,
+    feed: &mut Feed,
     window: usize,
     until: Until,
     prefix: &str,
-    seen: &mut [bool],
 ) -> Phase {
-    let mut phase = Phase {
-        next: start,
-        ..Phase::default()
-    };
+    let mut phase = Phase::default();
     let mut inflight: VecDeque<Pending> = VecDeque::with_capacity(window);
     let t0 = Instant::now();
     let mut last = t0;
     let mut stopped = false;
     loop {
         while !stopped && inflight.len() < window {
-            let pos = phase.next;
-            let req = requests[pos % requests.len()];
+            if feed.ready.is_empty() && window == 1 {
+                feed.fill(1);
+            }
+            let Some(Ready { pos, req, body }) = feed.ready.pop_front() else {
+                phase.ran_dry = true;
+                stopped = true;
+                break;
+            };
+            feed.held -= body.capacity();
             let name = format!("{prefix}{pos}");
             let bytes = match req.kind {
                 Kind::Audit => {
-                    phase.resubmitted += usize::from(seen[req.body]);
-                    seen[req.body] = true;
-                    frame("AUDIT", &name, &bodies[req.body])
+                    phase.resubmitted += usize::from(req.resubmit);
+                    frame("AUDIT", &name, &body)
                 }
-                Kind::Ingest => frame("INGEST", &name, &bodies[req.body]),
+                Kind::Ingest => frame("INGEST", &name, &body),
                 Kind::Publish => b"PUBLISH\n".to_vec(),
             };
             let Some(sent) = client.send(bytes) else {
@@ -174,12 +253,9 @@ pub fn run_phase(
                 break;
             };
             phase.sent[req.kind as usize] += 1;
-            if req.kind != Kind::Publish {
-                phase.bytes[req.kind as usize] += bodies[req.body].len();
-            }
-            phase.next += 1;
+            phase.bytes[req.kind as usize] += body.len();
             inflight.push_back(Pending {
-                kind: req.kind,
+                req,
                 pos,
                 name,
                 sent,
@@ -199,19 +275,26 @@ pub fn run_phase(
         last = at;
         let p = inflight.pop_front().expect("checked non-empty above");
         let ms = at.duration_since(p.sent).as_secs_f64() * 1e3;
-        match (p.kind, parse_response(&line)) {
+        match (p.req.kind, parse_response(&line)) {
             (Kind::Audit, Response::Verdict { name, best }) if name == p.name => {
                 phase.audit_ms.push(ms);
-                phase.verdicts.push(Answered {
-                    pos: p.pos,
-                    name,
-                    line,
-                    best,
-                });
+                if p.pos < feed.recall_end {
+                    let corpus = feed.plan.corpus();
+                    let want = p.req.source.map(|s| corpus[s].name.as_str());
+                    phase.recall_answered += 1;
+                    phase.recall_hits += usize::from(best.as_deref() == want);
+                }
+                if p.pos % CHECK_EVERY == feed.check_offset {
+                    phase.kept.push(Answered {
+                        req: p.req,
+                        name,
+                        line,
+                    });
+                }
             }
             (Kind::Ingest, Response::Ingested { .. }) => phase.ingest_ms.push(ms),
             (Kind::Publish, Response::Published) => {}
-            _ => phase.fail(format!("{} {}: got {line:?}", p.kind.name(), p.name)),
+            _ => phase.fail(format!("{} {}: got {line:?}", p.req.kind.name(), p.name)),
         }
         let elapsed = t0.elapsed();
         if !stopped && elapsed >= until.budget {

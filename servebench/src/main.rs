@@ -29,12 +29,12 @@ use std::time::{Duration, Instant};
 use gnn4ip_core::{AuditConfig, AuditPipeline, AuditSnapshot, AuditSource, Gnn4Ip, ServiceConfig};
 use gnn4ip_data::Design;
 
-use drive::{run_phase, session, Phase, Until};
+use drive::{run_phase, session, Feed, Phase, Until};
 use json::Json;
 use protocol::verdict_line;
 use stats::{mean, median, sorted};
 use trace::{chain_sums, replay_audit, replay_ingest, replay_publish, summarize, Tracer};
-use workload::{Inputs, Kind, SplitMix, Workload};
+use workload::{Kind, Plan, Workload};
 
 /// Set-ups per run: at least this many, and more while they have taken
 /// under [`SETUP_MIN_S`] (up to [`SETUP_MAX_REPS`]); `setup_s` is their
@@ -42,21 +42,14 @@ use workload::{Inputs, Kind, SplitMix, Workload};
 const SETUP_REPS: usize = 3;
 const SETUP_MIN_S: f64 = 3.0;
 const SETUP_MAX_REPS: usize = 15;
-/// Rounds of `lat`, `tput` and write segments in an end-to-end run.
-const ROUNDS: usize = 8;
+/// Rounds of `lat` and `tput` in an end-to-end run.
+const ROUNDS: usize = 16;
 /// Windows the rounds are grouped into for latency percentiles, at most.
 const WINDOWS: usize = 4;
-/// Audits `recall_at_1` is computed over: the stream's first ones,
-/// wherever answered. On a read-only workload a body's verdict does not
-/// depend on when it is sent, so the figure repeats exactly for a seed.
-const RECALL_AUDITS: usize = 2_000;
 /// Samples needed for a p99 with ten beyond it.
 const P99_SAMPLES: usize = 1_000;
-/// Verdicts per phase recomputed serially on a read-only workload.
-const CHECK_SAMPLE: usize = 100;
-/// Fresh ingests the traced run replays on a read-only workload, with
-/// a publish after every eighth.
-const TRACE_WRITES: usize = 64;
+/// Replay blocks between ingest probe steps in the traced run.
+const PROBE_EVERY_BLOCKS: usize = 8;
 /// `query_many` batches of 32 the traced run times.
 const TRACE_B32_BATCHES: usize = 48;
 
@@ -109,12 +102,7 @@ fn setup(w: Workload) -> (AuditPipeline, Vec<Design>, f64) {
     let t0 = Instant::now();
     let mut pipeline = AuditPipeline::new(Gnn4Ip::with_seed(42), AuditConfig::default());
     let corpus = w.corpus();
-    // named like a serve INGEST: no top module, the parser picks it
-    let report = pipeline.ingest(
-        corpus
-            .iter()
-            .map(|d| AuditSource::new(d.name.clone(), d.source.clone(), None)),
-    );
+    let report = pipeline.ingest(corpus.iter().map(source_of));
     assert!(
         report.rejected.is_empty(),
         "corpus designs parse: {:?}",
@@ -122,6 +110,46 @@ fn setup(w: Workload) -> (AuditPipeline, Vec<Design>, f64) {
     );
     let _ = pipeline.publish();
     (pipeline, corpus, t0.elapsed().as_secs_f64())
+}
+
+/// A corpus design as the pipeline ingests it, named like a serve
+/// `INGEST`: no top module, the parser picks it.
+fn source_of(d: &Design) -> AuditSource {
+    AuditSource::new(d.name.clone(), d.source.clone(), None)
+}
+
+/// The write figure of a read-only workload, which sends no `INGEST`:
+/// the set-up's corpus ingest, re-timed one pipeline batch at a time on
+/// a scratch pipeline built like the served one. It steps between
+/// rounds (or replay blocks), outside every timed segment, so like the
+/// other figures it is sampled across the run and a slow spell of the
+/// machine moves some samples, not all.
+struct IngestProbe<'a> {
+    pipeline: AuditPipeline,
+    batches: std::iter::Cycle<std::slice::Chunks<'a, Design>>,
+    /// Per design, ms, for each batch.
+    ms: Vec<f64>,
+}
+
+impl<'a> IngestProbe<'a> {
+    fn new(corpus: &'a [Design]) -> Self {
+        let config = AuditConfig::default();
+        let batches = corpus.chunks(config.batch_size).cycle();
+        Self {
+            pipeline: AuditPipeline::new(Gnn4Ip::with_seed(42), config),
+            batches,
+            ms: Vec::new(),
+        }
+    }
+
+    fn step(&mut self) {
+        let batch = self.batches.next().expect("corpora are not empty");
+        let t = Instant::now();
+        let report = self.pipeline.ingest(batch.iter().map(source_of));
+        self.ms
+            .push(t.elapsed().as_secs_f64() * 1e3 / batch.len() as f64);
+        assert!(report.rejected.is_empty(), "corpus designs parse");
+    }
 }
 
 /// A metric as printed: name, value, unit.
@@ -168,6 +196,19 @@ impl Faults {
     }
 }
 
+/// The median of per-round latency samples, taken round by round and
+/// averaged over the rounds. The machine this runs on switches between
+/// speeds from one round to the next (a `large_corpus_audit` run's rounds
+/// read 1.45 or 2.25 ms); the mean over many rounds moves smoothly with
+/// the mix, where a median of them jumps from one mode to the other.
+fn p50(rounds: &[Vec<f64>], what: &str, faults: &mut Faults) -> f64 {
+    let each: Vec<f64> = rounds.iter().map(|r| median(r)).collect();
+    if rounds.iter().any(Vec::is_empty) {
+        faults.add(1, || format!("{what}: a round without samples"));
+    }
+    mean(&each)
+}
+
 /// Percentile `p` of per-round latency samples: the median over up to
 /// [`WINDOWS`] windows of consecutive rounds (see [`stats::windowed`]),
 /// or a fault (and the maximum) when the samples cannot support it.
@@ -202,7 +243,7 @@ fn dfg_nodes(source: &str) -> (usize, usize) {
 }
 
 /// The input shape printed beside the metrics.
-fn shape(w: Workload, corpus: &[Design], inputs: &Inputs, phases: &[&Phase]) -> Json {
+fn shape(plan: &Plan, phases: &[&Phase]) -> Json {
     let (mut sent, mut bytes, mut resubmitted) = ([0usize; 3], [0usize; 3], 0);
     for p in phases {
         for k in 0..3 {
@@ -211,19 +252,18 @@ fn shape(w: Workload, corpus: &[Design], inputs: &Inputs, phases: &[&Phase]) -> 
         }
         resubmitted += p.resubmitted;
     }
-    // DFG size over a fixed sample of the stream's audit bodies
-    let nodes: Vec<(usize, usize)> = inputs
-        .stream
-        .iter()
+    // DFG size over a fixed sample: the plan's first 200 audits
+    let nodes: Vec<(usize, usize)> = plan
+        .restart()
         .filter(|r| r.kind == Kind::Audit)
         .take(200)
-        .map(|r| dfg_nodes(&inputs.bodies[r.body]))
+        .map(|r| dfg_nodes(&plan.body(&r)))
         .collect();
     let ratio = |a: usize, b: usize| if b == 0 { 0.0 } else { a as f64 / b as f64 };
     let (audit, ingest) = (Kind::Audit as usize, Kind::Ingest as usize);
     Json::obj()
-        .with("workload", w.name())
-        .with("corpus_designs", corpus.len())
+        .with("workload", plan.workload().name())
+        .with("corpus_designs", plan.corpus().len())
         .with("audits", sent[audit])
         .with("ingests", sent[ingest])
         .with("publishes", sent[Kind::Publish as usize])
@@ -240,25 +280,12 @@ fn shape(w: Workload, corpus: &[Design], inputs: &Inputs, phases: &[&Phase]) -> 
         .with("resubmission_share", ratio(resubmitted, sent[audit]))
 }
 
-/// Recomputes a seeded sample of a phase's verdict lines with serial
-/// `AuditSnapshot::audit` on the final snapshot; returns mismatches.
-fn check_verdicts(
-    snap: &AuditSnapshot,
-    inputs: &Inputs,
-    p: &Phase,
-    rng: &mut SplitMix,
-    faults: &mut Faults,
-) -> usize {
-    if p.verdicts.is_empty() {
-        return 0;
-    }
-    let mut checked = 0;
-    for _ in 0..CHECK_SAMPLE {
-        let v = &p.verdicts[rng.below(p.verdicts.len())];
-        let req = inputs.stream[v.pos % inputs.stream.len()];
-        let body = &inputs.bodies[req.body];
+/// Recomputes a phase's kept verdict lines (a seeded sample) with serial
+/// `AuditSnapshot::audit` on the final snapshot; returns how many.
+fn check_verdicts(snap: &AuditSnapshot, plan: &Plan, p: &Phase, faults: &mut Faults) -> usize {
+    for v in &p.kept {
         let want = snap
-            .audit(body, None)
+            .audit(&plan.body(&v.req), None)
             .map(|verdict| verdict_line(&v.name, &verdict))
             .unwrap_or_else(|e| format!("ERR audit {}: {e}", v.name));
         if want != v.line {
@@ -266,42 +293,53 @@ fn check_verdicts(
                 format!("verdict check: want {want:?}, got {:?}", v.line)
             });
         }
-        checked += 1;
     }
-    checked
+    p.kept.len()
 }
 
-/// The end-to-end run: rounds of `lat`, `tput` and, on a read-only
-/// workload, unpublished writes; then the verdict check.
+/// Shares of `--seconds` the `lat` and `tput` phases get.
+fn shares(w: Workload) -> (f64, f64) {
+    if w.read_only() {
+        (0.6, 0.4)
+    } else {
+        (0.75, 0.25)
+    }
+}
+
+/// Bodies rendered ahead of each segment: a `tput` segment's worth at
+/// [`Workload::max_rate`]. A fixed count, so the client's memory is the
+/// same however fast the service answers.
+fn bodies_ahead(w: Workload, secs: f64) -> usize {
+    (w.max_rate() * secs * shares(w).1 / ROUNDS as f64).ceil() as usize
+}
+
+/// The end-to-end run: rounds of `lat` and `tput`, then the verdict
+/// check.
 fn run_plain(
     w: Workload,
     mut pipeline: AuditPipeline,
     corpus: &[Design],
-    inputs: &Inputs,
     args: &Args,
     setups: &[f64],
 ) -> Run {
     let config = ServiceConfig::default();
     let secs = args.seconds;
-    let (lat_share, tput_share) = if w.read_only() {
-        (0.6, 0.4)
-    } else {
-        (0.75, 0.25)
-    };
-    let mut seen = vec![false; inputs.bodies.len()];
+    let (lat_share, tput_share) = shares(w);
+    let ahead = bodies_ahead(w, secs);
+    let mut feed = Feed::new(w, corpus, args.seed);
+    let mut probe = w.read_only().then(|| IngestProbe::new(corpus));
     let mut faults = Faults::default();
 
-    // lat, tput and (read-only workloads) write segments alternate in
-    // rounds, so a slow spell of the machine lands in all of them, and
-    // the medians over rounds and windows reject it
-    let (mut lat, mut tput, mut write) = (Phase::default(), Phase::default(), Phase::default());
+    // lat and tput alternate in rounds, so each sees the machine's mix of
+    // speeds over the whole run
+    let (mut lat, mut tput) = (Phase::default(), Phase::default());
     let (mut rates, mut audit_rounds, mut ingest_rounds) = (Vec::new(), Vec::new(), Vec::new());
+    let mut dry_rounds = 0;
     let ((), _, extra) = session(&mut pipeline, &config, |c| {
         let share = |s: f64| Duration::from_secs_f64(secs * s / ROUNDS as f64);
         let per_round = |n: usize| n.div_ceil(ROUNDS);
         // enough for a p99 in every window
         let per_window_round = |n: usize| n.div_ceil(ROUNDS / WINDOWS);
-        let (stream, bodies) = (&inputs.stream, &inputs.bodies);
         for _ in 0..ROUNDS {
             let until = Until {
                 budget: share(lat_share),
@@ -312,7 +350,8 @@ fn run_plain(
                     per_round(P99_SAMPLES)
                 },
             };
-            let l = run_phase(c, stream, bodies, tput.next, 1, until, "l", &mut seen);
+            feed.fill(ahead);
+            let l = run_phase(c, &mut feed, 1, until, "l");
             audit_rounds.push(l.audit_ms.clone());
             if !w.read_only() {
                 ingest_rounds.push(l.ingest_ms.clone());
@@ -323,94 +362,61 @@ fn run_plain(
                 min_audits: 0,
                 min_ingests: 0,
             };
-            let window = config.max_batch;
-            let t = run_phase(c, stream, bodies, lat.next, window, until, "t", &mut seen);
+            feed.fill(ahead);
+            let t = run_phase(c, &mut feed, config.max_batch, until, "t");
+            dry_rounds += usize::from(t.ran_dry);
             rates.push(t.audit_ms.len() as f64 / t.wall.as_secs_f64().max(1e-9));
             tput.absorb(t);
-            if w.read_only() {
-                // a fixed count: every write is a fresh design, and none
-                // is published, so the served snapshot stays the set-up one
-                let until = Until {
-                    budget: Duration::ZERO,
-                    min_audits: 0,
-                    min_ingests: per_round(workload::WRITE_INGESTS),
-                };
-                let writes = &inputs.writes;
-                let wr = run_phase(c, writes, bodies, write.next, 1, until, "w", &mut seen);
-                ingest_rounds.push(wr.ingest_ms.clone());
-                write.absorb(wr);
+            if let Some(probe) = &mut probe {
+                probe.step();
             }
         }
     });
     faults.phase("lat", &lat, 0);
-    faults.phase("tput", &tput, 0);
-    faults.phase("write", &write, extra);
+    faults.phase("tput", &tput, extra);
 
     let mut checked = 0;
     if w.read_only() {
         let snap = pipeline.serving_slot().load().expect("set-up published");
-        let mut rng = SplitMix(args.seed ^ 0xC4EC_4ED5);
-        checked += check_verdicts(&snap, inputs, &lat, &mut rng, &mut faults);
-        checked += check_verdicts(&snap, inputs, &tput, &mut rng, &mut faults);
+        checked += check_verdicts(&snap, feed.plan(), &lat, &mut faults);
+        checked += check_verdicts(&snap, feed.plan(), &tput, &mut faults);
     }
-
-    // recall over the stream's first RECALL_AUDITS audits, wherever
-    // they were answered
-    let recall_end = inputs
-        .stream
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.kind == Kind::Audit)
-        .nth(RECALL_AUDITS - 1)
-        .map_or(inputs.stream.len(), |(i, _)| i + 1);
-    let recalled: Vec<&drive::Answered> = lat
-        .verdicts
-        .iter()
-        .chain(&tput.verdicts)
-        .filter(|v| v.pos < recall_end)
-        .collect();
-    let recall_n = recalled.len();
-    let hits = recalled
-        .iter()
-        .filter(|v| {
-            let source = inputs.stream[v.pos % inputs.stream.len()].source;
-            let want = source.map(|s| corpus[s].name.as_str());
-            v.best.as_deref() == want
-        })
-        .count();
-    let ingest_ms = if w.read_only() {
-        &write.ingest_ms
-    } else {
-        &lat.ingest_ms
-    };
-    let attempted = lat.attempted() + tput.attempted() + write.attempted();
+    let recall_n = lat.recall_answered + tput.recall_answered;
+    let hits = lat.recall_hits + tput.recall_hits;
+    let attempted = lat.attempted() + tput.attempted();
     let audit_p99 = latency(&audit_rounds, 99.0, "audit", &mut faults);
-    let ingest_p99 = latency(&ingest_rounds, 99.0, "ingest", &mut faults);
+    let (ingest_p50, ingest_samples) = if let Some(probe) = &probe {
+        (median(&probe.ms), probe.ms.len())
+    } else {
+        (
+            p50(&ingest_rounds, "ingest", &mut faults),
+            lat.ingest_ms.len(),
+        )
+    };
     let metrics = vec![
         Metric("setup_s", median(setups), "s"),
         Metric(
             "audit_p50_ms",
-            latency(&audit_rounds, 50.0, "audit", &mut faults),
+            p50(&audit_rounds, "audit", &mut faults),
             "ms",
         ),
-        Metric(
-            "ingest_p50_ms",
-            latency(&ingest_rounds, 50.0, "ingest", &mut faults),
-            "ms",
-        ),
-        Metric("audits_per_s", median(&rates), "1/s"),
+        Metric("ingest_p50_ms", ingest_p50, "ms"),
+        Metric("audits_per_s", mean(&rates), "1/s"),
         Metric("peak_rss_mb", peak_rss_mb(), "MB"),
     ];
-    let unbounded = vec![
-        Metric("audit_p99_ms", audit_p99, "ms"),
-        Metric("ingest_p99_ms", ingest_p99, "ms"),
+    let mut unbounded = vec![Metric("audit_p99_ms", audit_p99, "ms")];
+    if !w.read_only() {
+        let ingest_p99 = latency(&ingest_rounds, 99.0, "ingest", &mut faults);
+        unbounded.push(Metric("ingest_p99_ms", ingest_p99, "ms"));
+    }
+    unbounded.extend([
         Metric("recall_at_1", hits as f64 / recall_n.max(1) as f64, "ratio"),
         Metric(
             "failed_frac",
             faults.count as f64 / attempted.max(1) as f64,
             "ratio",
         ),
-    ];
+    ]);
 
     let phase_json = |p: &Phase| {
         Json::obj()
@@ -428,12 +434,25 @@ fn run_plain(
             rates.iter().map(|&r| Json::Num(r)).collect::<Vec<_>>(),
         )
         .with(
-            "stream_wraps",
-            tput.next.saturating_sub(1) / inputs.stream.len(),
+            "lat_rounds_p50_ms",
+            audit_rounds
+                .iter()
+                .map(|r| Json::Num(median(r)))
+                .collect::<Vec<_>>(),
         )
-        .with("write", phase_json(&write))
+        .with("tput_rounds_ran_dry", dry_rounds)
+        .with("bodies_ahead", ahead)
+        .with("body_mb_held_max", feed.held_max as f64 / (1 << 20) as f64)
         .with("audit_samples", lat.audit_ms.len())
-        .with("ingest_samples", ingest_ms.len())
+        .with(
+            "ingest_p50_from",
+            if probe.is_some() {
+                "ingest probe: corpus batches on a scratch pipeline"
+            } else {
+                "lat phase INGESTs"
+            },
+        )
+        .with("ingest_samples", ingest_samples)
         .with("recall_audits", recall_n)
         .with("verdicts_checked", checked)
         .with(
@@ -443,7 +462,7 @@ fn run_plain(
     Run {
         metrics,
         unbounded,
-        shape: shape(w, corpus, inputs, &[&lat, &tput, &write]),
+        shape: shape(feed.plan(), &[&lat, &tput]),
         detail,
         faults,
         attempted,
@@ -454,44 +473,41 @@ fn run_plain(
 /// The traced run: a short untraced service session for the client and
 /// server view, then the layer-by-layer replay, traced and untraced in
 /// alternating blocks.
-fn run_traced(
-    w: Workload,
-    mut pipeline: AuditPipeline,
-    corpus: &[Design],
-    inputs: &Inputs,
-    args: &Args,
-) -> Run {
+fn run_traced(w: Workload, mut pipeline: AuditPipeline, corpus: &[Design], args: &Args) -> Run {
     let config = ServiceConfig::default();
     let audit_config = AuditConfig::default();
     let secs = args.seconds;
-    let mut seen = vec![false; inputs.bodies.len()];
+    let mut feed = Feed::new(w, corpus, args.seed);
     let mut faults = Faults::default();
-    let (stream, bodies) = (&inputs.stream, &inputs.bodies);
     let cache0 = pipeline.detector().cache_stats();
+    let ahead = bodies_ahead(w, secs);
+    feed.fill(ahead);
     let (lat, lat_report, extra) = session(&mut pipeline, &config, |c| {
         let until = Until {
             budget: Duration::from_secs_f64(secs * 0.25),
             min_audits: P99_SAMPLES,
             min_ingests: 0,
         };
-        run_phase(c, stream, bodies, 0, 1, until, "l", &mut seen)
+        run_phase(c, &mut feed, 1, until, "l")
     });
     faults.phase("lat", &lat, extra);
+    feed.fill(ahead);
     let (tput, tput_report, extra) = session(&mut pipeline, &config, |c| {
         let until = Until {
             budget: Duration::from_secs_f64(secs * 0.15),
             min_audits: 0,
             min_ingests: 0,
         };
-        let window = config.max_batch;
-        run_phase(c, stream, bodies, lat.next, window, until, "t", &mut seen)
+        run_phase(c, &mut feed, config.max_batch, until, "t")
     });
     faults.phase("tput", &tput, extra);
     let cache1 = pipeline.detector().cache_stats();
     let lookups = (cache1.hits + cache1.misses) - (cache0.hits + cache0.misses);
     let cache_hits = cache1.hits - cache0.hits;
 
-    // the replay, from the start of the stream
+    // the replay, from the start of the plan
+    let mut replay = Plan::new(w, corpus, args.seed);
+    let mut probe = IngestProbe::new(corpus);
     let mut traced = Tracer::new(true);
     let mut plain = Tracer::new(false);
     let (mut traced_ns, mut plain_ns) = (0u128, 0u128);
@@ -503,14 +519,14 @@ fn run_traced(
     let budget = Duration::from_secs_f64(secs * 0.6);
     let mut pos = 0;
     const BLOCK: usize = 16;
-    while t0.elapsed() < budget && pos < 4 * inputs.stream.len() {
-        let block: Vec<(usize, workload::Request)> = (pos..pos + BLOCK)
-            .map(|p| (p, inputs.stream[p % inputs.stream.len()]))
-            .collect();
+    while t0.elapsed() < budget {
+        let reqs: Vec<workload::Request> = replay.by_ref().take(BLOCK).collect();
+        let bodies: Vec<String> = reqs.iter().map(|r| replay.body(r)).collect();
         let traced_first = (pos / BLOCK).is_multiple_of(2);
         for pass in 0..2 {
             let tracing = (pass == 0) == traced_first;
-            for &(p, req) in &block {
+            for (i, (&req, body)) in reqs.iter().zip(&bodies).enumerate() {
+                let p = pos + i;
                 match req.kind {
                     Kind::Audit => {
                         let tr = if tracing { &mut traced } else { &mut plain };
@@ -519,7 +535,7 @@ fn run_traced(
                             tr,
                             p,
                             &snap,
-                            &inputs.bodies[req.body],
+                            body,
                             audit_config.top_k,
                             &audit_config.query,
                         );
@@ -547,7 +563,7 @@ fn run_traced(
                     }
                     // writes are replayed once, traced
                     Kind::Ingest if tracing => {
-                        replay_ingest(&mut traced, p, &mut pipeline, &inputs.bodies[req.body]);
+                        replay_ingest(&mut traced, p, &mut pipeline, body);
                     }
                     Kind::Publish if tracing => {
                         replay_publish(&mut traced, p, &pipeline);
@@ -557,19 +573,13 @@ fn run_traced(
                 }
             }
         }
-        pos += BLOCK;
-    }
-    let base = pos;
-    for (i, req) in inputs.writes.iter().take(TRACE_WRITES).enumerate() {
-        replay_ingest(
-            &mut traced,
-            base + i,
-            &mut pipeline,
-            &inputs.bodies[req.body],
-        );
-        if (i + 1).is_multiple_of(8) {
-            replay_publish(&mut traced, base + i, &pipeline);
+        // a read-only workload sends no write: its write layer is timed
+        // by the probe, and publish on the served pipeline
+        if w.read_only() && (pos / BLOCK).is_multiple_of(PROBE_EVERY_BLOCKS) {
+            probe.step();
+            replay_publish(&mut traced, pos, &pipeline);
         }
+        pos += BLOCK;
     }
     let snap = pipeline.serving_slot().load().expect("published");
     for (i, batch) in embeddings
@@ -588,6 +598,11 @@ fn run_traced(
     let chain: f64 = trace::CHAIN.iter().map(|n| us(n)).sum();
     let client_p50_us = median(&lat.audit_ms) * 1e3;
     let ratio = |a: usize, b: usize| if b == 0 { 0.0 } else { a as f64 / b as f64 };
+    let ingest_us = if w.read_only() {
+        median(&probe.ms) * 1e3
+    } else {
+        us("core.ingest")
+    };
     let metrics = vec![
         Metric("hdl.preprocess_us", us("hdl.preprocess"), "us"),
         Metric("hdl.lex_us", us("hdl.lex"), "us"),
@@ -608,7 +623,7 @@ fn run_traced(
         Metric("eval.shards_pruned_frac", ratio(pruned, shards), "ratio"),
         Metric("core.audit_many_us", us("core.audit_many"), "us"),
         Metric("core.unattributed_us", us("core.audit_many") - chain, "us"),
-        Metric("core.ingest_us", us("core.ingest"), "us"),
+        Metric("core.ingest_us", ingest_us, "us"),
         Metric("core.publish_us", us("core.publish"), "us"),
         Metric("core.cache_lookups", lookups as f64, "count"),
         Metric(
@@ -665,7 +680,7 @@ fn run_traced(
     Run {
         metrics,
         unbounded: Vec::new(),
-        shape: shape(w, corpus, inputs, &[&lat, &tput]),
+        shape: shape(feed.plan(), &[&lat, &tput]),
         detail,
         faults,
         attempted,
@@ -713,14 +728,11 @@ fn main() {
         kept = Some((pipeline, corpus));
     }
     let (pipeline, corpus) = kept.expect("at least one set-up");
-    let t_generate = Instant::now();
-    let inputs = w.inputs(&corpus, args.seed);
-    let generate_s = t_generate.elapsed().as_secs_f64();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let run = if args.trace {
-        run_traced(w, pipeline, &corpus, &inputs, &args)
+        run_traced(w, pipeline, &corpus, &args)
     } else {
-        run_plain(w, pipeline, &corpus, &inputs, &args, &setups)
+        run_plain(w, pipeline, &corpus, &args, &setups)
     };
     let Run {
         metrics,
@@ -731,7 +743,6 @@ fn main() {
         attempted,
         spans,
     } = run;
-    let detail = detail.with("generate_s", generate_s);
 
     println!(
         "servebench workload={} seed={} seconds={} trace={} cores={cores}",

@@ -1,7 +1,7 @@
 //! The three workloads: each a corpus the service starts with, plus a
-//! seeded request stream. Everything the service sees is generated
-//! Verilog; the stream's bookkeeping (which corpus design a disguise
-//! came from) stays on the client side.
+//! seeded request plan. Everything the service sees is generated
+//! Verilog; the plan's bookkeeping (which corpus design a disguise came
+//! from) stays on the client side.
 
 use gnn4ip_data::{
     iscas::synth_netlist, netlist_designs, obfuscate_netlist, rtl_designs, synth_design,
@@ -48,28 +48,34 @@ impl Kind {
     }
 }
 
-/// One request of a stream.
+/// How a request's body is made.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Job {
+    /// No body (`PUBLISH`).
+    None,
+    /// Disguise corpus design `.0` with variant seed `.1`.
+    Disguise(usize, u64),
+    /// The `.0`-th fresh design.
+    Fresh(usize),
+}
+
+/// One request of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     pub kind: Kind,
-    /// Index into [`Inputs::bodies`] (unused for `Publish`).
-    pub body: usize,
+    pub job: Job,
     /// Corpus design an audit disguises.
     pub source: Option<usize>,
+    /// Whether the body repeats an earlier audit's byte for byte.
+    pub resubmit: bool,
 }
 
-/// Everything a run sends, generated from the seed.
-#[derive(Debug)]
-pub struct Inputs {
-    /// Distinct request bodies, normalized for framing.
-    pub bodies: Vec<String>,
-    /// The read phases' stream (`lat`, then `tput`).
-    pub stream: Vec<Request>,
-    /// The write segments of a read-only workload: fresh ingests, never
-    /// published. Empty on the mixed workload, whose stream already
-    /// carries its writes.
-    pub writes: Vec<Request>,
-}
+const PUBLISH: Request = Request {
+    kind: Kind::Publish,
+    job: Job::None,
+    source: None,
+    resubmit: false,
+};
 
 impl Workload {
     pub const ALL: [Workload; 3] = [
@@ -90,8 +96,8 @@ impl Workload {
         }
     }
 
-    /// Whether the read phases leave the corpus unchanged, so every
-    /// verdict can be recomputed serially on the final snapshot.
+    /// Whether the workload sends only `AUDIT`s, so the corpus stays the
+    /// set-up one and every verdict can be recomputed serially on it.
     pub fn read_only(self) -> bool {
         self != Workload::NetlistIngestAudit
     }
@@ -105,13 +111,16 @@ impl Workload {
         }
     }
 
-    /// Requests in the read stream: enough that neither read phase wraps
-    /// around at today's speed (a wrap is counted and printed).
-    fn stream_len(self) -> usize {
+    /// Requests per second above today's `tput` rate on two cores (about
+    /// 2.5 times it). A `tput` segment's bodies are rendered ahead at this
+    /// rate: a fixed count, so the memory they take does not depend on how
+    /// fast the program is. A program fast enough to run out ends its
+    /// segments early, which leaves the rate measured over them sound.
+    pub fn max_rate(self) -> f64 {
         match self {
-            Workload::RtlAudit => 38_000,
-            Workload::NetlistIngestAudit => 9_000,
-            Workload::LargeCorpusAudit => 26_000,
+            Workload::RtlAudit => 5_000.0,
+            Workload::NetlistIngestAudit => 1_200.0,
+            Workload::LargeCorpusAudit => 4_000.0,
         }
     }
 
@@ -119,8 +128,8 @@ impl Workload {
     fn fresh_design(self, seed: u64, i: usize) -> String {
         let family = FRESH_SEED_BASE + (seed % 4096) * (1 << 24) + i as u64;
         match self {
-            Workload::RtlAudit => synth_design(family, SynthSize::Medium),
             Workload::NetlistIngestAudit => synth_netlist(family, NETLIST_GATES),
+            Workload::RtlAudit => synth_design(family, SynthSize::Medium),
             Workload::LargeCorpusAudit => synth_design(family, SynthSize::Small),
         }
     }
@@ -135,15 +144,32 @@ impl Workload {
         };
         out.expect("corpus designs parse, so their disguises do")
     }
+}
 
-    /// Generates the run's requests from `seed` over `corpus`.
-    pub fn inputs(self, corpus: &[Design], seed: u64) -> Inputs {
+/// A run's requests, planned in order from the seed: an endless
+/// iterator that never repeats itself. Request `i` is the same for a
+/// seed however fast the service answers, so a faster program is
+/// measured on the same traffic. Only what a resubmission needs is
+/// remembered; bodies are rendered on demand ([`Plan::body`]).
+pub struct Plan<'a> {
+    workload: Workload,
+    corpus: &'a [Design],
+    seed: u64,
+    rng: SplitMix,
+    /// A seeded permutation of the corpus that new disguises walk.
+    order: Vec<usize>,
+    fresh_audits: usize,
+    ingests: usize,
+    /// Whether a publish is due (after every eighth ingest).
+    publish_due: bool,
+    /// (design, variant) of every first-time audit, which a resubmission
+    /// repeats.
+    originals: Vec<(usize, u64)>,
+}
+
+impl<'a> Plan<'a> {
+    pub fn new(workload: Workload, corpus: &'a [Design], seed: u64) -> Self {
         let mut rng = SplitMix(seed ^ 0x005E_ED0F_6E4B_1E4C);
-        // plan first (cheap, sequential), then render the bodies in parallel
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut stream = Vec::with_capacity(self.stream_len());
-        let mut audits: Vec<Request> = Vec::new();
-        let mut ingests = 0usize;
         // new disguises walk a seeded permutation of the corpus, so every
         // seed audits each design about equally often: the seed changes
         // which disguise, not how much heavy (ISCAS, processor) work a
@@ -152,99 +178,84 @@ impl Workload {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.below(i + 1));
         }
-        let mut fresh_audits = 0usize;
-        while stream.len() < self.stream_len() {
-            let roll = rng.below(20);
-            let req = match self {
-                Workload::RtlAudit if roll < 5 && !audits.is_empty() => {
-                    audits[rng.below(audits.len())]
-                }
-                Workload::NetlistIngestAudit if roll < 4 => {
-                    jobs.push(Job::Fresh(ingests));
-                    ingests += 1;
-                    Request {
-                        kind: Kind::Ingest,
-                        body: jobs.len() - 1,
-                        source: None,
-                    }
-                }
-                _ => {
-                    let design = order[fresh_audits % order.len()];
-                    fresh_audits += 1;
-                    jobs.push(Job::Disguise(design, rng.next() | 1));
-                    Request {
-                        kind: Kind::Audit,
-                        body: jobs.len() - 1,
-                        source: Some(design),
-                    }
-                }
-            };
-            stream.push(req);
-            match req.kind {
-                Kind::Audit => audits.push(req),
-                Kind::Ingest if ingests.is_multiple_of(8) => stream.push(publish()),
-                _ => {}
-            }
+        Self {
+            workload,
+            corpus,
+            seed,
+            rng,
+            order,
+            fresh_audits: 0,
+            ingests: 0,
+            publish_due: false,
+            originals: Vec::new(),
         }
-        let mut writes = Vec::new();
-        if self.read_only() {
-            for i in 0..WRITE_INGESTS {
-                jobs.push(Job::Fresh(i));
-                writes.push(Request {
+    }
+
+    pub fn workload(&self) -> Workload {
+        self.workload
+    }
+
+    /// The same plan from its start.
+    pub fn restart(&self) -> Plan<'a> {
+        Plan::new(self.workload, self.corpus, self.seed)
+    }
+
+    pub fn corpus(&self) -> &'a [Design] {
+        self.corpus
+    }
+
+    /// The body of `req`, normalized for framing; empty for a publish.
+    pub fn body(&self, req: &Request) -> String {
+        let w = self.workload;
+        match req.job {
+            Job::None => String::new(),
+            Job::Disguise(d, variant) => {
+                normalize_body(&w.disguise(&self.corpus[d].source, variant))
+            }
+            Job::Fresh(i) => normalize_body(&w.fresh_design(self.seed, i)),
+        }
+    }
+}
+
+impl Iterator for Plan<'_> {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        if std::mem::take(&mut self.publish_due) {
+            return Some(PUBLISH);
+        }
+        let roll = self.rng.below(20);
+        let audit = |(design, variant), resubmit| Request {
+            kind: Kind::Audit,
+            job: Job::Disguise(design, variant),
+            source: Some(design),
+            resubmit,
+        };
+        Some(match self.workload {
+            Workload::RtlAudit if roll < 5 && !self.originals.is_empty() => {
+                audit(self.originals[self.rng.below(self.originals.len())], true)
+            }
+            Workload::NetlistIngestAudit if roll < 4 => {
+                self.ingests += 1;
+                self.publish_due = self.ingests.is_multiple_of(8);
+                Request {
                     kind: Kind::Ingest,
-                    body: jobs.len() - 1,
+                    job: Job::Fresh(self.ingests - 1),
                     source: None,
-                });
+                    resubmit: false,
+                }
             }
-        }
-        let bodies = render(&jobs, |job| {
-            normalize_body(&match *job {
-                Job::Disguise(d, variant) => self.disguise(&corpus[d].source, variant),
-                Job::Fresh(i) => self.fresh_design(seed, i),
-            })
-        });
-        Inputs {
-            bodies,
-            stream,
-            writes,
-        }
+            _ => {
+                let design = self.order[self.fresh_audits % self.order.len()];
+                self.fresh_audits += 1;
+                let original = (design, self.rng.next() | 1);
+                if self.workload == Workload::RtlAudit {
+                    self.originals.push(original);
+                }
+                audit(original, false)
+            }
+        })
     }
-}
-
-/// Ingests in a read-only workload's write segments: 1,000 per latency
-/// window, enough for a p99 in each.
-pub const WRITE_INGESTS: usize = 4_000;
-
-fn publish() -> Request {
-    Request {
-        kind: Kind::Publish,
-        body: 0,
-        source: None,
-    }
-}
-
-/// A body to render.
-#[derive(Debug, Clone, Copy)]
-enum Job {
-    /// Disguise corpus design `.0` with variant seed `.1`.
-    Disguise(usize, u64),
-    /// The `.0`-th fresh design.
-    Fresh(usize),
-}
-
-/// Renders every job on two scoped threads, in job order.
-fn render(jobs: &[Job], f: impl Fn(&Job) -> String + Sync) -> Vec<String> {
-    let half = jobs.len().div_ceil(2).max(1);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .chunks(half)
-            .map(|chunk| s.spawn(|| chunk.iter().map(&f).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("body rendering does not panic"))
-            .collect()
-    })
 }
 
 /// splitmix64: a seeded, dependency-free generator.
@@ -278,19 +289,47 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_same_inputs() {
+    fn same_seed_same_requests() {
         let corpus = netlist_designs(8, 40);
         let w = Workload::NetlistIngestAudit;
-        let a = w.inputs(&corpus, 3);
-        let b = w.inputs(&corpus, 3);
-        assert_eq!(a.stream, b.stream);
-        assert_eq!(a.bodies, b.bodies);
-        let c = w.inputs(&corpus, 4);
-        assert_ne!(a.bodies, c.bodies);
-        // one publish after every eighth ingest
-        let ingests = a.stream.iter().filter(|r| r.kind == Kind::Ingest).count();
-        let publishes = a.stream.iter().filter(|r| r.kind == Kind::Publish).count();
-        assert_eq!(publishes, ingests / 8);
-        assert!(a.writes.is_empty());
+        let a: Vec<Request> = Plan::new(w, &corpus, 3).take(200).collect();
+        let b: Vec<Request> = Plan::new(w, &corpus, 3).take(200).collect();
+        assert_eq!(a, b);
+        let (pa, pb) = (Plan::new(w, &corpus, 3), Plan::new(w, &corpus, 3));
+        assert!(a.iter().all(|r| pa.body(r) == pb.body(r)));
+        let c: Vec<Request> = Plan::new(w, &corpus, 4).take(200).collect();
+        assert_ne!(a, c);
+        // one publish right after every eighth ingest; every audit fresh
+        let ingests = a.iter().filter(|r| r.kind == Kind::Ingest).count();
+        let publishes: Vec<usize> = (0..a.len())
+            .filter(|&i| a[i].kind == Kind::Publish)
+            .collect();
+        assert_eq!(publishes.len(), ingests / 8);
+        assert!(publishes.iter().all(|&i| a[i - 1].kind == Kind::Ingest));
+        assert!(a.iter().all(|r| !r.resubmit));
+    }
+
+    #[test]
+    fn resubmissions_repeat_an_earlier_body_byte_for_byte() {
+        let corpus = rtl_designs(12, SynthSize::Small);
+        let plan = Plan::new(Workload::RtlAudit, &corpus, 9);
+        let reqs: Vec<Request> = Plan::new(Workload::RtlAudit, &corpus, 9)
+            .take(400)
+            .collect();
+        let resubmits: Vec<(usize, &Request)> = reqs
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.resubmit)
+            .collect();
+        // about one in four
+        assert!((70..130).contains(&resubmits.len()), "{}", resubmits.len());
+        for &(pos, r) in resubmits.iter().take(10) {
+            let first = reqs[..pos]
+                .iter()
+                .find(|e| !e.resubmit && e.job == r.job)
+                .expect("a resubmission repeats an earlier audit");
+            assert_eq!(plan.body(first), plan.body(r));
+        }
+        assert!(reqs.iter().all(|r| r.kind == Kind::Audit));
     }
 }
