@@ -4,6 +4,11 @@
 //! builders. The references use only public API. Equality is exact: the
 //! same `Dfg` (node order, edges, roots), the same `TrimStats`, and the
 //! same CSR entries down to the value bits.
+//!
+//! The corpus runs also pin what the Verilog front end hands on: one
+//! FNV-1a digest over every design's `design_fingerprint` and one over
+//! every trimmed DFG, so a front-end rewrite must reproduce both bit for
+//! bit.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -11,7 +16,7 @@ use proptest::prelude::*;
 
 use gnn4ip::data::{netlist_designs, obfuscate_netlist, rtl_designs, ObfuscationConfig, SynthSize};
 use gnn4ip::dfg::{extract, trim, Dfg, NodeKind, TrimStats};
-use gnn4ip::hdl::elaborate;
+use gnn4ip::hdl::{design_fingerprint, elaborate, flatten, parse, preprocess, StableHasher};
 use gnn4ip::tensor::{mean_adjacency, normalized_adjacency, CsrMatrix};
 
 // ------------------------------------------------------------- references
@@ -227,10 +232,66 @@ fn assert_same_trim(g: &Dfg) -> Dfg {
     got
 }
 
-fn assert_same_pipeline(label: &str, source: &str, top: &str) {
+/// FNV-1a digests of a corpus run, fed in corpus order.
+#[derive(Default)]
+struct CorpusDigest {
+    /// Every design's `design_fingerprint`.
+    fingerprints: StableHasher,
+    /// Every trimmed DFG: node kinds and labels, edges, roots.
+    graphs: StableHasher,
+}
+
+impl CorpusDigest {
+    fn absorb(&mut self, label: &str, source: &str, top: &str, trimmed: &Dfg) {
+        let fp = design_fingerprint(source, Some(top)).unwrap_or_else(|e| panic!("{label}: {e}"));
+        self.fingerprints.write_u64(fp.as_u64());
+        let h = &mut self.graphs;
+        h.write_u64(trimmed.node_count() as u64);
+        for node in trimmed.nodes() {
+            h.write_u64(node.kind.index() as u64);
+            h.write_str(&node.label);
+            h.write(&[0xff]);
+        }
+        h.write_u64(trimmed.edge_count() as u64);
+        for &(f, t) in trimmed.edges() {
+            h.write_u64(f as u64);
+            h.write_u64(t as u64);
+        }
+        h.write_u64(trimmed.roots().len() as u64);
+        for &r in trimmed.roots() {
+            h.write_u64(r as u64);
+        }
+    }
+
+    fn assert_pinned(&self, fingerprints: u64, graphs: u64) {
+        let got = (self.fingerprints.finish(), self.graphs.finish());
+        assert_eq!(
+            got,
+            (fingerprints, graphs),
+            "corpus digests moved; observed ({:#018x}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+}
+
+fn assert_same_pipeline(label: &str, source: &str, top: &str, digest: &mut CorpusDigest) {
     let flat = elaborate(source, Some(top)).unwrap_or_else(|e| panic!("{label}: {e}"));
     let trimmed = assert_same_trim(&extract(&flat));
     assert_same_adjacency(trimmed.node_count(), trimmed.edges());
+    digest.absorb(label, source, top, &trimmed);
+}
+
+/// `elaborate` moves the top module into flatten; the borrowed entry
+/// clones it. Both must build the same flat module.
+fn assert_same_flatten(label: &str, source: &str, top: &str) {
+    let pre = preprocess(source, &Default::default()).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let unit = parse(&pre).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(
+        elaborate(source, Some(top)),
+        flatten(&unit, top),
+        "{label}: elaborate and flatten disagree"
+    );
 }
 
 // ------------------------------------------------------------ generators
@@ -310,15 +371,20 @@ proptest! {
 #[test]
 fn pipeline_matches_reference_on_corpus_sample() {
     let obf = ObfuscationConfig::default();
+    let mut digest = CorpusDigest::default();
     for d in netlist_designs(6, 250) {
         for variant in 0..=1 {
             let src = obfuscate_netlist(&d.source, variant, &obf).expect("obfuscates");
-            assert_same_pipeline(&format!("{}/obf{variant}", d.name), &src, &d.top);
+            let label = format!("{}/obf{variant}", d.name);
+            assert_same_pipeline(&label, &src, &d.top, &mut digest);
+            assert_same_flatten(&label, &src, &d.top);
         }
     }
     for d in rtl_designs(60, SynthSize::Medium) {
-        assert_same_pipeline(&d.name, &d.source, &d.top);
+        assert_same_pipeline(&d.name, &d.source, &d.top, &mut digest);
+        assert_same_flatten(&d.name, &d.source, &d.top);
     }
+    digest.assert_pinned(0x11af_9e62_1468_ace7, 0xe82d_6515_bfc7_a16f);
 }
 
 /// Every design of the benchmark corpora: `netlist_designs(200, 250)`
@@ -327,13 +393,16 @@ fn pipeline_matches_reference_on_corpus_sample() {
 #[ignore = "corpus sweep, slow in debug; run in the release heavy stage"]
 fn pipeline_matches_reference_on_full_corpus() {
     let obf = ObfuscationConfig::default();
+    let mut digest = CorpusDigest::default();
     for d in netlist_designs(200, 250) {
         for variant in 0..=4 {
             let src = obfuscate_netlist(&d.source, variant, &obf).expect("obfuscates");
-            assert_same_pipeline(&format!("{}/obf{variant}", d.name), &src, &d.top);
+            let label = format!("{}/obf{variant}", d.name);
+            assert_same_pipeline(&label, &src, &d.top, &mut digest);
         }
     }
     for d in rtl_designs(1000, SynthSize::Medium) {
-        assert_same_pipeline(&d.name, &d.source, &d.top);
+        assert_same_pipeline(&d.name, &d.source, &d.top, &mut digest);
     }
+    digest.assert_pinned(0x0752_a6f3_b157_4f75, 0xe99a_c143_4c2a_d962);
 }

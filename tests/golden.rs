@@ -1,14 +1,17 @@
 //! Golden embeddings: fixed designs pinned to their trimmed DFG shape
-//! (nodes, edges, trim statistics) and to an FNV-1a hash of the f32 bits
-//! of the `Gnn4Ip::with_seed(42)` embedding. Any front-end, trim,
-//! adjacency or model change that moves one bit of one embedding fails
-//! here; a pure speed-up must pass it unchanged.
+//! (nodes, edges, trim statistics), to an FNV-1a hash of the f32 bits
+//! of the `Gnn4Ip::with_seed(42)` embedding, and to their absolute
+//! `design_fingerprint` (persisted in embedding-library artifacts). Any
+//! front-end, trim, adjacency or model change that moves one bit of one
+//! embedding or fingerprint fails here; a pure speed-up must pass it
+//! unchanged.
 
 use gnn4ip::data::iscas::{c432, c6288_sized};
 use gnn4ip::data::{
     obfuscate_netlist, synth_design, vary_design, ObfuscationConfig, SynthSize, VariationConfig,
 };
 use gnn4ip::dfg::{graph_with_report, PipelineReport, TrimStats};
+use gnn4ip::hdl::design_fingerprint;
 use gnn4ip::nn::GraphInput;
 use gnn4ip::Gnn4Ip;
 
@@ -25,8 +28,8 @@ fn fnv1a(values: &[f32]) -> u64 {
 }
 
 /// One pinned design: `(nodes, edges, unreachable_removed,
-/// passthrough_collapsed, embedding hash)`.
-type Pin = (usize, usize, usize, usize, u64);
+/// passthrough_collapsed, embedding hash, fingerprint)`.
+type Pin = (usize, usize, usize, usize, u64, u64);
 
 fn observe(source: &str, top: &str) -> Pin {
     let (g, report) = graph_with_report(source, Some(top)).expect("golden design extracts");
@@ -41,12 +44,14 @@ fn observe(source: &str, top: &str) -> Pin {
         ..
     } = report;
     let embedding = Gnn4Ip::with_seed(42).embed(&GraphInput::from_dfg(&g));
+    let fingerprint = design_fingerprint(source, Some(top)).expect("golden design fingerprints");
     (
         nodes,
         edges,
         unreachable_removed,
         passthrough_collapsed,
         fnv1a(&embedding),
+        fingerprint.as_u64(),
     )
 }
 
@@ -64,11 +69,26 @@ fn golden_designs() -> Vec<(&'static str, String, &'static str)> {
 }
 
 const GOLDEN: &[(&str, Pin)] = &[
-    ("c432", (158, 190, 2, 2, 17928344123975104269)),
-    ("c432_obf1", (216, 248, 36, 2, 2447119043953331139)),
-    ("c6288_8", (680, 987, 0, 16, 12072638993969111549)),
-    ("synth3", (154, 236, 10, 0, 10975287398849370278)),
-    ("synth3_var1", (232, 327, 26, 0, 8050664870870552601)),
+    (
+        "c432",
+        (158, 190, 2, 2, 17928344123975104269, 13574261119622861972),
+    ),
+    (
+        "c432_obf1",
+        (216, 248, 36, 2, 2447119043953331139, 17998052183253345607),
+    ),
+    (
+        "c6288_8",
+        (680, 987, 0, 16, 12072638993969111549, 9603573920151024829),
+    ),
+    (
+        "synth3",
+        (154, 236, 10, 0, 10975287398849370278, 389213832893145596),
+    ),
+    (
+        "synth3_var1",
+        (232, 327, 26, 0, 8050664870870552601, 10961928731031320282),
+    ),
 ];
 
 #[test]
