@@ -115,18 +115,23 @@ stage_analysis() {
 stage_servebench() {
     # the serve benchmark's own correctness checks: its unit tests (request
     # framing, response parsing, percentiles, span self time), then one
-    # short rtl_audit run, which checks every response's order and kind and
-    # a sample of VERDICT lines byte for byte against serial audits. The
-    # stage fails unless the run's result line says it was correct.
+    # short run per workload below, each checking every response's order
+    # and kind (and, on rtl_audit, a sample of VERDICT lines byte for byte
+    # against serial audits). The netlist run is the only one that sends
+    # obfuscated ~37 KB ISCAS-class bodies with dot-stuffed named-port
+    # lines through the Verilog front end inside run_service. The stage
+    # fails unless every run's result line says it was correct.
     cargo test --release --offline --manifest-path servebench/Cargo.toml
-    local result
-    result=$(cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
-        --workload rtl_audit --seed 1 --seconds 2 --trace 0 | tail -n 1)
-    echo "servebench: ${result}"
-    if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
-        echo "servebench: the rtl_audit run was not correct" >&2
-        return 1
-    fi
+    local workload result
+    for workload in rtl_audit netlist_ingest_audit; do
+        result=$(cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
+            --workload "${workload}" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+        echo "servebench ${workload}: ${result}"
+        if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+            echo "servebench: the ${workload} run was not correct" >&2
+            return 1
+        fi
+    done
 }
 
 stage_benches() {

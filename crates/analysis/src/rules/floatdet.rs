@@ -40,6 +40,7 @@ pub const DETERMINISM_KERNELS: &[(&str, &str)] = &[
     ("crates/tensor/src/matrix.rs", "Matrix::norm"),
     ("crates/tensor/src/matrix.rs", "Matrix::dot"),
     ("crates/tensor/src/matrix.rs", "Matrix::max_abs"),
+    ("crates/tensor/src/matrix.rs", "Matrix::matmul_into"),
     ("crates/tensor/src/matrix.rs", "gemm_nt"),
 ];
 

@@ -36,11 +36,22 @@ fn bench_pipeline_phases(c: &mut Criterion) {
     let src = c6288_sized(12);
     let mut group = c.benchmark_group("dfg/phases");
     group.sample_size(10);
-    group.bench_function("preprocess+parse", |b| {
+    group.bench_function("preprocess", |b| {
         b.iter(|| {
-            let pre = gnn4ip_hdl::preprocess(&src, &Default::default()).expect("pre");
-            std::hint::black_box(gnn4ip_hdl::parse(&pre).expect("parse"))
+            std::hint::black_box(gnn4ip_hdl::preprocess(&src, &Default::default()).expect("pre"))
         })
+    });
+    let pre = gnn4ip_hdl::preprocess(&src, &Default::default()).expect("pre");
+    group.bench_function("lex", |b| {
+        b.iter(|| std::hint::black_box(gnn4ip_hdl::lex(&pre).expect("lex")))
+    });
+    // parse lexes internally, so its own share is parse − lex
+    group.bench_function("parse", |b| {
+        b.iter(|| std::hint::black_box(gnn4ip_hdl::parse(&pre).expect("parse")))
+    });
+    // the whole front end: preprocess, parse, and flatten by move
+    group.bench_function("elaborate", |b| {
+        b.iter(|| std::hint::black_box(gnn4ip_hdl::elaborate(&src, Some("c6288")).expect("flat")))
     });
     let flat = gnn4ip_hdl::elaborate(&src, Some("c6288")).expect("flat");
     group.bench_function("extract", |b| {

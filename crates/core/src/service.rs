@@ -839,6 +839,50 @@ mod tests {
         assert_eq!((report.audits, report.ingested, report.rejected), (1, 0, 2));
     }
 
+    /// A body nested far past `MAX_NESTING` (100,000 parentheses, ~200 KB)
+    /// draws a typed ERR instead of overflowing a stack and aborting the
+    /// process; the service keeps answering.
+    #[test]
+    fn deeply_nested_bodies_get_err_lines_and_service_survives() {
+        let n = 100_000;
+        let deep = format!(
+            "module deep(input a, output y); assign y = {}a{}; endmodule",
+            "(".repeat(n),
+            ")".repeat(n)
+        );
+        let mut input = String::new();
+        input.push_str(&format!("AUDIT deep\n{deep}\n.\n"));
+        input.push_str(&format!("INGEST deep_too\n{deep}\n.\n"));
+        input.push_str(&format!("AUDIT fine\n{INV}\n.\n"));
+        input.push_str("SHUTDOWN\n");
+        let mut pipeline = service_pipeline();
+        let mut out: Vec<u8> = Vec::new();
+        let report = run_service(
+            &mut pipeline,
+            &ServiceConfig::default(),
+            input.as_bytes(),
+            &mut out,
+        )
+        .expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "one response per request:\n{text}");
+        let too_deep = format!("nesting deeper than {} levels", gnn4ip_hdl::MAX_NESTING);
+        assert!(
+            lines[0].starts_with("ERR audit deep: ") && lines[0].contains(&too_deep),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].starts_with("ERR ingest deep_too: ") && lines[1].contains(&too_deep),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].starts_with("VERDICT fine "), "{}", lines[2]);
+        assert_eq!(lines[3], "OK bye");
+        assert_eq!((report.audits, report.ingested, report.rejected), (1, 0, 2));
+    }
+
     /// Dot-stuffing: body lines that start with '.' survive the
     /// round-trip through the escape.
     #[test]

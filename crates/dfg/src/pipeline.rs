@@ -150,6 +150,56 @@ mod tests {
         }
     }
 
+    /// One module whose `body` sits `n` levels deep in the given shape.
+    fn nested_design(shape: &str, n: usize) -> String {
+        let body = match shape {
+            "parens" => format!("assign y = {}a{};", "(".repeat(n), ")".repeat(n)),
+            "unary" => format!("assign y = {}a;", "~".repeat(n)),
+            "chain" => format!("assign y = a{};", " & a".repeat(n)),
+            "ternary" => format!("assign y = {}a;", "a ? a : ".repeat(n)),
+            "paren_chain" => format!("assign y = {}a{};", "(a + ".repeat(n), ")".repeat(n)),
+            "begins" => format!("always @* {}y = a;{}", "begin ".repeat(n), " end".repeat(n)),
+            _ => unreachable!("unknown shape {shape}"),
+        };
+        format!("module m(input a, output reg y); {body} endmodule")
+    }
+
+    /// The deepest tree the parser accepts, in each shape, goes through
+    /// parse, flatten, extract, trim and drop on a 2 MiB stack (the
+    /// default for spawned threads, and so for serve workers); one level
+    /// more is a typed error.
+    #[test]
+    fn deepest_accepted_nesting_fits_a_two_mib_stack() {
+        let max = gnn4ip_hdl::MAX_NESTING;
+        let shapes = [
+            ("parens", max - 1),
+            ("unary", max - 1),
+            ("chain", max - 1),
+            ("ternary", max - 1),
+            ("paren_chain", max - 2),
+            ("begins", max - 2),
+        ];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for (shape, deepest) in shapes {
+                    let g = graph_from_verilog(&nested_design(shape, deepest), None)
+                        .unwrap_or_else(|e| panic!("{shape} x{deepest}: {e}"));
+                    assert_eq!(g.roots().len(), 1, "{shape}");
+                    let err = graph_from_verilog(&nested_design(shape, deepest + 1), None)
+                        .expect_err(shape);
+                    assert!(
+                        err.to_string()
+                            .contains(&format!("nesting deeper than {max} levels")),
+                        "{shape}: {err}"
+                    );
+                }
+            })
+            .expect("spawns")
+            .join()
+            .expect("deep designs stay inside the stack");
+    }
+
     #[test]
     fn report_counts_match_graph() {
         let (g, r) = graph_with_report(ADDER_GATES, None).expect("ok");

@@ -5,6 +5,12 @@
 //! that step. [`flatten`] inlines every module instance into a single flat
 //! [`Module`] whose only remaining items are declarations, assigns, always
 //! blocks, and gate primitives.
+//!
+//! Elaboration consumes the module it flattens and rewrites its items in
+//! place. [`flatten`] clones the top module out of a borrowed unit;
+//! [`crate::elaborate`] owns its unit and moves the top module out
+//! instead. Every instantiated child is cloned from the unit, since one
+//! module may be instantiated many times.
 
 use std::collections::HashMap;
 
@@ -90,89 +96,82 @@ pub fn eval_const(expr: &Expr, env: &HashMap<String, i64>) -> Result<i64, ParseV
     }
 }
 
-/// Substitutes parameter identifiers with their constant values throughout an
-/// expression.
-fn subst_expr(expr: &Expr, env: &HashMap<String, i64>) -> Expr {
+/// Replaces parameter identifiers with their constant values throughout
+/// an expression.
+fn subst_expr(expr: &mut Expr, env: &HashMap<String, i64>) {
+    if env.is_empty() {
+        return;
+    }
     match expr {
-        Expr::Ident(name) => match env.get(name) {
-            Some(&v) => Expr::Number {
-                width: None,
-                value: v as u64,
-            },
-            None => expr.clone(),
-        },
-        Expr::Number { .. } | Expr::Str(_) => expr.clone(),
-        Expr::Unary { op, arg } => Expr::Unary {
-            op: *op,
-            arg: Box::new(subst_expr(arg, env)),
-        },
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(subst_expr(lhs, env)),
-            rhs: Box::new(subst_expr(rhs, env)),
-        },
+        Expr::Ident(name) => {
+            if let Some(&v) = env.get(name.as_str()) {
+                *expr = Expr::Number {
+                    width: None,
+                    value: v as u64,
+                };
+            }
+        }
+        Expr::Number { .. } | Expr::Str(_) => {}
+        Expr::Unary { arg, .. } => subst_expr(arg, env),
+        Expr::Binary { lhs, rhs, .. } => {
+            subst_expr(lhs, env);
+            subst_expr(rhs, env);
+        }
         Expr::Ternary {
             cond,
             then_e,
             else_e,
-        } => Expr::Ternary {
-            cond: Box::new(subst_expr(cond, env)),
-            then_e: Box::new(subst_expr(then_e, env)),
-            else_e: Box::new(subst_expr(else_e, env)),
-        },
-        Expr::Concat(parts) => Expr::Concat(parts.iter().map(|p| subst_expr(p, env)).collect()),
-        Expr::Repeat { count, body } => Expr::Repeat {
-            count: Box::new(subst_expr(count, env)),
-            body: Box::new(subst_expr(body, env)),
-        },
-        Expr::BitSelect { base, index } => Expr::BitSelect {
-            base: Box::new(subst_expr(base, env)),
-            index: Box::new(subst_expr(index, env)),
-        },
-        Expr::PartSelect { base, msb, lsb } => Expr::PartSelect {
-            base: Box::new(subst_expr(base, env)),
-            msb: Box::new(subst_expr(msb, env)),
-            lsb: Box::new(subst_expr(lsb, env)),
-        },
-        Expr::Call { name, args } => Expr::Call {
-            name: name.clone(),
-            args: args.iter().map(|a| subst_expr(a, env)).collect(),
-        },
+        } => {
+            subst_expr(cond, env);
+            subst_expr(then_e, env);
+            subst_expr(else_e, env);
+        }
+        Expr::Concat(parts) => parts.iter_mut().for_each(|p| subst_expr(p, env)),
+        Expr::Repeat { count, body } => {
+            subst_expr(count, env);
+            subst_expr(body, env);
+        }
+        Expr::BitSelect { base, index } => {
+            subst_expr(base, env);
+            subst_expr(index, env);
+        }
+        Expr::PartSelect { base, msb, lsb } => {
+            subst_expr(base, env);
+            subst_expr(msb, env);
+            subst_expr(lsb, env);
+        }
+        Expr::Call { args, .. } => args.iter_mut().for_each(|a| subst_expr(a, env)),
     }
 }
 
-fn subst_stmt(stmt: &Stmt, env: &HashMap<String, i64>) -> Stmt {
+fn subst_stmt(stmt: &mut Stmt, env: &HashMap<String, i64>) {
+    if env.is_empty() {
+        return;
+    }
     match stmt {
-        Stmt::Block(ss) => Stmt::Block(ss.iter().map(|s| subst_stmt(s, env)).collect()),
-        Stmt::Blocking { lhs, rhs } => Stmt::Blocking {
-            lhs: subst_expr(lhs, env),
-            rhs: subst_expr(rhs, env),
-        },
-        Stmt::NonBlocking { lhs, rhs } => Stmt::NonBlocking {
-            lhs: subst_expr(lhs, env),
-            rhs: subst_expr(rhs, env),
-        },
+        Stmt::Block(ss) => ss.iter_mut().for_each(|s| subst_stmt(s, env)),
+        Stmt::Blocking { lhs, rhs } | Stmt::NonBlocking { lhs, rhs } => {
+            subst_expr(lhs, env);
+            subst_expr(rhs, env);
+        }
         Stmt::If {
             cond,
             then_s,
             else_s,
-        } => Stmt::If {
-            cond: subst_expr(cond, env),
-            then_s: Box::new(subst_stmt(then_s, env)),
-            else_s: else_s.as_ref().map(|s| Box::new(subst_stmt(s, env))),
-        },
-        Stmt::Case { subject, arms } => Stmt::Case {
-            subject: subst_expr(subject, env),
-            arms: arms
-                .iter()
-                .map(|(labels, body)| {
-                    (
-                        labels.iter().map(|l| subst_expr(l, env)).collect(),
-                        subst_stmt(body, env),
-                    )
-                })
-                .collect(),
-        },
+        } => {
+            subst_expr(cond, env);
+            subst_stmt(then_s, env);
+            if let Some(s) = else_s {
+                subst_stmt(s, env);
+            }
+        }
+        Stmt::Case { subject, arms } => {
+            subst_expr(subject, env);
+            for (labels, body) in arms {
+                labels.iter_mut().for_each(|l| subst_expr(l, env));
+                subst_stmt(body, env);
+            }
+        }
         Stmt::For {
             var,
             init,
@@ -180,111 +179,94 @@ fn subst_stmt(stmt: &Stmt, env: &HashMap<String, i64>) -> Stmt {
             step,
             body,
         } => {
+            subst_expr(init, env);
             // Shadow the loop variable: it is not a parameter inside the loop.
             let mut inner = env.clone();
-            inner.remove(var);
-            Stmt::For {
-                var: var.clone(),
-                init: subst_expr(init, env),
-                cond: subst_expr(cond, &inner),
-                step: subst_expr(step, &inner),
-                body: Box::new(subst_stmt(body, &inner)),
-            }
+            inner.remove(var.as_str());
+            subst_expr(cond, &inner);
+            subst_expr(step, &inner);
+            subst_stmt(body, &inner);
         }
-        Stmt::Null => Stmt::Null,
+        Stmt::Null => {}
     }
 }
 
 /// Renames every identifier in an expression via `f`.
-fn rename_expr(expr: &Expr, f: &impl Fn(&str) -> String) -> Expr {
+fn rename_expr(expr: &mut Expr, f: &impl Fn(&str) -> String) {
     match expr {
-        Expr::Ident(name) => Expr::Ident(f(name)),
-        Expr::Number { .. } | Expr::Str(_) => expr.clone(),
-        Expr::Unary { op, arg } => Expr::Unary {
-            op: *op,
-            arg: Box::new(rename_expr(arg, f)),
-        },
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(rename_expr(lhs, f)),
-            rhs: Box::new(rename_expr(rhs, f)),
-        },
+        Expr::Ident(name) => *name = f(name),
+        Expr::Number { .. } | Expr::Str(_) => {}
+        Expr::Unary { arg, .. } => rename_expr(arg, f),
+        Expr::Binary { lhs, rhs, .. } => {
+            rename_expr(lhs, f);
+            rename_expr(rhs, f);
+        }
         Expr::Ternary {
             cond,
             then_e,
             else_e,
-        } => Expr::Ternary {
-            cond: Box::new(rename_expr(cond, f)),
-            then_e: Box::new(rename_expr(then_e, f)),
-            else_e: Box::new(rename_expr(else_e, f)),
-        },
-        Expr::Concat(parts) => Expr::Concat(parts.iter().map(|p| rename_expr(p, f)).collect()),
-        Expr::Repeat { count, body } => Expr::Repeat {
-            count: Box::new(rename_expr(count, f)),
-            body: Box::new(rename_expr(body, f)),
-        },
-        Expr::BitSelect { base, index } => Expr::BitSelect {
-            base: Box::new(rename_expr(base, f)),
-            index: Box::new(rename_expr(index, f)),
-        },
-        Expr::PartSelect { base, msb, lsb } => Expr::PartSelect {
-            base: Box::new(rename_expr(base, f)),
-            msb: Box::new(rename_expr(msb, f)),
-            lsb: Box::new(rename_expr(lsb, f)),
-        },
-        Expr::Call { name, args } => Expr::Call {
-            name: name.clone(),
-            args: args.iter().map(|a| rename_expr(a, f)).collect(),
-        },
+        } => {
+            rename_expr(cond, f);
+            rename_expr(then_e, f);
+            rename_expr(else_e, f);
+        }
+        Expr::Concat(parts) => parts.iter_mut().for_each(|p| rename_expr(p, f)),
+        Expr::Repeat { count, body } => {
+            rename_expr(count, f);
+            rename_expr(body, f);
+        }
+        Expr::BitSelect { base, index } => {
+            rename_expr(base, f);
+            rename_expr(index, f);
+        }
+        Expr::PartSelect { base, msb, lsb } => {
+            rename_expr(base, f);
+            rename_expr(msb, f);
+            rename_expr(lsb, f);
+        }
+        Expr::Call { args, .. } => args.iter_mut().for_each(|a| rename_expr(a, f)),
     }
 }
 
-fn rename_stmt(stmt: &Stmt, f: &impl Fn(&str) -> String) -> Stmt {
+fn rename_stmt(stmt: &mut Stmt, f: &impl Fn(&str) -> String) {
     match stmt {
-        Stmt::Block(ss) => Stmt::Block(ss.iter().map(|s| rename_stmt(s, f)).collect()),
-        Stmt::Blocking { lhs, rhs } => Stmt::Blocking {
-            lhs: rename_expr(lhs, f),
-            rhs: rename_expr(rhs, f),
-        },
-        Stmt::NonBlocking { lhs, rhs } => Stmt::NonBlocking {
-            lhs: rename_expr(lhs, f),
-            rhs: rename_expr(rhs, f),
-        },
+        Stmt::Block(ss) => ss.iter_mut().for_each(|s| rename_stmt(s, f)),
+        Stmt::Blocking { lhs, rhs } | Stmt::NonBlocking { lhs, rhs } => {
+            rename_expr(lhs, f);
+            rename_expr(rhs, f);
+        }
         Stmt::If {
             cond,
             then_s,
             else_s,
-        } => Stmt::If {
-            cond: rename_expr(cond, f),
-            then_s: Box::new(rename_stmt(then_s, f)),
-            else_s: else_s.as_ref().map(|s| Box::new(rename_stmt(s, f))),
-        },
-        Stmt::Case { subject, arms } => Stmt::Case {
-            subject: rename_expr(subject, f),
-            arms: arms
-                .iter()
-                .map(|(labels, body)| {
-                    (
-                        labels.iter().map(|l| rename_expr(l, f)).collect(),
-                        rename_stmt(body, f),
-                    )
-                })
-                .collect(),
-        },
+        } => {
+            rename_expr(cond, f);
+            rename_stmt(then_s, f);
+            if let Some(s) = else_s {
+                rename_stmt(s, f);
+            }
+        }
+        Stmt::Case { subject, arms } => {
+            rename_expr(subject, f);
+            for (labels, body) in arms {
+                labels.iter_mut().for_each(|l| rename_expr(l, f));
+                rename_stmt(body, f);
+            }
+        }
         Stmt::For {
             var,
             init,
             cond,
             step,
             body,
-        } => Stmt::For {
-            var: f(var),
-            init: rename_expr(init, f),
-            cond: rename_expr(cond, f),
-            step: rename_expr(step, f),
-            body: Box::new(rename_stmt(body, f)),
-        },
-        Stmt::Null => Stmt::Null,
+        } => {
+            *var = f(var);
+            rename_expr(init, f);
+            rename_expr(cond, f);
+            rename_expr(step, f);
+            rename_stmt(body, f);
+        }
+        Stmt::Null => {}
     }
 }
 
@@ -294,6 +276,9 @@ fn rename_stmt(stmt: &Stmt, f: &impl Fn(&str) -> String) -> Stmt {
 /// every submodule instance is inlined with `inst__signal` renaming, and port
 /// connections become continuous assigns. For-loops with constant bounds are
 /// unrolled.
+///
+/// `unit` is only borrowed, so the top module is cloned before it is
+/// flattened; [`crate::elaborate`], which owns its unit, moves it instead.
 ///
 /// # Errors
 ///
@@ -314,20 +299,51 @@ fn rename_stmt(stmt: &Stmt, f: &impl Fn(&str) -> String) -> Stmt {
 /// # Ok::<(), gnn4ip_hdl::ParseVerilogError>(())
 /// ```
 pub fn flatten(unit: &SourceUnit, top: &str) -> Result<Module, ParseVerilogError> {
-    let top_mod = unit
-        .module(top)
-        .ok_or_else(|| ParseVerilogError::msg(format!("module '{top}' not found")))?;
+    let top_mod = unit.module(top).ok_or_else(|| top_not_found(top))?;
+    flatten_top(unit, top_mod.clone())
+}
+
+/// [`flatten`] of a unit the caller gives up: the top module is moved out
+/// of it rather than cloned, unless the design instantiates the top
+/// module itself (then elaboration needs it in the unit, and fails on the
+/// cycle as [`flatten`] does).
+pub(crate) fn flatten_owned(mut unit: SourceUnit, top: &str) -> Result<Module, ParseVerilogError> {
+    let at = unit
+        .modules
+        .iter()
+        .position(|m| m.name == top)
+        .ok_or_else(|| top_not_found(top))?;
+    let instantiated = unit
+        .modules
+        .iter()
+        .flat_map(|m| &m.items)
+        .any(|i| matches!(i, Item::Instance(inst) if inst.module == top));
+    let top_mod = if instantiated {
+        unit.modules[at].clone()
+    } else {
+        unit.modules.remove(at)
+    };
+    flatten_top(&unit, top_mod)
+}
+
+fn top_not_found(top: &str) -> ParseVerilogError {
+    ParseVerilogError::msg(format!("module '{top}' not found"))
+}
+
+fn flatten_top(unit: &SourceUnit, top: Module) -> Result<Module, ParseVerilogError> {
     let mut env = HashMap::new();
-    for (name, value) in &top_mod.params {
+    for (name, value) in &top.params {
         let v = eval_const(value, &env)?;
         env.insert(name.clone(), v);
     }
-    flatten_with_params(unit, top_mod, &env, 0)
+    flatten_module(unit, top, &env, 0)
 }
 
-fn flatten_with_params(
+/// Flattens `module`, whose parameters are bound in `params`, rewriting
+/// its items in place.
+fn flatten_module(
     unit: &SourceUnit,
-    module: &Module,
+    module: Module,
     params: &HashMap<String, i64>,
     depth: usize,
 ) -> Result<Module, ParseVerilogError> {
@@ -338,81 +354,79 @@ fn flatten_with_params(
     }
     let mut env = params.clone();
     let mut out = Module {
-        name: module.name.clone(),
-        port_order: module.port_order.clone(),
-        ports: Vec::new(),
+        name: module.name,
+        port_order: module.port_order,
+        ports: Vec::with_capacity(module.ports.len()),
         params: Vec::new(),
-        items: Vec::new(),
+        items: Vec::with_capacity(module.items.len()),
     };
     // resolve port ranges
-    for p in &module.ports {
-        let range = match &p.range {
-            Some(r) => Some(Range {
-                msb: Expr::number(eval_const(&r.msb, &env)?.max(0) as u64),
-                lsb: Expr::number(eval_const(&r.lsb, &env)?.max(0) as u64),
-            }),
-            None => None,
-        };
-        out.ports.push(Port {
-            name: p.name.clone(),
-            dir: p.dir,
-            is_reg: p.is_reg,
-            range,
-        });
+    for mut p in module.ports {
+        p.range = resolve_range(p.range, &env)?;
+        out.ports.push(p);
     }
-    for item in &module.items {
+    for item in module.items {
         match item {
             Item::Param { name, value } => {
-                let v = eval_const(&subst_expr(value, &env), &env)?;
-                env.insert(name.clone(), v);
+                let v = eval_const(&value, &env)?;
+                env.insert(name, v);
             }
             Item::Decl {
                 kind,
                 name,
                 range,
-                init,
+                mut init,
             } => {
-                let range = match range {
-                    Some(r) => Some(Range {
-                        msb: Expr::number(
-                            eval_const(&subst_expr(&r.msb, &env), &env)?.max(0) as u64
-                        ),
-                        lsb: Expr::number(
-                            eval_const(&subst_expr(&r.lsb, &env), &env)?.max(0) as u64
-                        ),
-                    }),
-                    None => None,
-                };
+                let range = resolve_range(range, &env)?;
+                if let Some(e) = &mut init {
+                    subst_expr(e, &env);
+                }
                 out.items.push(Item::Decl {
-                    kind: *kind,
-                    name: name.clone(),
+                    kind,
+                    name,
                     range,
-                    init: init.as_ref().map(|e| subst_expr(e, &env)),
+                    init,
                 });
             }
-            Item::Assign { lhs, rhs } => out.items.push(Item::Assign {
-                lhs: subst_expr(lhs, &env),
-                rhs: subst_expr(rhs, &env),
-            }),
-            Item::Always { sensitivity, body } => {
-                let body = unroll_fors(&subst_stmt(body, &env), &env)?;
-                out.items.push(Item::Always {
-                    sensitivity: sensitivity.clone(),
-                    body,
-                });
+            Item::Assign { mut lhs, mut rhs } => {
+                subst_expr(&mut lhs, &env);
+                subst_expr(&mut rhs, &env);
+                out.items.push(Item::Assign { lhs, rhs });
             }
-            Item::Initial(body) => out.items.push(Item::Initial(subst_stmt(body, &env))),
-            Item::Gate(g) => out.items.push(Item::Gate(GateInstance {
-                kind: g.kind,
-                name: g.name.clone(),
-                conns: g.conns.iter().map(|c| subst_expr(c, &env)).collect(),
-            })),
+            Item::Always {
+                sensitivity,
+                mut body,
+            } => {
+                subst_stmt(&mut body, &env);
+                unroll_fors(&mut body, &env)?;
+                out.items.push(Item::Always { sensitivity, body });
+            }
+            Item::Initial(mut body) => {
+                subst_stmt(&mut body, &env);
+                out.items.push(Item::Initial(body));
+            }
+            Item::Gate(mut g) => {
+                g.conns.iter_mut().for_each(|c| subst_expr(c, &env));
+                out.items.push(Item::Gate(g));
+            }
             Item::Instance(inst) => {
-                inline_instance(unit, inst, &env, &mut out, depth)?;
+                inline_instance(unit, &inst, &env, &mut out, depth)?;
             }
         }
     }
     Ok(out)
+}
+
+/// A declared range with both bounds evaluated to constants.
+fn resolve_range(
+    range: Option<Range>,
+    env: &HashMap<String, i64>,
+) -> Result<Option<Range>, ParseVerilogError> {
+    let Some(r) = range else { return Ok(None) };
+    Ok(Some(Range {
+        msb: Expr::number(eval_const(&r.msb, env)?.max(0) as u64),
+        lsb: Expr::number(eval_const(&r.lsb, env)?.max(0) as u64),
+    }))
 }
 
 fn inline_instance(
@@ -438,16 +452,22 @@ fn inline_instance(
                 None => j == i,
             };
             if matches {
-                value = Some(eval_const(&subst_expr(oexpr, env), env)?);
+                value = Some(eval_const(oexpr, env)?);
             }
         }
         let v = match value {
             Some(v) => v,
-            None => eval_const(&subst_expr(pdefault, env), &child_params)?,
+            None => {
+                // the parent's parameters are substituted before the
+                // child's defaults are evaluated
+                let mut default = pdefault.clone();
+                subst_expr(&mut default, env);
+                eval_const(&default, &child_params)?
+            }
         };
         child_params.insert(pname.clone(), v);
     }
-    let flat_child = flatten_with_params(unit, child, &child_params, depth + 1)?;
+    let flat_child = flatten_module(unit, child.clone(), &child_params, depth + 1)?;
     let prefix = format!("{}__", inst.name);
     let rename = |n: &str| format!("{prefix}{n}");
 
@@ -491,54 +511,48 @@ fn inline_instance(
             }
         }
     }
-    // Splice renamed child items.
-    for item in &flat_child.items {
-        let renamed = match item {
-            Item::Decl {
-                kind,
-                name,
-                range,
-                init,
-            } => Item::Decl {
-                kind: *kind,
-                name: rename(name),
-                range: range.clone(),
-                init: init.as_ref().map(|e| rename_expr(e, &rename)),
-            },
-            Item::Assign { lhs, rhs } => Item::Assign {
-                lhs: rename_expr(lhs, &rename),
-                rhs: rename_expr(rhs, &rename),
-            },
-            Item::Always { sensitivity, body } => Item::Always {
-                sensitivity: sensitivity
-                    .iter()
-                    .map(|s| match s {
-                        SensItem::Posedge(n) => SensItem::Posedge(rename(n)),
-                        SensItem::Negedge(n) => SensItem::Negedge(rename(n)),
-                        SensItem::Level(n) => SensItem::Level(rename(n)),
-                        SensItem::Star => SensItem::Star,
-                    })
-                    .collect(),
-                body: rename_stmt(body, &rename),
-            },
-            Item::Initial(body) => Item::Initial(rename_stmt(body, &rename)),
-            Item::Gate(g) => Item::Gate(GateInstance {
-                kind: g.kind,
-                name: g.name.as_ref().map(|n| rename(n)),
-                conns: g.conns.iter().map(|c| rename_expr(c, &rename)).collect(),
-            }),
+    // Splice the child's items, renamed in place.
+    for mut item in flat_child.items {
+        match &mut item {
+            Item::Decl { name, init, .. } => {
+                *name = rename(name);
+                if let Some(e) = init {
+                    rename_expr(e, &rename);
+                }
+            }
+            Item::Assign { lhs, rhs } => {
+                rename_expr(lhs, &rename);
+                rename_expr(rhs, &rename);
+            }
+            Item::Always { sensitivity, body } => {
+                for s in sensitivity.iter_mut() {
+                    match s {
+                        SensItem::Posedge(n) | SensItem::Negedge(n) | SensItem::Level(n) => {
+                            *n = rename(n);
+                        }
+                        SensItem::Star => {}
+                    }
+                }
+                rename_stmt(body, &rename);
+            }
+            Item::Initial(body) => rename_stmt(body, &rename),
+            Item::Gate(g) => {
+                if let Some(n) = &mut g.name {
+                    *n = rename(n);
+                }
+                g.conns.iter_mut().for_each(|c| rename_expr(c, &rename));
+            }
             Item::Param { .. } | Item::Instance(_) => continue,
-        };
-        out.items.push(renamed);
+        }
+        out.items.push(item);
     }
     Ok(())
 }
 
 /// Unrolls `for` statements with constant bounds into flat blocks, with the
 /// loop variable substituted into the body on each iteration.
-fn unroll_fors(stmt: &Stmt, env: &HashMap<String, i64>) -> Result<Stmt, ParseVerilogError> {
-    const MAX_ITERS: usize = 4096;
-    Ok(match stmt {
+fn unroll_fors(stmt: &mut Stmt, env: &HashMap<String, i64>) -> Result<(), ParseVerilogError> {
+    match stmt {
         Stmt::For {
             var,
             init,
@@ -546,53 +560,60 @@ fn unroll_fors(stmt: &Stmt, env: &HashMap<String, i64>) -> Result<Stmt, ParseVer
             step,
             body,
         } => {
-            let mut iter_env = env.clone();
-            let mut v = eval_const(init, env)?;
-            let mut unrolled = Vec::new();
-            let mut count = 0usize;
-            loop {
-                iter_env.insert(var.clone(), v);
-                if eval_const(cond, &iter_env)? == 0 {
-                    break;
-                }
-                let body_i = subst_stmt(body, &iter_env);
-                unrolled.push(unroll_fors(&body_i, &iter_env)?);
-                v = eval_const(step, &iter_env)?;
-                count += 1;
-                if count > MAX_ITERS {
-                    return Err(ParseVerilogError::msg(format!(
-                        "for-loop over '{var}' exceeds {MAX_ITERS} iterations"
-                    )));
-                }
-            }
-            Stmt::Block(unrolled)
+            let unrolled = unroll_loop(var, init, cond, step, body, env)?;
+            *stmt = Stmt::Block(unrolled);
         }
-        Stmt::Block(ss) => Stmt::Block(
-            ss.iter()
-                .map(|s| unroll_fors(s, env))
-                .collect::<Result<_, _>>()?,
-        ),
-        Stmt::If {
-            cond,
-            then_s,
-            else_s,
-        } => Stmt::If {
-            cond: cond.clone(),
-            then_s: Box::new(unroll_fors(then_s, env)?),
-            else_s: match else_s {
-                Some(s) => Some(Box::new(unroll_fors(s, env)?)),
-                None => None,
-            },
-        },
-        Stmt::Case { subject, arms } => Stmt::Case {
-            subject: subject.clone(),
-            arms: arms
-                .iter()
-                .map(|(l, b)| Ok((l.clone(), unroll_fors(b, env)?)))
-                .collect::<Result<_, ParseVerilogError>>()?,
-        },
-        s => s.clone(),
-    })
+        Stmt::Block(ss) => {
+            for s in ss {
+                unroll_fors(s, env)?;
+            }
+        }
+        Stmt::If { then_s, else_s, .. } => {
+            unroll_fors(then_s, env)?;
+            if let Some(s) = else_s {
+                unroll_fors(s, env)?;
+            }
+        }
+        Stmt::Case { arms, .. } => {
+            for (_, body) in arms {
+                unroll_fors(body, env)?;
+            }
+        }
+        Stmt::Blocking { .. } | Stmt::NonBlocking { .. } | Stmt::Null => {}
+    }
+    Ok(())
+}
+
+/// One unrolled copy of `body` per iteration of `for (var = init; cond;
+/// var = step)`.
+fn unroll_loop(
+    var: &str,
+    init: &Expr,
+    cond: &Expr,
+    step: &Expr,
+    body: &Stmt,
+    env: &HashMap<String, i64>,
+) -> Result<Vec<Stmt>, ParseVerilogError> {
+    const MAX_ITERS: usize = 4096;
+    let mut iter_env = env.clone();
+    let mut v = eval_const(init, env)?;
+    let mut unrolled = Vec::new();
+    loop {
+        iter_env.insert(var.to_string(), v);
+        if eval_const(cond, &iter_env)? == 0 {
+            return Ok(unrolled);
+        }
+        let mut body_i = body.clone();
+        subst_stmt(&mut body_i, &iter_env);
+        unroll_fors(&mut body_i, &iter_env)?;
+        unrolled.push(body_i);
+        v = eval_const(step, &iter_env)?;
+        if unrolled.len() > MAX_ITERS {
+            return Err(ParseVerilogError::msg(format!(
+                "for-loop over '{var}' exceeds {MAX_ITERS} iterations"
+            )));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -750,6 +771,41 @@ mod tests {
         .expect("parses");
         let flat = flatten(&unit, "fa").expect("flattens");
         assert!(matches!(flat.items[0], Item::Gate(_)));
+    }
+
+    /// `elaborate` moves the top module out of its unit; `flatten` clones
+    /// it. Both must agree, whether the top is moved (hierarchy,
+    /// parameters, loops, a duplicate module name) or must stay in the unit
+    /// (it instantiates itself).
+    #[test]
+    fn elaborate_matches_borrowed_flatten() {
+        let sources = [
+            "module w #(parameter N = 2)(input [N-1:0] a, output [N-1:0] y);
+               integer i;
+               reg [N-1:0] r;
+               always @* for (i = 0; i < N; i = i + 1) r[i] = ~a[i];
+               assign y = r;
+             endmodule
+             module top #(parameter M = 3)(input [M:0] x, output [M:0] z);
+               w #(.N(M + 1)) u(.a(x), .y(z));
+             endmodule",
+            "module leaf(input a, output y); assign y = a; endmodule
+             module top(input a, output y); leaf l(.a(a), .y(y)); endmodule
+             module leaf(input a, output y); assign y = ~a; endmodule",
+            "module top(input a, output y); top again(.a(a), .y(y)); endmodule",
+        ];
+        for src in sources {
+            let unit = parse(src).expect("parses");
+            assert_eq!(
+                crate::elaborate(src, Some("top")),
+                flatten(&unit, "top"),
+                "{src}"
+            );
+        }
+        assert_eq!(
+            crate::elaborate(sources[0], Some("ghost")),
+            flatten(&parse(sources[0]).expect("parses"), "ghost")
+        );
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Verilog lexer — turns preprocessed source into a token stream.
+//! Verilog lexer — turns preprocessed source into a token stream whose
+//! text is borrowed from the source, never copied.
+
+use std::borrow::Cow;
 
 use crate::token::{Keyword, Punct, Span, Spanned, Token};
 use crate::ParseVerilogError;
 
-/// Lexes preprocessed Verilog source into spanned tokens.
+/// Lexes preprocessed Verilog source into spanned tokens that borrow
+/// their text from `source`.
 ///
 /// # Errors
 ///
@@ -18,40 +22,42 @@ use crate::ParseVerilogError;
 /// assert_eq!(toks.len(), 7);
 /// # Ok::<(), gnn4ip_hdl::ParseVerilogError>(())
 /// ```
-pub fn lex(source: &str) -> Result<Vec<Spanned>, ParseVerilogError> {
+pub fn lex(source: &str) -> Result<Vec<Spanned<'_>>, ParseVerilogError> {
     Lexer::new(source).run()
 }
 
 struct Lexer<'s> {
-    src: &'s [u8],
+    src: &'s str,
     pos: usize,
     line: u32,
-    col: u32,
+    /// Byte offset where the current line starts; columns count bytes
+    /// from it.
+    line_start: usize,
 }
 
 impl<'s> Lexer<'s> {
     fn new(source: &'s str) -> Self {
         Self {
-            src: source.as_bytes(),
+            src: source,
             pos: 0,
             line: 1,
-            col: 1,
+            line_start: 0,
         }
     }
 
     fn span(&self) -> Span {
         Span {
             line: self.line,
-            col: self.col,
+            col: u32::try_from(self.pos - self.line_start + 1).unwrap_or(u32::MAX),
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -59,14 +65,20 @@ impl<'s> Lexer<'s> {
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+            self.line_start = self.pos;
         }
         Some(c)
     }
 
-    fn run(mut self) -> Result<Vec<Spanned>, ParseVerilogError> {
+    /// The character starting at byte `at`, for error messages.
+    fn char_at(&self, at: usize) -> char {
+        self.src
+            .get(at..)
+            .and_then(|rest| rest.chars().next())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
+    }
+
+    fn run(mut self) -> Result<Vec<Spanned<'s>>, ParseVerilogError> {
         let mut out = Vec::new();
         while let Some(c) = self.peek() {
             if c.is_ascii_whitespace() {
@@ -80,141 +92,142 @@ impl<'s> Lexer<'s> {
                 b'0'..=b'9' | b'\'' => self.number(span)?,
                 b'"' => self.string(span)?,
                 b'$' => self.system_ident(),
-                _ => self.punct(span)?,
+                _ => self.punct(c, span)?,
             };
             out.push(Spanned { token, span });
         }
         Ok(out)
     }
 
-    fn take_while(&mut self, pred: impl Fn(u8) -> bool) -> String {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if pred(c) {
-                s.push(c as char);
-                self.bump();
-            } else {
-                break;
-            }
+    /// Advances over the run of bytes matching `pred`, which must never
+    /// match a newline, and returns the run as a source slice.
+    fn take_while(&mut self, pred: impl Fn(u8) -> bool) -> &'s str {
+        let start = self.pos;
+        let bytes = self.src.as_bytes();
+        while self.pos < bytes.len() && pred(bytes[self.pos]) {
+            self.pos += 1;
         }
-        s
+        &self.src[start..self.pos]
     }
 
-    fn ident(&mut self) -> Token {
+    fn ident(&mut self) -> Token<'s> {
         let word = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'$');
-        match Keyword::from_ident(&word) {
-            Some(kw) => Token::Kw(kw),
-            None => Token::Ident(word),
-        }
+        Keyword::from_ident(word).map_or(Token::Ident(word), Token::Kw)
     }
 
-    fn escaped_ident(&mut self) -> Token {
+    fn escaped_ident(&mut self) -> Token<'s> {
         self.bump(); // backslash
-        let word = self.take_while(|c| !c.is_ascii_whitespace());
-        Token::Ident(word)
+        Token::Ident(self.take_while(|c| !c.is_ascii_whitespace()))
     }
 
-    fn system_ident(&mut self) -> Token {
+    fn system_ident(&mut self) -> Token<'s> {
         // $display etc — lexed as identifier with the $.
+        let start = self.pos;
         self.bump();
-        let word = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_');
-        Token::Ident(format!("${word}"))
+        self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+        Token::Ident(&self.src[start..self.pos])
     }
 
-    fn string(&mut self, span: Span) -> Result<Token, ParseVerilogError> {
+    fn string(&mut self, span: Span) -> Result<Token<'s>, ParseVerilogError> {
         self.bump(); // opening quote
-        let mut s = String::new();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
             match self.bump() {
                 Some(b'"') => break,
                 Some(b'\\') => {
-                    if let Some(c) = self.bump() {
-                        s.push(c as char);
-                    }
+                    escaped = true;
+                    self.bump();
                 }
-                Some(c) => s.push(c as char),
+                Some(_) => {}
                 None => return Err(ParseVerilogError::at(span, "unterminated string")),
             }
         }
-        Ok(Token::Str(s))
+        let raw = &self.src[start..self.pos - 1];
+        Ok(Token::Str(if escaped {
+            Cow::Owned(unescape(raw))
+        } else {
+            Cow::Borrowed(raw)
+        }))
     }
 
-    fn number(&mut self, span: Span) -> Result<Token, ParseVerilogError> {
-        let mut text = String::new();
+    fn number(&mut self, span: Span) -> Result<Token<'s>, ParseVerilogError> {
+        let start = self.pos;
         // optional decimal size prefix
         let size = self.take_while(|c| c.is_ascii_digit() || c == b'_');
-        text.push_str(&size);
-        if self.peek() == Some(b'\'') {
-            text.push('\'');
-            self.bump();
-            // optional signedness
-            if matches!(self.peek(), Some(b's') | Some(b'S')) {
-                // g4check: allow(unwrap-in-lib): the peek in the guard just proved a byte is available
-                text.push(self.bump().expect("peeked") as char);
-            }
-            let base = self
-                .bump()
-                .ok_or_else(|| ParseVerilogError::at(span, "truncated based literal"))?;
-            text.push(base as char);
-            let radix = match base.to_ascii_lowercase() {
-                b'b' => 2,
-                b'o' => 8,
-                b'd' => 10,
-                b'h' => 16,
-                _ => {
-                    return Err(ParseVerilogError::at(
-                        span,
-                        format!("invalid literal base '{}'", base as char),
-                    ))
-                }
-            };
-            let digits = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'?');
-            if digits.is_empty() {
-                return Err(ParseVerilogError::at(span, "based literal with no digits"));
-            }
-            text.push_str(&digits);
-            let mut value: u64 = 0;
-            for d in digits.chars() {
-                if d == '_' {
-                    continue;
-                }
-                let dv = match d.to_ascii_lowercase() {
-                    'x' | 'z' | '?' => 0,
-                    c => c.to_digit(radix).ok_or_else(|| {
-                        ParseVerilogError::at(span, format!("digit '{c}' invalid for base {radix}"))
-                    })? as u64,
-                };
-                value = value.wrapping_mul(radix as u64).wrapping_add(dv);
-            }
-            let width = if size.is_empty() {
-                None
-            } else {
-                let w: String = size.chars().filter(|c| *c != '_').collect();
-                Some(w.parse::<u32>().map_err(|_| {
-                    ParseVerilogError::at(span, format!("invalid literal width '{size}'"))
-                })?)
-            };
-            Ok(Token::Number { width, value, text })
-        } else {
+        if self.peek() != Some(b'\'') {
             // plain decimal
             if size.is_empty() {
                 return Err(ParseVerilogError::at(span, "empty numeric literal"));
             }
-            let clean: String = size.chars().filter(|c| *c != '_').collect();
-            let value = clean
-                .parse::<u64>()
-                .map_err(|_| ParseVerilogError::at(span, format!("invalid number '{size}'")))?;
-            Ok(Token::Number {
+            let value = decimal(size)
+                .ok_or_else(|| ParseVerilogError::at(span, format!("invalid number '{size}'")))?;
+            return Ok(Token::Number {
                 width: None,
                 value,
-                text,
-            })
+                text: size,
+            });
         }
+        self.bump();
+        // optional signedness
+        if matches!(self.peek(), Some(b's' | b'S')) {
+            self.bump();
+        }
+        let base = self
+            .bump()
+            .ok_or_else(|| ParseVerilogError::at(span, "truncated based literal"))?;
+        let radix: u32 = match base.to_ascii_lowercase() {
+            b'b' => 2,
+            b'o' => 8,
+            b'd' => 10,
+            b'h' => 16,
+            _ => {
+                return Err(ParseVerilogError::at(
+                    span,
+                    format!("invalid literal base '{}'", self.char_at(self.pos - 1)),
+                ))
+            }
+        };
+        let digits = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'?');
+        if digits.is_empty() {
+            return Err(ParseVerilogError::at(span, "based literal with no digits"));
+        }
+        let mut value: u64 = 0;
+        for d in digits.bytes().filter(|&d| d != b'_') {
+            let dv = match d.to_ascii_lowercase() {
+                b'x' | b'z' | b'?' => 0,
+                c => char::from(c).to_digit(radix).ok_or_else(|| {
+                    ParseVerilogError::at(
+                        span,
+                        format!("digit '{}' invalid for base {radix}", char::from(c)),
+                    )
+                })?,
+            };
+            value = value
+                .wrapping_mul(u64::from(radix))
+                .wrapping_add(u64::from(dv));
+        }
+        let width = if size.is_empty() {
+            None
+        } else {
+            Some(
+                decimal(size)
+                    .and_then(|w| u32::try_from(w).ok())
+                    .ok_or_else(|| {
+                        ParseVerilogError::at(span, format!("invalid literal width '{size}'"))
+                    })?,
+            )
+        };
+        Ok(Token::Number {
+            width,
+            value,
+            text: &self.src[start..self.pos],
+        })
     }
 
-    fn punct(&mut self, span: Span) -> Result<Token, ParseVerilogError> {
-        // g4check: allow(unwrap-in-lib): next_token only dispatches here after peeking a byte
-        let c = self.bump().expect("caller peeked");
+    /// Lexes the operator starting with `c`, the byte the caller peeked.
+    fn punct(&mut self, c: u8, span: Span) -> Result<Token<'s>, ParseVerilogError> {
+        self.pos += 1; // `c` is not whitespace, so not a newline
         let p = match c {
             b'(' => Punct::LParen,
             b')' => Punct::RParen,
@@ -334,7 +347,7 @@ impl<'s> Lexer<'s> {
             _ => {
                 return Err(ParseVerilogError::at(
                     span,
-                    format!("unexpected character '{}'", c as char),
+                    format!("unexpected character '{}'", self.char_at(self.pos - 1)),
                 ))
             }
         };
@@ -342,11 +355,34 @@ impl<'s> Lexer<'s> {
     }
 }
 
+/// The value of decimal digits with `_` separators; `None` on overflow.
+fn decimal(digits: &str) -> Option<u64> {
+    digits
+        .bytes()
+        .filter(|&d| d != b'_')
+        .try_fold(0u64, |acc, d| {
+            acc.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })
+}
+
+/// A string literal's contents with each `\x` escape replaced by `x`.
+fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' => out.extend(chars.next()),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Token> {
+    fn kinds(src: &str) -> Vec<Token<'_>> {
         lex(src)
             .expect("lexes")
             .into_iter()
@@ -358,7 +394,7 @@ mod tests {
     fn lexes_module_header() {
         let toks = kinds("module adder(input a);");
         assert_eq!(toks[0], Token::Kw(Keyword::Module));
-        assert_eq!(toks[1], Token::Ident("adder".into()));
+        assert_eq!(toks[1], Token::Ident("adder"));
         assert_eq!(toks[2], Token::Punct(Punct::LParen));
         assert_eq!(toks[3], Token::Kw(Keyword::Input));
     }
@@ -421,13 +457,13 @@ mod tests {
     #[test]
     fn escaped_identifier() {
         let toks = kinds("\\bus[3] x");
-        assert_eq!(toks[0], Token::Ident("bus[3]".into()));
+        assert_eq!(toks[0], Token::Ident("bus[3]"));
     }
 
     #[test]
     fn system_task_identifier() {
         let toks = kinds("$display");
-        assert_eq!(toks[0], Token::Ident("$display".into()));
+        assert_eq!(toks[0], Token::Ident("$display"));
     }
 
     #[test]
@@ -447,5 +483,67 @@ mod tests {
     #[test]
     fn rejects_unknown_char() {
         assert!(lex("€").is_err());
+    }
+
+    #[test]
+    fn errors_name_the_real_character() {
+        let err = lex("a € b").unwrap_err().to_string();
+        assert!(err.starts_with("unexpected character '€' at 1:3"), "{err}");
+        let err = lex("8'é1").unwrap_err().to_string();
+        assert!(err.starts_with("invalid literal base 'é'"), "{err}");
+        let err = crate::elaborate(
+            "module m(input a, output y); assign y = a € a; endmodule",
+            None,
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.starts_with("unexpected character '€'"), "{err}");
+    }
+
+    #[test]
+    fn non_ascii_text_passes_through_as_utf8() {
+        assert_eq!(kinds("\\café x")[0], Token::Ident("café"));
+        assert_eq!(kinds("\"naïve\"")[0], Token::Str("naïve".into()));
+        // columns count bytes, as before
+        assert_eq!(lex("\\é b").expect("lexes")[1].span.col, 5);
+        let flat = crate::elaborate(
+            "module m(input \\café , output y); assign y = \\café ; endmodule",
+            None,
+        )
+        .expect("elaborates");
+        assert_eq!(flat.inputs(), ["café"]);
+    }
+
+    #[test]
+    fn string_escapes_resolve() {
+        assert_eq!(kinds(r#""a\"b\\c""#)[0], Token::Str(r#"a"b\c"#.into()));
+        assert!(lex(r#""open"#).is_err());
+    }
+
+    #[test]
+    fn token_text_borrows_the_source() {
+        let src = String::from("x = 8'sh_F0 + 1_000;");
+        let toks = lex(&src).expect("lexes");
+        let texts: Vec<&str> = toks
+            .iter()
+            .filter_map(|t| match t.token {
+                Token::Ident(s) | Token::Number { text: s, .. } => Some(s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(texts, ["x", "8'sh_F0", "1_000"]);
+        let range = src.as_bytes().as_ptr_range();
+        assert!(texts.iter().all(|t| range.contains(&t.as_ptr())));
+        match toks[2].token {
+            Token::Number { width, value, .. } => assert_eq!((width, value), (Some(8), 0xf0)),
+            ref t => panic!("unexpected {t:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_literals_are_errors() {
+        assert!(lex("99999999999999999999").is_err());
+        assert!(lex("4294967296'h1").is_err());
+        assert!(lex("4294967295'h1").is_ok());
     }
 }

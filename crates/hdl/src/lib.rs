@@ -10,9 +10,18 @@
 //!    resolution (phase "Preprocess").
 //! 2. [`lex`] + [`parse`] — tokenization and recursive-descent parsing into a
 //!    [`SourceUnit`] AST (phase "Parse HDL" producing the abstract syntax
-//!    tree).
+//!    tree). Nesting deeper than [`MAX_NESTING`] is an error, not a stack
+//!    overflow.
 //! 3. [`flatten`] — hierarchy inlining, parameter resolution, and for-loop
 //!    unrolling, yielding one flat [`Module`].
+//!
+//! [`elaborate`] runs all three. The front end copies as little as it can
+//! on the way: preprocessing copies runs of ordinary bytes as slices, each
+//! [`Token<'s>`](token::Token) borrows its text from the preprocessed
+//! source (`Ident(&'s str)`, `Number { text: &'s str, .. }`), the parser
+//! allocates an identifier's `String` once, when it builds the AST node
+//! that keeps it, and `elaborate` moves the top module into flattening
+//! instead of cloning it. Non-ASCII text passes through as UTF-8.
 //!
 //! Data-flow analysis (phases "Data flow analysis", "Merge graphs", "Trim
 //! graphs") lives in the `gnn4ip-dfg` crate, which consumes the flat module.
@@ -62,7 +71,7 @@ pub use eval::Evaluator;
 pub use fingerprint::{design_fingerprint, Fingerprint, StableHasher};
 pub use flatten::{eval_const, flatten};
 pub use lexer::lex;
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use preprocess::{preprocess, IncludeMap};
 
 /// Parses and flattens a single-file design in one call.
@@ -94,5 +103,5 @@ pub fn elaborate(source: &str, top: Option<&str>) -> Result<Module, ParseVerilog
             .name
             .clone(),
     };
-    flatten(&unit, &top_name)
+    flatten::flatten_owned(unit, &top_name)
 }

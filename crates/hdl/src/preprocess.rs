@@ -122,7 +122,11 @@ fn expand(
             continue;
         }
         if emitting(emit_stack) {
-            out.push_str(&substitute_macros(line, macros));
+            if line.contains('`') {
+                out.push_str(&substitute_macros(line, macros));
+            } else {
+                out.push_str(line);
+            }
         }
         out.push('\n');
     }
@@ -174,76 +178,74 @@ fn substitute_macros(line: &str, macros: &HashMap<String, String>) -> String {
 
 /// Removes `//`, `/* */` comments and `(* ... *)` attribute blocks while
 /// preserving line structure (newlines inside block comments are kept so
-/// spans stay accurate).
+/// spans stay accurate). Everything else, string literals included, is
+/// copied through byte for byte, in runs.
 fn strip_comments(source: &str) -> Result<String, ParseVerilogError> {
     let bytes = source.as_bytes();
     let mut out = String::with_capacity(source.len());
+    // start of the run of bytes copied through since the last comment;
+    // runs start and end at ASCII bytes, so they slice on char boundaries
+    let mut run = 0;
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i];
-        if c == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
+        let next = bytes.get(i + 1).copied();
+        if c == b'/' && next == Some(b'/') {
+            out.push_str(&source[run..i]);
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
-        } else if c == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
-            let start = i;
-            i += 2;
-            loop {
-                if i + 1 >= bytes.len() {
-                    let _ = start;
-                    return Err(ParseVerilogError::msg("unterminated block comment"));
-                }
-                if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                    i += 2;
-                    break;
-                }
-                if bytes[i] == b'\n' {
-                    out.push('\n');
-                }
-                i += 1;
-            }
-        } else if c == b'('
-            && i + 1 < bytes.len()
-            && bytes[i + 1] == b'*'
-            && bytes.get(i + 2) != Some(&b')')
-        {
+            run = i;
+        } else if c == b'/' && next == Some(b'*') {
+            out.push_str(&source[run..i]);
+            i = skip_block(source, i + 2, b'/', &mut out)
+                .ok_or_else(|| ParseVerilogError::msg("unterminated block comment"))?;
+            run = i;
+        } else if c == b'(' && next == Some(b'*') && bytes.get(i + 2) != Some(&b')') {
             // attribute block (* ... *) — but never the `@(*)` wildcard
-            i += 2;
-            loop {
-                if i + 1 >= bytes.len() {
-                    return Err(ParseVerilogError::msg("unterminated attribute block"));
-                }
-                if bytes[i] == b'*' && bytes[i + 1] == b')' {
-                    i += 2;
-                    break;
-                }
-                if bytes[i] == b'\n' {
-                    out.push('\n');
-                }
-                i += 1;
-            }
+            out.push_str(&source[run..i]);
+            i = skip_block(source, i + 2, b')', &mut out)
+                .ok_or_else(|| ParseVerilogError::msg("unterminated attribute block"))?;
+            run = i;
         } else if c == b'"' {
-            // string literal: copy verbatim
-            out.push('"');
+            // string literal: copied verbatim, escapes included
             i += 1;
             while i < bytes.len() && bytes[i] != b'"' {
-                if bytes[i] == b'\\' && i + 1 < bytes.len() {
-                    out.push(bytes[i] as char);
-                    i += 1;
-                }
-                out.push(bytes[i] as char);
-                i += 1;
+                i += if bytes[i] == b'\\' && i + 1 < bytes.len() {
+                    2
+                } else {
+                    1
+                };
             }
             if i < bytes.len() {
-                out.push('"');
                 i += 1;
             }
         } else {
-            out.push(c as char);
             i += 1;
         }
     }
+    out.push_str(&source[run..]);
     Ok(out)
+}
+
+/// Skips a block from `from` up to and including the `*` + `close` pair,
+/// writing one newline to `out` per newline skipped. Returns the index
+/// after the block, or `None` when it never closes.
+fn skip_block(source: &str, from: usize, close: u8, out: &mut String) -> Option<usize> {
+    let bytes = source.as_bytes();
+    let mut i = from;
+    loop {
+        if i + 1 >= bytes.len() {
+            return None;
+        }
+        if bytes[i] == b'*' && bytes[i + 1] == close {
+            return Some(i + 2);
+        }
+        if bytes[i] == b'\n' {
+            out.push('\n');
+        }
+        i += 1;
+    }
 }
 
 #[cfg(test)]
@@ -309,6 +311,13 @@ mod tests {
     #[test]
     fn unterminated_ifdef_errors() {
         assert!(preprocess("`ifdef X\n", &IncludeMap::new()).is_err());
+    }
+
+    #[test]
+    fn non_ascii_bytes_pass_through_unchanged() {
+        let s = "wire \\café ; // naïve\n/* ü\n */ \"€ \\\" //\" (* å *) x;";
+        let out = preprocess(s, &IncludeMap::new()).expect("ok");
+        assert_eq!(out, "wire \\café ; \n\n \"€ \\\" //\"  x;\n");
     }
 
     #[test]

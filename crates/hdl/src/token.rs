@@ -1,5 +1,12 @@
 //! Token definitions for the Verilog-2001 subset.
+//!
+//! Tokens borrow their text from the preprocessed source they were lexed
+//! from: a [`Token<'s>`] holds `&'s str` slices, never a copy. An
+//! identifier's or a number's text is exactly the contiguous run of source
+//! bytes it was lexed from; the parser allocates a `String` only when it
+//! builds an AST node that keeps the name.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Source location (1-based line and column).
@@ -119,12 +126,12 @@ impl Keyword {
     }
 }
 
-/// A lexed token.
+/// A lexed token, borrowing its text from the source `'s`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'s> {
     /// Identifier (including escaped identifiers with the leading `\`
-    /// stripped).
-    Ident(String),
+    /// stripped, and `$`-prefixed system names with the `$`).
+    Ident(&'s str),
     /// Keyword.
     Kw(Keyword),
     /// Numeric literal, e.g. `8'hFF`, `1'b0`, `42`. Stored with its optional
@@ -134,11 +141,12 @@ pub enum Token {
         width: Option<u32>,
         /// Parsed value with `x`/`z` digits treated as 0.
         value: u64,
-        /// Original text, preserved for round-tripping.
-        text: String,
+        /// The literal's source text, preserved for round-tripping.
+        text: &'s str,
     },
-    /// String literal (contents only).
-    Str(String),
+    /// String literal contents with each `\x` escape resolved to `x`:
+    /// borrowed unless the literal holds an escape.
+    Str(Cow<'s, str>),
     /// Punctuation / operator.
     Punct(Punct),
 }
@@ -243,9 +251,9 @@ impl fmt::Display for Punct {
 
 /// A token together with its source location.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub struct Spanned<'s> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'s>,
     /// Where it begins.
     pub span: Span,
 }

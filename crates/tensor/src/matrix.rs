@@ -261,20 +261,45 @@ impl Matrix {
             self.rows,
             rhs.cols
         );
-        out.data.fill(0.0);
-        // i-k-j loop order: the inner loop walks both `rhs` and `out` rows
-        // contiguously, which matters for the ~3500-node netlist graphs.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
+        const TILE: usize = 16;
+        let (inner, n) = (self.cols, rhs.cols);
+        if inner == 0 || n == 0 {
+            out.data.fill(0.0);
+            return;
+        }
+        // Every entry sums `a[i][k] * b[k][j]` from 0.0 in k order,
+        // skipping zero `a`s. Each output row is built in TILE-wide column
+        // tiles held in a fixed-size accumulator while k runs, and the
+        // columns past the last whole tile in one scalar accumulator each,
+        // so partial sums stay in registers instead of being reloaded from
+        // `out` at every k.
+        let tiled = n - n % TILE;
+        for (arow, orow) in self
+            .data
+            .chunks_exact(inner)
+            .zip(out.data.chunks_exact_mut(n))
+        {
+            for (j0, otile) in (0..tiled).step_by(TILE).zip(orow.chunks_exact_mut(TILE)) {
+                let mut acc = [0.0f32; TILE];
+                for (&a, brow) in arow.iter().zip(rhs.data.chunks_exact(n)) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (s, &b) in acc.iter_mut().zip(&brow[j0..j0 + TILE]) {
+                        *s += a * b;
+                    }
                 }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
+                otile.copy_from_slice(&acc);
+            }
+            for (j, o) in (tiled..n).zip(&mut orow[tiled..]) {
+                let mut acc = 0.0f32;
+                for (&a, brow) in arow.iter().zip(rhs.data.chunks_exact(n)) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    acc += a * brow[j];
                 }
+                *o = acc;
             }
         }
     }
@@ -832,6 +857,41 @@ mod tests {
         let mut out = Matrix::filled(5, 7, 99.0); // garbage must be overwritten
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul(&b));
+    }
+
+    /// The tiled kernel against a plain i-k-j loop (per-entry sums from
+    /// 0.0 in k order, zero `a`s skipped), bit for bit, at widths on both
+    /// sides of whole tiles and with zeros, negative zeros and empty
+    /// dimensions.
+    #[test]
+    fn matmul_into_matches_ikj_reference_bitwise() {
+        for (m, k, n) in [(0, 3, 4), (3, 0, 5), (4, 3, 0), (7, 5, 1), (5, 16, 16)]
+            .into_iter()
+            .chain((1..=35).map(|n| (6, 4, n)))
+        {
+            let a = Matrix::from_fn(m, k, |r, c| match (r * 7 + c * 3) % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                x => (x as f32 - 2.5) / (c as f32 + 1.3),
+            });
+            let b = Matrix::from_fn(k, n, |r, c| ((r * 11 + c * 5) % 9) as f32 * 0.37 - 1.1);
+            let mut want = vec![0.0f32; m * n];
+            for i in 0..m {
+                for kk in 0..k {
+                    let av = a.get(i, kk);
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        want[i * n + j] += av * b.get(kk, j);
+                    }
+                }
+            }
+            let mut got = Matrix::filled(m, n, f32::NAN);
+            a.matmul_into(&b, &mut got);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.as_slice()), bits(&want), "{m}x{k} * {k}x{n}");
+        }
     }
 
     #[test]

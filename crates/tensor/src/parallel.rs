@@ -5,11 +5,19 @@
 //! work items across scoped worker threads. The chunking policy lives
 //! here, once, so those paths cannot drift.
 
+use std::sync::OnceLock;
+
 /// Resolves a caller-facing thread count: `0` means one per available
 /// core.
+///
+/// The core count is read once per process and cached: querying it reads
+/// cgroup files and costs tens of µs, and every audit or ingest batch
+/// asks at least twice. A later change to the process's CPU affinity or
+/// quota is therefore not seen.
 fn resolve_threads(threads: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     } else {
         threads
     }
