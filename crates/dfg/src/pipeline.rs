@@ -159,6 +159,12 @@ mod tests {
             "ternary" => format!("assign y = {}a;", "a ? a : ".repeat(n)),
             "paren_chain" => format!("assign y = {}a{};", "(a + ".repeat(n), ")".repeat(n)),
             "begins" => format!("always @* {}y = a;{}", "begin ".repeat(n), " end".repeat(n)),
+            "ifs" => format!("always @* {}y = a;", "if (a) ".repeat(n)),
+            "cases" => format!(
+                "always @* {}y = a;{}",
+                "case (a) 1: ".repeat(n),
+                " endcase".repeat(n)
+            ),
             _ => unreachable!("unknown shape {shape}"),
         };
         format!("module m(input a, output reg y); {body} endmodule")
@@ -178,6 +184,8 @@ mod tests {
             ("ternary", max - 1),
             ("paren_chain", max - 2),
             ("begins", max - 2),
+            ("ifs", max - 2),
+            ("cases", max - 2),
         ];
         std::thread::Builder::new()
             .stack_size(2 << 20)

@@ -663,22 +663,26 @@ impl<'s> Parser<'s> {
             if self.peek().is_none() {
                 return Err(self.unexpected("'endcase'"));
             }
-            if self.eat_kw(Keyword::Default) {
-                self.eat_punct(Punct::Colon);
-                let body = self.stmt()?;
-                arms.push((Vec::new(), body));
-            } else {
-                let mut labels = vec![self.expr()?];
-                while self.eat_punct(Punct::Comma) {
-                    labels.push(self.expr()?);
-                }
-                self.expect_punct(Punct::Colon)?;
-                let body = self.stmt()?;
-                arms.push((labels, body));
-            }
+            arms.push(self.case_arm()?);
         }
         self.expect_kw(Keyword::Endcase)?;
         Ok(Stmt::Case { subject, arms })
+    }
+
+    /// `labels: stmt`, or `default: stmt` with empty labels.
+    fn case_arm(&mut self) -> Result<(Vec<Expr>, Stmt), ParseVerilogError> {
+        let labels = if self.eat_kw(Keyword::Default) {
+            self.eat_punct(Punct::Colon);
+            Vec::new()
+        } else {
+            let mut labels = vec![self.expr()?];
+            while self.eat_punct(Punct::Comma) {
+                labels.push(self.expr()?);
+            }
+            self.expect_punct(Punct::Colon)?;
+            labels
+        };
+        Ok((labels, self.stmt()?))
     }
 
     fn for_stmt(&mut self) -> Result<Stmt, ParseVerilogError> {
@@ -788,7 +792,28 @@ impl<'s> Parser<'s> {
 
     /// An expression one nesting level below the caller's.
     fn subexpr(&mut self) -> Result<Tall, ParseVerilogError> {
-        self.nested(Self::ternary)
+        match self.lone_ident() {
+            Some(ident) => Ok(ident),
+            None => self.nested(Self::ternary),
+        }
+    }
+
+    /// A lone identifier, the usual gate or port connection of a netlist,
+    /// followed by `,`, `)` or `;`: what the full descent would return,
+    /// without the descent.
+    fn lone_ident(&mut self) -> Option<Tall> {
+        let Some(&Token::Ident(name)) = self.peek() else {
+            return None;
+        };
+        let ends = matches!(
+            self.toks.get(self.pos + 1).map(|t| &t.token),
+            Some(Token::Punct(Punct::Comma | Punct::RParen | Punct::Semi))
+        );
+        if !ends || self.depth >= MAX_NESTING {
+            return None;
+        }
+        self.pos += 1;
+        Some((Expr::Ident(name.to_string()), 0))
     }
 
     // The functions a nested expression recurses through (`subexpr`,
