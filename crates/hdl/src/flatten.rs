@@ -96,52 +96,60 @@ pub fn eval_const(expr: &Expr, env: &HashMap<String, i64>) -> Result<i64, ParseV
     }
 }
 
+/// Calls `f` on every identifier node of `expr`, in place.
+fn for_each_ident(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
+    match expr {
+        Expr::Ident(_) => f(expr),
+        Expr::Number { .. } | Expr::Str(_) => {}
+        Expr::Unary { arg, .. } => for_each_ident(arg, f),
+        Expr::Binary { lhs, rhs, .. }
+        | Expr::Repeat {
+            count: lhs,
+            body: rhs,
+        }
+        | Expr::BitSelect {
+            base: lhs,
+            index: rhs,
+        } => {
+            for_each_ident(lhs, f);
+            for_each_ident(rhs, f);
+        }
+        Expr::Ternary {
+            cond: a,
+            then_e: b,
+            else_e: c,
+        }
+        | Expr::PartSelect {
+            base: a,
+            msb: b,
+            lsb: c,
+        } => {
+            for_each_ident(a, f);
+            for_each_ident(b, f);
+            for_each_ident(c, f);
+        }
+        Expr::Concat(parts) | Expr::Call { args: parts, .. } => {
+            parts.iter_mut().for_each(|p| for_each_ident(p, f));
+        }
+    }
+}
+
 /// Replaces parameter identifiers with their constant values throughout
 /// an expression.
 fn subst_expr(expr: &mut Expr, env: &HashMap<String, i64>) {
     if env.is_empty() {
         return;
     }
-    match expr {
-        Expr::Ident(name) => {
+    for_each_ident(expr, &mut |e| {
+        if let Expr::Ident(name) = e {
             if let Some(&v) = env.get(name.as_str()) {
-                *expr = Expr::Number {
+                *e = Expr::Number {
                     width: None,
                     value: v as u64,
                 };
             }
         }
-        Expr::Number { .. } | Expr::Str(_) => {}
-        Expr::Unary { arg, .. } => subst_expr(arg, env),
-        Expr::Binary { lhs, rhs, .. } => {
-            subst_expr(lhs, env);
-            subst_expr(rhs, env);
-        }
-        Expr::Ternary {
-            cond,
-            then_e,
-            else_e,
-        } => {
-            subst_expr(cond, env);
-            subst_expr(then_e, env);
-            subst_expr(else_e, env);
-        }
-        Expr::Concat(parts) => parts.iter_mut().for_each(|p| subst_expr(p, env)),
-        Expr::Repeat { count, body } => {
-            subst_expr(count, env);
-            subst_expr(body, env);
-        }
-        Expr::BitSelect { base, index } => {
-            subst_expr(base, env);
-            subst_expr(index, env);
-        }
-        Expr::PartSelect { base, msb, lsb } => {
-            subst_expr(base, env);
-            subst_expr(msb, env);
-            subst_expr(lsb, env);
-        }
-        Expr::Call { args, .. } => args.iter_mut().for_each(|a| subst_expr(a, env)),
-    }
+    });
 }
 
 fn subst_stmt(stmt: &mut Stmt, env: &HashMap<String, i64>) {
@@ -191,41 +199,14 @@ fn subst_stmt(stmt: &mut Stmt, env: &HashMap<String, i64>) {
     }
 }
 
-/// Renames every identifier in an expression via `f`.
+/// Renames every identifier in an expression via `f`; a call keeps its
+/// callee name.
 fn rename_expr(expr: &mut Expr, f: &impl Fn(&str) -> String) {
-    match expr {
-        Expr::Ident(name) => *name = f(name),
-        Expr::Number { .. } | Expr::Str(_) => {}
-        Expr::Unary { arg, .. } => rename_expr(arg, f),
-        Expr::Binary { lhs, rhs, .. } => {
-            rename_expr(lhs, f);
-            rename_expr(rhs, f);
+    for_each_ident(expr, &mut |e| {
+        if let Expr::Ident(name) = e {
+            *name = f(name);
         }
-        Expr::Ternary {
-            cond,
-            then_e,
-            else_e,
-        } => {
-            rename_expr(cond, f);
-            rename_expr(then_e, f);
-            rename_expr(else_e, f);
-        }
-        Expr::Concat(parts) => parts.iter_mut().for_each(|p| rename_expr(p, f)),
-        Expr::Repeat { count, body } => {
-            rename_expr(count, f);
-            rename_expr(body, f);
-        }
-        Expr::BitSelect { base, index } => {
-            rename_expr(base, f);
-            rename_expr(index, f);
-        }
-        Expr::PartSelect { base, msb, lsb } => {
-            rename_expr(base, f);
-            rename_expr(msb, f);
-            rename_expr(lsb, f);
-        }
-        Expr::Call { args, .. } => args.iter_mut().for_each(|a| rename_expr(a, f)),
-    }
+    });
 }
 
 fn rename_stmt(stmt: &mut Stmt, f: &impl Fn(&str) -> String) {
