@@ -150,7 +150,8 @@ mod tests {
         }
     }
 
-    /// One module whose `body` sits `n` levels deep in the given shape.
+    /// One module whose body repeats one nesting step of the given shape
+    /// `n` times.
     fn nested_design(shape: &str, n: usize) -> String {
         let body = match shape {
             "parens" => format!("assign y = {}a{};", "(".repeat(n), ")".repeat(n)),
@@ -158,8 +159,17 @@ mod tests {
             "chain" => format!("assign y = a{};", " & a".repeat(n)),
             "ternary" => format!("assign y = {}a;", "a ? a : ".repeat(n)),
             "paren_chain" => format!("assign y = {}a{};", "(a + ".repeat(n), ")".repeat(n)),
+            "concats" => format!("assign y = {}a{};", "{".repeat(n), "}".repeat(n)),
+            "indices" => format!("assign y = {}a{};", "a[".repeat(n), "]".repeat(n)),
+            // each step climbs all eleven binary precedence levels
+            "climb" => format!(
+                "assign y = {}a{};",
+                "(a || a && a | a ^ a & a == a < a << a + a * a ** ".repeat(n),
+                ")".repeat(n)
+            ),
             "begins" => format!("always @* {}y = a;{}", "begin ".repeat(n), " end".repeat(n)),
             "ifs" => format!("always @* {}y = a;", "if (a) ".repeat(n)),
+            "else_ifs" => format!("always @* {}y = a;", "if (a) y = a; else ".repeat(n)),
             "cases" => format!(
                 "always @* {}y = a;{}",
                 "case (a) 1: ".repeat(n),
@@ -172,19 +182,29 @@ mod tests {
 
     /// The deepest tree the parser accepts, in each shape, goes through
     /// parse, flatten, extract, trim and drop on a 2 MiB stack (the
-    /// default for spawned threads, and so for serve workers); one level
-    /// more is a typed error.
+    /// default for spawned threads, and so for serve workers). One step
+    /// more is a typed error, and so is a body far past the limit, which
+    /// the parser refuses before it recurses deeper than the limit.
     #[test]
     fn deepest_accepted_nesting_fits_a_two_mib_stack() {
         let max = gnn4ip_hdl::MAX_NESTING;
         let shapes = [
             ("parens", max - 1),
             ("unary", max - 1),
+            // 256 terms: the right-hand side opens one level, each
+            // operator adds one
             ("chain", max - 1),
             ("ternary", max - 1),
             ("paren_chain", max - 2),
+            ("concats", max - 1),
+            ("indices", max - 1),
+            ("climb", (max - 2) / 11),
             ("begins", max - 2),
             ("ifs", max - 2),
+            // 255 branches, the last a plain `else`: the always body and
+            // each `else` open a statement, the last assignment's target
+            // one level more
+            ("else_ifs", max - 2),
             ("cases", max - 2),
         ];
         std::thread::Builder::new()
@@ -194,13 +214,15 @@ mod tests {
                     let g = graph_from_verilog(&nested_design(shape, deepest), None)
                         .unwrap_or_else(|e| panic!("{shape} x{deepest}: {e}"));
                     assert_eq!(g.roots().len(), 1, "{shape}");
-                    let err = graph_from_verilog(&nested_design(shape, deepest + 1), None)
-                        .expect_err(shape);
-                    assert!(
-                        err.to_string()
-                            .contains(&format!("nesting deeper than {max} levels")),
-                        "{shape}: {err}"
-                    );
+                    for n in [deepest + 1, max + 1] {
+                        let err =
+                            graph_from_verilog(&nested_design(shape, n), None).expect_err(shape);
+                        assert!(
+                            err.to_string()
+                                .contains(&format!("nesting deeper than {max} levels")),
+                            "{shape} x{n}: {err}"
+                        );
+                    }
                 }
             })
             .expect("spawns")

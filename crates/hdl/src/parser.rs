@@ -10,20 +10,28 @@ use crate::ast::*;
 use crate::token::{Keyword, Punct, Span, Spanned, Token};
 use crate::{lex, ParseVerilogError};
 
-/// The deepest nesting [`parse`] accepts, counted along any one path from
-/// a module item down to a leaf: one level per statement, per
-/// sub-expression (parenthesised or an operand of a concatenation, select,
-/// call or ternary branch), per unary operator, and per operator node of
-/// the syntax tree. A left-associative chain `a + b + c` is as deep as it
-/// has operators.
+/// The deepest nesting [`parse`] accepts. Two counts must stay within it:
+/// the levels the parser has open, one per statement, sub-expression
+/// (parenthesised, or an operand of a concatenation, select, call or
+/// ternary branch) and unary operator it is inside; and, wherever it
+/// builds a node of the syntax tree, those open levels plus the node's
+/// height, one per operator, unary, select, concatenation, call or
+/// ternary node from it down to a leaf. Parentheses add no node, so they
+/// count only while they are open. A flat chain `a ^ b ^ c` is as deep as
+/// it has operators, and each `else if` opens one statement more.
 ///
 /// Past it, [`parse`] returns a [`ParseVerilogError`]. The limit keeps the
 /// parser's recursion, and the recursive walks over the tree it builds
 /// (elaboration, data-flow extraction, drop), inside a 2 MiB thread stack,
-/// in debug builds too. Measured by this count, `rtl_designs(1000,
-/// Medium)` nests at most 18 levels and its `vary_design` disguises 44
-/// (51 over 32 seeded disguises per design); `netlist_designs(200, 250)`
-/// and its obfuscations nest 1. The limit is 5x the deepest of them.
+/// in debug builds too, where the costliest accepted shape (nested `case`
+/// statements) takes about 1.1 MiB.
+///
+/// Measured by this count, `rtl_designs(1000, Medium)` nests at most 18
+/// levels and 32 seeded `vary_design` disguises of each design 56;
+/// `netlist_designs(200, 250)` and its obfuscations nest 1. The limit is
+/// 4.5x the deepest of them. Larger RTL nests deeper: `rtl_designs(1000,
+/// Large)` reaches 46 and 8 disguises of each 134, half the limit, and the
+/// instances of `CorpusSpec::rtl_paper` 79.
 pub const MAX_NESTING: usize = 256;
 
 /// Parses preprocessed Verilog source into a [`SourceUnit`].
@@ -56,6 +64,9 @@ struct Parser<'s> {
     pos: usize,
     /// Nesting levels open on the path being parsed.
     depth: usize,
+    /// Binary operators still waiting for their right operand, each with
+    /// its precedence and left operand; see [`Parser::binary`].
+    pending: Vec<(u8, BinaryOp, Tall)>,
 }
 
 impl<'s> Parser<'s> {
@@ -64,6 +75,7 @@ impl<'s> Parser<'s> {
             toks,
             pos: 0,
             depth: 0,
+            pending: Vec::new(),
         }
     }
 
@@ -792,37 +804,16 @@ impl<'s> Parser<'s> {
 
     /// An expression one nesting level below the caller's.
     fn subexpr(&mut self) -> Result<Tall, ParseVerilogError> {
-        match self.lone_ident() {
-            Some(ident) => Ok(ident),
-            None => self.nested(Self::ternary),
-        }
-    }
-
-    /// A lone identifier, the usual gate or port connection of a netlist,
-    /// followed by `,`, `)` or `;`: what the full descent would return,
-    /// without the descent.
-    fn lone_ident(&mut self) -> Option<Tall> {
-        let Some(&Token::Ident(name)) = self.peek() else {
-            return None;
-        };
-        let ends = matches!(
-            self.toks.get(self.pos + 1).map(|t| &t.token),
-            Some(Token::Punct(Punct::Comma | Punct::RParen | Punct::Semi))
-        );
-        if !ends || self.depth >= MAX_NESTING {
-            return None;
-        }
-        self.pos += 1;
-        Some((Expr::Ident(name.to_string()), 0))
+        self.nested(Self::ternary)
     }
 
     // The functions a nested expression recurses through (`subexpr`,
-    // `ternary`, `binary`, `unary`, `primary`) keep few locals and leave
-    // node building to helpers, so each nesting level costs little stack
-    // even in debug builds.
+    // `ternary`, `binary`, `unary`, `primary`, `operand`, `concat`,
+    // `selects`) keep few locals and leave node building to helpers, so
+    // each nesting level costs little stack even in debug builds.
 
     fn ternary(&mut self) -> Result<Tall, ParseVerilogError> {
-        let cond = self.binary(0)?;
+        let cond = self.binary()?;
         if self.eat_punct(Punct::Question) {
             self.ternary_branches(cond)
         } else {
@@ -844,32 +835,49 @@ impl<'s> Parser<'s> {
         )
     }
 
-    /// A chain of binary operators binding at least as tightly as
-    /// `min_prec`, by precedence climbing: every operator is
-    /// left-associative, so `a - b - c` is `(a - b) - c`.
-    fn binary(&mut self, min_prec: u8) -> Result<Tall, ParseVerilogError> {
-        let lhs = self.unary()?;
-        self.binary_rest(lhs, min_prec)
+    /// A chain of binary operators, by operator precedence: every operator
+    /// is left-associative, so `a - b - c` is `(a - b) - c`. An operator
+    /// waits on `pending` until one that binds no tighter follows, so a
+    /// climb through the precedence levels (`a || b && c | …`) does not
+    /// recurse.
+    fn binary(&mut self) -> Result<Tall, ParseVerilogError> {
+        let first = self.unary()?;
+        if self.binary_op().is_none() {
+            return Ok(first);
+        }
+        self.binary_rest(first)
     }
 
-    fn binary_rest(
-        &mut self,
-        (mut lhs, mut height): Tall,
-        min_prec: u8,
-    ) -> Result<Tall, ParseVerilogError> {
-        while let Some((prec, op)) = self.binary_op().filter(|&(prec, _)| prec >= min_prec) {
+    fn binary_rest(&mut self, mut last: Tall) -> Result<Tall, ParseVerilogError> {
+        let base = self.pending.len();
+        while let Some((prec, op)) = self.binary_op() {
+            last = self.reduce(base, prec, last)?;
             self.bump();
-            let (rhs, rhs_h) = self.binary(prec + 1)?;
-            (lhs, height) = self.node(
+            self.pending.push((prec, op, last));
+            last = self.unary()?;
+        }
+        self.reduce(base, 0, last)
+    }
+
+    /// Applies the operators pending above `base` that bind at least as
+    /// tightly as `prec`, innermost first, with `rhs` as the right operand
+    /// of the innermost.
+    fn reduce(&mut self, base: usize, prec: u8, mut rhs: Tall) -> Result<Tall, ParseVerilogError> {
+        while self.pending.len() > base && self.pending.last().is_some_and(|p| p.0 >= prec) {
+            let Some((_, op, (lhs, lhs_h))) = self.pending.pop() else {
+                break;
+            };
+            let (rhs_e, rhs_h) = rhs;
+            rhs = self.node(
                 Expr::Binary {
                     op,
                     lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
+                    rhs: Box::new(rhs_e),
                 },
-                height.max(rhs_h),
+                lhs_h.max(rhs_h),
             )?;
         }
-        Ok((lhs, height))
+        Ok(rhs)
     }
 
     /// The binary operator at the cursor with its precedence, loosest 0.
@@ -1000,12 +1008,17 @@ impl<'s> Parser<'s> {
 
     /// A concatenation `{a, b}` or repeat `{n{a, b}}`, after its `{`.
     fn concat(&mut self) -> Result<Tall, ParseVerilogError> {
-        let (first, first_h) = self.subexpr()?;
-        if !self.eat_punct(Punct::LBrace) {
-            let (parts, below) = self.more_exprs((first, first_h))?;
-            self.expect_punct(Punct::RBrace)?;
-            return self.node(Expr::Concat(parts), below);
+        let first = self.subexpr()?;
+        if self.eat_punct(Punct::LBrace) {
+            return self.repeat(first);
         }
+        let (parts, below) = self.more_exprs(first)?;
+        self.expect_punct(Punct::RBrace)?;
+        self.node(Expr::Concat(parts), below)
+    }
+
+    /// A repeat's body up to its closing `}}`, after `{count{`.
+    fn repeat(&mut self, (count, count_h): Tall) -> Result<Tall, ParseVerilogError> {
         let part = self.subexpr()?;
         let (parts, below) = self.more_exprs(part)?;
         self.expect_punct(Punct::RBrace)?;
@@ -1016,10 +1029,10 @@ impl<'s> Parser<'s> {
         };
         self.node(
             Expr::Repeat {
-                count: Box::new(first),
+                count: Box::new(count),
                 body: Box::new(body),
             },
-            first_h.max(body_h),
+            count_h.max(body_h),
         )
     }
 
@@ -1038,32 +1051,40 @@ impl<'s> Parser<'s> {
     }
 
     /// Applies any `[i]` / `[m:l]` selects that follow `base`.
-    fn selects(&mut self, (mut base, mut height): Tall) -> Result<Tall, ParseVerilogError> {
+    fn selects(&mut self, mut base: Tall) -> Result<Tall, ParseVerilogError> {
         while self.eat_punct(Punct::LBracket) {
-            let (first, first_h) = self.subexpr()?;
-            (base, height) = if self.eat_punct(Punct::Colon) {
-                let (lsb, lsb_h) = self.subexpr()?;
-                self.expect_punct(Punct::RBracket)?;
-                self.node(
-                    Expr::PartSelect {
-                        base: Box::new(base),
-                        msb: Box::new(first),
-                        lsb: Box::new(lsb),
-                    },
-                    height.max(first_h).max(lsb_h),
-                )?
-            } else {
-                self.expect_punct(Punct::RBracket)?;
-                self.node(
-                    Expr::BitSelect {
-                        base: Box::new(base),
-                        index: Box::new(first),
-                    },
-                    height.max(first_h),
-                )?
-            };
+            let first = self.subexpr()?;
+            base = self.select(base, first)?;
         }
-        Ok((base, height))
+        Ok(base)
+    }
+
+    /// `base[first]` or `base[first:lsb]`, after `first`.
+    fn select(
+        &mut self,
+        (base, height): Tall,
+        (first, first_h): Tall,
+    ) -> Result<Tall, ParseVerilogError> {
+        if self.eat_punct(Punct::Colon) {
+            let (lsb, lsb_h) = self.subexpr()?;
+            self.expect_punct(Punct::RBracket)?;
+            return self.node(
+                Expr::PartSelect {
+                    base: Box::new(base),
+                    msb: Box::new(first),
+                    lsb: Box::new(lsb),
+                },
+                height.max(first_h).max(lsb_h),
+            );
+        }
+        self.expect_punct(Punct::RBracket)?;
+        self.node(
+            Expr::BitSelect {
+                base: Box::new(base),
+                index: Box::new(first),
+            },
+            height.max(first_h),
+        )
     }
 }
 
@@ -1420,6 +1441,9 @@ mod tests {
         ] {
             assert_eq!(rhs_of(bare), rhs_of(grouped), "{bare}");
         }
+        // operators waiting outside parentheses do not reach inside them
+        assert_ne!(rhs_of("a * (b + c)"), rhs_of("a * b + c"));
+        assert_ne!(rhs_of("a - (b - c)"), rhs_of("a - b - c"));
     }
 
     #[test]
