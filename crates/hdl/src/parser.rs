@@ -29,7 +29,7 @@ use crate::{lex, ParseVerilogError};
 /// Measured by this count, `rtl_designs(1000, Medium)` nests at most 18
 /// levels and 32 seeded `vary_design` disguises of each design 56;
 /// `netlist_designs(200, 250)` and its obfuscations nest 1. The limit is
-/// 4.5x the deepest of them. Larger RTL nests deeper: `rtl_designs(1000,
+/// 4.6x the deepest of them. Larger RTL nests deeper: `rtl_designs(1000,
 /// Large)` reaches 46 and 8 disguises of each 134, half the limit, and the
 /// instances of `CorpusSpec::rtl_paper` 79.
 pub const MAX_NESTING: usize = 256;
