@@ -72,9 +72,10 @@ stage_serve() {
 stage_service() {
     # the audit service surface: every serve-loop protocol/backpressure
     # test (bounded queue, ordered responses, publish visibility, dot
-    # escaping) and the batched-vs-serial bit-identity proptest
+    # escaping, non-UTF-8 input) and the proptest that a query's hits do
+    # not depend on the batch it is scored in
     cargo test -q --release --offline -p gnn4ip-core service::
-    cargo test -q --release --offline --test properties -- batched
+    cargo test -q --release --offline --test properties -- batch_composition
 }
 
 stage_corpus() {
@@ -115,15 +116,18 @@ stage_analysis() {
 stage_servebench() {
     # the serve benchmark's own correctness checks: its unit tests (request
     # framing, response parsing, percentiles, span self time), then one
-    # short run per workload below, each checking every response's order
-    # and kind (and, on rtl_audit, a sample of VERDICT lines byte for byte
-    # against serial audits). The netlist run is the only one that sends
-    # obfuscated ~37 KB ISCAS-class bodies with dot-stuffed named-port
-    # lines through the Verilog front end inside run_service. The stage
-    # fails unless every run's result line says it was correct.
+    # short run per workload, each checking every response's order and
+    # kind (and, on the read-only rtl_audit and large_corpus_audit, a
+    # sample of VERDICT lines byte for byte against one-suspect audits).
+    # The netlist run is the only one that sends obfuscated ~37 KB
+    # ISCAS-class bodies with dot-stuffed named-port lines through the
+    # Verilog front end inside run_service. The large-corpus run is the
+    # only one that checks serve's batched verdicts against one-suspect
+    # audits across many shards (195 sealed shards, all scanned). The
+    # stage fails unless every run's result line says it was correct.
     cargo test --release --offline --manifest-path servebench/Cargo.toml
     local workload result
-    for workload in rtl_audit netlist_ingest_audit; do
+    for workload in rtl_audit netlist_ingest_audit large_corpus_audit; do
         result=$(cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
             --workload "${workload}" --seed 1 --seconds 2 --trace 0 | tail -n 1)
         echo "servebench ${workload}: ${result}"

@@ -16,7 +16,7 @@
 //!    centroid/radius bounds must skip at least half the sealed shards
 //!    (asserted here) and beat the exhaustive scan on latency.
 //! 6. **parallel scan is gated honestly** — fanned-out per-shard scans
-//!    vs the serial walk on a 64k-entry corpus; on a single-core
+//!    vs one thread on a 64k-entry corpus; on a single-core
 //!    container the two collapse to the same inline path.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -608,7 +608,7 @@ impl AuditPipeline {
     /// workers, embedded through the tape-free
     /// [`embed_batch`](gnn4ip_nn::Hw2Vec::embed_batch), and scored with a
     /// **single** [`ShardedEmbeddingIndex::query_many`] call — one shard
-    /// pass over the whole batch instead of one gemv walk per suspect —
+    /// pass over the whole batch instead of one walk per suspect —
     /// so a directory of suspects flows through the same
     /// parse → DFG → embed → query stages as ingest, with memory bounded
     /// by one batch.
@@ -616,7 +616,7 @@ impl AuditPipeline {
     /// Returns one verdict per suspect, in input order (`None` for
     /// suspects that failed to parse, with the error recorded in the
     /// report), plus the aggregate [`BatchReport`]. Every verdict is
-    /// bit-identical to what a serial [`audit`](AuditPipeline::audit)
+    /// bit-identical to what a single [`audit`](AuditPipeline::audit)
     /// call on the same suspect returns — batching changes throughput,
     /// never results.
     pub fn audit_many(&self, suspects: &[AuditSource]) -> (Vec<Option<AuditVerdict>>, BatchReport) {
@@ -753,7 +753,7 @@ fn build_verdict(
 }
 
 /// Resolves query hits into an [`AuditVerdict`] — the single
-/// hit→match→δ step both the serial and the batched audit paths share,
+/// hit→match→δ step both the single and the batched audit paths share,
 /// so they cannot drift.
 fn verdict_from_hits(hits: Vec<QueryHit>, names: &NameLog, delta: f32) -> AuditVerdict {
     let matches: Vec<AuditMatch> = hits
@@ -1290,7 +1290,7 @@ mod tests {
     #[test]
     fn audit_many_matches_serial_audits_bit_for_bit() {
         // audit_many is the batched form of audit: same parse, same
-        // embedding, one query_many instead of N gemv walks — and the
+        // embedding, one query_many instead of N batches of one — and the
         // verdicts must not drift by a single bit. batch_size 2 over 5
         // suspects also exercises the chunk boundary.
         let p = pipeline();

@@ -45,7 +45,7 @@
 //! memory never grows past `queue_capacity` in-flight audits. Workers
 //! drain up to [`ServiceConfig::max_batch`] requests at once and score
 //! them with a single [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) call, so a saturated
-//! service gets the batched shard walk, not per-request gemv. Workers
+//! service scores each shard once per batch, not once per request. Workers
 //! audit against whatever snapshot the pipeline's
 //! [`PublicationSlot`](crate::PublicationSlot) currently serves
 //! (`load_if_newer`: one atomic read when nothing changed); `INGEST`
@@ -370,9 +370,31 @@ enum BodyError {
     /// the body was drained through the terminator, so the protocol
     /// stream is still in sync and the session continues.
     TooLarge,
+    /// A body line was not valid UTF-8. The rest of the body was
+    /// drained through the terminator, so the session continues.
+    NotUtf8,
 }
 
-/// Drains lines through the `.` terminator without storing them.
+impl BodyError {
+    /// The reason the `ERR` line for this body gives.
+    fn reason(&self, max_body_bytes: usize) -> String {
+        match self {
+            BodyError::Eof => "EOF before the '.' body terminator".to_string(),
+            BodyError::TooLarge => format!("body exceeds max_body_bytes={max_body_bytes}"),
+            BodyError::NotUtf8 => "body is not valid UTF-8".to_string(),
+        }
+    }
+}
+
+/// Whether a line read failed only because the line was not UTF-8.
+/// `BufRead::lines` has then consumed that line and goes on with the
+/// next one, so the stream is still in sync.
+fn is_not_utf8(e: &std::io::Error) -> bool {
+    e.kind() == std::io::ErrorKind::InvalidData
+}
+
+/// Drains lines through the `.` terminator without storing them
+/// (non-UTF-8 lines included).
 fn drain_to_dot(
     lines: &mut impl Iterator<Item = std::io::Result<String>>,
 ) -> Result<(), BodyError> {
@@ -380,6 +402,7 @@ fn drain_to_dot(
         match line.as_deref() {
             Ok(".") => return Ok(()),
             Ok(_) => {}
+            Err(e) if is_not_utf8(e) => {}
             Err(_) => return Err(BodyError::Eof),
         }
     }
@@ -394,8 +417,13 @@ fn read_body(
 ) -> Result<String, BodyError> {
     let mut body = String::new();
     while let Some(line) = lines.next() {
-        let Ok(line) = line else {
-            return Err(BodyError::Eof);
+        let line = match line {
+            Ok(line) => line,
+            Err(e) if is_not_utf8(&e) => {
+                drain_to_dot(lines)?;
+                return Err(BodyError::NotUtf8);
+            }
+            Err(_) => return Err(BodyError::Eof),
         };
         if line == "." {
             return Ok(body);
@@ -436,8 +464,10 @@ fn verdict_line(name: &str, verdict: &crate::audit::AuditVerdict) -> String {
 ///
 /// # Errors
 ///
-/// Returns the first I/O error on `output`; input errors terminate the
-/// session like EOF (the transport died — there is no one to answer).
+/// Returns the first I/O error on `output`. A non-UTF-8 command line or
+/// body gets an `ERR` line and the session goes on; any other input
+/// error terminates the session like EOF (the transport died — there is
+/// no one to answer).
 pub fn run_service<R: BufRead, W: Write + Send>(
     pipeline: &mut AuditPipeline,
     config: &ServiceConfig,
@@ -522,9 +552,14 @@ pub fn run_service<R: BufRead, W: Write + Send>(
         });
 
         let mut lines = input.lines();
-        while let Some(Ok(line)) = lines.next() {
-            let line = line.trim_end().to_string();
-            if line.is_empty() {
+        while let Some(next) = lines.next() {
+            // `None`: a command line that was not UTF-8, answered below
+            let line = match next {
+                Ok(line) => Some(line.trim_end().to_string()),
+                Err(e) if is_not_utf8(&e) => None,
+                Err(_) => break,
+            };
+            if line.as_deref() == Some("") {
                 continue;
             }
             stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -532,6 +567,10 @@ pub fn run_service<R: BufRead, W: Write + Send>(
             if ticket_tx.send(reply_rx).is_err() {
                 break; // responder died (output closed)
             }
+            let Some(line) = line else {
+                let _ = reply_tx.send("ERR command line is not valid UTF-8".to_string());
+                continue;
+            };
             let (cmd, arg) = match line.split_once(' ') {
                 Some((c, a)) => (c, a.trim().to_string()),
                 None => (line.as_str(), String::new()),
@@ -540,19 +579,14 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                 "AUDIT" if !arg.is_empty() => {
                     let body = match read_body(&mut lines, config.max_body_bytes) {
                         Ok(body) => body,
-                        Err(BodyError::TooLarge) => {
+                        Err(e) => {
+                            let reason = e.reason(config.max_body_bytes);
+                            let _ = reply_tx.send(format!("ERR audit {arg}: {reason}"));
+                            if e == BodyError::Eof {
+                                break;
+                            }
                             stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            let _ = reply_tx.send(format!(
-                                "ERR audit {arg}: body exceeds max_body_bytes={}",
-                                config.max_body_bytes
-                            ));
                             continue;
-                        }
-                        Err(BodyError::Eof) => {
-                            let _ = reply_tx.send(format!(
-                                "ERR audit {arg}: EOF before the '.' body terminator"
-                            ));
-                            break;
                         }
                     };
                     let job = AuditJob {
@@ -569,19 +603,14 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                 "INGEST" if !arg.is_empty() => {
                     let body = match read_body(&mut lines, config.max_body_bytes) {
                         Ok(body) => body,
-                        Err(BodyError::TooLarge) => {
+                        Err(e) => {
+                            let reason = e.reason(config.max_body_bytes);
+                            let _ = reply_tx.send(format!("ERR ingest {arg}: {reason}"));
+                            if e == BodyError::Eof {
+                                break;
+                            }
                             stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            let _ = reply_tx.send(format!(
-                                "ERR ingest {arg}: body exceeds max_body_bytes={}",
-                                config.max_body_bytes
-                            ));
                             continue;
-                        }
-                        Err(BodyError::Eof) => {
-                            let _ = reply_tx.send(format!(
-                                "ERR ingest {arg}: EOF before the '.' body terminator"
-                            ));
-                            break;
                         }
                     };
                     let report = pipeline.ingest([AuditSource::new(arg.clone(), body, None)]);
@@ -881,6 +910,53 @@ mod tests {
         assert!(lines[2].starts_with("VERDICT fine "), "{}", lines[2]);
         assert_eq!(lines[3], "OK bye");
         assert_eq!((report.audits, report.ingested, report.rejected), (1, 0, 2));
+    }
+
+    /// One non-UTF-8 byte in a command line or a body draws an ERR line
+    /// for that request alone: the session keeps reading, answers every
+    /// later request in order, and still ends with `OK bye`.
+    #[test]
+    fn non_utf8_lines_get_err_lines_and_session_continues() {
+        let mut lines = b"ok\n\xff\nmore\n.\nNEXT\n".lines();
+        assert_eq!(read_body(&mut lines, 1 << 20), Err(BodyError::NotUtf8));
+        assert_eq!(
+            lines.next().map(|l| l.expect("utf8")).as_deref(),
+            Some("NEXT"),
+            "the bad body is drained through its terminator"
+        );
+
+        let mut input: Vec<u8> = Vec::new();
+        input.extend_from_slice(b"STATS\n");
+        input.extend_from_slice(b"AUD\xffIT x\n");
+        input.extend_from_slice(b"AUDIT a\nmodule inv(input a, output y);\n// \xff\n");
+        input.extend_from_slice(b"assign y = ~a; endmodule\n.\n");
+        input.extend_from_slice(b"INGEST b\n\xfe\xff\n.\n");
+        input.extend_from_slice(format!("INGEST inv\n{INV}\n.\nPUBLISH\n").as_bytes());
+        input.extend_from_slice(format!("AUDIT c\n{INV}\n.\n").as_bytes());
+        input.extend_from_slice(b"STATS\nSHUTDOWN\n");
+        let mut pipeline = service_pipeline();
+        let mut out: Vec<u8> = Vec::new();
+        let report = run_service(
+            &mut pipeline,
+            &ServiceConfig::default(),
+            input.as_slice(),
+            &mut out,
+        )
+        .expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 9, "one response per request:\n{text}");
+        assert!(lines[0].starts_with("STATS requests=1 "), "{}", lines[0]);
+        assert_eq!(lines[1], "ERR command line is not valid UTF-8");
+        assert_eq!(lines[2], "ERR audit a: body is not valid UTF-8");
+        assert_eq!(lines[3], "ERR ingest b: body is not valid UTF-8");
+        assert_eq!(lines[4], "OK ingested=1 rejected=0");
+        assert_eq!(lines[5], "OK epoch=2");
+        assert!(lines[6].starts_with("VERDICT c matches=1 "), "{}", lines[6]);
+        assert!(lines[7].starts_with("STATS requests=8 "), "{}", lines[7]);
+        assert_eq!(lines[8], "OK bye");
+        assert_eq!(report.requests, 9);
+        assert_eq!((report.audits, report.ingested, report.rejected), (1, 1, 2));
     }
 
     /// Dot-stuffing: body lines that start with '.' survive the

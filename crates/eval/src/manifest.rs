@@ -742,9 +742,15 @@ mod tests {
                 ..QueryOptions::default()
             },
         ] {
+            // by score bits: `QueryHit`'s `==` cannot tell -0.0 from 0.0
+            let bits = |hits: Vec<crate::QueryHit>| -> Vec<(usize, usize, u32)> {
+                hits.iter()
+                    .map(|h| (h.index, h.label, h.score.to_bits()))
+                    .collect()
+            };
             let (a, _) = index.query_opts(&query, 5, &opts);
             let (b, _) = loaded.query_opts(&query, 5, &opts);
-            assert_eq!(a, b);
+            assert_eq!(bits(a), bits(b));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

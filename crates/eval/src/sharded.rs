@@ -21,15 +21,18 @@
 //! and a snapshot serves queries forever without seeing (or blocking)
 //! later inserts.
 //!
-//! Queries are fast twice over. Sealed shards whose *best possible* score
-//! (from the centroid/radius bound) cannot beat the current global top-k
-//! floor are skipped without touching a row, and on corpora large enough
-//! to be worth threading the surviving per-shard scans fan out across
-//! workers via [`fan_out`]. Both paths produce results **bit-identical**
-//! to the flat index (a property test in `tests/properties.rs` holds this
-//! line): every score is computed by the same per-row kernel, pruning only
-//! discards shards whose rows provably lose, and the k-way merge is
-//! order-insensitive.
+//! Every query goes through one walk,
+//! [`query_many`](ShardedEmbeddingIndex::query_many); a single query is a
+//! batch of one. Sealed shards whose *best possible* score (from the
+//! centroid/radius bound) cannot beat the query's current top-k floor are
+//! skipped without touching a row, each scanned shard is scored for the
+//! whole batch by one [`gemm_nt`], and on corpora large enough to be
+//! worth threading the surviving shard scans fan out across workers via
+//! [`fan_out`]. Results are **bit-identical** to the flat index whatever
+//! the options and whatever else the batch holds (property tests in
+//! `tests/properties.rs` hold this line): every gemm entry accumulates in
+//! the flat index's [`score_row`] order, pruning only discards shards
+//! whose rows provably lose, and the k-way merge is order-insensitive.
 //!
 //! Two more layers kick in at corpus scale (≥ 100k rows). **Routing:**
 //! bound pruning only bites when shards are internally coherent, which
@@ -170,10 +173,9 @@ impl RowBlock {
     }
 }
 
-/// Borrowed view of row storage, dispatching the *exact* per-row scoring
-/// kernel over either representation. The int8 arm dequantizes into a
-/// caller scratch buffer and runs the same [`score_row`] the f32 arm
-/// runs — this is the single definition of a row's exact score.
+/// Borrowed view of row storage in either representation. Quantized
+/// rows are read through their dequantized values, the canonical rows
+/// every exact score is computed from.
 #[derive(Clone, Copy)]
 pub(crate) enum RowsRef<'a> {
     F32(&'a [f32]),
@@ -181,28 +183,6 @@ pub(crate) enum RowsRef<'a> {
 }
 
 impl RowsRef<'_> {
-    fn score(
-        &self,
-        i: usize,
-        dim: usize,
-        query: &[f32],
-        qnorm: f32,
-        scratch: &mut Vec<f32>,
-    ) -> f32 {
-        match *self {
-            RowsRef::F32(data) => score_row(&data[i * dim..(i + 1) * dim], query, qnorm),
-            RowsRef::Int8 { q, params } => {
-                scratch.clear();
-                scratch.extend(
-                    q[i * dim..(i + 1) * dim]
-                        .iter()
-                        .map(|&c| params.dequantize(c)),
-                );
-                score_row(scratch, query, qnorm)
-            }
-        }
-    }
-
     /// Materializes every row (dequantizing as needed) into `out`, which
     /// must hold exactly `rows * dim` floats.
     pub(crate) fn copy_all_into(&self, out: &mut [f32]) {
@@ -382,20 +362,6 @@ impl SealedShard {
             content_id,
         }
     }
-
-    /// Upper bound (in exact arithmetic) on any row's score against the
-    /// query: `dot(r, q̂) = dot(c, q̂) + dot(r − c, q̂) ≤ dot(c, q̂) + ‖r − c‖`
-    /// by Cauchy–Schwarz, and independently `dot(r, q̂) ≤ ‖r‖`. Returns the
-    /// tighter of the two, plus `quant_slack` on quantized shards (whose
-    /// stored rows may sit up to that far from the pre-quantization rows
-    /// the bounds were computed over). Always finite on the insert path
-    /// (non-finite embeddings are stored as zero rows) and for loaded
-    /// artifacts (bounds are validated at load; a forged non-finite value
-    /// could otherwise force an always-pruned `-inf` bound).
-    fn score_bound(&self, query: &[f32], qnorm: f32) -> f32 {
-        (score_row(&self.centroid, query, qnorm) + self.radius).min(self.max_norm)
-            + self.quant_slack
-    }
 }
 
 /// `max_i Σ_j |dequantize(q_ij)|` over the rows of a quantized block.
@@ -480,9 +446,10 @@ impl Default for QueryOptions {
     }
 }
 
-/// What one [`ShardedEmbeddingIndex::query_opts`] call did. Results never
-/// depend on these numbers; they exist so benches and operators can see
-/// pruning and threading actually engage.
+/// What the walk did for one query ([`ShardedEmbeddingIndex::query_opts`]
+/// returns one, [`ShardedEmbeddingIndex::query_many`] one per query).
+/// Results never depend on these numbers; they exist so benches and
+/// operators can see pruning and threading actually engage.
 #[must_use = "query stats exist only to be inspected; dropping them silences the pruning telemetry"]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
@@ -637,52 +604,7 @@ impl TopK {
     }
 }
 
-/// One shard's sorted top-k run: a bounded heap maintained while the rows
-/// are scored (a losing row costs one dot product and one float compare —
-/// no heap access, no hit construction), then sorted by rank. Shared by
-/// the sequential and fanned-out scan paths so their runs are identical.
-fn shard_run(
-    rows: RowsRef<'_>,
-    labels: &[usize],
-    dim: usize,
-    offset: usize,
-    query: &[f32],
-    qnorm: f32,
-    k: usize,
-) -> Vec<QueryHit> {
-    let n = labels.len();
-    // clamp per shard: a "give me everything" k (even usize::MAX, which
-    // the flat index accepts) must not size the heap
-    let kk = k.min(n);
-    let mut scratch = Vec::with_capacity(dim);
-    let mut top = TopK::new(kk);
-    for (i, &label) in labels.iter().enumerate().take(kk) {
-        top.push(QueryHit {
-            index: offset + i,
-            label,
-            score: rows.score(i, dim, query, qnorm, &mut scratch),
-        });
-    }
-    if kk < n {
-        let mut worst = top.worst_score();
-        for (i, &label) in labels.iter().enumerate().skip(kk) {
-            let score = rows.score(i, dim, query, qnorm, &mut scratch);
-            if score > worst {
-                top.push(QueryHit {
-                    index: offset + i,
-                    label,
-                    score,
-                });
-                worst = top.worst_score();
-            }
-        }
-    }
-    let mut run = top.into_hits();
-    run.sort_unstable_by(EmbeddingIndex::rank);
-    run
-}
-
-/// The query quantized once per [`ShardedEmbeddingIndex::query_opts`]
+/// A query quantized once per [`ShardedEmbeddingIndex::query_many`]
 /// call with its own symmetric calibration, shared by every int8 shard
 /// scan of that query.
 struct QuantizedQuery {
@@ -699,81 +621,22 @@ impl QuantizedQuery {
     }
 }
 
-/// The int8 fast path of one quantized shard: approximate every row with
-/// the integer dot product, then exactly rescore the shortlist the
-/// error analysis proves sufficient. Returns the shard's *exact* sorted
-/// top-k run plus how many rows were rescored.
-///
-/// Soundness: with `s_i` the exact (dequantized f32) score and `a_i`
-/// the int8 approximation, `|s_i − a_i| ≤ ε` where
-/// `ε = max_l1 · step_q / qnorm + slack` (`step_q` is half the query's
-/// quantization step; the additive slack absorbs f32 rounding, same
-/// rationale as [`PRUNE_SLACK`]). Let `t` be the k-th largest `a`. Any
-/// row `x` with `a_x < t − 2ε` has `s_x ≤ a_x + ε < t − ε ≤ s_j` for
-/// each of the ≥ k rows with `a_j ≥ t` — strictly below k rows, so `x`
-/// cannot be in the exact top-k under any tie-break. Rescoring
-/// `{i : a_i ≥ t − 2ε}` therefore reproduces the exact run bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn shard_run_int8(
-    q: &[i8],
-    params: QuantParams,
-    max_l1: f32,
-    labels: &[usize],
-    dim: usize,
-    offset: usize,
-    query: &[f32],
-    qq: &QuantizedQuery,
-    qnorm: f32,
-    k: usize,
-) -> (Vec<QueryHit>, usize) {
-    let n = labels.len();
-    let kk = k.min(n);
-    // combined ≤ ~1/127² per integer unit: the products cannot overflow
-    // f32 (see dot_i8 — the integer accumulation itself is exact)
-    let combined = params.scale * qq.params.scale / qnorm;
-    let approx: Vec<f32> = (0..n)
-        .map(|i| dot_i8(&q[i * dim..(i + 1) * dim], &qq.q) as f32 * combined)
-        .collect();
-    let mut tmp = approx.clone();
-    let (_, &mut kth, _) = tmp.select_nth_unstable_by(kk - 1, |a, b| {
-        b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let eps = max_l1 * qq.params.step() / qnorm + PRUNE_SLACK;
-    let cut = kth - 2.0 * eps;
-    let rows = RowsRef::Int8 { q, params };
-    let mut scratch = Vec::with_capacity(dim);
-    let mut top = TopK::new(kk);
-    let mut rescored = 0usize;
-    // ascending index order, as TopK's exactness precondition requires
-    for (i, &a) in approx.iter().enumerate() {
-        if a >= cut {
-            rescored += 1;
-            top.push(QueryHit {
-                index: offset + i,
-                label: labels[i],
-                score: rows.score(i, dim, query, qnorm, &mut scratch),
-            });
-        }
-    }
-    let mut run = top.into_hits();
-    run.sort_unstable_by(EmbeddingIndex::rank);
-    (run, rescored)
-}
-
 /// One shard's exact sorted top-k run built from already-computed exact
-/// per-row scores — the same bounded-heap pass as [`shard_run`], minus
-/// the scoring. The batched paths gemm a whole block's scores first and
-/// then select per query through this single definition.
+/// per-row scores: a bounded heap fed in ascending index order, then
+/// sorted by rank. The scan gemms a whole block's scores first and then
+/// selects per query through this single definition.
 fn run_from_scores(scores: &[f32], labels: &[usize], offset: usize, k: usize) -> Vec<QueryHit> {
     let n = labels.len();
+    // clamp per shard: a "give me everything" k (even usize::MAX, which
+    // the flat index accepts) must not size the heap
     let kk = k.min(n);
     let nb = n.div_ceil(64);
     let mut top = TopK::new(kk);
-    // A NaN among the first `kk` rows forces the positional walk:
-    // [`shard_run`] pushes those rows unconditionally, a retained NaN
-    // floor then rejects everything, and [`EmbeddingIndex::rank`] is
-    // not a total order over NaN — no filtered walk reproduces that. A
-    // NaN *beyond* the head never enters serially (`score > worst` is
+    // A NaN among the first `kk` rows forces the positional walk: it
+    // pushes those rows unconditionally, a retained NaN floor then
+    // rejects everything, and [`EmbeddingIndex::rank`] is not a total
+    // order over NaN — no filtered walk reproduces that. A NaN *beyond*
+    // the head never enters the positional walk (`score > worst` is
     // false), so the filtered walk below drops it the same way.
     let head_nan = scores[..kk].iter().fold(false, |a, &s| a | s.is_nan());
     if kk > 0 && !head_nan && nb > kk {
@@ -785,7 +648,7 @@ fn run_from_scores(scores: &[f32], labels: &[usize], offset: usize, k: usize) ->
         // Rows below the floor — in practice almost all of them, block
         // skips deciding 64 at a time — can then be ignored outright,
         // and the surviving candidates stream through the same
-        // ascending-index strict-`>` walk as [`shard_run`], which
+        // ascending-index strict-`>` walk as the positional one, which
         // retains exactly the `kk` rank-best of them (see [`TopK`]).
         let mut bmax: Vec<f32> = Vec::with_capacity(nb);
         for block in scores.chunks(64) {
@@ -834,7 +697,8 @@ fn run_from_scores(scores: &[f32], labels: &[usize], offset: usize, k: usize) ->
             }
         }
     } else {
-        // [`shard_run`]'s exact positional walk, minus the scoring
+        // the positional walk: the first `kk` rows seed the heap, then
+        // a row enters only by beating the worst retained score
         for (i, &label) in labels.iter().enumerate().take(kk) {
             top.push(QueryHit {
                 index: offset + i,
@@ -864,10 +728,11 @@ fn run_from_scores(scores: &[f32], labels: &[usize], offset: usize, k: usize) ->
 /// batch: one blocked [`gemm_nt`] streams the rows once for every
 /// selected query, then each query's run is selected from its score row.
 ///
-/// Bit-identity with the serial path: a gemm entry accumulates the same
-/// products in the same order as [`score_row`]'s dot, and the division
-/// by the query norm (with the degenerate-norm zero path) is applied
-/// per entry exactly as [`score_row`] applies it.
+/// Bit-identity with the flat index: a gemm entry accumulates the same
+/// products in the same order from the same `-0.0` start as
+/// [`score_row`]'s dot, and the division by the query norm (with the
+/// degenerate-norm zero path) is applied per entry exactly as
+/// [`score_row`] applies it.
 #[allow(clippy::too_many_arguments)]
 fn gemm_runs(
     rows: &[f32],
@@ -904,12 +769,22 @@ fn gemm_runs(
 }
 
 /// The int8 fast path of one quantized shard against a subset of a query
-/// batch: every selected query runs its own integer approximate scan
-/// (exactly [`shard_run_int8`]'s), but the exact rescoring walks **one
-/// merged shortlist** — a row shortlisted by several queries is
-/// dequantized once and rescored through the shared kernel for each of
-/// them. Returns each selected query's exact sorted run plus its own
-/// rescored-row count (identical to what its serial scan would report).
+/// batch: every selected query approximates every row with the integer
+/// dot product, then the exact rescoring walks **one merged shortlist**
+/// — a row shortlisted by several queries is dequantized once and
+/// rescored through [`score_row`] for each of them. Returns each
+/// selected query's exact sorted run plus its own rescored-row count,
+/// neither of which depends on the rest of the batch.
+///
+/// Soundness: with `s_i` the exact (dequantized f32) score and `a_i`
+/// the int8 approximation, `|s_i − a_i| ≤ ε` where
+/// `ε = max_l1 · step_q / qnorm + slack` (`step_q` is half the query's
+/// quantization step; the additive slack absorbs f32 rounding, same
+/// rationale as [`PRUNE_SLACK`]). Let `t` be the k-th largest `a`. Any
+/// row `x` with `a_x < t − 2ε` has `s_x ≤ a_x + ε < t − ε ≤ s_j` for
+/// each of the ≥ k rows with `a_j ≥ t` — strictly below k rows, so `x`
+/// cannot be in the exact top-k under any tie-break. Rescoring
+/// `{i : a_i ≥ t − 2ε}` therefore reproduces the exact run bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn shard_runs_int8_batch(
     q: &[i8],
@@ -930,6 +805,8 @@ fn shard_runs_int8_batch(
     let mut cuts = vec![f32::NEG_INFINITY; b];
     for (si, &(qi, qq)) in sel.iter().enumerate() {
         let qnorm = qnorms[qi];
+        // combined ≤ ~1/127² per integer unit: the products cannot overflow
+        // f32 (see dot_i8 — the integer accumulation itself is exact)
         let combined = params.scale * qq.params.scale / qnorm;
         let arow = &mut approx[si * n..(si + 1) * n];
         for (i, a) in arow.iter_mut().enumerate() {
@@ -983,7 +860,7 @@ fn shard_runs_int8_batch(
 /// holds one [`MergeHead`] per non-empty run. `rank()` totally orders
 /// hits by (score desc, global index asc), so the merged output is
 /// independent of run order — and pruned shards contribute nothing they
-/// could have won. Shared by the serial and batched query paths.
+/// could have won.
 fn merge_runs(runs: &[Vec<QueryHit>], k: usize, total: usize) -> Vec<QueryHit> {
     let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
     for (ri, run) in runs.iter().enumerate() {
@@ -1252,24 +1129,11 @@ impl ShardedEmbeddingIndex {
     }
 
     /// [`ShardedEmbeddingIndex::query`] with explicit [`QueryOptions`],
-    /// also reporting what the query did ([`QueryStats`]).
-    ///
-    /// The result is bit-identical for every option combination; options
-    /// only steer how much work is spent producing it:
-    ///
-    /// - **Pruning.** Sealed shards are visited in descending order of
-    ///   their precomputed score bound. Once the global top-k floor is
-    ///   established, any sealed shard whose bound (plus a rounding slack)
-    ///   falls below the floor is skipped outright — and since bounds
-    ///   descend and the floor only rises, everything after the first
-    ///   pruned shard is pruned with it.
-    /// - **Parallelism.** When the corpus is at least
-    ///   `parallel_min_rows`, the surviving per-shard scans fan out
-    ///   across [`fan_out`] workers (the floor is then seeded from the
-    ///   tail and the single best-bound shard rather than updated
-    ///   incrementally, which prunes slightly less but keeps workers
-    ///   independent). The scanned-shard *set* may differ between the
-    ///   serial and parallel paths; the merged result never does.
+    /// also reporting what the query did ([`QueryStats`]): a batch of
+    /// one through [`query_many`](ShardedEmbeddingIndex::query_many),
+    /// whose docs describe the walk. The result is bit-identical for
+    /// every option combination; options only steer how much work is
+    /// spent producing it.
     ///
     /// # Panics
     ///
@@ -1280,230 +1144,43 @@ impl ShardedEmbeddingIndex {
         k: usize,
         opts: &QueryOptions,
     ) -> (Vec<QueryHit>, QueryStats) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut stats = QueryStats {
-            sealed_shards: self.sealed.len(),
-            ..QueryStats::default()
-        };
-        if k == 0 || self.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let qnorm = query_norm(query);
-        let total = self.len();
-        // quantize the query once when any int8 shard scan could use it;
-        // a degenerate qnorm takes score_row's zero-query path, where the
-        // int8 approximation math (which divides by qnorm) has no meaning
-        let qq = match self.storage {
-            ShardStorage::Int8 if opts.int8_scan && qnorm.is_finite() && qnorm >= 1e-12 => {
-                Some(QuantizedQuery::new(query))
-            }
-            _ => None,
-        };
-        let qq = qq.as_ref();
-        // pruning is sound only when some row may be left out at all
-        let can_prune = opts.prune && k < total;
-        // the floor never needs more slots than the corpus has rows, so a
-        // "give me everything" k cannot size this heap; without pruning it
-        // is never consulted, so it stays empty
-        let mut floor = TopK::new(if can_prune { k.min(total) } else { 0 });
-        let mut runs: Vec<Vec<QueryHit>> = Vec::with_capacity(self.num_shards());
-
-        // the tail is always scanned (it has no precomputed bound) and,
-        // when pruning, seeds the floor first
-        if !self.tail.labels.is_empty() {
-            let offset = self.sealed.len() * self.shard_capacity;
-            let run = shard_run(
-                RowsRef::F32(&self.tail.data),
-                &self.tail.labels,
-                self.dim,
-                offset,
-                query,
-                qnorm,
-                k,
-            );
-            stats.rows_scanned += self.tail.len();
-            if can_prune {
-                for &hit in &run {
-                    floor.push(hit);
-                }
-            }
-            runs.push(run);
-        }
-
-        // worker threads engage only past the row gate, and only when the
-        // chunking would actually produce more than one worker
-        let threaded = |shards: usize| {
-            total >= opts.parallel_min_rows && worker_count(shards, opts.threads) > 1
-        };
-        // one scan epilogue for every batch path: fans `sids` across
-        // workers when `parallel`, else walks them on this thread;
-        // returns the per-shard runs plus the rescored-row total
-        let scan_batch = |sids: &[usize], parallel: bool| -> (Vec<Vec<QueryHit>>, usize) {
-            let scans: Vec<(Vec<QueryHit>, usize)> = if parallel {
-                fan_out(sids, opts.threads, |_tid, chunk| {
-                    chunk
-                        .iter()
-                        .map(|&sid| self.sealed_run(sid, query, qq, qnorm, k))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                sids.iter()
-                    .map(|&sid| self.sealed_run(sid, query, qq, qnorm, k))
-                    .collect()
-            };
-            let mut batch_runs = Vec::with_capacity(scans.len());
-            let mut rescored = 0;
-            for (run, rs) in scans {
-                rescored += rs;
-                batch_runs.push(run);
-            }
-            (batch_runs, rescored)
-        };
-        if !can_prune && !self.sealed.is_empty() {
-            // exhaustive scan: the bound order is irrelevant, so skip
-            // computing bounds and walk the shards in natural order
-            stats.rows_scanned += self.sealed.len() * self.shard_capacity;
-            stats.sealed_probed = self.sealed.len();
-            stats.parallel = threaded(self.sealed.len());
-            let all: Vec<usize> = (0..self.sealed.len()).collect();
-            let (batch, rescored) = scan_batch(&all, stats.parallel);
-            stats.rows_rescored += rescored;
-            runs.extend(batch);
-        } else if !self.sealed.is_empty() {
-            // visit sealed shards best-bound-first (ties: lower shard id),
-            // so the floor rises as fast as possible and the prune walk
-            // can stop at the first losing shard
-            let mut order: Vec<(usize, f32)> = self
-                .sealed
-                .iter()
-                .map(|s| s.score_bound(query, qnorm))
-                .enumerate()
-                .collect();
-            order.sort_unstable_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-
-            let pruned = |floor: &TopK, bound: f32| {
-                // strict <: a shard that can only tie the floor may still
-                // win a tie-break on insertion index, so it is scanned
-                floor.is_full() && bound + PRUNE_SLACK < floor.worst_score()
-            };
-            if threaded(self.sealed.len()) {
-                // seed the floor from the most promising shard, prune the
-                // rest against that fixed floor (a lower bound of the
-                // final floor, so still sound), then fan the survivors out
-                // g4check: allow(unwrap-in-lib): threaded() required rows >= PARALLEL_QUERY_MIN_ROWS, which implies at least one sealed shard in order
-                let (&(first, _), rest) = order.split_first().expect("sealed is non-empty");
-                let (run, rescored) = self.sealed_run(first, query, qq, qnorm, k);
-                stats.rows_scanned += self.shard_capacity;
-                stats.rows_rescored += rescored;
-                stats.sealed_probed += 1;
-                for &hit in &run {
-                    floor.push(hit);
-                }
-                runs.push(run);
-                let mut survivors: Vec<usize> = Vec::with_capacity(rest.len());
-                for (i, &(sid, bound)) in rest.iter().enumerate() {
-                    if pruned(&floor, bound) {
-                        // bounds descend from here: everything left loses
-                        stats.sealed_pruned = rest.len() - i;
-                        break;
-                    }
-                    survivors.push(sid);
-                }
-                stats.rows_scanned += survivors.len() * self.shard_capacity;
-                stats.sealed_probed += survivors.len();
-                // report what actually happened: heavy pruning can leave
-                // too few survivors for the fan-out to spawn anything
-                stats.parallel = worker_count(survivors.len(), opts.threads) > 1;
-                let (batch, rescored) = scan_batch(&survivors, stats.parallel);
-                stats.rows_rescored += rescored;
-                runs.extend(batch);
-            } else {
-                for (i, &(sid, bound)) in order.iter().enumerate() {
-                    if pruned(&floor, bound) {
-                        stats.sealed_pruned = order.len() - i;
-                        break;
-                    }
-                    let (run, rescored) = self.sealed_run(sid, query, qq, qnorm, k);
-                    stats.rows_scanned += self.shard_capacity;
-                    stats.rows_rescored += rescored;
-                    stats.sealed_probed += 1;
-                    for &hit in &run {
-                        floor.push(hit);
-                    }
-                    runs.push(run);
-                }
-            }
-        }
-
-        (merge_runs(&runs, k, total), stats)
+        self.query_many(&[query.to_vec()], k, opts)
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// The *exact* sorted top-k run of one sealed shard, plus how many
-    /// rows the int8 shortlist pass rescored (0 on the plain paths).
-    /// Quantized shards take the int8 fast path when the caller built a
-    /// [`QuantizedQuery`]; otherwise every row is scored exactly through
-    /// the shared kernel — both produce the identical run.
-    fn sealed_run(
-        &self,
-        sid: usize,
-        query: &[f32],
-        qq: Option<&QuantizedQuery>,
-        qnorm: f32,
-        k: usize,
-    ) -> (Vec<QueryHit>, usize) {
-        let s = &self.sealed[sid];
-        let offset = sid * self.shard_capacity;
-        match (&s.rows, qq) {
-            (RowBlock::Int8 { q, params, max_l1 }, Some(qq)) => shard_run_int8(
-                q, *params, *max_l1, &s.labels, self.dim, offset, query, qq, qnorm, k,
-            ),
-            _ => (
-                shard_run(
-                    s.rows.as_ref(),
-                    &s.labels,
-                    self.dim,
-                    offset,
-                    query,
-                    qnorm,
-                    k,
-                ),
-                0,
-            ),
-        }
-    }
-
-    /// Scores a whole batch of queries in one pass over the index —
-    /// results **bit-identical**, query by query, to calling
-    /// [`query_opts`](ShardedEmbeddingIndex::query_opts) once per query
-    /// with the same `k` and options (a property test holds this line
-    /// across f32/int8 storage, rebalanced corpora, and every option
-    /// combination).
-    ///
-    /// What batching changes is only the work schedule:
+    /// Scores a whole batch of queries in one walk over the index. Each
+    /// query's hits are **bit-identical** to the flat
+    /// [`EmbeddingIndex::query`] over the same insertions, whatever the
+    /// options and whatever else the batch holds: a query answered in a
+    /// batch of 32 gets the same hits as in a batch of one, which is
+    /// what [`query_opts`](ShardedEmbeddingIndex::query_opts) runs
+    /// (property tests hold this line across f32/int8 storage,
+    /// rebalanced corpora, and every option combination).
     ///
     /// - **One gemm per shard.** Each scanned row block streams through
     ///   the cache once for the whole batch (blocked [`gemm_nt`] over the
-    ///   shard's rows) instead of once per query, and the gemm's
-    ///   independent accumulator chains hide the add latency a one-query
-    ///   gemv walk is bound by.
-    /// - **One bound walk.** Sealed shards are visited in descending
-    ///   order of their *batch-max* score bound; each query keeps its own
-    ///   rising top-k floor, a shard is scanned only for the queries
-    ///   whose floor its per-query bound still beats, and the walk stops
-    ///   outright when the best remaining bound loses to **every**
-    ///   query's full floor.
+    ///   shard's rows) instead of once per query; a lone query takes
+    ///   `gemm_nt`'s single-row path, which skips the transposed pack.
+    /// - **Pruning.** The tail (which has no bound) is scanned first and
+    ///   seeds every query's top-k floor. Sealed shards are then visited
+    ///   in descending order of their *batch-max* score bound; each query
+    ///   keeps its own rising floor, a shard is scanned only for the
+    ///   queries whose own bound (plus a rounding slack) still reaches
+    ///   their floor, and the walk stops outright when the best remaining
+    ///   bound loses to **every** query's full floor.
+    /// - **Parallelism.** When the corpus is at least
+    ///   `parallel_min_rows`, every floor is seeded from the tail and the
+    ///   single best-bound shard instead, the rest are pruned against
+    ///   those fixed floors (lower bounds of the final ones, so still
+    ///   sound), and the surviving `(shard, query subset)` scans fan out
+    ///   across [`fan_out`] workers. This prunes slightly less but keeps
+    ///   workers independent; the merged result never differs.
     /// - **One merged shortlist per int8 shard.** Every query runs its
     ///   own integer approximate scan, but a row shortlisted by several
     ///   queries is dequantized once and rescored for each of them.
     ///
-    /// Per-query [`QueryStats`] are preserved: a shard counts as probed
+    /// Each query gets its own [`QueryStats`]: a shard counts as probed
     /// (and its rows as scanned) for a query only when its rows were
     /// actually scored *for that query*; `parallel` reports the batch
     /// walk's single fan-out decision for every query.
@@ -1525,14 +1202,14 @@ impl ShardedEmbeddingIndex {
             sealed_shards: self.sealed.len(),
             ..QueryStats::default()
         };
-        if nq == 0 {
-            return Vec::new();
-        }
-        if k == 0 || self.is_empty() {
-            return (0..nq).map(|_| (Vec::new(), base)).collect();
+        if nq == 0 || k == 0 || self.is_empty() {
+            return vec![(Vec::new(), base); nq];
         }
         let total = self.len();
         let qnorms: Vec<f32> = queries.iter().map(|q| query_norm(q)).collect();
+        // quantize each query once when an int8 shard scan could use it;
+        // a degenerate qnorm takes score_row's zero-query path, where the
+        // int8 approximation math (which divides by qnorm) has no meaning
         let qqs: Vec<Option<QuantizedQuery>> = queries
             .iter()
             .zip(&qnorms)
@@ -1544,7 +1221,11 @@ impl ShardedEmbeddingIndex {
             })
             .collect();
         let mut stats = vec![base; nq];
+        // pruning is sound only when some row may be left out at all
         let can_prune = opts.prune && k < total;
+        // a floor never needs more slots than the corpus has rows, so a
+        // "give me everything" k cannot size its heap; without pruning it
+        // is never consulted, so it stays empty
         let mut floors: Vec<TopK> = (0..nq)
             .map(|_| TopK::new(if can_prune { k.min(total) } else { 0 }))
             .collect();
@@ -1554,7 +1235,8 @@ impl ShardedEmbeddingIndex {
         let all: Vec<usize> = (0..nq).collect();
 
         // the tail is always scanned and, when pruning, seeds every floor
-        // first — the batched mirror of the serial walk's opening move
+        // first (floors hold no slots without pruning, so feeding one is
+        // a no-op)
         if !self.tail.labels.is_empty() {
             let offset = self.sealed.len() * self.shard_capacity;
             let tail_runs = gemm_runs(
@@ -1569,15 +1251,15 @@ impl ShardedEmbeddingIndex {
             );
             for (qi, run) in tail_runs.into_iter().enumerate() {
                 stats[qi].rows_scanned += self.tail.labels.len();
-                if can_prune {
-                    for &hit in &run {
-                        floors[qi].push(hit);
-                    }
+                for &hit in &run {
+                    floors[qi].push(hit);
                 }
                 runs[qi].push(run);
             }
         }
 
+        // worker threads engage only past the row gate, and only when the
+        // chunking would actually produce more than one worker
         let threaded = |shards: usize| {
             total >= opts.parallel_min_rows && worker_count(shards, opts.threads) > 1
         };
@@ -1585,52 +1267,58 @@ impl ShardedEmbeddingIndex {
         let absorb = |trio: Vec<(usize, Vec<QueryHit>, usize)>,
                       stats: &mut Vec<QueryStats>,
                       floors: &mut Vec<TopK>,
-                      runs: &mut Vec<Vec<Vec<QueryHit>>>,
-                      feed_floors: bool| {
+                      runs: &mut Vec<Vec<Vec<QueryHit>>>| {
             for (qi, run, rescored) in trio {
                 stats[qi].sealed_probed += 1;
                 stats[qi].rows_scanned += self.shard_capacity;
                 stats[qi].rows_rescored += rescored;
-                if feed_floors {
-                    for &hit in &run {
-                        floors[qi].push(hit);
-                    }
+                for &hit in &run {
+                    floors[qi].push(hit);
                 }
                 runs[qi].push(run);
+            }
+        };
+        // the scan step of both walks below: `(shard, query subset)` scans
+        // fan out across workers when `parallel`, else run in order on
+        // this thread; every run is absorbed, and no floor is read again
+        let scan = |work: &[(usize, Vec<usize>)],
+                    parallel: bool,
+                    stats: &mut Vec<QueryStats>,
+                    floors: &mut Vec<TopK>,
+                    runs: &mut Vec<Vec<Vec<QueryHit>>>| {
+            let one = |(sid, select): &(usize, Vec<usize>)| {
+                self.sealed_runs_batch(*sid, queries, &qnorms, &qqs, select, k)
+            };
+            let scans: Vec<_> = if parallel {
+                fan_out(work, opts.threads, |_tid, chunk| {
+                    chunk.iter().map(one).collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect()
+            } else {
+                work.iter().map(one).collect()
+            };
+            for st in stats.iter_mut() {
+                st.parallel = parallel;
+            }
+            for trio in scans {
+                absorb(trio, stats, floors, runs);
             }
         };
 
         if !can_prune && !self.sealed.is_empty() {
             // exhaustive scan: every shard against the whole batch, in
             // natural order — bounds are irrelevant
-            let parallel = threaded(self.sealed.len());
-            let sids: Vec<usize> = (0..self.sealed.len()).collect();
-            let scans: Vec<Vec<(usize, Vec<QueryHit>, usize)>> = if parallel {
-                fan_out(&sids, opts.threads, |_tid, chunk| {
-                    chunk
-                        .iter()
-                        .map(|&sid| self.sealed_runs_batch(sid, queries, &qnorms, &qqs, &all, k))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                sids.iter()
-                    .map(|&sid| self.sealed_runs_batch(sid, queries, &qnorms, &qqs, &all, k))
-                    .collect()
-            };
-            for st in stats.iter_mut() {
-                st.parallel = parallel;
-            }
-            for trio in scans {
-                absorb(trio, &mut stats, &mut floors, &mut runs, false);
-            }
+            let work: Vec<(usize, Vec<usize>)> = (0..self.sealed.len())
+                .map(|sid| (sid, all.clone()))
+                .collect();
+            let parallel = threaded(work.len());
+            scan(&work, parallel, &mut stats, &mut floors, &mut runs);
         } else if !self.sealed.is_empty() {
             // one walk order for the whole batch: descending *batch-max*
             // bound (ties: lower shard id). Per-query bounds come from a
-            // single gemm over the gathered centroids; each entry is
-            // bit-identical to that shard's serial `score_bound`.
+            // single gemm over the gathered centroids.
             let s_count = self.sealed.len();
             let mut cbuf: Vec<f32> = Vec::with_capacity(s_count * self.dim);
             for s in &self.sealed {
@@ -1639,6 +1327,17 @@ impl ShardedEmbeddingIndex {
             let qflat: Vec<f32> = queries.iter().flatten().copied().collect();
             let mut cdots = vec![0.0f32; nq * s_count];
             gemm_nt(&qflat, &cbuf, self.dim, &mut cdots);
+            // Upper bound (in exact arithmetic) on any row's score against
+            // the query: `dot(r, q̂) = dot(c, q̂) + dot(r − c, q̂) ≤ dot(c,
+            // q̂) + ‖r − c‖` by Cauchy–Schwarz, and independently
+            // `dot(r, q̂) ≤ ‖r‖`. The tighter of the two, plus
+            // `quant_slack` on quantized shards (whose stored rows may sit
+            // up to that far from the pre-quantization rows the bounds
+            // were computed over). Always finite on the insert path
+            // (non-finite embeddings are stored as zero rows) and for
+            // loaded artifacts (bounds are validated at load; a forged
+            // non-finite value could otherwise force an always-pruned
+            // `-inf` bound).
             let bound = |sid: usize, qi: usize| -> f32 {
                 let s = &self.sealed[sid];
                 let qn = qnorms[qi];
@@ -1664,95 +1363,55 @@ impl ShardedEmbeddingIndex {
                     .then(a.0.cmp(&b.0))
             });
 
+            // strict <: a shard that can only tie the floor may still win
+            // a tie-break on insertion index, so it is scanned
             let pruned =
                 |floor: &TopK, bnd: f32| floor.is_full() && bnd + PRUNE_SLACK < floor.worst_score();
-            // batch-wide early stop: bounds descend in batch-max, so once
-            // the best remaining bound loses to every query's full floor,
-            // everything left is pruned for the whole batch
-            let all_lose = |floors: &[TopK], maxb: f32| {
-                floors
-                    .iter()
-                    .all(|f| f.is_full() && maxb + PRUNE_SLACK < f.worst_score())
-            };
-
-            if threaded(s_count) {
-                // seed every floor from the batch's single most promising
-                // shard, prune the rest against those fixed floors (each a
-                // lower bound of its final floor, so still sound), then
-                // fan the surviving (shard, query subset) scans out
-                // g4check: allow(unwrap-in-lib): threaded() required rows >= PARALLEL_QUERY_MIN_ROWS, which implies at least one sealed shard in order
-                let (&(first, _), rest) = order.split_first().expect("sealed is non-empty");
-                let trio = self.sealed_runs_batch(first, queries, &qnorms, &qqs, &all, k);
-                absorb(trio, &mut stats, &mut floors, &mut runs, true);
-                let mut survivors: Vec<(usize, Vec<usize>)> = Vec::with_capacity(rest.len());
-                for (ri, &(sid, maxb)) in rest.iter().enumerate() {
-                    if all_lose(&floors, maxb) {
-                        for st in stats.iter_mut() {
-                            st.sealed_pruned += rest.len() - ri;
-                        }
-                        break;
-                    }
-                    let mut select: Vec<usize> = Vec::with_capacity(nq);
-                    for qi in 0..nq {
-                        if pruned(&floors[qi], bound(sid, qi)) {
-                            stats[qi].sealed_pruned += 1;
-                        } else {
-                            select.push(qi);
-                        }
-                    }
-                    if !select.is_empty() {
-                        survivors.push((sid, select));
-                    }
-                }
-                let parallel = worker_count(survivors.len(), opts.threads) > 1;
-                for st in stats.iter_mut() {
-                    st.parallel = parallel;
-                }
-                let scans: Vec<Vec<(usize, Vec<QueryHit>, usize)>> = if parallel {
-                    fan_out(&survivors, opts.threads, |_tid, chunk| {
-                        chunk
-                            .iter()
-                            .map(|(sid, select)| {
-                                self.sealed_runs_batch(*sid, queries, &qnorms, &qqs, select, k)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect()
-                } else {
-                    survivors
+            // Threaded, the walk scans its first shard for the whole batch
+            // on this thread, prunes the rest against the floors that
+            // leaves (lower bounds of the final floors, so still sound) and
+            // defers their scans to one fan-out; otherwise every scan
+            // raises the floors the next shard is pruned against.
+            let parallel_walk = threaded(s_count);
+            let mut deferred: Vec<(usize, Vec<usize>)> = Vec::new();
+            for (oi, &(sid, maxb)) in order.iter().enumerate() {
+                let seed = parallel_walk && oi == 0;
+                // bounds descend in batch-max: once the best remaining
+                // bound loses to every query's full floor, everything left
+                // is pruned for the whole batch
+                if !seed
+                    && floors
                         .iter()
-                        .map(|(sid, select)| {
-                            self.sealed_runs_batch(*sid, queries, &qnorms, &qqs, select, k)
-                        })
-                        .collect()
-                };
-                for trio in scans {
-                    absorb(trio, &mut stats, &mut floors, &mut runs, false);
+                        .all(|f| f.is_full() && maxb + PRUNE_SLACK < f.worst_score())
+                {
+                    for st in stats.iter_mut() {
+                        st.sealed_pruned += order.len() - oi;
+                    }
+                    break;
                 }
-            } else {
-                for (oi, &(sid, maxb)) in order.iter().enumerate() {
-                    if all_lose(&floors, maxb) {
-                        for st in stats.iter_mut() {
-                            st.sealed_pruned += order.len() - oi;
-                        }
-                        break;
+                let mut select: Vec<usize> = Vec::with_capacity(nq);
+                for qi in 0..nq {
+                    if !seed && pruned(&floors[qi], bound(sid, qi)) {
+                        stats[qi].sealed_pruned += 1;
+                    } else {
+                        select.push(qi);
                     }
-                    let mut select: Vec<usize> = Vec::with_capacity(nq);
-                    for qi in 0..nq {
-                        if pruned(&floors[qi], bound(sid, qi)) {
-                            stats[qi].sealed_pruned += 1;
-                        } else {
-                            select.push(qi);
-                        }
-                    }
-                    if select.is_empty() {
-                        continue;
-                    }
+                }
+                if select.is_empty() {
+                    continue;
+                }
+                if parallel_walk && !seed {
+                    deferred.push((sid, select));
+                } else {
                     let trio = self.sealed_runs_batch(sid, queries, &qnorms, &qqs, &select, k);
-                    absorb(trio, &mut stats, &mut floors, &mut runs, true);
+                    absorb(trio, &mut stats, &mut floors, &mut runs);
                 }
+            }
+            if parallel_walk {
+                // report what actually happened: heavy pruning can leave
+                // too few scans for the fan-out to spawn anything
+                let parallel = worker_count(deferred.len(), opts.threads) > 1;
+                scan(&deferred, parallel, &mut stats, &mut floors, &mut runs);
             }
         }
 
@@ -1935,7 +1594,7 @@ impl ShardedEmbeddingIndex {
     // --- rebalance (IVF routing) ---------------------------------------
 
     /// Re-clusters the *sealed* rows into centroid-aligned shards so the
-    /// descending-bound walk of [`ShardedEmbeddingIndex::query_opts`]
+    /// descending-bound walk of [`ShardedEmbeddingIndex::query_many`]
     /// prunes well regardless of arrival order — the IVF coarse-quantizer
     /// stage. The open tail is untouched.
     ///
@@ -2379,6 +2038,14 @@ mod tests {
         grid
     }
 
+    /// Hits as `(index, label, score bits)`: `QueryHit`'s `==` compares
+    /// scores as floats, so it cannot tell `-0.0` from `0.0`.
+    fn bits(hits: &[QueryHit]) -> Vec<(usize, usize, u32)> {
+        hits.iter()
+            .map(|h| (h.index, h.label, h.score.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn shards_fill_to_capacity_in_insertion_order() {
         let (_, sharded) = both(10, 3, 4);
@@ -2399,24 +2066,20 @@ mod tests {
             for k in [1, 2, 5, 23, 40] {
                 let a = flat.query(&q, k);
                 let b = sharded.query(&q, k);
-                assert_eq!(a.len(), b.len(), "cap {cap} k {k}");
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.index, y.index, "cap {cap} k {k}");
-                    assert_eq!(x.label, y.label);
-                    assert_eq!(x.score.to_bits(), y.score.to_bits());
-                }
+                assert_eq!(bits(&a), bits(&b), "cap {cap} k {k}");
                 // and under every option combination
                 for opts in option_grid() {
                     let (c, _) = sharded.query_opts(&q, k, &opts);
-                    assert_eq!(b, c, "cap {cap} k {k} opts {opts:?}");
+                    assert_eq!(bits(&b), bits(&c), "cap {cap} k {k} opts {opts:?}");
                 }
             }
         }
     }
 
     /// A batch of seeded queries exercising distinct directions, plus a
-    /// zero query and a poisoned (NaN) query so the batched path must
-    /// reproduce the degenerate zero-score behavior per query.
+    /// query with no positive component (a zero row scores `-0.0`
+    /// against it), a zero query and a poisoned (NaN) query, so every
+    /// batch must reproduce the degenerate scores per query.
     fn query_batch(b: usize, dim: usize) -> Vec<Vec<f32>> {
         let mut qs: Vec<Vec<f32>> = (0..b)
             .map(|i| {
@@ -2429,10 +2092,32 @@ mod tests {
             qs[b / 2] = vec![0.0; dim];
             qs[b - 1][0] = f32::NAN;
         }
+        if b > 3 {
+            qs[1] = (0..dim).map(|j| -0.1 - (j % 3) as f32 * 0.25).collect();
+        }
         qs
     }
 
-    fn assert_batch_matches_serial(
+    /// [`seeded_rows`] with one zero row, stored with `storage`.
+    fn index_with_zero_row(
+        n: usize,
+        dim: usize,
+        cap: usize,
+        storage: ShardStorage,
+    ) -> ShardedEmbeddingIndex {
+        let mut rows = seeded_rows(n, dim);
+        rows[n / 3].fill(0.0);
+        let mut index = ShardedEmbeddingIndex::with_storage(dim, cap, storage);
+        for (i, row) in rows.iter().enumerate() {
+            index.insert(row, i % 5);
+        }
+        index
+    }
+
+    /// Asserts that every query of `queries` gets the same hits, bit for
+    /// bit, in the batch as alone (a batch of one): batch composition
+    /// never changes a result.
+    fn assert_batch_matches_singletons(
         index: &ShardedEmbeddingIndex,
         queries: &[Vec<f32>],
         k: usize,
@@ -2442,19 +2127,8 @@ mod tests {
         let batch = index.query_many(queries, k, opts);
         assert_eq!(batch.len(), queries.len(), "{ctx}");
         for (qi, (q, (hits, stats))) in queries.iter().zip(&batch).enumerate() {
-            let (serial, _) = index.query_opts(q, k, opts);
-            assert_eq!(hits.len(), serial.len(), "{ctx} query {qi}");
-            for (x, y) in hits.iter().zip(&serial) {
-                assert_eq!(x.index, y.index, "{ctx} query {qi}");
-                assert_eq!(x.label, y.label, "{ctx} query {qi}");
-                assert_eq!(
-                    x.score.to_bits(),
-                    y.score.to_bits(),
-                    "{ctx} query {qi}: {} vs {}",
-                    x.score,
-                    y.score
-                );
-            }
+            let (alone, _) = index.query_opts(q, k, opts);
+            assert_eq!(bits(hits), bits(&alone), "{ctx} query {qi}");
             assert_eq!(stats.sealed_shards, index.num_sealed_shards(), "{ctx}");
             if opts.prune {
                 assert_eq!(
@@ -2467,13 +2141,13 @@ mod tests {
     }
 
     #[test]
-    fn query_many_matches_serial_bit_for_bit_f32() {
+    fn batch_composition_never_changes_results_f32() {
         for cap in [1, 4, 7] {
-            let (_, sharded) = both(37, 6, cap);
+            let sharded = index_with_zero_row(37, 6, cap, ShardStorage::F32);
             let queries = query_batch(6, 6);
             for k in [1, 3, 37, 50] {
                 for opts in option_grid() {
-                    assert_batch_matches_serial(
+                    assert_batch_matches_singletons(
                         &sharded,
                         &queries,
                         k,
@@ -2486,13 +2160,13 @@ mod tests {
     }
 
     #[test]
-    fn query_many_matches_serial_bit_for_bit_int8() {
+    fn batch_composition_never_changes_results_int8() {
         for (n, cap) in [(23, 4), (40, 8)] {
-            let index = int8_index(n, 6, cap);
+            let index = index_with_zero_row(n, 6, cap, ShardStorage::Int8);
             let queries = query_batch(5, 6);
             for k in [1, 3, n] {
                 for opts in option_grid() {
-                    assert_batch_matches_serial(
+                    assert_batch_matches_singletons(
                         &index,
                         &queries,
                         k,
@@ -2505,23 +2179,21 @@ mod tests {
     }
 
     #[test]
-    fn query_many_matches_serial_after_rebalance() {
+    fn batch_composition_never_changes_results_after_rebalance() {
         for storage in [ShardStorage::F32, ShardStorage::Int8] {
-            let rows = seeded_rows(60, 6);
-            let mut index = ShardedEmbeddingIndex::with_storage(6, 8, storage);
-            for (i, row) in rows.iter().enumerate() {
-                index.insert(row, i % 5);
-            }
+            let mut index = index_with_zero_row(60, 6, 8, storage);
             index.rebalance(&RebalanceOptions::default());
             let queries = query_batch(6, 6);
-            for opts in option_grid() {
-                assert_batch_matches_serial(
-                    &index,
-                    &queries,
-                    4,
-                    &opts,
-                    &format!("rebalanced {storage:?} opts {opts:?}"),
-                );
+            for k in [4, 60] {
+                for opts in option_grid() {
+                    assert_batch_matches_singletons(
+                        &index,
+                        &queries,
+                        k,
+                        &opts,
+                        &format!("rebalanced {storage:?} k {k} opts {opts:?}"),
+                    );
+                }
             }
         }
     }
@@ -2538,8 +2210,14 @@ mod tests {
         let zero = sharded.query_many(&qs, 0, &QueryOptions::default());
         assert_eq!(zero.len(), 3);
         assert!(zero.iter().all(|(hits, _)| hits.is_empty()));
-        // singleton batch goes through the same batched machinery
-        assert_batch_matches_serial(&sharded, &qs[..1], 3, &QueryOptions::default(), "singleton");
+        // a batch of one answers like the batch-of-one query_opts
+        assert_batch_matches_singletons(
+            &sharded,
+            &qs[..1],
+            3,
+            &QueryOptions::default(),
+            "singleton",
+        );
         // empty index
         let empty = ShardedEmbeddingIndex::new(4, 4);
         let none = empty.query_many(&qs, 3, &QueryOptions::default());
@@ -2572,7 +2250,7 @@ mod tests {
             int8_scan: true,
         };
         let queries = vec![q2.clone(), q5.clone()];
-        assert_batch_matches_serial(&sharded, &queries, 4, &opts, "clustered pair");
+        assert_batch_matches_singletons(&sharded, &queries, 4, &opts, "clustered pair");
         let batch = sharded.query_many(&queries, 4, &opts);
         for (qi, (hits, stats)) in batch.iter().enumerate() {
             assert_eq!(hits[0].label, [2usize, 4][qi]);
@@ -2609,7 +2287,7 @@ mod tests {
             int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&q, 4, &opts);
-        assert_eq!(hits, flat.query(&q, 4));
+        assert_eq!(bits(&hits), bits(&flat.query(&q, 4)));
         assert!(hits.iter().all(|h| h.label == 2));
         assert_eq!(stats.sealed_shards, 6);
         assert!(
@@ -2626,7 +2304,7 @@ mod tests {
                 ..opts
             },
         );
-        assert_eq!(all, hits);
+        assert_eq!(bits(&all), bits(&hits));
         assert_eq!(full.sealed_pruned, 0);
         assert_eq!(full.rows_scanned, 48);
     }
@@ -2642,7 +2320,7 @@ mod tests {
             int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&q, 7, &opts);
-        assert_eq!(hits, flat.query(&q, 7));
+        assert_eq!(bits(&hits), bits(&flat.query(&q, 7)));
         assert!(stats.parallel, "threshold 0 must engage the fan-out");
         // below the threshold the same query stays serial
         let (same, serial) = sharded.query_opts(
@@ -2653,7 +2331,7 @@ mod tests {
                 ..opts
             },
         );
-        assert_eq!(same, hits);
+        assert_eq!(bits(&same), bits(&hits));
         assert!(!serial.parallel);
     }
 
@@ -2669,7 +2347,11 @@ mod tests {
         }
         assert_eq!(sharded.len(), 19);
         assert_eq!(snap.len(), 10, "snapshot must not see later inserts");
-        assert_eq!(snap.query(&q, 5), before, "snapshot answers must be stable");
+        assert_eq!(
+            bits(&snap.query(&q, 5)),
+            bits(&before),
+            "snapshot answers must be stable"
+        );
         // the snapshot shares sealed storage with the original
         assert!(Arc::ptr_eq(&snap.sealed[0], &sharded.sealed[0]));
     }
@@ -2697,17 +2379,31 @@ mod tests {
 
     #[test]
     fn non_finite_rows_behave_like_flat() {
+        // non-finite rows are stored as zero rows (in both sealed shards
+        // and the tail here). Against a query with no positive component
+        // a zero row scores -0.0 on the flat index, and every batch must
+        // keep that sign: `serve` prints scores with `{:+.4}`
         let mut flat = EmbeddingIndex::new(2);
         let mut sharded = ShardedEmbeddingIndex::new(2, 2);
-        let rows: [&[f32]; 4] = [&[f32::NAN, 1.0], &[1.0, 0.0], &[0.5, 0.5], &[0.0, 0.0]];
+        let rows: [&[f32]; 5] = [
+            &[f32::NAN, 1.0],
+            &[1.0, 0.0],
+            &[0.5, 0.5],
+            &[0.0, 0.0],
+            &[0.0, 0.0],
+        ];
         for (i, row) in rows.iter().enumerate() {
             flat.insert(row, i);
             sharded.insert(row, i);
         }
-        let hits = sharded.query(&[1.0, 0.1], 4);
-        let expect = flat.query(&[1.0, 0.1], 4);
-        assert_eq!(hits, expect);
-        assert!(hits.iter().all(|h| h.score.is_finite()));
+        let queries = vec![vec![1.0, 0.1], vec![-0.5, -0.25]];
+        for opts in option_grid() {
+            let batch = sharded.query_many(&queries, 5, &opts);
+            for (q, (hits, _)) in queries.iter().zip(&batch) {
+                assert_eq!(bits(hits), bits(&flat.query(q, 5)), "{q:?} {opts:?}");
+                assert!(hits.iter().all(|h| h.score.is_finite()));
+            }
+        }
     }
 
     #[test]
@@ -2735,7 +2431,7 @@ mod tests {
             int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&[1.0, 0.05], 2, &opts);
-        assert_eq!(hits, flat.query(&[1.0, 0.05], 2));
+        assert_eq!(bits(&hits), bits(&flat.query(&[1.0, 0.05], 2)));
         assert!(stats.sealed_pruned >= 1, "zero-bound shard not pruned");
     }
 
@@ -2747,7 +2443,11 @@ mod tests {
         let (flat, sharded) = both(13, 4, 5);
         let q = [0.2, -0.4, 0.6, 0.1];
         for k in [13, 14, 1 << 40, usize::MAX] {
-            assert_eq!(sharded.query(&q, k), flat.query(&q, k), "k={k}");
+            assert_eq!(
+                bits(&sharded.query(&q, k)),
+                bits(&flat.query(&q, k)),
+                "k={k}"
+            );
         }
     }
 
@@ -2954,7 +2654,11 @@ mod tests {
                     .0;
                 for opts in option_grid() {
                     let (hits, _) = index.query_opts(&q, k, &opts);
-                    assert_eq!(hits, reference, "n {n} cap {cap} k {k} opts {opts:?}");
+                    assert_eq!(
+                        bits(&hits),
+                        bits(&reference),
+                        "n {n} cap {cap} k {k} opts {opts:?}"
+                    );
                 }
             }
         }
@@ -3015,11 +2719,12 @@ mod tests {
         for (i, row) in rows.iter().enumerate() {
             index.insert(row, i);
         }
-        for opts in option_grid() {
-            let (hits, _) = index.query_opts(&[1.0, 0.1], 6, &opts);
+        // the second query has no positive component, so the zero rows
+        // score -0.0 on both the rescoring and the exact path
+        for q in [[1.0, 0.1], [-0.5, -0.25]] {
             let reference = index
                 .query_opts(
-                    &[1.0, 0.1],
+                    &q,
                     6,
                     &QueryOptions {
                         prune: false,
@@ -3028,7 +2733,10 @@ mod tests {
                     },
                 )
                 .0;
-            assert_eq!(hits, reference, "opts {opts:?}");
+            for opts in option_grid() {
+                let (hits, _) = index.query_opts(&q, 6, &opts);
+                assert_eq!(bits(&hits), bits(&reference), "{q:?} opts {opts:?}");
+            }
         }
     }
 
@@ -3043,7 +2751,7 @@ mod tests {
         // the reload stores the dequantized canonical rows, so every
         // query agrees bit for bit with the quantized original
         for k in [1, 4, 19] {
-            assert_eq!(back.query(&q, k), index.query(&q, k), "k {k}");
+            assert_eq!(bits(&back.query(&q, k)), bits(&index.query(&q, k)), "k {k}");
         }
     }
 

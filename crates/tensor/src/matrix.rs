@@ -630,15 +630,23 @@ impl Matrix {
 /// This is [`Matrix::matmul_nt_into`] without the `Matrix` wrapper, so
 /// callers that already hold contiguous row-major storage (the sharded
 /// index's shard blocks, a flattened query batch) can gemm against it
-/// without copying into a `Matrix` first. Each inner dot product
-/// accumulates left to right over the two contiguous rows — the same
-/// operation order as a scalar `iter().zip().map().sum()` dot — so one
-/// entry of the output is bit-identical to scoring that row pair alone.
-/// Column tiles of `b` are packed transposed so the eight output entries
-/// advancing together read contiguous lanes (a scalar loop takes the
-/// remainder): the independent accumulator chains vectorize and hide the
-/// floating-point add latency that bounds a single gemv walk, without
-/// touching any individual entry's operation order.
+/// without copying into a `Matrix` first. Each inner dot product starts
+/// at `-0.0` and accumulates left to right over the two contiguous rows —
+/// the same operation order as a scalar
+/// `fold(-0.0, |s, (x, y)| s + x * y)` dot — so one entry of the output
+/// is bit-identical to scoring that row pair alone, down to the sign of
+/// a zero (a zero row against a query with no positive component scores
+/// `-0.0`, as the scalar dot does).
+///
+/// With two or more `a` rows, column tiles of `b` are packed transposed
+/// so the sixteen output entries advancing together read contiguous
+/// lanes (a scalar loop takes the remainder): the independent
+/// accumulator chains vectorize and hide the floating-point add latency
+/// that bounds a single dot walk, and the pack amortizes over every `a`
+/// row. A single `a` row (one query) has nothing to amortize the pack
+/// over, so it reads `b`'s rows in place instead, advancing a few of
+/// them together as independent chains. Neither path touches any
+/// individual entry's operation order.
 ///
 /// # Panics
 ///
@@ -656,6 +664,36 @@ pub fn gemm_nt(a: &[f32], b: &[f32], dim: usize, out: &mut [f32]) {
         "gemm_nt output length {} != {an}x{bn}",
         out.len()
     );
+    if an == 1 {
+        // one row: CHAINS dots advance together, each reading its own
+        // contiguous `b` row, so the adds of different entries overlap
+        // without a transposed copy of `b`
+        const CHAINS: usize = 8;
+        let mut blocks = b.chunks_exact(CHAINS * dim);
+        let mut outs = out.chunks_exact_mut(CHAINS);
+        for (block, o) in (&mut blocks).zip(&mut outs) {
+            let rows: [&[f32]; CHAINS] = std::array::from_fn(|c| &block[c * dim..(c + 1) * dim]);
+            let mut s = [-0.0f32; CHAINS];
+            for (t, &av) in a.iter().enumerate() {
+                for (sc, row) in s.iter_mut().zip(&rows) {
+                    *sc += av * row[t];
+                }
+            }
+            o.copy_from_slice(&s);
+        }
+        for (brow, o) in blocks
+            .remainder()
+            .chunks_exact(dim)
+            .zip(outs.into_remainder())
+        {
+            let mut s = -0.0f32;
+            for (&av, &bv) in a.iter().zip(brow) {
+                s += av * bv;
+            }
+            *o = s;
+        }
+        return;
+    }
     const BLOCK: usize = 64;
     const LANES: usize = 16;
     // bᵀ tile pack: pack[t * jw + jj] = b[(jb + jj) * dim + t]. The
@@ -680,8 +718,8 @@ pub fn gemm_nt(a: &[f32], b: &[f32], dim: usize, out: &mut [f32]) {
             let a1 = &a[(i + 1) * dim..(i + 2) * dim];
             let mut jj = 0;
             while jj + LANES <= jw {
-                let mut s0 = [0.0f32; LANES];
-                let mut s1 = [0.0f32; LANES];
+                let mut s0 = [-0.0f32; LANES];
+                let mut s1 = [-0.0f32; LANES];
                 for t in 0..dim {
                     let (av0, av1) = (a0[t], a1[t]);
                     let tile = &pack[t * jw + jj..t * jw + jj + LANES];
@@ -695,7 +733,7 @@ pub fn gemm_nt(a: &[f32], b: &[f32], dim: usize, out: &mut [f32]) {
                 jj += LANES;
             }
             while jj < jw {
-                let (mut s0, mut s1) = (0.0f32, 0.0f32);
+                let (mut s0, mut s1) = (-0.0f32, -0.0f32);
                 for t in 0..dim {
                     let tv = pack[t * jw + jj];
                     s0 += a0[t] * tv;
@@ -712,7 +750,7 @@ pub fn gemm_nt(a: &[f32], b: &[f32], dim: usize, out: &mut [f32]) {
             let orow = &mut out[i * bn + jb..i * bn + jmax];
             let mut jj = 0;
             while jj + LANES <= jw {
-                let mut s = [0.0f32; LANES];
+                let mut s = [-0.0f32; LANES];
                 for (t, &av) in arow.iter().enumerate() {
                     let tile = &pack[t * jw + jj..t * jw + jj + LANES];
                     for (sl, &tv) in s.iter_mut().zip(tile) {
@@ -723,7 +761,7 @@ pub fn gemm_nt(a: &[f32], b: &[f32], dim: usize, out: &mut [f32]) {
                 jj += LANES;
             }
             while jj < jw {
-                let mut s = 0.0f32;
+                let mut s = -0.0f32;
                 for (t, &av) in arow.iter().enumerate() {
                     s += av * pack[t * jw + jj];
                 }
@@ -922,27 +960,53 @@ mod tests {
 
     #[test]
     fn gemm_nt_entries_are_bit_identical_to_scalar_dots() {
-        // straddle the 64-row block boundary on both operands
-        for (m, n, d) in [(3, 5, 4), (70, 65, 16), (1, 130, 8)] {
+        // straddle the 64-row block boundary on both operands and the
+        // single-row path's chain groups. The `true` cases zero `b` rows 3
+        // and 18 (the packed micro-kernel and its scalar tail at m = 2 and
+        // 3, the chain groups and their remainder at m = 1) against an `a`
+        // with no positive component: every product is -0.0, and so is
+        // the dot from -0.0
+        for (m, n, d, zero_rows) in [
+            (3, 5, 4, false),
+            (70, 65, 16, false),
+            (1, 130, 8, false),
+            (1, 7, 3, false),
+            (1, 21, 4, true),
+            (2, 21, 4, true),
+            (3, 21, 4, true),
+        ] {
             let a: Vec<f32> = (0..m * d)
-                .map(|i| ((i * 13) % 11) as f32 / 7.0 - 0.5)
+                .map(|i| {
+                    let v = ((i * 13) % 11) as f32 / 7.0 - 0.5;
+                    if zero_rows {
+                        -v.abs() - 0.1
+                    } else {
+                        v
+                    }
+                })
                 .collect();
             let b: Vec<f32> = (0..n * d)
-                .map(|i| ((i * 5) % 9) as f32 / 3.0 - 1.0)
+                .map(|i| {
+                    if zero_rows && matches!(i / d, 3 | 18) {
+                        0.0
+                    } else {
+                        ((i * 5) % 9) as f32 / 3.0 - 1.0
+                    }
+                })
                 .collect();
             let mut out = vec![0.0f32; m * n];
             gemm_nt(&a, &b, d, &mut out);
             for i in 0..m {
                 for j in 0..n {
-                    let dot: f32 = a[i * d..(i + 1) * d]
+                    let dot = a[i * d..(i + 1) * d]
                         .iter()
                         .zip(&b[j * d..(j + 1) * d])
-                        .map(|(&x, &y)| x * y)
-                        .sum();
+                        .fold(-0.0f32, |s, (&x, &y)| s + x * y);
                     assert_eq!(
                         out[i * n + j].to_bits(),
                         dot.to_bits(),
-                        "entry ({i},{j}) of {m}x{n}x{d} not bit-identical"
+                        "entry ({i},{j}) of {m}x{n}x{d} not bit-identical: {} vs {dot}",
+                        out[i * n + j]
                     );
                 }
             }
