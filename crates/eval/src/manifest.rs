@@ -34,7 +34,9 @@ use std::sync::Arc;
 
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter, QuantParams};
 
-use crate::sharded::{RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex};
+use crate::sharded::{
+    implausible_component, RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex,
+};
 
 /// Artifact kind of the corpus manifest file.
 pub const CORPUS_MANIFEST_KIND: &str = "gnn4ip-corpus-manifest";
@@ -254,6 +256,19 @@ fn parse_shard(
     let radius = r.f32().map_err(fmt)?;
     let max_norm = r.f32().map_err(fmt)?;
     r.done().map_err(fmt)?;
+    // rows must be ones `insert` could have stored (int8 rows through
+    // their dequantized, canonical values): anything else could score
+    // NaN or outside [-1, 1]
+    let bad = match &quant {
+        None => implausible_component(data.iter().copied()),
+        Some((q, params)) => implausible_component(q.iter().map(|&c| params.dequantize(c))),
+    };
+    if let Some((pos, v)) = bad {
+        return Err(fmt(format!(
+            "row {} holds component {v}, which no normalized row has",
+            pos / dim
+        )));
+    }
     // same sanity gate as the monolithic loader: a forged non-finite or
     // negative bound would silently over-prune, which is worse than
     // failing loudly
@@ -417,6 +432,12 @@ impl ShardedEmbeddingIndex {
             tail.data.push(r.f32().map_err(mfmt)?);
         }
         r.done().map_err(mfmt)?;
+        if let Some((pos, v)) = implausible_component(tail.data.iter().copied()) {
+            return Err(mfmt(format!(
+                "tail row {} holds component {v}, which no normalized row has",
+                pos / dim
+            )));
+        }
 
         let mut sealed = Vec::with_capacity(n_sealed);
         for id in ids {
@@ -703,6 +724,55 @@ mod tests {
             other => panic!("expected a typed shard error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn implausible_rows_are_rejected() {
+        // forge one component no normalized row holds into a sealed f32
+        // shard, a sealed int8 shard (through its dequantized value) and
+        // the tail; each file is otherwise consistent, content id included
+        let forge = |storage: ShardStorage, what: &str| {
+            let mut index = synthetic_index(storage, 13); // 3 sealed + 1 tail
+            match what {
+                "tail" => index.tail.data[4] = f32::NAN,
+                _ => {
+                    let s = &index.sealed[1];
+                    let mut rows = vec![0.0f32; s.labels.len() * index.dim];
+                    s.rows.as_ref().copy_all_into(&mut rows);
+                    rows[7] = 1.5;
+                    let labels = s.labels.clone();
+                    let (c, r, m) = (s.centroid.clone(), s.radius, s.max_norm);
+                    index.sealed[1] = Arc::new(match storage {
+                        ShardStorage::F32 => SealedShard::from_f32_parts(rows, labels, c, r, m),
+                        ShardStorage::Int8 => {
+                            // a scale no calibration of unit rows produces
+                            let params = QuantParams {
+                                scale: 0.1,
+                                zero_point: 0,
+                            };
+                            let mut q = Vec::new();
+                            params.quantize_into(&rows, &mut q);
+                            SealedShard::from_int8_parts(q, params, labels, index.dim, c, r, m)
+                        }
+                    });
+                }
+            }
+            let dir = tmp_dir(&format!("implausible-{storage:?}-{what}"));
+            index.checkpoint_dir(&dir, 0).unwrap();
+            let err = ShardedEmbeddingIndex::load_dir(&dir, 0).expect_err("must refuse");
+            std::fs::remove_dir_all(&dir).unwrap();
+            err
+        };
+        for storage in [ShardStorage::F32, ShardStorage::Int8] {
+            match forge(storage, "sealed") {
+                ManifestError::Format(e) => assert!(e.contains("row 1 holds component"), "{e}"),
+                other => panic!("{storage:?}: expected Format, got {other:?}"),
+            }
+        }
+        match forge(ShardStorage::F32, "tail") {
+            ManifestError::Format(e) => assert!(e.contains("tail row 0 holds"), "{e}"),
+            other => panic!("expected Format, got {other:?}"),
+        }
     }
 
     #[test]

@@ -92,6 +92,21 @@ pub const PARALLEL_QUERY_MIN_ROWS: usize = 1 << 17;
 /// flat/sharded bit-identity proptest holds the line empirically.
 const PRUNE_SLACK: f32 = 1e-4;
 
+/// Largest component magnitude a stored row may hold: rows are
+/// normalized on insert (or zeroed), so no component exceeds 1 beyond
+/// rounding. Loaders refuse anything else, which keeps every score
+/// finite (see [`TopK`]).
+const MAX_ROW_COMPONENT: f32 = 1.0 + 1e-6;
+
+/// The first component of `rows` that no [`ShardedEmbeddingIndex::insert`]
+/// can store — non-finite, or beyond ±[`MAX_ROW_COMPONENT`] — as
+/// `(position, value)`.
+pub(crate) fn implausible_component(rows: impl IntoIterator<Item = f32>) -> Option<(usize, f32)> {
+    rows.into_iter()
+        .enumerate()
+        .find(|&(_, v)| !(v.is_finite() && v.abs() <= MAX_ROW_COMPONENT))
+}
+
 /// How a sealed shard stores its rows.
 ///
 /// The tail is always f32 (it is mutable and tiny); the choice applies
@@ -1920,6 +1935,12 @@ impl ShardedEmbeddingIndex {
             for _ in 0..rows * dim {
                 shard.data.push(r.f32()?);
             }
+            if let Some((pos, v)) = implausible_component(shard.data.iter().copied()) {
+                return Err(format!(
+                    "shard {si} row {} holds component {v}, which no normalized row has",
+                    pos / dim
+                ));
+            }
             if rows == shard_capacity {
                 // a full shard is sealed; its bounds are stored from v2 on
                 let block = if r.version() >= 2 {
@@ -2561,6 +2582,47 @@ mod tests {
         w.f32(1.0);
         let err = ShardedEmbeddingIndex::from_bytes(&w.finish(), 0).expect_err("must reject");
         assert!(err.contains("bounds"), "{err}");
+    }
+
+    #[test]
+    fn implausible_rows_are_rejected() {
+        // a sealed shard (first) and a tail (second) each forged with one
+        // component no normalized row holds
+        for bad in [f32::NAN, f32::INFINITY, -1.5, 1.0 + 1e-5] {
+            for tail in [false, true] {
+                let mut w = BinWriter::with_version(SHARD_INDEX_KIND, SHARD_INDEX_VERSION);
+                w.u64(0);
+                w.len_of(2); // dim
+                w.len_of(2); // capacity
+                w.len_of(2); // two shards: one sealed, then a 1-row tail
+                w.len_of(2);
+                w.u64(0);
+                w.u64(1);
+                for v in [1.0, 0.0, 0.6, if tail { 0.8 } else { bad }] {
+                    w.f32(v);
+                }
+                for v in [0.8, 0.4, 0.2] {
+                    w.f32(v); // centroid, radius
+                }
+                w.f32(1.0); // max_norm
+                w.len_of(1);
+                w.u64(2);
+                for v in [if tail { bad } else { 0.0 }, -1.0] {
+                    w.f32(v);
+                }
+                let err = ShardedEmbeddingIndex::from_bytes(&w.finish(), 0)
+                    .expect_err("forged row must be refused");
+                let shard = if tail {
+                    "shard 1 row 0"
+                } else {
+                    "shard 0 row 1"
+                };
+                assert!(err.contains(shard), "{bad} tail {tail}: {err}");
+            }
+        }
+        // real rows load
+        let (_, sharded) = both(9, 3, 4);
+        assert!(ShardedEmbeddingIndex::from_bytes(&sharded.to_bytes(3), 3).is_ok());
     }
 
     #[test]
