@@ -33,6 +33,7 @@ pub const DETERMINISM_KERNELS: &[(&str, &str)] = &[
     ("crates/eval/src/index.rs", "normalize_into"),
     ("crates/eval/src/index.rs", "score_row"),
     ("crates/eval/src/index.rs", "query_norm"),
+    ("crates/eval/src/sharded.rs", "score_block"),
     ("crates/eval/src/sharded.rs", "max_row_l1"),
     ("crates/eval/src/sharded.rs", "centroid_norms2"),
     ("crates/eval/src/sharded.rs", "nearest_centroid"),

@@ -65,8 +65,8 @@ pub(crate) fn normalize_into(embedding: &[f32], out: &mut Vec<f32>) {
 /// Cosine score of a *normalized* row against a raw query with
 /// precomputed norm `qnorm` (pass a non-finite or sub-`1e-12` `qnorm` to
 /// force the zero-query path). The flat index scores every row with it;
-/// the sharded index's [`gemm_nt`](gnn4ip_tensor::gemm_nt) entries
-/// accumulate in the same order from the same `-0.0` start, so a zero
+/// the sharded index's scoring kernel accumulates each row in the same
+/// order from the same `-0.0` start and divides the same way, so a zero
 /// row scores `-0.0` against a query with no positive component on both.
 pub(crate) fn score_row(row: &[f32], query: &[f32], qnorm: f32) -> f32 {
     if !qnorm.is_finite() || qnorm < 1e-12 {

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter, QuantParams};
 
 use crate::sharded::{
-    implausible_component, RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex,
+    check_rows, row_major, RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex,
 };
 
 /// Artifact kind of the corpus manifest file.
@@ -160,9 +160,9 @@ fn shard_bytes(shard: &SealedShard, dim: usize) -> Vec<u8> {
         w.u64(l as u64);
     }
     match &shard.rows {
-        RowBlock::F32(data) => {
+        RowBlock::F32(cols) => {
             w.u8(0);
-            for &v in data {
+            for v in row_major(cols, shard.labels.len()) {
                 w.f32(v);
             }
         }
@@ -259,27 +259,13 @@ fn parse_shard(
     // rows must be ones `insert` could have stored (int8 rows through
     // their dequantized, canonical values): anything else could score
     // NaN or outside [-1, 1]
-    let bad = match &quant {
-        None => implausible_component(data.iter().copied()),
-        Some((q, params)) => implausible_component(q.iter().map(|&c| params.dequantize(c))),
-    };
-    if let Some((pos, v)) = bad {
-        return Err(fmt(format!(
-            "row {} holds component {v}, which no normalized row has",
-            pos / dim
-        )));
+    match &quant {
+        None => check_rows(data.iter().copied(), dim),
+        Some((q, params)) => check_rows(q.iter().map(|&c| params.dequantize(c)), dim),
     }
-    // same sanity gate as the monolithic loader: a forged non-finite or
-    // negative bound would silently over-prune, which is worse than
-    // failing loudly
-    let sane = |v: f32| v.is_finite() && v >= 0.0;
-    if !sane(radius) || !sane(max_norm) || centroid.iter().any(|v| !v.is_finite()) {
-        return Err(fmt(format!(
-            "corrupt bounds (radius {radius}, max_norm {max_norm}, or non-finite centroid)"
-        )));
-    }
+    .map_err(fmt)?;
     let shard = match quant {
-        None => SealedShard::from_f32_parts(data, labels, centroid, radius, max_norm),
+        None => SealedShard::from_f32_parts(data, labels, dim, centroid, radius, max_norm),
         Some((q, params)) => {
             SealedShard::from_int8_parts(q, params, labels, dim, centroid, radius, max_norm)
         }
@@ -432,12 +418,7 @@ impl ShardedEmbeddingIndex {
             tail.data.push(r.f32().map_err(mfmt)?);
         }
         r.done().map_err(mfmt)?;
-        if let Some((pos, v)) = implausible_component(tail.data.iter().copied()) {
-            return Err(mfmt(format!(
-                "tail row {} holds component {v}, which no normalized row has",
-                pos / dim
-            )));
-        }
+        check_rows(tail.data.iter().copied(), dim).map_err(|e| mfmt(format!("tail {e}")))?;
 
         let mut sealed = Vec::with_capacity(n_sealed);
         for id in ids {
@@ -738,12 +719,14 @@ mod tests {
                 _ => {
                     let s = &index.sealed[1];
                     let mut rows = vec![0.0f32; s.labels.len() * index.dim];
-                    s.rows.as_ref().copy_all_into(&mut rows);
+                    index.copy_block_into(1, &mut rows);
                     rows[7] = 1.5;
                     let labels = s.labels.clone();
                     let (c, r, m) = (s.centroid.clone(), s.radius, s.max_norm);
                     index.sealed[1] = Arc::new(match storage {
-                        ShardStorage::F32 => SealedShard::from_f32_parts(rows, labels, c, r, m),
+                        ShardStorage::F32 => {
+                            SealedShard::from_f32_parts(rows, labels, index.dim, c, r, m)
+                        }
                         ShardStorage::Int8 => {
                             // a scale no calibration of unit rows produces
                             let params = QuantParams {

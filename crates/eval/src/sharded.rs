@@ -23,16 +23,21 @@
 //!
 //! Every query goes through one walk,
 //! [`query_many`](ShardedEmbeddingIndex::query_many); a single query is a
-//! batch of one. Sealed shards whose *best possible* score (from the
+//! batch of one. Sealed f32 shards store their rows *dim-major*
+//! (component `t` of row `j` at `[t * rows + j]`), and one kernel scores
+//! 32 rows per tile straight into a running top-k per query, so a row
+//! below the query's current k-th best score costs its multiply-adds and
+//! one compare. Sealed shards whose *best possible* score (from the
 //! centroid/radius bound) cannot beat the query's current top-k floor are
-//! skipped without touching a row, each scanned shard is scored for the
-//! whole batch by one [`gemm_nt`], and on corpora large enough to be
+//! skipped without touching a row, and on corpora large enough to be
 //! worth threading the surviving shard scans fan out across workers via
 //! [`fan_out`]. Results are **bit-identical** to the flat index whatever
 //! the options and whatever else the batch holds (property tests in
-//! `tests/properties.rs` hold this line): every gemm entry accumulates in
-//! the flat index's [`score_row`] order, pruning only discards shards
-//! whose rows provably lose, and the k-way merge is order-insensitive.
+//! `tests/properties.rs` hold this line): every kernel entry accumulates
+//! in the flat index's `score_row` order, pruning only discards shards
+//! whose rows provably lose, and the top-k keeps
+//! [`EmbeddingIndex`]'s rank order (score, then insertion index) whatever
+//! order rows arrive in. Byte formats and row readers see row-major order.
 //!
 //! Two more layers kick in at corpus scale (≥ 100k rows). **Routing:**
 //! bound pruning only bites when shards are internally coherent, which
@@ -58,14 +63,15 @@
 //! shards instead of rewriting the monolithic artifact.
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use gnn4ip_tensor::{
-    dot_i8, fan_out, gemm_nt, read_artifact, worker_count, write_artifact, BinReader, BinWriter,
-    Fnv64, Matrix, QuantParams, Workspace,
+    dot_i8, fan_out, read_artifact, worker_count, write_artifact, BinReader, BinWriter, Fnv64,
+    Matrix, QuantParams, Workspace,
 };
 
-use crate::index::{normalize_into, query_norm, score_row, EmbeddingIndex, QueryHit};
+use crate::index::{normalize_into, query_norm, EmbeddingIndex, QueryHit};
 
 /// Kind tag of the persisted shard-index artifact.
 pub const SHARD_INDEX_KIND: &str = "gnn4ip-shard-index";
@@ -98,13 +104,18 @@ const PRUNE_SLACK: f32 = 1e-4;
 /// finite (see [`TopK`]).
 const MAX_ROW_COMPONENT: f32 = 1.0 + 1e-6;
 
-/// The first component of `rows` that no [`ShardedEmbeddingIndex::insert`]
-/// can store — non-finite, or beyond ±[`MAX_ROW_COMPONENT`] — as
-/// `(position, value)`.
-pub(crate) fn implausible_component(rows: impl IntoIterator<Item = f32>) -> Option<(usize, f32)> {
-    rows.into_iter()
-        .enumerate()
-        .find(|&(_, v)| !(v.is_finite() && v.abs() <= MAX_ROW_COMPONENT))
+/// Refuses rows no [`ShardedEmbeddingIndex::insert`] can store: reports
+/// the first non-finite component, or one beyond ±[`MAX_ROW_COMPONENT`],
+/// of the row-major `rows` (`dim` components each) with its row.
+pub(crate) fn check_rows(rows: impl IntoIterator<Item = f32>, dim: usize) -> Result<(), String> {
+    let bad = |&(_, v): &(usize, f32)| !(v.is_finite() && v.abs() <= MAX_ROW_COMPONENT);
+    match rows.into_iter().enumerate().find(bad) {
+        Some((pos, v)) => Err(format!(
+            "row {} holds component {v}, which no normalized row has",
+            pos / dim
+        )),
+        None => Ok(()),
+    }
 }
 
 /// How a sealed shard stores its rows.
@@ -153,7 +164,11 @@ impl Shard {
 /// int8 codes plus the per-shard calibration header.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum RowBlock {
-    /// Row-major `rows x dim` f32.
+    /// Dim-major `dim x rows` f32: component `t` of row `j` sits at
+    /// `[t * rows + j]`, so the scoring kernel reads each component of a
+    /// tile of rows as one contiguous run. Transposed once, when the
+    /// shard is sealed or loaded; every byte format and row reader sees
+    /// row-major order through [`row_major`].
     F32(Vec<f32>),
     /// Row-major `rows x dim` int8 codes. The dequantized values are the
     /// shard's canonical rows.
@@ -168,13 +183,6 @@ pub(crate) enum RowBlock {
 }
 
 impl RowBlock {
-    pub(crate) fn as_ref(&self) -> RowsRef<'_> {
-        match self {
-            RowBlock::F32(data) => RowsRef::F32(data),
-            RowBlock::Int8 { q, params, .. } => RowsRef::Int8 { q, params: *params },
-        }
-    }
-
     /// Bytes of row payload held (codes/floats plus the quantization
     /// header; labels and bounds excluded) — the memory-traffic number
     /// the int8 mode exists to shrink.
@@ -188,28 +196,23 @@ impl RowBlock {
     }
 }
 
-/// Borrowed view of row storage in either representation. Quantized
-/// rows are read through their dequantized values, the canonical rows
-/// every exact score is computed from.
-#[derive(Clone, Copy)]
-pub(crate) enum RowsRef<'a> {
-    F32(&'a [f32]),
-    Int8 { q: &'a [i8], params: QuantParams },
-}
-
-impl RowsRef<'_> {
-    /// Materializes every row (dequantizing as needed) into `out`, which
-    /// must hold exactly `rows * dim` floats.
-    pub(crate) fn copy_all_into(&self, out: &mut [f32]) {
-        match *self {
-            RowsRef::F32(data) => out.copy_from_slice(data),
-            RowsRef::Int8 { q, params } => {
-                for (o, &c) in out.iter_mut().zip(q) {
-                    *o = params.dequantize(c);
-                }
-            }
+/// Writes the row-major `rows` (`dim` components each) into `out` in
+/// dim-major order: component `t` of row `j` at `out[t * n + j]`.
+fn to_dim_major(rows: &[f32], dim: usize, out: &mut Vec<f32>) {
+    let n = rows.len() / dim;
+    out.clear();
+    out.resize(rows.len(), 0.0);
+    for (j, row) in rows.chunks_exact(dim).enumerate() {
+        for (t, &v) in row.iter().enumerate() {
+            out[t * n + j] = v;
         }
     }
+}
+
+/// The components of a dim-major block of `rows` rows, in row-major
+/// order — the order every byte format and row reader uses.
+pub(crate) fn row_major(cols: &[f32], rows: usize) -> impl Iterator<Item = f32> + '_ {
+    (0..rows).flat_map(move |j| cols[j..].iter().step_by(rows).copied())
 }
 
 /// One full, immutable, `Arc`-shared block of row-normalized embeddings,
@@ -264,8 +267,8 @@ fn compute_bounds(data: &[f32], dim: usize) -> (Vec<f32>, f32, f32) {
 }
 
 /// Content address of a shard's stored payload: FNV-1a-64 over a storage
-/// tag, the labels, and the exact stored row bytes (codes + calibration
-/// for int8). Two shards with the same id hold the same rows under the
+/// tag, the labels, and the exact stored row bytes in row-major order
+/// (codes + calibration for int8). Two shards with the same id hold the same rows under the
 /// same labels; the append-only layout names shard files by this id so
 /// an unchanged shard is never rewritten.
 fn content_id_of(rows: &RowBlock, labels: &[usize]) -> u64 {
@@ -274,9 +277,9 @@ fn content_id_of(rows: &RowBlock, labels: &[usize]) -> u64 {
         h.update(&(l as u64).to_le_bytes());
     }
     match rows {
-        RowBlock::F32(data) => {
+        RowBlock::F32(cols) => {
             h.update(&[0u8]);
-            for &v in data {
+            for v in row_major(cols, labels.len()) {
                 h.update(&v.to_bits().to_le_bytes());
             }
         }
@@ -304,7 +307,11 @@ impl SealedShard {
         debug_assert!(!shard.labels.is_empty(), "sealing an empty shard");
         let (centroid, radius, max_norm) = compute_bounds(&shard.data, dim);
         let (rows, quant_slack) = match storage {
-            ShardStorage::F32 => (RowBlock::F32(shard.data), 0.0),
+            ShardStorage::F32 => {
+                let mut cols = Vec::new();
+                to_dim_major(&shard.data, dim, &mut cols);
+                (RowBlock::F32(cols), 0.0)
+            }
             ShardStorage::Int8 => {
                 let params = QuantParams::calibrate(&shard.data);
                 let mut q = Vec::new();
@@ -330,16 +337,20 @@ impl SealedShard {
         }
     }
 
-    /// Assembles a sealed shard from full-precision parts with already
-    /// computed (validated) bounds — the monolithic-artifact load path.
+    /// Assembles a sealed shard from full-precision row-major parts with
+    /// already computed (validated) bounds — the load path of both
+    /// on-disk formats. The rows are transposed to dim-major here.
     pub(crate) fn from_f32_parts(
         data: Vec<f32>,
         labels: Vec<usize>,
+        dim: usize,
         centroid: Vec<f32>,
         radius: f32,
         max_norm: f32,
     ) -> Self {
-        let rows = RowBlock::F32(data);
+        let mut cols = Vec::new();
+        to_dim_major(&data, dim, &mut cols);
+        let rows = RowBlock::F32(cols);
         let content_id = content_id_of(&rows, &labels);
         Self {
             rows,
@@ -434,8 +445,9 @@ pub struct ShardedEmbeddingIndex {
 /// bit-identical — only the work done to produce them changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Skip sealed shards whose score bound cannot beat the current
-    /// top-k floor.
+    /// Skip sealed shards whose score bound cannot beat the query's
+    /// floor: the worst score in its running top-k. Rows of a scanned
+    /// shard that fall below that score cost one compare either way.
     pub prune: bool,
     /// Worker threads for the per-shard scans (`0` = one per core).
     pub threads: usize,
@@ -519,47 +531,26 @@ pub struct RebalanceReport {
     pub moved: usize,
 }
 
-/// A candidate in the k-way heap merge: the head of one shard run's
-/// sorted top-k. Ordered so the rank-best hit is the heap maximum.
-struct MergeHead {
-    hit: QueryHit,
-    run: usize,
-    pos: usize,
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for MergeHead {}
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeHead {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap pops the maximum; reverse rank so "best" is maximal
-        EmbeddingIndex::rank(&self.hit, &other.hit).reverse()
-    }
-}
-
-/// A bounded keeper of the `k` rank-best `(score, global index)` pairs.
-/// The heap top is the *worst* retained hit, so an incoming candidate
-/// either evicts it or is discarded in `O(log k)`.
+/// A bounded keeper of the `k` best hits under [`EmbeddingIndex::rank`]
+/// (score descending, then global index ascending). The heap top is the
+/// *worst* retained hit, so an incoming hit either evicts it or is
+/// discarded in `O(log k)`.
 ///
-/// For exact top-k selection, candidates MUST be pushed in ascending
-/// index order (the per-shard scans do). That precondition collapses the
-/// keep/discard decision to one float compare: a candidate tying the
-/// retained worst on score always carries the larger index, so under
-/// [`EmbeddingIndex::rank`] it loses — only a strictly greater score
-/// evicts. When used as a cross-shard score *floor* (pruning), pushes
-/// arrive out of index order; ties then retain an arbitrary hit, but the
-/// floor — the worst retained *score* — is unaffected, which is all the
-/// pruning comparison reads.
+/// Eviction compares by rank, not by score alone, so the kept set is the
+/// exact top-k of everything pushed whatever order hits arrive in: a hit
+/// that ties the worst retained score evicts it only with a lower index.
+/// Rank is a total order because every score is finite — rows are
+/// normalized or zeroed on insert and checked on load, and a query with
+/// a non-finite norm scores 0 — so no NaN ever reaches a `TopK`.
+///
+/// The walk keeps one per query as that query's answer, and its worst
+/// score doubles as the floor the shard bounds are pruned against. An
+/// optional `gate` drops every hit scoring below it: a worker thread's
+/// `TopK` is gated at the query's floor when the fan-out starts, so it
+/// keeps only hits that could still reach the final top-k.
 struct TopK {
     k: usize,
+    gate: f32,
     heap: std::collections::BinaryHeap<WorstFirst>,
 }
 
@@ -585,26 +576,42 @@ impl Ord for WorstFirst {
 
 impl TopK {
     fn new(k: usize) -> Self {
+        Self::gated(k, f32::NEG_INFINITY)
+    }
+
+    fn gated(k: usize, gate: f32) -> Self {
         Self {
             k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+            gate,
+            heap: std::collections::BinaryHeap::with_capacity(k),
         }
     }
 
     fn push(&mut self, hit: QueryHit) {
+        if hit.score < self.gate {
+            return;
+        }
         if self.heap.len() < self.k {
             self.heap.push(WorstFirst(hit));
-        } else if let Some(worst) = self.heap.peek() {
-            // exact only for ascending-index pushes; see the type docs
-            if hit.score > worst.0.score {
-                self.heap.pop();
-                self.heap.push(WorstFirst(hit));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if EmbeddingIndex::rank(&hit, &worst.0).is_lt() {
+                *worst = WorstFirst(hit);
             }
         }
     }
 
-    fn into_hits(self) -> Vec<QueryHit> {
-        self.heap.into_iter().map(|w| w.0).collect()
+    /// The kept hits, in no particular order.
+    fn into_hits(self) -> impl Iterator<Item = QueryHit> {
+        self.heap.into_iter().map(|w| w.0)
+    }
+
+    /// The kept hits, best first.
+    fn into_sorted(self) -> Vec<QueryHit> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|w| w.0)
+            .collect()
     }
 
     /// Whether `k` hits are retained — the floor is only meaningful then.
@@ -612,11 +619,110 @@ impl TopK {
         self.heap.len() == self.k
     }
 
-    /// Score of the worst retained hit (`-inf` when empty) — the eviction
-    /// threshold for the caller's fast path.
+    /// Score of the worst retained hit (`-inf` when empty).
     fn worst_score(&self) -> f32 {
         self.heap.peek().map_or(f32::NEG_INFINITY, |w| w.0.score)
     }
+
+    /// The lowest score a new hit needs to be kept: the worst retained
+    /// score once full, the gate before. A hit *at* the threshold may
+    /// still win on its index, so callers skip only hits below it.
+    fn threshold(&self) -> f32 {
+        if self.is_full() {
+            self.worst_score()
+        } else {
+            self.gate
+        }
+    }
+}
+
+/// Rows the scoring kernel scores per tile.
+const TILE: usize = 32;
+
+/// The scoring kernel: the cosine score of every row of the dim-major
+/// block `cols` (`n` rows, component `t` of row `j` at `cols[t * n + j]`)
+/// against `query`, handed to `tile(first_row, scores)` one tile of up to
+/// [`TILE`] rows at a time.
+///
+/// Bit-identity with [`score_row`](crate::index::score_row): each
+/// accumulator starts at `-0.0` and adds `row[t] * query[t]` in `t`
+/// order, then is divided by `qnorm`; a non-finite or sub-`1e-12`
+/// `qnorm` takes the zero-query path and scores `+0.0`. A full tile's accumulators are a fixed-size array, so
+/// they stay in registers while the tile's columns stream past.
+fn score_block(
+    cols: &[f32],
+    n: usize,
+    query: &[f32],
+    qnorm: f32,
+    mut tile: impl FnMut(usize, &[f32]),
+) {
+    let zero_query = !qnorm.is_finite() || qnorm < 1e-12;
+    let mut j0 = 0;
+    while j0 < n {
+        let w = TILE.min(n - j0);
+        let mut acc = [-0.0f32; TILE];
+        if zero_query {
+            acc = [0.0; TILE];
+        } else {
+            if w == TILE {
+                tile_dots(cols, n, j0, query, &mut acc);
+            } else {
+                tile_dots(cols, n, j0, query, &mut acc[..w]);
+            }
+            for a in &mut acc[..w] {
+                *a /= qnorm;
+            }
+        }
+        tile(j0, &acc[..w]);
+        j0 += w;
+    }
+}
+
+/// Adds `row[t] * query[t]` in `t` order into `acc[jj]` for the rows
+/// `j0 + jj` of a dim-major block of `n` rows. Inlined, so a full tile
+/// runs with the accumulator count known at compile time.
+#[inline(always)]
+fn tile_dots(cols: &[f32], n: usize, j0: usize, query: &[f32], acc: &mut [f32]) {
+    let w = acc.len();
+    for (t, &qv) in query.iter().enumerate() {
+        for (a, &r) in acc.iter_mut().zip(&cols[t * n + j0..t * n + j0 + w]) {
+            *a += r * qv;
+        }
+    }
+}
+
+/// Scores a dim-major block through [`score_block`] into `top`. Block
+/// row `j` is the hit `(index, label) = row(j)`; a tile none of whose
+/// scores reaches the threshold costs one vector compare.
+fn scan_into(
+    cols: &[f32],
+    n: usize,
+    query: &[f32],
+    qnorm: f32,
+    top: &mut TopK,
+    row: impl Fn(usize) -> (usize, usize),
+) {
+    score_block(cols, n, query, qnorm, |j0, scores| {
+        let mut threshold = top.threshold();
+        let mut reached = false;
+        for &score in scores {
+            reached |= score >= threshold;
+        }
+        if !reached {
+            return;
+        }
+        for (jj, &score) in scores.iter().enumerate() {
+            if score >= threshold {
+                let (index, label) = row(j0 + jj);
+                top.push(QueryHit {
+                    index,
+                    label,
+                    score,
+                });
+                threshold = top.threshold();
+            }
+        }
+    });
 }
 
 /// A query quantized once per [`ShardedEmbeddingIndex::query_many`]
@@ -636,271 +742,51 @@ impl QuantizedQuery {
     }
 }
 
-/// One shard's exact sorted top-k run built from already-computed exact
-/// per-row scores: a bounded heap fed in ascending index order, then
-/// sorted by rank. The scan gemms a whole block's scores first and then
-/// selects per query through this single definition.
-fn run_from_scores(scores: &[f32], labels: &[usize], offset: usize, k: usize) -> Vec<QueryHit> {
-    let n = labels.len();
-    // clamp per shard: a "give me everything" k (even usize::MAX, which
-    // the flat index accepts) must not size the heap
-    let kk = k.min(n);
-    let nb = n.div_ceil(64);
-    let mut top = TopK::new(kk);
-    // A NaN among the first `kk` rows forces the positional walk: it
-    // pushes those rows unconditionally, a retained NaN floor then
-    // rejects everything, and [`EmbeddingIndex::rank`] is not a total
-    // order over NaN — no filtered walk reproduces that. A NaN *beyond*
-    // the head never enters the positional walk (`score > worst` is
-    // false), so the filtered walk below drops it the same way.
-    let head_nan = scores[..kk].iter().fold(false, |a, &s| a | s.is_nan());
-    if kk > 0 && !head_nan && nb > kk {
-        // Floor-seeded selection. Block maxes (64-row granules, four
-        // independent max chains so the fold isn't latency-bound) give
-        // a floor that is valid *before* the walk starts: the `kk`-th
-        // largest block max is witnessed by `kk` rows in distinct
-        // blocks, so the true `kk`-th best score can only be higher.
-        // Rows below the floor — in practice almost all of them, block
-        // skips deciding 64 at a time — can then be ignored outright,
-        // and the surviving candidates stream through the same
-        // ascending-index strict-`>` walk as the positional one, which
-        // retains exactly the `kk` rank-best of them (see [`TopK`]).
-        let mut bmax: Vec<f32> = Vec::with_capacity(nb);
-        for block in scores.chunks(64) {
-            // `(s > m) ? s : m` instead of `f32::max`: same result when
-            // `m` is never NaN (it starts at -inf and NaN fails the
-            // compare), and it lowers to one bare max instruction
-            // instead of a NaN-order-correcting sequence
-            let mut m = [f32::NEG_INFINITY; 4];
-            let mut it = block.chunks_exact(4);
-            for ch in &mut it {
-                for (mj, &s) in m.iter_mut().zip(ch) {
-                    *mj = if s > *mj { s } else { *mj };
-                }
-            }
-            let mut mm = f32::NEG_INFINITY;
-            for &mj in &m {
-                mm = if mj > mm { mj } else { mm };
-            }
-            for &s in it.remainder() {
-                mm = if s > mm { s } else { mm };
-            }
-            bmax.push(mm);
-        }
-        let mut order = bmax.clone();
-        let (_, &mut floor, _) = order.select_nth_unstable_by(kk - 1, |a, b| {
-            b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut worst = f32::NEG_INFINITY;
-        for (bi, &m) in bmax.iter().enumerate() {
-            // `<` keeps boundary ties: a top-k row may *equal* the floor
-            if m < floor {
-                continue;
-            }
-            let start = bi * 64;
-            let end = (start + 64).min(n);
-            for i in start..end {
-                let score = scores[i];
-                if score >= floor && (!top.is_full() || score > worst) {
-                    top.push(QueryHit {
-                        index: offset + i,
-                        label: labels[i],
-                        score,
-                    });
-                    worst = top.worst_score();
-                }
-            }
-        }
-    } else {
-        // the positional walk: the first `kk` rows seed the heap, then
-        // a row enters only by beating the worst retained score
-        for (i, &label) in labels.iter().enumerate().take(kk) {
-            top.push(QueryHit {
-                index: offset + i,
-                label,
-                score: scores[i],
-            });
-        }
-        let mut worst = top.worst_score();
-        for (i, &label) in labels.iter().enumerate().skip(kk) {
-            let score = scores[i];
-            if score > worst {
-                top.push(QueryHit {
-                    index: offset + i,
-                    label,
-                    score,
-                });
-                worst = top.worst_score();
-            }
-        }
-    }
-    let mut run = top.into_hits();
-    run.sort_unstable_by(EmbeddingIndex::rank);
-    run
+/// What every scan step of one [`ShardedEmbeddingIndex::query_many`]
+/// call reads: the batch, each query's norm, and each query's quantized
+/// form when an int8 shard scan could use it.
+struct Batch<'a> {
+    queries: &'a [Vec<f32>],
+    qnorms: Vec<f32>,
+    qqs: Vec<Option<QuantizedQuery>>,
 }
 
-/// Exact sorted runs of one f32 row block for a *subset* of a query
-/// batch: one blocked [`gemm_nt`] streams the rows once for every
-/// selected query, then each query's run is selected from its score row.
-///
-/// Bit-identity with the flat index: a gemm entry accumulates the same
-/// products in the same order from the same `-0.0` start as
-/// [`score_row`]'s dot, and the division by the query norm (with the
-/// degenerate-norm zero path) is applied per entry exactly as
-/// [`score_row`] applies it.
-#[allow(clippy::too_many_arguments)]
-fn gemm_runs(
-    rows: &[f32],
-    labels: &[usize],
-    dim: usize,
-    offset: usize,
-    queries: &[Vec<f32>],
-    qnorms: &[f32],
-    select: &[usize],
-    k: usize,
-) -> Vec<Vec<QueryHit>> {
-    let n = labels.len();
-    let mut qbuf: Vec<f32> = Vec::with_capacity(select.len() * dim);
-    for &qi in select {
-        qbuf.extend_from_slice(&queries[qi]);
-    }
-    let mut dots = vec![0.0f32; select.len() * n];
-    gemm_nt(&qbuf, rows, dim, &mut dots);
-    let mut scores = vec![0.0f32; n];
-    let mut out = Vec::with_capacity(select.len());
-    for (si, &qi) in select.iter().enumerate() {
-        let qnorm = qnorms[qi];
-        if !qnorm.is_finite() || qnorm < 1e-12 {
-            // score_row's zero-query path, batched
-            scores.fill(0.0);
-        } else {
-            for (s, &d) in scores.iter_mut().zip(&dots[si * n..(si + 1) * n]) {
-                *s = d / qnorm;
-            }
-        }
-        out.push(run_from_scores(&scores, labels, offset, k));
-    }
-    out
+/// Buffers the scan steps of one call (or of one worker) reuse, so no
+/// `(shard, query)` step allocates.
+#[derive(Default)]
+struct Scratch {
+    /// Dim-major rows written for the kernel: the tail, the gathered
+    /// centroids, or int8 rows dequantized for the exact walk or the
+    /// shortlist rescoring.
+    cols: Vec<f32>,
+    /// One query's int8 approximate score per row of a shard.
+    approx: Vec<f32>,
+    /// A copy of `approx` for the k-th-largest selection.
+    kth: Vec<f32>,
+    /// Rows of one query's int8 shortlist.
+    shortlist: Vec<usize>,
 }
 
-/// The int8 fast path of one quantized shard against a subset of a query
-/// batch: every selected query approximates every row with the integer
-/// dot product, then the exact rescoring walks **one merged shortlist**
-/// — a row shortlisted by several queries is dequantized once and
-/// rescored through [`score_row`] for each of them. Returns each
-/// selected query's exact sorted run plus its own rescored-row count,
-/// neither of which depends on the rest of the batch.
-///
-/// Soundness: with `s_i` the exact (dequantized f32) score and `a_i`
-/// the int8 approximation, `|s_i − a_i| ≤ ε` where
-/// `ε = max_l1 · step_q / qnorm + slack` (`step_q` is half the query's
-/// quantization step; the additive slack absorbs f32 rounding, same
-/// rationale as [`PRUNE_SLACK`]). Let `t` be the k-th largest `a`. Any
-/// row `x` with `a_x < t − 2ε` has `s_x ≤ a_x + ε < t − ε ≤ s_j` for
-/// each of the ≥ k rows with `a_j ≥ t` — strictly below k rows, so `x`
-/// cannot be in the exact top-k under any tie-break. Rescoring
-/// `{i : a_i ≥ t − 2ε}` therefore reproduces the exact run bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn shard_runs_int8_batch(
-    q: &[i8],
-    params: QuantParams,
-    max_l1: f32,
-    labels: &[usize],
-    dim: usize,
-    offset: usize,
-    queries: &[Vec<f32>],
-    qnorms: &[f32],
-    sel: &[(usize, &QuantizedQuery)],
-    k: usize,
-) -> Vec<(Vec<QueryHit>, usize)> {
-    let n = labels.len();
-    let kk = k.min(n);
-    let b = sel.len();
-    let mut approx = vec![0.0f32; b * n];
-    let mut cuts = vec![f32::NEG_INFINITY; b];
-    for (si, &(qi, qq)) in sel.iter().enumerate() {
-        let qnorm = qnorms[qi];
-        // combined ≤ ~1/127² per integer unit: the products cannot overflow
-        // f32 (see dot_i8 — the integer accumulation itself is exact)
-        let combined = params.scale * qq.params.scale / qnorm;
-        let arow = &mut approx[si * n..(si + 1) * n];
-        for (i, a) in arow.iter_mut().enumerate() {
-            *a = dot_i8(&q[i * dim..(i + 1) * dim], &qq.q) as f32 * combined;
-        }
-        let mut tmp = arow.to_vec();
-        let (_, &mut kth, _) = tmp.select_nth_unstable_by(kk - 1, |a, b| {
-            b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let eps = max_l1 * qq.params.step() / qnorm + PRUNE_SLACK;
-        cuts[si] = kth - 2.0 * eps;
-    }
-    let mut scratch = Vec::with_capacity(dim);
-    let mut tops: Vec<TopK> = (0..b).map(|_| TopK::new(kk)).collect();
-    let mut rescored = vec![0usize; b];
-    // ascending index order per query, as TopK's exactness requires; the
-    // dequantization is hoisted out of the per-query pushes
-    for i in 0..n {
-        let mut dequantized = false;
-        for (si, &(qi, _)) in sel.iter().enumerate() {
-            if approx[si * n + i] >= cuts[si] {
-                if !dequantized {
-                    scratch.clear();
-                    scratch.extend(
-                        q[i * dim..(i + 1) * dim]
-                            .iter()
-                            .map(|&c| params.dequantize(c)),
-                    );
-                    dequantized = true;
-                }
-                rescored[si] += 1;
-                tops[si].push(QueryHit {
-                    index: offset + i,
-                    label: labels[i],
-                    score: score_row(&scratch, &queries[qi], qnorms[qi]),
-                });
-            }
+/// Writes the int8 rows `rows` (row-major codes, `dim` each) dequantized
+/// into `out` in dim-major order: component `t` of the `i`-th listed row
+/// at `out[t * rows.len() + i]`.
+fn dequantize_cols(q: &[i8], params: QuantParams, dim: usize, rows: &[usize], out: &mut Vec<f32>) {
+    let m = rows.len();
+    out.clear();
+    out.resize(m * dim, 0.0);
+    for (i, &r) in rows.iter().enumerate() {
+        for (t, &c) in q[r * dim..(r + 1) * dim].iter().enumerate() {
+            out[t * m + i] = params.dequantize(c);
         }
     }
-    tops.into_iter()
-        .zip(rescored)
-        .map(|(top, rs)| {
-            let mut run = top.into_hits();
-            run.sort_unstable_by(EmbeddingIndex::rank);
-            (run, rs)
-        })
-        .collect()
 }
 
-/// k-way merge of per-shard sorted runs into the global top-k: the heap
-/// holds one [`MergeHead`] per non-empty run. `rank()` totally orders
-/// hits by (score desc, global index asc), so the merged output is
-/// independent of run order — and pruned shards contribute nothing they
-/// could have won.
-fn merge_runs(runs: &[Vec<QueryHit>], k: usize, total: usize) -> Vec<QueryHit> {
-    let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
-    for (ri, run) in runs.iter().enumerate() {
-        if let Some(&hit) = run.first() {
-            heap.push(MergeHead {
-                hit,
-                run: ri,
-                pos: 0,
-            });
-        }
-    }
-    let mut out = Vec::with_capacity(k.min(total));
-    while out.len() < k {
-        let Some(head) = heap.pop() else { break };
-        out.push(head.hit);
-        let next = head.pos + 1;
-        if let Some(&hit) = runs[head.run].get(next) {
-            heap.push(MergeHead {
-                hit,
-                run: head.run,
-                pos: next,
-            });
-        }
-    }
-    out
+/// The per-query scan counts of [`QueryStats`] a fan-out worker
+/// gathered, added into the caller's.
+fn add_scan_counts(into: &mut QueryStats, from: &QueryStats) {
+    into.sealed_probed += from.sealed_probed;
+    into.rows_scanned += from.rows_scanned;
+    into.rows_rescored += from.rows_rescored;
 }
 
 /// The splitmix64 output function: a stateless deterministic mixer.
@@ -1069,8 +955,8 @@ impl ShardedEmbeddingIndex {
     }
 
     /// The stored (canonical) row at global storage index `i` — borrowed
-    /// from f32 storage, dequantized into an owned buffer on quantized
-    /// sealed shards.
+    /// from the tail, gathered from a sealed shard's dim-major columns
+    /// (dequantized on quantized shards) into an owned buffer.
     ///
     /// # Panics
     ///
@@ -1081,7 +967,13 @@ impl ShardedEmbeddingIndex {
         if block < self.sealed.len() {
             let r = i % self.shard_capacity;
             match &self.sealed[block].rows {
-                RowBlock::F32(data) => Cow::Borrowed(&data[r * dim..(r + 1) * dim]),
+                RowBlock::F32(cols) => Cow::Owned(
+                    cols[r..]
+                        .iter()
+                        .step_by(self.shard_capacity)
+                        .copied()
+                        .collect(),
+                ),
                 RowBlock::Int8 { q, params, .. } => Cow::Owned(
                     q[r * dim..(r + 1) * dim]
                         .iter()
@@ -1173,14 +1065,21 @@ impl ShardedEmbeddingIndex {
     /// (property tests hold this line across f32/int8 storage,
     /// rebalanced corpora, and every option combination).
     ///
-    /// - **One gemm per shard.** Each scanned row block streams through
-    ///   the cache once for the whole batch (blocked [`gemm_nt`] over the
-    ///   shard's rows) instead of once per query; a lone query takes
-    ///   `gemm_nt`'s single-row path, which skips the transposed pack.
+    /// - **One running top-k per query.** Every score comes from one
+    ///   kernel that scores 32 rows of a dim-major block per tile, each
+    ///   entry accumulated in the flat index's order, and hands the tile
+    ///   straight to the query's top-k, which keeps the flat index's rank
+    ///   order (score, then insertion index) whatever order rows arrive
+    ///   in. A row below the query's current k-th best score costs its
+    ///   multiply-adds and one compare. Sealed f32 shards are stored
+    ///   dim-major and scored in place; the tail, dequantized int8 rows
+    ///   and the shard centroids are written dim-major into per-call
+    ///   scratch first. A scanned shard is scored for every query of the
+    ///   batch that needs it while it is hot in cache.
     /// - **Pruning.** The tail (which has no bound) is scanned first and
-    ///   seeds every query's top-k floor. Sealed shards are then visited
-    ///   in descending order of their *batch-max* score bound; each query
-    ///   keeps its own rising floor, a shard is scanned only for the
+    ///   seeds every query's top-k, whose worst score is the query's
+    ///   floor. Sealed shards are then visited in descending order of
+    ///   their *batch-max* score bound; a shard is scanned only for the
     ///   queries whose own bound (plus a rounding slack) still reaches
     ///   their floor, and the walk stops outright when the best remaining
     ///   bound loses to **every** query's full floor.
@@ -1189,11 +1088,13 @@ impl ShardedEmbeddingIndex {
     ///   single best-bound shard instead, the rest are pruned against
     ///   those fixed floors (lower bounds of the final ones, so still
     ///   sound), and the surviving `(shard, query subset)` scans fan out
-    ///   across [`fan_out`] workers. This prunes slightly less but keeps
-    ///   workers independent; the merged result never differs.
-    /// - **One merged shortlist per int8 shard.** Every query runs its
-    ///   own integer approximate scan, but a row shortlisted by several
-    ///   queries is dequantized once and rescored for each of them.
+    ///   across [`fan_out`] workers. Each worker keeps its own top-k per
+    ///   query, gated at that query's fixed floor, and the caller pushes
+    ///   the workers' hits into each query's top-k. This prunes slightly
+    ///   less but keeps workers independent; the result never differs.
+    /// - **int8 shortlists.** On an int8 shard every query runs its own
+    ///   integer approximate scan, then rescores the rows that can still
+    ///   be in the shard's top-k through the kernel, into its top-k.
     ///
     /// Each query gets its own [`QueryStats`]: a shard counts as probed
     /// (and its rows as scanned) for a query only when its rows were
@@ -1235,41 +1136,30 @@ impl ShardedEmbeddingIndex {
                 _ => None,
             })
             .collect();
+        let batch = Batch {
+            queries,
+            qnorms,
+            qqs,
+        };
         let mut stats = vec![base; nq];
         // pruning is sound only when some row may be left out at all
         let can_prune = opts.prune && k < total;
-        // a floor never needs more slots than the corpus has rows, so a
-        // "give me everything" k cannot size its heap; without pruning it
-        // is never consulted, so it stays empty
-        let mut floors: Vec<TopK> = (0..nq)
-            .map(|_| TopK::new(if can_prune { k.min(total) } else { 0 }))
-            .collect();
-        let mut runs: Vec<Vec<Vec<QueryHit>>> = (0..nq)
-            .map(|_| Vec::with_capacity(self.num_shards()))
-            .collect();
-        let all: Vec<usize> = (0..nq).collect();
+        // a top-k never needs more slots than the corpus has rows, so a
+        // "give me everything" k cannot size its heap
+        let kk = k.min(total);
+        let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(kk)).collect();
+        let mut scratch = Scratch::default();
 
-        // the tail is always scanned and, when pruning, seeds every floor
-        // first (floors hold no slots without pruning, so feeding one is
-        // a no-op)
+        // the tail is always scanned, and first: it seeds every floor
         if !self.tail.labels.is_empty() {
+            let n = self.tail.labels.len();
             let offset = self.sealed.len() * self.shard_capacity;
-            let tail_runs = gemm_runs(
-                &self.tail.data,
-                &self.tail.labels,
-                self.dim,
-                offset,
-                queries,
-                &qnorms,
-                &all,
-                k,
-            );
-            for (qi, run) in tail_runs.into_iter().enumerate() {
-                stats[qi].rows_scanned += self.tail.labels.len();
-                for &hit in &run {
-                    floors[qi].push(hit);
-                }
-                runs[qi].push(run);
+            to_dim_major(&self.tail.data, self.dim, &mut scratch.cols);
+            for (qi, top) in tops.iter_mut().enumerate() {
+                stats[qi].rows_scanned += n;
+                scan_into(&scratch.cols, n, &queries[qi], batch.qnorms[qi], top, |j| {
+                    (offset + j, self.tail.labels[j])
+                });
             }
         }
 
@@ -1278,70 +1168,74 @@ impl ShardedEmbeddingIndex {
         let threaded = |shards: usize| {
             total >= opts.parallel_min_rows && worker_count(shards, opts.threads) > 1
         };
-        // drains one shard's batch scan into the per-query accumulators
-        let absorb = |trio: Vec<(usize, Vec<QueryHit>, usize)>,
-                      stats: &mut Vec<QueryStats>,
-                      floors: &mut Vec<TopK>,
-                      runs: &mut Vec<Vec<Vec<QueryHit>>>| {
-            for (qi, run, rescored) in trio {
-                stats[qi].sealed_probed += 1;
-                stats[qi].rows_scanned += self.shard_capacity;
-                stats[qi].rows_rescored += rescored;
-                for &hit in &run {
-                    floors[qi].push(hit);
-                }
-                runs[qi].push(run);
-            }
-        };
-        // the scan step of both walks below: `(shard, query subset)` scans
-        // fan out across workers when `parallel`, else run in order on
-        // this thread; every run is absorbed, and no floor is read again
-        let scan = |work: &[(usize, Vec<usize>)],
+        // the scan step of both walks below: each `(shard, range of
+        // qids)` item scans that shard for those queries, fanned out
+        // across workers when `parallel`, else in order on this thread
+        let scan = |work: &[(usize, Range<usize>)],
+                    qids: &[usize],
                     parallel: bool,
-                    stats: &mut Vec<QueryStats>,
-                    floors: &mut Vec<TopK>,
-                    runs: &mut Vec<Vec<Vec<QueryHit>>>| {
-            let one = |(sid, select): &(usize, Vec<usize>)| {
-                self.sealed_runs_batch(*sid, queries, &qnorms, &qqs, select, k)
-            };
-            let scans: Vec<_> = if parallel {
-                fan_out(work, opts.threads, |_tid, chunk| {
-                    chunk.iter().map(one).collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                work.iter().map(one).collect()
-            };
+                    tops: &mut [TopK],
+                    stats: &mut [QueryStats],
+                    scratch: &mut Scratch| {
             for st in stats.iter_mut() {
                 st.parallel = parallel;
             }
-            for trio in scans {
-                absorb(trio, stats, floors, runs);
+            if !parallel {
+                for (sid, range) in work {
+                    self.scan_sealed(*sid, &qids[range.clone()], &batch, tops, stats, scratch);
+                }
+                return;
+            }
+            // a worker's top-k is gated at the query's floor now, a lower
+            // bound of its final floor, so it keeps only rows that may
+            // still reach the final top-k
+            let gates: Vec<f32> = tops.iter().map(TopK::threshold).collect();
+            let parts = fan_out(work, opts.threads, |_tid, chunk| {
+                let mut local: Vec<TopK> = gates.iter().map(|&g| TopK::gated(kk, g)).collect();
+                let mut counts = vec![QueryStats::default(); nq];
+                let mut scratch = Scratch::default();
+                for (sid, range) in chunk {
+                    self.scan_sealed(
+                        *sid,
+                        &qids[range.clone()],
+                        &batch,
+                        &mut local,
+                        &mut counts,
+                        &mut scratch,
+                    );
+                }
+                (local, counts)
+            });
+            for (local, counts) in parts {
+                for (qi, (top, count)) in local.into_iter().zip(&counts).enumerate() {
+                    add_scan_counts(&mut stats[qi], count);
+                    for hit in top.into_hits() {
+                        tops[qi].push(hit);
+                    }
+                }
             }
         };
 
+        let all: Vec<usize> = (0..nq).collect();
         if !can_prune && !self.sealed.is_empty() {
             // exhaustive scan: every shard against the whole batch, in
             // natural order — bounds are irrelevant
-            let work: Vec<(usize, Vec<usize>)> = (0..self.sealed.len())
-                .map(|sid| (sid, all.clone()))
-                .collect();
+            let work: Vec<(usize, Range<usize>)> =
+                (0..self.sealed.len()).map(|sid| (sid, 0..nq)).collect();
             let parallel = threaded(work.len());
-            scan(&work, parallel, &mut stats, &mut floors, &mut runs);
+            scan(&work, &all, parallel, &mut tops, &mut stats, &mut scratch);
         } else if !self.sealed.is_empty() {
             // one walk order for the whole batch: descending *batch-max*
-            // bound (ties: lower shard id). Per-query bounds come from a
-            // single gemm over the gathered centroids.
+            // bound (ties: lower shard id). Each query's bounds come from
+            // the kernel over the centroids, gathered dim-major.
             let s_count = self.sealed.len();
-            let mut cbuf: Vec<f32> = Vec::with_capacity(s_count * self.dim);
-            for s in &self.sealed {
-                cbuf.extend_from_slice(&s.centroid);
+            scratch.cols.clear();
+            scratch.cols.resize(s_count * self.dim, 0.0);
+            for (sid, s) in self.sealed.iter().enumerate() {
+                for (t, &c) in s.centroid.iter().enumerate() {
+                    scratch.cols[t * s_count + sid] = c;
+                }
             }
-            let qflat: Vec<f32> = queries.iter().flatten().copied().collect();
-            let mut cdots = vec![0.0f32; nq * s_count];
-            gemm_nt(&qflat, &cbuf, self.dim, &mut cdots);
             // Upper bound (in exact arithmetic) on any row's score against
             // the query: `dot(r, q̂) = dot(c, q̂) + dot(r − c, q̂) ≤ dot(c,
             // q̂) + ‖r − c‖` by Cauchy–Schwarz, and independently
@@ -1353,16 +1247,22 @@ impl ShardedEmbeddingIndex {
             // loaded artifacts (bounds are validated at load; a forged
             // non-finite value could otherwise force an always-pruned
             // `-inf` bound).
-            let bound = |sid: usize, qi: usize| -> f32 {
-                let s = &self.sealed[sid];
-                let qn = qnorms[qi];
-                let score = if !qn.is_finite() || qn < 1e-12 {
-                    0.0
-                } else {
-                    cdots[qi * s_count + sid] / qn
-                };
-                (score + s.radius).min(s.max_norm) + s.quant_slack
-            };
+            let mut bounds = vec![0.0f32; nq * s_count];
+            for (qi, qbounds) in bounds.chunks_exact_mut(s_count).enumerate() {
+                score_block(
+                    &scratch.cols,
+                    s_count,
+                    &queries[qi],
+                    batch.qnorms[qi],
+                    |j0, scores| {
+                        let shards = &self.sealed[j0..];
+                        for ((b, s), &score) in qbounds[j0..].iter_mut().zip(shards).zip(scores) {
+                            *b = (score + s.radius).min(s.max_norm) + s.quant_slack;
+                        }
+                    },
+                );
+            }
+            let bound = |sid: usize, qi: usize| bounds[qi * s_count + sid];
             let mut order: Vec<(usize, f32)> = (0..s_count)
                 .map(|sid| {
                     let mut mb = f32::NEG_INFINITY;
@@ -1388,14 +1288,16 @@ impl ShardedEmbeddingIndex {
             // defers their scans to one fan-out; otherwise every scan
             // raises the floors the next shard is pruned against.
             let parallel_walk = threaded(s_count);
-            let mut deferred: Vec<(usize, Vec<usize>)> = Vec::new();
+            // each shard's query subset; deferred subsets sit back to back
+            let mut qids: Vec<usize> = Vec::with_capacity(nq);
+            let mut deferred: Vec<(usize, Range<usize>)> = Vec::new();
             for (oi, &(sid, maxb)) in order.iter().enumerate() {
                 let seed = parallel_walk && oi == 0;
                 // bounds descend in batch-max: once the best remaining
                 // bound loses to every query's full floor, everything left
                 // is pruned for the whole batch
                 if !seed
-                    && floors
+                    && tops
                         .iter()
                         .all(|f| f.is_full() && maxb + PRUNE_SLACK < f.worst_score())
                 {
@@ -1404,111 +1306,169 @@ impl ShardedEmbeddingIndex {
                     }
                     break;
                 }
-                let mut select: Vec<usize> = Vec::with_capacity(nq);
+                if !parallel_walk {
+                    qids.clear();
+                }
+                let start = qids.len();
                 for qi in 0..nq {
-                    if !seed && pruned(&floors[qi], bound(sid, qi)) {
+                    if !seed && pruned(&tops[qi], bound(sid, qi)) {
                         stats[qi].sealed_pruned += 1;
                     } else {
-                        select.push(qi);
+                        qids.push(qi);
                     }
                 }
-                if select.is_empty() {
+                if qids.len() == start {
                     continue;
                 }
                 if parallel_walk && !seed {
-                    deferred.push((sid, select));
+                    deferred.push((sid, start..qids.len()));
                 } else {
-                    let trio = self.sealed_runs_batch(sid, queries, &qnorms, &qqs, &select, k);
-                    absorb(trio, &mut stats, &mut floors, &mut runs);
+                    self.scan_sealed(
+                        sid,
+                        &qids[start..],
+                        &batch,
+                        &mut tops,
+                        &mut stats,
+                        &mut scratch,
+                    );
                 }
             }
             if parallel_walk {
                 // report what actually happened: heavy pruning can leave
                 // too few scans for the fan-out to spawn anything
                 let parallel = worker_count(deferred.len(), opts.threads) > 1;
-                scan(&deferred, parallel, &mut stats, &mut floors, &mut runs);
+                scan(
+                    &deferred,
+                    &qids,
+                    parallel,
+                    &mut tops,
+                    &mut stats,
+                    &mut scratch,
+                );
             }
         }
 
-        runs.into_iter()
-            .zip(stats)
-            .map(|(qruns, st)| (merge_runs(&qruns, k, total), st))
-            .collect()
+        tops.into_iter().map(TopK::into_sorted).zip(stats).collect()
     }
 
-    /// One sealed shard scanned for a subset of the batch: the f32 arm
-    /// gemms the rows once for every selected query; the int8 arm splits
-    /// the selection into integer-scan queries (merged-shortlist
-    /// rescoring) and exact-walk queries (the rows dequantized once, then
-    /// gemmed). Returns `(query index, exact sorted run, rescored rows)`
-    /// triples.
-    fn sealed_runs_batch(
+    /// Scans sealed shard `sid` for the queries `select` into their
+    /// `tops`, counting the scan into their `stats`. f32 rows are scored
+    /// in place. On an int8 shard a query with a quantized form runs the
+    /// integer scan and rescores its shortlist; the others score every
+    /// row, dequantized once for all of them.
+    ///
+    /// Shortlist soundness: with `s_i` the exact (dequantized f32) score
+    /// and `a_i` the int8 approximation, `|s_i − a_i| ≤ ε` where
+    /// `ε = max_l1 · step_q / qnorm + slack` (`step_q` is half the query's
+    /// quantization step; the additive slack absorbs f32 rounding, same
+    /// rationale as [`PRUNE_SLACK`]). Let `t` be the k-th largest `a` in
+    /// the shard. Any row `x` with `a_x < t − 2ε` has
+    /// `s_x ≤ a_x + ε < t − ε ≤ s_j` for each of the ≥ k rows with
+    /// `a_j ≥ t` — strictly below k rows, so `x` cannot be in the exact
+    /// top-k under any tie-break. Rescoring `{i : a_i ≥ t − 2ε}` into the
+    /// query's top-k therefore gives the exact result bit for bit.
+    fn scan_sealed(
         &self,
         sid: usize,
-        queries: &[Vec<f32>],
-        qnorms: &[f32],
-        qqs: &[Option<QuantizedQuery>],
         select: &[usize],
-        k: usize,
-    ) -> Vec<(usize, Vec<QueryHit>, usize)> {
+        batch: &Batch<'_>,
+        tops: &mut [TopK],
+        stats: &mut [QueryStats],
+        scratch: &mut Scratch,
+    ) {
         let s = &self.sealed[sid];
+        let n = s.labels.len();
+        let dim = self.dim;
         let offset = sid * self.shard_capacity;
-        let mut out = Vec::with_capacity(select.len());
+        let row = |j: usize| (offset + j, s.labels[j]);
+        for &qi in select {
+            stats[qi].sealed_probed += 1;
+            stats[qi].rows_scanned += n;
+        }
         match &s.rows {
-            RowBlock::F32(data) => {
-                let batch = gemm_runs(
-                    data, &s.labels, self.dim, offset, queries, qnorms, select, k,
-                );
-                for (&qi, run) in select.iter().zip(batch) {
-                    out.push((qi, run, 0));
+            RowBlock::F32(cols) => {
+                for &qi in select {
+                    let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
+                    scan_into(cols, n, query, qnorm, &mut tops[qi], row);
                 }
             }
             RowBlock::Int8 { q, params, max_l1 } => {
-                let mut fast: Vec<(usize, &QuantizedQuery)> = Vec::with_capacity(select.len());
-                let mut exact: Vec<usize> = Vec::new();
                 for &qi in select {
-                    match qqs[qi].as_ref() {
-                        Some(qq) => fast.push((qi, qq)),
-                        None => exact.push(qi),
-                    }
-                }
-                if !fast.is_empty() {
-                    let batch = shard_runs_int8_batch(
-                        q, *params, *max_l1, &s.labels, self.dim, offset, queries, qnorms, &fast, k,
+                    let Some(qq) = &batch.qqs[qi] else { continue };
+                    let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
+                    // combined ≤ ~1/127² per integer unit: the products
+                    // cannot overflow f32 (see dot_i8 — the integer
+                    // accumulation itself is exact)
+                    let combined = params.scale * qq.params.scale / qnorm;
+                    scratch.approx.clear();
+                    scratch.approx.extend(
+                        q.chunks_exact(dim)
+                            .map(|r| dot_i8(r, &qq.q) as f32 * combined),
                     );
-                    for (&(qi, _), (run, rescored)) in fast.iter().zip(batch) {
-                        out.push((qi, run, rescored));
-                    }
-                }
-                if !exact.is_empty() {
-                    // the dequantized values are the canonical rows, so the
-                    // exact walk is an f32 gemm over them
-                    let mut deq = vec![0.0f32; s.labels.len() * self.dim];
-                    s.rows.as_ref().copy_all_into(&mut deq);
-                    let batch = gemm_runs(
-                        &deq, &s.labels, self.dim, offset, queries, qnorms, &exact, k,
+                    scratch.kth.clear();
+                    scratch.kth.extend_from_slice(&scratch.approx);
+                    let kk = tops[qi].k.min(n);
+                    let (_, &mut kth, _) = scratch.kth.select_nth_unstable_by(kk - 1, |a, b| {
+                        b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    let eps = max_l1 * qq.params.step() / qnorm + PRUNE_SLACK;
+                    let cut = kth - 2.0 * eps;
+                    scratch.shortlist.clear();
+                    let approx = &scratch.approx;
+                    scratch
+                        .shortlist
+                        .extend((0..n).filter(|&j| approx[j] >= cut));
+                    stats[qi].rows_rescored += scratch.shortlist.len();
+                    dequantize_cols(q, *params, dim, &scratch.shortlist, &mut scratch.cols);
+                    let shortlist = &scratch.shortlist;
+                    scan_into(
+                        &scratch.cols,
+                        shortlist.len(),
+                        query,
+                        qnorm,
+                        &mut tops[qi],
+                        |i| row(shortlist[i]),
                     );
-                    for (&qi, run) in exact.iter().zip(batch) {
-                        out.push((qi, run, 0));
+                }
+                // the exact walk: the dequantized values are the canonical
+                // rows, so it is the f32 scan over them
+                let exact = || select.iter().copied().filter(|&qi| batch.qqs[qi].is_none());
+                if exact().next().is_some() {
+                    scratch.shortlist.clear();
+                    scratch.shortlist.extend(0..n);
+                    dequantize_cols(q, *params, dim, &scratch.shortlist, &mut scratch.cols);
+                    for qi in exact() {
+                        let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
+                        scan_into(&scratch.cols, n, query, qnorm, &mut tops[qi], row);
                     }
                 }
             }
         }
-        out
     }
 
-    /// All shard storage in storage order: sealed blocks, then the tail
-    /// when it holds rows.
-    pub(crate) fn shard_blocks(&self) -> Vec<(RowsRef<'_>, &[usize])> {
-        let mut v: Vec<(RowsRef<'_>, &[usize])> = self
-            .sealed
-            .iter()
-            .map(|s| (s.rows.as_ref(), s.labels.as_slice()))
-            .collect();
-        if !self.tail.labels.is_empty() {
-            v.push((RowsRef::F32(&self.tail.data), self.tail.labels.as_slice()));
+    /// Labels of storage block `b`: sealed shard `b`, or the tail at
+    /// `b == num_sealed_shards()`.
+    pub(crate) fn block_labels(&self, b: usize) -> &[usize] {
+        self.sealed.get(b).map_or(&self.tail.labels, |s| &s.labels)
+    }
+
+    /// Writes storage block `b`'s rows (see
+    /// [`block_labels`](Self::block_labels)) into `out`, row-major and
+    /// dequantized as needed; `out` holds exactly `rows * dim` floats.
+    pub(crate) fn copy_block_into(&self, b: usize, out: &mut [f32]) {
+        match self.sealed.get(b).map(|s| (&s.rows, s.labels.len())) {
+            Some((RowBlock::F32(cols), n)) => {
+                for (o, v) in out.iter_mut().zip(row_major(cols, n)) {
+                    *o = v;
+                }
+            }
+            Some((RowBlock::Int8 { q, params, .. }, _)) => {
+                for (o, &c) in out.iter_mut().zip(q) {
+                    *o = params.dequantize(c);
+                }
+            }
+            None => out.copy_from_slice(&self.tail.data),
         }
-        v
     }
 
     /// Visits the cosine-similarity Gram matrix one shard×shard block at a
@@ -1525,17 +1485,16 @@ impl ShardedEmbeddingIndex {
     where
         F: FnMut(usize, usize, &Matrix),
     {
-        let shards = self.shard_blocks();
         let mut row_offset = 0;
-        for &(qdata, qlabels) in &shards {
-            let qn = qlabels.len();
+        for qb in 0..self.num_shards() {
+            let qn = self.block_labels(qb).len();
             let mut qm = ws.acquire(qn, self.dim);
-            qdata.copy_all_into(qm.as_mut_slice());
+            self.copy_block_into(qb, qm.as_mut_slice());
             let mut col_offset = 0;
-            for &(ddata, dlabels) in &shards {
-                let dn = dlabels.len();
+            for db in 0..self.num_shards() {
+                let dn = self.block_labels(db).len();
                 let mut dm = ws.acquire(dn, self.dim);
-                ddata.copy_all_into(dm.as_mut_slice());
+                self.copy_block_into(db, dm.as_mut_slice());
                 let mut block = ws.acquire(qn, dn);
                 qm.matmul_nt_into(&dm, &mut block);
                 f(row_offset, col_offset, &block);
@@ -1598,7 +1557,6 @@ impl ShardedEmbeddingIndex {
             let own = self.label(q);
             let hits = top
                 .into_hits()
-                .iter()
                 .filter(|h| self.label(h.index) == own)
                 .count();
             total += hits as f64 / k as f64;
@@ -1646,11 +1604,9 @@ impl ShardedEmbeddingIndex {
         // Gather the canonical (dequantized) rows and labels once.
         let mut rows = vec![0.0f32; n * dim];
         let mut labels: Vec<usize> = Vec::with_capacity(n);
-        for (si, s) in self.sealed.iter().enumerate() {
-            s.rows
-                .as_ref()
-                .copy_all_into(&mut rows[si * cap * dim..(si + 1) * cap * dim]);
-            labels.extend_from_slice(&s.labels);
+        for (si, block) in rows.chunks_exact_mut(cap * dim).enumerate() {
+            self.copy_block_into(si, block);
+            labels.extend_from_slice(self.block_labels(si));
         }
 
         // A strided sample aliases with periodic arrival: round-robin
@@ -1819,44 +1775,32 @@ impl ShardedEmbeddingIndex {
         w.len_of(self.dim);
         w.len_of(self.shard_capacity);
         w.len_of(self.num_shards());
-        let mut scratch: Vec<f32> = Vec::new();
-        for shard in &self.sealed {
+        let mut rows: Vec<f32> = Vec::new();
+        for (si, shard) in self.sealed.iter().enumerate() {
             w.len_of(shard.labels.len());
             for &l in &shard.labels {
                 w.u64(l as u64);
             }
-            match &shard.rows {
-                RowBlock::F32(data) => {
-                    for &v in data {
-                        w.f32(v);
-                    }
-                    // v2: full shards carry their precomputed bounds
-                    for &v in &shard.centroid {
-                        w.f32(v);
-                    }
-                    w.f32(shard.radius);
-                    w.f32(shard.max_norm);
-                }
-                block @ RowBlock::Int8 { .. } => {
-                    // The dequantized values are the canonical rows of a
-                    // quantized shard, and a v2 reload scores them as plain
-                    // f32 with zero quantization slack — so the serialized
-                    // bounds must be recomputed from the dequantized data,
-                    // not copied from the (pre-quantization) stored bounds,
-                    // or the reload could over-prune.
-                    scratch.resize(shard.labels.len() * self.dim, 0.0);
-                    block.as_ref().copy_all_into(&mut scratch);
-                    for &v in &scratch {
-                        w.f32(v);
-                    }
-                    let (centroid, radius, max_norm) = compute_bounds(&scratch, self.dim);
-                    for &v in &centroid {
-                        w.f32(v);
-                    }
-                    w.f32(radius);
-                    w.f32(max_norm);
-                }
+            rows.resize(shard.labels.len() * self.dim, 0.0);
+            self.copy_block_into(si, &mut rows);
+            for &v in &rows {
+                w.f32(v);
             }
+            // v2: full shards carry their bounds. The dequantized values
+            // are the canonical rows of a quantized shard, and a v2 reload
+            // scores them as plain f32 with zero quantization slack — so
+            // its bounds are recomputed from the dequantized rows, not
+            // copied from the (pre-quantization) stored bounds, or the
+            // reload could over-prune.
+            let (centroid, radius, max_norm) = match shard.rows {
+                RowBlock::F32(_) => (shard.centroid.clone(), shard.radius, shard.max_norm),
+                RowBlock::Int8 { .. } => compute_bounds(&rows, self.dim),
+            };
+            for &v in &centroid {
+                w.f32(v);
+            }
+            w.f32(radius);
+            w.f32(max_norm);
         }
         if !self.tail.labels.is_empty() {
             w.len_of(self.tail.labels.len());
@@ -1935,12 +1879,7 @@ impl ShardedEmbeddingIndex {
             for _ in 0..rows * dim {
                 shard.data.push(r.f32()?);
             }
-            if let Some((pos, v)) = implausible_component(shard.data.iter().copied()) {
-                return Err(format!(
-                    "shard {si} row {} holds component {v}, which no normalized row has",
-                    pos / dim
-                ));
-            }
+            check_rows(shard.data.iter().copied(), dim).map_err(|e| format!("shard {si} {e}"))?;
             if rows == shard_capacity {
                 // a full shard is sealed; its bounds are stored from v2 on
                 let block = if r.version() >= 2 {
@@ -1966,6 +1905,7 @@ impl ShardedEmbeddingIndex {
                     SealedShard::from_f32_parts(
                         shard.data,
                         shard.labels,
+                        dim,
                         centroid,
                         radius,
                         max_norm,
@@ -2065,6 +2005,51 @@ mod tests {
         hits.iter()
             .map(|h| (h.index, h.label, h.score.to_bits()))
             .collect()
+    }
+
+    #[test]
+    fn kernel_matches_score_row_bit_for_bit() {
+        // every dim across one tile's worth of components, blocks from
+        // empty to past two full tiles, every fifth row zero; the queries
+        // cover a mixed sign, no positive component (zero rows score
+        // -0.0), zero, and non-finite (both score +0.0)
+        for dim in 1..=33 {
+            let mixed: Vec<f32> = (0..dim).map(|t| (t as f32 * 0.7).sin()).collect();
+            let non_positive: Vec<f32> = mixed.iter().map(|v| -v.abs() - 0.01).collect();
+            let mut nan = mixed.clone();
+            nan[dim / 2] = f32::NAN;
+            let mut inf = mixed.clone();
+            inf[0] = f32::INFINITY;
+            let queries = [mixed, non_positive, vec![0.0; dim], nan, inf];
+            for n in 0..=70 {
+                let mut rows = seeded_rows(n, dim).concat();
+                for row in rows.chunks_exact_mut(dim).step_by(5) {
+                    row.fill(0.0);
+                }
+                let mut cols = Vec::new();
+                to_dim_major(&rows, dim, &mut cols);
+                for query in &queries {
+                    let qnorm = query_norm(query);
+                    let mut got = vec![f32::NAN; n];
+                    let mut next = 0;
+                    score_block(&cols, n, query, qnorm, |j0, scores| {
+                        assert_eq!(j0, next, "tiles arrive in order");
+                        assert!(scores.len() <= TILE);
+                        got[j0..j0 + scores.len()].copy_from_slice(scores);
+                        next += scores.len();
+                    });
+                    assert_eq!(next, n, "every row scored once");
+                    for (j, (row, &score)) in rows.chunks_exact(dim).zip(&got).enumerate() {
+                        let want = crate::index::score_row(row, query, qnorm);
+                        assert_eq!(
+                            score.to_bits(),
+                            want.to_bits(),
+                            "dim {dim} n {n} row {j} query {query:?}: {score} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -2534,13 +2519,14 @@ mod tests {
         w.len_of(index.dim);
         w.len_of(index.shard_capacity);
         w.len_of(index.num_shards());
-        for (rows, labels) in index.shard_blocks() {
+        for b in 0..index.num_shards() {
+            let labels = index.block_labels(b);
             w.len_of(labels.len());
             for &l in labels {
                 w.u64(l as u64);
             }
             let mut data = vec![0.0f32; labels.len() * index.dim];
-            rows.copy_all_into(&mut data);
+            index.copy_block_into(b, &mut data);
             for &v in &data {
                 w.f32(v);
             }

@@ -628,9 +628,9 @@ impl Matrix {
 /// the row counts are inferred from the slice lengths.
 ///
 /// This is [`Matrix::matmul_nt_into`] without the `Matrix` wrapper, so
-/// callers that already hold contiguous row-major storage (the sharded
-/// index's shard blocks, a flattened query batch) can gemm against it
-/// without copying into a `Matrix` first. Each inner dot product starts
+/// callers that already hold contiguous row-major storage can gemm
+/// against it without copying into a `Matrix` first. Each inner dot
+/// product starts
 /// at `-0.0` and accumulates left to right over the two contiguous rows —
 /// the same operation order as a scalar
 /// `fold(-0.0, |s, (x, y)| s + x * y)` dot — so one entry of the output
@@ -638,15 +638,12 @@ impl Matrix {
 /// a zero (a zero row against a query with no positive component scores
 /// `-0.0`, as the scalar dot does).
 ///
-/// With two or more `a` rows, column tiles of `b` are packed transposed
-/// so the sixteen output entries advancing together read contiguous
-/// lanes (a scalar loop takes the remainder): the independent
-/// accumulator chains vectorize and hide the floating-point add latency
-/// that bounds a single dot walk, and the pack amortizes over every `a`
-/// row. A single `a` row (one query) has nothing to amortize the pack
-/// over, so it reads `b`'s rows in place instead, advancing a few of
-/// them together as independent chains. Neither path touches any
-/// individual entry's operation order.
+/// Column tiles of `b` are packed transposed so the sixteen output
+/// entries advancing together read contiguous lanes (a scalar loop takes
+/// the remainder): the independent accumulator chains vectorize and hide
+/// the floating-point add latency that bounds a single dot walk, and the
+/// pack amortizes over every `a` row. Neither touches any individual
+/// entry's operation order.
 ///
 /// # Panics
 ///
@@ -664,36 +661,6 @@ pub fn gemm_nt(a: &[f32], b: &[f32], dim: usize, out: &mut [f32]) {
         "gemm_nt output length {} != {an}x{bn}",
         out.len()
     );
-    if an == 1 {
-        // one row: CHAINS dots advance together, each reading its own
-        // contiguous `b` row, so the adds of different entries overlap
-        // without a transposed copy of `b`
-        const CHAINS: usize = 8;
-        let mut blocks = b.chunks_exact(CHAINS * dim);
-        let mut outs = out.chunks_exact_mut(CHAINS);
-        for (block, o) in (&mut blocks).zip(&mut outs) {
-            let rows: [&[f32]; CHAINS] = std::array::from_fn(|c| &block[c * dim..(c + 1) * dim]);
-            let mut s = [-0.0f32; CHAINS];
-            for (t, &av) in a.iter().enumerate() {
-                for (sc, row) in s.iter_mut().zip(&rows) {
-                    *sc += av * row[t];
-                }
-            }
-            o.copy_from_slice(&s);
-        }
-        for (brow, o) in blocks
-            .remainder()
-            .chunks_exact(dim)
-            .zip(outs.into_remainder())
-        {
-            let mut s = -0.0f32;
-            for (&av, &bv) in a.iter().zip(brow) {
-                s += av * bv;
-            }
-            *o = s;
-        }
-        return;
-    }
     const BLOCK: usize = 64;
     const LANES: usize = 16;
     // bᵀ tile pack: pack[t * jw + jj] = b[(jb + jj) * dim + t]. The
@@ -960,12 +927,10 @@ mod tests {
 
     #[test]
     fn gemm_nt_entries_are_bit_identical_to_scalar_dots() {
-        // straddle the 64-row block boundary on both operands and the
-        // single-row path's chain groups. The `true` cases zero `b` rows 3
-        // and 18 (the packed micro-kernel and its scalar tail at m = 2 and
-        // 3, the chain groups and their remainder at m = 1) against an `a`
-        // with no positive component: every product is -0.0, and so is
-        // the dot from -0.0
+        // straddle the 64-row block boundary on both operands. The `true`
+        // cases zero `b` rows 3 and 18 (the packed micro-kernel and its
+        // scalar tail at m = 1, 2 and 3) against an `a` with no positive
+        // component: every product is -0.0, and so is the dot from -0.0
         for (m, n, d, zero_rows) in [
             (3, 5, 4, false),
             (70, 65, 16, false),

@@ -398,6 +398,52 @@ proptest! {
         }
     }
 
+    /// Identical rows in several shards, the tail included, tie on score,
+    /// so only the insertion index decides which copies make the top-k.
+    /// Every walk reaches a higher-index copy before a lower one: the tail
+    /// (the highest indices) is scanned first, and the threaded walk pushes
+    /// its workers' hits after the tail's. Hits must equal the flat index's
+    /// by index, label and score bits under every option; a top-k that
+    /// evicted by score alone would keep the tail's copies instead.
+    #[test]
+    fn sharded_ties_across_shards_match_flat(
+        dim in 1usize..8,
+        cap in 2usize..8,
+        sealed in 1usize..6,
+        tail_seed in 0usize..8,
+        every in 1usize..4,
+        k in 1usize..10,
+        seed in 0u64..1000,
+    ) {
+        let tail = 1 + tail_seed % (cap - 1);
+        let n = sealed * cap + tail;
+        let fillers = index_rows(n, dim, seed);
+        let target: Vec<f32> = (0..dim).map(|j| 0.3 + (j as f32 * 0.17).sin()).collect();
+        let mut flat = EmbeddingIndex::new(dim);
+        let mut sharded = ShardedEmbeddingIndex::new(dim, cap);
+        for (i, filler) in fillers.iter().enumerate() {
+            // a copy every `every` rows, and always the last (tail) row
+            let row = if i % every == 0 || i + 1 == n { &target } else { filler };
+            flat.insert(row, i % 4);
+            sharded.insert(row, i % 4);
+        }
+        let skew: Vec<f32> = (0..dim)
+            .map(|j| ((j as u64 ^ seed).wrapping_mul(40503) % 101) as f32 / 101.0 - 0.5)
+            .collect();
+        for query in [target.clone(), skew] {
+            let expect = hit_bits(&flat.query(&query, k));
+            for prune in [false, true] {
+                for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
+                    let opts = QueryOptions { prune, threads, parallel_min_rows, int8_scan: true };
+                    let (hits, _) = sharded.query_opts(&query, k, &opts);
+                    prop_assert_eq!(&expect, &hit_bits(&hits), "opts {:?}", opts);
+                    let batch = sharded.query_many(&[query.clone(), target.clone()], k, &opts);
+                    prop_assert_eq!(&expect, &hit_bits(&batch[0].0), "batch opts {:?}", opts);
+                }
+            }
+        }
+    }
+
     /// Bound-based shard pruning and fanned-out shard scans stay
     /// bit-identical to the flat index on *clustered* corpora — the data
     /// shape where pruning actually fires, so the rounding-slack safety
