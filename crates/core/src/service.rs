@@ -58,7 +58,7 @@
 //! loom-lite treatment the publication slot gets.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -360,15 +360,70 @@ fn one_line(s: &str) -> String {
     s.replace(['\n', '\r'], " ")
 }
 
-/// Why [`read_body`] returned no body.
+/// Reads `\n`-terminated lines, each without its `\n` (or `\r\n`), from
+/// a byte stream while storing at most `cap + 1` bytes of any one line:
+/// past that the line is known to be too long ([`BodyError::TooLarge`]),
+/// and the rest of it is skipped as it streams by. Unlike
+/// `BufRead::lines`, a client cannot make it buffer a whole
+/// newline-free line. The cap counts every byte before the `\n`, a
+/// `\r` included. A line that is not UTF-8 is [`BodyError::NotUtf8`]. A
+/// final line without its `\n` still counts; EOF and input errors end
+/// the iteration.
+struct LineReader<R> {
+    input: R,
+    cap: usize,
+    buf: Vec<u8>,
+}
+
+impl<R> LineReader<R> {
+    fn new(input: R, cap: usize) -> Self {
+        let buf = Vec::new();
+        Self { input, cap, buf }
+    }
+}
+
+impl<R: BufRead> Iterator for LineReader<R> {
+    type Item = Result<String, BodyError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.buf.clear();
+        let limit = u64::try_from(self.cap)
+            .unwrap_or(u64::MAX)
+            .saturating_add(1);
+        let read = (&mut self.input)
+            .take(limit)
+            .read_until(b'\n', &mut self.buf)
+            .ok()?;
+        if read == 0 {
+            return None;
+        }
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        } else if self.buf.len() > self.cap {
+            self.input.skip_until(b'\n').ok()?;
+            return Some(Err(BodyError::TooLarge));
+        }
+        Some(match std::str::from_utf8(&self.buf) {
+            Ok(text) => Ok(text.to_string()),
+            Err(_) => Err(BodyError::NotUtf8),
+        })
+    }
+}
+
+/// Why [`read_body`] returned no body, or (`TooLarge`, `NotUtf8`) why
+/// [`LineReader`] refused a line.
 #[derive(Debug, PartialEq, Eq)]
 enum BodyError {
     /// EOF (or an input error) before the `.` terminator: the session
     /// is over, there is nothing left to parse.
     Eof,
-    /// The body outgrew [`ServiceConfig::max_body_bytes`]. The rest of
-    /// the body was drained through the terminator, so the protocol
-    /// stream is still in sync and the session continues.
+    /// The body outgrew [`ServiceConfig::max_body_bytes`], or one of its
+    /// lines alone did. The rest of the body was drained through the
+    /// terminator, so the protocol stream is still in sync and the
+    /// session continues.
     TooLarge,
     /// A body line was not valid UTF-8. The rest of the body was
     /// drained through the terminator, so the session continues.
@@ -386,24 +441,14 @@ impl BodyError {
     }
 }
 
-/// Whether a line read failed only because the line was not UTF-8.
-/// `BufRead::lines` has then consumed that line and goes on with the
-/// next one, so the stream is still in sync.
-fn is_not_utf8(e: &std::io::Error) -> bool {
-    e.kind() == std::io::ErrorKind::InvalidData
-}
-
 /// Drains lines through the `.` terminator without storing them
-/// (non-UTF-8 lines included).
+/// (non-UTF-8 and over-long lines included).
 fn drain_to_dot(
-    lines: &mut impl Iterator<Item = std::io::Result<String>>,
+    lines: &mut impl Iterator<Item = Result<String, BodyError>>,
 ) -> Result<(), BodyError> {
     for line in lines {
-        match line.as_deref() {
-            Ok(".") => return Ok(()),
-            Ok(_) => {}
-            Err(e) if is_not_utf8(e) => {}
-            Err(_) => return Err(BodyError::Eof),
+        if line.as_deref() == Ok(".") {
+            return Ok(());
         }
     }
     Err(BodyError::Eof)
@@ -412,18 +457,17 @@ fn drain_to_dot(
 /// Reads a dot-terminated body (SMTP-style: a lone `.` ends the body, a
 /// leading `..` unescapes to `.`), holding at most `max_body_bytes`.
 fn read_body(
-    lines: &mut impl Iterator<Item = std::io::Result<String>>,
+    lines: &mut impl Iterator<Item = Result<String, BodyError>>,
     max_body_bytes: usize,
 ) -> Result<String, BodyError> {
     let mut body = String::new();
     while let Some(line) = lines.next() {
         let line = match line {
             Ok(line) => line,
-            Err(e) if is_not_utf8(&e) => {
+            Err(e) => {
                 drain_to_dot(lines)?;
-                return Err(BodyError::NotUtf8);
+                return Err(e);
             }
-            Err(_) => return Err(BodyError::Eof),
         };
         if line == "." {
             return Ok(body);
@@ -464,10 +508,11 @@ fn verdict_line(name: &str, verdict: &crate::audit::AuditVerdict) -> String {
 ///
 /// # Errors
 ///
-/// Returns the first I/O error on `output`. A non-UTF-8 command line or
-/// body gets an `ERR` line and the session goes on; any other input
-/// error terminates the session like EOF (the transport died — there is
-/// no one to answer).
+/// Returns the first I/O error on `output`. A non-UTF-8 or over-long
+/// (more than [`ServiceConfig::max_body_bytes`]) command line or body
+/// gets an `ERR` line and the session goes on; no line is stored past
+/// that cap, newline or not. Any other input error terminates the
+/// session like EOF (the transport died — there is no one to answer).
 pub fn run_service<R: BufRead, W: Write + Send>(
     pipeline: &mut AuditPipeline,
     config: &ServiceConfig,
@@ -551,15 +596,20 @@ pub fn run_service<R: BufRead, W: Write + Send>(
             Ok(())
         });
 
-        let mut lines = input.lines();
+        // command lines share the body cap, so no line of any kind is
+        // stored past max_body_bytes + 1 bytes
+        let mut lines = LineReader::new(input, config.max_body_bytes);
         while let Some(next) = lines.next() {
-            // `None`: a command line that was not UTF-8, answered below
+            // `Err`: a command line answered with that ERR line below
             let line = match next {
-                Ok(line) => Some(line.trim_end().to_string()),
-                Err(e) if is_not_utf8(&e) => None,
-                Err(_) => break,
+                Ok(line) => Ok(line.trim_end().to_string()),
+                Err(BodyError::TooLarge) => Err(format!(
+                    "ERR command line exceeds max_body_bytes={}",
+                    config.max_body_bytes
+                )),
+                Err(_) => Err("ERR command line is not valid UTF-8".to_string()),
             };
-            if line.as_deref() == Some("") {
+            if line.as_deref() == Ok("") {
                 continue;
             }
             stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -567,9 +617,12 @@ pub fn run_service<R: BufRead, W: Write + Send>(
             if ticket_tx.send(reply_rx).is_err() {
                 break; // responder died (output closed)
             }
-            let Some(line) = line else {
-                let _ = reply_tx.send("ERR command line is not valid UTF-8".to_string());
-                continue;
+            let line = match line {
+                Ok(line) => line,
+                Err(reply) => {
+                    let _ = reply_tx.send(reply);
+                    continue;
+                }
             };
             let (cmd, arg) = match line.split_once(' ') {
                 Some((c, a)) => (c, a.trim().to_string()),
@@ -917,11 +970,11 @@ mod tests {
     /// later request in order, and still ends with `OK bye`.
     #[test]
     fn non_utf8_lines_get_err_lines_and_session_continues() {
-        let mut lines = b"ok\n\xff\nmore\n.\nNEXT\n".lines();
+        let mut lines = LineReader::new(&b"ok\n\xff\nmore\n.\nNEXT\n"[..], 1 << 20);
         assert_eq!(read_body(&mut lines, 1 << 20), Err(BodyError::NotUtf8));
         assert_eq!(
-            lines.next().map(|l| l.expect("utf8")).as_deref(),
-            Some("NEXT"),
+            lines.next(),
+            Some(Ok("NEXT".to_string())),
             "the bad body is drained through its terminator"
         );
 
@@ -964,7 +1017,7 @@ mod tests {
     #[test]
     fn body_dot_escaping() {
         let raw = "AUDIT x\nline1\n..dotline\n.\n";
-        let mut lines = raw.as_bytes().lines();
+        let mut lines = LineReader::new(raw.as_bytes(), 1 << 20);
         let _cmd = lines.next();
         let body = read_body(&mut lines, 1 << 20).expect("terminated");
         assert_eq!(body, "line1\n.dotline\n");
@@ -974,9 +1027,13 @@ mod tests {
     /// (the next request still parses), and never buffers the excess.
     #[test]
     fn oversized_body_is_rejected_in_sync() {
-        let mut lines = "0123456789\nabcdef\n.\n".as_bytes().lines();
+        let mut lines = LineReader::new("0123456\nabcdef\n.\n".as_bytes(), 8);
         assert_eq!(read_body(&mut lines, 8), Err(BodyError::TooLarge));
-        assert_eq!(lines.next().map(|l| l.expect("utf8")), None, "drained");
+        assert_eq!(lines.next(), None, "drained");
+        // a line longer than the cap alone takes the same drain
+        let mut lines = LineReader::new("0123456789\nab\n.\nNEXT\n".as_bytes(), 8);
+        assert_eq!(read_body(&mut lines, 8), Err(BodyError::TooLarge));
+        assert_eq!(lines.next(), Some(Ok("NEXT".to_string())));
 
         let mut input = String::new();
         input.push_str("INGEST big\n");
@@ -1004,5 +1061,76 @@ mod tests {
         assert_eq!(lines[2], "OK bye");
         assert_eq!(report.ingested, 1);
         assert_eq!(report.rejected, 1);
+    }
+
+    /// The line reader stores at most cap + 1 bytes of a line, however
+    /// long it runs without a newline, and reads on in sync after it.
+    #[test]
+    fn line_reader_buffer_never_grows_past_the_cap() {
+        let cap = 1000;
+        let mut input = vec![b'x'; 100_000];
+        input.extend_from_slice(b"\nshort\r\n");
+        input.extend(std::iter::repeat_n(b'y', cap));
+        input.push(b'\n');
+        input.extend(std::iter::repeat_n(b'z', cap + 1));
+        // a small BufReader capacity makes the long line arrive in pieces
+        let mut lines = LineReader::new(std::io::BufReader::with_capacity(64, &input[..]), cap);
+        let mut read = Vec::new();
+        while let Some(line) = lines.next() {
+            assert!(
+                lines.buf.len() <= cap + 1,
+                "stored {} bytes",
+                lines.buf.len()
+            );
+            read.push(line);
+        }
+        // amortized growth, but bounded by the cap
+        assert!(
+            lines.buf.capacity() <= 2 * (cap + 1),
+            "{}",
+            lines.buf.capacity()
+        );
+        assert_eq!(
+            read,
+            [
+                Err(BodyError::TooLarge),
+                Ok("short".to_string()),
+                Ok("y".repeat(cap)),
+                Err(BodyError::TooLarge), // a final line needs no newline
+            ]
+        );
+    }
+
+    /// An 8 MiB newline-free body line and an 8 MiB command line each
+    /// get their ERR line under a 1 KiB cap, without being buffered, and
+    /// the session goes on to answer the next AUDIT.
+    #[test]
+    fn over_long_lines_get_err_lines_and_session_continues() {
+        let huge = "x".repeat(8 << 20);
+        let mut input = String::new();
+        input.push_str(&format!("AUDIT big\n{huge}\n.\n"));
+        input.push_str(&format!("{huge}\n"));
+        input.push_str(&format!("AUDIT fine\n{INV}\n.\n"));
+        input.push_str("SHUTDOWN\n");
+        let mut pipeline = service_pipeline();
+        let mut out: Vec<u8> = Vec::new();
+        let report = run_service(
+            &mut pipeline,
+            &ServiceConfig {
+                max_body_bytes: 1024,
+                ..ServiceConfig::default()
+            },
+            input.as_bytes(),
+            &mut out,
+        )
+        .expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "one response per request:\n{text}");
+        assert_eq!(lines[0], "ERR audit big: body exceeds max_body_bytes=1024");
+        assert_eq!(lines[1], "ERR command line exceeds max_body_bytes=1024");
+        assert!(lines[2].starts_with("VERDICT fine "), "{}", lines[2]);
+        assert_eq!(lines[3], "OK bye");
+        assert_eq!((report.requests, report.audits, report.rejected), (4, 1, 1));
     }
 }
