@@ -63,10 +63,16 @@ stage_audit() {
 
 stage_serve() {
     # the concurrent serving path under the release profile: N reader
-    # threads auditing published snapshots while a writer ingests, plus
-    # the pruning/parallel-query bit-identity proptests
+    # threads auditing published snapshots while a writer ingests; the
+    # pruning/parallel-query/tie bit-identity proptests; and the index at
+    # the shape `serve` runs on large corpora (50k rows, dim 16, 256-row
+    # shards, k = 5), where saturation asserts that a query's hits in a
+    # batch of 32 equal its batch of one, score bits included, before
+    # timing the two
     cargo test -q --release --offline -p gnn4ip-core concurrent_readers
     cargo test -q --release --offline --test properties -- sharded pruned
+    cargo run -q --release --offline -p gnn4ip-bench --bin saturation -- \
+        --rows 50000 --dim 16 --cap 256 --k 5 --batch 32 --duration-ms 500
 }
 
 stage_service() {

@@ -23,11 +23,14 @@
 //! 1. **×B vs ×1.** The same `--batch` queries run one at a time (a
 //!    `query_opts` loop, each call a `query_many` batch of one) and as
 //!    one `query_many` call of `--batch` queries, each repeated until a
-//!    wall-clock budget elapses. A batch streams every scanned shard
-//!    block through the cache once per *batch* (packed blocked gemm)
-//!    instead of once per query, so the ratio is a memory-traffic win
-//!    that does not need extra cores; a batch of one takes the gemm's
-//!    single-row path, which skips the pack.
+//!    wall-clock budget elapses. Before the clock starts, the phase
+//!    asserts that both return the same hits, score bits included. A
+//!    batch walks the shards once: each dim-major shard block is scored
+//!    for every query of the batch while it is hot in cache, instead of
+//!    being fetched again per query, so the ratio is a memory-traffic
+//!    win that does not need extra cores. Every query keeps a running
+//!    top-k, so rows below its current k-th best score cost one compare
+//!    past their multiply-adds on both sides.
 //! 2. **Saturation.** Readers pace themselves to the aggregate
 //!    `--qps` target, each request scoring one batch against the newest
 //!    published snapshot (`load_if_newer`), while the writer inserts
@@ -143,6 +146,16 @@ fn main() {
     let queries: Vec<Vec<f32>> = (0..batch)
         .map(|q| clustered_query(q, dim, clusters))
         .collect();
+    // both sides must answer alike before either is timed: the index
+    // promises hits independent of batch composition, score bits included
+    let key = |h: &gnn4ip_eval::QueryHit| (h.index, h.label, h.score.to_bits());
+    for (q, (hits, _)) in queries.iter().zip(index.query_many(&queries, k, &opts)) {
+        let alone = index.query_opts(q, k, &opts).0;
+        assert!(
+            alone.iter().map(key).eq(hits.iter().map(key)),
+            "a query's hits in a batch of {batch} differ from its batch of one"
+        );
+    }
     // alternate the two paths across short rounds and keep each path's
     // fastest round: interference on a shared host is one-sided (a busy
     // neighbor only ever slows a round down), so best-of is the
