@@ -35,7 +35,7 @@ use std::sync::Arc;
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter, QuantParams};
 
 use crate::sharded::{
-    check_rows, row_major, RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex,
+    check_rows, RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex,
 };
 
 /// Artifact kind of the corpus manifest file.
@@ -160,9 +160,11 @@ fn shard_bytes(shard: &SealedShard, dim: usize) -> Vec<u8> {
         w.u64(l as u64);
     }
     match &shard.rows {
-        RowBlock::F32(cols) => {
+        RowBlock::F32(_) => {
             w.u8(0);
-            for v in row_major(cols, shard.labels.len()) {
+            let mut rows = vec![0.0f32; shard.labels.len() * dim];
+            shard.copy_rows_into(&mut rows);
+            for v in rows {
                 w.f32(v);
             }
         }

@@ -211,7 +211,7 @@ fn to_dim_major(rows: &[f32], dim: usize, out: &mut Vec<f32>) {
 
 /// The components of a dim-major block of `rows` rows, in row-major
 /// order — the order every byte format and row reader uses.
-pub(crate) fn row_major(cols: &[f32], rows: usize) -> impl Iterator<Item = f32> + '_ {
+fn row_major(cols: &[f32], rows: usize) -> impl Iterator<Item = f32> + '_ {
     (0..rows).flat_map(move |j| cols[j..].iter().step_by(rows).copied())
 }
 
@@ -386,6 +386,23 @@ impl SealedShard {
             max_norm,
             quant_slack: (dim as f32).sqrt() * params.scale,
             content_id,
+        }
+    }
+
+    /// Writes every stored row into `out`, row-major and dequantized as
+    /// needed; `out` holds exactly `rows * dim` floats.
+    pub(crate) fn copy_rows_into(&self, out: &mut [f32]) {
+        match &self.rows {
+            RowBlock::F32(cols) => {
+                for (o, v) in out.iter_mut().zip(row_major(cols, self.labels.len())) {
+                    *o = v;
+                }
+            }
+            RowBlock::Int8 { q, params, .. } => {
+                for (o, &c) in out.iter_mut().zip(q) {
+                    *o = params.dequantize(c);
+                }
+            }
         }
     }
 }
@@ -1456,17 +1473,8 @@ impl ShardedEmbeddingIndex {
     /// [`block_labels`](Self::block_labels)) into `out`, row-major and
     /// dequantized as needed; `out` holds exactly `rows * dim` floats.
     pub(crate) fn copy_block_into(&self, b: usize, out: &mut [f32]) {
-        match self.sealed.get(b).map(|s| (&s.rows, s.labels.len())) {
-            Some((RowBlock::F32(cols), n)) => {
-                for (o, v) in out.iter_mut().zip(row_major(cols, n)) {
-                    *o = v;
-                }
-            }
-            Some((RowBlock::Int8 { q, params, .. }, _)) => {
-                for (o, &c) in out.iter_mut().zip(q) {
-                    *o = params.dequantize(c);
-                }
-            }
+        match self.sealed.get(b) {
+            Some(s) => s.copy_rows_into(out),
             None => out.copy_from_slice(&self.tail.data),
         }
     }
