@@ -196,17 +196,40 @@ impl RowBlock {
     }
 }
 
-/// Writes the row-major `rows` (`dim` components each) into `out` in
-/// dim-major order: component `t` of row `j` at `out[t * n + j]`.
-fn to_dim_major(rows: &[f32], dim: usize, out: &mut Vec<f32>) {
-    let n = rows.len() / dim;
+/// Writes `n` rows of `dim` components into `out` in dim-major order,
+/// component `t` of row `j` at `out[t * n + j]`, reading row `j` through
+/// `row(j)`. Rows go [`TILE`] at a time, so every write fills a run of
+/// contiguous floats while the tile's source rows stay in cache.
+fn write_dim_major<'r>(n: usize, dim: usize, out: &mut Vec<f32>, row: impl Fn(usize) -> &'r [f32]) {
     out.clear();
-    out.resize(rows.len(), 0.0);
-    for (j, row) in rows.chunks_exact(dim).enumerate() {
-        for (t, &v) in row.iter().enumerate() {
-            out[t * n + j] = v;
+    out.resize(n * dim, 0.0);
+    let mut j0 = 0;
+    while j0 < n {
+        let w = TILE.min(n - j0);
+        // a short last tile repeats its last row; only `w` are written
+        let rows: [&[f32]; TILE] = std::array::from_fn(|i| row(j0 + i.min(w - 1)));
+        for t in 0..dim {
+            let band = &mut out[t * n + j0..t * n + j0 + w];
+            // a full tile's width is known at compile time, so it unrolls
+            if let Ok(full) = <&mut [f32; TILE]>::try_from(&mut *band) {
+                for (o, r) in full.iter_mut().zip(&rows) {
+                    *o = r[t];
+                }
+            } else {
+                for (o, r) in band.iter_mut().zip(&rows) {
+                    *o = r[t];
+                }
+            }
         }
+        j0 += w;
     }
+}
+
+/// [`write_dim_major`] of the row-major `rows` (`dim` components each).
+fn to_dim_major(rows: &[f32], dim: usize, out: &mut Vec<f32>) {
+    write_dim_major(rows.len() / dim, dim, out, |j| {
+        &rows[j * dim..(j + 1) * dim]
+    });
 }
 
 /// The components of a dim-major block of `rows` rows, in row-major
@@ -782,20 +805,30 @@ struct Scratch {
     kth: Vec<f32>,
     /// Rows of one query's int8 shortlist.
     shortlist: Vec<usize>,
+    /// Int8 rows dequantized row-major, on their way into `cols`.
+    deq: Vec<f32>,
 }
 
-/// Writes the int8 rows `rows` (row-major codes, `dim` each) dequantized
-/// into `out` in dim-major order: component `t` of the `i`-th listed row
-/// at `out[t * rows.len() + i]`.
-fn dequantize_cols(q: &[i8], params: QuantParams, dim: usize, rows: &[usize], out: &mut Vec<f32>) {
-    let m = rows.len();
-    out.clear();
-    out.resize(m * dim, 0.0);
-    for (i, &r) in rows.iter().enumerate() {
-        for (t, &c) in q[r * dim..(r + 1) * dim].iter().enumerate() {
-            out[t * m + i] = params.dequantize(c);
-        }
+/// The listed int8 rows (row-major codes, `dim` each) dequantized into
+/// `deq` row-major, then written dim-major into `out`: component `t` of
+/// `rows[i]` at `out[t * rows.len() + i]`.
+fn dequantize_cols(
+    q: &[i8],
+    params: QuantParams,
+    dim: usize,
+    rows: &[usize],
+    deq: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    deq.clear();
+    for &r in rows {
+        deq.extend(
+            q[r * dim..(r + 1) * dim]
+                .iter()
+                .map(|&c| params.dequantize(c)),
+        );
     }
+    to_dim_major(deq, dim, out);
 }
 
 /// The per-query scan counts of [`QueryStats`] a fan-out worker
@@ -1246,13 +1279,9 @@ impl ShardedEmbeddingIndex {
             // bound (ties: lower shard id). Each query's bounds come from
             // the kernel over the centroids, gathered dim-major.
             let s_count = self.sealed.len();
-            scratch.cols.clear();
-            scratch.cols.resize(s_count * self.dim, 0.0);
-            for (sid, s) in self.sealed.iter().enumerate() {
-                for (t, &c) in s.centroid.iter().enumerate() {
-                    scratch.cols[t * s_count + sid] = c;
-                }
-            }
+            write_dim_major(s_count, self.dim, &mut scratch.cols, |sid| {
+                &self.sealed[sid].centroid
+            });
             // Upper bound (in exact arithmetic) on any row's score against
             // the query: `dot(r, q̂) = dot(c, q̂) + dot(r − c, q̂) ≤ dot(c,
             // q̂) + ‖r − c‖` by Cauchy–Schwarz, and independently
@@ -1436,7 +1465,14 @@ impl ShardedEmbeddingIndex {
                         .shortlist
                         .extend((0..n).filter(|&j| approx[j] >= cut));
                     stats[qi].rows_rescored += scratch.shortlist.len();
-                    dequantize_cols(q, *params, dim, &scratch.shortlist, &mut scratch.cols);
+                    dequantize_cols(
+                        q,
+                        *params,
+                        dim,
+                        &scratch.shortlist,
+                        &mut scratch.deq,
+                        &mut scratch.cols,
+                    );
                     let shortlist = &scratch.shortlist;
                     scan_into(
                         &scratch.cols,
@@ -1453,7 +1489,14 @@ impl ShardedEmbeddingIndex {
                 if exact().next().is_some() {
                     scratch.shortlist.clear();
                     scratch.shortlist.extend(0..n);
-                    dequantize_cols(q, *params, dim, &scratch.shortlist, &mut scratch.cols);
+                    dequantize_cols(
+                        q,
+                        *params,
+                        dim,
+                        &scratch.shortlist,
+                        &mut scratch.deq,
+                        &mut scratch.cols,
+                    );
                     for qi in exact() {
                         let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
                         scan_into(&scratch.cols, n, query, qnorm, &mut tops[qi], row);
