@@ -291,9 +291,9 @@ fn compute_bounds(data: &[f32], dim: usize) -> (Vec<f32>, f32, f32) {
 
 /// Content address of a shard's stored payload: FNV-1a-64 over a storage
 /// tag, the labels, and the exact stored row bytes in row-major order
-/// (codes + calibration for int8). Two shards with the same id hold the same rows under the
-/// same labels; the append-only layout names shard files by this id so
-/// an unchanged shard is never rewritten.
+/// (codes + calibration for int8). Two shards with the same id hold the
+/// same rows under the same labels; the append-only layout names shard
+/// files by this id so an unchanged shard is never rewritten.
 fn content_id_of(rows: &RowBlock, labels: &[usize]) -> u64 {
     let mut h = Fnv64::new();
     for &l in labels {
