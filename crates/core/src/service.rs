@@ -360,61 +360,42 @@ fn one_line(s: &str) -> String {
     s.replace(['\n', '\r'], " ")
 }
 
-/// Reads `\n`-terminated lines, each without its `\n` (or `\r\n`), from
-/// a byte stream while storing at most `cap + 1` bytes of any one line:
-/// past that the line is known to be too long ([`BodyError::TooLarge`]),
-/// and the rest of it is skipped as it streams by. Unlike
-/// `BufRead::lines`, a client cannot make it buffer a whole
-/// newline-free line. The cap counts every byte before the `\n`, a
-/// `\r` included. A line that is not UTF-8 is [`BodyError::NotUtf8`]. A
-/// final line without its `\n` still counts; EOF and input errors end
-/// the iteration.
-struct LineReader<R> {
-    input: R,
+/// Reads one `\n`-terminated line, without its `\n` (or `\r\n`), while
+/// storing at most `cap + 1` of its bytes in `buf`: past that the line is
+/// known to be too long ([`BodyError::TooLarge`]), and the rest of it is
+/// skipped as it streams by. Unlike `BufRead::lines`, a client cannot
+/// make it buffer a whole newline-free line. The cap counts every byte
+/// before the `\n`, a `\r` included. A line that is not UTF-8 is
+/// [`BodyError::NotUtf8`]. A final line without its `\n` still counts;
+/// EOF and input errors give `None`.
+fn read_line(
+    input: &mut impl BufRead,
     cap: usize,
-    buf: Vec<u8>,
-}
-
-impl<R> LineReader<R> {
-    fn new(input: R, cap: usize) -> Self {
-        let buf = Vec::new();
-        Self { input, cap, buf }
+    buf: &mut Vec<u8>,
+) -> Option<Result<String, BodyError>> {
+    buf.clear();
+    let limit = u64::try_from(cap).unwrap_or(u64::MAX).saturating_add(1);
+    if input.by_ref().take(limit).read_until(b'\n', buf).ok()? == 0 {
+        return None;
     }
-}
-
-impl<R: BufRead> Iterator for LineReader<R> {
-    type Item = Result<String, BodyError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.buf.clear();
-        let limit = u64::try_from(self.cap)
-            .unwrap_or(u64::MAX)
-            .saturating_add(1);
-        let read = (&mut self.input)
-            .take(limit)
-            .read_until(b'\n', &mut self.buf)
-            .ok()?;
-        if read == 0 {
-            return None;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
         }
-        if self.buf.last() == Some(&b'\n') {
-            self.buf.pop();
-            if self.buf.last() == Some(&b'\r') {
-                self.buf.pop();
-            }
-        } else if self.buf.len() > self.cap {
-            self.input.skip_until(b'\n').ok()?;
-            return Some(Err(BodyError::TooLarge));
-        }
-        Some(match std::str::from_utf8(&self.buf) {
-            Ok(text) => Ok(text.to_string()),
-            Err(_) => Err(BodyError::NotUtf8),
-        })
+    } else if buf.len() > cap {
+        input.skip_until(b'\n').ok()?;
+        return Some(Err(BodyError::TooLarge));
     }
+    Some(
+        std::str::from_utf8(buf)
+            .map(str::to_string)
+            .map_err(|_| BodyError::NotUtf8),
+    )
 }
 
 /// Why [`read_body`] returned no body, or (`TooLarge`, `NotUtf8`) why
-/// [`LineReader`] refused a line.
+/// [`read_line`] refused a line.
 #[derive(Debug, PartialEq, Eq)]
 enum BodyError {
     /// EOF (or an input error) before the `.` terminator: the session
@@ -598,7 +579,9 @@ pub fn run_service<R: BufRead, W: Write + Send>(
 
         // command lines share the body cap, so no line of any kind is
         // stored past max_body_bytes + 1 bytes
-        let mut lines = LineReader::new(input, config.max_body_bytes);
+        let (mut input, mut buf) = (input, Vec::new());
+        let mut lines =
+            std::iter::from_fn(|| read_line(&mut input, config.max_body_bytes, &mut buf));
         while let Some(next) = lines.next() {
             // `Err`: a command line answered with that ERR line below
             let line = match next {
@@ -737,6 +720,15 @@ mod tests {
     use crate::audit::AuditConfig;
 
     const INV: &str = "module inv(input a, output y); assign y = ~a; endmodule";
+
+    /// The lines of `input` as `run_service` reads them.
+    fn lines_of(
+        mut input: impl BufRead,
+        cap: usize,
+    ) -> impl Iterator<Item = Result<String, BodyError>> {
+        let mut buf = Vec::new();
+        std::iter::from_fn(move || read_line(&mut input, cap, &mut buf))
+    }
     const XOR2: &str = "module x2(input a, input b, output y); assign y = a ^ b; endmodule";
 
     fn service_pipeline() -> AuditPipeline {
@@ -970,7 +962,7 @@ mod tests {
     /// later request in order, and still ends with `OK bye`.
     #[test]
     fn non_utf8_lines_get_err_lines_and_session_continues() {
-        let mut lines = LineReader::new(&b"ok\n\xff\nmore\n.\nNEXT\n"[..], 1 << 20);
+        let mut lines = lines_of(&b"ok\n\xff\nmore\n.\nNEXT\n"[..], 1 << 20);
         assert_eq!(read_body(&mut lines, 1 << 20), Err(BodyError::NotUtf8));
         assert_eq!(
             lines.next(),
@@ -1017,7 +1009,7 @@ mod tests {
     #[test]
     fn body_dot_escaping() {
         let raw = "AUDIT x\nline1\n..dotline\n.\n";
-        let mut lines = LineReader::new(raw.as_bytes(), 1 << 20);
+        let mut lines = lines_of(raw.as_bytes(), 1 << 20);
         let _cmd = lines.next();
         let body = read_body(&mut lines, 1 << 20).expect("terminated");
         assert_eq!(body, "line1\n.dotline\n");
@@ -1027,11 +1019,11 @@ mod tests {
     /// (the next request still parses), and never buffers the excess.
     #[test]
     fn oversized_body_is_rejected_in_sync() {
-        let mut lines = LineReader::new("0123456\nabcdef\n.\n".as_bytes(), 8);
+        let mut lines = lines_of("0123456\nabcdef\n.\n".as_bytes(), 8);
         assert_eq!(read_body(&mut lines, 8), Err(BodyError::TooLarge));
         assert_eq!(lines.next(), None, "drained");
         // a line longer than the cap alone takes the same drain
-        let mut lines = LineReader::new("0123456789\nab\n.\nNEXT\n".as_bytes(), 8);
+        let mut lines = lines_of("0123456789\nab\n.\nNEXT\n".as_bytes(), 8);
         assert_eq!(read_body(&mut lines, 8), Err(BodyError::TooLarge));
         assert_eq!(lines.next(), Some(Ok("NEXT".to_string())));
 
@@ -1074,22 +1066,14 @@ mod tests {
         input.push(b'\n');
         input.extend(std::iter::repeat_n(b'z', cap + 1));
         // a small BufReader capacity makes the long line arrive in pieces
-        let mut lines = LineReader::new(std::io::BufReader::with_capacity(64, &input[..]), cap);
-        let mut read = Vec::new();
-        while let Some(line) = lines.next() {
-            assert!(
-                lines.buf.len() <= cap + 1,
-                "stored {} bytes",
-                lines.buf.len()
-            );
+        let mut input = std::io::BufReader::with_capacity(64, &input[..]);
+        let (mut buf, mut read) = (Vec::new(), Vec::new());
+        while let Some(line) = read_line(&mut input, cap, &mut buf) {
+            assert!(buf.len() <= cap + 1, "stored {} bytes", buf.len());
             read.push(line);
         }
         // amortized growth, but bounded by the cap
-        assert!(
-            lines.buf.capacity() <= 2 * (cap + 1),
-            "{}",
-            lines.buf.capacity()
-        );
+        assert!(buf.capacity() <= 2 * (cap + 1), "{}", buf.capacity());
         assert_eq!(
             read,
             [

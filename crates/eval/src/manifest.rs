@@ -151,7 +151,8 @@ pub struct CheckpointReport {
 }
 
 /// Serializes one sealed shard into its content-addressed artifact.
-fn shard_bytes(shard: &SealedShard, dim: usize) -> Vec<u8> {
+fn shard_bytes(index: &ShardedEmbeddingIndex, si: usize) -> Vec<u8> {
+    let (shard, dim) = (&index.sealed[si], index.dim);
     let mut w = BinWriter::with_version(CORPUS_SHARD_KIND, CORPUS_VERSION);
     w.u64(shard.content_id);
     w.len_of(dim);
@@ -163,7 +164,7 @@ fn shard_bytes(shard: &SealedShard, dim: usize) -> Vec<u8> {
         RowBlock::F32(_) => {
             w.u8(0);
             let mut rows = vec![0.0f32; shard.labels.len() * dim];
-            shard.copy_rows_into(&mut rows);
+            index.copy_block_into(si, &mut rows);
             for v in rows {
                 w.f32(v);
             }
@@ -309,13 +310,13 @@ impl ShardedEmbeddingIndex {
         std::fs::create_dir_all(dir)
             .map_err(|e| ManifestError::Io(format!("creating {}: {e}", dir.display())))?;
         let mut report = CheckpointReport::default();
-        for shard in &self.sealed {
+        for (si, shard) in self.sealed.iter().enumerate() {
             let file = dir.join(shard_file_name(shard.content_id));
             if file.exists() {
                 report.shards_reused += 1;
                 continue;
             }
-            let bytes = shard_bytes(shard, self.dim);
+            let bytes = shard_bytes(self, si);
             write_artifact(&file, &bytes).map_err(ManifestError::Io)?;
             report.shards_written += 1;
             report.bytes_written += bytes.len();

@@ -411,23 +411,6 @@ impl SealedShard {
             content_id,
         }
     }
-
-    /// Writes every stored row into `out`, row-major and dequantized as
-    /// needed; `out` holds exactly `rows * dim` floats.
-    pub(crate) fn copy_rows_into(&self, out: &mut [f32]) {
-        match &self.rows {
-            RowBlock::F32(cols) => {
-                for (o, v) in out.iter_mut().zip(row_major(cols, self.labels.len())) {
-                    *o = v;
-                }
-            }
-            RowBlock::Int8 { q, params, .. } => {
-                for (o, &c) in out.iter_mut().zip(q) {
-                    *o = params.dequantize(c);
-                }
-            }
-        }
-    }
 }
 
 /// `max_i Σ_j |dequantize(q_ij)|` over the rows of a quantized block.
@@ -654,24 +637,14 @@ impl TopK {
             .collect()
     }
 
-    /// Whether `k` hits are retained — the floor is only meaningful then.
-    fn is_full(&self) -> bool {
-        self.heap.len() == self.k
-    }
-
-    /// Score of the worst retained hit (`-inf` when empty).
-    fn worst_score(&self) -> f32 {
-        self.heap.peek().map_or(f32::NEG_INFINITY, |w| w.0.score)
-    }
-
-    /// The lowest score a new hit needs to be kept: the worst retained
-    /// score once full, the gate before. A hit *at* the threshold may
-    /// still win on its index, so callers skip only hits below it.
+    /// The lowest score a new hit needs to be kept, which is the floor
+    /// pruning reads: the worst retained score once `k` hits are kept,
+    /// the gate before. A hit *at* the threshold may still win on its
+    /// index, so callers skip only hits below it.
     fn threshold(&self) -> f32 {
-        if self.is_full() {
-            self.worst_score()
-        } else {
-            self.gate
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() == self.k => worst.0.score,
+            _ => self.gate,
         }
     }
 }
@@ -765,30 +738,13 @@ fn scan_into(
     });
 }
 
-/// A query quantized once per [`ShardedEmbeddingIndex::query_many`]
-/// call with its own symmetric calibration, shared by every int8 shard
-/// scan of that query.
-struct QuantizedQuery {
-    q: Vec<i8>,
-    params: QuantParams,
-}
-
-impl QuantizedQuery {
-    fn new(query: &[f32]) -> Self {
-        let params = QuantParams::calibrate(query);
-        let mut q = Vec::new();
-        params.quantize_into(query, &mut q);
-        Self { q, params }
-    }
-}
-
 /// What every scan step of one [`ShardedEmbeddingIndex::query_many`]
 /// call reads: the batch, each query's norm, and each query's quantized
-/// form when an int8 shard scan could use it.
+/// form (codes and calibration) when an int8 shard scan could use it.
 struct Batch<'a> {
     queries: &'a [Vec<f32>],
     qnorms: Vec<f32>,
-    qqs: Vec<Option<QuantizedQuery>>,
+    qqs: Vec<Option<(Vec<i8>, QuantParams)>>,
 }
 
 /// Buffers the scan steps of one call (or of one worker) reuse, so no
@@ -829,14 +785,6 @@ fn dequantize_cols(
         );
     }
     to_dim_major(deq, dim, out);
-}
-
-/// The per-query scan counts of [`QueryStats`] a fan-out worker
-/// gathered, added into the caller's.
-fn add_scan_counts(into: &mut QueryStats, from: &QueryStats) {
-    into.sealed_probed += from.sealed_probed;
-    into.rows_scanned += from.rows_scanned;
-    into.rows_rescored += from.rows_rescored;
 }
 
 /// The splitmix64 output function: a stateless deterministic mixer.
@@ -1173,15 +1121,19 @@ impl ShardedEmbeddingIndex {
         }
         let total = self.len();
         let qnorms: Vec<f32> = queries.iter().map(|q| query_norm(q)).collect();
-        // quantize each query once when an int8 shard scan could use it;
-        // a degenerate qnorm takes score_row's zero-query path, where the
-        // int8 approximation math (which divides by qnorm) has no meaning
-        let qqs: Vec<Option<QuantizedQuery>> = queries
+        // quantize each query once, with its own symmetric calibration,
+        // when an int8 shard scan could use it; a degenerate qnorm takes
+        // score_row's zero-query path, where the int8 approximation math
+        // (which divides by qnorm) has no meaning
+        let qqs = queries
             .iter()
             .zip(&qnorms)
             .map(|(q, &qnorm)| match self.storage {
                 ShardStorage::Int8 if opts.int8_scan && qnorm.is_finite() && qnorm >= 1e-12 => {
-                    Some(QuantizedQuery::new(q))
+                    let params = QuantParams::calibrate(q);
+                    let mut codes = Vec::new();
+                    params.quantize_into(q, &mut codes);
+                    Some((codes, params))
                 }
                 _ => None,
             })
@@ -1258,7 +1210,10 @@ impl ShardedEmbeddingIndex {
             });
             for (local, counts) in parts {
                 for (qi, (top, count)) in local.into_iter().zip(&counts).enumerate() {
-                    add_scan_counts(&mut stats[qi], count);
+                    let st = &mut stats[qi];
+                    st.sealed_probed += count.sealed_probed;
+                    st.rows_scanned += count.rows_scanned;
+                    st.rows_rescored += count.rows_rescored;
                     for hit in top.into_hits() {
                         tops[qi].push(hit);
                     }
@@ -1326,8 +1281,7 @@ impl ShardedEmbeddingIndex {
 
             // strict <: a shard that can only tie the floor may still win
             // a tie-break on insertion index, so it is scanned
-            let pruned =
-                |floor: &TopK, bnd: f32| floor.is_full() && bnd + PRUNE_SLACK < floor.worst_score();
+            let pruned = |floor: &TopK, bnd: f32| bnd + PRUNE_SLACK < floor.threshold();
             // Threaded, the walk scans its first shard for the whole batch
             // on this thread, prunes the rest against the floors that
             // leaves (lower bounds of the final floors, so still sound) and
@@ -1342,11 +1296,7 @@ impl ShardedEmbeddingIndex {
                 // bounds descend in batch-max: once the best remaining
                 // bound loses to every query's full floor, everything left
                 // is pruned for the whole batch
-                if !seed
-                    && tops
-                        .iter()
-                        .all(|f| f.is_full() && maxb + PRUNE_SLACK < f.worst_score())
-                {
+                if !seed && tops.iter().all(|f| pruned(f, maxb)) {
                     for st in stats.iter_mut() {
                         st.sealed_pruned += order.len() - oi;
                     }
@@ -1440,16 +1390,18 @@ impl ShardedEmbeddingIndex {
             }
             RowBlock::Int8 { q, params, max_l1 } => {
                 for &qi in select {
-                    let Some(qq) = &batch.qqs[qi] else { continue };
+                    let Some((qcodes, qparams)) = &batch.qqs[qi] else {
+                        continue;
+                    };
                     let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
                     // combined ≤ ~1/127² per integer unit: the products
                     // cannot overflow f32 (see dot_i8 — the integer
                     // accumulation itself is exact)
-                    let combined = params.scale * qq.params.scale / qnorm;
+                    let combined = params.scale * qparams.scale / qnorm;
                     scratch.approx.clear();
                     scratch.approx.extend(
                         q.chunks_exact(dim)
-                            .map(|r| dot_i8(r, &qq.q) as f32 * combined),
+                            .map(|r| dot_i8(r, qcodes) as f32 * combined),
                     );
                     scratch.kth.clear();
                     scratch.kth.extend_from_slice(&scratch.approx);
@@ -1457,7 +1409,7 @@ impl ShardedEmbeddingIndex {
                     let (_, &mut kth, _) = scratch.kth.select_nth_unstable_by(kk - 1, |a, b| {
                         b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
                     });
-                    let eps = max_l1 * qq.params.step() / qnorm + PRUNE_SLACK;
+                    let eps = max_l1 * qparams.step() / qnorm + PRUNE_SLACK;
                     let cut = kth - 2.0 * eps;
                     scratch.shortlist.clear();
                     let approx = &scratch.approx;
@@ -1516,9 +1468,20 @@ impl ShardedEmbeddingIndex {
     /// [`block_labels`](Self::block_labels)) into `out`, row-major and
     /// dequantized as needed; `out` holds exactly `rows * dim` floats.
     pub(crate) fn copy_block_into(&self, b: usize, out: &mut [f32]) {
-        match self.sealed.get(b) {
-            Some(s) => s.copy_rows_into(out),
-            None => out.copy_from_slice(&self.tail.data),
+        let Some(s) = self.sealed.get(b) else {
+            return out.copy_from_slice(&self.tail.data);
+        };
+        match &s.rows {
+            RowBlock::F32(cols) => {
+                for (o, v) in out.iter_mut().zip(row_major(cols, s.labels.len())) {
+                    *o = v;
+                }
+            }
+            RowBlock::Int8 { q, params, .. } => {
+                for (o, &c) in out.iter_mut().zip(q) {
+                    *o = params.dequantize(c);
+                }
+            }
         }
     }
 
