@@ -259,6 +259,15 @@ fn parse_shard(
     let radius = r.f32().map_err(fmt)?;
     let max_norm = r.f32().map_err(fmt)?;
     r.done().map_err(fmt)?;
+    // same sanity gate as the monolithic loader: a forged non-finite or
+    // negative bound would silently over-prune, which is worse than
+    // failing loudly
+    let sane = |v: f32| v.is_finite() && v >= 0.0;
+    if !sane(radius) || !sane(max_norm) || centroid.iter().any(|v| !v.is_finite()) {
+        return Err(fmt(format!(
+            "corrupt bounds (radius {radius}, max_norm {max_norm}, or non-finite centroid)"
+        )));
+    }
     // rows must be ones `insert` could have stored (int8 rows through
     // their dequantized, canonical values): anything else could score
     // NaN or outside [-1, 1]
@@ -714,34 +723,43 @@ mod tests {
     fn implausible_rows_are_rejected() {
         // forge one component no normalized row holds into a sealed f32
         // shard, a sealed int8 shard (through its dequantized value) and
-        // the tail; each file is otherwise consistent, content id included
+        // the tail, or bounds no sealed shard carries into a shard of
+        // valid rows; each file is otherwise consistent, content id
+        // included (the id covers labels and rows, not bounds)
         let forge = |storage: ShardStorage, what: &str| {
             let mut index = synthetic_index(storage, 13); // 3 sealed + 1 tail
-            match what {
-                "tail" => index.tail.data[4] = f32::NAN,
-                _ => {
-                    let s = &index.sealed[1];
-                    let mut rows = vec![0.0f32; s.labels.len() * index.dim];
-                    index.copy_block_into(1, &mut rows);
+            if what == "tail" {
+                index.tail.data[4] = f32::NAN;
+            } else {
+                let s = &index.sealed[1];
+                let mut rows = vec![0.0f32; s.labels.len() * index.dim];
+                index.copy_block_into(1, &mut rows);
+                let labels = s.labels.clone();
+                let (c, mut r, mut m) = (s.centroid.clone(), s.radius, s.max_norm);
+                // a scale no calibration of unit rows produces
+                let mut params = QuantParams {
+                    scale: 0.1,
+                    zero_point: 0,
+                };
+                if what == "bounds" {
+                    // bounds that would prune the shard for every query
+                    (r, m) = (f32::NEG_INFINITY, -0.5);
+                    if let RowBlock::Int8 { params: p, .. } = &s.rows {
+                        params = *p;
+                    }
+                } else {
                     rows[7] = 1.5;
-                    let labels = s.labels.clone();
-                    let (c, r, m) = (s.centroid.clone(), s.radius, s.max_norm);
-                    index.sealed[1] = Arc::new(match storage {
-                        ShardStorage::F32 => {
-                            SealedShard::from_f32_parts(rows, labels, index.dim, c, r, m)
-                        }
-                        ShardStorage::Int8 => {
-                            // a scale no calibration of unit rows produces
-                            let params = QuantParams {
-                                scale: 0.1,
-                                zero_point: 0,
-                            };
-                            let mut q = Vec::new();
-                            params.quantize_into(&rows, &mut q);
-                            SealedShard::from_int8_parts(q, params, labels, index.dim, c, r, m)
-                        }
-                    });
                 }
+                index.sealed[1] = Arc::new(match storage {
+                    ShardStorage::F32 => {
+                        SealedShard::from_f32_parts(rows, labels, index.dim, c, r, m)
+                    }
+                    ShardStorage::Int8 => {
+                        let mut q = Vec::new();
+                        params.quantize_into(&rows, &mut q);
+                        SealedShard::from_int8_parts(q, params, labels, index.dim, c, r, m)
+                    }
+                });
             }
             let dir = tmp_dir(&format!("implausible-{storage:?}-{what}"));
             index.checkpoint_dir(&dir, 0).unwrap();
@@ -752,6 +770,10 @@ mod tests {
         for storage in [ShardStorage::F32, ShardStorage::Int8] {
             match forge(storage, "sealed") {
                 ManifestError::Format(e) => assert!(e.contains("row 1 holds component"), "{e}"),
+                other => panic!("{storage:?}: expected Format, got {other:?}"),
+            }
+            match forge(storage, "bounds") {
+                ManifestError::Format(e) => assert!(e.contains("corrupt bounds"), "{e}"),
                 other => panic!("{storage:?}: expected Format, got {other:?}"),
             }
         }
