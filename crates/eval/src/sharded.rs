@@ -567,13 +567,9 @@ pub struct RebalanceReport {
 /// a non-finite norm scores 0 — so no NaN ever reaches a `TopK`.
 ///
 /// The walk keeps one per query as that query's answer, and its worst
-/// score doubles as the floor the shard bounds are pruned against. An
-/// optional `gate` drops every hit scoring below it: a worker thread's
-/// `TopK` is gated at the query's floor when the fan-out starts, so it
-/// keeps only hits that could still reach the final top-k.
+/// score doubles as the floor the shard bounds are pruned against.
 struct TopK {
     k: usize,
-    gate: f32,
     heap: std::collections::BinaryHeap<WorstFirst>,
 }
 
@@ -599,21 +595,13 @@ impl Ord for WorstFirst {
 
 impl TopK {
     fn new(k: usize) -> Self {
-        Self::gated(k, f32::NEG_INFINITY)
-    }
-
-    fn gated(k: usize, gate: f32) -> Self {
         Self {
             k,
-            gate,
             heap: std::collections::BinaryHeap::with_capacity(k),
         }
     }
 
     fn push(&mut self, hit: QueryHit) {
-        if hit.score < self.gate {
-            return;
-        }
         if self.heap.len() < self.k {
             self.heap.push(WorstFirst(hit));
         } else if let Some(mut worst) = self.heap.peek_mut() {
@@ -639,12 +627,12 @@ impl TopK {
 
     /// The lowest score a new hit needs to be kept, which is the floor
     /// pruning reads: the worst retained score once `k` hits are kept,
-    /// the gate before. A hit *at* the threshold may still win on its
+    /// `-inf` before. A hit *at* the threshold may still win on its
     /// index, so callers skip only hits below it.
     fn threshold(&self) -> f32 {
         match self.heap.peek() {
             Some(worst) if self.heap.len() == self.k => worst.0.score,
-            _ => self.gate,
+            _ => f32::NEG_INFINITY,
         }
     }
 }
@@ -1087,8 +1075,8 @@ impl ShardedEmbeddingIndex {
     ///   those fixed floors (lower bounds of the final ones, so still
     ///   sound), and the surviving `(shard, query subset)` scans fan out
     ///   across [`fan_out`] workers. Each worker keeps its own top-k per
-    ///   query, gated at that query's fixed floor, and the caller pushes
-    ///   the workers' hits into each query's top-k. This prunes slightly
+    ///   query, and the caller pushes the workers' hits into each
+    ///   query's top-k. This prunes slightly
     ///   less but keeps workers independent; the result never differs.
     /// - **int8 shortlists.** On an int8 shard every query runs its own
     ///   integer approximate scan, then rescores the rows that can still
@@ -1188,12 +1176,8 @@ impl ShardedEmbeddingIndex {
                 }
                 return;
             }
-            // a worker's top-k is gated at the query's floor now, a lower
-            // bound of its final floor, so it keeps only rows that may
-            // still reach the final top-k
-            let gates: Vec<f32> = tops.iter().map(TopK::threshold).collect();
             let parts = fan_out(work, opts.threads, |_tid, chunk| {
-                let mut local: Vec<TopK> = gates.iter().map(|&g| TopK::gated(kk, g)).collect();
+                let mut local: Vec<TopK> = (0..nq).map(|_| TopK::new(kk)).collect();
                 let mut counts = vec![QueryStats::default(); nq];
                 let mut scratch = Scratch::default();
                 for (sid, range) in chunk {
