@@ -43,7 +43,7 @@ mod tape;
 mod workspace;
 
 pub use gradcheck::{check_gradient, GradCheckReport};
-pub use matrix::{gemm_nt, Matrix};
+pub use matrix::Matrix;
 pub use optim::{Adam, GradAccum, Optimizer, ParamId, ParamStore, Sgd};
 pub use parallel::{fan_out, worker_count};
 pub use quant::{dot_i8, QuantParams};

@@ -322,9 +322,21 @@ impl Matrix {
 
     /// [`Matrix::matmul_nt`] into a caller-provided buffer.
     ///
-    /// Blocked over row tiles of both operands so corpus-scale Gram matrices
-    /// (`n` in the thousands) keep both tiles resident in cache; each inner
-    /// dot product runs over two contiguous rows.
+    /// Each entry's dot product starts at `-0.0` and accumulates left to
+    /// right over the two contiguous rows — the same operation order as
+    /// a scalar `fold(-0.0, |s, (x, y)| s + x * y)` dot — so one entry is
+    /// bit-identical to scoring that row pair alone, down to the sign of
+    /// a zero (a zero row against one with no positive component gives
+    /// `-0.0`, as the scalar dot does).
+    ///
+    /// Blocked over 64-row tiles of `rhs` so corpus-scale Gram matrices
+    /// (`n` in the thousands) keep the tile resident in cache. Each tile
+    /// is packed transposed so the sixteen output entries advancing
+    /// together read contiguous lanes (a scalar loop takes the
+    /// remainder): the independent accumulator chains vectorize and hide
+    /// the floating-point add latency that bounds a single dot walk, and
+    /// the pack amortizes over every `self` row. Neither touches any
+    /// individual entry's operation order.
     ///
     /// # Panics
     ///
@@ -348,7 +360,86 @@ impl Matrix {
             self.rows,
             rhs.rows()
         );
-        gemm_nt(&self.data, &rhs.data, self.cols, &mut out.data);
+        const BLOCK: usize = 64;
+        const LANES: usize = 16;
+        let (a, b, dim) = (&self.data, &rhs.data, self.cols);
+        let (an, bn) = (self.rows, rhs.rows());
+        let out = &mut out.data;
+        // bᵀ tile pack: pack[t * jw + jj] = b[(jb + jj) * dim + t]. The
+        // transpose makes the LANES entries advancing together
+        // *contiguous* in the inner loop, so it vectorizes as plain SIMD
+        // lanes instead of one strided load per accumulator chain; one
+        // 8 KiB-per-32-dims tile amortizes over every `a` row, and the
+        // 2x16 micro-kernel reuses each tile load for two `a` rows.
+        let mut pack = vec![0.0f32; BLOCK.min(bn) * dim];
+        for jb in (0..bn).step_by(BLOCK) {
+            let jmax = (jb + BLOCK).min(bn);
+            let jw = jmax - jb;
+            for jj in 0..jw {
+                let brow = &b[(jb + jj) * dim..(jb + jj + 1) * dim];
+                for (t, &v) in brow.iter().enumerate() {
+                    pack[t * jw + jj] = v;
+                }
+            }
+            let mut i = 0;
+            while i + 2 <= an {
+                let a0 = &a[i * dim..(i + 1) * dim];
+                let a1 = &a[(i + 1) * dim..(i + 2) * dim];
+                let mut jj = 0;
+                while jj + LANES <= jw {
+                    let mut s0 = [-0.0f32; LANES];
+                    let mut s1 = [-0.0f32; LANES];
+                    for t in 0..dim {
+                        let (av0, av1) = (a0[t], a1[t]);
+                        let tile = &pack[t * jw + jj..t * jw + jj + LANES];
+                        for ((x0, x1), &tv) in s0.iter_mut().zip(&mut s1).zip(tile) {
+                            *x0 += av0 * tv;
+                            *x1 += av1 * tv;
+                        }
+                    }
+                    out[i * bn + jb + jj..i * bn + jb + jj + LANES].copy_from_slice(&s0);
+                    out[(i + 1) * bn + jb + jj..(i + 1) * bn + jb + jj + LANES]
+                        .copy_from_slice(&s1);
+                    jj += LANES;
+                }
+                while jj < jw {
+                    let (mut s0, mut s1) = (-0.0f32, -0.0f32);
+                    for t in 0..dim {
+                        let tv = pack[t * jw + jj];
+                        s0 += a0[t] * tv;
+                        s1 += a1[t] * tv;
+                    }
+                    out[i * bn + jb + jj] = s0;
+                    out[(i + 1) * bn + jb + jj] = s1;
+                    jj += 1;
+                }
+                i += 2;
+            }
+            if i < an {
+                let arow = &a[i * dim..(i + 1) * dim];
+                let orow = &mut out[i * bn + jb..i * bn + jmax];
+                let mut jj = 0;
+                while jj + LANES <= jw {
+                    let mut s = [-0.0f32; LANES];
+                    for (t, &av) in arow.iter().enumerate() {
+                        let tile = &pack[t * jw + jj..t * jw + jj + LANES];
+                        for (sl, &tv) in s.iter_mut().zip(tile) {
+                            *sl += av * tv;
+                        }
+                    }
+                    orow[jj..jj + LANES].copy_from_slice(&s);
+                    jj += LANES;
+                }
+                while jj < jw {
+                    let mut s = -0.0f32;
+                    for (t, &av) in arow.iter().enumerate() {
+                        s += av * pack[t * jw + jj];
+                    }
+                    orow[jj] = s;
+                    jj += 1;
+                }
+            }
+        }
     }
 
     /// Transposed copy.
@@ -623,122 +714,6 @@ impl Matrix {
     }
 }
 
-/// Blocked `A · Bᵀ` over raw row-major slices: `out[i*bn + j] =
-/// dot(a_row_i, b_row_j)` where `a` is `an x dim`, `b` is `bn x dim`, and
-/// the row counts are inferred from the slice lengths.
-///
-/// This is [`Matrix::matmul_nt_into`] without the `Matrix` wrapper, so
-/// callers that already hold contiguous row-major storage can gemm
-/// against it without copying into a `Matrix` first. Each inner dot
-/// product starts
-/// at `-0.0` and accumulates left to right over the two contiguous rows —
-/// the same operation order as a scalar
-/// `fold(-0.0, |s, (x, y)| s + x * y)` dot — so one entry of the output
-/// is bit-identical to scoring that row pair alone, down to the sign of
-/// a zero (a zero row against a query with no positive component scores
-/// `-0.0`, as the scalar dot does).
-///
-/// Column tiles of `b` are packed transposed so the sixteen output
-/// entries advancing together read contiguous lanes (a scalar loop takes
-/// the remainder): the independent accumulator chains vectorize and hide
-/// the floating-point add latency that bounds a single dot walk, and the
-/// pack amortizes over every `a` row. Neither touches any individual
-/// entry's operation order.
-///
-/// # Panics
-///
-/// Panics if `dim` is zero, either slice length is not a multiple of
-/// `dim`, or `out` is not exactly `an * bn` long.
-pub fn gemm_nt(a: &[f32], b: &[f32], dim: usize, out: &mut [f32]) {
-    assert!(dim > 0, "gemm_nt dim must be positive");
-    assert_eq!(a.len() % dim, 0, "gemm_nt lhs length not a multiple of dim");
-    assert_eq!(b.len() % dim, 0, "gemm_nt rhs length not a multiple of dim");
-    let an = a.len() / dim;
-    let bn = b.len() / dim;
-    assert_eq!(
-        out.len(),
-        an * bn,
-        "gemm_nt output length {} != {an}x{bn}",
-        out.len()
-    );
-    const BLOCK: usize = 64;
-    const LANES: usize = 16;
-    // bᵀ tile pack: pack[t * jw + jj] = b[(jb + jj) * dim + t]. The
-    // transpose makes the LANES entries advancing together *contiguous*
-    // in the inner loop, so it vectorizes as plain SIMD lanes instead of
-    // one strided load per accumulator chain; one 8 KiB-per-32-dims tile
-    // amortizes over every `a` row, and the 2x16 micro-kernel reuses each
-    // tile load for two `a` rows.
-    let mut pack = vec![0.0f32; BLOCK.min(bn) * dim];
-    for jb in (0..bn).step_by(BLOCK) {
-        let jmax = (jb + BLOCK).min(bn);
-        let jw = jmax - jb;
-        for jj in 0..jw {
-            let brow = &b[(jb + jj) * dim..(jb + jj + 1) * dim];
-            for (t, &v) in brow.iter().enumerate() {
-                pack[t * jw + jj] = v;
-            }
-        }
-        let mut i = 0;
-        while i + 2 <= an {
-            let a0 = &a[i * dim..(i + 1) * dim];
-            let a1 = &a[(i + 1) * dim..(i + 2) * dim];
-            let mut jj = 0;
-            while jj + LANES <= jw {
-                let mut s0 = [-0.0f32; LANES];
-                let mut s1 = [-0.0f32; LANES];
-                for t in 0..dim {
-                    let (av0, av1) = (a0[t], a1[t]);
-                    let tile = &pack[t * jw + jj..t * jw + jj + LANES];
-                    for ((x0, x1), &tv) in s0.iter_mut().zip(&mut s1).zip(tile) {
-                        *x0 += av0 * tv;
-                        *x1 += av1 * tv;
-                    }
-                }
-                out[i * bn + jb + jj..i * bn + jb + jj + LANES].copy_from_slice(&s0);
-                out[(i + 1) * bn + jb + jj..(i + 1) * bn + jb + jj + LANES].copy_from_slice(&s1);
-                jj += LANES;
-            }
-            while jj < jw {
-                let (mut s0, mut s1) = (-0.0f32, -0.0f32);
-                for t in 0..dim {
-                    let tv = pack[t * jw + jj];
-                    s0 += a0[t] * tv;
-                    s1 += a1[t] * tv;
-                }
-                out[i * bn + jb + jj] = s0;
-                out[(i + 1) * bn + jb + jj] = s1;
-                jj += 1;
-            }
-            i += 2;
-        }
-        if i < an {
-            let arow = &a[i * dim..(i + 1) * dim];
-            let orow = &mut out[i * bn + jb..i * bn + jmax];
-            let mut jj = 0;
-            while jj + LANES <= jw {
-                let mut s = [-0.0f32; LANES];
-                for (t, &av) in arow.iter().enumerate() {
-                    let tile = &pack[t * jw + jj..t * jw + jj + LANES];
-                    for (sl, &tv) in s.iter_mut().zip(tile) {
-                        *sl += av * tv;
-                    }
-                }
-                orow[jj..jj + LANES].copy_from_slice(&s);
-                jj += LANES;
-            }
-            while jj < jw {
-                let mut s = -0.0f32;
-                for (t, &av) in arow.iter().enumerate() {
-                    s += av * pack[t * jw + jj];
-                }
-                orow[jj] = s;
-                jj += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -926,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_entries_are_bit_identical_to_scalar_dots() {
+    fn matmul_nt_entries_are_bit_identical_to_scalar_dots() {
         // straddle the 64-row block boundary on both operands. The `true`
         // cases zero `b` rows 3 and 18 (the packed micro-kernel and its
         // scalar tail at m = 1, 2 and 3) against an `a` with no positive
@@ -959,8 +934,9 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut out = vec![0.0f32; m * n];
-            gemm_nt(&a, &b, d, &mut out);
+            let out = Matrix::from_vec(m, d, a.clone())
+                .matmul_nt(&Matrix::from_vec(n, d, b.clone()))
+                .into_vec();
             for i in 0..m {
                 for j in 0..n {
                     let dot = a[i * d..(i + 1) * d]
@@ -979,10 +955,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gemm_nt output length")]
-    fn gemm_nt_rejects_bad_output_length() {
-        let mut out = vec![0.0f32; 3];
-        gemm_nt(&[1.0, 2.0], &[3.0, 4.0], 2, &mut out);
+    #[should_panic(expected = "matmul_nt_into output shape")]
+    fn matmul_nt_into_rejects_bad_output_shape() {
+        let mut out = Matrix::zeros(1, 3);
+        Matrix::zeros(1, 2).matmul_nt_into(&Matrix::zeros(1, 2), &mut out);
     }
 
     #[test]
