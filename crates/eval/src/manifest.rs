@@ -35,7 +35,7 @@ use std::sync::Arc;
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter, QuantParams};
 
 use crate::sharded::{
-    check_rows, RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex,
+    check_rows, row_major, RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex,
 };
 
 /// Artifact kind of the corpus manifest file.
@@ -175,7 +175,7 @@ fn shard_bytes(index: &ShardedEmbeddingIndex, si: usize) -> Vec<u8> {
             // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
             w.u8(params.zero_point as u8);
             // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
-            let codes: Vec<u8> = q.iter().map(|&c| c as u8).collect();
+            let codes: Vec<u8> = row_major(q, shard.labels.len()).map(|c| c as u8).collect();
             w.bytes(&codes);
         }
     }

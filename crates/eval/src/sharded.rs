@@ -23,8 +23,8 @@
 //!
 //! Every query goes through one walk,
 //! [`query_many`](ShardedEmbeddingIndex::query_many); a single query is a
-//! batch of one. Sealed f32 shards store their rows *dim-major*
-//! (component `t` of row `j` at `[t * rows + j]`), and one kernel scores
+//! batch of one. Sealed shards store their rows *dim-major* (component
+//! `t` of row `j` at `[t * rows + j]`, f32 or int8), and one kernel scores
 //! 32 rows per tile straight into a running top-k per query, so a row
 //! below the query's current k-th best score costs its multiply-adds and
 //! one compare. Sealed shards whose *best possible* score (from the
@@ -48,10 +48,11 @@
 //! of the nearest-centroid shards regardless of how the corpus arrived.
 //! **Quantization:** an index built with [`ShardStorage::Int8`] stores
 //! sealed rows as symmetric int8 with a per-shard calibration header;
-//! queries scan the int8 codes (~4x less memory traffic), then rescore a
-//! provably sufficient shortlist in f32 — the dequantized values are the
-//! canonical rows, so results stay bit-identical to an exhaustive f32
-//! scan of the same index. Shard bounds are computed *before*
+//! queries scan the int8 codes (~4x less memory traffic) 32 rows at a
+//! time, then rescore a provably sufficient shortlist in f32 — the
+//! dequantized values are the canonical rows, so results stay
+//! bit-identical to an exhaustive f32 scan of the same index. Shard
+//! bounds are computed *before*
 //! quantization and the quantization error bound is folded into the
 //! prune slack, so pruning stays sound.
 //!
@@ -67,8 +68,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use gnn4ip_tensor::{
-    dot_i8, fan_out, read_artifact, worker_count, write_artifact, BinReader, BinWriter, Fnv64,
-    Matrix, QuantParams, Workspace,
+    fan_out, read_artifact, worker_count, write_artifact, BinReader, BinWriter, Fnv64, Matrix,
+    QuantParams, Workspace,
 };
 
 use crate::index::{normalize_into, query_norm, EmbeddingIndex, QueryHit};
@@ -170,8 +171,9 @@ pub(crate) enum RowBlock {
     /// shard is sealed or loaded; every byte format and row reader sees
     /// row-major order through [`row_major`].
     F32(Vec<f32>),
-    /// Row-major `rows x dim` int8 codes. The dequantized values are the
-    /// shard's canonical rows.
+    /// Dim-major `dim x rows` int8 codes, laid out like
+    /// [`RowBlock::F32`]. The dequantized values are the shard's
+    /// canonical rows.
     Int8 {
         q: Vec<i8>,
         params: QuantParams,
@@ -198,20 +200,25 @@ impl RowBlock {
 
 /// Writes `n` rows of `dim` components into `out` in dim-major order,
 /// component `t` of row `j` at `out[t * n + j]`, reading row `j` through
-/// `row(j)`. Rows go [`TILE`] at a time, so every write fills a run of
-/// contiguous floats while the tile's source rows stay in cache.
-fn write_dim_major<'r>(n: usize, dim: usize, out: &mut Vec<f32>, row: impl Fn(usize) -> &'r [f32]) {
+/// `row(j)`. Rows go [`TILE`] at a time, so every write fills a contiguous
+/// run while the tile's source rows stay in cache.
+fn write_dim_major<'r, T: Copy + Default + 'r>(
+    n: usize,
+    dim: usize,
+    out: &mut Vec<T>,
+    row: impl Fn(usize) -> &'r [T],
+) {
     out.clear();
-    out.resize(n * dim, 0.0);
+    out.resize(n * dim, T::default());
     let mut j0 = 0;
     while j0 < n {
         let w = TILE.min(n - j0);
         // a short last tile repeats its last row; only `w` are written
-        let rows: [&[f32]; TILE] = std::array::from_fn(|i| row(j0 + i.min(w - 1)));
+        let rows: [&[T]; TILE] = std::array::from_fn(|i| row(j0 + i.min(w - 1)));
         for t in 0..dim {
             let band = &mut out[t * n + j0..t * n + j0 + w];
             // a full tile's width is known at compile time, so it unrolls
-            if let Ok(full) = <&mut [f32; TILE]>::try_from(&mut *band) {
+            if let Ok(full) = <&mut [T; TILE]>::try_from(&mut *band) {
                 for (o, r) in full.iter_mut().zip(&rows) {
                     *o = r[t];
                 }
@@ -226,7 +233,7 @@ fn write_dim_major<'r>(n: usize, dim: usize, out: &mut Vec<f32>, row: impl Fn(us
 }
 
 /// [`write_dim_major`] of the row-major `rows` (`dim` components each).
-fn to_dim_major(rows: &[f32], dim: usize, out: &mut Vec<f32>) {
+fn to_dim_major<T: Copy + Default>(rows: &[T], dim: usize, out: &mut Vec<T>) {
     write_dim_major(rows.len() / dim, dim, out, |j| {
         &rows[j * dim..(j + 1) * dim]
     });
@@ -234,7 +241,7 @@ fn to_dim_major(rows: &[f32], dim: usize, out: &mut Vec<f32>) {
 
 /// The components of a dim-major block of `rows` rows, in row-major
 /// order — the order every byte format and row reader uses.
-fn row_major(cols: &[f32], rows: usize) -> impl Iterator<Item = f32> + '_ {
+pub(crate) fn row_major<T: Copy>(cols: &[T], rows: usize) -> impl Iterator<Item = T> + '_ {
     (0..rows).flat_map(move |j| cols[j..].iter().step_by(rows).copied())
 }
 
@@ -311,7 +318,7 @@ fn content_id_of(rows: &RowBlock, labels: &[usize]) -> u64 {
             h.update(&params.scale.to_bits().to_le_bytes());
             // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
             h.update(&[params.zero_point as u8]);
-            for &c in q {
+            for c in row_major(q, labels.len()) {
                 // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
                 h.update(&[c as u8]);
             }
@@ -337,9 +344,11 @@ impl SealedShard {
             }
             ShardStorage::Int8 => {
                 let params = QuantParams::calibrate(&shard.data);
+                let mut codes = Vec::new();
+                params.quantize_into(&shard.data, &mut codes);
+                let max_l1 = max_row_l1(&codes, params, dim);
                 let mut q = Vec::new();
-                params.quantize_into(&shard.data, &mut q);
-                let max_l1 = max_row_l1(&q, params, dim);
+                to_dim_major(&codes, dim, &mut q);
                 // each component moved at most step() = scale/2 (+ fp
                 // rounding), so ‖r̂ − r‖ ≤ √dim·scale/2; double it for a
                 // comfortable margin — slack only costs pruning a little
@@ -386,11 +395,12 @@ impl SealedShard {
         }
     }
 
-    /// Assembles a quantized sealed shard from its stored parts (the
-    /// append-only shard-file load path). `max_l1` and `quant_slack` are
-    /// recomputed rather than trusted from the file.
+    /// Assembles a quantized sealed shard from its stored parts, codes
+    /// row-major (the append-only shard-file load path). `max_l1` and
+    /// `quant_slack` are recomputed rather than trusted from the file.
+    /// The codes are transposed to dim-major here.
     pub(crate) fn from_int8_parts(
-        q: Vec<i8>,
+        codes: Vec<i8>,
         params: QuantParams,
         labels: Vec<usize>,
         dim: usize,
@@ -398,7 +408,9 @@ impl SealedShard {
         radius: f32,
         max_norm: f32,
     ) -> Self {
-        let max_l1 = max_row_l1(&q, params, dim);
+        let max_l1 = max_row_l1(&codes, params, dim);
+        let mut q = Vec::new();
+        to_dim_major(&codes, dim, &mut q);
         let rows = RowBlock::Int8 { q, params, max_l1 };
         let content_id = content_id_of(&rows, &labels);
         Self {
@@ -413,7 +425,8 @@ impl SealedShard {
     }
 }
 
-/// `max_i Σ_j |dequantize(q_ij)|` over the rows of a quantized block.
+/// `max_i Σ_j |dequantize(q_ij)|` over the rows of a row-major
+/// quantized block.
 fn max_row_l1(q: &[i8], params: QuantParams, dim: usize) -> f32 {
     let mut max_l1 = 0.0f32;
     for row in q.chunks_exact(dim) {
@@ -512,8 +525,10 @@ pub struct QueryStats {
     /// Rows actually scored (int8 approximate scores count — they touch
     /// the row).
     pub rows_scanned: usize,
-    /// Rows whose exact f32 score was recomputed by the int8 shortlist
-    /// rescoring pass (0 on f32 indexes and with `int8_scan` off).
+    /// Rows of this query's int8 shortlists: rows its integer scan could
+    /// not rule out, so their exact f32 scores are computed (0 on f32
+    /// indexes and with `int8_scan` off). In a batch a query also scores
+    /// rows other queries shortlisted; they are not counted here.
     pub rows_rescored: usize,
     /// Whether the surviving shard scans ran on worker threads.
     pub parallel: bool,
@@ -665,10 +680,11 @@ fn score_block(
         if zero_query {
             acc = [0.0; TILE];
         } else {
+            let fma = |a: &mut f32, r: f32, qv: f32| *a += r * qv;
             if w == TILE {
-                tile_dots(cols, n, j0, query, &mut acc);
+                tile_dots(cols, n, j0, query, &mut acc, fma);
             } else {
-                tile_dots(cols, n, j0, query, &mut acc[..w]);
+                tile_dots(cols, n, j0, query, &mut acc[..w], fma);
             }
             for a in &mut acc[..w] {
                 *a /= qnorm;
@@ -679,22 +695,54 @@ fn score_block(
     }
 }
 
-/// Adds `row[t] * query[t]` in `t` order into `acc[jj]` for the rows
+/// Applies `fma(acc[jj], row[t], query[t])` in `t` order for the rows
 /// `j0 + jj` of a dim-major block of `n` rows. Inlined, so a full tile
 /// runs with the accumulator count known at compile time.
 #[inline(always)]
-fn tile_dots(cols: &[f32], n: usize, j0: usize, query: &[f32], acc: &mut [f32]) {
+fn tile_dots<C: Copy, A>(
+    cols: &[C],
+    n: usize,
+    j0: usize,
+    query: &[C],
+    acc: &mut [A],
+    fma: impl Fn(&mut A, C, C),
+) {
     let w = acc.len();
     for (t, &qv) in query.iter().enumerate() {
         for (a, &r) in acc.iter_mut().zip(&cols[t * n + j0..t * n + j0 + w]) {
-            *a += r * qv;
+            fma(a, r, qv);
         }
+    }
+}
+
+/// The integer scan: the `i8 · i8` dot of every row of the dim-major
+/// int8 block `codes` (`n` rows) with `qcodes`, accumulated exactly in
+/// `i32` a tile at a time like [`score_block`], times `scale`, appended
+/// to `out`. Kept out of line (see [`scan_into`]).
+#[inline(never)]
+fn approx_block(codes: &[i8], n: usize, qcodes: &[i8], scale: f32, out: &mut Vec<f32>) {
+    let fma = |a: &mut i32, c: i8, qc: i8| *a += i32::from(c) * i32::from(qc);
+    let mut j0 = 0;
+    while j0 < n {
+        let w = TILE.min(n - j0);
+        let mut acc = [0i32; TILE];
+        if w == TILE {
+            tile_dots(codes, n, j0, qcodes, &mut acc, fma);
+        } else {
+            tile_dots(codes, n, j0, qcodes, &mut acc[..w], fma);
+        }
+        out.extend(acc[..w].iter().map(|&a| a as f32 * scale));
+        j0 += w;
     }
 }
 
 /// Scores a dim-major block through [`score_block`] into `top`. Block
 /// row `j` is the hit `(index, label) = row(j)`; a tile none of whose
 /// scores reaches the threshold costs one vector compare.
+///
+/// Kept out of line, like [`approx_block`]: inlined into the large walk
+/// functions, the kernel loop compiled 4–5x slower on x86-64.
+#[inline(never)]
 fn scan_into(
     cols: &[f32],
     n: usize,
@@ -743,36 +791,31 @@ struct Scratch {
     /// centroids, or int8 rows dequantized for the exact walk or the
     /// shortlist rescoring.
     cols: Vec<f32>,
-    /// One query's int8 approximate score per row of a shard.
+    /// The int8 approximate score of every row of a shard, one run of
+    /// rows per integer-scan query.
     approx: Vec<f32>,
-    /// A copy of `approx` for the k-th-largest selection.
+    /// A copy of one query's run of `approx` for the k-th-largest
+    /// selection.
     kth: Vec<f32>,
-    /// Rows of one query's int8 shortlist.
+    /// Each integer-scan query's shortlist cut.
+    cuts: Vec<f32>,
+    /// Rows of the merged int8 shortlist.
     shortlist: Vec<usize>,
-    /// Int8 rows dequantized row-major, on their way into `cols`.
-    deq: Vec<f32>,
 }
 
-/// The listed int8 rows (row-major codes, `dim` each) dequantized into
-/// `deq` row-major, then written dim-major into `out`: component `t` of
-/// `rows[i]` at `out[t * rows.len() + i]`.
-fn dequantize_cols(
-    q: &[i8],
-    params: QuantParams,
-    dim: usize,
-    rows: &[usize],
-    deq: &mut Vec<f32>,
-    out: &mut Vec<f32>,
-) {
-    deq.clear();
-    for &r in rows {
-        deq.extend(
-            q[r * dim..(r + 1) * dim]
-                .iter()
-                .map(|&c| params.dequantize(c)),
-        );
+/// The listed rows (ascending) of the dim-major int8 block `q` (`n`
+/// rows), dequantized into `out` dim-major: component `t` of `rows[i]`
+/// at `out[t * rows.len() + i]`.
+fn dequantize_rows(q: &[i8], n: usize, params: QuantParams, rows: &[usize], out: &mut Vec<f32>) {
+    out.clear();
+    if rows.len() == n {
+        // every row: the block itself, in order
+        out.extend(q.iter().map(|&c| params.dequantize(c)));
+        return;
     }
-    to_dim_major(deq, dim, out);
+    for band in q.chunks_exact(n) {
+        out.extend(rows.iter().map(|&j| params.dequantize(band[j])));
+    }
 }
 
 /// The splitmix64 output function: a stateless deterministic mixer.
@@ -941,7 +984,7 @@ impl ShardedEmbeddingIndex {
     }
 
     /// The stored (canonical) row at global storage index `i` — borrowed
-    /// from the tail, gathered from a sealed shard's dim-major columns
+    /// from the tail, or gathered from a sealed shard's dim-major columns
     /// (dequantized on quantized shards) into an owned buffer.
     ///
     /// # Panics
@@ -961,8 +1004,9 @@ impl ShardedEmbeddingIndex {
                         .collect(),
                 ),
                 RowBlock::Int8 { q, params, .. } => Cow::Owned(
-                    q[r * dim..(r + 1) * dim]
+                    q[r..]
                         .iter()
+                        .step_by(self.shard_capacity)
                         .map(|&c| params.dequantize(c))
                         .collect(),
                 ),
@@ -1057,11 +1101,12 @@ impl ShardedEmbeddingIndex {
     ///   straight to the query's top-k, which keeps the flat index's rank
     ///   order (score, then insertion index) whatever order rows arrive
     ///   in. A row below the query's current k-th best score costs its
-    ///   multiply-adds and one compare. Sealed f32 shards are stored
-    ///   dim-major and scored in place; the tail, dequantized int8 rows
-    ///   and the shard centroids are written dim-major into per-call
-    ///   scratch first. A scanned shard is scored for every query of the
-    ///   batch that needs it while it is hot in cache.
+    ///   multiply-adds and one compare. Sealed shards are stored
+    ///   dim-major; f32 rows are scored in place, while the tail,
+    ///   dequantized int8 rows and the shard centroids are written
+    ///   dim-major into per-call scratch first. A scanned shard is scored
+    ///   for every query of the batch that needs it while it is hot in
+    ///   cache.
     /// - **Pruning.** The tail (which has no bound) is scanned first and
     ///   seeds every query's top-k, whose worst score is the query's
     ///   floor. Sealed shards are then visited in descending order of
@@ -1079,8 +1124,10 @@ impl ShardedEmbeddingIndex {
     ///   query's top-k. This prunes slightly
     ///   less but keeps workers independent; the result never differs.
     /// - **int8 shortlists.** On an int8 shard every query runs its own
-    ///   integer approximate scan, then rescores the rows that can still
-    ///   be in the shard's top-k through the kernel, into its top-k.
+    ///   integer approximate scan and cuts the rows that can still be in
+    ///   the shard's top-k. The batch's shortlists are merged, dequantized
+    ///   once and rescored through the kernel into each of those queries'
+    ///   top-k.
     ///
     /// Each query gets its own [`QueryStats`]: a shard counts as probed
     /// (and its rows as scanned) for a query only when its rows were
@@ -1333,9 +1380,10 @@ impl ShardedEmbeddingIndex {
 
     /// Scans sealed shard `sid` for the queries `select` into their
     /// `tops`, counting the scan into their `stats`. f32 rows are scored
-    /// in place. On an int8 shard a query with a quantized form runs the
-    /// integer scan and rescores its shortlist; the others score every
-    /// row, dequantized once for all of them.
+    /// in place. On an int8 shard each query with a quantized form runs
+    /// the integer scan and cuts its shortlist; the merged shortlist is
+    /// dequantized once and rescored for each of them. The other queries
+    /// score every row, dequantized once for all of them.
     ///
     /// Shortlist soundness: with `s_i` the exact (dequantized f32) score
     /// and `a_i` the int8 approximation, `|s_i − a_i| ≤ ε` where
@@ -1358,7 +1406,6 @@ impl ShardedEmbeddingIndex {
     ) {
         let s = &self.sealed[sid];
         let n = s.labels.len();
-        let dim = self.dim;
         let offset = sid * self.shard_capacity;
         let row = |j: usize| (offset + j, s.labels[j]);
         for &qi in select {
@@ -1373,66 +1420,59 @@ impl ShardedEmbeddingIndex {
                 }
             }
             RowBlock::Int8 { q, params, max_l1 } => {
+                let fast = || select.iter().copied().filter(|&qi| batch.qqs[qi].is_some());
+                let exact = || select.iter().copied().filter(|&qi| batch.qqs[qi].is_none());
+                // each query with a quantized form approximates every row
+                // and cuts its shortlist at t − 2ε
+                scratch.approx.clear();
+                scratch.cuts.clear();
                 for &qi in select {
                     let Some((qcodes, qparams)) = &batch.qqs[qi] else {
                         continue;
                     };
-                    let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
+                    let qnorm = batch.qnorms[qi];
                     // combined ≤ ~1/127² per integer unit: the products
-                    // cannot overflow f32 (see dot_i8 — the integer
-                    // accumulation itself is exact)
+                    // cannot overflow f32 (the integer accumulation
+                    // itself is exact)
                     let combined = params.scale * qparams.scale / qnorm;
-                    scratch.approx.clear();
-                    scratch.approx.extend(
-                        q.chunks_exact(dim)
-                            .map(|r| dot_i8(r, qcodes) as f32 * combined),
-                    );
+                    let start = scratch.approx.len();
+                    approx_block(q, n, qcodes, combined, &mut scratch.approx);
+                    let approx = &scratch.approx[start..];
                     scratch.kth.clear();
-                    scratch.kth.extend_from_slice(&scratch.approx);
+                    scratch.kth.extend_from_slice(approx);
                     let kk = tops[qi].k.min(n);
                     let (_, &mut kth, _) = scratch.kth.select_nth_unstable_by(kk - 1, |a, b| {
                         b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
                     });
                     let eps = max_l1 * qparams.step() / qnorm + PRUNE_SLACK;
                     let cut = kth - 2.0 * eps;
+                    stats[qi].rows_rescored += approx.iter().filter(|&&a| a >= cut).count();
+                    scratch.cuts.push(cut);
+                }
+                // the merged shortlist: a row any of those queries needs is
+                // dequantized once and rescored for each of them (a row
+                // outside a query's own shortlist is a real row with its
+                // exact score, so the top-k stays exact)
+                if !scratch.cuts.is_empty() {
+                    let (approx, cuts) = (&scratch.approx, &scratch.cuts);
+                    let needed = |j: usize| (0..cuts.len()).any(|c| approx[c * n + j] >= cuts[c]);
                     scratch.shortlist.clear();
-                    let approx = &scratch.approx;
-                    scratch
-                        .shortlist
-                        .extend((0..n).filter(|&j| approx[j] >= cut));
-                    stats[qi].rows_rescored += scratch.shortlist.len();
-                    dequantize_cols(
-                        q,
-                        *params,
-                        dim,
-                        &scratch.shortlist,
-                        &mut scratch.deq,
-                        &mut scratch.cols,
-                    );
+                    scratch.shortlist.extend((0..n).filter(|&j| needed(j)));
                     let shortlist = &scratch.shortlist;
-                    scan_into(
-                        &scratch.cols,
-                        shortlist.len(),
-                        query,
-                        qnorm,
-                        &mut tops[qi],
-                        |i| row(shortlist[i]),
-                    );
+                    dequantize_rows(q, n, *params, shortlist, &mut scratch.cols);
+                    for qi in fast() {
+                        let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
+                        let m = shortlist.len();
+                        scan_into(&scratch.cols, m, query, qnorm, &mut tops[qi], |i| {
+                            row(shortlist[i])
+                        });
+                    }
                 }
                 // the exact walk: the dequantized values are the canonical
                 // rows, so it is the f32 scan over them
-                let exact = || select.iter().copied().filter(|&qi| batch.qqs[qi].is_none());
                 if exact().next().is_some() {
-                    scratch.shortlist.clear();
-                    scratch.shortlist.extend(0..n);
-                    dequantize_cols(
-                        q,
-                        *params,
-                        dim,
-                        &scratch.shortlist,
-                        &mut scratch.deq,
-                        &mut scratch.cols,
-                    );
+                    scratch.cols.clear();
+                    scratch.cols.extend(q.iter().map(|&c| params.dequantize(c)));
                     for qi in exact() {
                         let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
                         scan_into(&scratch.cols, n, query, qnorm, &mut tops[qi], row);
@@ -1462,7 +1502,7 @@ impl ShardedEmbeddingIndex {
                 }
             }
             RowBlock::Int8 { q, params, .. } => {
-                for (o, &c) in out.iter_mut().zip(q) {
+                for (o, c) in out.iter_mut().zip(row_major(q, s.labels.len())) {
                     *o = params.dequantize(c);
                 }
             }
@@ -2045,6 +2085,51 @@ mod tests {
                             "dim {dim} n {n} row {j} query {query:?}: {score} vs {want}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn int8_kernels_match_row_major_reference() {
+        // the integer scan against a per-row i32 dot, and the shortlist
+        // dequantization (every row, and every third row) against the
+        // row-major dequantized rows, over the same dims and block
+        // lengths as the f32 kernel test; codes span -128..=127
+        let params = QuantParams {
+            scale: 0.0123,
+            zero_point: 0,
+        };
+        for dim in 1..=33 {
+            let qcodes: Vec<i8> = (0..dim).map(|t| (t * 97 % 256) as u8 as i8).collect();
+            for n in 0..=70 {
+                let codes: Vec<i8> = (0..n * dim).map(|i| (i * 37 % 256) as u8 as i8).collect();
+                let mut q = Vec::new();
+                to_dim_major(&codes, dim, &mut q);
+                let mut approx = Vec::new();
+                approx_block(&q, n, &qcodes, 0.37, &mut approx);
+                assert_eq!(approx.len(), n);
+                for (j, (row, &a)) in codes.chunks_exact(dim).zip(&approx).enumerate() {
+                    let dot: i32 = row
+                        .iter()
+                        .zip(&qcodes)
+                        .map(|(&c, &qc)| i32::from(c) * i32::from(qc))
+                        .sum();
+                    let want = dot as f32 * 0.37;
+                    assert_eq!(a.to_bits(), want.to_bits(), "dim {dim} n {n} row {j}");
+                }
+                for step in [1, 3] {
+                    let rows: Vec<usize> = (0..n).step_by(step).collect();
+                    let mut got = Vec::new();
+                    dequantize_rows(&q, n, params, &rows, &mut got);
+                    let mut want = Vec::new();
+                    for &j in &rows {
+                        let row = &codes[j * dim..(j + 1) * dim];
+                        want.extend(row.iter().map(|&c| params.dequantize(c)));
+                    }
+                    let mut want_cols = Vec::new();
+                    to_dim_major(&want, dim, &mut want_cols);
+                    assert_eq!(got, want_cols, "dim {dim} n {n} step {step}");
                 }
             }
         }

@@ -11,10 +11,9 @@
 //! single positive `scale` with `zero_point = 0`, each value maps to
 //! `round(v / scale)` clamped to `[-127, 127]`, and dequantization is
 //! the exact two-op inverse `(q - zero_point) * scale`. Symmetry keeps
-//! the integer dot product free of zero-point cross terms, so
-//! [`dot_i8`] is a plain sum of `i8 × i8` products accumulated in
-//! `i32` — exact integer arithmetic for any block up to ~133k
-//! components (`127² · n < 2³¹`).
+//! the integer dot product free of zero-point cross terms, so it is a
+//! plain sum of `i8 × i8` products accumulated in `i32` — exact integer
+//! arithmetic for any block up to ~133k components (`127² · n < 2³¹`).
 
 /// Calibration header of one quantized block: the `scale`/`zero_point`
 /// pair every stored `i8` is interpreted through.
@@ -94,41 +93,6 @@ impl QuantParams {
     }
 }
 
-/// Integer dot product of two int8 blocks, accumulated exactly in
-/// `i32`. With codes bounded by 127 the accumulator cannot overflow
-/// below ~133k components, far beyond any embedding dimension here.
-///
-/// # Panics
-///
-/// Panics on a length mismatch.
-///
-/// # Examples
-///
-/// ```
-/// use gnn4ip_tensor::dot_i8;
-///
-/// assert_eq!(dot_i8(&[127, -1, 3], &[1, 2, -3]), 127 - 2 - 9);
-/// ```
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "int8 dot of mismatched lengths");
-    let mut acc0 = 0i32;
-    let mut acc1 = 0i32;
-    let mut acc2 = 0i32;
-    let mut acc3 = 0i32;
-    let mut ai = a.chunks_exact(4);
-    let mut bi = b.chunks_exact(4);
-    for (ca, cb) in ai.by_ref().zip(bi.by_ref()) {
-        acc0 += i32::from(ca[0]) * i32::from(cb[0]);
-        acc1 += i32::from(ca[1]) * i32::from(cb[1]);
-        acc2 += i32::from(ca[2]) * i32::from(cb[2]);
-        acc3 += i32::from(ca[3]) * i32::from(cb[3]);
-    }
-    for (&x, &y) in ai.remainder().iter().zip(bi.remainder()) {
-        acc0 += i32::from(x) * i32::from(y);
-    }
-    acc0 + acc1 + acc2 + acc3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,31 +139,5 @@ mod tests {
         p.quantize_into(&vals, &mut out);
         let scalar: Vec<i8> = vals.iter().map(|&v| p.quantize(v)).collect();
         assert_eq!(out, scalar);
-    }
-
-    #[test]
-    fn dot_i8_matches_a_reference_loop() {
-        let a: Vec<i8> = (0..67).map(|i| ((i * 37) % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0..67).map(|i| ((i * 91) % 255 - 127) as i8).collect();
-        let reference: i32 = a
-            .iter()
-            .zip(&b)
-            .map(|(&x, &y)| i32::from(x) * i32::from(y))
-            .sum();
-        assert_eq!(dot_i8(&a, &b), reference);
-    }
-
-    #[test]
-    fn dot_i8_extremes_do_not_overflow() {
-        let a = vec![127i8; 1024];
-        let b = vec![-127i8; 1024];
-        assert_eq!(dot_i8(&a, &b), -127 * 127 * 1024);
-        assert_eq!(dot_i8(&[], &[]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched")]
-    fn dot_i8_rejects_length_mismatch() {
-        let _ = dot_i8(&[1], &[1, 2]);
     }
 }
