@@ -14,7 +14,8 @@
 //!    latter bounds the overhead routing adds when it cannot help).
 //! 2. `ShardStorage::Int8` shrinks sealed rows to ~1/4 the bytes while
 //!    the shortlist-rescoring scan stays bit-identical to the exact
-//!    dequantize-and-score walk (asserted over every query).
+//!    dequantize-and-score walk (asserted over every query, one at a
+//!    time and as one batch, both of which are timed).
 //! 3. `checkpoint_dir` writes content-addressed shard files once: the
 //!    second checkpoint after ingesting more rows re-writes only the
 //!    newly sealed shards (asserted), and `load_dir` answers queries
@@ -125,6 +126,27 @@ fn run_queries(
     }
     times.sort_by(f64::total_cmp);
     (hits, times[times.len() / 2], total)
+}
+
+/// Runs all queries as one `query_many` batch, `reps` times, returning
+/// the hit lists and the median batch time per query in milliseconds.
+fn run_batch(
+    index: &ShardedEmbeddingIndex,
+    queries: &[Vec<f32>],
+    k: usize,
+    opts: &QueryOptions,
+    reps: usize,
+) -> (Vec<Vec<QueryHit>>, f64) {
+    let mut times = Vec::with_capacity(reps);
+    let mut hits = Vec::new();
+    for _ in 0..reps {
+        let start = Instant::now();
+        let out = index.query_many(queries, k, opts);
+        times.push(start.elapsed().as_secs_f64() * 1e3 / queries.len() as f64);
+        hits = out.into_iter().map(|(h, _)| h).collect();
+    }
+    times.sort_by(f64::total_cmp);
+    (hits, times[times.len() / 2])
 }
 
 fn assert_bitwise_equal(a: &[Vec<QueryHit>], b: &[Vec<QueryHit>], what: &str) {
@@ -261,8 +283,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "int8 scan: exact-walk p50 {qp50_exact:.3} ms, int8+rescore p50 {qp50_int8:.3} ms, \
-         {} of {} scanned rows needed f32 rescoring (bit-identical results)\n",
+         {} of {} scanned rows needed f32 rescoring (bit-identical results)",
         qst.rows_rescored, qst.rows_scanned
+    );
+    // the same queries as one batch: shards a batch shares are scanned
+    // once for all of it, and each query's hits must not change
+    let (qb_exact, qb_exact_ms) = run_batch(&q_index, &queries, k, &exact, 5);
+    let (qb_int8, qb_int8_ms) = run_batch(&q_index, &queries, k, &routed, 5);
+    assert_bitwise_equal(
+        &qh_exact,
+        &qb_exact,
+        "int8 exact walk, batch vs one at a time",
+    );
+    assert_bitwise_equal(&qh_int8, &qb_int8, "int8 rescoring, batch vs one at a time");
+    println!(
+        "int8 scan, batch of {n_queries}: exact-walk {qb_exact_ms:.3} ms/query, \
+         int8+rescore {qb_int8_ms:.3} ms/query\n"
     );
 
     // ---- 4. append-only checkpoints ------------------------------------
