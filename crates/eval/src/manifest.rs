@@ -34,9 +34,7 @@ use std::sync::Arc;
 
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter, QuantParams};
 
-use crate::sharded::{
-    check_rows, row_major, RowBlock, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex,
-};
+use crate::sharded::{check_rows, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex};
 
 /// Artifact kind of the corpus manifest file.
 pub const CORPUS_MANIFEST_KIND: &str = "gnn4ip-corpus-manifest";
@@ -160,8 +158,8 @@ fn shard_bytes(index: &ShardedEmbeddingIndex, si: usize) -> Vec<u8> {
     for &l in &shard.labels {
         w.u64(l as u64);
     }
-    match &shard.rows {
-        RowBlock::F32(_) => {
+    match shard.row_major_codes() {
+        None => {
             w.u8(0);
             let mut rows = vec![0.0f32; shard.labels.len() * dim];
             index.copy_block_into(si, &mut rows);
@@ -169,13 +167,13 @@ fn shard_bytes(index: &ShardedEmbeddingIndex, si: usize) -> Vec<u8> {
                 w.f32(v);
             }
         }
-        RowBlock::Int8 { q, params, .. } => {
+        Some((params, codes)) => {
             w.u8(1);
             w.f32(params.scale);
             // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
             w.u8(params.zero_point as u8);
             // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
-            let codes: Vec<u8> = row_major(q, shard.labels.len()).map(|c| c as u8).collect();
+            let codes: Vec<u8> = codes.map(|c| c as u8).collect();
             w.bytes(&codes);
         }
     }
@@ -552,6 +550,7 @@ fn parse_shard_file_name(name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::RowBlock;
     use crate::{QueryOptions, RebalanceOptions};
 
     fn synthetic_index(storage: ShardStorage, rows: usize) -> ShardedEmbeddingIndex {

@@ -241,7 +241,7 @@ fn to_dim_major<T: Copy + Default>(rows: &[T], dim: usize, out: &mut Vec<T>) {
 
 /// The components of a dim-major block of `rows` rows, in row-major
 /// order — the order every byte format and row reader uses.
-pub(crate) fn row_major<T: Copy>(cols: &[T], rows: usize) -> impl Iterator<Item = T> + '_ {
+fn row_major<T: Copy>(cols: &[T], rows: usize) -> impl Iterator<Item = T> + '_ {
     (0..rows).flat_map(move |j| cols[j..].iter().step_by(rows).copied())
 }
 
@@ -392,6 +392,15 @@ impl SealedShard {
             max_norm,
             quant_slack: 0.0,
             content_id,
+        }
+    }
+
+    /// The int8 codes in row-major order, the order shard files store
+    /// them in, with their calibration; `None` for an f32 shard.
+    pub(crate) fn row_major_codes(&self) -> Option<(QuantParams, impl Iterator<Item = i8> + '_)> {
+        match &self.rows {
+            RowBlock::F32(_) => None,
+            RowBlock::Int8 { q, params, .. } => Some((*params, row_major(q, self.labels.len()))),
         }
     }
 
