@@ -31,7 +31,8 @@ stage_tier1() {
 }
 
 stage_workspace() {
-    cargo test -q --offline --workspace
+    # --no-fail-fast: one failing test binary must not hide the binaries after it
+    cargo test -q --offline --workspace --no-fail-fast
 }
 
 stage_heavy() {

@@ -334,7 +334,7 @@ impl Gnn4Ip {
     /// Returns a description of the corrupt or mismatched section.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = BinReader::open(bytes, DETECTOR_KIND)?;
-        let delta = r.f32()?;
+        let delta = finite_delta(r.f32()?)?;
         let model = Hw2Vec::from_bytes(r.bytes()?)?;
         r.done()?;
         Ok(Self::from_model(model, delta))
@@ -460,8 +460,19 @@ impl Gnn4Ip {
             .strip_prefix("delta ")
             .ok_or_else(|| format!("bad delta line '{first}'"))?
             .parse::<f32>()
-            .map_err(|e| format!("bad delta value: {e}"))?;
+            .map_err(|e| format!("bad delta value: {e}"))
+            .and_then(finite_delta)?;
         Ok(Self::from_model(Hw2Vec::from_text(rest)?, delta))
+    }
+}
+
+/// Refuses a NaN or infinite δ: a NaN or +inf δ clears every suspect, and
+/// −inf flags every one.
+fn finite_delta(delta: f32) -> Result<f32, String> {
+    if delta.is_finite() {
+        Ok(delta)
+    } else {
+        Err(format!("non-finite delta {delta}"))
     }
 }
 
@@ -582,6 +593,53 @@ mod tests {
     fn from_text_rejects_garbage() {
         assert!(Gnn4Ip::from_text("").is_err());
         assert!(Gnn4Ip::from_text("delta zzz\n").is_err());
+    }
+
+    /// Sets the first weight of parameter `param` to `v`.
+    fn poison(d: &mut Gnn4Ip, param: &str, v: f32) {
+        let pos = d.model().params().iter().position(|(n, _)| n == param);
+        let pos = pos.expect("the parameter exists");
+        let m = d.model_mut().params_mut().values_mut().nth(pos);
+        m.expect("iter and values_mut share one order")
+            .as_mut_slice()[0] = v;
+    }
+
+    /// A detector whose file carries a NaN or infinite weight or δ is
+    /// refused: it would load and then clear every suspect. The files are
+    /// written by `to_bytes`, so their checksums are valid.
+    #[test]
+    fn binary_loader_refuses_non_finite_values() {
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut d = Gnn4Ip::with_seed(25);
+            poison(&mut d, "pool.score.w", v);
+            let err = Gnn4Ip::from_bytes(&d.to_bytes()).expect_err("poisoned weight");
+            assert!(err.contains("non-finite weight"), "{err}");
+            let mut d = Gnn4Ip::with_seed(25);
+            d.set_delta(v);
+            let err = Gnn4Ip::from_bytes(&d.to_bytes()).expect_err("poisoned delta");
+            assert!(err.contains("non-finite delta"), "{err}");
+        }
+    }
+
+    /// The text format refuses the same values, and a NaN pool ratio
+    /// gets an error instead of the architecture assert's panic.
+    #[test]
+    fn text_loader_refuses_non_finite_values() {
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut d = Gnn4Ip::with_seed(26);
+            poison(&mut d, "pool.score.w", v);
+            let err = Gnn4Ip::from_text(&d.to_text()).expect_err("poisoned weight");
+            assert!(err.contains("non-finite weight"), "{err}");
+            let mut d = Gnn4Ip::with_seed(26);
+            d.set_delta(v);
+            let err = Gnn4Ip::from_text(&d.to_text()).expect_err("poisoned delta");
+            assert!(err.contains("non-finite delta"), "{err}");
+        }
+        let text = Gnn4Ip::with_seed(26).to_text();
+        let nan_ratio = text.replacen(" 0.5 0.1 ", " NaN 0.1 ", 1);
+        assert_ne!(nan_ratio, text);
+        let err = Gnn4Ip::from_text(&nan_ratio).expect_err("NaN pool ratio");
+        assert!(err.contains("pool ratio"), "{err}");
     }
 
     #[test]

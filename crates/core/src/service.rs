@@ -453,13 +453,13 @@ fn read_body(
         if line == "." {
             return Ok(body);
         }
-        let projected = body.len() + line.len() + 1;
-        if projected > max_body_bytes {
+        let unescaped = line.strip_prefix('.').filter(|_| line.starts_with(".."));
+        let stored = unescaped.unwrap_or(&line);
+        if body.len() + stored.len() + 1 > max_body_bytes {
             drain_to_dot(lines)?;
             return Err(BodyError::TooLarge);
         }
-        let unescaped = line.strip_prefix('.').filter(|_| line.starts_with(".."));
-        body.push_str(unescaped.map_or(line.as_str(), |rest| rest));
+        body.push_str(stored);
         body.push('\n');
     }
     Err(BodyError::Eof)
@@ -530,8 +530,11 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                     if let Some(newer) = slot.load_if_newer(current.epoch()) {
                         current = newer;
                     }
-                    let suspects: Vec<AuditSource> =
-                        jobs.iter().map(|j| j.suspect.clone()).collect();
+                    // the suspects move out of their jobs: no body is copied
+                    let (suspects, replies): (Vec<AuditSource>, Vec<_>) = jobs
+                        .into_iter()
+                        .map(|j| (j.suspect, (j.enqueued, j.reply)))
+                        .unzip();
                     let (verdicts, report) = current.audit_many(&suspects);
                     stats
                         .audits
@@ -543,21 +546,22 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                         .rejected
                         .fetch_add(report.rejected.len() as u64, Ordering::Relaxed);
                     let mut parse_errors = report.rejected.into_iter();
-                    let mut samples = Vec::with_capacity(jobs.len());
-                    for (job, verdict) in jobs.into_iter().zip(verdicts) {
+                    let mut samples = Vec::with_capacity(replies.len());
+                    for ((suspect, (enqueued, reply)), verdict) in
+                        suspects.into_iter().zip(replies).zip(verdicts)
+                    {
                         let line = match verdict {
-                            Some(v) => verdict_line(&job.suspect.name, &v),
+                            Some(v) => verdict_line(&suspect.name, &v),
                             None => {
-                                let (name, err) = parse_errors
-                                    .next()
-                                    .unwrap_or_else(|| (job.suspect.name.clone(), String::new()));
+                                let (name, err) =
+                                    parse_errors.next().unwrap_or((suspect.name, String::new()));
                                 format!("ERR audit {name}: {}", one_line(&err))
                             }
                         };
-                        samples.push(job.enqueued.elapsed().as_micros() as u64);
+                        samples.push(enqueued.elapsed().as_micros() as u64);
                         // a dropped receiver (responder gone) just means
                         // nobody is listening anymore; keep draining
-                        let _ = job.reply.send(line);
+                        let _ = reply.send(line);
                     }
                     let mut lats = stats.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
                     lats.extend(samples);
@@ -1053,6 +1057,40 @@ mod tests {
         assert_eq!(lines[2], "OK bye");
         assert_eq!(report.ingested, 1);
         assert_eq!(report.rejected, 1);
+    }
+
+    /// The cap counts a body as stored: a dot-stuffed line costs its
+    /// unescaped length. A body that such a line brings to exactly
+    /// `max_body_bytes` is audited, one byte more is refused, and the
+    /// session goes on.
+    #[test]
+    fn body_cap_counts_unescaped_bytes() {
+        const WIRED: &str = "module buf1(input a, output y); assign y = a; endmodule\n\
+                             module top(input a, output y); buf1 u(\n\
+                             .a(a), .y(y)); endmodule\n";
+        let cap = WIRED.len();
+        let stuffed = |body: &str| body.replace("\n.", "\n..");
+        let over = WIRED.replace(".y(y)", ".y(y) ");
+        let input = format!(
+            "AUDIT exact\n{}.\nAUDIT over\n{}.\nAUDIT fine\n{INV}\n.\nSHUTDOWN\n",
+            stuffed(WIRED),
+            stuffed(&over)
+        );
+        let mut pipeline = service_pipeline();
+        let mut out: Vec<u8> = Vec::new();
+        let config = ServiceConfig {
+            max_body_bytes: cap,
+            ..ServiceConfig::default()
+        };
+        run_service(&mut pipeline, &config, input.as_bytes(), &mut out).expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "one response per request:\n{text}");
+        assert!(lines[0].starts_with("VERDICT exact "), "{}", lines[0]);
+        let refused = format!("ERR audit over: body exceeds max_body_bytes={cap}");
+        assert_eq!(lines[1], refused);
+        assert!(lines[2].starts_with("VERDICT fine "), "{}", lines[2]);
+        assert_eq!(lines[3], "OK bye");
     }
 
     /// The line reader stores at most cap + 1 bytes of a line, however

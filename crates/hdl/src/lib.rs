@@ -16,7 +16,9 @@
 //!    unrolling, yielding one flat [`Module`].
 //!
 //! [`elaborate`] runs all three. The front end copies as little as it can
-//! on the way: preprocessing copies runs of ordinary bytes as slices, each
+//! on the way: preprocessing borrows text it would not change (no
+//! directive, comment, attribute or `\r`) and otherwise copies runs of
+//! ordinary bytes as slices, each
 //! [`Token<'s>`](token::Token) borrows its text from the preprocessed
 //! source (`Ident(&'s str)`, `Number { text: &'s str, .. }`), the parser
 //! allocates an identifier's `String` once, when it builds the AST node
@@ -72,7 +74,7 @@ pub use fingerprint::{design_fingerprint, Fingerprint, StableHasher};
 pub use flatten::{eval_const, flatten};
 pub use lexer::lex;
 pub use parser::{parse, MAX_NESTING};
-pub use preprocess::{preprocess, IncludeMap};
+pub use preprocess::{preprocess, preprocess_owned, IncludeMap};
 
 /// Parses and flattens a single-file design in one call.
 ///

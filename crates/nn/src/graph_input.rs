@@ -3,7 +3,10 @@
 //! hw2vec consumes a graph `G` as `(X, A)`: `X` the one-hot node features and
 //! `A` the adjacency information. [`GraphInput`] stores the one-hot rows
 //! implicitly (as kind indices — `X · W` is then a row gather of `W`) and the
-//! symmetric-normalized adjacency `Â` of Eq. 5 explicitly.
+//! symmetric-normalized adjacency `Â` of Eq. 5 explicitly. The SAGE
+//! neighbor-mean operator is built the first time a SAGE model asks for it.
+
+use std::sync::OnceLock;
 
 use gnn4ip_dfg::{Dfg, VOCAB_SIZE};
 use gnn4ip_tensor::{mean_adjacency, normalized_adjacency, CsrMatrix};
@@ -19,8 +22,9 @@ pub struct GraphInput {
     pub edges: Vec<(usize, usize)>,
     /// `Â = D^-1/2 (A + I) D^-1/2` (GCN propagation operator, Eq. 5).
     pub adj: CsrMatrix,
-    /// `D^-1 A` neighbor-mean operator (SAGE-style AGGREGATE, Eq. 1).
-    pub mean_adj: CsrMatrix,
+    /// `D^-1 A`, built from `edges` on first use (see
+    /// [`mean_adj`](GraphInput::mean_adj)).
+    mean_adj: OnceLock<CsrMatrix>,
 }
 
 impl GraphInput {
@@ -35,14 +39,20 @@ impl GraphInput {
         debug_assert!(kinds.iter().all(|&k| k < VOCAB_SIZE));
         let edges = g.edges().to_vec();
         let adj = normalized_adjacency(g.node_count(), &edges);
-        let mean_adj = mean_adjacency(g.node_count(), &edges);
         Self {
             name: g.name().to_string(),
             kinds,
             edges,
             adj,
-            mean_adj,
+            mean_adj: OnceLock::new(),
         }
+    }
+
+    /// `D^-1 A` neighbor-mean operator (SAGE-style AGGREGATE, Eq. 1).
+    /// Only SAGE models read it, so it is built on the first call.
+    pub fn mean_adj(&self) -> &CsrMatrix {
+        self.mean_adj
+            .get_or_init(|| mean_adjacency(self.node_count(), &self.edges))
     }
 
     /// Number of nodes.
@@ -95,6 +105,16 @@ mod tests {
         assert!(d.is_finite());
         // symmetric because propagation treats edges as undirected
         assert!(d.approx_eq(&d.transpose(), 1e-6));
+    }
+
+    #[test]
+    fn mean_adjacency_is_built_on_first_use() {
+        let g = tiny_dfg();
+        let gi = GraphInput::from_dfg(&g);
+        assert!(gi.mean_adj.get().is_none());
+        let want = mean_adjacency(g.node_count(), g.edges()).to_dense();
+        assert_eq!(gi.mean_adj().to_dense(), want);
+        assert!(gi.mean_adj.get().is_some());
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl Hw2Vec {
             ConvKind::Sage => {
                 let wn = param_vars[self.layer_w2[0].index()];
                 w0.select_rows(&graph.kinds)
-                    .add(wn.select_rows(&graph.kinds).spmm(&graph.mean_adj))
+                    .add(wn.select_rows(&graph.kinds).spmm(graph.mean_adj()))
             }
         };
         h = h.add_bias(param_vars[self.layer_b[0].index()]);
@@ -262,7 +262,7 @@ impl Hw2Vec {
                 ConvKind::Gcn => h.matmul(w).spmm(&graph.adj),
                 ConvKind::Sage => {
                     let wn = param_vars[self.layer_w2[l].index()];
-                    h.matmul(w).add(h.spmm(&graph.mean_adj).matmul(wn))
+                    h.matmul(w).add(h.spmm(graph.mean_adj()).matmul(wn))
                 }
             };
             h = h.add_bias(b);
@@ -328,7 +328,7 @@ impl Hw2Vec {
                 self.params
                     .get(self.layer_w2[0])
                     .select_rows_into(&graph.kinds, &mut gn);
-                graph.mean_adj.spmm_into(&gn, &mut h);
+                graph.mean_adj().spmm_into(&gn, &mut h);
                 h.add_assign(&gathered);
                 ws.release(gn);
             }
@@ -348,7 +348,7 @@ impl Hw2Vec {
                 ConvKind::Sage => {
                     h.matmul_into(w, &mut tmp); // tmp = H W_self
                     let mut agg = ws.acquire(n, hidden);
-                    graph.mean_adj.spmm_into(&h, &mut agg); // agg = mean_N(H)
+                    graph.mean_adj().spmm_into(&h, &mut agg); // agg = mean_N(H)
                     agg.matmul_into(self.params.get(self.layer_w2[l]), &mut h);
                     h.add_assign(&tmp); // h = H W_self + agg W_neigh
                     ws.release(agg);
@@ -463,12 +463,7 @@ impl Hw2Vec {
             readout: Readout::from_tag(&r.str()?).ok_or("bad readout tag")?,
             conv: ConvKind::from_tag(&r.str()?).ok_or("bad conv tag")?,
         };
-        if config.input_dim == 0 || config.hidden == 0 || config.layers == 0 {
-            return Err("model file declares a zero-sized architecture".to_string());
-        }
-        if !(config.pool_ratio > 0.0 && config.pool_ratio <= 1.0) {
-            return Err(format!("bad pool ratio {}", config.pool_ratio));
-        }
+        check_config(&config)?;
         // The checksum is integrity, not authentication: bound the declared
         // architecture against the payload that must carry its weights
         // BEFORE allocating anything, so a forged dims field returns Err
@@ -508,6 +503,7 @@ impl Hw2Vec {
                     m.shape()
                 ));
             }
+            check_finite(name, &m)?;
             *slot = m;
         }
         r.done()?;
@@ -601,6 +597,7 @@ impl Hw2Vec {
                 None => ConvKind::Gcn, // legacy 7-field config
             },
         };
+        check_config(&config)?;
         let mut model = Hw2Vec::new(config, 0);
         // overwrite parameters in order
         let mut param_idx = 0usize;
@@ -625,6 +622,8 @@ impl Hw2Vec {
             if data.len() != rows * cols {
                 return Err(format!("param '{}' has wrong element count", parts[1]));
             }
+            let m = Matrix::from_vec(rows, cols, data);
+            check_finite(parts[1], &m)?;
             let mut ordered_ids: Vec<ParamId> = Vec::new();
             for l in 0..model.config.layers {
                 ordered_ids.push(model.layer_w[l]);
@@ -637,10 +636,30 @@ impl Hw2Vec {
             let id = *ordered_ids
                 .get(param_idx)
                 .ok_or("more params in file than in architecture")?;
-            *model.params.get_mut(id) = Matrix::from_vec(rows, cols, data);
+            *model.params.get_mut(id) = m;
             param_idx += 1;
         }
         Ok(model)
+    }
+}
+
+/// Refuses an architecture [`Hw2Vec::new`] cannot build.
+fn check_config(config: &Hw2VecConfig) -> Result<(), String> {
+    if config.input_dim == 0 || config.hidden == 0 || config.layers == 0 {
+        return Err("model file declares a zero-sized architecture".to_string());
+    }
+    if !(config.pool_ratio > 0.0 && config.pool_ratio <= 1.0) {
+        return Err(format!("bad pool ratio {}", config.pool_ratio));
+    }
+    Ok(())
+}
+
+/// Refuses a weight matrix holding NaN or ±inf: one such weight turns
+/// every embedding NaN, and a NaN query scores no corpus design.
+fn check_finite(name: &str, m: &Matrix) -> Result<(), String> {
+    match m.as_slice().iter().find(|v| !v.is_finite()) {
+        Some(v) => Err(format!("parameter '{name}' holds a non-finite weight {v}")),
+        None => Ok(()),
     }
 }
 
@@ -664,7 +683,8 @@ fn weight_count(config: &Hw2VecConfig) -> Option<usize> {
 }
 
 /// Indices of the top `ceil(ratio * n)` rows of an `n x 1` score column,
-/// by descending score (ties broken by node id for determinism).
+/// by descending score (ties broken by node id for determinism), in
+/// ascending node order. `-0.0` ties `+0.0`; NaN ranks below every number.
 pub fn top_k_indices(alpha: &Matrix, ratio: f32) -> Vec<usize> {
     let mut order = Vec::new();
     let mut idx = Vec::new();
@@ -673,23 +693,30 @@ pub fn top_k_indices(alpha: &Matrix, ratio: f32) -> Vec<usize> {
 }
 
 /// [`top_k_indices`] into caller-provided (cleared) scratch, so the
-/// inference path can reuse index buffers across passes.
+/// inference path can reuse index buffers across passes. Only the kept
+/// set matters, so the best `k` are selected, not sorted.
 fn top_k_into(alpha: &Matrix, ratio: f32, order: &mut Vec<usize>, idx: &mut Vec<usize>) {
     let n = alpha.rows();
     let k = ((ratio * n as f32).ceil() as usize).clamp(1, n);
     order.clear();
     order.extend(0..n);
-    order.sort_by(|&a, &b| {
-        alpha
-            .get(b, 0)
-            .partial_cmp(&alpha.get(a, 0))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    if k < n {
+        order.select_nth_unstable_by(k - 1, |&a, &b| pool_rank(alpha, a, b));
+    }
     idx.clear();
     idx.extend_from_slice(&order[..k]);
     // preserve original node order inside the pool (stability for spmm reuse)
     idx.sort_unstable();
+}
+
+/// The pooling order of nodes `a` and `b`: descending score, NaN last,
+/// then ascending node id. A total order, so every node has one rank and
+/// the best `k` are one set however they are found.
+fn pool_rank(alpha: &Matrix, a: usize, b: usize) -> std::cmp::Ordering {
+    let (sa, sb) = (alpha.get(a, 0), alpha.get(b, 0));
+    sb.partial_cmp(&sa)
+        .unwrap_or_else(|| sa.is_nan().cmp(&sb.is_nan()))
+        .then(a.cmp(&b))
 }
 
 /// Writes the graph readout of `pooled` (`k x c`) into the `1 x c` buffer
@@ -808,6 +835,68 @@ mod tests {
     fn top_k_keeps_at_least_one() {
         let alpha = Matrix::from_vec(1, 1, vec![0.0]);
         assert_eq!(top_k_indices(&alpha, 0.01), vec![0]);
+    }
+
+    /// Pooling as it was before selection: sort every node by descending
+    /// score (`-0.0` ties `+0.0`), ties by node id, and keep the first
+    /// `k`. NaN scores, which that comparator could not order, go last.
+    fn full_sort_top_k(scores: &[f32], ratio: f32) -> Vec<usize> {
+        let n = scores.len();
+        let k = ((ratio * n as f32).ceil() as usize).clamp(1, n);
+        let (mut order, nans): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&i| !scores[i].is_nan());
+        order.sort_by(|&a, &b| {
+            scores[b]
+                .partial_cmp(&scores[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        order.extend(nans);
+        let mut idx = order[..k].to_vec();
+        idx.sort_unstable();
+        idx
+    }
+
+    /// Random score columns with `nan_share` of NaNs and the rest from a
+    /// small palette, so ties (`±0.0` among them) are common.
+    fn assert_selection_matches_full_sort(seed: u64, columns: usize, nan_share: f64) {
+        const PALETTE: [f32; 7] = [0.0, -0.0, 0.5, -0.25, 1.0, 0.25, -0.75];
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..columns {
+            let n = rng.gen_range(1..=300usize);
+            let colors = rng.gen_range(1..=PALETTE.len());
+            let scores: Vec<f32> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(nan_share) {
+                        f32::NAN
+                    } else {
+                        PALETTE[rng.gen_range(0..colors)]
+                    }
+                })
+                .collect();
+            let ratio = 1.0 - rng.gen::<f32>(); // (0, 1]
+            let alpha = Matrix::from_vec(n, 1, scores.clone());
+            assert_eq!(
+                top_k_indices(&alpha, ratio),
+                full_sort_top_k(&scores, ratio),
+                "ratio {ratio}, scores {scores:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn top_k_selection_keeps_what_the_full_sort_kept() {
+        assert_selection_matches_full_sort(0x51de, 2000, 0.0);
+        let signed_zeros = Matrix::from_vec(4, 1, vec![0.0, -0.0, -0.0, 0.0]);
+        assert_eq!(top_k_indices(&signed_zeros, 0.5), vec![0, 1]);
+    }
+
+    #[test]
+    fn top_k_ranks_nan_scores_last_without_panicking() {
+        assert_selection_matches_full_sort(0x7a7a, 800, 0.3);
+        let alpha = Matrix::from_vec(4, 1, vec![f32::NAN, -1.0, f32::NAN, f32::NEG_INFINITY]);
+        assert_eq!(top_k_indices(&alpha, 0.5), vec![1, 3]);
+        assert_eq!(top_k_indices(&alpha, 0.75), vec![0, 1, 3]);
     }
 
     #[test]

@@ -8,15 +8,22 @@
 //! The corpus runs also pin what the Verilog front end hands on: one
 //! FNV-1a digest over every design's `design_fingerprint` and one over
 //! every trimmed DFG, so a front-end rewrite must reproduce both bit for
-//! bit.
+//! bit. Over the same generators, `preprocess` is held to its full
+//! two-pass path, `preprocess_owned`, wherever it borrows the source.
 
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 
 use proptest::prelude::*;
 
-use gnn4ip::data::{netlist_designs, obfuscate_netlist, rtl_designs, ObfuscationConfig, SynthSize};
+use gnn4ip::data::{
+    netlist_designs, obfuscate_netlist, rtl_designs, vary_design, ObfuscationConfig, SynthSize,
+    VariationConfig,
+};
 use gnn4ip::dfg::{extract, trim, Dfg, NodeKind, TrimStats};
-use gnn4ip::hdl::{design_fingerprint, elaborate, flatten, parse, preprocess, StableHasher};
+use gnn4ip::hdl::{
+    design_fingerprint, elaborate, flatten, parse, preprocess, preprocess_owned, StableHasher,
+};
 use gnn4ip::tensor::{mean_adjacency, normalized_adjacency, CsrMatrix};
 
 // ------------------------------------------------------------- references
@@ -405,4 +412,57 @@ fn pipeline_matches_reference_on_full_corpus() {
         assert_same_pipeline(&d.name, &d.source, &d.top, &mut digest);
     }
     digest.assert_pinned(0x0752_a6f3_b157_4f75, 0xe99a_c143_4c2a_d962);
+}
+
+/// Text preprocessing gives back unchanged: it ends in `\n` and has no
+/// backtick, comment, attribute (`(*` other than the `@(*)` wildcard)
+/// or `\r`.
+fn is_plain(source: &str) -> bool {
+    source.ends_with('\n')
+        && !source.contains(['`', '\r'])
+        && !source.contains("//")
+        && !source.contains("/*")
+        && !source.replace("(*)", "").contains("(*")
+}
+
+/// `preprocess` borrows exactly the plain sources of the netlist and RTL
+/// generators and their disguises, and what it returns, borrowed or not,
+/// equals the full two-pass path's output. Every netlist borrows; the
+/// RTL sources that need preprocessing still get it.
+#[test]
+fn preprocess_borrows_exactly_the_plain_sources() {
+    let (obf, var) = (ObfuscationConfig::default(), VariationConfig::default());
+    let mut sources: Vec<(bool, String, String)> = Vec::new();
+    for d in netlist_designs(24, 250) {
+        let disguise = obfuscate_netlist(&d.source, 1, &obf).expect("obfuscates");
+        sources.push((true, format!("{}/obf1", d.name), disguise));
+        sources.push((true, d.name, d.source));
+    }
+    for size in [SynthSize::Small, SynthSize::Medium] {
+        for d in rtl_designs(300, size) {
+            let disguise = vary_design(&d.source, 1, &var).expect("varies");
+            sources.push((false, format!("{}/var1", d.name), disguise));
+            sources.push((false, d.name, d.source));
+        }
+    }
+    let (mut rtl_borrowed, mut rtl_owned) = (0, 0);
+    for (netlist, label, source) in &sources {
+        let pre =
+            preprocess(source, &Default::default()).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let full = preprocess_owned(source, &Default::default()).expect("same result");
+        assert_eq!(*pre, full, "{label}: borrowed and full paths differ");
+        let borrowed = matches!(pre, Cow::Borrowed(_));
+        assert_eq!(borrowed, is_plain(source), "{label}: borrowed={borrowed}");
+        match (netlist, borrowed) {
+            (true, _) => assert!(borrowed, "{label}: a netlist needs no preprocessing"),
+            (false, true) => rtl_borrowed += 1,
+            (false, false) => rtl_owned += 1,
+        }
+    }
+    eprintln!("rtl borrowed {rtl_borrowed}, owned {rtl_owned}");
+    assert!(rtl_owned > 0, "no RTL source exercised the full path");
+    assert!(
+        rtl_borrowed > rtl_owned,
+        "{rtl_borrowed} borrowed, {rtl_owned} not"
+    );
 }
