@@ -455,7 +455,8 @@ fn read_body(
         }
         let unescaped = line.strip_prefix('.').filter(|_| line.starts_with(".."));
         let stored = unescaped.unwrap_or(&line);
-        if body.len() + stored.len() + 1 > max_body_bytes {
+        let projected = body.len() + stored.len() + 1;
+        if projected > max_body_bytes {
             drain_to_dot(lines)?;
             return Err(BodyError::TooLarge);
         }

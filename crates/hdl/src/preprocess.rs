@@ -84,8 +84,8 @@ pub fn preprocess_owned(source: &str, includes: &IncludeMap) -> Result<String, P
 /// directive or macro use (backtick), nothing [`strip_comments`] removes
 /// (`//`, `/*`, `(*` other than the `@(*)` wildcard), no `\r` for
 /// `lines()` to drop, and a final `\n` (the expansion ends every line
-/// with one). The scan has no early exit and no branch, so it vectorizes:
-/// a few µs on a 40 KB netlist.
+/// with one). The scan has no early exit and no branch, so the compiler
+/// vectorizes it.
 fn is_plain(source: &str) -> bool {
     let bytes = source.as_bytes();
     let n = bytes.len();
