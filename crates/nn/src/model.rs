@@ -655,7 +655,8 @@ fn check_config(config: &Hw2VecConfig) -> Result<(), String> {
 }
 
 /// Refuses a weight matrix holding NaN or ±inf: one such weight turns
-/// every embedding NaN, and a NaN query scores no corpus design.
+/// every embedding NaN, and a detector serving NaN embeddings clears
+/// every suspect.
 fn check_finite(name: &str, m: &Matrix) -> Result<(), String> {
     match m.as_slice().iter().find(|v| !v.is_finite()) {
         Some(v) => Err(format!("parameter '{name}' holds a non-finite weight {v}")),

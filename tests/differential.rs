@@ -459,7 +459,6 @@ fn preprocess_borrows_exactly_the_plain_sources() {
             (false, false) => rtl_owned += 1,
         }
     }
-    eprintln!("rtl borrowed {rtl_borrowed}, owned {rtl_owned}");
     assert!(rtl_owned > 0, "no RTL source exercised the full path");
     assert!(
         rtl_borrowed > rtl_owned,
