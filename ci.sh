@@ -79,8 +79,11 @@ stage_serve() {
 stage_service() {
     # the audit service surface: every serve-loop protocol/backpressure
     # test (bounded queue, ordered responses, publish visibility, dot
-    # escaping, non-UTF-8 input) and the proptest that a query's hits do
-    # not depend on the batch it is scored in
+    # escaping, non-UTF-8 input, a panicking audit answered with an ERR
+    # line while its worker serves on), the in-place body reader against
+    # the per-line reference at every buffer capacity from 1 to 64 bytes,
+    # and the proptest that a query's hits do not depend on the batch it
+    # is scored in
     cargo test -q --release --offline -p gnn4ip-core service::
     cargo test -q --release --offline --test properties -- batch_composition
 }

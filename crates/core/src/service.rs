@@ -58,13 +58,14 @@
 //! loom-lite treatment the publication slot gets.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::audit::{AuditPipeline, AuditSource};
+use crate::audit::{AuditPipeline, AuditSnapshot, AuditSource};
 
 // --- bounded queue ------------------------------------------------------
 
@@ -422,48 +423,166 @@ impl BodyError {
     }
 }
 
-/// Drains lines through the `.` terminator without storing them
-/// (non-UTF-8 and over-long lines included).
-fn drain_to_dot(
-    lines: &mut impl Iterator<Item = Result<String, BodyError>>,
-) -> Result<(), BodyError> {
-    for line in lines {
-        if line.as_deref() == Ok(".") {
-            return Ok(());
+/// Index of the first `\n` in `bytes`, tested eight bytes at a time: a
+/// word XORed with `\n` in every byte has a zero byte where `bytes` holds
+/// a `\n`, and the lowest high bit of `(x - 0x01…01) & !x & 0x80…80` marks
+/// the first zero byte of `x`.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*word) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + (zeros.trailing_zeros() / 8) as usize);
         }
     }
-    Err(BodyError::Eof)
+    let at = words.len() * 8;
+    tail.iter().position(|&b| b == b'\n').map(|p| at + p)
+}
+
+/// Appends `bytes` to `spill` while it holds at most `cap + 1` bytes: a
+/// line that long is already known to be over the cap.
+fn spill_capped(spill: &mut Vec<u8>, bytes: &[u8], cap: usize) {
+    let room = cap.saturating_add(1).saturating_sub(spill.len());
+    spill.extend_from_slice(&bytes[..bytes.len().min(room)]);
+}
+
+/// Judges one body line (its `\n` cut off) as [`read_line`] reads it and
+/// appends what it stores to `body`. `Ok(true)` is the lone `.` that ends
+/// the body. A line longer than `max_body_bytes` (a `\r` before its `\n`
+/// included) or one that would take the body past it is
+/// [`BodyError::TooLarge`]; a line that is not UTF-8 is
+/// [`BodyError::NotUtf8`]. A leading `..` is stored as `.`.
+fn append_line(body: &mut String, line: &[u8], max_body_bytes: usize) -> Result<bool, BodyError> {
+    if line.len() > max_body_bytes {
+        return Err(BodyError::TooLarge);
+    }
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    if line == b"." {
+        return Ok(true);
+    }
+    let line = std::str::from_utf8(line).map_err(|_| BodyError::NotUtf8)?;
+    let stored = line.strip_prefix('.').filter(|_| line.starts_with(".."));
+    let stored = stored.unwrap_or(line);
+    let projected = body.len() + stored.len() + 1;
+    if projected > max_body_bytes {
+        return Err(BodyError::TooLarge);
+    }
+    body.push_str(stored);
+    body.push('\n');
+    Ok(false)
 }
 
 /// Reads a dot-terminated body (SMTP-style: a lone `.` ends the body, a
 /// leading `..` unescapes to `.`), holding at most `max_body_bytes`.
+///
+/// Lines are found and judged in place in `input`'s buffer and appended
+/// to one `String`; a line is copied into `spill` only when it straddles
+/// two buffer fills, and `spill` never holds more than
+/// `max_body_bytes + 1` of its bytes. Each line is judged as [`read_line`]
+/// reads it. After a refused line ([`BodyError::TooLarge`],
+/// [`BodyError::NotUtf8`]) the rest of the body is drained through the
+/// terminator unstored, so the next command line reads in sync; EOF (or
+/// an input error) before the terminator is [`BodyError::Eof`].
 fn read_body(
-    lines: &mut impl Iterator<Item = Result<String, BodyError>>,
+    input: &mut impl BufRead,
     max_body_bytes: usize,
+    spill: &mut Vec<u8>,
 ) -> Result<String, BodyError> {
     let mut body = String::new();
-    while let Some(line) = lines.next() {
-        let line = match line {
-            Ok(line) => line,
-            Err(e) => {
-                drain_to_dot(lines)?;
-                return Err(e);
-            }
+    // the first refused line's error: past it, lines are only scanned
+    // for the terminator
+    let mut refused = None;
+    spill.clear();
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return Err(BodyError::Eof),
         };
-        if line == "." {
-            return Ok(body);
+        if chunk.is_empty() {
+            // a final `.` needs no newline to end the body
+            if spill.as_slice() != b"." || max_body_bytes == 0 {
+                return Err(BodyError::Eof);
+            }
+            return refused.map_or(Ok(body), Err);
         }
-        let unescaped = line.strip_prefix('.').filter(|_| line.starts_with(".."));
-        let stored = unescaped.unwrap_or(&line);
-        let projected = body.len() + stored.len() + 1;
-        if projected > max_body_bytes {
-            drain_to_dot(lines)?;
-            return Err(BodyError::TooLarge);
+        let mut start = 0;
+        while let Some(len) = find_newline(&chunk[start..]) {
+            let line = &chunk[start..start + len];
+            start += len + 1;
+            let line = if spill.is_empty() {
+                line
+            } else {
+                spill_capped(spill, line, max_body_bytes);
+                spill.as_slice()
+            };
+            let done = match refused {
+                None => append_line(&mut body, line, max_body_bytes).unwrap_or_else(|e| {
+                    refused = Some(e);
+                    false
+                }),
+                Some(_) => matches!(line, b"." | b".\r") && line.len() <= max_body_bytes,
+            };
+            spill.clear();
+            if done {
+                input.consume(start);
+                return refused.map_or(Ok(body), Err);
+            }
         }
-        body.push_str(stored);
-        body.push('\n');
+        spill_capped(spill, &chunk[start..], max_body_bytes);
+        let read = chunk.len();
+        input.consume(read);
     }
-    Err(BodyError::Eof)
+}
+
+/// Scores one worker batch against `snapshot` and returns one response
+/// line per suspect, in order. A panic inside the audit answers every
+/// suspect of the batch with `ERR audit <name>: internal error`, counted
+/// as rejected, so no request goes unanswered and the worker serves on.
+fn audit_batch(
+    snapshot: &AuditSnapshot,
+    suspects: Vec<AuditSource>,
+    stats: &LiveStats,
+) -> Vec<String> {
+    let audited = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        tests::fault_on_marker(&suspects);
+        snapshot.audit_many(&suspects)
+    }));
+    let Ok((verdicts, report)) = audited else {
+        stats
+            .rejected
+            .fetch_add(suspects.len() as u64, Ordering::Relaxed);
+        return suspects
+            .iter()
+            .map(|s| format!("ERR audit {}: internal error", s.name))
+            .collect();
+    };
+    stats
+        .audits
+        .fetch_add(report.audited as u64, Ordering::Relaxed);
+    stats
+        .flagged
+        .fetch_add(report.flagged as u64, Ordering::Relaxed);
+    stats
+        .rejected
+        .fetch_add(report.rejected.len() as u64, Ordering::Relaxed);
+    let mut parse_errors = report.rejected.into_iter();
+    suspects
+        .into_iter()
+        .zip(verdicts)
+        .map(|(suspect, verdict)| match verdict {
+            Some(v) => verdict_line(&suspect.name, &v),
+            None => {
+                let (name, err) = parse_errors.next().unwrap_or((suspect.name, String::new()));
+                format!("ERR audit {name}: {}", one_line(&err))
+            }
+        })
+        .collect()
 }
 
 /// Formats the one-line response for a scored audit.
@@ -536,29 +655,9 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                         .into_iter()
                         .map(|j| (j.suspect, (j.enqueued, j.reply)))
                         .unzip();
-                    let (verdicts, report) = current.audit_many(&suspects);
-                    stats
-                        .audits
-                        .fetch_add(report.audited as u64, Ordering::Relaxed);
-                    stats
-                        .flagged
-                        .fetch_add(report.flagged as u64, Ordering::Relaxed);
-                    stats
-                        .rejected
-                        .fetch_add(report.rejected.len() as u64, Ordering::Relaxed);
-                    let mut parse_errors = report.rejected.into_iter();
+                    let lines = audit_batch(&current, suspects, &stats);
                     let mut samples = Vec::with_capacity(replies.len());
-                    for ((suspect, (enqueued, reply)), verdict) in
-                        suspects.into_iter().zip(replies).zip(verdicts)
-                    {
-                        let line = match verdict {
-                            Some(v) => verdict_line(&suspect.name, &v),
-                            None => {
-                                let (name, err) =
-                                    parse_errors.next().unwrap_or((suspect.name, String::new()));
-                                format!("ERR audit {name}: {}", one_line(&err))
-                            }
-                        };
+                    for (line, (enqueued, reply)) in lines.into_iter().zip(replies) {
                         samples.push(enqueued.elapsed().as_micros() as u64);
                         // a dropped receiver (responder gone) just means
                         // nobody is listening anymore; keep draining
@@ -583,11 +682,10 @@ pub fn run_service<R: BufRead, W: Write + Send>(
         });
 
         // command lines share the body cap, so no line of any kind is
-        // stored past max_body_bytes + 1 bytes
+        // stored past max_body_bytes + 1 bytes; `buf` holds the command
+        // line, then a body line that straddles two buffer fills
         let (mut input, mut buf) = (input, Vec::new());
-        let mut lines =
-            std::iter::from_fn(|| read_line(&mut input, config.max_body_bytes, &mut buf));
-        while let Some(next) = lines.next() {
+        while let Some(next) = read_line(&mut input, config.max_body_bytes, &mut buf) {
             // `Err`: a command line answered with that ERR line below
             let line = match next {
                 Ok(line) => Ok(line.trim_end().to_string()),
@@ -618,7 +716,7 @@ pub fn run_service<R: BufRead, W: Write + Send>(
             };
             match cmd {
                 "AUDIT" if !arg.is_empty() => {
-                    let body = match read_body(&mut lines, config.max_body_bytes) {
+                    let body = match read_body(&mut input, config.max_body_bytes, &mut buf) {
                         Ok(body) => body,
                         Err(e) => {
                             let reason = e.reason(config.max_body_bytes);
@@ -642,7 +740,7 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                     }
                 }
                 "INGEST" if !arg.is_empty() => {
-                    let body = match read_body(&mut lines, config.max_body_bytes) {
+                    let body = match read_body(&mut input, config.max_body_bytes, &mut buf) {
                         Ok(body) => body,
                         Err(e) => {
                             let reason = e.reason(config.max_body_bytes);
@@ -726,7 +824,18 @@ mod tests {
 
     const INV: &str = "module inv(input a, output y); assign y = ~a; endmodule";
 
-    /// The lines of `input` as `run_service` reads them.
+    /// A request name whose batch panics inside the worker's audit.
+    const PANIC_MARKER: &str = "panic-marker";
+
+    /// The fault the workers run before each audit in test builds: a
+    /// batch holding a [`PANIC_MARKER`] request panics.
+    pub(super) fn fault_on_marker(suspects: &[AuditSource]) {
+        if suspects.iter().any(|s| s.name == PANIC_MARKER) {
+            panic!("injected fault on {PANIC_MARKER}");
+        }
+    }
+
+    /// The lines of `input` as `read_line` reads them.
     fn lines_of(
         mut input: impl BufRead,
         cap: usize,
@@ -734,6 +843,7 @@ mod tests {
         let mut buf = Vec::new();
         std::iter::from_fn(move || read_line(&mut input, cap, &mut buf))
     }
+
     const XOR2: &str = "module x2(input a, input b, output y); assign y = a ^ b; endmodule";
 
     fn service_pipeline() -> AuditPipeline {
@@ -967,10 +1077,11 @@ mod tests {
     /// later request in order, and still ends with `OK bye`.
     #[test]
     fn non_utf8_lines_get_err_lines_and_session_continues() {
-        let mut lines = lines_of(&b"ok\n\xff\nmore\n.\nNEXT\n"[..], 1 << 20);
-        assert_eq!(read_body(&mut lines, 1 << 20), Err(BodyError::NotUtf8));
+        let (mut input, mut buf) = (&b"ok\n\xff\nmore\n.\nNEXT\n"[..], Vec::new());
+        let body = read_body(&mut input, 1 << 20, &mut buf);
+        assert_eq!(body, Err(BodyError::NotUtf8));
         assert_eq!(
-            lines.next(),
+            read_line(&mut input, 1 << 20, &mut buf),
             Some(Ok("NEXT".to_string())),
             "the bad body is drained through its terminator"
         );
@@ -1013,10 +1124,9 @@ mod tests {
     /// round-trip through the escape.
     #[test]
     fn body_dot_escaping() {
-        let raw = "AUDIT x\nline1\n..dotline\n.\n";
-        let mut lines = lines_of(raw.as_bytes(), 1 << 20);
-        let _cmd = lines.next();
-        let body = read_body(&mut lines, 1 << 20).expect("terminated");
+        let (mut input, mut buf) = ("AUDIT x\nline1\n..dotline\n.\n".as_bytes(), Vec::new());
+        let _cmd = read_line(&mut input, 1 << 20, &mut buf);
+        let body = read_body(&mut input, 1 << 20, &mut buf).expect("terminated");
         assert_eq!(body, "line1\n.dotline\n");
     }
 
@@ -1024,13 +1134,14 @@ mod tests {
     /// (the next request still parses), and never buffers the excess.
     #[test]
     fn oversized_body_is_rejected_in_sync() {
-        let mut lines = lines_of("0123456\nabcdef\n.\n".as_bytes(), 8);
-        assert_eq!(read_body(&mut lines, 8), Err(BodyError::TooLarge));
-        assert_eq!(lines.next(), None, "drained");
+        let (mut input, mut buf) = ("0123456\nabcdef\n.\n".as_bytes(), Vec::new());
+        assert_eq!(read_body(&mut input, 8, &mut buf), Err(BodyError::TooLarge));
+        assert_eq!(read_line(&mut input, 8, &mut buf), None, "drained");
         // a line longer than the cap alone takes the same drain
-        let mut lines = lines_of("0123456789\nab\n.\nNEXT\n".as_bytes(), 8);
-        assert_eq!(read_body(&mut lines, 8), Err(BodyError::TooLarge));
-        assert_eq!(lines.next(), Some(Ok("NEXT".to_string())));
+        let mut input = "0123456789\nab\n.\nNEXT\n".as_bytes();
+        assert_eq!(read_body(&mut input, 8, &mut buf), Err(BodyError::TooLarge));
+        let next = read_line(&mut input, 8, &mut buf);
+        assert_eq!(next, Some(Ok("NEXT".to_string())));
 
         let mut input = String::new();
         input.push_str("INGEST big\n");
@@ -1155,5 +1266,224 @@ mod tests {
         assert!(lines[2].starts_with("VERDICT fine "), "{}", lines[2]);
         assert_eq!(lines[3], "OK bye");
         assert_eq!((report.requests, report.audits, report.rejected), (4, 1, 1));
+    }
+
+    /// A panic inside a worker's audit answers that request with a typed
+    /// ERR line, counted as rejected; the one worker lives on to answer
+    /// every later request in order, and the session ends cleanly.
+    #[test]
+    fn a_panicking_audit_gets_an_err_line_and_the_worker_serves_on() {
+        let mut input = format!("INGEST inv\n{INV}\n.\nPUBLISH\n");
+        for name in ["before", PANIC_MARKER, "after", PANIC_MARKER, "last"] {
+            input.push_str(&format!("AUDIT {name}\n{INV}\n.\n"));
+        }
+        input.push_str("STATS\nSHUTDOWN\n");
+        let mut pipeline = service_pipeline();
+        let mut out: Vec<u8> = Vec::new();
+        let config = ServiceConfig {
+            workers: 1,
+            max_batch: 1,
+            ..ServiceConfig::default()
+        };
+        let report =
+            run_service(&mut pipeline, &config, input.as_bytes(), &mut out).expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 9, "one response per request:\n{text}");
+        assert_eq!(lines[..2], ["OK ingested=1 rejected=0", "OK epoch=2"]);
+        let internal = format!("ERR audit {PANIC_MARKER}: internal error");
+        for (line, name) in lines[2..7].iter().zip(["before", "", "after", "", "last"]) {
+            if name.is_empty() {
+                assert_eq!(*line, internal);
+            } else {
+                assert!(line.starts_with(&format!("VERDICT {name} ")), "{line}");
+            }
+        }
+        assert!(lines[7].starts_with("STATS requests=8 "), "{}", lines[7]);
+        assert_eq!(lines[8], "OK bye");
+        assert_eq!((report.audits, report.rejected), (3, 2));
+        assert_eq!(report.latency.count, 5, "every audit request timed");
+    }
+
+    /// Drains lines through the `.` terminator without storing them
+    /// (non-UTF-8 and over-long lines included): the reference for
+    /// `read_body`'s drain.
+    fn reference_drain_to_dot(
+        lines: &mut impl Iterator<Item = Result<String, BodyError>>,
+    ) -> Result<(), BodyError> {
+        for line in lines {
+            if line.as_deref() == Ok(".") {
+                return Ok(());
+            }
+        }
+        Err(BodyError::Eof)
+    }
+
+    /// The per-line body reader `read_body` replaced: one `String` per
+    /// line from `read_line`. Kept as the reference the in-place reader
+    /// must agree with at every buffer boundary.
+    fn reference_read_body(
+        lines: &mut impl Iterator<Item = Result<String, BodyError>>,
+        max_body_bytes: usize,
+    ) -> Result<String, BodyError> {
+        let mut body = String::new();
+        while let Some(line) = lines.next() {
+            let line = match line {
+                Ok(line) => line,
+                Err(e) => {
+                    reference_drain_to_dot(lines)?;
+                    return Err(e);
+                }
+            };
+            if line == "." {
+                return Ok(body);
+            }
+            let unescaped = line.strip_prefix('.').filter(|_| line.starts_with(".."));
+            let stored = unescaped.unwrap_or(&line);
+            if body.len() + stored.len() + 1 > max_body_bytes {
+                reference_drain_to_dot(lines)?;
+                return Err(BodyError::TooLarge);
+            }
+            body.push_str(stored);
+            body.push('\n');
+        }
+        Err(BodyError::Eof)
+    }
+
+    /// splitmix64: the seeded stream behind the generated frames.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            usize::try_from(self.next() % n as u64).expect("below n")
+        }
+    }
+
+    /// A random body frame for `max_body_bytes`: lines that cover CRLF
+    /// endings, `..` escapes, multi-byte and broken UTF-8, and lines at,
+    /// over and far over the cap, then one ending: a `.` or `.\r`
+    /// terminator followed by a command line (plain, non-UTF-8 or
+    /// over-long), a final `.` at EOF without a newline, a `.\r` that is
+    /// no terminator, a cut-off line, or EOF between lines.
+    fn random_frame(rng: &mut SplitMix, max_body_bytes: usize) -> Vec<u8> {
+        const PIECES: [&[u8]; 14] = [
+            b"",
+            b"wire a;",
+            b"..dot",
+            b"..",
+            b"...",
+            b".x",
+            b".",
+            b"\xc3\xa9t\xc3\xa9 \xe2\x82\xac",
+            b"\xf0\x9d\x84\x9e",
+            b"\xff\xfe",
+            b"\xc3",
+            b"x\ry",
+            b"\r",
+            b"assign y = a & b;",
+        ];
+        let mut frame = Vec::new();
+        let near_cap = max_body_bytes.min(64);
+        for _ in 0..rng.below(7) {
+            match rng.below(4) {
+                0 => {
+                    // a run of bytes at, just over, or far over the cap
+                    let len = near_cap.saturating_sub(1) + rng.below(4);
+                    if rng.below(3) == 0 {
+                        frame.extend_from_slice(b"..");
+                    }
+                    frame.extend(std::iter::repeat_n(b'y', len));
+                }
+                _ => frame.extend_from_slice(PIECES[rng.below(PIECES.len())]),
+            }
+            frame.extend_from_slice(if rng.below(3) == 0 { b"\r\n" } else { b"\n" });
+        }
+        let endings: [&[u8]; 8] = [
+            b".\nNEXT\n",
+            b".\r\nNEXT\r\n",
+            b".\n\xffNEXT\n",
+            b".\nyyyyyyyyyyyyyyyyyyyy\n",
+            b".",
+            b".\r",
+            b"cut off",
+            b"",
+        ];
+        frame.extend_from_slice(endings[rng.below(endings.len())]);
+        frame
+    }
+
+    /// The in-place body reader agrees with the per-line reference on
+    /// every frame read through every `BufReader` capacity from 1 to 64
+    /// bytes, so each line, `\r\n`, `..` escape, terminator and UTF-8
+    /// character is split across fills at every offset somewhere: the
+    /// same body or error, and the same command line read after it. The
+    /// spill buffer never holds more than `max_body_bytes + 1` bytes.
+    #[test]
+    fn in_place_body_reader_matches_the_per_line_reader_at_every_boundary() {
+        let mut frames: Vec<(usize, Vec<u8>)> = vec![
+            (1 << 20, b"a\r\nb\r\n.\r\nNEXT\r\n".to_vec()),
+            (1 << 20, b"..x\n...\n..\n.\nNEXT\n".to_vec()),
+            (
+                1 << 20,
+                "\u{e9}t\u{e9}\n\u{20ac}\u{1d11e}\n.\nNEXT\n".into(),
+            ),
+            (1 << 20, b"ok\n\xff\nmore\n.\nNEXT\n".to_vec()),
+            (8, b"0123456789\nab\n.\nNEXT\n".to_vec()),
+            (8, b"0123456\nabcdef\n.\nNEXT\n".to_vec()),
+            (1 << 20, b"ok\n.".to_vec()),
+            (1 << 20, b"ok\nmore".to_vec()),
+        ];
+        let mut rng = SplitMix(19);
+        for max_body_bytes in [0, 1, 2, 3, 4, 7, 12, 30, 1 << 20] {
+            for _ in 0..48 {
+                frames.push((max_body_bytes, random_frame(&mut rng, max_body_bytes)));
+            }
+        }
+        for (max_body_bytes, frame) in &frames {
+            let max = *max_body_bytes;
+            let mut lines = lines_of(frame.as_slice(), max);
+            let want = reference_read_body(&mut lines, max);
+            let want_next = lines.next();
+            for capacity in 1..=64 {
+                let mut input = std::io::BufReader::with_capacity(capacity, frame.as_slice());
+                let mut spill = Vec::new();
+                let got = read_body(&mut input, max, &mut spill);
+                assert!(spill.len() <= max + 1, "spilled {} bytes", spill.len());
+                // amortized growth, but bounded by the cap
+                assert!(spill.capacity() <= (2 * (max + 1)).max(8));
+                let got_next = read_line(&mut input, max, &mut spill);
+                assert_eq!(
+                    (&got, &got_next),
+                    (&want, &want_next),
+                    "cap {max}, capacity {capacity}, frame {:?}",
+                    String::from_utf8_lossy(frame)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn find_newline_finds_the_first_newline_at_every_offset() {
+        for len in 0..40 {
+            for at in 0..=len {
+                // bytes that share bits with b'\n', before and after it
+                let mut bytes: Vec<u8> =
+                    (0..len).map(|i| [0x0b, 0x8a, 0x00, 0xff][i % 4]).collect();
+                if at < len {
+                    bytes[at] = b'\n';
+                    bytes[len - 1] = b'\n';
+                }
+                let want = bytes.iter().position(|&b| b == b'\n');
+                assert_eq!(find_newline(&bytes), want, "len {len}, at {at}");
+            }
+        }
     }
 }

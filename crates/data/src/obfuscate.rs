@@ -113,14 +113,14 @@ fn obfuscate_module(module: &Module, rng: &mut StdRng, config: &ObfuscationConfi
                         decls.push(wire_decl(w));
                     }
                     let mut conns = vec![Expr::ident(&t)];
-                    conns.extend(ins.iter().map(|e| (*e).clone()));
+                    conns.extend_from_slice(ins);
                     new_items.push(Item::Gate(GateInstance {
                         kind: g.kind,
                         name: None,
                         conns,
                     }));
                     new_items.push(gate2(GateKind::Not, &t2, &t));
-                    new_items.push(gate2(GateKind::Not, &expr_name(outs[0]), &t2));
+                    new_items.push(gate2(GateKind::Not, &expr_name(&outs[0]), &t2));
                 } else {
                     new_items.push(item.clone());
                 }
@@ -243,9 +243,9 @@ fn decompose_gate(
         items.push(Item::Gate(g.clone()));
         return;
     }
-    let out = expr_name(outs[0]);
-    let a = expr_name(ins[0]);
-    let b = expr_name(ins[1]);
+    let out = expr_name(&outs[0]);
+    let a = expr_name(&ins[0]);
+    let b = expr_name(&ins[1]);
     match g.kind {
         GateKind::And => {
             // and = not(nand)

@@ -8,6 +8,7 @@
 //! "merge graphs" phase: signal `t1` used by three expressions is one node
 //! with three incoming dependency edges.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use gnn4ip_hdl::{
@@ -41,7 +42,8 @@ pub fn extract(module: &Module) -> Dfg {
 struct Extractor<'m> {
     module: &'m Module,
     graph: Dfg,
-    signal_nodes: HashMap<String, NodeId>,
+    /// Signal name → node, keyed by names borrowed from the module.
+    signal_nodes: HashMap<&'m str, NodeId>,
     const_nodes: HashMap<u64, NodeId>,
 }
 
@@ -56,33 +58,33 @@ impl<'m> Extractor<'m> {
     }
 
     fn run(mut self) -> Dfg {
+        let module = self.module;
         // Declare signal nodes for ports first so outputs become roots with
         // stable low ids.
-        for port in &self.module.ports {
+        for port in &module.ports {
             let kind = match port.dir {
                 PortDir::Input => NodeKind::Input,
                 PortDir::Output => NodeKind::Output,
                 PortDir::Inout => NodeKind::Wire,
             };
-            let id = self.graph.add_node(kind, &port.name);
-            self.signal_nodes.insert(port.name.clone(), id);
+            let id = self.graph.add_node(kind, port.name.clone());
+            self.signal_nodes.insert(&port.name, id);
             if port.dir == PortDir::Output {
                 self.graph.add_root(id);
             }
         }
-        for item in &self.module.items {
+        for item in &module.items {
             if let Item::Decl { kind, name, .. } = item {
                 let nk = match kind {
                     NetKind::Wire => NodeKind::Wire,
                     NetKind::Reg | NetKind::Integer => NodeKind::Reg,
                 };
-                if !self.signal_nodes.contains_key(name) {
-                    let id = self.graph.add_node(nk, name);
-                    self.signal_nodes.insert(name.clone(), id);
+                if let Entry::Vacant(slot) = self.signal_nodes.entry(name) {
+                    slot.insert(self.graph.add_node(nk, name.clone()));
                 }
             }
         }
-        for item in &self.module.items {
+        for item in &module.items {
             match item {
                 Item::Decl {
                     name,
@@ -132,27 +134,26 @@ impl<'m> Extractor<'m> {
     }
 
     /// Node for a named signal, creating an implicit wire if undeclared.
-    fn signal(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.signal_nodes.get(name) {
-            return id;
-        }
-        let id = self.graph.add_node(NodeKind::Wire, name);
-        self.signal_nodes.insert(name.to_string(), id);
-        id
+    /// One hash of `name` either way.
+    fn signal(&mut self, name: &'m str) -> NodeId {
+        let graph = &mut self.graph;
+        *self
+            .signal_nodes
+            .entry(name)
+            .or_insert_with(|| graph.add_node(NodeKind::Wire, name.to_owned()))
     }
 
     fn constant(&mut self, value: u64) -> NodeId {
-        if let Some(&id) = self.const_nodes.get(&value) {
-            return id;
-        }
-        let id = self.graph.add_node(NodeKind::Constant, value.to_string());
-        self.const_nodes.insert(value, id);
-        id
+        let graph = &mut self.graph;
+        *self
+            .const_nodes
+            .entry(value)
+            .or_insert_with(|| graph.add_node(NodeKind::Constant, value.to_string()))
     }
 
     /// Connects an assignment target to its driver tree under a condition
     /// context, materializing `Branch` nodes for the context.
-    fn drive(&mut self, lhs: &Expr, driver: NodeId, ctx: &[NodeId]) {
+    fn drive(&mut self, lhs: &'m Expr, driver: NodeId, ctx: &[NodeId]) {
         let driver = if ctx.is_empty() {
             driver
         } else {
@@ -201,7 +202,7 @@ impl<'m> Extractor<'m> {
         }
     }
 
-    fn stmt_tree(&mut self, stmt: &Stmt, ctx: &mut Vec<NodeId>) {
+    fn stmt_tree(&mut self, stmt: &'m Stmt, ctx: &mut Vec<NodeId>) {
         match stmt {
             Stmt::Block(ss) => {
                 for s in ss {
@@ -210,8 +211,7 @@ impl<'m> Extractor<'m> {
             }
             Stmt::Blocking { lhs, rhs } | Stmt::NonBlocking { lhs, rhs } => {
                 let tree = self.expr_tree(rhs);
-                let ctx_now = ctx.clone();
-                self.drive(lhs, tree, &ctx_now);
+                self.drive(lhs, tree, ctx);
             }
             Stmt::If {
                 cond,
@@ -256,7 +256,7 @@ impl<'m> Extractor<'m> {
         }
     }
 
-    fn expr_tree(&mut self, expr: &Expr) -> NodeId {
+    fn expr_tree(&mut self, expr: &'m Expr) -> NodeId {
         match expr {
             Expr::Ident(name) => self.signal(name),
             Expr::Number { value, .. } => self.constant(*value),

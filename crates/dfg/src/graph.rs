@@ -5,6 +5,7 @@
 //! `(i, j)` exists when the value of node `i` depends on node `j` (so edges
 //! point from the circuit's output roots toward its input leaves).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::nodekind::NodeKind;
@@ -19,7 +20,9 @@ pub struct Node {
     pub kind: NodeKind,
     /// Human-readable label (signal name, constant value, operator) — kept
     /// for DOT export and debugging, never used as a model feature.
-    pub label: String,
+    /// Operator, gate, branch and select nodes borrow a static label;
+    /// signal and constant labels are owned.
+    pub label: Cow<'static, str>,
 }
 
 /// A rooted, directed hardware data-flow graph.
@@ -47,6 +50,9 @@ pub struct Dfg {
     nodes: Vec<Node>,
     edges: Vec<(NodeId, NodeId)>,
     roots: Vec<NodeId>,
+    /// `is_root[id]`: `id` is in `roots`. One entry per node, so
+    /// [`Dfg::add_root`] checks membership in O(1).
+    is_root: Vec<bool>,
 }
 
 impl Dfg {
@@ -63,12 +69,14 @@ impl Dfg {
         &self.name
     }
 
-    /// Adds a node and returns its id.
-    pub fn add_node(&mut self, kind: NodeKind, label: impl Into<String>) -> NodeId {
+    /// Adds a node and returns its id. A `&'static str` label is stored
+    /// without allocating.
+    pub fn add_node(&mut self, kind: NodeKind, label: impl Into<Cow<'static, str>>) -> NodeId {
         self.nodes.push(Node {
             kind,
             label: label.into(),
         });
+        self.is_root.push(false);
         self.nodes.len() - 1
     }
 
@@ -85,14 +93,16 @@ impl Dfg {
         self.edges.push((from, to));
     }
 
-    /// Marks a node as a root (an output signal of the design).
+    /// Marks a node as a root (an output signal of the design). Marking
+    /// a root again changes nothing.
     ///
     /// # Panics
     ///
     /// Panics if the node does not exist.
     pub fn add_root(&mut self, id: NodeId) {
         assert!(id < self.nodes.len(), "root {id} out of bounds");
-        if !self.roots.contains(&id) {
+        if !self.is_root[id] {
+            self.is_root[id] = true;
             self.roots.push(id);
         }
     }
@@ -197,6 +207,8 @@ impl Dfg {
         // node once, in order, so the mask lines up
         let mut keep = mask.iter();
         self.nodes.retain(|_| keep.next() == Some(&true));
+        let mut keep = mask.iter();
+        self.is_root.retain(|_| keep.next() == Some(&true));
         self.edges = self
             .edges
             .iter()
@@ -230,7 +242,7 @@ impl Dfg {
             } else {
                 "box"
             };
-            let peripheries = if self.roots.contains(&i) { 2 } else { 1 };
+            let peripheries = if self.is_root[i] { 2 } else { 1 };
             let _ = writeln!(
                 s,
                 "  n{i} [label=\"{}\", shape={shape}, peripheries={peripheries}];",
@@ -282,11 +294,20 @@ mod tests {
 
     #[test]
     fn duplicate_roots_are_ignored() {
-        let mut g = Dfg::new("t");
-        let y = g.add_node(NodeKind::Output, "y");
-        g.add_root(y);
-        g.add_root(y);
-        assert_eq!(g.roots().len(), 1);
+        let mut g = chain();
+        let z = g.add_node(NodeKind::Output, "z");
+        for id in [z, 0, z, 0, 2, z] {
+            g.add_root(id);
+        }
+        assert_eq!(g.roots(), &[0, z, 2]);
+        // the root mask follows the kept nodes through retain_nodes
+        g.retain_nodes(&[true, false, true, false, true]);
+        assert_eq!(g.roots(), &[0, 2, 1]);
+        for id in [2, 1, 0] {
+            g.add_root(id);
+        }
+        assert_eq!(g.roots(), &[0, 2, 1]);
+        assert_eq!(g.to_dot().matches("peripheries=2").count(), 3);
     }
 
     #[test]

@@ -227,31 +227,16 @@ pub struct GateInstance {
 }
 
 impl GateInstance {
-    /// `(outputs, inputs)` split according to the gate's port convention.
-    pub fn split_ports(&self) -> (Vec<&Expr>, Vec<&Expr>) {
-        match self.kind {
-            GateKind::Not | GateKind::Buf => {
-                let n = self.conns.len();
-                if n < 2 {
-                    (self.conns.iter().collect(), Vec::new())
-                } else {
-                    (
-                        self.conns[..n - 1].iter().collect(),
-                        self.conns[n - 1..].iter().collect(),
-                    )
-                }
-            }
-            _ => {
-                if self.conns.is_empty() {
-                    (Vec::new(), Vec::new())
-                } else {
-                    (
-                        self.conns[..1].iter().collect(),
-                        self.conns[1..].iter().collect(),
-                    )
-                }
-            }
-        }
+    /// `(outputs, inputs)` split according to the gate's port convention,
+    /// as two slices of [`GateInstance::conns`].
+    pub fn split_ports(&self) -> (&[Expr], &[Expr]) {
+        let n = self.conns.len();
+        let outputs = match self.kind {
+            GateKind::Not | GateKind::Buf if n >= 2 => n - 1,
+            GateKind::Not | GateKind::Buf => n,
+            _ => n.min(1),
+        };
+        self.conns.split_at(outputs)
     }
 }
 

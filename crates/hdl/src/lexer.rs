@@ -26,6 +26,29 @@ pub fn lex(source: &str) -> Result<Vec<Spanned<'_>>, ParseVerilogError> {
     Lexer::new(source).run()
 }
 
+/// Source bytes per reserved token. Generated designs lex to 0.13
+/// (obfuscated netlists) to 0.47 (RTL) tokens per byte. Reserving at the
+/// sparse end holds a sparse stream in one allocation and lets a dense
+/// one double twice. Reserving at the dense end would make the largest
+/// allocation bigger than growth from empty reaches; glibc then raises
+/// its mmap threshold and keeps such blocks in its arenas, and a third
+/// of the source length read 14% more peak RSS in the serve benchmark.
+const BYTES_PER_TOKEN: usize = 7;
+
+/// `IDENT_BYTE[b]`: byte `b` continues an identifier (`[A-Za-z0-9_$]`).
+/// One table load per byte instead of three predicates.
+const IDENT_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b: u8 = 0;
+    loop {
+        table[b as usize] = b.is_ascii_alphanumeric() || b == b'_' || b == b'$';
+        if b == u8::MAX {
+            break table;
+        }
+        b += 1;
+    }
+};
+
 struct Lexer<'s> {
     src: &'s str,
     pos: usize,
@@ -79,7 +102,7 @@ impl<'s> Lexer<'s> {
     }
 
     fn run(mut self) -> Result<Vec<Spanned<'s>>, ParseVerilogError> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.src.len() / BYTES_PER_TOKEN);
         while let Some(c) = self.peek() {
             if c.is_ascii_whitespace() {
                 self.bump();
@@ -111,7 +134,7 @@ impl<'s> Lexer<'s> {
     }
 
     fn ident(&mut self) -> Token<'s> {
-        let word = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'$');
+        let word = self.take_while(|c| IDENT_BYTE[usize::from(c)]);
         Keyword::from_ident(word).map_or(Token::Ident(word), Token::Kw)
     }
 
@@ -388,6 +411,14 @@ mod tests {
             .into_iter()
             .map(|s| s.token)
             .collect()
+    }
+
+    #[test]
+    fn ident_byte_table_matches_the_identifier_class() {
+        for b in 0..=u8::MAX {
+            let want = b.is_ascii_alphanumeric() || b == b'_' || b == b'$';
+            assert_eq!(IDENT_BYTE[usize::from(b)], want, "byte {b}");
+        }
     }
 
     #[test]

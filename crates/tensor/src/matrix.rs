@@ -267,12 +267,14 @@ impl Matrix {
             out.data.fill(0.0);
             return;
         }
-        // Every entry sums `a[i][k] * b[k][j]` from 0.0 in k order,
-        // skipping zero `a`s. Each output row is built in TILE-wide column
-        // tiles held in a fixed-size accumulator while k runs, and the
-        // columns past the last whole tile in one scalar accumulator each,
-        // so partial sums stay in registers instead of being reloaded from
-        // `out` at every k.
+        // Every entry sums `a[i][k] * b[k][j]` from +0.0 in k order. A
+        // zero `a` adds `±0.0`, which never changes the bits of a sum that
+        // starts at +0.0, so for finite `rhs` this equals skipping zero
+        // `a`s, without a branch that mispredicts on sparse (ReLU, one-hot)
+        // rows. Each output row is built in TILE-wide column tiles held in
+        // a fixed-size accumulator while k runs, and the columns past the
+        // last whole tile in one scalar accumulator each, so partial sums
+        // stay in registers instead of being reloaded from `out` at every k.
         let tiled = n - n % TILE;
         for (arow, orow) in self
             .data
@@ -282,9 +284,6 @@ impl Matrix {
             for (j0, otile) in (0..tiled).step_by(TILE).zip(orow.chunks_exact_mut(TILE)) {
                 let mut acc = [0.0f32; TILE];
                 for (&a, brow) in arow.iter().zip(rhs.data.chunks_exact(n)) {
-                    if a == 0.0 {
-                        continue;
-                    }
                     for (s, &b) in acc.iter_mut().zip(&brow[j0..j0 + TILE]) {
                         *s += a * b;
                     }
@@ -294,9 +293,6 @@ impl Matrix {
             for (j, o) in (tiled..n).zip(&mut orow[tiled..]) {
                 let mut acc = 0.0f32;
                 for (&a, brow) in arow.iter().zip(rhs.data.chunks_exact(n)) {
-                    if a == 0.0 {
-                        continue;
-                    }
                     acc += a * brow[j];
                 }
                 *o = acc;
@@ -547,9 +543,12 @@ impl Matrix {
     pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                self.data[r * self.cols + c] += bias.data[c];
+        if self.cols == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact_mut(self.cols) {
+            for (v, &b) in row.iter_mut().zip(&bias.data) {
+                *v += b;
             }
         }
     }

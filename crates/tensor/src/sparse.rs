@@ -134,13 +134,18 @@ impl CsrMatrix {
             dense.cols()
         );
         out.as_mut_slice().fill(0.0);
-        for r in 0..self.rows {
-            for i in self.indptr[r]..self.indptr[r + 1] {
-                let c = self.indices[i];
-                let v = self.values[i];
-                let src = dense.row(c);
-                let dst = out.row_mut(r);
-                for (d, &s) in dst.iter_mut().zip(src) {
+        let n = dense.cols();
+        if n == 0 {
+            return;
+        }
+        for (dst, span) in out
+            .as_mut_slice()
+            .chunks_exact_mut(n)
+            .zip(self.indptr.windows(2))
+        {
+            let (lo, hi) = (span[0], span[1]);
+            for (&c, &v) in self.indices[lo..hi].iter().zip(&self.values[lo..hi]) {
+                for (d, &s) in dst.iter_mut().zip(dense.row(c)) {
                     *d += v * s;
                 }
             }
