@@ -89,9 +89,9 @@ stage_service() {
 }
 
 stage_corpus() {
-    # corpus-scale retrieval smoke at 100k rows: IVF rebalance routing,
-    # int8 quantized shards, and append-only checkpoints — every
-    # bit-identity and incrementality claim is asserted by the harness
+    # corpus-scale retrieval smoke at 100k rows: IVF rebalance routing
+    # and append-only checkpoints — every bit-identity and incrementality
+    # claim is asserted by the harness
     cargo run --release --offline --example corpus_scale -- --rows 100000
 }
 

@@ -68,8 +68,8 @@ pub enum Rule {
     /// (I/O, `recv`, condvar waits, `BoundedQueue` push/pop, `publish`)
     /// while a `Mutex` guard is live. Graph lint over the symbol index.
     LockDiscipline,
-    /// A narrowing `as` cast on the int8 quantization / serialization
-    /// paths without a proven-range annotation. Graph lint.
+    /// A narrowing `as` cast on the serialization paths without a
+    /// proven-range annotation. Graph lint.
     CastTruncation,
     /// A float reduction (`sum`, `product`, float `fold`, split
     /// accumulators) in a bit-identity-critical module outside the

@@ -1,15 +1,15 @@
 //! The `cast-truncation` graph rule.
 //!
 //! `as` casts to narrow integer types silently truncate and wrap; on
-//! the int8 quantization and artifact-serialization paths that turns a
-//! numeric bug into a *plausible-looking* artifact. On those paths
-//! every narrowing cast must either be range-proven in the expression
-//! itself (`.clamp(lo, hi) as i8`) or carry an annotation stating the
-//! proven range:
+//! the artifact-serialization paths that turns a numeric bug into a
+//! *plausible-looking* artifact. On those paths every narrowing cast
+//! must either be range-proven in the expression itself
+//! (`.clamp(lo, hi) as u8`) or carry an annotation stating the proven
+//! range:
 //!
 //! ```text
-//! // g4check: allow(cast-truncation): zero_point is i8, i8 as u8 round-trips
-//! w.u8(params.zero_point as u8);
+//! // g4check: allow(cast-truncation): len < 256 was checked above
+//! w.u8(len as u8);
 //! ```
 //!
 //! Elsewhere in the workspace narrowing casts are unrestricted — the
@@ -20,10 +20,9 @@ use std::path::PathBuf;
 use crate::index::WorkspaceIndex;
 use crate::lint::{Rule, Violation};
 
-/// Files whose narrowing casts are contractual: quantization and the
-/// binary artifact writers/readers.
+/// Files whose narrowing casts are contractual: the binary artifact
+/// writers/readers and the sharded index whose bytes they persist.
 pub const CAST_CRITICAL_PATHS: &[&str] = &[
-    "crates/tensor/src/quant.rs",
     "crates/tensor/src/serialize.rs",
     "crates/eval/src/manifest.rs",
     "crates/eval/src/sharded.rs",
@@ -49,7 +48,7 @@ pub fn check(index: &WorkspaceIndex) -> Vec<Violation> {
                     path: PathBuf::from(path),
                     line: cast.line as usize,
                     message: format!(
-                        "narrowing `as {}` in `{}` on a quantization/serialization path; \
+                        "narrowing `as {}` in `{}` on a serialization path; \
                          clamp the value in the expression or annotate with \
                          '// g4check: allow(cast-truncation): <proven range>'",
                         cast.ty,

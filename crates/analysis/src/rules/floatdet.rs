@@ -1,7 +1,7 @@
 //! The `float-determinism` graph rule.
 //!
 //! The serving pillar's core guarantee is bit-identical scores across
-//! the flat, sharded, quantized, and batched paths. Float addition is
+//! the flat, sharded, and batched paths. Float addition is
 //! not associative, so that guarantee survives only while every float
 //! reduction in the bit-identity-critical modules keeps a *fixed*
 //! association order. This rule flags reduction sites (iterator
@@ -34,7 +34,6 @@ pub const DETERMINISM_KERNELS: &[(&str, &str)] = &[
     ("crates/eval/src/index.rs", "score_row"),
     ("crates/eval/src/index.rs", "query_norm"),
     ("crates/eval/src/sharded.rs", "score_block"),
-    ("crates/eval/src/sharded.rs", "max_row_l1"),
     ("crates/eval/src/sharded.rs", "centroid_norms2"),
     ("crates/eval/src/sharded.rs", "nearest_centroid"),
     ("crates/tensor/src/matrix.rs", "Matrix::sum"),

@@ -7,8 +7,8 @@
 //!
 //! - [`locks`] — lock-order inversion, re-entrant acquisition, and
 //!   blocking-under-lock ([`crate::lint::Rule::LockDiscipline`]).
-//! - [`casts`] — narrowing `as` casts on the quantization /
-//!   serialization paths ([`crate::lint::Rule::CastTruncation`]).
+//! - [`casts`] — narrowing `as` casts on the serialization paths
+//!   ([`crate::lint::Rule::CastTruncation`]).
 //! - [`floatdet`] — float reductions outside the deterministic-kernel
 //!   registry ([`crate::lint::Rule::FloatDeterminism`]).
 //! - [`panics`] — panic sites reachable from CLI / serve entry points

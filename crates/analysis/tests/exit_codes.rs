@@ -75,7 +75,7 @@ fn violations_exit_one() {
     let ws = Workspace::with(
         "dirty",
         &[(
-            "crates/tensor/src/quant.rs",
+            "crates/eval/src/manifest.rs",
             "pub fn q(v: f32) -> i8 {\n    v as i8\n}\n",
         )],
     );
@@ -116,7 +116,7 @@ fn json_report_carries_violations_and_reuse() {
     let ws = Workspace::with(
         "json",
         &[(
-            "crates/tensor/src/quant.rs",
+            "crates/eval/src/manifest.rs",
             "pub fn q(v: f32) -> i8 {\n    v as i8\n}\n",
         )],
     );
@@ -152,7 +152,7 @@ fn json_report_is_versioned_and_byte_identical() {
         "deterministic",
         &[
             (
-                "crates/tensor/src/quant.rs",
+                "crates/eval/src/manifest.rs",
                 "pub fn q(v: f32) -> i8 {\n    v as i8\n}\n",
             ),
             (
@@ -174,11 +174,12 @@ fn json_report_is_versioned_and_byte_identical() {
     );
     let stdout = String::from_utf8_lossy(&first.stdout);
     assert!(stdout.contains("\"schema_version\": 1"), "stdout: {stdout}");
-    // the stable (path, line, rule) sort puts quant.rs after serialize.rs
-    let quant = stdout.find("quant.rs").expect("quant violation");
+    // the stable (path, line, rule) sort puts crates/eval/src/manifest.rs
+    // before crates/tensor/src/serialize.rs
+    let manifest = stdout.find("manifest.rs").expect("manifest violation");
     let serialize = stdout.find("serialize.rs").expect("serialize violation");
     assert!(
-        quant < serialize,
+        manifest < serialize,
         "violations not sorted by path:\n{stdout}"
     );
 }

@@ -462,12 +462,12 @@ fn blocking_call_under_lock_is_reported() {
 }
 
 #[test]
-fn unproven_narrowing_cast_on_quant_path_is_reported() {
+fn unproven_narrowing_cast_on_critical_path_is_reported() {
     let fx = Fixture::with(
-        "cast-quant",
+        "cast-unproven",
         &[(
-            "crates/tensor/src/quant.rs",
-            "pub fn quantize(v: f32, scale: f32) -> i8 {\n\
+            "crates/eval/src/manifest.rs",
+            "pub fn code(v: f32, scale: f32) -> i8 {\n\
              \x20   (v / scale).round() as i8\n\
              }\n",
         )],
@@ -475,18 +475,18 @@ fn unproven_narrowing_cast_on_quant_path_is_reported() {
     assert_single_graph(
         &fx.graph(),
         Rule::CastTruncation,
-        "crates/tensor/src/quant.rs",
+        "crates/eval/src/manifest.rs",
         2,
     );
 }
 
 #[test]
-fn clamped_cast_on_quant_path_is_fine() {
+fn clamped_cast_on_critical_path_is_fine() {
     let fx = Fixture::with(
         "cast-clamped",
         &[(
-            "crates/tensor/src/quant.rs",
-            "pub fn quantize(v: f32, scale: f32) -> i8 {\n\
+            "crates/eval/src/manifest.rs",
+            "pub fn code(v: f32, scale: f32) -> i8 {\n\
              \x20   (v / scale).round().clamp(-127.0, 127.0) as i8\n\
              }\n",
         )],

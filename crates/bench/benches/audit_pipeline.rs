@@ -23,11 +23,19 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use gnn4ip_core::{AuditConfig, AuditPipeline, AuditSource, Gnn4Ip};
 use gnn4ip_data::{designs::synth_design, SynthSize};
-use gnn4ip_eval::{EmbeddingIndex, QueryOptions, ShardedEmbeddingIndex};
+use gnn4ip_eval::{EmbeddingIndex, QueryHit, QueryOptions, ShardedEmbeddingIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const DIM: usize = 16; // the detector's embedding width
+
+/// Hits as `(index, label, score bits)`: `QueryHit`'s `==` compares
+/// scores as floats, so it cannot tell `-0.0` from `0.0`.
+fn hit_bits(hits: &[QueryHit]) -> Vec<(usize, usize, u32)> {
+    hits.iter()
+        .map(|h| (h.index, h.label, h.score.to_bits()))
+        .collect()
+}
 
 fn random_embeddings(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -105,7 +113,6 @@ fn bench_query_pruned_vs_exhaustive(c: &mut Criterion) {
         prune: false,
         threads: 1,
         parallel_min_rows: usize::MAX,
-        int8_scan: true,
     };
     let pruned = QueryOptions {
         prune: true,
@@ -114,7 +121,8 @@ fn bench_query_pruned_vs_exhaustive(c: &mut Criterion) {
     let (exhaustive_hits, exhaustive_stats) = index.query_opts(&query, 10, &serial);
     let (pruned_hits, stats) = index.query_opts(&query, 10, &pruned);
     assert_eq!(
-        exhaustive_hits, pruned_hits,
+        hit_bits(&exhaustive_hits),
+        hit_bits(&pruned_hits),
         "pruning must not change results"
     );
     println!(
@@ -152,17 +160,19 @@ fn bench_query_parallel_vs_serial(c: &mut Criterion) {
         prune: false,
         threads: 1,
         parallel_min_rows: usize::MAX,
-        int8_scan: true,
     };
     let parallel = QueryOptions {
         prune: false,
         threads: 0,
         parallel_min_rows: 0,
-        int8_scan: true,
     };
     let (a, _) = index.query_opts(&query, 10, &serial);
     let (b, stats) = index.query_opts(&query, 10, &parallel);
-    assert_eq!(a, b, "threading must not change results");
+    assert_eq!(
+        hit_bits(&a),
+        hit_bits(&b),
+        "threading must not change results"
+    );
     println!(
         "audit_pipeline/query_parallel_64k: parallel engaged: {} \
          (available cores: {})",

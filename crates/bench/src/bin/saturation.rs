@@ -141,7 +141,6 @@ fn main() {
         prune: false,
         threads: 1,
         parallel_min_rows: usize::MAX,
-        int8_scan: false,
     };
     let queries: Vec<Vec<f32>> = (0..batch)
         .map(|q| clustered_query(q, dim, clusters))

@@ -54,7 +54,7 @@ use gnn4ip_data::{
 };
 use gnn4ip_dfg::graph_from_verilog;
 use gnn4ip_eval::{
-    QueryHit, QueryOptions, RebalanceOptions, RebalanceReport, ShardStorage, ShardedEmbeddingIndex,
+    QueryHit, QueryOptions, RebalanceOptions, RebalanceReport, ShardedEmbeddingIndex,
 };
 use gnn4ip_hdl::ParseVerilogError;
 use gnn4ip_nn::{fan_out, GraphInput};
@@ -88,15 +88,10 @@ pub struct AuditConfig {
     /// degenerate but legal setting: every verdict carries no matches and
     /// never flags piracy.
     pub top_k: usize,
-    /// Query tuning (pruning, threading, the parallel-scan row gate,
-    /// int8 scanning) applied to every verdict query. Results are
-    /// bit-identical for every setting; only the work spent changes.
+    /// Query tuning (pruning, threading, the parallel-scan row gate)
+    /// applied to every verdict query. Results are bit-identical for
+    /// every setting; only the work spent changes.
     pub query: QueryOptions,
-    /// Row storage newly sealed shards adopt —
-    /// [`ShardStorage::Int8`] trades ~4x less scan memory traffic for a
-    /// per-shard dequantization slack, with verdicts still bit-identical
-    /// (shortlist rescoring).
-    pub storage: ShardStorage,
 }
 
 impl Default for AuditConfig {
@@ -107,7 +102,6 @@ impl Default for AuditConfig {
             threads: 0,
             top_k: 5,
             query: QueryOptions::default(),
-            storage: ShardStorage::F32,
         }
     }
 }
@@ -370,7 +364,7 @@ impl AuditPipeline {
     pub fn new(detector: Gnn4Ip, config: AuditConfig) -> Self {
         assert!(config.batch_size > 0, "batch size must be positive");
         let dim = detector.model().config().hidden;
-        let index = ShardedEmbeddingIndex::with_storage(dim, config.shard_capacity, config.storage);
+        let index = ShardedEmbeddingIndex::new(dim, config.shard_capacity);
         let names = NameLog::new(config.shard_capacity);
         Self {
             detector: Arc::new(detector),
@@ -506,7 +500,7 @@ impl AuditPipeline {
     /// unaffected (their `Arc`-shared shards are immutable); readers
     /// polling the [`serving_slot`](AuditPipeline::serving_slot) pick up
     /// the better-pruning layout atomically. Verdict names and scores
-    /// are preserved (bit-identically on [`ShardStorage::F32`]).
+    /// are preserved bit for bit.
     pub fn recluster(&mut self, opts: &RebalanceOptions) -> (RebalanceReport, u64) {
         let report = self.index.rebalance(opts);
         let epoch = self.publish();
@@ -1548,7 +1542,7 @@ mod tests {
             top_k: 3,
             ..AuditConfig::default()
         };
-        let mut p = AuditPipeline::new(Gnn4Ip::with_seed(6), config.clone());
+        let mut p = AuditPipeline::new(Gnn4Ip::with_seed(6), config);
         let batch: Vec<AuditSource> = (0..12)
             .map(|i| {
                 let ops = ["&", "|", "^"];
@@ -1563,7 +1557,7 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(p.ingest(batch.clone()).ingested, 12);
+        assert_eq!(p.ingest(batch).ingested, 12);
         let probe = p.detector().hw2vec(XOR2, None).expect("probe embeds");
         let before = p.audit_embedding(&probe);
         assert_eq!(p.publish(), 1);
@@ -1571,8 +1565,8 @@ mod tests {
         assert_eq!(epoch, 2, "recluster must republish");
         assert_eq!(report.centroids, p.index().num_sealed_shards());
         assert_eq!(report.sealed_rows, 12);
-        // f32 storage: every verdict field survives bit-identically —
-        // rebalance moves storage positions, never labels or scores
+        // every verdict field survives bit-identically — rebalance moves
+        // storage positions, never labels or scores
         let key = |v: &AuditVerdict| -> Vec<(String, usize, u32, bool)> {
             v.matches
                 .iter()
@@ -1587,19 +1581,6 @@ mod tests {
         let published = slot.load().expect("published");
         assert_eq!(published.epoch(), 2);
         assert_eq!(key(&published.value().audit_embedding(&probe)), key(&after));
-        // an int8 pipeline over the same corpus retrieves the same best
-        // match (scores may differ within the quantization step)
-        let mut q = AuditPipeline::new(
-            Gnn4Ip::with_seed(6),
-            AuditConfig {
-                storage: ShardStorage::Int8,
-                ..config
-            },
-        );
-        assert_eq!(q.ingest(batch).ingested, 12);
-        q.recluster(&RebalanceOptions::default());
-        let quant = q.audit_embedding(&probe);
-        assert_eq!(quant.best().map(|m| &m.name), after.best().map(|m| &m.name));
     }
 
     #[test]

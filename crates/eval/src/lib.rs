@@ -40,7 +40,7 @@ pub use retrieval::retrieval_precision_at_k;
 pub use roc::{auc, roc_curve, RocPoint};
 pub use scores::{ScoreRow, ScoreTable};
 pub use sharded::{
-    QueryOptions, QueryStats, RebalanceOptions, RebalanceReport, ShardStorage,
-    ShardedEmbeddingIndex, PARALLEL_QUERY_MIN_ROWS, SHARD_INDEX_KIND,
+    QueryOptions, QueryStats, RebalanceOptions, RebalanceReport, ShardedEmbeddingIndex,
+    PARALLEL_QUERY_MIN_ROWS, SHARD_INDEX_KIND,
 };
 pub use tsne::{tsne, TsneConfig};

@@ -27,14 +27,16 @@
 //! file, a file whose recomputed content id disagrees with its name, or
 //! a file whose geometry disagrees with the manifest each fail with a
 //! dedicated [`ManifestError`] variant instead of a panic or a silently
-//! wrong index.
+//! wrong index. Rows are f32 (storage tag 0); a manifest or shard file
+//! with another tag, such as the int8 rows of tag 1, is refused as
+//! [`ManifestError::Format`].
 
 use std::path::Path;
 use std::sync::Arc;
 
-use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter, QuantParams};
+use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter};
 
-use crate::sharded::{check_rows, SealedShard, Shard, ShardStorage, ShardedEmbeddingIndex};
+use crate::sharded::{check_rows, SealedShard, Shard, ShardedEmbeddingIndex, F32_ROWS};
 
 /// Artifact kind of the corpus manifest file.
 pub const CORPUS_MANIFEST_KIND: &str = "gnn4ip-corpus-manifest";
@@ -44,6 +46,21 @@ pub const CORPUS_SHARD_KIND: &str = "gnn4ip-corpus-shard";
 const CORPUS_VERSION: u16 = 1;
 /// File name of the manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.g4m";
+
+/// Why the `what` storage tag `tag`, not [`F32_ROWS`], is refused. Tag 1
+/// marked int8 rows, a format no longer read; a checkpoint carrying it
+/// fails as [`ManifestError::Format`] instead of being misread.
+fn unsupported_tag(tag: u8, what: &str) -> String {
+    if tag == 1 {
+        format!(
+            "{what} storage tag {tag} marks int8 rows, which are no longer supported; \
+             rebuild the checkpoint from f32 embeddings"
+        )
+    } else {
+        format!("unknown {what} storage tag {tag}")
+    }
+}
+
 /// Largest embedding dimension a manifest may declare. Real detector
 /// embeddings are a few hundred wide; anything past this is a corrupt
 /// or hostile header, and bounding `dim` here keeps every downstream
@@ -158,24 +175,11 @@ fn shard_bytes(index: &ShardedEmbeddingIndex, si: usize) -> Vec<u8> {
     for &l in &shard.labels {
         w.u64(l as u64);
     }
-    match shard.row_major_codes() {
-        None => {
-            w.u8(0);
-            let mut rows = vec![0.0f32; shard.labels.len() * dim];
-            index.copy_block_into(si, &mut rows);
-            for v in rows {
-                w.f32(v);
-            }
-        }
-        Some((params, codes)) => {
-            w.u8(1);
-            w.f32(params.scale);
-            // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
-            w.u8(params.zero_point as u8);
-            // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
-            let codes: Vec<u8> = codes.map(|c| c as u8).collect();
-            w.bytes(&codes);
-        }
+    w.u8(F32_ROWS);
+    let mut rows = vec![0.0f32; shard.labels.len() * dim];
+    index.copy_block_into(si, &mut rows);
+    for v in rows {
+        w.f32(v);
     }
     for &v in &shard.centroid {
         w.f32(v);
@@ -221,35 +225,13 @@ fn parse_shard(
         );
     }
     let tag = r.u8().map_err(fmt)?;
-    let (data, quant): (Vec<f32>, Option<(Vec<i8>, QuantParams)>) = match tag {
-        0 => {
-            let mut data = Vec::with_capacity(rows * dim);
-            for _ in 0..rows * dim {
-                data.push(r.f32().map_err(fmt)?);
-            }
-            (data, None)
-        }
-        1 => {
-            let scale = r.f32().map_err(fmt)?;
-            if !(scale.is_finite() && scale > 0.0) {
-                return Err(fmt(format!("implausible quantization scale {scale}")));
-            }
-            // g4check: allow(cast-truncation): u8→i8 inverts the writer's bit-pattern cast
-            let zero_point = r.u8().map_err(fmt)? as i8;
-            let codes = r.bytes().map_err(fmt)?;
-            if codes.len() != rows * dim {
-                return Err(fmt(format!(
-                    "quantized payload holds {} codes, geometry needs {}",
-                    codes.len(),
-                    rows * dim
-                )));
-            }
-            // g4check: allow(cast-truncation): u8→i8 inverts the writer's bit-pattern cast
-            let q: Vec<i8> = codes.iter().map(|&b| b as i8).collect();
-            (Vec::new(), Some((q, QuantParams { scale, zero_point })))
-        }
-        t => return Err(fmt(format!("unknown row-storage tag {t}"))),
-    };
+    if tag != F32_ROWS {
+        return Err(fmt(unsupported_tag(tag, "row")));
+    }
+    let mut data = Vec::with_capacity(rows * dim);
+    for _ in 0..rows * dim {
+        data.push(r.f32().map_err(fmt)?);
+    }
     let mut centroid = Vec::with_capacity(dim);
     for _ in 0..dim {
         centroid.push(r.f32().map_err(fmt)?);
@@ -266,20 +248,10 @@ fn parse_shard(
             "corrupt bounds (radius {radius}, max_norm {max_norm}, or non-finite centroid)"
         )));
     }
-    // rows must be ones `insert` could have stored (int8 rows through
-    // their dequantized, canonical values): anything else could score
-    // NaN or outside [-1, 1]
-    match &quant {
-        None => check_rows(data.iter().copied(), dim),
-        Some((q, params)) => check_rows(q.iter().map(|&c| params.dequantize(c)), dim),
-    }
-    .map_err(fmt)?;
-    let shard = match quant {
-        None => SealedShard::from_f32_parts(data, labels, dim, centroid, radius, max_norm),
-        Some((q, params)) => {
-            SealedShard::from_int8_parts(q, params, labels, dim, centroid, radius, max_norm)
-        }
-    };
+    // rows must be ones `insert` could have stored: anything else could
+    // score NaN or outside [-1, 1]
+    check_rows(data.iter().copied(), dim).map_err(fmt)?;
+    let shard = SealedShard::from_parts(data, labels, dim, centroid, radius, max_norm);
     // the payload must hash to the name it was stored under — catches a
     // substituted or bit-rotted file whose own artifact checksum is valid
     if shard.content_id != expected_id {
@@ -332,10 +304,7 @@ impl ShardedEmbeddingIndex {
         w.u64(pinned_checksum);
         w.len_of(self.dim);
         w.len_of(self.shard_capacity);
-        w.u8(match self.storage {
-            ShardStorage::F32 => 0,
-            ShardStorage::Int8 => 1,
-        });
+        w.u8(F32_ROWS);
         w.len_of(self.sealed.len());
         for shard in &self.sealed {
             w.u64(shard.content_id);
@@ -367,6 +336,9 @@ impl ShardedEmbeddingIndex {
     /// [`ManifestError::ShardMismatch`] when a (valid) shard file does
     /// not belong to this manifest; [`ManifestError::Format`] /
     /// [`ManifestError::Io`] for corrupt files and filesystem failures.
+    /// A manifest or shard file whose storage tag is not that of f32
+    /// rows (such as the int8 rows of tag 1) is a
+    /// [`ManifestError::Format`].
     pub fn load_dir(dir: impl AsRef<Path>, expected_checksum: u64) -> Result<Self, ManifestError> {
         let dir = dir.as_ref();
         let manifest_bytes = read_artifact(&dir.join(MANIFEST_FILE)).map_err(ManifestError::Io)?;
@@ -397,11 +369,10 @@ impl ShardedEmbeddingIndex {
                  (limits {MAX_SHARD_ROWS}x{MAX_DIM})"
             )));
         }
-        let storage = match r.u8().map_err(mfmt)? {
-            0 => ShardStorage::F32,
-            1 => ShardStorage::Int8,
-            t => return Err(mfmt(format!("unknown storage tag {t}"))),
-        };
+        let tag = r.u8().map_err(mfmt)?;
+        if tag != F32_ROWS {
+            return Err(mfmt(unsupported_tag(tag, "manifest")));
+        }
         let n_sealed = r.count_of(8).map_err(mfmt)?;
         let mut ids = Vec::with_capacity(n_sealed);
         for _ in 0..n_sealed {
@@ -451,7 +422,6 @@ impl ShardedEmbeddingIndex {
         Ok(Self {
             dim,
             shard_capacity,
-            storage,
             sealed,
             tail,
         })
@@ -497,7 +467,7 @@ pub fn gc_checkpoint_dir(dir: impl AsRef<Path>, dry_run: bool) -> Result<GcRepor
     r.u64().map_err(mfmt)?; // pinned checksum — irrelevant to GC
     r.len_of().map_err(mfmt)?; // dim
     r.len_of().map_err(mfmt)?; // shard capacity
-    r.u8().map_err(mfmt)?; // storage tag
+    r.u8().map_err(mfmt)?; // storage tag, unchecked: a refused checkpoint is still cleaned
     let n_sealed = r.count_of(8).map_err(mfmt)?;
     let mut live_ids = Vec::with_capacity(n_sealed);
     for _ in 0..n_sealed {
@@ -550,12 +520,11 @@ fn parse_shard_file_name(name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::RowBlock;
     use crate::{QueryOptions, RebalanceOptions};
 
-    fn synthetic_index(storage: ShardStorage, rows: usize) -> ShardedEmbeddingIndex {
+    fn synthetic_index(rows: usize) -> ShardedEmbeddingIndex {
         let dim = 6;
-        let mut index = ShardedEmbeddingIndex::with_storage(dim, 4, storage);
+        let mut index = ShardedEmbeddingIndex::new(dim, 4);
         for i in 0..rows {
             let row: Vec<f32> = (0..dim)
                 .map(|d| ((i * 31 + d * 17) % 13) as f32 * 0.21 - 1.2)
@@ -573,21 +542,19 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrips_bit_identically() {
-        for storage in [ShardStorage::F32, ShardStorage::Int8] {
-            let index = synthetic_index(storage, 19);
-            let dir = tmp_dir(&format!("roundtrip-{storage:?}"));
-            let report = index.checkpoint_dir(&dir, 0xfeed).unwrap();
-            assert_eq!(report.shards_written, index.num_sealed_shards());
-            assert_eq!(report.shards_reused, 0);
-            let loaded = ShardedEmbeddingIndex::load_dir(&dir, 0xfeed).unwrap();
-            assert_eq!(loaded, index);
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+        let index = synthetic_index(19);
+        let dir = tmp_dir("roundtrip");
+        let report = index.checkpoint_dir(&dir, 0xfeed).unwrap();
+        assert_eq!(report.shards_written, index.num_sealed_shards());
+        assert_eq!(report.shards_reused, 0);
+        let loaded = ShardedEmbeddingIndex::load_dir(&dir, 0xfeed).unwrap();
+        assert_eq!(loaded, index);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn second_checkpoint_writes_only_new_shards() {
-        let mut index = synthetic_index(ShardStorage::Int8, 17); // 4 sealed + tail
+        let mut index = synthetic_index(17); // 4 sealed + tail
         let dir = tmp_dir("incremental");
         let first = index.checkpoint_dir(&dir, 1).unwrap();
         assert_eq!(first.shards_written, 4);
@@ -605,7 +572,7 @@ mod tests {
 
     #[test]
     fn gc_removes_rebalance_orphans_and_honors_dry_run() {
-        let mut index = synthetic_index(ShardStorage::F32, 25);
+        let mut index = synthetic_index(25);
         let dir = tmp_dir("gc-rebalance");
         index.checkpoint_dir(&dir, 3).unwrap();
 
@@ -640,7 +607,7 @@ mod tests {
 
     #[test]
     fn gc_ignores_unrelated_files_and_bad_names() {
-        let index = synthetic_index(ShardStorage::Int8, 13);
+        let index = synthetic_index(13);
         let dir = tmp_dir("gc-ignores");
         index.checkpoint_dir(&dir, 9).unwrap();
         std::fs::write(dir.join("notes.txt"), b"keep me").unwrap();
@@ -655,7 +622,7 @@ mod tests {
 
     #[test]
     fn pin_mismatch_is_typed() {
-        let index = synthetic_index(ShardStorage::F32, 9);
+        let index = synthetic_index(9);
         let dir = tmp_dir("pin");
         index.checkpoint_dir(&dir, 7).unwrap();
         match ShardedEmbeddingIndex::load_dir(&dir, 8) {
@@ -670,7 +637,7 @@ mod tests {
 
     #[test]
     fn missing_shard_file_is_typed() {
-        let index = synthetic_index(ShardStorage::F32, 9);
+        let index = synthetic_index(9);
         let dir = tmp_dir("missing");
         index.checkpoint_dir(&dir, 0).unwrap();
         let victim = std::fs::read_dir(&dir)
@@ -690,7 +657,7 @@ mod tests {
 
     #[test]
     fn corrupted_shard_payload_is_typed() {
-        let index = synthetic_index(ShardStorage::Int8, 9);
+        let index = synthetic_index(9);
         let dir = tmp_dir("corrupt");
         index.checkpoint_dir(&dir, 0).unwrap();
         let victim = std::fs::read_dir(&dir)
@@ -720,13 +687,12 @@ mod tests {
 
     #[test]
     fn implausible_rows_are_rejected() {
-        // forge one component no normalized row holds into a sealed f32
-        // shard, a sealed int8 shard (through its dequantized value) and
-        // the tail, or bounds no sealed shard carries into a shard of
+        // forge one component no normalized row holds into a sealed shard
+        // or the tail, or bounds no sealed shard carries into a shard of
         // valid rows; each file is otherwise consistent, content id
         // included (the id covers labels and rows, not bounds)
-        let forge = |storage: ShardStorage, what: &str| {
-            let mut index = synthetic_index(storage, 13); // 3 sealed + 1 tail
+        let forge = |what: &str| {
+            let mut index = synthetic_index(13); // 3 sealed + 1 tail
             if what == "tail" {
                 index.tail.data[4] = f32::NAN;
             } else {
@@ -735,48 +701,30 @@ mod tests {
                 index.copy_block_into(1, &mut rows);
                 let labels = s.labels.clone();
                 let (c, mut r, mut m) = (s.centroid.clone(), s.radius, s.max_norm);
-                // a scale no calibration of unit rows produces
-                let mut params = QuantParams {
-                    scale: 0.1,
-                    zero_point: 0,
-                };
                 if what == "bounds" {
                     // bounds that would prune the shard for every query
                     (r, m) = (f32::NEG_INFINITY, -0.5);
-                    if let RowBlock::Int8 { params: p, .. } = &s.rows {
-                        params = *p;
-                    }
                 } else {
                     rows[7] = 1.5;
                 }
-                index.sealed[1] = Arc::new(match storage {
-                    ShardStorage::F32 => {
-                        SealedShard::from_f32_parts(rows, labels, index.dim, c, r, m)
-                    }
-                    ShardStorage::Int8 => {
-                        let mut q = Vec::new();
-                        params.quantize_into(&rows, &mut q);
-                        SealedShard::from_int8_parts(q, params, labels, index.dim, c, r, m)
-                    }
-                });
+                index.sealed[1] =
+                    Arc::new(SealedShard::from_parts(rows, labels, index.dim, c, r, m));
             }
-            let dir = tmp_dir(&format!("implausible-{storage:?}-{what}"));
+            let dir = tmp_dir(&format!("implausible-{what}"));
             index.checkpoint_dir(&dir, 0).unwrap();
             let err = ShardedEmbeddingIndex::load_dir(&dir, 0).expect_err("must refuse");
             std::fs::remove_dir_all(&dir).unwrap();
             err
         };
-        for storage in [ShardStorage::F32, ShardStorage::Int8] {
-            match forge(storage, "sealed") {
-                ManifestError::Format(e) => assert!(e.contains("row 1 holds component"), "{e}"),
-                other => panic!("{storage:?}: expected Format, got {other:?}"),
-            }
-            match forge(storage, "bounds") {
-                ManifestError::Format(e) => assert!(e.contains("corrupt bounds"), "{e}"),
-                other => panic!("{storage:?}: expected Format, got {other:?}"),
-            }
+        match forge("sealed") {
+            ManifestError::Format(e) => assert!(e.contains("row 1 holds component"), "{e}"),
+            other => panic!("expected Format, got {other:?}"),
         }
-        match forge(ShardStorage::F32, "tail") {
+        match forge("bounds") {
+            ManifestError::Format(e) => assert!(e.contains("corrupt bounds"), "{e}"),
+            other => panic!("expected Format, got {other:?}"),
+        }
+        match forge("tail") {
             ManifestError::Format(e) => assert!(e.contains("tail row 0 holds"), "{e}"),
             other => panic!("expected Format, got {other:?}"),
         }
@@ -784,7 +732,7 @@ mod tests {
 
     #[test]
     fn swapped_shard_files_are_rejected() {
-        let index = synthetic_index(ShardStorage::F32, 13); // 3 sealed shards
+        let index = synthetic_index(13); // 3 sealed shards
         let dir = tmp_dir("swap");
         index.checkpoint_dir(&dir, 0).unwrap();
         let mut files: Vec<_> = std::fs::read_dir(&dir)
@@ -807,7 +755,7 @@ mod tests {
 
     #[test]
     fn loaded_checkpoint_answers_queries_identically() {
-        let index = synthetic_index(ShardStorage::Int8, 23);
+        let index = synthetic_index(23);
         let dir = tmp_dir("queries");
         index.checkpoint_dir(&dir, 3).unwrap();
         let loaded = ShardedEmbeddingIndex::load_dir(&dir, 3).unwrap();
@@ -815,7 +763,7 @@ mod tests {
         for opts in [
             QueryOptions::default(),
             QueryOptions {
-                int8_scan: false,
+                prune: false,
                 ..QueryOptions::default()
             },
         ] {
@@ -828,6 +776,95 @@ mod tests {
             let (a, _) = index.query_opts(&query, 5, &opts);
             let (b, _) = loaded.query_opts(&query, 5, &opts);
             assert_eq!(bits(a), bits(b));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shard file as the int8 writer laid it out (row tag 1): two
+    /// labelled rows of dim 2, `(1, 0)` and `(0, -1)` as codes at scale
+    /// 1/127, under the content id that writer gave it. Returns the id
+    /// and the file bytes.
+    fn int8_shard_file() -> (u64, Vec<u8>) {
+        let labels = [3u64, 4];
+        let codes: [i8; 4] = [127, 0, 0, -127];
+        let code_bytes = codes.map(|c| c.to_le_bytes()[0]);
+        let scale = 1.0f32 / 127.0;
+        let mut h = gnn4ip_tensor::Fnv64::new();
+        for l in labels {
+            h.update(&l.to_le_bytes());
+        }
+        h.update(&[1]); // row tag
+        h.update(&scale.to_bits().to_le_bytes());
+        h.update(&[0]); // zero point
+        h.update(&code_bytes);
+        let id = h.finish();
+        let mut w = BinWriter::with_version(CORPUS_SHARD_KIND, CORPUS_VERSION);
+        w.u64(id);
+        w.len_of(2); // dim
+        w.len_of(2); // rows
+        for l in labels {
+            w.u64(l);
+        }
+        w.u8(1);
+        w.f32(scale);
+        w.u8(0);
+        w.bytes(&code_bytes);
+        for v in [0.5, -0.5, std::f32::consts::FRAC_1_SQRT_2, 1.0] {
+            w.f32(v); // centroid, radius, max_norm
+        }
+        (id, w.finish())
+    }
+
+    /// A manifest (dim 2, 2 rows per shard, no tail) listing `ids`
+    /// under storage tag `tag`.
+    fn manifest_file(tag: u8, ids: &[u64]) -> Vec<u8> {
+        let mut w = BinWriter::with_version(CORPUS_MANIFEST_KIND, CORPUS_VERSION);
+        w.u64(0); // pin
+        w.len_of(2);
+        w.len_of(2);
+        w.u8(tag);
+        w.len_of(ids.len());
+        for &id in ids {
+            w.u64(id);
+        }
+        w.len_of(0);
+        w.finish()
+    }
+
+    #[test]
+    fn int8_checkpoints_are_refused_but_still_collected() {
+        let (id, shard) = int8_shard_file();
+        // the whole checkpoint tagged int8, and an f32 manifest whose
+        // one shard file holds int8 rows
+        for (manifest_tag, what) in [(1, "manifest"), (0, "row")] {
+            let dir = tmp_dir(&format!("int8-{what}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(MANIFEST_FILE), manifest_file(manifest_tag, &[id])).unwrap();
+            std::fs::write(dir.join(shard_file_name(id)), &shard).unwrap();
+            // a stranded shard of an earlier generation
+            let orphan = shard_file_name(id ^ 1);
+            std::fs::write(dir.join(&orphan), &shard).unwrap();
+            match ShardedEmbeddingIndex::load_dir(&dir, 0) {
+                Err(ManifestError::Format(e)) => {
+                    assert!(e.contains(&format!("{what} storage tag 1")), "{e}");
+                    assert!(e.contains("int8"), "{e}");
+                }
+                other => panic!("{what}: expected Format, got {other:?}"),
+            }
+            let gc = gc_checkpoint_dir(&dir, false).unwrap();
+            assert_eq!(gc.live, 1, "{what}");
+            assert_eq!(gc.orphans, std::slice::from_ref(&orphan), "{what}");
+            assert!(!dir.join(&orphan).exists());
+            assert!(dir.join(shard_file_name(id)).exists());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        // any other tag is unknown, not int8
+        let dir = tmp_dir("tag-7");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), manifest_file(7, &[])).unwrap();
+        match ShardedEmbeddingIndex::load_dir(&dir, 0) {
+            Err(ManifestError::Format(e)) => assert!(e.contains("unknown manifest storage tag 7")),
+            other => panic!("expected Format, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -23,11 +23,11 @@
 //!
 //! Every query goes through one walk,
 //! [`query_many`](ShardedEmbeddingIndex::query_many); a single query is a
-//! batch of one. Sealed shards store their rows *dim-major* (component
-//! `t` of row `j` at `[t * rows + j]`, f32 or int8), and one kernel scores
-//! 32 rows per tile straight into a running top-k per query, so a row
-//! below the query's current k-th best score costs its multiply-adds and
-//! one compare. Sealed shards whose *best possible* score (from the
+//! batch of one. Sealed shards store their f32 rows *dim-major* (component
+//! `t` of row `j` at `[t * rows + j]`), and one kernel scores 32 rows per
+//! tile straight into a running top-k per query, so a row below the
+//! query's current k-th best score costs its multiply-adds and one
+//! compare. Sealed shards whose *best possible* score (from the
 //! centroid/radius bound) cannot beat the query's current top-k floor are
 //! skipped without touching a row, and on corpora large enough to be
 //! worth threading the surviving shard scans fan out across workers via
@@ -39,22 +39,13 @@
 //! [`EmbeddingIndex`]'s rank order (score, then insertion index) whatever
 //! order rows arrive in. Byte formats and row readers see row-major order.
 //!
-//! Two more layers kick in at corpus scale (≥ 100k rows). **Routing:**
-//! bound pruning only bites when shards are internally coherent, which
-//! arrival order does not guarantee;
-//! [`rebalance`](ShardedEmbeddingIndex::rebalance) learns k-means-style
-//! centroids from the sealed rows and rebuilds the sealed region in
-//! cluster order, so the descending-bound walk behaves like an IVF probe
-//! of the nearest-centroid shards regardless of how the corpus arrived.
-//! **Quantization:** an index built with [`ShardStorage::Int8`] stores
-//! sealed rows as symmetric int8 with a per-shard calibration header;
-//! queries scan the int8 codes (~4x less memory traffic) 32 rows at a
-//! time, then rescore a provably sufficient shortlist in f32 — the
-//! dequantized values are the canonical rows, so results stay
-//! bit-identical to an exhaustive f32 scan of the same index. Shard
-//! bounds are computed *before*
-//! quantization and the quantization error bound is folded into the
-//! prune slack, so pruning stays sound.
+//! **Routing** kicks in at corpus scale (≥ 100k rows): bound pruning only
+//! bites when shards are internally coherent, which arrival order does
+//! not guarantee; [`rebalance`](ShardedEmbeddingIndex::rebalance) learns
+//! k-means-style centroids from the sealed rows and rebuilds the sealed
+//! region in cluster order, so the descending-bound walk behaves like an
+//! IVF probe of the nearest-centroid shards regardless of how the corpus
+//! arrived.
 //!
 //! The whole structure persists through the `G4IP` binary artifact format
 //! (format v2 serializes the sealed-shard bounds; v1 artifacts still load
@@ -69,7 +60,7 @@ use std::sync::Arc;
 
 use gnn4ip_tensor::{
     fan_out, read_artifact, worker_count, write_artifact, BinReader, BinWriter, Fnv64, Matrix,
-    QuantParams, Workspace,
+    Workspace,
 };
 
 use crate::index::{normalize_into, query_norm, EmbeddingIndex, QueryHit};
@@ -119,26 +110,6 @@ pub(crate) fn check_rows(rows: impl IntoIterator<Item = f32>, dim: usize) -> Res
     }
 }
 
-/// How a sealed shard stores its rows.
-///
-/// The tail is always f32 (it is mutable and tiny); the choice applies
-/// when a full tail is sealed. Under [`ShardStorage::Int8`] the sealed
-/// rows are quantized symmetrically with a per-shard calibration
-/// header, and **the dequantized values become the canonical rows**:
-/// every exact score — exhaustive scan, shortlist rescoring,
-/// similarity blocks — is computed from the same deterministic
-/// dequantization, so query results are bit-identical whichever scan
-/// path produced them, while sealed row storage drops to ~1/4 of f32.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ShardStorage {
-    /// Full-precision rows (the default).
-    #[default]
-    F32,
-    /// Symmetric int8 rows with per-shard scale; exact f32 rescoring of
-    /// a shortlist keeps query results bit-identical.
-    Int8,
-}
-
 /// The open tail shard: the one mutable block of the index. Holds
 /// `0..capacity` rows; sealing moves its storage into a [`SealedShard`].
 #[derive(Debug, Clone, PartialEq)]
@@ -161,64 +132,22 @@ impl Shard {
     }
 }
 
-/// Row payload of one sealed shard: full-precision f32, or symmetric
-/// int8 codes plus the per-shard calibration header.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum RowBlock {
-    /// Dim-major `dim x rows` f32: component `t` of row `j` sits at
-    /// `[t * rows + j]`, so the scoring kernel reads each component of a
-    /// tile of rows as one contiguous run. Transposed once, when the
-    /// shard is sealed or loaded; every byte format and row reader sees
-    /// row-major order through [`row_major`].
-    F32(Vec<f32>),
-    /// Dim-major `dim x rows` int8 codes, laid out like
-    /// [`RowBlock::F32`]. The dequantized values are the shard's
-    /// canonical rows.
-    Int8 {
-        q: Vec<i8>,
-        params: QuantParams,
-        /// `max_i Σ_j |dequantize(q_ij)|` — the L1 bound the int8 scan's
-        /// shortlist error analysis divides the query quantization step
-        /// into. Recomputable from `q` and `params`; cached at seal.
-        max_l1: f32,
-    },
-}
-
-impl RowBlock {
-    /// Bytes of row payload held (codes/floats plus the quantization
-    /// header; labels and bounds excluded) — the memory-traffic number
-    /// the int8 mode exists to shrink.
-    pub(crate) fn payload_bytes(&self) -> usize {
-        match self {
-            RowBlock::F32(data) => std::mem::size_of_val(data.as_slice()),
-            RowBlock::Int8 { q, .. } => {
-                std::mem::size_of_val(q.as_slice()) + std::mem::size_of::<QuantParams>() + 4
-            }
-        }
-    }
-}
-
 /// Writes `n` rows of `dim` components into `out` in dim-major order,
 /// component `t` of row `j` at `out[t * n + j]`, reading row `j` through
 /// `row(j)`. Rows go [`TILE`] at a time, so every write fills a contiguous
 /// run while the tile's source rows stay in cache.
-fn write_dim_major<'r, T: Copy + Default + 'r>(
-    n: usize,
-    dim: usize,
-    out: &mut Vec<T>,
-    row: impl Fn(usize) -> &'r [T],
-) {
+fn write_dim_major<'r>(n: usize, dim: usize, out: &mut Vec<f32>, row: impl Fn(usize) -> &'r [f32]) {
     out.clear();
-    out.resize(n * dim, T::default());
+    out.resize(n * dim, 0.0);
     let mut j0 = 0;
     while j0 < n {
         let w = TILE.min(n - j0);
         // a short last tile repeats its last row; only `w` are written
-        let rows: [&[T]; TILE] = std::array::from_fn(|i| row(j0 + i.min(w - 1)));
+        let rows: [&[f32]; TILE] = std::array::from_fn(|i| row(j0 + i.min(w - 1)));
         for t in 0..dim {
             let band = &mut out[t * n + j0..t * n + j0 + w];
             // a full tile's width is known at compile time, so it unrolls
-            if let Ok(full) = <&mut [T; TILE]>::try_from(&mut *band) {
+            if let Ok(full) = <&mut [f32; TILE]>::try_from(&mut *band) {
                 for (o, r) in full.iter_mut().zip(&rows) {
                     *o = r[t];
                 }
@@ -233,7 +162,7 @@ fn write_dim_major<'r, T: Copy + Default + 'r>(
 }
 
 /// [`write_dim_major`] of the row-major `rows` (`dim` components each).
-fn to_dim_major<T: Copy + Default>(rows: &[T], dim: usize, out: &mut Vec<T>) {
+fn to_dim_major(rows: &[f32], dim: usize, out: &mut Vec<f32>) {
     write_dim_major(rows.len() / dim, dim, out, |j| {
         &rows[j * dim..(j + 1) * dim]
     });
@@ -241,7 +170,7 @@ fn to_dim_major<T: Copy + Default>(rows: &[T], dim: usize, out: &mut Vec<T>) {
 
 /// The components of a dim-major block of `rows` rows, in row-major
 /// order — the order every byte format and row reader uses.
-fn row_major<T: Copy>(cols: &[T], rows: usize) -> impl Iterator<Item = T> + '_ {
+fn row_major(cols: &[f32], rows: usize) -> impl Iterator<Item = f32> + '_ {
     (0..rows).flat_map(move |j| cols[j..].iter().step_by(rows).copied())
 }
 
@@ -249,21 +178,21 @@ fn row_major<T: Copy>(cols: &[T], rows: usize) -> impl Iterator<Item = T> + '_ {
 /// carrying precomputed query-independent score bounds.
 #[derive(Debug, PartialEq)]
 pub(crate) struct SealedShard {
-    /// Row payload (`capacity x dim`), f32 or quantized.
-    pub(crate) rows: RowBlock,
+    /// Dim-major `dim x capacity` rows: component `t` of row `j` sits at
+    /// `[t * capacity + j]`, so the scoring kernel reads each component
+    /// of a tile of rows as one contiguous run. Transposed once, when the
+    /// shard is sealed or loaded; every byte format and row reader sees
+    /// row-major order through [`row_major`].
+    pub(crate) rows: Vec<f32>,
     pub(crate) labels: Vec<usize>,
-    /// Mean of the pre-quantization rows (not itself normalized).
+    /// Mean of the rows (not itself normalized).
     pub(crate) centroid: Vec<f32>,
-    /// Covering radius: `max_i ‖rᵢ − centroid‖` (pre-quantization).
+    /// Covering radius: `max_i ‖rᵢ − centroid‖`.
     pub(crate) radius: f32,
     /// `max_i ‖rᵢ‖` — ~1 for normalized rows, 0 for all-zero shards.
     pub(crate) max_norm: f32,
-    /// Additive bound slack covering how far quantization may have moved
-    /// any stored row from the pre-quantization row the bounds describe:
-    /// `√dim · scale ≥ ‖r̂ − r‖` with margin to spare. 0 for f32 shards.
-    pub(crate) quant_slack: f32,
-    /// FNV-1a-64 over the stored labels + row payload — the shard's
-    /// content address in the append-only manifest layout.
+    /// FNV-1a-64 over the stored labels + rows — the shard's content
+    /// address in the append-only manifest layout.
     pub(crate) content_id: u64,
 }
 
@@ -296,83 +225,40 @@ fn compute_bounds(data: &[f32], dim: usize) -> (Vec<f32>, f32, f32) {
     (centroid, radius, max_norm)
 }
 
-/// Content address of a shard's stored payload: FNV-1a-64 over a storage
-/// tag, the labels, and the exact stored row bytes in row-major order
-/// (codes + calibration for int8). Two shards with the same id hold the
-/// same rows under the same labels; the append-only layout names shard
-/// files by this id so an unchanged shard is never rewritten.
-fn content_id_of(rows: &RowBlock, labels: &[usize]) -> u64 {
+/// Storage tag of f32 rows, the one row format: content ids hash it, and
+/// the checkpoint manifest and every shard file carry it.
+pub(crate) const F32_ROWS: u8 = 0;
+
+/// Content address of a shard's stored payload: FNV-1a-64 over the
+/// labels, the [`F32_ROWS`] tag and the exact row bytes in row-major
+/// order. Two shards with the same id hold the same rows under the same
+/// labels; the append-only layout names shard files by this id so an
+/// unchanged shard is never rewritten.
+fn content_id_of(cols: &[f32], labels: &[usize]) -> u64 {
     let mut h = Fnv64::new();
     for &l in labels {
         h.update(&(l as u64).to_le_bytes());
     }
-    match rows {
-        RowBlock::F32(cols) => {
-            h.update(&[0u8]);
-            for v in row_major(cols, labels.len()) {
-                h.update(&v.to_bits().to_le_bytes());
-            }
-        }
-        RowBlock::Int8 { q, params, .. } => {
-            h.update(&[1u8]);
-            h.update(&params.scale.to_bits().to_le_bytes());
-            // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
-            h.update(&[params.zero_point as u8]);
-            for c in row_major(q, labels.len()) {
-                // g4check: allow(cast-truncation): i8→u8 reinterprets the bit pattern, round-trips
-                h.update(&[c as u8]);
-            }
-        }
+    h.update(&[F32_ROWS]);
+    for v in row_major(cols, labels.len()) {
+        h.update(&v.to_bits().to_le_bytes());
     }
     h.finish()
 }
 
 impl SealedShard {
-    /// Freezes a full tail shard: bounds are computed once from the f32
-    /// rows, then (under [`ShardStorage::Int8`]) the rows are calibrated
-    /// and quantized, with the quantization displacement folded into
-    /// `quant_slack` so the pre-quantization bounds stay sound for the
-    /// stored rows.
-    fn seal(shard: Shard, dim: usize, storage: ShardStorage) -> Self {
+    /// Freezes a full tail shard: bounds are computed once from its rows,
+    /// which are then transposed to dim-major.
+    fn seal(shard: Shard, dim: usize) -> Self {
         debug_assert!(!shard.labels.is_empty(), "sealing an empty shard");
         let (centroid, radius, max_norm) = compute_bounds(&shard.data, dim);
-        let (rows, quant_slack) = match storage {
-            ShardStorage::F32 => {
-                let mut cols = Vec::new();
-                to_dim_major(&shard.data, dim, &mut cols);
-                (RowBlock::F32(cols), 0.0)
-            }
-            ShardStorage::Int8 => {
-                let params = QuantParams::calibrate(&shard.data);
-                let mut codes = Vec::new();
-                params.quantize_into(&shard.data, &mut codes);
-                let max_l1 = max_row_l1(&codes, params, dim);
-                let mut q = Vec::new();
-                to_dim_major(&codes, dim, &mut q);
-                // each component moved at most step() = scale/2 (+ fp
-                // rounding), so ‖r̂ − r‖ ≤ √dim·scale/2; double it for a
-                // comfortable margin — slack only costs pruning a little
-                // less, never correctness
-                let slack = (dim as f32).sqrt() * params.scale;
-                (RowBlock::Int8 { q, params, max_l1 }, slack)
-            }
-        };
-        let content_id = content_id_of(&rows, &shard.labels);
-        Self {
-            rows,
-            labels: shard.labels,
-            centroid,
-            radius,
-            max_norm,
-            quant_slack,
-            content_id,
-        }
+        Self::from_parts(shard.data, shard.labels, dim, centroid, radius, max_norm)
     }
 
-    /// Assembles a sealed shard from full-precision row-major parts with
-    /// already computed (validated) bounds — the load path of both
-    /// on-disk formats. The rows are transposed to dim-major here.
-    pub(crate) fn from_f32_parts(
+    /// Assembles a sealed shard from row-major parts with already computed
+    /// (validated) bounds — the load path of both on-disk formats. The
+    /// rows are transposed to dim-major here.
+    pub(crate) fn from_parts(
         data: Vec<f32>,
         labels: Vec<usize>,
         dim: usize,
@@ -380,9 +266,8 @@ impl SealedShard {
         radius: f32,
         max_norm: f32,
     ) -> Self {
-        let mut cols = Vec::new();
-        to_dim_major(&data, dim, &mut cols);
-        let rows = RowBlock::F32(cols);
+        let mut rows = Vec::new();
+        to_dim_major(&data, dim, &mut rows);
         let content_id = content_id_of(&rows, &labels);
         Self {
             rows,
@@ -390,59 +275,9 @@ impl SealedShard {
             centroid,
             radius,
             max_norm,
-            quant_slack: 0.0,
             content_id,
         }
     }
-
-    /// The int8 codes in row-major order, the order shard files store
-    /// them in, with their calibration; `None` for an f32 shard.
-    pub(crate) fn row_major_codes(&self) -> Option<(QuantParams, impl Iterator<Item = i8> + '_)> {
-        match &self.rows {
-            RowBlock::F32(_) => None,
-            RowBlock::Int8 { q, params, .. } => Some((*params, row_major(q, self.labels.len()))),
-        }
-    }
-
-    /// Assembles a quantized sealed shard from its stored parts, codes
-    /// row-major (the append-only shard-file load path). `max_l1` and
-    /// `quant_slack` are recomputed rather than trusted from the file.
-    /// The codes are transposed to dim-major here.
-    pub(crate) fn from_int8_parts(
-        codes: Vec<i8>,
-        params: QuantParams,
-        labels: Vec<usize>,
-        dim: usize,
-        centroid: Vec<f32>,
-        radius: f32,
-        max_norm: f32,
-    ) -> Self {
-        let max_l1 = max_row_l1(&codes, params, dim);
-        let mut q = Vec::new();
-        to_dim_major(&codes, dim, &mut q);
-        let rows = RowBlock::Int8 { q, params, max_l1 };
-        let content_id = content_id_of(&rows, &labels);
-        Self {
-            rows,
-            labels,
-            centroid,
-            radius,
-            max_norm,
-            quant_slack: (dim as f32).sqrt() * params.scale,
-            content_id,
-        }
-    }
-}
-
-/// `max_i Σ_j |dequantize(q_ij)|` over the rows of a row-major
-/// quantized block.
-fn max_row_l1(q: &[i8], params: QuantParams, dim: usize) -> f32 {
-    let mut max_l1 = 0.0f32;
-    for row in q.chunks_exact(dim) {
-        let l1: f32 = row.iter().map(|&c| params.dequantize(c).abs()).sum();
-        max_l1 = max_l1.max(l1);
-    }
-    max_l1
 }
 
 /// An incrementally built, persistent, read-mostly index of row-normalized
@@ -473,8 +308,6 @@ fn max_row_l1(q: &[i8], params: QuantParams, dim: usize) -> f32 {
 pub struct ShardedEmbeddingIndex {
     pub(crate) dim: usize,
     pub(crate) shard_capacity: usize,
-    /// Row representation newly sealed shards adopt.
-    pub(crate) storage: ShardStorage,
     /// Immutable full shards, cheaply shared between snapshots.
     pub(crate) sealed: Vec<Arc<SealedShard>>,
     /// The one mutable block: `0..shard_capacity` rows. Sealed eagerly the
@@ -499,12 +332,6 @@ pub struct QueryOptions {
     /// Minimum total indexed rows before scans fan out across threads;
     /// smaller corpora always scan on the calling thread.
     pub parallel_min_rows: usize,
-    /// On [`ShardStorage::Int8`] indexes, scan the int8 codes and
-    /// rescore a provably sufficient shortlist in f32 (results stay
-    /// bit-identical). Off forces the exact dequantize-and-score walk on
-    /// every row — the reference path the proptests compare against. No
-    /// effect on f32 indexes.
-    pub int8_scan: bool,
 }
 
 impl Default for QueryOptions {
@@ -513,7 +340,6 @@ impl Default for QueryOptions {
             prune: true,
             threads: 0,
             parallel_min_rows: PARALLEL_QUERY_MIN_ROWS,
-            int8_scan: true,
         }
     }
 }
@@ -531,14 +357,9 @@ pub struct QueryStats {
     pub sealed_probed: usize,
     /// Sealed shards skipped by the bound check without scanning a row.
     pub sealed_pruned: usize,
-    /// Rows actually scored (int8 approximate scores count — they touch
-    /// the row).
+    /// Rows actually scored for this query: the tail's plus every
+    /// scanned sealed shard's.
     pub rows_scanned: usize,
-    /// Rows of this query's int8 shortlists: rows its integer scan could
-    /// not rule out, so their exact f32 scores are computed (0 on f32
-    /// indexes and with `int8_scan` off). In a batch a query also scores
-    /// rows other queries shortlisted; they are not counted here.
-    pub rows_rescored: usize,
     /// Whether the surviving shard scans ran on worker threads.
     pub parallel: bool,
 }
@@ -689,11 +510,10 @@ fn score_block(
         if zero_query {
             acc = [0.0; TILE];
         } else {
-            let fma = |a: &mut f32, r: f32, qv: f32| *a += r * qv;
             if w == TILE {
-                tile_dots(cols, n, j0, query, &mut acc, fma);
+                tile_dots(cols, n, j0, query, &mut acc);
             } else {
-                tile_dots(cols, n, j0, query, &mut acc[..w], fma);
+                tile_dots(cols, n, j0, query, &mut acc[..w]);
             }
             for a in &mut acc[..w] {
                 *a /= qnorm;
@@ -704,44 +524,16 @@ fn score_block(
     }
 }
 
-/// Applies `fma(acc[jj], row[t], query[t])` in `t` order for the rows
+/// Adds `row[t] * query[t]` in `t` order into `acc[jj]` for the rows
 /// `j0 + jj` of a dim-major block of `n` rows. Inlined, so a full tile
 /// runs with the accumulator count known at compile time.
 #[inline(always)]
-fn tile_dots<C: Copy, A>(
-    cols: &[C],
-    n: usize,
-    j0: usize,
-    query: &[C],
-    acc: &mut [A],
-    fma: impl Fn(&mut A, C, C),
-) {
+fn tile_dots(cols: &[f32], n: usize, j0: usize, query: &[f32], acc: &mut [f32]) {
     let w = acc.len();
     for (t, &qv) in query.iter().enumerate() {
         for (a, &r) in acc.iter_mut().zip(&cols[t * n + j0..t * n + j0 + w]) {
-            fma(a, r, qv);
+            *a += r * qv;
         }
-    }
-}
-
-/// The integer scan: the `i8 · i8` dot of every row of the dim-major
-/// int8 block `codes` (`n` rows) with `qcodes`, accumulated exactly in
-/// `i32` a tile at a time like [`score_block`], times `scale`, appended
-/// to `out`. Kept out of line (see [`scan_into`]).
-#[inline(never)]
-fn approx_block(codes: &[i8], n: usize, qcodes: &[i8], scale: f32, out: &mut Vec<f32>) {
-    let fma = |a: &mut i32, c: i8, qc: i8| *a += i32::from(c) * i32::from(qc);
-    let mut j0 = 0;
-    while j0 < n {
-        let w = TILE.min(n - j0);
-        let mut acc = [0i32; TILE];
-        if w == TILE {
-            tile_dots(codes, n, j0, qcodes, &mut acc, fma);
-        } else {
-            tile_dots(codes, n, j0, qcodes, &mut acc[..w], fma);
-        }
-        out.extend(acc[..w].iter().map(|&a| a as f32 * scale));
-        j0 += w;
     }
 }
 
@@ -749,8 +541,8 @@ fn approx_block(codes: &[i8], n: usize, qcodes: &[i8], scale: f32, out: &mut Vec
 /// row `j` is the hit `(index, label) = row(j)`; a tile none of whose
 /// scores reaches the threshold costs one vector compare.
 ///
-/// Kept out of line, like [`approx_block`]: inlined into the large walk
-/// functions, the kernel loop compiled 4–5x slower on x86-64.
+/// Kept out of line: inlined into the large walk functions, the kernel
+/// loop compiled 4–5x slower on x86-64.
 #[inline(never)]
 fn scan_into(
     cols: &[f32],
@@ -784,47 +576,10 @@ fn scan_into(
 }
 
 /// What every scan step of one [`ShardedEmbeddingIndex::query_many`]
-/// call reads: the batch, each query's norm, and each query's quantized
-/// form (codes and calibration) when an int8 shard scan could use it.
+/// call reads: the batch and each query's norm.
 struct Batch<'a> {
     queries: &'a [Vec<f32>],
     qnorms: Vec<f32>,
-    qqs: Vec<Option<(Vec<i8>, QuantParams)>>,
-}
-
-/// Buffers the scan steps of one call (or of one worker) reuse, so no
-/// `(shard, query)` step allocates.
-#[derive(Default)]
-struct Scratch {
-    /// Dim-major rows written for the kernel: the tail, the gathered
-    /// centroids, or int8 rows dequantized for the exact walk or the
-    /// shortlist rescoring.
-    cols: Vec<f32>,
-    /// The int8 approximate score of every row of a shard, one run of
-    /// rows per integer-scan query.
-    approx: Vec<f32>,
-    /// A copy of one query's run of `approx` for the k-th-largest
-    /// selection.
-    kth: Vec<f32>,
-    /// Each integer-scan query's shortlist cut.
-    cuts: Vec<f32>,
-    /// Rows of the merged int8 shortlist.
-    shortlist: Vec<usize>,
-}
-
-/// The listed rows (ascending) of the dim-major int8 block `q` (`n`
-/// rows), dequantized into `out` dim-major: component `t` of `rows[i]`
-/// at `out[t * rows.len() + i]`.
-fn dequantize_rows(q: &[i8], n: usize, params: QuantParams, rows: &[usize], out: &mut Vec<f32>) {
-    out.clear();
-    if rows.len() == n {
-        // every row: the block itself, in order
-        out.extend(q.iter().map(|&c| params.dequantize(c)));
-        return;
-    }
-    for band in q.chunks_exact(n) {
-        out.extend(rows.iter().map(|&j| params.dequantize(band[j])));
-    }
 }
 
 /// The splitmix64 output function: a stateless deterministic mixer.
@@ -873,40 +628,14 @@ impl ShardedEmbeddingIndex {
     ///
     /// Panics if `dim` or `shard_capacity` is zero.
     pub fn new(dim: usize, shard_capacity: usize) -> Self {
-        Self::with_storage(dim, shard_capacity, ShardStorage::F32)
-    }
-
-    /// [`ShardedEmbeddingIndex::new`] with an explicit sealed-row
-    /// representation. [`ShardStorage::Int8`] quantizes each shard as it
-    /// seals (~4x less sealed row storage); query results remain
-    /// bit-identical to an exhaustive f32 scan of the same index because
-    /// the dequantized values are the canonical rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` or `shard_capacity` is zero.
-    pub fn with_storage(dim: usize, shard_capacity: usize, storage: ShardStorage) -> Self {
         assert!(dim > 0, "embedding dimension must be positive");
         assert!(shard_capacity > 0, "shard capacity must be positive");
         Self {
             dim,
             shard_capacity,
-            storage,
             sealed: Vec::new(),
             tail: Shard::new(0, dim),
         }
-    }
-
-    /// The sealed-row representation this index seals shards into.
-    pub fn storage(&self) -> ShardStorage {
-        self.storage
-    }
-
-    /// Bytes of sealed row payload currently held (codes/floats plus
-    /// quantization headers; labels, bounds, and the tail excluded) —
-    /// the memory-traffic number [`ShardStorage::Int8`] shrinks ~4x.
-    pub fn sealed_row_bytes(&self) -> usize {
-        self.sealed.iter().map(|s| s.rows.payload_bytes()).sum()
     }
 
     /// Re-shards a flat index by copying its normalized rows verbatim —
@@ -992,9 +721,9 @@ impl ShardedEmbeddingIndex {
             .chain(self.tail.labels.iter().copied())
     }
 
-    /// The stored (canonical) row at global storage index `i` — borrowed
-    /// from the tail, or gathered from a sealed shard's dim-major columns
-    /// (dequantized on quantized shards) into an owned buffer.
+    /// The stored row at global storage index `i` — borrowed from the
+    /// tail, or gathered from a sealed shard's dim-major columns into an
+    /// owned buffer.
     ///
     /// # Panics
     ///
@@ -1004,22 +733,13 @@ impl ShardedEmbeddingIndex {
         let dim = self.dim;
         if block < self.sealed.len() {
             let r = i % self.shard_capacity;
-            match &self.sealed[block].rows {
-                RowBlock::F32(cols) => Cow::Owned(
-                    cols[r..]
-                        .iter()
-                        .step_by(self.shard_capacity)
-                        .copied()
-                        .collect(),
-                ),
-                RowBlock::Int8 { q, params, .. } => Cow::Owned(
-                    q[r..]
-                        .iter()
-                        .step_by(self.shard_capacity)
-                        .map(|&c| params.dequantize(c))
-                        .collect(),
-                ),
-            }
+            Cow::Owned(
+                self.sealed[block].rows[r..]
+                    .iter()
+                    .step_by(self.shard_capacity)
+                    .copied()
+                    .collect(),
+            )
         } else {
             let r = i - self.sealed.len() * self.shard_capacity;
             Cow::Borrowed(&self.tail.data[r * dim..(r + 1) * dim])
@@ -1031,7 +751,7 @@ impl ShardedEmbeddingIndex {
         if self.tail.len() == self.shard_capacity {
             let full = std::mem::replace(&mut self.tail, Shard::new(self.shard_capacity, self.dim));
             self.sealed
-                .push(Arc::new(SealedShard::seal(full, self.dim, self.storage)));
+                .push(Arc::new(SealedShard::seal(full, self.dim)));
         }
     }
 
@@ -1101,8 +821,8 @@ impl ShardedEmbeddingIndex {
     /// options and whatever else the batch holds: a query answered in a
     /// batch of 32 gets the same hits as in a batch of one, which is
     /// what [`query_opts`](ShardedEmbeddingIndex::query_opts) runs
-    /// (property tests hold this line across f32/int8 storage,
-    /// rebalanced corpora, and every option combination).
+    /// (property tests hold this line across rebalanced corpora and every
+    /// option combination).
     ///
     /// - **One running top-k per query.** Every score comes from one
     ///   kernel that scores 32 rows of a dim-major block per tile, each
@@ -1111,11 +831,10 @@ impl ShardedEmbeddingIndex {
     ///   order (score, then insertion index) whatever order rows arrive
     ///   in. A row below the query's current k-th best score costs its
     ///   multiply-adds and one compare. Sealed shards are stored
-    ///   dim-major; f32 rows are scored in place, while the tail,
-    ///   dequantized int8 rows and the shard centroids are written
-    ///   dim-major into per-call scratch first. A scanned shard is scored
-    ///   for every query of the batch that needs it while it is hot in
-    ///   cache.
+    ///   dim-major and scored in place, while the tail and the shard
+    ///   centroids are written dim-major into per-call scratch first. A
+    ///   scanned shard is scored for every query of the batch that needs
+    ///   it while it is hot in cache.
     /// - **Pruning.** The tail (which has no bound) is scanned first and
     ///   seeds every query's top-k, whose worst score is the query's
     ///   floor. Sealed shards are then visited in descending order of
@@ -1132,11 +851,6 @@ impl ShardedEmbeddingIndex {
     ///   query, and the caller pushes the workers' hits into each
     ///   query's top-k. This prunes slightly
     ///   less but keeps workers independent; the result never differs.
-    /// - **int8 shortlists.** On an int8 shard every query runs its own
-    ///   integer approximate scan and cuts the rows that can still be in
-    ///   the shard's top-k. The batch's shortlists are merged, dequantized
-    ///   once and rescored through the kernel into each of those queries'
-    ///   top-k.
     ///
     /// Each query gets its own [`QueryStats`]: a shard counts as probed
     /// (and its rows as scanned) for a query only when its rows were
@@ -1164,28 +878,9 @@ impl ShardedEmbeddingIndex {
             return vec![(Vec::new(), base); nq];
         }
         let total = self.len();
-        let qnorms: Vec<f32> = queries.iter().map(|q| query_norm(q)).collect();
-        // quantize each query once, with its own symmetric calibration,
-        // when an int8 shard scan could use it; a degenerate qnorm takes
-        // score_row's zero-query path, where the int8 approximation math
-        // (which divides by qnorm) has no meaning
-        let qqs = queries
-            .iter()
-            .zip(&qnorms)
-            .map(|(q, &qnorm)| match self.storage {
-                ShardStorage::Int8 if opts.int8_scan && qnorm.is_finite() && qnorm >= 1e-12 => {
-                    let params = QuantParams::calibrate(q);
-                    let mut codes = Vec::new();
-                    params.quantize_into(q, &mut codes);
-                    Some((codes, params))
-                }
-                _ => None,
-            })
-            .collect();
         let batch = Batch {
             queries,
-            qnorms,
-            qqs,
+            qnorms: queries.iter().map(|q| query_norm(q)).collect(),
         };
         let mut stats = vec![base; nq];
         // pruning is sound only when some row may be left out at all
@@ -1194,16 +889,18 @@ impl ShardedEmbeddingIndex {
         // "give me everything" k cannot size its heap
         let kk = k.min(total);
         let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(kk)).collect();
-        let mut scratch = Scratch::default();
+        // dim-major rows written for the kernel: the tail, then the
+        // gathered centroids
+        let mut cols = Vec::new();
 
         // the tail is always scanned, and first: it seeds every floor
         if !self.tail.labels.is_empty() {
             let n = self.tail.labels.len();
             let offset = self.sealed.len() * self.shard_capacity;
-            to_dim_major(&self.tail.data, self.dim, &mut scratch.cols);
+            to_dim_major(&self.tail.data, self.dim, &mut cols);
             for (qi, top) in tops.iter_mut().enumerate() {
                 stats[qi].rows_scanned += n;
-                scan_into(&scratch.cols, n, &queries[qi], batch.qnorms[qi], top, |j| {
+                scan_into(&cols, n, &queries[qi], batch.qnorms[qi], top, |j| {
                     (offset + j, self.tail.labels[j])
                 });
             }
@@ -1221,30 +918,21 @@ impl ShardedEmbeddingIndex {
                     qids: &[usize],
                     parallel: bool,
                     tops: &mut [TopK],
-                    stats: &mut [QueryStats],
-                    scratch: &mut Scratch| {
+                    stats: &mut [QueryStats]| {
             for st in stats.iter_mut() {
                 st.parallel = parallel;
             }
             if !parallel {
                 for (sid, range) in work {
-                    self.scan_sealed(*sid, &qids[range.clone()], &batch, tops, stats, scratch);
+                    self.scan_sealed(*sid, &qids[range.clone()], &batch, tops, stats);
                 }
                 return;
             }
             let parts = fan_out(work, opts.threads, |_tid, chunk| {
                 let mut local: Vec<TopK> = (0..nq).map(|_| TopK::new(kk)).collect();
                 let mut counts = vec![QueryStats::default(); nq];
-                let mut scratch = Scratch::default();
                 for (sid, range) in chunk {
-                    self.scan_sealed(
-                        *sid,
-                        &qids[range.clone()],
-                        &batch,
-                        &mut local,
-                        &mut counts,
-                        &mut scratch,
-                    );
+                    self.scan_sealed(*sid, &qids[range.clone()], &batch, &mut local, &mut counts);
                 }
                 (local, counts)
             });
@@ -1253,7 +941,6 @@ impl ShardedEmbeddingIndex {
                     let st = &mut stats[qi];
                     st.sealed_probed += count.sealed_probed;
                     st.rows_scanned += count.rows_scanned;
-                    st.rows_rescored += count.rows_rescored;
                     for hit in top.into_hits() {
                         tops[qi].push(hit);
                     }
@@ -1268,37 +955,34 @@ impl ShardedEmbeddingIndex {
             let work: Vec<(usize, Range<usize>)> =
                 (0..self.sealed.len()).map(|sid| (sid, 0..nq)).collect();
             let parallel = threaded(work.len());
-            scan(&work, &all, parallel, &mut tops, &mut stats, &mut scratch);
+            scan(&work, &all, parallel, &mut tops, &mut stats);
         } else if !self.sealed.is_empty() {
             // one walk order for the whole batch: descending *batch-max*
             // bound (ties: lower shard id). Each query's bounds come from
             // the kernel over the centroids, gathered dim-major.
             let s_count = self.sealed.len();
-            write_dim_major(s_count, self.dim, &mut scratch.cols, |sid| {
+            write_dim_major(s_count, self.dim, &mut cols, |sid| {
                 &self.sealed[sid].centroid
             });
             // Upper bound (in exact arithmetic) on any row's score against
             // the query: `dot(r, q̂) = dot(c, q̂) + dot(r − c, q̂) ≤ dot(c,
             // q̂) + ‖r − c‖` by Cauchy–Schwarz, and independently
-            // `dot(r, q̂) ≤ ‖r‖`. The tighter of the two, plus
-            // `quant_slack` on quantized shards (whose stored rows may sit
-            // up to that far from the pre-quantization rows the bounds
-            // were computed over). Always finite on the insert path
-            // (non-finite embeddings are stored as zero rows) and for
-            // loaded artifacts (bounds are validated at load; a forged
-            // non-finite value could otherwise force an always-pruned
-            // `-inf` bound).
+            // `dot(r, q̂) ≤ ‖r‖`; the tighter of the two. Always finite on
+            // the insert path (non-finite embeddings are stored as zero
+            // rows) and for loaded artifacts (bounds are validated at
+            // load; a forged non-finite value could otherwise force an
+            // always-pruned `-inf` bound).
             let mut bounds = vec![0.0f32; nq * s_count];
             for (qi, qbounds) in bounds.chunks_exact_mut(s_count).enumerate() {
                 score_block(
-                    &scratch.cols,
+                    &cols,
                     s_count,
                     &queries[qi],
                     batch.qnorms[qi],
                     |j0, scores| {
                         let shards = &self.sealed[j0..];
                         for ((b, s), &score) in qbounds[j0..].iter_mut().zip(shards).zip(scores) {
-                            *b = (score + s.radius).min(s.max_norm) + s.quant_slack;
+                            *b = (score + s.radius).min(s.max_norm);
                         }
                     },
                 );
@@ -1359,28 +1043,14 @@ impl ShardedEmbeddingIndex {
                 if parallel_walk && !seed {
                     deferred.push((sid, start..qids.len()));
                 } else {
-                    self.scan_sealed(
-                        sid,
-                        &qids[start..],
-                        &batch,
-                        &mut tops,
-                        &mut stats,
-                        &mut scratch,
-                    );
+                    self.scan_sealed(sid, &qids[start..], &batch, &mut tops, &mut stats);
                 }
             }
             if parallel_walk {
                 // report what actually happened: heavy pruning can leave
                 // too few scans for the fan-out to spawn anything
                 let parallel = worker_count(deferred.len(), opts.threads) > 1;
-                scan(
-                    &deferred,
-                    &qids,
-                    parallel,
-                    &mut tops,
-                    &mut stats,
-                    &mut scratch,
-                );
+                scan(&deferred, &qids, parallel, &mut tops, &mut stats);
             }
         }
 
@@ -1388,22 +1058,8 @@ impl ShardedEmbeddingIndex {
     }
 
     /// Scans sealed shard `sid` for the queries `select` into their
-    /// `tops`, counting the scan into their `stats`. f32 rows are scored
-    /// in place. On an int8 shard each query with a quantized form runs
-    /// the integer scan and cuts its shortlist; the merged shortlist is
-    /// dequantized once and rescored for each of them. The other queries
-    /// score every row, dequantized once for all of them.
-    ///
-    /// Shortlist soundness: with `s_i` the exact (dequantized f32) score
-    /// and `a_i` the int8 approximation, `|s_i − a_i| ≤ ε` where
-    /// `ε = max_l1 · step_q / qnorm + slack` (`step_q` is half the query's
-    /// quantization step; the additive slack absorbs f32 rounding, same
-    /// rationale as [`PRUNE_SLACK`]). Let `t` be the k-th largest `a` in
-    /// the shard. Any row `x` with `a_x < t − 2ε` has
-    /// `s_x ≤ a_x + ε < t − ε ≤ s_j` for each of the ≥ k rows with
-    /// `a_j ≥ t` — strictly below k rows, so `x` cannot be in the exact
-    /// top-k under any tie-break. Rescoring `{i : a_i ≥ t − 2ε}` into the
-    /// query's top-k therefore gives the exact result bit for bit.
+    /// `tops`, scoring its dim-major rows in place, and counts the scan
+    /// into their `stats`.
     fn scan_sealed(
         &self,
         sid: usize,
@@ -1411,83 +1067,17 @@ impl ShardedEmbeddingIndex {
         batch: &Batch<'_>,
         tops: &mut [TopK],
         stats: &mut [QueryStats],
-        scratch: &mut Scratch,
     ) {
         let s = &self.sealed[sid];
         let n = s.labels.len();
         let offset = sid * self.shard_capacity;
-        let row = |j: usize| (offset + j, s.labels[j]);
         for &qi in select {
             stats[qi].sealed_probed += 1;
             stats[qi].rows_scanned += n;
-        }
-        match &s.rows {
-            RowBlock::F32(cols) => {
-                for &qi in select {
-                    let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
-                    scan_into(cols, n, query, qnorm, &mut tops[qi], row);
-                }
-            }
-            RowBlock::Int8 { q, params, max_l1 } => {
-                let fast = || select.iter().copied().filter(|&qi| batch.qqs[qi].is_some());
-                let exact = || select.iter().copied().filter(|&qi| batch.qqs[qi].is_none());
-                // each query with a quantized form approximates every row
-                // and cuts its shortlist at t − 2ε
-                scratch.approx.clear();
-                scratch.cuts.clear();
-                for &qi in select {
-                    let Some((qcodes, qparams)) = &batch.qqs[qi] else {
-                        continue;
-                    };
-                    let qnorm = batch.qnorms[qi];
-                    // combined ≤ ~1/127² per integer unit: the products
-                    // cannot overflow f32 (the integer accumulation
-                    // itself is exact)
-                    let combined = params.scale * qparams.scale / qnorm;
-                    let start = scratch.approx.len();
-                    approx_block(q, n, qcodes, combined, &mut scratch.approx);
-                    let approx = &scratch.approx[start..];
-                    scratch.kth.clear();
-                    scratch.kth.extend_from_slice(approx);
-                    let kk = tops[qi].k.min(n);
-                    let (_, &mut kth, _) = scratch.kth.select_nth_unstable_by(kk - 1, |a, b| {
-                        b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    let eps = max_l1 * qparams.step() / qnorm + PRUNE_SLACK;
-                    let cut = kth - 2.0 * eps;
-                    stats[qi].rows_rescored += approx.iter().filter(|&&a| a >= cut).count();
-                    scratch.cuts.push(cut);
-                }
-                // the merged shortlist: a row any of those queries needs is
-                // dequantized once and rescored for each of them (a row
-                // outside a query's own shortlist is a real row with its
-                // exact score, so the top-k stays exact)
-                if !scratch.cuts.is_empty() {
-                    let (approx, cuts) = (&scratch.approx, &scratch.cuts);
-                    let needed = |j: usize| (0..cuts.len()).any(|c| approx[c * n + j] >= cuts[c]);
-                    scratch.shortlist.clear();
-                    scratch.shortlist.extend((0..n).filter(|&j| needed(j)));
-                    let shortlist = &scratch.shortlist;
-                    dequantize_rows(q, n, *params, shortlist, &mut scratch.cols);
-                    for qi in fast() {
-                        let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
-                        let m = shortlist.len();
-                        scan_into(&scratch.cols, m, query, qnorm, &mut tops[qi], |i| {
-                            row(shortlist[i])
-                        });
-                    }
-                }
-                // the exact walk: the dequantized values are the canonical
-                // rows, so it is the f32 scan over them
-                if exact().next().is_some() {
-                    scratch.cols.clear();
-                    scratch.cols.extend(q.iter().map(|&c| params.dequantize(c)));
-                    for qi in exact() {
-                        let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
-                        scan_into(&scratch.cols, n, query, qnorm, &mut tops[qi], row);
-                    }
-                }
-            }
+            let (query, qnorm) = (&batch.queries[qi], batch.qnorms[qi]);
+            scan_into(&s.rows, n, query, qnorm, &mut tops[qi], |j| {
+                (offset + j, s.labels[j])
+            });
         }
     }
 
@@ -1498,23 +1088,14 @@ impl ShardedEmbeddingIndex {
     }
 
     /// Writes storage block `b`'s rows (see
-    /// [`block_labels`](Self::block_labels)) into `out`, row-major and
-    /// dequantized as needed; `out` holds exactly `rows * dim` floats.
+    /// [`block_labels`](Self::block_labels)) into `out`, row-major;
+    /// `out` holds exactly `rows * dim` floats.
     pub(crate) fn copy_block_into(&self, b: usize, out: &mut [f32]) {
         let Some(s) = self.sealed.get(b) else {
             return out.copy_from_slice(&self.tail.data);
         };
-        match &s.rows {
-            RowBlock::F32(cols) => {
-                for (o, v) in out.iter_mut().zip(row_major(cols, s.labels.len())) {
-                    *o = v;
-                }
-            }
-            RowBlock::Int8 { q, params, .. } => {
-                for (o, c) in out.iter_mut().zip(row_major(q, s.labels.len())) {
-                    *o = params.dequantize(c);
-                }
-            }
+        for (o, v) in out.iter_mut().zip(row_major(&s.rows, s.labels.len())) {
+            *o = v;
         }
     }
 
@@ -1615,7 +1196,7 @@ impl ShardedEmbeddingIndex {
 
     /// Re-clusters the *sealed* rows into centroid-aligned shards so the
     /// descending-bound walk of [`ShardedEmbeddingIndex::query_many`]
-    /// prunes well regardless of arrival order — the IVF coarse-quantizer
+    /// prunes well regardless of arrival order — the IVF coarse-clustering
     /// stage. The open tail is untouched.
     ///
     /// Centroids are seeded from the current shard centroids and refined
@@ -1623,17 +1204,13 @@ impl ShardedEmbeddingIndex {
     /// final assignment visits every sealed row (fanned out across
     /// threads), then rows are regrouped by `(cluster, original index)`
     /// with a stable sort and resealed through the normal path, which
-    /// recomputes every bound (and re-quantizes on
-    /// [`ShardStorage::Int8`] indexes, recalibrating each new shard).
+    /// recomputes every bound.
     ///
-    /// The row *set* is preserved: every `(label, row)` pair survives.
-    /// On [`ShardStorage::F32`] canonical values are bit-identical, so
-    /// query results keep the same labels and scores — only
+    /// The row *set* is preserved bit for bit: every `(label, row)` pair
+    /// survives, so query results keep the same labels and scores — only
     /// [`QueryHit::index`] (the storage position) changes, along with
-    /// how effectively shards prune. On [`ShardStorage::Int8`] the new
-    /// shards re-calibrate, so canonical values may shift within one
-    /// quantization step of the (already dequantized) inputs. The whole
-    /// pass is deterministic: no RNG, no wall clock, stable tie-breaks.
+    /// how effectively shards prune. The whole pass is deterministic: no
+    /// RNG, no wall clock, stable tie-breaks.
     pub fn rebalance(&mut self, opts: &RebalanceOptions) -> RebalanceReport {
         let k = self.sealed.len();
         let cap = self.shard_capacity;
@@ -1648,7 +1225,7 @@ impl ShardedEmbeddingIndex {
         }
         let n = k * cap;
 
-        // Gather the canonical (dequantized) rows and labels once.
+        // Gather the rows and labels once.
         let mut rows = vec![0.0f32; n * dim];
         let mut labels: Vec<usize> = Vec::with_capacity(n);
         for (si, block) in rows.chunks_exact_mut(cap * dim).enumerate() {
@@ -1793,7 +1370,7 @@ impl ShardedEmbeddingIndex {
                     .data
                     .extend_from_slice(&rows[ri * dim..(ri + 1) * dim]);
             }
-            sealed.push(Arc::new(SealedShard::seal(shard, dim, self.storage)));
+            sealed.push(Arc::new(SealedShard::seal(shard, dim)));
         }
         self.sealed = sealed;
 
@@ -1813,9 +1390,7 @@ impl ShardedEmbeddingIndex {
     /// checksum of the model whose embeddings fill the index, so a stale
     /// index cannot silently serve scores for weights that no longer
     /// exist (the same pinning discipline as the embedding-library
-    /// artifact). Rows round-trip bit-exactly; quantized shards
-    /// serialize their dequantized (canonical) rows, so the reload is a
-    /// plain-f32 index with identical scores.
+    /// artifact). Rows and bounds round-trip bit-exactly.
     pub fn to_bytes(&self, pinned_checksum: u64) -> Vec<u8> {
         let mut w = BinWriter::with_version(SHARD_INDEX_KIND, SHARD_INDEX_VERSION);
         w.u64(pinned_checksum);
@@ -1833,21 +1408,12 @@ impl ShardedEmbeddingIndex {
             for &v in &rows {
                 w.f32(v);
             }
-            // v2: full shards carry their bounds. The dequantized values
-            // are the canonical rows of a quantized shard, and a v2 reload
-            // scores them as plain f32 with zero quantization slack — so
-            // its bounds are recomputed from the dequantized rows, not
-            // copied from the (pre-quantization) stored bounds, or the
-            // reload could over-prune.
-            let (centroid, radius, max_norm) = match shard.rows {
-                RowBlock::F32(_) => (shard.centroid.clone(), shard.radius, shard.max_norm),
-                RowBlock::Int8 { .. } => compute_bounds(&rows, self.dim),
-            };
-            for &v in &centroid {
+            // v2: full shards carry their bounds
+            for &v in &shard.centroid {
                 w.f32(v);
             }
-            w.f32(radius);
-            w.f32(max_norm);
+            w.f32(shard.radius);
+            w.f32(shard.max_norm);
         }
         if !self.tail.labels.is_empty() {
             w.len_of(self.tail.labels.len());
@@ -1949,7 +1515,7 @@ impl ShardedEmbeddingIndex {
                              (radius {radius}, max_norm {max_norm}, or non-finite centroid)"
                         ));
                     }
-                    SealedShard::from_f32_parts(
+                    SealedShard::from_parts(
                         shard.data,
                         shard.labels,
                         dim,
@@ -1958,7 +1524,7 @@ impl ShardedEmbeddingIndex {
                         max_norm,
                     )
                 } else {
-                    SealedShard::seal(shard, dim, ShardStorage::F32)
+                    SealedShard::seal(shard, dim)
                 };
                 sealed.push(Arc::new(block));
             } else {
@@ -1972,7 +1538,6 @@ impl ShardedEmbeddingIndex {
             shard_capacity,
             sealed,
             tail,
-            storage: ShardStorage::F32,
         })
     }
 
@@ -2033,14 +1598,11 @@ mod tests {
         let mut grid = Vec::new();
         for prune in [false, true] {
             for (threads, parallel_min_rows) in [(1, usize::MAX), (3, 0), (0, 0)] {
-                for int8_scan in [false, true] {
-                    grid.push(QueryOptions {
-                        prune,
-                        threads,
-                        parallel_min_rows,
-                        int8_scan,
-                    });
-                }
+                grid.push(QueryOptions {
+                    prune,
+                    threads,
+                    parallel_min_rows,
+                });
             }
         }
         grid
@@ -2100,51 +1662,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_kernels_match_row_major_reference() {
-        // the integer scan against a per-row i32 dot, and the shortlist
-        // dequantization (every row, and every third row) against the
-        // row-major dequantized rows, over the same dims and block
-        // lengths as the f32 kernel test; codes span -128..=127
-        let params = QuantParams {
-            scale: 0.0123,
-            zero_point: 0,
-        };
-        for dim in 1..=33 {
-            let qcodes: Vec<i8> = (0..dim).map(|t| (t * 97 % 256) as u8 as i8).collect();
-            for n in 0..=70 {
-                let codes: Vec<i8> = (0..n * dim).map(|i| (i * 37 % 256) as u8 as i8).collect();
-                let mut q = Vec::new();
-                to_dim_major(&codes, dim, &mut q);
-                let mut approx = Vec::new();
-                approx_block(&q, n, &qcodes, 0.37, &mut approx);
-                assert_eq!(approx.len(), n);
-                for (j, (row, &a)) in codes.chunks_exact(dim).zip(&approx).enumerate() {
-                    let dot: i32 = row
-                        .iter()
-                        .zip(&qcodes)
-                        .map(|(&c, &qc)| i32::from(c) * i32::from(qc))
-                        .sum();
-                    let want = dot as f32 * 0.37;
-                    assert_eq!(a.to_bits(), want.to_bits(), "dim {dim} n {n} row {j}");
-                }
-                for step in [1, 3] {
-                    let rows: Vec<usize> = (0..n).step_by(step).collect();
-                    let mut got = Vec::new();
-                    dequantize_rows(&q, n, params, &rows, &mut got);
-                    let mut want = Vec::new();
-                    for &j in &rows {
-                        let row = &codes[j * dim..(j + 1) * dim];
-                        want.extend(row.iter().map(|&c| params.dequantize(c)));
-                    }
-                    let mut want_cols = Vec::new();
-                    to_dim_major(&want, dim, &mut want_cols);
-                    assert_eq!(got, want_cols, "dim {dim} n {n} step {step}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn shards_fill_to_capacity_in_insertion_order() {
         let (_, sharded) = both(10, 3, 4);
         assert_eq!(sharded.len(), 10);
@@ -2196,16 +1713,11 @@ mod tests {
         qs
     }
 
-    /// [`seeded_rows`] with one zero row, stored with `storage`.
-    fn index_with_zero_row(
-        n: usize,
-        dim: usize,
-        cap: usize,
-        storage: ShardStorage,
-    ) -> ShardedEmbeddingIndex {
+    /// [`seeded_rows`] with one zero row.
+    fn index_with_zero_row(n: usize, dim: usize, cap: usize) -> ShardedEmbeddingIndex {
         let mut rows = seeded_rows(n, dim);
         rows[n / 3].fill(0.0);
-        let mut index = ShardedEmbeddingIndex::with_storage(dim, cap, storage);
+        let mut index = ShardedEmbeddingIndex::new(dim, cap);
         for (i, row) in rows.iter().enumerate() {
             index.insert(row, i % 5);
         }
@@ -2239,9 +1751,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_composition_never_changes_results_f32() {
+    fn batch_composition_never_changes_results() {
         for cap in [1, 4, 7] {
-            let sharded = index_with_zero_row(37, 6, cap, ShardStorage::F32);
+            let sharded = index_with_zero_row(37, 6, cap);
             let queries = query_batch(6, 6);
             for k in [1, 3, 37, 50] {
                 for opts in option_grid() {
@@ -2250,26 +1762,7 @@ mod tests {
                         &queries,
                         k,
                         &opts,
-                        &format!("f32 cap {cap} k {k} opts {opts:?}"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_composition_never_changes_results_int8() {
-        for (n, cap) in [(23, 4), (40, 8)] {
-            let index = index_with_zero_row(n, 6, cap, ShardStorage::Int8);
-            let queries = query_batch(5, 6);
-            for k in [1, 3, n] {
-                for opts in option_grid() {
-                    assert_batch_matches_singletons(
-                        &index,
-                        &queries,
-                        k,
-                        &opts,
-                        &format!("int8 n {n} cap {cap} k {k} opts {opts:?}"),
+                        &format!("cap {cap} k {k} opts {opts:?}"),
                     );
                 }
             }
@@ -2278,20 +1771,18 @@ mod tests {
 
     #[test]
     fn batch_composition_never_changes_results_after_rebalance() {
-        for storage in [ShardStorage::F32, ShardStorage::Int8] {
-            let mut index = index_with_zero_row(60, 6, 8, storage);
-            index.rebalance(&RebalanceOptions::default());
-            let queries = query_batch(6, 6);
-            for k in [4, 60] {
-                for opts in option_grid() {
-                    assert_batch_matches_singletons(
-                        &index,
-                        &queries,
-                        k,
-                        &opts,
-                        &format!("rebalanced {storage:?} k {k} opts {opts:?}"),
-                    );
-                }
+        let mut index = index_with_zero_row(60, 6, 8);
+        index.rebalance(&RebalanceOptions::default());
+        let queries = query_batch(6, 6);
+        for k in [4, 60] {
+            for opts in option_grid() {
+                assert_batch_matches_singletons(
+                    &index,
+                    &queries,
+                    k,
+                    &opts,
+                    &format!("rebalanced k {k} opts {opts:?}"),
+                );
             }
         }
     }
@@ -2345,7 +1836,6 @@ mod tests {
             prune: true,
             threads: 1,
             parallel_min_rows: usize::MAX,
-            int8_scan: true,
         };
         let queries = vec![q2.clone(), q5.clone()];
         assert_batch_matches_singletons(&sharded, &queries, 4, &opts, "clustered pair");
@@ -2382,7 +1872,6 @@ mod tests {
             prune: true,
             threads: 1,
             parallel_min_rows: usize::MAX,
-            int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&q, 4, &opts);
         assert_eq!(bits(&hits), bits(&flat.query(&q, 4)));
@@ -2415,7 +1904,6 @@ mod tests {
             prune: false,
             threads: 4,
             parallel_min_rows: 0,
-            int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&q, 7, &opts);
         assert_eq!(bits(&hits), bits(&flat.query(&q, 7)));
@@ -2526,7 +2014,6 @@ mod tests {
             prune: true,
             threads: 1,
             parallel_min_rows: usize::MAX,
-            int8_scan: true,
         };
         let (hits, stats) = sharded.query_opts(&[1.0, 0.05], 2, &opts);
         assert_eq!(bits(&hits), bits(&flat.query(&[1.0, 0.05], 2)));
@@ -2761,140 +2248,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // --- int8 quantized storage ----------------------------------------
-
-    fn int8_index(n: usize, dim: usize, cap: usize) -> ShardedEmbeddingIndex {
-        let rows = seeded_rows(n, dim);
-        let mut index = ShardedEmbeddingIndex::with_storage(dim, cap, ShardStorage::Int8);
-        for (i, row) in rows.iter().enumerate() {
-            index.insert(row, i % 5);
-        }
-        index
-    }
-
-    #[test]
-    fn int8_scan_is_bit_identical_to_its_exact_walk() {
-        // the int8 shortlist-rescoring fast path must agree bit for bit
-        // with the exact dequantize-every-row walk of the same index,
-        // under every option combination
-        for (n, cap) in [(23, 4), (40, 8), (9, 9)] {
-            let index = int8_index(n, 6, cap);
-            let q: Vec<f32> = (0..6).map(|j| 0.4 - j as f32 * 0.13).collect();
-            for k in [1, 3, 7, n] {
-                let reference = index
-                    .query_opts(
-                        &q,
-                        k,
-                        &QueryOptions {
-                            prune: false,
-                            int8_scan: false,
-                            ..QueryOptions::default()
-                        },
-                    )
-                    .0;
-                for opts in option_grid() {
-                    let (hits, _) = index.query_opts(&q, k, &opts);
-                    assert_eq!(
-                        bits(&hits),
-                        bits(&reference),
-                        "n {n} cap {cap} k {k} opts {opts:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn int8_rescoring_touches_few_rows_and_reports_itself() {
-        let index = int8_index(256, 8, 32);
-        let q: Vec<f32> = (0..8).map(|j| (j as f32 * 0.7).cos()).collect();
-        let opts = QueryOptions {
-            prune: false,
-            threads: 1,
-            parallel_min_rows: usize::MAX,
-            int8_scan: true,
-        };
-        let (_, stats) = index.query_opts(&q, 5, &opts);
-        assert!(stats.rows_rescored > 0, "shortlist pass must engage");
-        assert!(
-            stats.rows_rescored < stats.rows_scanned,
-            "rescoring everything defeats the fast path: {stats:?}"
-        );
-        // the exact walk reports zero rescored rows
-        let (_, exact) = index.query_opts(
-            &q,
-            5,
-            &QueryOptions {
-                int8_scan: false,
-                ..opts
-            },
-        );
-        assert_eq!(exact.rows_rescored, 0);
-    }
-
-    #[test]
-    fn int8_sealed_storage_is_about_a_quarter_of_f32() {
-        let (_, f32_index) = both(256, 16, 32);
-        let q_index = int8_index(256, 16, 32);
-        let f32_bytes = f32_index.sealed_row_bytes();
-        let int8_bytes = q_index.sealed_row_bytes();
-        assert!(f32_bytes > 0);
-        assert!(
-            (int8_bytes as f64) <= 0.30 * f32_bytes as f64,
-            "int8 {int8_bytes} vs f32 {f32_bytes}"
-        );
-    }
-
-    #[test]
-    fn int8_non_finite_and_zero_rows_match_the_exact_walk() {
-        let mut index = ShardedEmbeddingIndex::with_storage(2, 2, ShardStorage::Int8);
-        let rows: [&[f32]; 6] = [
-            &[f32::NAN, 1.0],
-            &[1.0, 0.0],
-            &[0.0, 0.0],
-            &[0.5, 0.5],
-            &[f32::INFINITY, 0.1],
-            &[0.3, -0.4],
-        ];
-        for (i, row) in rows.iter().enumerate() {
-            index.insert(row, i);
-        }
-        // the second query has no positive component, so the zero rows
-        // score -0.0 on both the rescoring and the exact path
-        for q in [[1.0, 0.1], [-0.5, -0.25]] {
-            let reference = index
-                .query_opts(
-                    &q,
-                    6,
-                    &QueryOptions {
-                        prune: false,
-                        int8_scan: false,
-                        ..QueryOptions::default()
-                    },
-                )
-                .0;
-            for opts in option_grid() {
-                let (hits, _) = index.query_opts(&q, 6, &opts);
-                assert_eq!(bits(&hits), bits(&reference), "{q:?} opts {opts:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn int8_index_serializes_as_plain_f32_with_identical_scores() {
-        let index = int8_index(19, 6, 4);
-        let bytes = index.to_bytes(5);
-        let back = ShardedEmbeddingIndex::from_bytes(&bytes, 5).expect("loads");
-        assert_eq!(back.storage(), ShardStorage::F32);
-        assert_eq!(back.len(), index.len());
-        let q: Vec<f32> = (0..6).map(|j| 0.2 + j as f32 * 0.05).collect();
-        // the reload stores the dequantized canonical rows, so every
-        // query agrees bit for bit with the quantized original
-        for k in [1, 4, 19] {
-            assert_eq!(bits(&back.query(&q, k)), bits(&index.query(&q, k)), "k {k}");
-        }
-    }
-
     // --- rebalance ------------------------------------------------------
 
     /// Clustered rows inserted in round-robin (worst-case) arrival order:
@@ -2926,7 +2279,6 @@ mod tests {
             prune: true,
             threads: 1,
             parallel_min_rows: usize::MAX,
-            int8_scan: true,
         };
         let before_hits = index.query(&q, 4);
         let (_, before) = index.query_opts(&q, 4, &opts);
@@ -2995,8 +2347,5 @@ mod tests {
             a.sealed[0].content_id, a.sealed[1].content_id,
             "different payloads must get different ids"
         );
-        // quantized and f32 storage of the same rows hash differently
-        let q = int8_index(8, 3, 4);
-        assert_ne!(a.sealed[0].content_id, q.sealed[0].content_id);
     }
 }

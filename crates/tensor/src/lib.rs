@@ -36,7 +36,6 @@ mod gradcheck;
 mod matrix;
 mod optim;
 mod parallel;
-mod quant;
 mod serialize;
 mod sparse;
 mod tape;
@@ -46,7 +45,6 @@ pub use gradcheck::{check_gradient, GradCheckReport};
 pub use matrix::Matrix;
 pub use optim::{Adam, GradAccum, Optimizer, ParamId, ParamStore, Sgd};
 pub use parallel::{fan_out, worker_count};
-pub use quant::QuantParams;
 pub use serialize::{
     describe_artifact, fnv1a64, read_adam, read_artifact, read_sgd, write_adam, write_artifact,
     write_sgd, ArtifactInfo, BinReader, BinWriter, Fnv64, BASE_VERSION, FORMATS, FORMAT_VERSION,

@@ -1,22 +1,18 @@
-//! Corpus-scale retrieval harness: IVF-routed shard pruning, int8
-//! quantized shards, and append-only checkpoints, measured end to end on
-//! a synthetic million-design-class corpus.
+//! Corpus-scale retrieval harness: IVF-routed shard pruning and
+//! append-only checkpoints, measured end to end on a synthetic
+//! million-design-class corpus.
 //!
 //! The corpus is deliberately adversarial to the sharded index's bound
 //! pruning: rows belong to well-separated clusters but arrive
 //! round-robin, so every sealed shard contains every cluster and no
 //! bound can exclude anything. The harness then measures what each of
-//! the three corpus-scale mechanisms buys:
+//! the two corpus-scale mechanisms buys:
 //!
 //! 1. `rebalance` regroups the sealed rows into centroid-aligned shards
 //!    and pruning starts working — routed p50 vs exhaustive p50 is
 //!    reported before and after, on clustered *and* uniform data (the
 //!    latter bounds the overhead routing adds when it cannot help).
-//! 2. `ShardStorage::Int8` shrinks sealed rows to ~1/4 the bytes while
-//!    the shortlist-rescoring scan stays bit-identical to the exact
-//!    dequantize-and-score walk (asserted over every query, one at a
-//!    time and as one batch, both of which are timed).
-//! 3. `checkpoint_dir` writes content-addressed shard files once: the
+//! 2. `checkpoint_dir` writes content-addressed shard files once: the
 //!    second checkpoint after ingesting more rows re-writes only the
 //!    newly sealed shards (asserted), and `load_dir` answers queries
 //!    identically to the writer (asserted).
@@ -31,9 +27,7 @@
 
 use std::time::Instant;
 
-use gnn4ip::eval::{
-    QueryHit, QueryOptions, QueryStats, RebalanceOptions, ShardStorage, ShardedEmbeddingIndex,
-};
+use gnn4ip::eval::{QueryHit, QueryOptions, QueryStats, RebalanceOptions, ShardedEmbeddingIndex};
 
 /// Arbitrary stand-in for a detector-weights checksum pin.
 const PIN: u64 = 0x00C0_FFEE_1234_5678;
@@ -91,10 +85,9 @@ fn build(
     rows: usize,
     dim: usize,
     cap: usize,
-    storage: ShardStorage,
     gen: impl Fn(usize) -> Vec<f32>,
 ) -> (ShardedEmbeddingIndex, f64) {
-    let mut index = ShardedEmbeddingIndex::with_storage(dim, cap, storage);
+    let mut index = ShardedEmbeddingIndex::new(dim, cap);
     let start = Instant::now();
     for i in 0..rows {
         index.insert(&gen(i), i);
@@ -122,31 +115,9 @@ fn run_queries(
         total.sealed_probed += stats.sealed_probed;
         total.sealed_pruned += stats.sealed_pruned;
         total.rows_scanned += stats.rows_scanned;
-        total.rows_rescored += stats.rows_rescored;
     }
     times.sort_by(f64::total_cmp);
     (hits, times[times.len() / 2], total)
-}
-
-/// Runs all queries as one `query_many` batch, `reps` times, returning
-/// the hit lists and the median batch time per query in milliseconds.
-fn run_batch(
-    index: &ShardedEmbeddingIndex,
-    queries: &[Vec<f32>],
-    k: usize,
-    opts: &QueryOptions,
-    reps: usize,
-) -> (Vec<Vec<QueryHit>>, f64) {
-    let mut times = Vec::with_capacity(reps);
-    let mut hits = Vec::new();
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = index.query_many(queries, k, opts);
-        times.push(start.elapsed().as_secs_f64() * 1e3 / queries.len() as f64);
-        hits = out.into_iter().map(|(h, _)| h).collect();
-    }
-    times.sort_by(f64::total_cmp);
-    (hits, times[times.len() / 2])
 }
 
 fn assert_bitwise_equal(a: &[Vec<QueryHit>], b: &[Vec<QueryHit>], what: &str) {
@@ -171,25 +142,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = arg_value(&args, "--k", 10);
 
     // Single-threaded scans keep the p50s honest on small CI machines;
-    // routing and quantization wins are orthogonal to the fan-out.
+    // routing wins are orthogonal to the fan-out.
     let exhaustive = QueryOptions {
         prune: false,
         threads: 1,
         parallel_min_rows: usize::MAX,
-        int8_scan: false,
     };
     let routed = QueryOptions {
         prune: true,
-        int8_scan: true,
         ..exhaustive
     };
 
     println!("corpus-scale retrieval: {rows} rows x dim {dim}, shard capacity {cap}, {clusters} clusters, {n_queries} queries, k={k}\n");
 
     // ---- 1. IVF routing on the clustered corpus -----------------------
-    let (mut index, ingest_secs) = build(rows, dim, cap, ShardStorage::F32, |i| {
-        clustered_row(i, dim, clusters)
-    });
+    let (mut index, ingest_secs) = build(rows, dim, cap, |i| clustered_row(i, dim, clusters));
     println!(
         "ingest (f32): {rows} rows in {ingest_secs:.2} s ({:.0} rows/s), {} sealed shards",
         rows as f64 / ingest_secs.max(1e-9),
@@ -241,7 +208,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- 2. routing overhead on uniform data --------------------------
-    let (uniform_index, _) = build(rows, dim, cap, ShardStorage::F32, |i| uniform_row(i, dim));
+    let (uniform_index, _) = build(rows, dim, cap, |i| uniform_row(i, dim));
     let uqueries: Vec<Vec<f32>> = (0..n_queries).map(|q| uniform_row(rows + q, dim)).collect();
     let (uh_ex, up50_ex, _) = run_queries(&uniform_index, &uqueries, k, &exhaustive);
     let (uh_rt, up50_rt, ust) = run_queries(&uniform_index, &uqueries, k, &routed);
@@ -254,54 +221,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ust.sealed_shards
     );
 
-    // ---- 3. int8 quantized shards --------------------------------------
-    let (mut q_index, q_ingest_secs) = build(rows, dim, cap, ShardStorage::Int8, |i| {
-        clustered_row(i, dim, clusters)
-    });
-    q_index.rebalance(&RebalanceOptions::default());
-    let ratio = q_index.sealed_row_bytes() as f64 / index.sealed_row_bytes() as f64;
-    println!(
-        "int8 shards: ingest {q_ingest_secs:.2} s, sealed row bytes {} vs {} f32 ({:.0}% of f32)",
-        q_index.sealed_row_bytes(),
-        index.sealed_row_bytes(),
-        100.0 * ratio
-    );
-    assert!(
-        ratio <= 0.30,
-        "int8 sealed rows must be at most 30% of f32 bytes, got {ratio:.2}"
-    );
-    let exact = QueryOptions {
-        int8_scan: false,
-        ..routed
-    };
-    let (qh_exact, qp50_exact, _) = run_queries(&q_index, &queries, k, &exact);
-    let (qh_int8, qp50_int8, qst) = run_queries(&q_index, &queries, k, &routed);
-    assert_bitwise_equal(
-        &qh_exact,
-        &qh_int8,
-        "int8 shortlist rescoring vs exact walk",
-    );
-    println!(
-        "int8 scan: exact-walk p50 {qp50_exact:.3} ms, int8+rescore p50 {qp50_int8:.3} ms, \
-         {} of {} scanned rows needed f32 rescoring (bit-identical results)",
-        qst.rows_rescored, qst.rows_scanned
-    );
-    // the same queries as one batch: shards a batch shares are scanned
-    // once for all of it, and each query's hits must not change
-    let (qb_exact, qb_exact_ms) = run_batch(&q_index, &queries, k, &exact, 5);
-    let (qb_int8, qb_int8_ms) = run_batch(&q_index, &queries, k, &routed, 5);
-    assert_bitwise_equal(
-        &qh_exact,
-        &qb_exact,
-        "int8 exact walk, batch vs one at a time",
-    );
-    assert_bitwise_equal(&qh_int8, &qb_int8, "int8 rescoring, batch vs one at a time");
-    println!(
-        "int8 scan, batch of {n_queries}: exact-walk {qb_exact_ms:.3} ms/query, \
-         int8+rescore {qb_int8_ms:.3} ms/query\n"
-    );
-
-    // ---- 4. append-only checkpoints ------------------------------------
+    // ---- 3. append-only checkpoints ------------------------------------
     let dir = std::env::temp_dir().join(format!("g4ip-corpus-scale-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let first = index.checkpoint_dir(&dir, PIN)?;
@@ -339,6 +259,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     std::fs::remove_dir_all(&dir)?;
 
-    println!("\ncorpus-scale harness green: routing {speedup:.1}x on clustered data, int8 at {:.0}% bytes, incremental checkpoints O(new rows).", 100.0 * ratio);
+    println!("\ncorpus-scale harness green: routing {speedup:.1}x on clustered data, incremental checkpoints O(new rows).");
     Ok(())
 }

@@ -190,13 +190,10 @@ proptest! {
 }
 
 /// A seeded index over `rows` rows (dim 6, 8 rows per shard, so every
-/// row count here leaves a non-empty tail) stored as `storage`.
-fn pinned_index(
-    storage: gnn4ip::eval::ShardStorage,
-    rows: usize,
-) -> gnn4ip::eval::ShardedEmbeddingIndex {
+/// row count here leaves a non-empty tail).
+fn pinned_index(rows: usize) -> gnn4ip::eval::ShardedEmbeddingIndex {
     let dim = 6;
-    let mut index = gnn4ip::eval::ShardedEmbeddingIndex::with_storage(dim, 8, storage);
+    let mut index = gnn4ip::eval::ShardedEmbeddingIndex::new(dim, 8);
     for i in 0..rows {
         let row: Vec<f32> = (0..dim)
             .map(|j| {
@@ -211,66 +208,42 @@ fn pinned_index(
 
 /// The on-disk bytes of both corpus formats are pinned: an FNV-1a digest
 /// of the monolithic `to_bytes` artifact, and the name and digest of
-/// every file `checkpoint_dir` writes, for an f32 and an int8 index that
-/// each hold a tail. How sealed rows are laid out in memory must never
-/// change a byte on disk.
+/// every file `checkpoint_dir` writes, for an index that holds a tail.
+/// How sealed rows are laid out in memory must never change a byte on
+/// disk.
 #[test]
 fn shard_index_bytes_are_pinned() {
-    use gnn4ip::eval::ShardStorage;
     use gnn4ip::tensor::fnv1a64;
 
-    // (storage, rows, to_bytes digest, [(file name, file digest)])
-    type Pinned = (ShardStorage, usize, u64, &'static [(&'static str, u64)]);
-    let cases: [Pinned; 2] = [
-        (
-            ShardStorage::F32,
-            37,
-            0x6a5d_2ca6_e1e9_f731,
-            &[
-                ("manifest.g4m", 0x1929_e748_d876_c290),
-                ("shard-067cdebcd44fa36f.g4s", 0x4e3a_6050_274c_a821),
-                ("shard-336541af8eabd4ac.g4s", 0xbe45_6092_3410_2587),
-                ("shard-71f7247f60e5604c.g4s", 0x186e_89fb_50ab_a0df),
-                ("shard-f04489465b3454da.g4s", 0xff93_d0d8_18da_549f),
-            ],
-        ),
-        (
-            ShardStorage::Int8,
-            29,
-            0x275e_3db0_72f2_f18c,
-            &[
-                ("manifest.g4m", 0xf2b4_6dfa_4afb_202f),
-                ("shard-a8513023d08bd188.g4s", 0x8d50_fc95_83e8_504f),
-                ("shard-c2669a64561bd55a.g4s", 0xe39b_e939_4560_428e),
-                ("shard-f45e38a8397c3936.g4s", 0x2a84_7985_969d_00b6),
-            ],
-        ),
+    let index = pinned_index(37);
+    assert_eq!(
+        fnv1a64(&index.to_bytes(0xfeed)),
+        0x6a5d_2ca6_e1e9_f731,
+        "to_bytes digest"
+    );
+    let files: &[(&str, u64)] = &[
+        ("manifest.g4m", 0x1929_e748_d876_c290),
+        ("shard-067cdebcd44fa36f.g4s", 0x4e3a_6050_274c_a821),
+        ("shard-336541af8eabd4ac.g4s", 0xbe45_6092_3410_2587),
+        ("shard-71f7247f60e5604c.g4s", 0x186e_89fb_50ab_a0df),
+        ("shard-f04489465b3454da.g4s", 0xff93_d0d8_18da_549f),
     ];
-    for (storage, rows, to_bytes_digest, files) in cases {
-        let index = pinned_index(storage, rows);
-        assert_eq!(
-            fnv1a64(&index.to_bytes(0xfeed)),
-            to_bytes_digest,
-            "{storage:?} to_bytes digest"
-        );
-        let dir =
-            std::env::temp_dir().join(format!("gnn4ip-pinned-{}-{storage:?}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        index.checkpoint_dir(&dir, 0xfeed).expect("checkpoint");
-        let mut written: Vec<(String, u64)> = std::fs::read_dir(&dir)
-            .expect("read dir")
-            .map(|e| {
-                let e = e.expect("entry");
-                let bytes = std::fs::read(e.path()).expect("read");
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    fnv1a64(&bytes),
-                )
-            })
-            .collect();
-        written.sort();
-        std::fs::remove_dir_all(&dir).ok();
-        let expect: Vec<(String, u64)> = files.iter().map(|&(n, d)| (n.to_string(), d)).collect();
-        assert_eq!(written, expect, "{storage:?} checkpoint files");
-    }
+    let dir = std::env::temp_dir().join(format!("gnn4ip-pinned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    index.checkpoint_dir(&dir, 0xfeed).expect("checkpoint");
+    let mut written: Vec<(String, u64)> = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .map(|e| {
+            let e = e.expect("entry");
+            let bytes = std::fs::read(e.path()).expect("read");
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                fnv1a64(&bytes),
+            )
+        })
+        .collect();
+    written.sort();
+    std::fs::remove_dir_all(&dir).ok();
+    let expect: Vec<(String, u64)> = files.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(written, expect, "checkpoint files");
 }

@@ -327,9 +327,7 @@ proptest! {
 
 // ------------------------------------------------------------------- eval
 
-use gnn4ip::eval::{
-    EmbeddingIndex, QueryOptions, RebalanceOptions, ShardStorage, ShardedEmbeddingIndex,
-};
+use gnn4ip::eval::{EmbeddingIndex, QueryOptions, RebalanceOptions, ShardedEmbeddingIndex};
 
 /// Deterministic pseudo-random embeddings; every 7th row gets a
 /// non-finite component so the zero-row hardening stays under test.
@@ -390,7 +388,7 @@ proptest! {
             // every pruning/threading combination produces the same bits
             for prune in [false, true] {
                 for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
-                    let opts = QueryOptions { prune, threads, parallel_min_rows, int8_scan: true };
+                    let opts = QueryOptions { prune, threads, parallel_min_rows };
                     let (c, _) = sharded.query_opts(&query, k, &opts);
                     prop_assert_eq!(&a, &hit_bits(&c), "opts {:?}", opts);
                 }
@@ -434,7 +432,7 @@ proptest! {
             let expect = hit_bits(&flat.query(&query, k));
             for prune in [false, true] {
                 for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
-                    let opts = QueryOptions { prune, threads, parallel_min_rows, int8_scan: true };
+                    let opts = QueryOptions { prune, threads, parallel_min_rows };
                     let (hits, _) = sharded.query_opts(&query, k, &opts);
                     prop_assert_eq!(&expect, &hit_bits(&hits), "opts {:?}", opts);
                     let batch = sharded.query_many(&[query.clone(), target.clone()], k, &opts);
@@ -493,7 +491,7 @@ proptest! {
         }
         let expect = hit_bits(&flat.query(&query, k));
         for (threads, parallel_min_rows) in [(1, usize::MAX), (3, 0)] {
-            let opts = QueryOptions { prune: true, threads, parallel_min_rows, int8_scan: true };
+            let opts = QueryOptions { prune: true, threads, parallel_min_rows };
             let (hits, stats) = sharded.query_opts(&query, k, &opts);
             prop_assert_eq!(&expect, &hit_bits(&hits), "opts {:?} stats {:?}", opts, stats);
             prop_assert!(stats.sealed_pruned <= stats.sealed_shards);
@@ -549,13 +547,12 @@ proptest! {
         prop_assert!(ShardedEmbeddingIndex::from_bytes(&bytes, seed ^ 1).is_err());
     }
 
-    /// On an int8-quantized index, every routed/pruned/parallel/int8
-    /// option combination returns bit-identical hits to the exhaustive
-    /// dequantize-every-row f32 scan — shortlist rescoring makes
-    /// quantization invisible in results — and a deterministic rebalance
-    /// preserves the (label, score) verdicts exactly.
+    /// Every routed/pruned/parallel option combination returns
+    /// bit-identical hits to the exhaustive single-threaded walk, with and
+    /// without a rebalance, and a deterministic rebalance preserves the
+    /// (label, score) verdicts exactly.
     #[test]
-    fn quantized_routed_queries_match_exhaustive_f32_bitwise(
+    fn routed_queries_match_exhaustive_bitwise(
         n in 1usize..40,
         dim in 1usize..8,
         cap in 1usize..12,
@@ -563,64 +560,45 @@ proptest! {
         rebalance_flag in 0u8..2,
         seed in 0u64..1000,
     ) {
-        let rebalance = rebalance_flag == 1;
         let rows = index_rows(n, dim, seed);
-        let mut index = ShardedEmbeddingIndex::with_storage(dim, cap, ShardStorage::Int8);
+        let mut index = ShardedEmbeddingIndex::new(dim, cap);
         for (i, row) in rows.iter().enumerate() {
             index.insert(row, i % 4);
-        }
-        if rebalance {
-            index.rebalance(&RebalanceOptions::default());
         }
         let query: Vec<f32> = (0..dim)
             .map(|j| ((j as u64 ^ seed).wrapping_mul(40503) % 101) as f32 / 101.0 - 0.5)
             .collect();
-        // reference: exhaustive exact f32 walk of the same stored rows
+        // reference: exhaustive walk of the same stored rows
         let exhaustive = QueryOptions {
             prune: false,
             threads: 1,
             parallel_min_rows: usize::MAX,
-            int8_scan: false,
         };
-        let expect = hit_bits(&index.query_opts(&query, k, &exhaustive).0);
+        let (before, _) = index.query_opts(&query, k, &exhaustive);
+        if rebalance_flag == 1 {
+            index.rebalance(&RebalanceOptions::default());
+        }
+        let (after, _) = index.query_opts(&query, k, &exhaustive);
+        let expect = hit_bits(&after);
         for prune in [false, true] {
-            for int8_scan in [false, true] {
-                for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
-                    let opts = QueryOptions { prune, threads, parallel_min_rows, int8_scan };
-                    let (hits, _) = index.query_opts(&query, k, &opts);
-                    prop_assert_eq!(&expect, &hit_bits(&hits), "opts {:?}", opts);
-                }
+            for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
+                let opts = QueryOptions { prune, threads, parallel_min_rows };
+                let (hits, _) = index.query_opts(&query, k, &opts);
+                prop_assert_eq!(&expect, &hit_bits(&hits), "opts {:?}", opts);
             }
         }
-        // rebalance never loses a (label, score) verdict pair
-        if rebalance {
-            let mut plain = ShardedEmbeddingIndex::with_storage(dim, cap, ShardStorage::Int8);
-            for (i, row) in rows.iter().enumerate() {
-                plain.insert(row, i % 4);
-            }
-            let (before, _) = plain.query_opts(&query, k, &exhaustive);
-            let verdicts = |hits: &[gnn4ip::eval::QueryHit]| -> Vec<(usize, u32)> {
-                hits.iter().map(|h| (h.label, h.score.to_bits())).collect()
-            };
-            // int8 re-calibration on reseal can move scores within a
-            // quantization step; labels must survive exactly, and on f32
-            // storage the full verdicts are bit-identical (checked below)
-            prop_assert_eq!(before.len(), expect.len());
-            let mut f32_index = ShardedEmbeddingIndex::new(dim, cap);
-            for (i, row) in rows.iter().enumerate() {
-                f32_index.insert(row, i % 4);
-            }
-            let a = f32_index.query(&query, k);
-            f32_index.rebalance(&RebalanceOptions::default());
-            let b = f32_index.query(&query, k);
-            prop_assert_eq!(verdicts(&a), verdicts(&b));
-        }
+        // rebalance moves storage positions, never a (label, score bits)
+        // verdict pair
+        let verdicts = |hits: &[gnn4ip::eval::QueryHit]| -> Vec<(usize, u32)> {
+            hits.iter().map(|h| (h.label, h.score.to_bits())).collect()
+        };
+        prop_assert_eq!(verdicts(&before), verdicts(&after));
     }
 
     /// Batch composition never changes a result: `query_many` answers
     /// every query in a batch bit-identically to that query alone (a
-    /// batch of one, which is what `query_opts` runs) across storage
-    /// modes, rebalance, and every pruning/threading combination. The
+    /// batch of one, which is what `query_opts` runs) with and without a
+    /// rebalance, under every pruning/threading combination. The
     /// index holds a zero row and the first query has no positive
     /// component, so a zero row's `-0.0` score is covered on every path.
     /// Per-query stats keep their accounting invariant (every sealed
@@ -633,14 +611,12 @@ proptest! {
         dim in 1usize..8,
         cap in 1usize..12,
         k in 1usize..12,
-        quantized_flag in 0u8..2,
         rebalance_flag in 0u8..2,
         seed in 0u64..1000,
     ) {
-        let storage = if quantized_flag == 1 { ShardStorage::Int8 } else { ShardStorage::F32 };
         let mut rows = index_rows(n, dim, seed);
         rows[n / 2].fill(0.0);
-        let mut index = ShardedEmbeddingIndex::with_storage(dim, cap, storage);
+        let mut index = ShardedEmbeddingIndex::new(dim, cap);
         for (i, row) in rows.iter().enumerate() {
             index.insert(row, i % 4);
         }
@@ -660,22 +636,20 @@ proptest! {
             })
             .collect();
         for prune in [false, true] {
-            for int8_scan in [false, true] {
-                for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
-                    let opts = QueryOptions { prune, threads, parallel_min_rows, int8_scan };
-                    let batched = index.query_many(&queries, k, &opts);
-                    prop_assert_eq!(batched.len(), queries.len());
-                    for (q, (hits, stats)) in queries.iter().zip(&batched) {
-                        let (alone, _) = index.query_opts(q, k, &opts);
-                        prop_assert_eq!(hit_bits(&alone), hit_bits(hits), "opts {:?}", opts);
-                        prop_assert_eq!(stats.sealed_shards, index.num_sealed_shards());
-                        if prune && k < n {
-                            prop_assert_eq!(
-                                stats.sealed_probed + stats.sealed_pruned,
-                                stats.sealed_shards,
-                                "opts {:?} stats {:?}", opts, stats
-                            );
-                        }
+            for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
+                let opts = QueryOptions { prune, threads, parallel_min_rows };
+                let batched = index.query_many(&queries, k, &opts);
+                prop_assert_eq!(batched.len(), queries.len());
+                for (q, (hits, stats)) in queries.iter().zip(&batched) {
+                    let (alone, _) = index.query_opts(q, k, &opts);
+                    prop_assert_eq!(hit_bits(&alone), hit_bits(hits), "opts {:?}", opts);
+                    prop_assert_eq!(stats.sealed_shards, index.num_sealed_shards());
+                    if prune && k < n {
+                        prop_assert_eq!(
+                            stats.sealed_probed + stats.sealed_pruned,
+                            stats.sealed_shards,
+                            "opts {:?} stats {:?}", opts, stats
+                        );
                     }
                 }
             }
@@ -684,24 +658,21 @@ proptest! {
 
     /// A v2 monolithic artifact migrates to the append-only checkpoint
     /// layout and back byte-identically, and the loaded corpus answers
-    /// queries exactly like the original — for f32 and quantized storage.
+    /// queries exactly like the original.
     #[test]
     fn monolithic_and_append_only_layouts_agree(
         n in 1usize..24,
         dim in 1usize..6,
         cap in 1usize..8,
-        quantized_flag in 0u8..2,
         seed in 0u64..1000,
     ) {
-        let quantized = quantized_flag == 1;
         let rows = index_rows(n, dim, seed);
-        let storage = if quantized { ShardStorage::Int8 } else { ShardStorage::F32 };
-        let mut index = ShardedEmbeddingIndex::with_storage(dim, cap, storage);
+        let mut index = ShardedEmbeddingIndex::new(dim, cap);
         for (i, row) in rows.iter().enumerate() {
             index.insert(row, i);
         }
         let dir = std::env::temp_dir().join(format!(
-            "g4ip-prop-migrate-{}-{n}-{dim}-{cap}-{quantized}-{seed}",
+            "g4ip-prop-migrate-{}-{n}-{dim}-{cap}-{seed}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -712,8 +683,7 @@ proptest! {
         // original directly
         prop_assert_eq!(loaded.to_bytes(seed), index.to_bytes(seed));
         // monolithic v2 → append-only: the migrated corpus answers
-        // queries bit-identically (storage degrades to f32 on the
-        // monolithic hop, which serializes dequantized canonical rows)
+        // queries bit-identically
         let mono = ShardedEmbeddingIndex::from_bytes(&index.to_bytes(seed), seed).expect("v2");
         let migrated_dir = dir.join("migrated");
         mono.checkpoint_dir(&migrated_dir, seed).expect("migrate");
