@@ -52,8 +52,19 @@ stage_doc() {
 }
 
 stage_examples() {
+    # every example that trains a detector, each through TrainEngine:
+    # run_experiment (quickstart, delta_tuning, obfuscated_netlist), the
+    # engine directly (embedding_atlas), and run_training_pipeline
+    # (ip_audit, whose saved artifacts are removed first so it trains,
+    # then reloaded by a second run)
     cargo build --offline --examples
-    cargo run --release --offline --example quickstart
+    local example
+    for example in quickstart delta_tuning obfuscated_netlist embedding_atlas; do
+        cargo run --release --offline --example "${example}"
+    done
+    rm -rf target/artifacts/ip_audit
+    cargo run --release --offline --example ip_audit
+    cargo run --release --offline --example ip_audit
 }
 
 stage_audit() {

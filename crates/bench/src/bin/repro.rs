@@ -32,8 +32,8 @@ use gnn4ip_eval::{
     auc, cluster_separation, pca, retrieval_precision_at_k, tsne, ScoreTable, TsneConfig,
 };
 use gnn4ip_nn::{
-    cosine_of, embed_all, train, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample,
-    TrainConfig,
+    cosine_of, EngineConfig, GraphInput, Hw2Vec, Hw2VecConfig, PairLabel, PairSample, TrainConfig,
+    TrainEngine,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -301,19 +301,20 @@ fn fig4_embeddings(scale: Scale) -> (Vec<Vec<f32>>, Vec<usize>) {
             });
         }
     }
-    let mut model = Hw2Vec::new(Hw2VecConfig::default(), 17);
-    train(
-        &mut model,
-        &graphs,
-        &pairs,
-        &TrainConfig {
-            epochs: 6,
-            batch_size: 32,
-            lr: 0.005,
-            ..TrainConfig::default()
+    let mut engine = TrainEngine::new(
+        Hw2Vec::new(Hw2VecConfig::default(), 17),
+        EngineConfig {
+            train: TrainConfig {
+                epochs: 6,
+                batch_size: 32,
+                lr: 0.005,
+                ..TrainConfig::default()
+            },
+            ..EngineConfig::default()
         },
     );
-    (embed_all(&model, &graphs), labels)
+    engine.run(&graphs, &pairs, None).expect("training runs");
+    (engine.model().embed_batch(&graphs), labels)
 }
 
 fn print_fig4b(embeddings: &[Vec<f32>], labels: &[usize]) {

@@ -110,15 +110,6 @@ impl Gnn4Ip {
         &self.model
     }
 
-    /// Mutable access to the model (for training).
-    ///
-    /// Clears the embedding cache: cached embeddings are only valid for the
-    /// weights that produced them.
-    pub fn model_mut(&mut self) -> &mut Hw2Vec {
-        self.cache_mut().clear();
-        &mut self.model
-    }
-
     /// The decision boundary δ.
     pub fn delta(&self) -> f32 {
         self.delta
@@ -441,29 +432,6 @@ impl Gnn4Ip {
     pub fn load_library(&mut self, path: impl AsRef<std::path::Path>) -> Result<usize, String> {
         self.load_library_bytes(&read_artifact(path.as_ref())?)
     }
-
-    /// Serializes model + δ to text.
-    pub fn to_text(&self) -> String {
-        format!("delta {}\n{}", self.delta, self.model.to_text())
-    }
-
-    /// Restores a detector serialized by [`Gnn4Ip::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed section.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let (first, rest) = text
-            .split_once('\n')
-            .ok_or_else(|| "empty detector text".to_string())?;
-        let delta = first
-            .strip_prefix("delta ")
-            .ok_or_else(|| format!("bad delta line '{first}'"))?
-            .parse::<f32>()
-            .map_err(|e| format!("bad delta value: {e}"))
-            .and_then(finite_delta)?;
-        Ok(Self::from_model(Hw2Vec::from_text(rest)?, delta))
-    }
 }
 
 /// Refuses a NaN or infinite δ: a NaN or +inf δ clears every suspect, and
@@ -479,6 +447,7 @@ fn finite_delta(delta: f32) -> Result<f32, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnn4ip_nn::MODEL_KIND;
 
     const INV: &str = "module inv(input a, output y); assign y = ~a; endmodule";
     const ADDER: &str = "module add(input [3:0] a, input [3:0] b, output [3:0] s);
@@ -507,19 +476,6 @@ mod tests {
     fn hw2vec_embedding_width() {
         let d = Gnn4Ip::with_seed(3);
         assert_eq!(d.hw2vec(INV, None).expect("embeds").len(), 16);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut d = Gnn4Ip::with_seed(4);
-        d.set_delta(0.25);
-        let text = d.to_text();
-        let d2 = Gnn4Ip::from_text(&text).expect("loads");
-        assert_eq!(d2.delta(), 0.25);
-        assert_eq!(
-            d.hw2vec(ADDER, None).expect("a"),
-            d2.hw2vec(ADDER, None).expect("b")
-        );
     }
 
     #[test]
@@ -580,28 +536,16 @@ mod tests {
         assert_eq!(out[1], d.hw2vec(ADDER, None).expect("single"));
     }
 
-    #[test]
-    fn model_mut_invalidates_the_cache() {
-        let mut d = Gnn4Ip::with_seed(12);
-        let _ = d.hw2vec(INV, None).expect("embeds");
-        assert_eq!(d.cache_stats().entries, 1);
-        let _ = d.model_mut();
-        assert_eq!(d.cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(Gnn4Ip::from_text("").is_err());
-        assert!(Gnn4Ip::from_text("delta zzz\n").is_err());
-    }
-
-    /// Sets the first weight of parameter `param` to `v`.
-    fn poison(d: &mut Gnn4Ip, param: &str, v: f32) {
-        let pos = d.model().params().iter().position(|(n, _)| n == param);
+    /// The seed-25 detector with the first weight of parameter `param`
+    /// set to `v`.
+    fn poisoned(param: &str, v: f32) -> Gnn4Ip {
+        let mut model = Hw2Vec::new(Hw2VecConfig::default(), 25);
+        let pos = model.params().iter().position(|(n, _)| n == param);
         let pos = pos.expect("the parameter exists");
-        let m = d.model_mut().params_mut().values_mut().nth(pos);
+        let m = model.params_mut().values_mut().nth(pos);
         m.expect("iter and values_mut share one order")
             .as_mut_slice()[0] = v;
+        Gnn4Ip::from_model(model, 0.5)
     }
 
     /// A detector whose file carries a NaN or infinite weight or δ is
@@ -610,8 +554,7 @@ mod tests {
     #[test]
     fn binary_loader_refuses_non_finite_values() {
         for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut d = Gnn4Ip::with_seed(25);
-            poison(&mut d, "pool.score.w", v);
+            let d = poisoned("pool.score.w", v);
             let err = Gnn4Ip::from_bytes(&d.to_bytes()).expect_err("poisoned weight");
             assert!(err.contains("non-finite weight"), "{err}");
             let mut d = Gnn4Ip::with_seed(25);
@@ -621,25 +564,64 @@ mod tests {
         }
     }
 
-    /// The text format refuses the same values, and a NaN pool ratio
-    /// gets an error instead of the architecture assert's panic.
-    #[test]
-    fn text_loader_refuses_non_finite_values() {
-        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut d = Gnn4Ip::with_seed(26);
-            poison(&mut d, "pool.score.w", v);
-            let err = Gnn4Ip::from_text(&d.to_text()).expect_err("poisoned weight");
-            assert!(err.contains("non-finite weight"), "{err}");
-            let mut d = Gnn4Ip::with_seed(26);
-            d.set_delta(v);
-            let err = Gnn4Ip::from_text(&d.to_text()).expect_err("poisoned delta");
-            assert!(err.contains("non-finite delta"), "{err}");
+    /// A model artifact declaring `config`, sealed with a valid checksum
+    /// and carrying the default architecture's weights.
+    fn model_bytes(config: &Hw2VecConfig) -> Vec<u8> {
+        let mut w = BinWriter::new(MODEL_KIND);
+        w.len_of(config.input_dim);
+        w.len_of(config.hidden);
+        w.len_of(config.layers);
+        w.f32(config.pool_ratio);
+        w.f32(config.dropout);
+        w.str(config.readout.tag());
+        w.str(config.conv.tag());
+        let weights = Hw2Vec::new(Hw2VecConfig::default(), 0);
+        w.len_of(weights.params().len());
+        for (name, m) in weights.params().iter() {
+            w.str(name);
+            w.matrix(m);
         }
-        let text = Gnn4Ip::with_seed(26).to_text();
-        let nan_ratio = text.replacen(" 0.5 0.1 ", " NaN 0.1 ", 1);
-        assert_ne!(nan_ratio, text);
-        let err = Gnn4Ip::from_text(&nan_ratio).expect_err("NaN pool ratio");
-        assert!(err.contains("pool ratio"), "{err}");
+        w.finish()
+    }
+
+    /// Model and detector artifacts declaring an architecture no graph
+    /// can run are refused with an error naming the bad field rather than
+    /// loaded to panic later: with `input_dim` 1, a graph's second node
+    /// kind indexes past the first layer's weight rows.
+    #[test]
+    fn loaders_refuse_unrunnable_architectures() {
+        type Corrupt = fn(&mut Hw2VecConfig);
+        let cases: [(&str, Corrupt); 6] = [
+            ("input_dim", |c| c.input_dim = 1),
+            ("hidden", |c| c.hidden = 0),
+            ("layers", |c| c.layers = 0),
+            ("pool ratio", |c| c.pool_ratio = f32::NAN),
+            ("pool ratio", |c| c.pool_ratio = 0.0),
+            ("pool ratio", |c| c.pool_ratio = 1.5),
+        ];
+        for (field, corrupt) in cases {
+            let mut config = Hw2VecConfig::default();
+            corrupt(&mut config);
+            let model = model_bytes(&config);
+            let err = Hw2Vec::from_bytes(&model).expect_err("model artifact");
+            assert!(err.contains(field), "{field}: {err}");
+            let mut w = BinWriter::new(DETECTOR_KIND);
+            w.f32(0.5);
+            w.bytes(&model);
+            let err = Gnn4Ip::from_bytes(&w.finish()).expect_err("detector artifact");
+            assert!(err.contains(field), "{field}: {err}");
+        }
+    }
+
+    /// A text detector is not a `G4IP` artifact, and the loader says so
+    /// rather than reporting a corrupt checksum. Nothing past the magic is
+    /// read, so its 40 GB parameter declaration allocates nothing.
+    #[test]
+    fn text_detector_reads_as_bad_magic() {
+        let text = "delta 0.5\nhw2vec-model v1\nconfig 45 16 2 0.5 0.1 max gcn\n\
+                    param conv0.w 100000 100000\n";
+        let err = Gnn4Ip::from_bytes(text.as_bytes()).expect_err("not an artifact");
+        assert!(err.contains("bad magic"), "{err}");
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! - [`Gnn4Ip`] — the detector: `hw2vec(p)`, `check(p1, p2)` → [`Verdict`],
 //!   plus the batched/cached forms `check_many` and `embed_many` backed by a
 //!   content-addressed [`EmbeddingCache`].
-//! - [`run_experiment`] — the Table-I protocol: corpus → train → tune δ →
-//!   held-out confusion matrix + per-sample timing.
-//! - [`IpLibrary`] — portfolio screening: embed owned cores once, scan each
-//!   incoming design against all of them.
+//! - [`run_experiment`] — the Table-I protocol: corpus → train with the
+//!   `TrainEngine` → tune δ → held-out confusion matrix + per-sample
+//!   timing. [`run_training_pipeline`] runs the same body with
+//!   checkpoints, resume, and persisted artifacts.
+//! - [`AuditPipeline`] — portfolio screening: embed owned cores once into
+//!   a sharded index, then audit each incoming design against all of them
+//!   (`ingest`, `audit`, `audit_many`), persist the index, and serve it
+//!   through [`run_service`].
 //!
 //! # Examples
 //!
@@ -47,7 +51,6 @@ mod api;
 mod audit;
 mod cache;
 mod experiment;
-mod library;
 mod serve;
 mod service;
 
@@ -62,6 +65,5 @@ pub use experiment::{
     corpus_inputs, run_experiment, run_training_pipeline, to_pair_samples, ExperimentOutcome,
     PipelineArtifacts,
 };
-pub use library::{IpLibrary, LibraryMatch};
 pub use serve::{Publication, PublicationSlot};
 pub use service::{run_service, BoundedQueue, LatencySummary, ServiceConfig, ServiceReport};

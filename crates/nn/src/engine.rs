@@ -1,15 +1,17 @@
-//! Training engine v2: mini-batch data-parallel training with gradient
-//! accumulation, an LR schedule, early stopping, and checkpoint/resume.
+//! The training engine — the workspace's one training loop for
+//! hw2vec's Siamese objective (Algorithm 1 + Eq. 7): mini-batch
+//! data-parallel training with gradient accumulation, an LR schedule,
+//! early stopping, and checkpoint/resume.
 //!
-//! The v1 [`train`](crate::train) loop opens one tape **per pair** —
-//! every pair re-clones all parameters onto a fresh tape and runs its own
-//! backward traversal. The engine instead records each worker's share of
-//! a mini-batch on **one shared tape**: parameters are injected once per
-//! worker per micro-batch, pair losses are summed into a single root, and
-//! one backward pass yields the summed gradients. That removes the
-//! per-pair parameter clones and backward bookkeeping even on a single
-//! thread; with `threads > 1` the micro-batch additionally fans out
-//! across workers (per-thread tapes, summed gradients).
+//! Each worker records its share of a mini-batch on **one shared tape**:
+//! parameters are injected once per worker per micro-batch, pair losses
+//! are summed into a single root, and one backward pass yields the summed
+//! gradients. One tape per pair would clone every parameter and run a
+//! backward traversal for each pair; the shared tape skips that work even
+//! on a single thread, and with `threads > 1` the micro-batch
+//! additionally fans out across workers (per-thread tapes, summed
+//! gradients). The tests keep the per-pair formulation as the reference
+//! the shared-tape gradients must match.
 //!
 //! Every per-epoch decision (shuffle order, dropout masks) is a pure
 //! function of `(seed, epoch, batch, worker)`, so a run resumed from a
@@ -34,8 +36,7 @@ use crate::graph_input::GraphInput;
 use crate::loss::cosine_embedding_loss;
 use crate::model::{Hw2Vec, Mode};
 use crate::trainer::{
-    clip_global_norm, validation_loss, EpochStats, OptimizerKind, PairSample, TrainConfig,
-    TrainReport,
+    validation_loss, EpochStats, OptimizerKind, PairSample, TrainConfig, TrainReport,
 };
 use gnn4ip_tensor::fan_out;
 
@@ -91,7 +92,7 @@ impl LrSchedule {
     }
 }
 
-/// Configuration of the v2 training engine.
+/// Configuration of the training engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Core hyper-parameters (batch size, LR, epochs, seed, threads, …).
@@ -221,7 +222,7 @@ struct BestState {
     params: ParamStore,
 }
 
-/// The v2 trainer: owns the model and optimizer across epochs so
+/// The trainer: owns the model and optimizer across epochs so
 /// training can pause at a checkpoint and resume bit-exactly.
 ///
 /// # Examples
@@ -590,6 +591,20 @@ impl TrainEngine {
     }
 }
 
+/// Scales gradients so their global L2 norm does not exceed `max_norm`.
+fn clip_global_norm(grads: &mut [Matrix], max_norm: f32) {
+    if max_norm <= 0.0 {
+        return;
+    }
+    let total: f32 = grads.iter().map(|g| g.norm().powi(2)).sum::<f32>().sqrt();
+    if total > max_norm {
+        let scale = max_norm / total;
+        for g in grads.iter_mut() {
+            *g = g.scale(scale);
+        }
+    }
+}
+
 /// Per-epoch shuffle seed: decorrelated from the per-sample dropout
 /// seeds used inside `microbatch_gradients`.
 fn epoch_seed(seed: u64, epoch: usize) -> u64 {
@@ -678,68 +693,9 @@ fn microbatch_gradients(
 mod tests {
     use super::*;
     use crate::model::Hw2VecConfig;
+    use crate::trainer::tests::toy_dataset;
     use crate::trainer::{score_pairs, tune_delta};
     use crate::PairLabel;
-    use gnn4ip_dfg::{Dfg, NodeKind};
-
-    fn family_a(variant: u64) -> GraphInput {
-        let mut g = Dfg::new(format!("a{variant}"));
-        let y = g.add_node(NodeKind::Output, "y");
-        let mut prev = y;
-        for i in 0..4 + (variant % 3) {
-            let op = g.add_node(NodeKind::Xor, format!("x{i}"));
-            g.add_edge(prev, op);
-            prev = op;
-        }
-        let a = g.add_node(NodeKind::Input, "a");
-        g.add_edge(prev, a);
-        g.add_root(y);
-        GraphInput::from_dfg(&g)
-    }
-
-    fn family_b(variant: u64) -> GraphInput {
-        let mut g = Dfg::new(format!("b{variant}"));
-        let y = g.add_node(NodeKind::Output, "y");
-        let add = g.add_node(NodeKind::Add, "add");
-        g.add_edge(y, add);
-        for i in 0..3 + (variant % 2) {
-            let inp = g.add_node(NodeKind::Input, format!("i{i}"));
-            let m = g.add_node(NodeKind::Mul, format!("m{i}"));
-            g.add_edge(add, m);
-            g.add_edge(m, inp);
-        }
-        g.add_root(y);
-        GraphInput::from_dfg(&g)
-    }
-
-    fn toy_dataset() -> (Vec<GraphInput>, Vec<PairSample>) {
-        let graphs: Vec<GraphInput> = (0..4).map(family_a).chain((0..4).map(family_b)).collect();
-        let mut pairs = Vec::new();
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                pairs.push(PairSample {
-                    a: i,
-                    b: j,
-                    label: PairLabel::Similar,
-                });
-                pairs.push(PairSample {
-                    a: 4 + i,
-                    b: 4 + j,
-                    label: PairLabel::Similar,
-                });
-            }
-        }
-        for i in 0..4 {
-            for j in 0..4 {
-                pairs.push(PairSample {
-                    a: i,
-                    b: 4 + j,
-                    label: PairLabel::Different,
-                });
-            }
-        }
-        (graphs, pairs)
-    }
 
     fn quick_cfg(epochs: usize) -> EngineConfig {
         EngineConfig {
@@ -974,18 +930,53 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The per-pair reference the shared tape must match: one tape per
+    /// pair, the mean of the pair gradients, one plain SGD step.
+    fn per_pair_sgd_step(
+        model: &mut Hw2Vec,
+        graphs: &[GraphInput],
+        pairs: &[PairSample],
+        cfg: &TrainConfig,
+    ) {
+        let mut sums: Option<Vec<Matrix>> = None;
+        let mut rng = StdRng::seed_from_u64(0);
+        for pair in pairs {
+            let tape = Tape::new();
+            let vars = model.params().inject(&tape);
+            let ha = model.forward(&tape, &vars, &graphs[pair.a], &mut Mode::Train(&mut rng));
+            let hb = model.forward(&tape, &vars, &graphs[pair.b], &mut Mode::Train(&mut rng));
+            let loss = cosine_embedding_loss(ha.cosine(hb), pair.label, cfg.margin);
+            let grads = tape.backward(loss);
+            let pair_grads: Vec<Matrix> = vars.iter().map(|v| grads.wrt_or_zero(*v)).collect();
+            match &mut sums {
+                None => sums = Some(pair_grads),
+                Some(acc) => {
+                    for (a, g) in acc.iter_mut().zip(&pair_grads) {
+                        a.add_assign(g);
+                    }
+                }
+            }
+        }
+        let inv = 1.0 / pairs.len() as f32;
+        let means: Vec<Matrix> = sums
+            .expect("at least one pair")
+            .iter()
+            .map(|s| s.scale(inv))
+            .collect();
+        Sgd::new(cfg.lr).step(model.params_mut(), &means);
+    }
+
     #[test]
-    fn shared_tape_gradients_match_v1_per_pair_tapes() {
-        // the engine's one-tape-per-worker gradients must agree with the v1
-        // per-pair-tape path on a dropout-free model (dropout draws differ
-        // by construction between the two).
+    fn shared_tape_gradients_match_per_pair_tapes() {
+        // the engine's one-tape-per-worker gradients must agree with one
+        // tape per pair on a dropout-free model (dropout draws differ by
+        // construction between the two).
         let (graphs, pairs) = toy_dataset();
         let cfg0 = Hw2VecConfig {
             dropout: 0.0,
             ..Hw2VecConfig::default()
         };
-        let mut v1 = Hw2Vec::new(cfg0.clone(), 68);
-        let mut v2 = v1.clone();
+        let mut reference = Hw2Vec::new(cfg0, 68);
         let tc = TrainConfig {
             epochs: 1,
             batch_size: pairs.len(),
@@ -995,17 +986,19 @@ mod tests {
             grad_clip: 0.0,
             ..TrainConfig::default()
         };
-        crate::trainer::train(&mut v1, &graphs, &pairs, &tc);
         let mut engine = TrainEngine::new(
-            v2.clone(),
+            reference.clone(),
             EngineConfig {
-                train: tc,
+                train: tc.clone(),
                 ..EngineConfig::default()
             },
         );
         engine.run(&graphs, &pairs, None).expect("runs");
-        v2 = engine.into_model();
-        let (e1, e2) = (v1.embed(&graphs[0]), v2.embed(&graphs[0]));
+        per_pair_sgd_step(&mut reference, &graphs, &pairs, &tc);
+        let (e1, e2) = (
+            reference.embed(&graphs[0]),
+            engine.model().embed(&graphs[0]),
+        );
         for (a, b) in e1.iter().zip(&e2) {
             assert!((a - b).abs() < 1e-5, "{e1:?} vs {e2:?}");
         }

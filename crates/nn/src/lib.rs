@@ -3,7 +3,8 @@
 //! The hw2vec graph neural network of the GNN4IP paper (Fig. 3): stacked
 //! graph-convolution layers (Eq. 5), self-attention graph pooling with top-k
 //! filtering, a graph readout, cosine similarity (Eq. 6), and the
-//! cosine-embedding loss (Eq. 7) with a siamese pair [`train`]er.
+//! cosine-embedding loss (Eq. 7), trained on Siamese pairs by the
+//! [`TrainEngine`].
 //!
 //! # Examples
 //!
@@ -38,8 +39,8 @@ pub use graph_input::GraphInput;
 pub use loss::{cosine_embedding_loss, PairLabel, DEFAULT_MARGIN};
 pub use model::{top_k_indices, ConvKind, Hw2Vec, Hw2VecConfig, Mode, Readout, MODEL_KIND};
 pub use trainer::{
-    cosine_of, embed_all, score_pairs, train, train_with_validation, tune_delta, validation_loss,
-    EpochStats, OptimizerKind, PairSample, TrainConfig, TrainReport,
+    cosine_of, score_pairs, tune_delta, validation_loss, EpochStats, OptimizerKind, PairSample,
+    TrainConfig, TrainReport,
 };
 
 // Re-exported so batched-inference callers need only this crate.

@@ -535,118 +535,24 @@ impl Hw2Vec {
     pub fn weights_checksum(&self) -> u64 {
         fnv1a64(&self.to_bytes())
     }
-
-    /// Serializes config + weights to a self-describing text format.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str("hw2vec-model v1\n");
-        s.push_str(&format!(
-            "config {} {} {} {} {} {} {}\n",
-            self.config.input_dim,
-            self.config.hidden,
-            self.config.layers,
-            self.config.pool_ratio,
-            self.config.dropout,
-            self.config.readout.tag(),
-            self.config.conv.tag()
-        ));
-        for (name, m) in self.params.iter() {
-            s.push_str(&format!("param {name} {} {}\n", m.rows(), m.cols()));
-            for r in 0..m.rows() {
-                let row: Vec<String> = m.row(r).iter().map(|v| format!("{v:e}")).collect();
-                s.push_str(&row.join(" "));
-                s.push('\n');
-            }
-        }
-        s
-    }
-
-    /// Deserializes a model written by [`Hw2Vec::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty model text")?;
-        if header != "hw2vec-model v1" {
-            return Err(format!("unsupported model header '{header}'"));
-        }
-        let cfg_line = lines.next().ok_or("missing config line")?;
-        let parts: Vec<&str> = cfg_line.split_whitespace().collect();
-        if !(parts.len() == 7 || parts.len() == 8) || parts[0] != "config" {
-            return Err(format!("bad config line '{cfg_line}'"));
-        }
-        let parse_usize = |s: &str| {
-            s.parse::<usize>()
-                .map_err(|e| format!("bad integer '{s}': {e}"))
-        };
-        let parse_f32 = |s: &str| {
-            s.parse::<f32>()
-                .map_err(|e| format!("bad float '{s}': {e}"))
-        };
-        let config = Hw2VecConfig {
-            input_dim: parse_usize(parts[1])?,
-            hidden: parse_usize(parts[2])?,
-            layers: parse_usize(parts[3])?,
-            pool_ratio: parse_f32(parts[4])?,
-            dropout: parse_f32(parts[5])?,
-            readout: Readout::from_tag(parts[6]).ok_or("bad readout tag")?,
-            conv: match parts.get(7) {
-                Some(tag) => ConvKind::from_tag(tag).ok_or("bad conv tag")?,
-                None => ConvKind::Gcn, // legacy 7-field config
-            },
-        };
-        check_config(&config)?;
-        let mut model = Hw2Vec::new(config, 0);
-        // overwrite parameters in order
-        let mut param_idx = 0usize;
-        let mut lines = lines.peekable();
-        while let Some(line) = lines.next() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            if parts.len() != 4 || parts[0] != "param" {
-                return Err(format!("bad param header '{line}'"));
-            }
-            let rows = parse_usize(parts[2])?;
-            let cols = parse_usize(parts[3])?;
-            let mut data = Vec::with_capacity(rows * cols);
-            for _ in 0..rows {
-                let row = lines.next().ok_or("truncated param matrix")?;
-                for tok in row.split_whitespace() {
-                    data.push(parse_f32(tok)?);
-                }
-            }
-            if data.len() != rows * cols {
-                return Err(format!("param '{}' has wrong element count", parts[1]));
-            }
-            let m = Matrix::from_vec(rows, cols, data);
-            check_finite(parts[1], &m)?;
-            let mut ordered_ids: Vec<ParamId> = Vec::new();
-            for l in 0..model.config.layers {
-                ordered_ids.push(model.layer_w[l]);
-                if model.config.conv == ConvKind::Sage {
-                    ordered_ids.push(model.layer_w2[l]);
-                }
-                ordered_ids.push(model.layer_b[l]);
-            }
-            ordered_ids.extend([model.score_w, model.score_b]);
-            let id = *ordered_ids
-                .get(param_idx)
-                .ok_or("more params in file than in architecture")?;
-            *model.params.get_mut(id) = m;
-            param_idx += 1;
-        }
-        Ok(model)
-    }
 }
 
-/// Refuses an architecture [`Hw2Vec::new`] cannot build.
+/// Refuses an architecture [`Hw2Vec::new`] cannot build, or one no graph
+/// can run: the first layer's weight rows are indexed by node kind, so
+/// `input_dim` must be the node-kind vocabulary size.
 fn check_config(config: &Hw2VecConfig) -> Result<(), String> {
-    if config.input_dim == 0 || config.hidden == 0 || config.layers == 0 {
-        return Err("model file declares a zero-sized architecture".to_string());
+    if config.input_dim != gnn4ip_dfg::VOCAB_SIZE {
+        return Err(format!(
+            "model file declares input_dim {}; graphs carry {} node kinds",
+            config.input_dim,
+            gnn4ip_dfg::VOCAB_SIZE
+        ));
+    }
+    if config.hidden == 0 {
+        return Err("model file declares hidden 0".to_string());
+    }
+    if config.layers == 0 {
+        return Err("model file declares layers 0".to_string());
     }
     if !(config.pool_ratio > 0.0 && config.pool_ratio <= 1.0) {
         return Err(format!("bad pool ratio {}", config.pool_ratio));
@@ -963,15 +869,8 @@ mod tests {
     fn save_load_roundtrip_preserves_embeddings() {
         let m = Hw2Vec::new(Hw2VecConfig::default(), 6);
         let g = graph(3);
-        let text = m.to_text();
-        let m2 = Hw2Vec::from_text(&text).expect("loads");
+        let m2 = Hw2Vec::from_bytes(&m.to_bytes()).expect("loads");
         assert_eq!(m.embed(&g), m2.embed(&g));
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(Hw2Vec::from_text("not a model").is_err());
-        assert!(Hw2Vec::from_text("hw2vec-model v1\nconfig oops").is_err());
     }
 
     #[test]
@@ -1003,7 +902,7 @@ mod tests {
         let e = m.embed(&g);
         assert_eq!(e.len(), 16);
         assert!(e.iter().all(|v| v.is_finite()));
-        let m2 = Hw2Vec::from_text(&m.to_text()).expect("loads");
+        let m2 = Hw2Vec::from_bytes(&m.to_bytes()).expect("loads");
         assert_eq!(m2.config().conv, ConvKind::Sage);
         assert_eq!(m.embed(&g), m2.embed(&g));
     }
@@ -1021,15 +920,6 @@ mod tests {
         )
         .embed(&g);
         assert_ne!(gcn, sage);
-    }
-
-    #[test]
-    fn legacy_config_line_defaults_to_gcn() {
-        let m = Hw2Vec::new(Hw2VecConfig::default(), 23);
-        // strip the conv tag to emulate a v-early model file
-        let text = m.to_text().replacen(" gcn\n", "\n", 1);
-        let m2 = Hw2Vec::from_text(&text).expect("loads legacy");
-        assert_eq!(m2.config().conv, ConvKind::Gcn);
     }
 
     /// Tape-backed eval-mode embedding, for equivalence tests.

@@ -1,21 +1,12 @@
-//! Siamese pair training of hw2vec (Algorithm 1 + Eq. 7).
-//!
-//! Both sides of a pair share the same weights; each training step computes
-//! the cosine similarity of the two graph embeddings, applies the
-//! cosine-embedding loss, and updates the shared parameters with batch
-//! gradient descent (batch 64, lr 0.001 in the paper). Pairs inside a batch
-//! are independent, so their backward passes run on worker threads.
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
-use gnn4ip_tensor::{Adam, GradAccum, Matrix, Optimizer, Sgd, Tape};
+//! The training vocabulary of hw2vec's Siamese objective (Algorithm 1 +
+//! Eq. 7): labeled pairs, hyper-parameters, per-epoch reports, and the
+//! inference-mode helpers that score pairs, tune δ, and measure
+//! validation loss. The training loop itself is
+//! [`TrainEngine`](crate::TrainEngine).
 
 use crate::graph_input::GraphInput;
-use crate::loss::{cosine_embedding_loss, PairLabel, DEFAULT_MARGIN};
-use crate::model::{Hw2Vec, Mode};
-use gnn4ip_tensor::fan_out;
+use crate::loss::{PairLabel, DEFAULT_MARGIN};
+use crate::model::Hw2Vec;
 
 /// One labeled training pair, indexing into a shared graph list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,20 +67,6 @@ impl Default for TrainConfig {
     }
 }
 
-/// Scales gradients so their global L2 norm does not exceed `max_norm`.
-pub(crate) fn clip_global_norm(grads: &mut [Matrix], max_norm: f32) {
-    if max_norm <= 0.0 {
-        return;
-    }
-    let total: f32 = grads.iter().map(|g| g.norm().powi(2)).sum::<f32>().sqrt();
-    if total > max_norm {
-        let scale = max_norm / total;
-        for g in grads.iter_mut() {
-            *g = g.scale(scale);
-        }
-    }
-}
-
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
@@ -115,115 +92,6 @@ impl TrainReport {
     }
 }
 
-/// Trains `model` on labeled pairs over `graphs`.
-///
-/// # Panics
-///
-/// Panics if a pair indexes outside `graphs` or if `pairs` is empty.
-pub fn train(
-    model: &mut Hw2Vec,
-    graphs: &[GraphInput],
-    pairs: &[PairSample],
-    cfg: &TrainConfig,
-) -> TrainReport {
-    assert!(!pairs.is_empty(), "no training pairs");
-    for p in pairs {
-        assert!(
-            p.a < graphs.len() && p.b < graphs.len(),
-            "pair out of range"
-        );
-    }
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.threads
-    };
-    let mut sgd;
-    let mut adam;
-    let optimizer: &mut dyn Optimizer = match cfg.optimizer {
-        OptimizerKind::Sgd => {
-            sgd = Sgd::new(cfg.lr);
-            &mut sgd
-        }
-        OptimizerKind::Adam => {
-            adam = Adam::new(cfg.lr);
-            &mut adam
-        }
-    };
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    let mut shuffle_rng = StdRng::seed_from_u64(cfg.seed);
-    let mut report = TrainReport::default();
-    for epoch in 0..cfg.epochs {
-        order.shuffle(&mut shuffle_rng);
-        let mut epoch_loss = 0.0f64;
-        let mut seen = 0usize;
-        for (batch_no, batch) in order.chunks(cfg.batch_size).enumerate() {
-            let (mut grads, loss_sum) =
-                batch_gradients(model, graphs, pairs, batch, cfg, epoch, batch_no, threads);
-            clip_global_norm(&mut grads, cfg.grad_clip);
-            optimizer.step(model.params_mut(), &grads);
-            epoch_loss += loss_sum as f64;
-            seen += batch.len();
-        }
-        report.epochs.push(EpochStats {
-            epoch,
-            mean_loss: (epoch_loss / seen.max(1) as f64) as f32,
-            val_loss: None,
-        });
-    }
-    report
-}
-
-/// Like [`train`], but evaluates `val_pairs` after every epoch and stops
-/// early when the validation loss has not improved for `patience` epochs,
-/// restoring the best-seen parameters.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`train`], or if `val_pairs` is
-/// empty or `patience` is zero.
-pub fn train_with_validation(
-    model: &mut Hw2Vec,
-    graphs: &[GraphInput],
-    train_pairs: &[PairSample],
-    val_pairs: &[PairSample],
-    cfg: &TrainConfig,
-    patience: usize,
-) -> TrainReport {
-    assert!(!val_pairs.is_empty(), "no validation pairs");
-    assert!(patience > 0, "patience must be positive");
-    let mut report = TrainReport::default();
-    let mut best_loss = f32::INFINITY;
-    let mut best_params = model.params().clone();
-    let mut since_best = 0usize;
-    for epoch in 0..cfg.epochs {
-        let one = TrainConfig {
-            epochs: 1,
-            seed: cfg.seed.wrapping_add(epoch as u64),
-            ..cfg.clone()
-        };
-        let partial = train(model, graphs, train_pairs, &one);
-        let val = validation_loss(model, graphs, val_pairs, cfg.margin);
-        report.epochs.push(EpochStats {
-            epoch,
-            mean_loss: partial.epochs[0].mean_loss,
-            val_loss: Some(val),
-        });
-        if val < best_loss {
-            best_loss = val;
-            best_params = model.params().clone();
-            since_best = 0;
-        } else {
-            since_best += 1;
-            if since_best >= patience {
-                break;
-            }
-        }
-    }
-    *model.params_mut() = best_params;
-    report
-}
-
 /// Mean cosine-embedding loss of a pair set in inference mode.
 pub fn validation_loss(
     model: &Hw2Vec,
@@ -243,77 +111,13 @@ pub fn validation_loss(
     total / pairs.len().max(1) as f32
 }
 
-/// Computes mean gradients and summed loss for one batch, fanning pairs out
-/// across worker threads.
-#[allow(clippy::too_many_arguments)]
-fn batch_gradients(
-    model: &Hw2Vec,
-    graphs: &[GraphInput],
-    pairs: &[PairSample],
-    batch: &[usize],
-    cfg: &TrainConfig,
-    epoch: usize,
-    batch_no: usize,
-    threads: usize,
-) -> (Vec<Matrix>, f32) {
-    let results: Vec<(GradAccum, f32)> = fan_out(batch, threads, |tid, chunk| {
-        let mut acc = GradAccum::zeros_like(model.params());
-        let mut loss_sum = 0.0f32;
-        // per-worker seed stream: `tid` is dense in 0..worker_count(..)
-        // (fan_out's contract), so streams never alias within one batch
-        let mut rng = StdRng::seed_from_u64(
-            cfg.seed
-                .wrapping_mul(0x9e3779b97f4a7c15)
-                .wrapping_add((epoch as u64) << 32)
-                .wrapping_add((batch_no as u64) << 16)
-                .wrapping_add(tid as u64),
-        );
-        for &pi in chunk.iter() {
-            let pair = pairs[pi];
-            let tape = Tape::new();
-            let vars = model.params().inject(&tape);
-            let ha = model.forward(&tape, &vars, &graphs[pair.a], &mut Mode::Train(&mut rng));
-            let hb = model.forward(&tape, &vars, &graphs[pair.b], &mut Mode::Train(&mut rng));
-            let yhat = ha.cosine(hb);
-            let loss = cosine_embedding_loss(yhat, pair.label, cfg.margin);
-            loss_sum += loss.item();
-            let grads = tape.backward(loss);
-            acc.absorb(&grads, &vars);
-        }
-        (acc, loss_sum)
-    });
-    let mut sums: Vec<Matrix> = GradAccum::zeros_like(model.params()).means();
-    let mut total = 0usize;
-    let mut loss_total = 0.0f32;
-    for (acc, loss) in &results {
-        let means = acc.means();
-        for (s, m) in sums.iter_mut().zip(&means) {
-            s.add_scaled_assign(m, acc.count() as f32);
-        }
-        total += acc.count();
-        loss_total += loss;
-    }
-    let inv = if total == 0 { 0.0 } else { 1.0 / total as f32 };
-    for s in &mut sums {
-        *s = s.scale(inv);
-    }
-    (sums, loss_total)
-}
-
 /// Similarity scores for a set of pairs (inference mode), in pair order.
 pub fn score_pairs(model: &Hw2Vec, graphs: &[GraphInput], pairs: &[PairSample]) -> Vec<f32> {
-    let embeddings: Vec<Vec<f32>> = embed_all(model, graphs);
+    let embeddings = model.embed_batch(graphs);
     pairs
         .iter()
         .map(|p| cosine_of(&embeddings[p.a], &embeddings[p.b]))
         .collect()
-}
-
-/// Embeds every graph (parallel across available cores).
-///
-/// Alias for [`Hw2Vec::embed_batch`], kept for the evaluation-path callers.
-pub fn embed_all(model: &Hw2Vec, graphs: &[GraphInput]) -> Vec<Vec<f32>> {
-    model.embed_batch(graphs)
 }
 
 /// Plain cosine similarity of two embedding vectors.
@@ -359,7 +163,7 @@ pub fn tune_delta(scores: &[f32], labels: &[PairLabel]) -> (f32, f32) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::Hw2VecConfig;
     use gnn4ip_dfg::{Dfg, NodeKind};
@@ -395,7 +199,9 @@ mod tests {
         GraphInput::from_dfg(&g)
     }
 
-    fn toy_dataset() -> (Vec<GraphInput>, Vec<PairSample>) {
+    /// Four graphs of each family: every within-family pair is similar,
+    /// every cross-family pair different. The engine tests train on it.
+    pub(crate) fn toy_dataset() -> (Vec<GraphInput>, Vec<PairSample>) {
         let graphs: Vec<GraphInput> = (0..4).map(family_a).chain((0..4).map(family_b)).collect();
         let mut pairs = Vec::new();
         for i in 0..4 {
@@ -422,45 +228,6 @@ mod tests {
             }
         }
         (graphs, pairs)
-    }
-
-    #[test]
-    fn training_reduces_loss() {
-        let (graphs, pairs) = toy_dataset();
-        let mut model = Hw2Vec::new(Hw2VecConfig::default(), 11);
-        let cfg = TrainConfig {
-            epochs: 15,
-            batch_size: 8,
-            lr: 0.01,
-            threads: 2,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &graphs, &pairs, &cfg);
-        let first = report.epochs.first().expect("epochs").mean_loss;
-        let last = report.final_loss();
-        assert!(
-            last < first * 0.8,
-            "loss did not drop: {first} -> {last} ({:?})",
-            report.epochs
-        );
-    }
-
-    #[test]
-    fn trained_model_separates_families() {
-        let (graphs, pairs) = toy_dataset();
-        let mut model = Hw2Vec::new(Hw2VecConfig::default(), 12);
-        let cfg = TrainConfig {
-            epochs: 30,
-            batch_size: 8,
-            lr: 0.01,
-            threads: 2,
-            ..TrainConfig::default()
-        };
-        train(&mut model, &graphs, &pairs, &cfg);
-        let scores = score_pairs(&model, &graphs, &pairs);
-        let labels: Vec<PairLabel> = pairs.iter().map(|p| p.label).collect();
-        let (_, acc) = tune_delta(&scores, &labels);
-        assert!(acc >= 0.9, "tuned accuracy {acc}");
     }
 
     #[test]
@@ -496,78 +263,5 @@ mod tests {
         assert!((cosine_of(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
         assert!((cosine_of(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-6);
         assert!((cosine_of(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn training_is_deterministic_for_fixed_seed() {
-        let (graphs, pairs) = toy_dataset();
-        let run = || {
-            let mut m = Hw2Vec::new(Hw2VecConfig::default(), 14);
-            let cfg = TrainConfig {
-                epochs: 3,
-                batch_size: 4,
-                threads: 1,
-                ..TrainConfig::default()
-            };
-            train(&mut m, &graphs, &pairs, &cfg);
-            m.embed(&graphs[0])
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn early_stopping_restores_best_params() {
-        let (graphs, pairs) = toy_dataset();
-        let (train_p, val_p) = pairs.split_at(pairs.len() - 8);
-        let mut model = Hw2Vec::new(Hw2VecConfig::default(), 31);
-        let cfg = TrainConfig {
-            epochs: 25,
-            batch_size: 8,
-            lr: 0.02,
-            threads: 1,
-            ..TrainConfig::default()
-        };
-        let report = train_with_validation(&mut model, &graphs, train_p, val_p, &cfg, 4);
-        assert!(!report.epochs.is_empty());
-        assert!(report.epochs.iter().all(|e| e.val_loss.is_some()));
-        // the restored model's validation loss equals the best seen
-        let final_val = validation_loss(&model, &graphs, val_p, cfg.margin);
-        let best_seen = report
-            .epochs
-            .iter()
-            .filter_map(|e| e.val_loss)
-            .fold(f32::INFINITY, f32::min);
-        assert!(
-            (final_val - best_seen).abs() < 1e-4,
-            "restored {final_val} vs best {best_seen}"
-        );
-    }
-
-    #[test]
-    fn early_stopping_can_stop_before_epoch_budget() {
-        let (graphs, pairs) = toy_dataset();
-        let (train_p, val_p) = pairs.split_at(pairs.len() - 8);
-        let mut model = Hw2Vec::new(Hw2VecConfig::default(), 32);
-        let cfg = TrainConfig {
-            epochs: 200,
-            batch_size: 8,
-            lr: 0.05,
-            threads: 1,
-            ..TrainConfig::default()
-        };
-        let report = train_with_validation(&mut model, &graphs, train_p, val_p, &cfg, 2);
-        assert!(
-            report.epochs.len() < 200,
-            "never stopped early ({} epochs)",
-            report.epochs.len()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "no training pairs")]
-    fn empty_pairs_panics() {
-        let (graphs, _) = toy_dataset();
-        let mut model = Hw2Vec::new(Hw2VecConfig::default(), 15);
-        train(&mut model, &graphs, &[], &TrainConfig::default());
     }
 }

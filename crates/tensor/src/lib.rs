@@ -43,7 +43,7 @@ mod workspace;
 
 pub use gradcheck::{check_gradient, GradCheckReport};
 pub use matrix::Matrix;
-pub use optim::{Adam, GradAccum, Optimizer, ParamId, ParamStore, Sgd};
+pub use optim::{Adam, Optimizer, ParamId, ParamStore, Sgd};
 pub use parallel::{fan_out, worker_count};
 pub use serialize::{
     describe_artifact, fnv1a64, read_adam, read_artifact, read_sgd, write_adam, write_artifact,

@@ -6,7 +6,7 @@
 
 use rand::Rng;
 
-use crate::{Gradients, Matrix, Tape, Var};
+use crate::{Matrix, Tape, Var};
 
 /// Identifier of a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,73 +111,6 @@ impl ParamStore {
     /// Total number of scalar weights.
     pub fn num_weights(&self) -> usize {
         self.mats.iter().map(Matrix::len).sum()
-    }
-}
-
-/// Per-parameter gradient accumulator for minibatch training.
-///
-/// One backward pass per pair keeps tape memory bounded; the accumulator sums
-/// pair gradients, and the optimizer consumes the mean.
-#[derive(Debug, Clone)]
-pub struct GradAccum {
-    sums: Vec<Matrix>,
-    count: usize,
-}
-
-impl GradAccum {
-    /// Creates a zeroed accumulator shaped like `params`.
-    pub fn zeros_like(params: &ParamStore) -> Self {
-        Self {
-            sums: params
-                .mats
-                .iter()
-                .map(|m| Matrix::zeros(m.rows(), m.cols()))
-                .collect(),
-            count: 0,
-        }
-    }
-
-    /// Adds the gradients of one sample, reading the gradient of every
-    /// injected parameter var (zero when a parameter was unused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `param_vars` does not line up with the accumulator.
-    pub fn absorb(&mut self, grads: &Gradients, param_vars: &[Var<'_>]) {
-        assert_eq!(
-            param_vars.len(),
-            self.sums.len(),
-            "parameter count mismatch"
-        );
-        for (sum, var) in self.sums.iter_mut().zip(param_vars) {
-            if let Some(g) = grads.wrt(*var) {
-                sum.add_assign(g);
-            }
-        }
-        self.count += 1;
-    }
-
-    /// Number of absorbed samples.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Mean gradients over absorbed samples (zeros when nothing absorbed).
-    pub fn means(&self) -> Vec<Matrix> {
-        let inv = if self.count == 0 {
-            0.0
-        } else {
-            1.0 / self.count as f32
-        };
-        self.sums.iter().map(|s| s.scale(inv)).collect()
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        for s in &mut self.sums {
-            *s = Matrix::zeros(s.rows(), s.cols());
-        }
-        self.count = 0;
     }
 }
 
@@ -326,24 +259,6 @@ mod tests {
             opt.step(&mut params, &g);
         }
         assert!(params.get(id).max_abs() < 1e-2);
-    }
-
-    #[test]
-    fn grad_accum_means() {
-        let mut params = ParamStore::new();
-        let _ = params.add("w", Matrix::scalar(1.0));
-        let mut acc = GradAccum::zeros_like(&params);
-        let tape = Tape::new();
-        let vars = params.inject(&tape);
-        let loss = vars[0].scale(3.0);
-        let grads = tape.backward(loss);
-        acc.absorb(&grads, &vars);
-        acc.absorb(&grads, &vars);
-        assert_eq!(acc.count(), 2);
-        assert_eq!(acc.means()[0].item(), 3.0);
-        acc.reset();
-        assert_eq!(acc.count(), 0);
-        assert_eq!(acc.means()[0].item(), 0.0);
     }
 
     #[test]

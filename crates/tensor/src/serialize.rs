@@ -150,17 +150,25 @@ impl ArtifactInfo {
     }
 }
 
-/// Parses the envelope of any `G4IP` artifact: magic, version, kind,
-/// and checksum — without interpreting the payload and without capping
-/// the version.
+/// Parses the envelope of any `G4IP` artifact: magic, checksum, version
+/// and kind — without interpreting the payload and without capping the
+/// version. The one envelope parser: [`BinReader::open_versioned`] runs
+/// it before applying its version cap and kind match.
+///
+/// The magic is checked before the checksum, so bytes that were never a
+/// `G4IP` artifact (a text file, say) read as "bad magic", not as a
+/// corrupt artifact.
 ///
 /// # Errors
 ///
-/// Returns a description of the first problem: short input, checksum
-/// mismatch, wrong magic, truncated or non-UTF-8 kind tag.
+/// Returns a description of the first problem: short input, wrong magic,
+/// checksum mismatch, truncated or non-UTF-8 kind tag.
 pub fn describe_artifact(bytes: &[u8]) -> Result<ArtifactInfo, String> {
     if bytes.len() < MAGIC.len() + 2 + 2 + 8 {
         return Err(format!("artifact too short ({} bytes)", bytes.len()));
+    }
+    if bytes[..4] != MAGIC {
+        return Err("bad magic: not a gnn4ip artifact".to_string());
     }
     let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
     // g4check: allow(unwrap-in-lib): split_at(len - 8) yields exactly 8 bytes; the length was checked above
@@ -170,9 +178,6 @@ pub fn describe_artifact(bytes: &[u8]) -> Result<ArtifactInfo, String> {
         return Err(format!(
             "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
         ));
-    }
-    if body[..4] != MAGIC {
-        return Err("bad magic: not a gnn4ip artifact".to_string());
     }
     let version = u16::from_le_bytes([body[4], body[5]]);
     let klen = u16::from_le_bytes([body[6], body[7]]) as usize;
@@ -334,61 +339,44 @@ impl<'a> BinReader<'a> {
     /// # Errors
     ///
     /// Returns a description of the first problem: short input, wrong
-    /// magic, unsupported version, kind mismatch, or checksum failure.
+    /// magic, checksum failure, unsupported version, or kind mismatch.
     pub fn open(bytes: &'a [u8], expect_kind: &str) -> Result<Self, String> {
         Self::open_versioned(bytes, expect_kind, BASE_VERSION)
     }
 
     /// [`BinReader::open`] accepting versions up to `max_version` — the
-    /// newest layout of this kind the caller knows how to parse.
+    /// newest layout of this kind the caller knows how to parse. The
+    /// envelope is parsed by [`describe_artifact`].
     ///
     /// # Errors
     ///
     /// Returns a description of the first problem: short input, wrong
-    /// magic, a version newer than `max_version`, kind mismatch, or
-    /// checksum failure.
+    /// magic, checksum failure, a version newer than `max_version`, or a
+    /// kind mismatch.
     pub fn open_versioned(
         bytes: &'a [u8],
         expect_kind: &str,
         max_version: u16,
     ) -> Result<Self, String> {
-        if bytes.len() < MAGIC.len() + 2 + 2 + 8 {
-            return Err(format!("artifact too short ({} bytes)", bytes.len()));
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        // g4check: allow(unwrap-in-lib): split_at(len - 8) yields exactly 8 bytes; the length was checked above
-        let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-        let actual = fnv1a64(body);
-        if stored != actual {
+        let info = describe_artifact(bytes)?;
+        if info.version > max_version {
             return Err(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+                "artifact format v{} is newer than supported v{max_version} \
+                 for kind '{expect_kind}'",
+                info.version
             ));
         }
-        if body[..4] != MAGIC {
-            return Err("bad magic: not a gnn4ip artifact".to_string());
-        }
-        let version = u16::from_le_bytes([body[4], body[5]]);
-        if version > max_version {
+        if info.kind != expect_kind {
             return Err(format!(
-                "artifact format v{version} is newer than supported v{max_version} \
-                 for kind '{expect_kind}'"
+                "artifact kind mismatch: expected '{expect_kind}', found '{}'",
+                info.kind
             ));
         }
-        let klen = u16::from_le_bytes([body[6], body[7]]) as usize;
-        if body.len() < 8 + klen {
-            return Err("truncated kind tag".to_string());
-        }
-        let kind = std::str::from_utf8(&body[8..8 + klen])
-            .map_err(|e| format!("kind tag is not UTF-8: {e}"))?;
-        if kind != expect_kind {
-            return Err(format!(
-                "artifact kind mismatch: expected '{expect_kind}', found '{kind}'"
-            ));
-        }
+        let end = bytes.len() - 8;
         Ok(Self {
-            buf: &body[8 + klen..],
+            buf: &bytes[end - info.payload_bytes..end],
             pos: 0,
-            version,
+            version: info.version,
         })
     }
 

@@ -3,11 +3,11 @@
 //! "the manual review of hardware design is not feasible in practice").
 //!
 //! **Train once, then load.** The first run trains a detector with the
-//! checkpointing v2 engine, embeds the owned IP cores, and persists the
-//! binary artifacts (detector + embedding library of the owned cores)
-//! under `target/artifacts/ip_audit/`; every later run loads them in
-//! milliseconds and reproduces the same scores bit for bit — no
-//! retraining, no re-embedding. Delete the directory to retrain.
+//! checkpointing training engine, embeds the owned IP cores, and
+//! persists the binary artifacts (detector + embedding library of the
+//! owned cores) under `target/artifacts/ip_audit/`; every later run
+//! loads them in milliseconds and reproduces the same scores bit for bit
+//! — no retraining, no re-embedding. Delete the directory to retrain.
 //!
 //! Run with: `cargo run --release --example ip_audit`
 

@@ -23,16 +23,18 @@
 //! Pairwise workflow (the original demo driver):
 //!
 //! ```text
-//! gnn4ip train --out detector.txt [--netlist] [--designs N] [--instances K] [--epochs E]
-//! gnn4ip check A.v B.v [--model detector.txt] [--top1 NAME] [--top2 NAME]
-//! gnn4ip scan SUSPECT.v LIB1.v [LIB2.v ...] [--model detector.txt]
-//! gnn4ip embed A.v [--model detector.txt] [--top NAME]
+//! gnn4ip train [--out detector.bin] [--netlist] [--designs N] [--instances K] [--epochs E]
+//! gnn4ip check A.v B.v [--model detector.bin] [--top1 NAME] [--top2 NAME]
+//! gnn4ip scan SUSPECT.v LIB1.v [LIB2.v ...] [--model detector.bin]
+//! gnn4ip embed A.v [--model detector.bin] [--top NAME]
 //! gnn4ip dfg A.v [--top NAME] [--dot OUT.dot]
 //! ```
 //!
-//! `--model` accepts both the binary `gnn4ip-detector` artifact and the
-//! legacy text format. Without it, an untrained (structure-only)
-//! detector is used — fine for demos, not for real screening.
+//! `train` writes the binary `gnn4ip-detector` artifact, the one detector
+//! format `--model` reads. `scan` ingests the library files into an
+//! in-memory `AuditPipeline` and prints every match for the suspect.
+//! Without `--model`, an untrained (structure-only) detector is used —
+//! fine for demos, not for real screening.
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -43,10 +45,9 @@ use gnn4ip::data::{Corpus, CorpusSpec, Level, SynthSize};
 use gnn4ip::dfg::graph_with_report;
 use gnn4ip::eval::SHARD_INDEX_KIND;
 use gnn4ip::nn::{Hw2VecConfig, TrainConfig};
-use gnn4ip::tensor::{describe_artifact, BinReader, FORMAT_VERSION, MAGIC};
+use gnn4ip::tensor::{describe_artifact, BinReader, FORMAT_VERSION};
 use gnn4ip::{
-    run_experiment, run_service, AuditConfig, AuditPipeline, AuditSource, Gnn4Ip, IpLibrary,
-    ServiceConfig,
+    run_experiment, run_service, AuditConfig, AuditPipeline, AuditSource, Gnn4Ip, ServiceConfig,
 };
 
 fn main() -> ExitCode {
@@ -88,15 +89,7 @@ fn positional(args: &[String]) -> Vec<&str> {
 
 fn load_detector(args: &[String]) -> Result<Gnn4Ip, String> {
     match flag_value(args, "--model") {
-        Some(path) => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read model '{path}': {e}"))?;
-            if bytes.starts_with(&MAGIC) {
-                Gnn4Ip::load(path)
-            } else {
-                Gnn4Ip::from_text(&String::from_utf8_lossy(&bytes))
-            }
-        }
+        Some(path) => Gnn4Ip::load(path).map_err(|e| format!("model '{path}': {e}")),
         None => {
             eprintln!("note: no --model given; using an untrained detector");
             Ok(Gnn4Ip::with_seed(42))
@@ -183,10 +176,10 @@ fn run(args: &[String]) -> Result<(), String> {
                  gnn4ip inspect FILE...\n  \
                  gnn4ip gc CHECKPOINT_DIR [--dry-run]\n\n\
                  pairwise workflow:\n  \
-                 gnn4ip train --out detector.txt [--netlist] [--designs N] [--instances K] [--epochs E]\n  \
-                 gnn4ip check A.v B.v [--model detector.txt] [--top1 NAME] [--top2 NAME]\n  \
-                 gnn4ip scan SUSPECT.v LIB1.v [LIB2.v ...] [--model detector.txt]\n  \
-                 gnn4ip embed A.v [--model detector.txt] [--top NAME]\n  \
+                 gnn4ip train [--out detector.bin] [--netlist] [--designs N] [--instances K] [--epochs E]\n  \
+                 gnn4ip check A.v B.v [--model detector.bin] [--top1 NAME] [--top2 NAME]\n  \
+                 gnn4ip scan SUSPECT.v LIB1.v [LIB2.v ...] [--model detector.bin]\n  \
+                 gnn4ip embed A.v [--model detector.bin] [--top NAME]\n  \
                  gnn4ip dfg A.v [--top NAME] [--dot OUT.dot]\n\n\
                  PATH arguments accept files and directories (recursive .v discovery)."
             );
@@ -474,7 +467,7 @@ fn print_audit_header(bytes: &[u8]) -> Result<(), String> {
 }
 
 fn train(args: &[String]) -> Result<(), String> {
-    let out_path = flag_value(args, "--out").unwrap_or("detector.txt");
+    let out_path = flag_value(args, "--out").unwrap_or("detector.bin");
     let netlist = args.iter().any(|a| a == "--netlist");
     let parse_n = |name: &str, default: usize| -> Result<usize, String> {
         match flag_value(args, name) {
@@ -512,7 +505,9 @@ fn train(args: &[String]) -> Result<(), String> {
         100.0 * outcome.test_accuracy,
         outcome.delta
     );
-    std::fs::write(out_path, outcome.detector.to_text())
+    outcome
+        .detector
+        .save(out_path)
         .map_err(|e| format!("cannot write '{out_path}': {e}"))?;
     println!("detector written to {out_path}");
     Ok(())
@@ -547,28 +542,35 @@ fn check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Screens one suspect against the library files through an in-memory
+/// [`AuditPipeline`] whose `top_k` covers the whole library, so every
+/// library file gets a line: highest score first, ties in argument order.
 fn scan(args: &[String]) -> Result<(), String> {
     let files = positional(args);
-    if files.len() < 2 {
+    let Some((suspect_path, library)) = files.split_first().filter(|(_, lib)| !lib.is_empty())
+    else {
         return Err("scan needs a suspect file plus at least one library file".to_string());
-    }
+    };
     let detector = load_detector(args)?;
-    let mut lib = IpLibrary::new();
-    for path in &files[1..] {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        lib.register_source(&detector, *path, &src, None)
-            .map_err(|e| format!("{path}: {e}"))?;
+    let config = AuditConfig {
+        top_k: library.len(),
+        ..AuditConfig::default()
+    };
+    let mut pipeline = AuditPipeline::new(detector, config);
+    let paths: Vec<PathBuf> = library.iter().map(PathBuf::from).collect();
+    let report = pipeline.ingest(read_sources(&paths)?);
+    if let Some((name, err)) = report.rejected.first() {
+        return Err(format!("{name}: {err}"));
     }
-    let suspect = std::fs::read_to_string(files[0]).map_err(|e| format!("{}: {e}", files[0]))?;
-    let hits = lib
-        .scan(&detector, &suspect, None)
-        .map_err(|e| e.to_string())?;
-    for hit in hits {
+    let suspect =
+        std::fs::read_to_string(suspect_path).map_err(|e| format!("{suspect_path}: {e}"))?;
+    let verdict = pipeline.audit(&suspect, None).map_err(|e| e.to_string())?;
+    for m in &verdict.matches {
         println!(
             "{:+.4}  {}  {}",
-            hit.score,
-            if hit.piracy { "PIRACY" } else { "ok    " },
-            hit.name
+            m.score,
+            if m.piracy { "PIRACY" } else { "ok    " },
+            m.name
         );
     }
     Ok(())

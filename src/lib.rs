@@ -17,10 +17,10 @@
 //! | [`hdl`] | `gnn4ip-hdl` | Verilog front end (preprocess, parse, flatten, evaluate) |
 //! | [`dfg`] | `gnn4ip-dfg` | data-flow-graph extraction pipeline (Fig. 2) |
 //! | [`tensor`] | `gnn4ip-tensor` | matrices, autograd, optimizers |
-//! | [`nn`] | `gnn4ip-nn` | GCN + SAGPool + readout model, loss, trainer (Fig. 3) |
+//! | [`nn`] | `gnn4ip-nn` | GCN + SAGPool + readout model, loss, `TrainEngine` (Fig. 3) |
 //! | [`data`] | `gnn4ip-data` | design generators, variation/obfuscation, corpora |
 //! | [`eval`] | `gnn4ip-eval` | confusion matrices, PCA, t-SNE, score tables |
-//! | [`core`] | `gnn4ip-core` | the [`Gnn4Ip`] detector and experiment harness |
+//! | [`core`] | `gnn4ip-core` | the [`Gnn4Ip`] detector, experiment harness, [`AuditPipeline`] screening |
 //!
 //! # Quickstart
 //!
@@ -44,8 +44,8 @@ pub use gnn4ip_core::{
     corpus_inputs, run_audit_scenarios, run_experiment, run_service, run_training_pipeline,
     to_pair_samples, AuditConfig, AuditError, AuditMatch, AuditPipeline, AuditSnapshot,
     AuditSource, AuditVerdict, BatchReport, BoundedQueue, ExperimentOutcome, Gnn4Ip, IngestReport,
-    IpLibrary, LatencySummary, LibraryMatch, PipelineArtifacts, Publication, PublicationSlot,
-    ScenarioReport, ScenarioSpec, ServiceConfig, ServiceReport, Verdict,
+    LatencySummary, PipelineArtifacts, Publication, PublicationSlot, ScenarioReport, ScenarioSpec,
+    ServiceConfig, ServiceReport, Verdict,
 };
 
 /// Verilog front end (re-export of `gnn4ip-hdl`).
