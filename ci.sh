@@ -55,8 +55,8 @@ stage_examples() {
     # every example that trains a detector, each through TrainEngine:
     # run_experiment (quickstart, delta_tuning, obfuscated_netlist), the
     # engine directly (embedding_atlas), and run_training_pipeline
-    # (ip_audit, whose saved artifacts are removed first so it trains,
-    # then reloaded by a second run)
+    # (ip_audit, whose saved detector is removed first so it trains; the
+    # second run loads the detector and re-embeds the owned cores)
     cargo build --offline --examples
     local example
     for example in quickstart delta_tuning obfuscated_netlist embedding_atlas; do
@@ -91,7 +91,10 @@ stage_service() {
     # the audit service surface: every serve-loop protocol/backpressure
     # test (bounded queue, ordered responses, publish visibility, dot
     # escaping, non-UTF-8 input, a panicking audit answered with an ERR
-    # line while its worker serves on), the in-place body reader against
+    # line while its worker serves on, and five bodies past the
+    # elaboration budget -- nested loops and doubling module chains --
+    # each answered with an ERR line naming the budget before the next
+    # audit gets its verdict), the in-place body reader against
     # the per-line reference at every buffer capacity from 1 to 64 bytes,
     # and the proptest that a query's hits do not depend on the batch it
     # is scored in

@@ -22,10 +22,6 @@ use crate::cache::{CacheStats, EmbeddingCache};
 /// Kind tag of the binary detector artifact (model + δ).
 pub const DETECTOR_KIND: &str = "gnn4ip-detector";
 
-/// Kind tag of the binary embedding-library artifact (cached embeddings,
-/// pinned to the weights checksum that produced them).
-pub const LIBRARY_KIND: &str = "gnn4ip-library";
-
 /// The verdict of a piracy check (Algorithm 1's output plus the evidence).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Verdict {
@@ -77,12 +73,6 @@ impl Gnn4Ip {
     /// failed to record one embedding, which only costs a recompute.
     fn cache_lock(&self) -> MutexGuard<'_, EmbeddingCache> {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// [`cache_lock`](Self::cache_lock) through exclusive access — same
-    /// poison-recovery rationale, no locking at all.
-    fn cache_mut(&mut self) -> &mut EmbeddingCache {
-        self.cache.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Creates a detector with the paper's default architecture and an
@@ -251,16 +241,6 @@ impl Gnn4Ip {
             .collect())
     }
 
-    /// Algorithm 1 on prepared graphs (no parsing).
-    pub fn verdict_on_graphs(&self, g1: &GraphInput, g2: &GraphInput) -> Verdict {
-        let score = self.model.similarity(g1, g2);
-        Verdict {
-            score,
-            delta: self.delta,
-            piracy: score > self.delta,
-        }
-    }
-
     /// Algorithm 1 on precomputed embeddings (no parsing, no model pass).
     pub fn verdict_on_embeddings(&self, e1: &[f32], e2: &[f32]) -> Verdict {
         let score = cosine_of(e1, e2);
@@ -317,8 +297,7 @@ impl Gnn4Ip {
     }
 
     /// Restores a detector serialized by [`Gnn4Ip::to_bytes`]. The
-    /// embedding cache starts empty (use
-    /// [`load_library`](Gnn4Ip::load_library) to restore it).
+    /// embedding cache starts empty.
     ///
     /// # Errors
     ///
@@ -348,89 +327,6 @@ impl Gnn4Ip {
     /// Returns I/O or format errors as text.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, String> {
         Self::from_bytes(&read_artifact(path.as_ref())?)
-    }
-
-    /// Serializes the embedding library — every cached
-    /// `fingerprint → embedding` entry — pinned to this model's weights
-    /// checksum. Entries are sorted by fingerprint, so the same cache
-    /// contents always produce byte-identical artifacts.
-    pub fn library_bytes(&self) -> Vec<u8> {
-        let cache = self.cache_lock();
-        let mut entries: Vec<(Fingerprint, Vec<f32>)> =
-            cache.embeddings().map(|(fp, e)| (fp, e.to_vec())).collect();
-        drop(cache);
-        entries.sort_by_key(|(fp, _)| *fp);
-        let mut w = BinWriter::new(LIBRARY_KIND);
-        w.u64(self.model.weights_checksum());
-        w.len_of(entries.len());
-        for (fp, e) in &entries {
-            w.u64(fp.as_u64());
-            w.len_of(e.len());
-            for &v in e {
-                w.f32(v);
-            }
-        }
-        w.finish()
-    }
-
-    /// Restores an embedding library serialized by
-    /// [`Gnn4Ip::library_bytes`] into this detector's cache, replacing
-    /// current entries. Returns the number of embeddings loaded.
-    ///
-    /// # Errors
-    ///
-    /// Fails on corrupt artifacts, and on a weights-checksum mismatch:
-    /// embeddings are only valid for the exact weights that produced
-    /// them, so a library from different weights is rejected rather than
-    /// silently serving stale scores.
-    pub fn load_library_bytes(&mut self, bytes: &[u8]) -> Result<usize, String> {
-        let mut r = BinReader::open(bytes, LIBRARY_KIND)?;
-        let checksum = r.u64()?;
-        let own = self.model.weights_checksum();
-        if checksum != own {
-            return Err(format!(
-                "embedding library was built by weights {checksum:#018x}, \
-                 this detector has {own:#018x}; re-embed instead of loading"
-            ));
-        }
-        let n = r.count_of(16)?; // fingerprint + dim header per entry
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let fp = Fingerprint::from_u64(r.u64()?);
-            let dim = r.count_of(4)?; // one f32 per element
-            let mut e = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                e.push(r.f32()?);
-            }
-            entries.push((fp, e));
-        }
-        r.done()?;
-        let cache = self.cache_mut();
-        cache.clear();
-        for (fp, e) in entries {
-            cache.insert(fp, e);
-        }
-        Ok(n)
-    }
-
-    /// Writes the embedding-library artifact to `path` (atomic).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error as text.
-    pub fn save_library(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
-        write_artifact(path.as_ref(), &self.library_bytes())
-    }
-
-    /// Loads an embedding-library artifact written by
-    /// [`Gnn4Ip::save_library`] into the cache. Returns the number of
-    /// embeddings loaded.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O, format, or weights-mismatch errors as text.
-    pub fn load_library(&mut self, path: impl AsRef<std::path::Path>) -> Result<usize, String> {
-        self.load_library_bytes(&read_artifact(path.as_ref())?)
     }
 }
 
@@ -640,46 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn library_roundtrip_restores_cache_entries() {
-        let d = Gnn4Ip::with_seed(21);
-        let _ = d.hw2vec(INV, None).expect("embeds");
-        let _ = d.hw2vec(ADDER, None).expect("embeds");
-        let bytes = d.library_bytes();
-        let mut d2 = Gnn4Ip::from_bytes(&d.to_bytes()).expect("loads");
-        assert_eq!(d2.load_library_bytes(&bytes).expect("lib"), 2);
-        // served from cache: no new misses, identical embeddings
-        assert_eq!(
-            d2.hw2vec(INV, None).expect("cached"),
-            d.hw2vec(INV, None).expect("orig")
-        );
-        assert_eq!(d2.cache_stats().misses, 0);
-        // deterministic bytes regardless of hash-map iteration order
-        assert_eq!(d2.library_bytes(), bytes);
-    }
-
-    #[test]
-    fn library_from_other_weights_is_rejected() {
-        let d = Gnn4Ip::with_seed(22);
-        let _ = d.hw2vec(INV, None).expect("embeds");
-        let mut other = Gnn4Ip::with_seed(23);
-        let err = other
-            .load_library_bytes(&d.library_bytes())
-            .expect_err("must reject");
-        assert!(err.contains("weights"), "{err}");
-    }
-
-    #[test]
     fn detector_file_roundtrip() {
         let dir = std::env::temp_dir().join(format!("gnn4ip-detector-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let d = Gnn4Ip::with_seed(24);
         let _ = d.hw2vec(INV, None).expect("embeds");
         let dp = dir.join("detector.bin");
-        let lp = dir.join("library.bin");
         d.save(&dp).expect("saves");
-        d.save_library(&lp).expect("saves lib");
-        let mut d2 = Gnn4Ip::load(&dp).expect("loads");
-        assert_eq!(d2.load_library(&lp).expect("loads lib"), 1);
+        let d2 = Gnn4Ip::load(&dp).expect("loads");
         assert_eq!(d2.to_bytes(), d.to_bytes());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -23,9 +23,8 @@
 //! *dropped* — the pipeline never holds more than one batch of graphs, so
 //! memory stays bounded no matter how large the corpus grows. The filled
 //! index persists through the `G4IP` binary artifact format, pinned to the
-//! detector's weights checksum exactly like the embedding library: an
-//! index built by other weights is rejected at load rather than silently
-//! serving stale similarities.
+//! detector's weights checksum: an index built by other weights is
+//! rejected at load rather than silently serving stale similarities.
 //!
 //! The pipeline also *serves while it grows*:
 //! [`AuditPipeline::snapshot`] captures an immutable [`AuditSnapshot`] in
@@ -53,9 +52,7 @@ use gnn4ip_data::{
     SynthSize, VariationConfig,
 };
 use gnn4ip_dfg::graph_from_verilog;
-use gnn4ip_eval::{
-    QueryHit, QueryOptions, RebalanceOptions, RebalanceReport, ShardedEmbeddingIndex,
-};
+use gnn4ip_eval::{QueryHit, QueryOptions, ShardedEmbeddingIndex};
 use gnn4ip_hdl::ParseVerilogError;
 use gnn4ip_nn::{fan_out, GraphInput};
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter};
@@ -491,20 +488,6 @@ impl AuditPipeline {
     /// [`publish`](AuditPipeline::publish).
     pub fn serving_slot(&self) -> Arc<PublicationSlot<AuditSnapshot>> {
         Arc::clone(&self.slot)
-    }
-
-    /// Re-clusters the sealed shards into centroid-aligned groups
-    /// ([`ShardedEmbeddingIndex::rebalance`]) and immediately publishes
-    /// the re-clustered snapshot, returning the rebalance report and the
-    /// new publication epoch. Readers holding earlier snapshots are
-    /// unaffected (their `Arc`-shared shards are immutable); readers
-    /// polling the [`serving_slot`](AuditPipeline::serving_slot) pick up
-    /// the better-pruning layout atomically. Verdict names and scores
-    /// are preserved bit for bit.
-    pub fn recluster(&mut self, opts: &RebalanceOptions) -> (RebalanceReport, u64) {
-        let report = self.index.rebalance(opts);
-        let epoch = self.publish();
-        (report, epoch)
     }
 
     /// Streams designs into the index in batches of
@@ -1531,56 +1514,6 @@ mod tests {
         );
         assert_eq!(fresh.load_index(&path).expect("loads"), 3);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recluster_preserves_verdicts_and_republishes() {
-        let config = AuditConfig {
-            shard_capacity: 2,
-            batch_size: 4,
-            threads: 1,
-            top_k: 3,
-            ..AuditConfig::default()
-        };
-        let mut p = AuditPipeline::new(Gnn4Ip::with_seed(6), config);
-        let batch: Vec<AuditSource> = (0..12)
-            .map(|i| {
-                let ops = ["&", "|", "^"];
-                AuditSource::new(
-                    format!("gen{i}"),
-                    format!(
-                        "module g{i}(input a, input b, output y); \
-                         assign y = a {} b; endmodule",
-                        ops[i % 3]
-                    ),
-                    None,
-                )
-            })
-            .collect();
-        assert_eq!(p.ingest(batch).ingested, 12);
-        let probe = p.detector().hw2vec(XOR2, None).expect("probe embeds");
-        let before = p.audit_embedding(&probe);
-        assert_eq!(p.publish(), 1);
-        let (report, epoch) = p.recluster(&RebalanceOptions::default());
-        assert_eq!(epoch, 2, "recluster must republish");
-        assert_eq!(report.centroids, p.index().num_sealed_shards());
-        assert_eq!(report.sealed_rows, 12);
-        // every verdict field survives bit-identically — rebalance moves
-        // storage positions, never labels or scores
-        let key = |v: &AuditVerdict| -> Vec<(String, usize, u32, bool)> {
-            v.matches
-                .iter()
-                .map(|m| (m.name.clone(), m.label, m.score.to_bits(), m.piracy))
-                .collect()
-        };
-        let after = p.audit_embedding(&probe);
-        assert_eq!(key(&before), key(&after));
-        assert_eq!(before.piracy, after.piracy);
-        // readers polling the slot see the re-clustered corpus
-        let slot = p.serving_slot();
-        let published = slot.load().expect("published");
-        assert_eq!(published.epoch(), 2);
-        assert_eq!(key(&published.value().audit_embedding(&probe)), key(&after));
     }
 
     #[test]

@@ -102,13 +102,6 @@ impl EmbeddingCache {
         self.raw.insert(raw_key, fp);
     }
 
-    /// Iterates `(fingerprint, embedding)` entries in arbitrary order —
-    /// the persistence path sorts by fingerprint before writing so the
-    /// library artifact is deterministic.
-    pub fn embeddings(&self) -> impl Iterator<Item = (Fingerprint, &[f32])> {
-        self.map.iter().map(|(fp, e)| (*fp, e.as_slice()))
-    }
-
     /// Number of cached designs.
     pub fn len(&self) -> usize {
         self.map.len()

@@ -8,9 +8,9 @@
 //! - [`run_experiment`] — the Table-I protocol, in memory only.
 //! - [`run_training_pipeline`] — the deployment lifecycle. It adds an
 //!   early-stopping validation split, resumes from an existing
-//!   checkpoint, and persists the **final artifacts**: a binary detector
-//!   (model + δ) and the embedding library of every corpus design, so
-//!   later processes serve checks without retraining or re-embedding.
+//!   checkpoint, and persists the trained detector as one binary
+//!   artifact (model + δ), so later processes serve checks without
+//!   retraining.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -181,8 +181,6 @@ fn train_and_evaluate(
 pub struct PipelineArtifacts {
     /// Binary detector artifact (model + δ).
     pub detector: PathBuf,
-    /// Binary embedding-library artifact (cached corpus embeddings).
-    pub library: PathBuf,
     /// Training checkpoint, when periodic checkpointing was enabled.
     pub checkpoint: Option<PathBuf>,
 }
@@ -199,12 +197,10 @@ pub struct PipelineArtifacts {
 /// 3. **validation** — when `engine.patience > 0`, a fifth of the
 ///    training pairs is carved off as the early-stopping validation
 ///    split;
-/// 4. the **final artifacts**: `artifact_dir/detector.bin` and
-///    `artifact_dir/library.bin` (embeddings of every corpus instance,
-///    pinned to the trained weights).
+/// 4. the **final artifact**: `artifact_dir/detector.bin`.
 ///
-/// A detector later restored with [`Gnn4Ip::load`] +
-/// [`Gnn4Ip::load_library`] reproduces this run's scores bit-exactly.
+/// A detector later restored with [`Gnn4Ip::load`] reproduces this run's
+/// scores bit-exactly.
 ///
 /// # Errors
 ///
@@ -251,27 +247,12 @@ pub fn run_training_pipeline(
         resumed.unwrap_or_else(|| TrainEngine::new(Hw2Vec::new(model_config, seed), engine_cfg));
     let outcome = train_and_evaluate(corpus, max_different, seed, validate, trainer)?;
 
-    // final artifacts: detector, then the embedding library of every
-    // corpus instance (runs through the cached batch path, so the
-    // library holds exactly one embedding per distinct design).
     let detector_path = artifact_dir.join("detector.bin");
     outcome.detector.save(&detector_path)?;
-    let sources: Vec<(&str, Option<&str>)> = corpus
-        .instances
-        .iter()
-        .map(|i| (i.source.as_str(), None))
-        .collect();
-    outcome
-        .detector
-        .embed_many(&sources)
-        .map_err(|e| format!("embedding corpus for the library artifact: {e}"))?;
-    let library_path = artifact_dir.join("library.bin");
-    outcome.detector.save_library(&library_path)?;
     Ok((
         outcome,
         PipelineArtifacts {
             detector: detector_path,
-            library: library_path,
             checkpoint,
         },
     ))
@@ -339,23 +320,17 @@ mod tests {
             run_training_pipeline(&corpus, Hw2VecConfig::default(), engine, 150, 3, &dir)
                 .expect("pipeline");
         assert!(artifacts.detector.exists(), "detector artifact missing");
-        assert!(artifacts.library.exists(), "library artifact missing");
         let ckpt = artifacts.checkpoint.as_ref().expect("checkpoint enabled");
         assert!(ckpt.exists(), "checkpoint missing");
         assert!(out.test_accuracy >= 0.7, "accuracy {}", out.test_accuracy);
 
-        // a freshly loaded detector + library reproduces scores bit-exactly
-        let mut loaded = Gnn4Ip::load(&artifacts.detector).expect("loads detector");
-        let n = loaded.load_library(&artifacts.library).expect("loads lib");
-        assert!(n > 0, "library is empty");
+        // a freshly loaded detector reproduces scores bit-exactly
+        let loaded = Gnn4Ip::load(&artifacts.detector).expect("loads detector");
         let (a, b) = (&corpus.instances[0].source, &corpus.instances[1].source);
         let v_mem = out.detector.check(a, b).expect("in-memory check");
         let v_loaded = loaded.check(a, b).expect("loaded check");
         assert_eq!(v_mem.score.to_bits(), v_loaded.score.to_bits());
         assert_eq!(v_mem.piracy, v_loaded.piracy);
-        // and the library served those checks from cache (no misses)
-        let stats = loaded.cache_stats();
-        assert_eq!(stats.misses, 0, "loaded library was not used: {stats:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

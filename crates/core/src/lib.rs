@@ -54,7 +54,7 @@ mod experiment;
 mod serve;
 mod service;
 
-pub use api::{Gnn4Ip, Verdict, DETECTOR_KIND, LIBRARY_KIND};
+pub use api::{Gnn4Ip, Verdict, DETECTOR_KIND};
 pub use audit::{
     run_audit_scenarios, AuditConfig, AuditError, AuditMatch, AuditPipeline, AuditSnapshot,
     AuditSource, AuditVerdict, BatchReport, IngestReport, ScenarioReport, ScenarioSpec,

@@ -65,11 +65,6 @@ impl<T> Publication<T> {
     pub fn value(&self) -> &Arc<T> {
         &self.value
     }
-
-    /// Consumes the publication into its parts.
-    pub fn into_parts(self) -> (u64, Arc<T>) {
-        (self.epoch, self.value)
-    }
 }
 
 impl<T> std::ops::Deref for Publication<T> {

@@ -1072,6 +1072,92 @@ mod tests {
         assert_eq!((report.audits, report.ingested, report.rejected), (1, 0, 2));
     }
 
+    /// One `always` block running `y = y ^ a` inside nested `for` loops
+    /// with the given trip counts.
+    fn nested_for(bounds: &[u32]) -> String {
+        let vars = ["i", "j", "k"];
+        let loops: String = vars
+            .iter()
+            .zip(bounds)
+            .map(|(v, n)| format!("for ({v} = 0; {v} < {n}; {v} = {v} + 1) "))
+            .collect();
+        format!(
+            "module m(input a, output reg y); integer {}; \
+             always @(*) begin y = 0; {loops}y = y ^ a; end endmodule",
+            vars[..bounds.len()].join(", ")
+        )
+    }
+
+    /// Modules `m0 … m(levels-1)`, each instantiating the next one twice:
+    /// the inlined body doubles at every level.
+    fn doubling_chain(levels: usize) -> String {
+        let mut src: String = (0..levels - 1)
+            .map(|l| {
+                let c = l + 1;
+                format!(
+                    "module m{l}(input a, output y); wire t; \
+                     m{c} u0(.a(a), .y(t)); m{c} u1(.a(t), .y(y)); endmodule\n"
+                )
+            })
+            .collect();
+        let leaf = levels - 1;
+        src.push_str(&format!(
+            "module m{leaf}(input a, output y); assign y = ~a; endmodule\n"
+        ));
+        src
+    }
+
+    /// Bodies of a few hundred bytes whose loops and instances would
+    /// elaborate to millions of nodes each draw one ERR line naming the
+    /// elaboration budget, and the service answers the audit sent after
+    /// them.
+    #[test]
+    fn bodies_past_the_elaboration_budget_get_err_lines_and_service_survives() {
+        let bodies = [
+            ("for1000x1000", nested_for(&[1000, 1000])),
+            ("for4000x4000", nested_for(&[4000, 4000])),
+            ("for300x300x300", nested_for(&[300, 300, 300])),
+            ("chain18", doubling_chain(18)),
+            ("chain30", doubling_chain(30)),
+        ];
+        let mut input = String::new();
+        for (name, body) in &bodies {
+            input.push_str(&format!("AUDIT {name}\n{body}\n.\n"));
+        }
+        input.push_str(&format!("INGEST chain30_too\n{}\n.\n", bodies[4].1));
+        input.push_str(&format!("AUDIT fine\n{INV}\n.\nSHUTDOWN\n"));
+        let mut pipeline = service_pipeline();
+        let mut out: Vec<u8> = Vec::new();
+        let report = run_service(
+            &mut pipeline,
+            &ServiceConfig::default(),
+            input.as_bytes(),
+            &mut out,
+        )
+        .expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 8, "one response per request:\n{text}");
+        let budget = format!(
+            "elaboration budget of {} nodes",
+            gnn4ip_hdl::ELABORATION_BUDGET
+        );
+        for ((name, _), line) in bodies.iter().zip(&lines) {
+            assert!(
+                line.starts_with(&format!("ERR audit {name}: ")) && line.contains(&budget),
+                "{line}"
+            );
+        }
+        assert!(
+            lines[5].starts_with("ERR ingest chain30_too: ") && lines[5].contains(&budget),
+            "{}",
+            lines[5]
+        );
+        assert!(lines[6].starts_with("VERDICT fine "), "{}", lines[6]);
+        assert_eq!(lines[7], "OK bye");
+        assert_eq!((report.audits, report.ingested, report.rejected), (1, 0, 6));
+    }
+
     /// One non-UTF-8 byte in a command line or a body draws an ERR line
     /// for that request alone: the session keeps reading, answers every
     /// later request in order, and still ends with `OK bye`.

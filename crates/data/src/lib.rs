@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod corpus;
-mod corpus_io;
 pub mod designs;
 pub mod emit;
 pub mod iscas;
@@ -38,7 +37,6 @@ pub mod obfuscate;
 pub mod variation;
 
 pub use corpus::{split_pairs, Corpus, CorpusSpec, Instance, LabeledPair};
-pub use corpus_io::{load_corpus, save_corpus};
 pub use designs::{
     named_rtl_designs, netlist_designs, rtl_designs, synth_design, Design, Level, SynthSize,
 };

@@ -85,15 +85,6 @@ impl ConfusionMatrix {
         self.fn_ as f64 / self.total() as f64
     }
 
-    /// Miss rate among actual positives (`FN / (TP + FN)`).
-    pub fn miss_rate(&self) -> f64 {
-        let pos = self.tp + self.fn_;
-        if pos == 0 {
-            return 0.0;
-        }
-        self.fn_ as f64 / pos as f64
-    }
-
     /// Precision (`TP / (TP + FP)`).
     pub fn precision(&self) -> f64 {
         let pred_pos = self.tp + self.fp;
@@ -110,16 +101,6 @@ impl ConfusionMatrix {
             return 0.0;
         }
         self.tp as f64 / pos as f64
-    }
-
-    /// F1 score.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            return 0.0;
-        }
-        2.0 * p * r / (p + r)
     }
 }
 
@@ -179,16 +160,13 @@ mod tests {
         assert!((cm.accuracy() - 0.96).abs() < 1e-9);
         assert!((cm.precision() - 0.8).abs() < 1e-9);
         assert!((cm.recall() - 0.8).abs() < 1e-9);
-        assert!((cm.f1() - 0.8).abs() < 1e-9);
         assert!((cm.false_negative_rate() - 0.02).abs() < 1e-9);
-        assert!((cm.miss_rate() - 0.2).abs() < 1e-9);
     }
 
     #[test]
     fn empty_matrix_is_safe() {
         let cm = ConfusionMatrix::new();
         assert_eq!(cm.accuracy(), 0.0);
-        assert_eq!(cm.f1(), 0.0);
         assert_eq!(cm.total(), 0);
     }
 

@@ -85,21 +85,6 @@ impl ScoreTable {
         ));
         out
     }
-
-    /// Renders as CSV (`label,mean,n`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("label,mean,n\n");
-        for row in &self.rows {
-            out.push_str(&format!(
-                "{},{:.6},{}\n",
-                row.label.replace(',', ";"),
-                row.mean(),
-                row.scores.len()
-            ));
-        }
-        out.push_str(&format!("mean,{:.6},\n", self.grand_mean()));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -130,12 +115,5 @@ mod tests {
         assert!(s.contains("AES / FPA"));
         assert!(s.contains("Mean"));
         assert!(s.contains("-0.2000") || s.contains("-0.20"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = ScoreTable::new("t");
-        t.push("a,b", vec![0.5]);
-        assert!(t.to_csv().contains("a;b,0.5"));
     }
 }

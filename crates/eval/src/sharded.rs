@@ -638,22 +638,6 @@ impl ShardedEmbeddingIndex {
         }
     }
 
-    /// Re-shards a flat index by copying its normalized rows verbatim —
-    /// no re-normalization, so the rows stay bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_capacity` is zero.
-    pub fn from_flat(flat: &EmbeddingIndex, shard_capacity: usize) -> Self {
-        let mut index = Self::new(flat.dim(), shard_capacity);
-        for (i, &label) in flat.labels().iter().enumerate() {
-            index.tail.data.extend_from_slice(flat.normalized_row(i));
-            index.tail.labels.push(label);
-            index.seal_tail_if_full();
-        }
-        index
-    }
-
     /// An independent copy that serves queries concurrently with further
     /// inserts on `self`: the sealed shards are shared by `Arc` (no row is
     /// copied) and only the tail — at most one shard — is cloned. This is
@@ -1109,7 +1093,7 @@ impl ShardedEmbeddingIndex {
     /// materialized. Each element is the same contiguous-row dot product
     /// the flat index's [`EmbeddingIndex::pairwise_similarity`] computes,
     /// so block values match it bit for bit.
-    pub fn for_each_similarity_block<F>(&self, ws: &mut Workspace, mut f: F)
+    fn for_each_similarity_block<F>(&self, ws: &mut Workspace, mut f: F)
     where
         F: FnMut(usize, usize, &Matrix),
     {
@@ -1389,8 +1373,7 @@ impl ShardedEmbeddingIndex {
     /// them), pinned to `pinned_checksum` — by convention the weights
     /// checksum of the model whose embeddings fill the index, so a stale
     /// index cannot silently serve scores for weights that no longer
-    /// exist (the same pinning discipline as the embedding-library
-    /// artifact). Rows and bounds round-trip bit-exactly.
+    /// exist. Rows and bounds round-trip bit-exactly.
     pub fn to_bytes(&self, pinned_checksum: u64) -> Vec<u8> {
         let mut w = BinWriter::with_version(SHARD_INDEX_KIND, SHARD_INDEX_VERSION);
         w.u64(pinned_checksum);
@@ -1954,13 +1937,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn from_flat_reshards_without_renormalizing() {
-        let (flat, sharded) = both(11, 4, 3);
-        let reshard = ShardedEmbeddingIndex::from_flat(&flat, 3);
-        assert_eq!(reshard, sharded);
     }
 
     #[test]

@@ -97,11 +97,6 @@ pub struct Module {
 }
 
 impl Module {
-    /// Direction of a named port, if declared.
-    pub fn port_dir(&self, name: &str) -> Option<PortDir> {
-        self.ports.iter().find(|p| p.name == name).map(|p| p.dir)
-    }
-
     /// Names of all output ports, in declaration order.
     pub fn outputs(&self) -> Vec<&str> {
         self.ports
@@ -575,7 +570,6 @@ mod tests {
             params: vec![],
             items: vec![],
         };
-        assert_eq!(m.port_dir("y"), Some(PortDir::Output));
         assert_eq!(m.inputs(), vec!["a"]);
         assert_eq!(m.outputs(), vec!["y"]);
     }

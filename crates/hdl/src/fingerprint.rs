@@ -87,12 +87,6 @@ impl Fingerprint {
     pub fn as_u64(self) -> u64 {
         self.0
     }
-
-    /// Reconstructs a fingerprint from its raw value — the persistence
-    /// path stores fingerprints as `u64`s in embedding-library artifacts.
-    pub fn from_u64(raw: u64) -> Self {
-        Fingerprint(raw)
-    }
 }
 
 impl std::fmt::Display for Fingerprint {

@@ -11,11 +11,144 @@
 //! [`crate::elaborate`] owns its unit and moves the top module out
 //! instead. Every instantiated child is cloned from the unit, since one
 //! module may be instantiated many times.
+//!
+//! Instantiation and unrolling multiply a design: nested loops multiply
+//! their trip counts, and a module that instantiates its child twice
+//! doubles the inlined body at every level. So each design elaborates
+//! under one [`ELABORATION_BUDGET`], charged before each copy is made.
 
 use std::collections::HashMap;
 
 use crate::ast::*;
 use crate::ParseVerilogError;
+
+/// The most work one design's elaboration may do beyond moving its top
+/// module, in syntax-tree nodes: statement, expression, port and
+/// parameter nodes, and loop-environment entries.
+///
+/// Each unrolled iteration charges the nodes of the loop body it copies
+/// plus those of the condition and step it evaluates, so every iteration
+/// charges at least one unit. Each instance charges the child module it
+/// copies, the port bridges it emits, and every item it splices into its
+/// parent; those last two charge one more unit per node for every 32
+/// bytes of the instance-name prefix their names gain. A design that
+/// would pass the budget is refused with an error that names it. No generated corpus design comes near it (see
+/// BASELINE.md).
+pub const ELABORATION_BUDGET: usize = 1 << 18;
+
+/// What is left of one design's [`ELABORATION_BUDGET`].
+struct Budget(usize);
+
+impl Budget {
+    /// Takes `units` from the budget, or refuses the design.
+    fn charge(&mut self, units: usize) -> Result<(), ParseVerilogError> {
+        match self.0.checked_sub(units) {
+            Some(left) => {
+                self.0 = left;
+                Ok(())
+            }
+            None => Err(ParseVerilogError::msg(format!(
+                "design exceeds the elaboration budget of {ELABORATION_BUDGET} nodes \
+                 (gnn4ip_hdl::ELABORATION_BUDGET)"
+            ))),
+        }
+    }
+}
+
+/// Nodes of `expr`, itself included.
+fn expr_nodes(expr: &Expr) -> usize {
+    1 + match expr {
+        Expr::Ident(_) | Expr::Number { .. } | Expr::Str(_) => 0,
+        Expr::Unary { arg, .. } => expr_nodes(arg),
+        Expr::Binary { lhs, rhs, .. }
+        | Expr::Repeat {
+            count: lhs,
+            body: rhs,
+        }
+        | Expr::BitSelect {
+            base: lhs,
+            index: rhs,
+        } => expr_nodes(lhs) + expr_nodes(rhs),
+        Expr::Ternary {
+            cond: a,
+            then_e: b,
+            else_e: c,
+        }
+        | Expr::PartSelect {
+            base: a,
+            msb: b,
+            lsb: c,
+        } => expr_nodes(a) + expr_nodes(b) + expr_nodes(c),
+        Expr::Concat(parts) | Expr::Call { args: parts, .. } => parts.iter().map(expr_nodes).sum(),
+    }
+}
+
+/// Nodes of `stmt`, itself included.
+fn stmt_nodes(stmt: &Stmt) -> usize {
+    1 + match stmt {
+        Stmt::Block(ss) => ss.iter().map(stmt_nodes).sum(),
+        Stmt::Blocking { lhs, rhs } | Stmt::NonBlocking { lhs, rhs } => {
+            expr_nodes(lhs) + expr_nodes(rhs)
+        }
+        Stmt::If {
+            cond,
+            then_s,
+            else_s,
+        } => expr_nodes(cond) + stmt_nodes(then_s) + else_s.as_deref().map_or(0, stmt_nodes),
+        Stmt::Case { subject, arms } => {
+            let arms: usize = arms
+                .iter()
+                .map(|(labels, body)| {
+                    labels.iter().map(expr_nodes).sum::<usize>() + stmt_nodes(body)
+                })
+                .sum();
+            expr_nodes(subject) + arms
+        }
+        Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+            ..
+        } => expr_nodes(init) + expr_nodes(cond) + expr_nodes(step) + stmt_nodes(body),
+        Stmt::Null => 0,
+    }
+}
+
+/// Nodes of a declared range's two bounds.
+fn range_nodes(range: &Option<Range>) -> usize {
+    range
+        .as_ref()
+        .map_or(0, |r| expr_nodes(&r.msb) + expr_nodes(&r.lsb))
+}
+
+/// Nodes of `item`, itself included.
+fn item_nodes(item: &Item) -> usize {
+    1 + match item {
+        Item::Decl { range, init, .. } => range_nodes(range) + init.as_ref().map_or(0, expr_nodes),
+        Item::Param { value, .. } => expr_nodes(value),
+        Item::Assign { lhs, rhs } => expr_nodes(lhs) + expr_nodes(rhs),
+        Item::Always { sensitivity, body } => sensitivity.len() + stmt_nodes(body),
+        Item::Initial(body) => stmt_nodes(body),
+        Item::Gate(g) => g.conns.iter().map(expr_nodes).sum(),
+        Item::Instance(inst) => {
+            let overrides: usize = inst
+                .param_overrides
+                .iter()
+                .map(|(_, e)| expr_nodes(e))
+                .sum();
+            let conns: usize = inst.conns.iter().flat_map(|(_, e)| e).map(expr_nodes).sum();
+            overrides + conns
+        }
+    }
+}
+
+/// Nodes of `module`: its ports, parameters and items.
+fn module_nodes(module: &Module) -> usize {
+    let ports: usize = module.ports.iter().map(|p| 1 + range_nodes(&p.range)).sum();
+    let params: usize = module.params.iter().map(|(_, e)| expr_nodes(e)).sum();
+    ports + params + module.items.iter().map(item_nodes).sum::<usize>()
+}
 
 /// Evaluates a constant expression over an integer environment.
 ///
@@ -152,7 +285,7 @@ fn subst_expr(expr: &mut Expr, env: &HashMap<String, i64>) {
     });
 }
 
-fn subst_stmt(stmt: &mut Stmt, env: &HashMap<String, i64>) {
+fn subst_stmt(stmt: &mut Stmt, env: &mut HashMap<String, i64>) {
     if env.is_empty() {
         return;
     }
@@ -188,12 +321,16 @@ fn subst_stmt(stmt: &mut Stmt, env: &HashMap<String, i64>) {
             body,
         } => {
             subst_expr(init, env);
-            // Shadow the loop variable: it is not a parameter inside the loop.
-            let mut inner = env.clone();
-            inner.remove(var.as_str());
-            subst_expr(cond, &inner);
-            subst_expr(step, &inner);
-            subst_stmt(body, &inner);
+            // Shadow the loop variable: it is not a parameter inside the
+            // loop. Removed and restored, not cloned: unrolling runs this
+            // once per iteration, and a clone would copy every binding.
+            let shadowed = env.remove_entry(var.as_str());
+            subst_expr(cond, env);
+            subst_expr(step, env);
+            subst_stmt(body, env);
+            if let Some((name, value)) = shadowed {
+                env.insert(name, value);
+            }
         }
         Stmt::Null => {}
     }
@@ -264,7 +401,8 @@ fn rename_stmt(stmt: &mut Stmt, f: &impl Fn(&str) -> String) {
 /// # Errors
 ///
 /// Returns an error on unknown modules, unresolvable parameters, cyclic
-/// hierarchies (depth > 64), or non-constant loop bounds.
+/// hierarchies (depth > 64), non-constant loop bounds, or a design past
+/// the [`ELABORATION_BUDGET`].
 ///
 /// # Examples
 ///
@@ -317,7 +455,7 @@ fn flatten_top(unit: &SourceUnit, top: Module) -> Result<Module, ParseVerilogErr
         let v = eval_const(value, &env)?;
         env.insert(name.clone(), v);
     }
-    flatten_module(unit, top, &env, 0)
+    flatten_module(unit, top, &env, 0, &mut Budget(ELABORATION_BUDGET))
 }
 
 /// Flattens `module`, whose parameters are bound in `params`, rewriting
@@ -327,6 +465,7 @@ fn flatten_module(
     module: Module,
     params: &HashMap<String, i64>,
     depth: usize,
+    budget: &mut Budget,
 ) -> Result<Module, ParseVerilogError> {
     if depth > 64 {
         return Err(ParseVerilogError::msg(
@@ -378,12 +517,12 @@ fn flatten_module(
                 sensitivity,
                 mut body,
             } => {
-                subst_stmt(&mut body, &env);
-                unroll_fors(&mut body, &env)?;
+                subst_stmt(&mut body, &mut env);
+                unroll_fors(&mut body, &env, budget)?;
                 out.items.push(Item::Always { sensitivity, body });
             }
             Item::Initial(mut body) => {
-                subst_stmt(&mut body, &env);
+                subst_stmt(&mut body, &mut env);
                 out.items.push(Item::Initial(body));
             }
             Item::Gate(mut g) => {
@@ -391,7 +530,7 @@ fn flatten_module(
                 out.items.push(Item::Gate(g));
             }
             Item::Instance(inst) => {
-                inline_instance(unit, &inst, &env, &mut out, depth)?;
+                inline_instance(unit, &inst, &env, &mut out, depth, budget)?;
             }
         }
     }
@@ -416,6 +555,7 @@ fn inline_instance(
     env: &HashMap<String, i64>,
     out: &mut Module,
     depth: usize,
+    budget: &mut Budget,
 ) -> Result<(), ParseVerilogError> {
     let child = unit.module(&inst.module).ok_or_else(|| {
         ParseVerilogError::msg(format!(
@@ -423,6 +563,7 @@ fn inline_instance(
             inst.module, inst.name
         ))
     })?;
+    budget.charge(module_nodes(child))?;
     // Bind child parameters: defaults, then overrides.
     let mut child_params = HashMap::new();
     for (i, (pname, pdefault)) in child.params.iter().enumerate() {
@@ -448,18 +589,16 @@ fn inline_instance(
         };
         child_params.insert(pname.clone(), v);
     }
-    let flat_child = flatten_module(unit, child.clone(), &child_params, depth + 1)?;
+    let flat_child = flatten_module(unit, child.clone(), &child_params, depth + 1, budget)?;
     let prefix = format!("{}__", inst.name);
     let rename = |n: &str| format!("{prefix}{n}");
+    // Every name this instance emits grows by `prefix`, and a deep
+    // hierarchy of long instance names would grow them without adding
+    // nodes, so each emitted node costs one more unit per 32 prefix bytes.
+    let per_node = 1 + prefix.len() / 32;
 
     // Declare a net per child port and bridge to the parent expression.
     for (i, port) in flat_child.ports.iter().enumerate() {
-        out.items.push(Item::Decl {
-            kind: NetKind::Wire,
-            name: rename(&port.name),
-            range: port.range.clone(),
-            init: None,
-        });
         // find the parent connection
         let conn: Option<&Expr> = {
             let mut found = None;
@@ -479,6 +618,14 @@ fn inline_instance(
             }
             found
         };
+        let bridge = 1 + range_nodes(&port.range) + conn.map_or(0, |e| 1 + expr_nodes(e));
+        budget.charge(bridge * per_node)?;
+        out.items.push(Item::Decl {
+            kind: NetKind::Wire,
+            name: rename(&port.name),
+            range: port.range.clone(),
+            init: None,
+        });
         if let Some(parent_expr) = conn {
             match port.dir {
                 PortDir::Input => out.items.push(Item::Assign {
@@ -494,6 +641,7 @@ fn inline_instance(
     }
     // Splice the child's items, renamed in place.
     for mut item in flat_child.items {
+        budget.charge(item_nodes(&item) * per_node)?;
         match &mut item {
             Item::Decl { name, init, .. } => {
                 *name = rename(name);
@@ -532,7 +680,11 @@ fn inline_instance(
 
 /// Unrolls `for` statements with constant bounds into flat blocks, with the
 /// loop variable substituted into the body on each iteration.
-fn unroll_fors(stmt: &mut Stmt, env: &HashMap<String, i64>) -> Result<(), ParseVerilogError> {
+fn unroll_fors(
+    stmt: &mut Stmt,
+    env: &HashMap<String, i64>,
+    budget: &mut Budget,
+) -> Result<(), ParseVerilogError> {
     match stmt {
         Stmt::For {
             var,
@@ -541,23 +693,23 @@ fn unroll_fors(stmt: &mut Stmt, env: &HashMap<String, i64>) -> Result<(), ParseV
             step,
             body,
         } => {
-            let unrolled = unroll_loop(var, init, cond, step, body, env)?;
+            let unrolled = unroll_loop(var, init, cond, step, body, env, budget)?;
             *stmt = Stmt::Block(unrolled);
         }
         Stmt::Block(ss) => {
             for s in ss {
-                unroll_fors(s, env)?;
+                unroll_fors(s, env, budget)?;
             }
         }
         Stmt::If { then_s, else_s, .. } => {
-            unroll_fors(then_s, env)?;
+            unroll_fors(then_s, env, budget)?;
             if let Some(s) = else_s {
-                unroll_fors(s, env)?;
+                unroll_fors(s, env, budget)?;
             }
         }
         Stmt::Case { arms, .. } => {
             for (_, body) in arms {
-                unroll_fors(body, env)?;
+                unroll_fors(body, env, budget)?;
             }
         }
         Stmt::Blocking { .. } | Stmt::NonBlocking { .. } | Stmt::Null => {}
@@ -566,7 +718,7 @@ fn unroll_fors(stmt: &mut Stmt, env: &HashMap<String, i64>) -> Result<(), ParseV
 }
 
 /// One unrolled copy of `body` per iteration of `for (var = init; cond;
-/// var = step)`.
+/// var = step)`, each charged to `budget` before it is made.
 fn unroll_loop(
     var: &str,
     init: &Expr,
@@ -574,8 +726,10 @@ fn unroll_loop(
     step: &Expr,
     body: &Stmt,
     env: &HashMap<String, i64>,
+    budget: &mut Budget,
 ) -> Result<Vec<Stmt>, ParseVerilogError> {
-    const MAX_ITERS: usize = 4096;
+    let per_iteration = stmt_nodes(body) + expr_nodes(cond) + expr_nodes(step);
+    budget.charge(env.len())?;
     let mut iter_env = env.clone();
     let mut v = eval_const(init, env)?;
     let mut unrolled = Vec::new();
@@ -584,16 +738,12 @@ fn unroll_loop(
         if eval_const(cond, &iter_env)? == 0 {
             return Ok(unrolled);
         }
+        budget.charge(per_iteration)?;
         let mut body_i = body.clone();
-        subst_stmt(&mut body_i, &iter_env);
-        unroll_fors(&mut body_i, &iter_env)?;
+        subst_stmt(&mut body_i, &mut iter_env);
+        unroll_fors(&mut body_i, &iter_env, budget)?;
         unrolled.push(body_i);
         v = eval_const(step, &iter_env)?;
-        if unrolled.len() > MAX_ITERS {
-            return Err(ParseVerilogError::msg(format!(
-                "for-loop over '{var}' exceeds {MAX_ITERS} iterations"
-            )));
-        }
     }
 }
 
@@ -787,6 +937,37 @@ mod tests {
             crate::elaborate(sources[0], Some("ghost")),
             flatten(&parse(sources[0]).expect("parses"), "ghost")
         );
+    }
+
+    /// The budget admits what `unroll_loop`'s old 4,096-iteration cap
+    /// did, and charges name growth: a hierarchy whose long instance
+    /// names prefix every inlined name is refused, while the same
+    /// hierarchy under short names elaborates.
+    #[test]
+    fn budget_admits_long_loops_and_charges_name_growth() {
+        let looped = "module m(input a, output reg [4095:0] y); integer i;
+                      always @* for (i = 0; i < 4096; i = i + 1) y[i] = a;
+                      endmodule";
+        assert!(crate::elaborate(looped, None).is_ok());
+        let chain = |inst: &str| {
+            let mut src: String = (0..40)
+                .map(|l| {
+                    let c = l + 1;
+                    format!(
+                        "module m{l}(input a, output y); m{c} {inst}(.a(a), .y(y)); endmodule\n"
+                    )
+                })
+                .collect();
+            let leaf: String = (0..500).map(|i| format!("assign w{i} = a; ")).collect();
+            src.push_str(&format!(
+                "module m40(input a, output y); {leaf}assign y = a; endmodule\n"
+            ));
+            src
+        };
+        assert!(crate::elaborate(&chain("u"), Some("m0")).is_ok());
+        let err =
+            crate::elaborate(&chain(&"u".repeat(400)), Some("m0")).expect_err("past the budget");
+        assert!(err.to_string().contains("elaboration budget"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!    tree). Nesting deeper than [`MAX_NESTING`] is an error, not a stack
 //!    overflow.
 //! 3. [`flatten`] — hierarchy inlining, parameter resolution, and for-loop
-//!    unrolling, yielding one flat [`Module`].
+//!    unrolling, yielding one flat [`Module`]. A design whose instances and
+//!    loops would copy more than [`ELABORATION_BUDGET`] nodes is an error,
+//!    not an unbounded allocation.
 //!
 //! [`elaborate`] runs all three. The front end copies as little as it can
 //! on the way: preprocessing borrows text it would not change (no
@@ -71,7 +73,7 @@ pub use ast::{
 pub use error::ParseVerilogError;
 pub use eval::Evaluator;
 pub use fingerprint::{design_fingerprint, Fingerprint, StableHasher};
-pub use flatten::{eval_const, flatten};
+pub use flatten::{eval_const, flatten, ELABORATION_BUDGET};
 pub use lexer::lex;
 pub use parser::{parse, MAX_NESTING};
 pub use preprocess::{preprocess, preprocess_owned, IncludeMap};

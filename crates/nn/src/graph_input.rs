@@ -59,24 +59,6 @@ impl GraphInput {
     pub fn node_count(&self) -> usize {
         self.kinds.len()
     }
-
-    /// Recomputes the normalized adjacency of the subgraph induced by `idx`
-    /// (the `A_pool` step of self-attention pooling).
-    pub fn pooled_adjacency(&self, idx: &[usize]) -> CsrMatrix {
-        let mut pos = vec![usize::MAX; self.node_count()];
-        for (new, &old) in idx.iter().enumerate() {
-            pos[old] = new;
-        }
-        let sub_edges: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .filter_map(|&(f, t)| {
-                let (nf, nt) = (pos[f], pos[t]);
-                (nf != usize::MAX && nt != usize::MAX).then_some((nf, nt))
-            })
-            .collect();
-        normalized_adjacency(idx.len(), &sub_edges)
-    }
 }
 
 #[cfg(test)]
@@ -115,17 +97,6 @@ mod tests {
         let want = mean_adjacency(g.node_count(), g.edges()).to_dense();
         assert_eq!(gi.mean_adj().to_dense(), want);
         assert!(gi.mean_adj.get().is_some());
-    }
-
-    #[test]
-    fn pooled_adjacency_restricts_to_subset() {
-        let gi = GraphInput::from_dfg(&tiny_dfg());
-        let sub = gi.pooled_adjacency(&[0, 1]);
-        assert_eq!(sub.rows(), 2);
-        let d = sub.to_dense();
-        // edge y-op survives, with self loops
-        assert!(d.get(0, 1) > 0.0);
-        assert!(d.get(0, 0) > 0.0);
     }
 
     #[test]

@@ -530,7 +530,7 @@ impl Hw2Vec {
     }
 
     /// FNV-1a checksum over the serialized config + weights — the
-    /// identity an embedding library is pinned to, so stale embeddings
+    /// identity a saved embedding index is pinned to, so stale embeddings
     /// are never served for different weights.
     pub fn weights_checksum(&self) -> u64 {
         fnv1a64(&self.to_bytes())

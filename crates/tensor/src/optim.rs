@@ -107,11 +107,6 @@ impl ParamStore {
     pub fn inject<'t>(&self, tape: &'t Tape) -> Vec<Var<'t>> {
         self.mats.iter().map(|m| tape.input(m.clone())).collect()
     }
-
-    /// Total number of scalar weights.
-    pub fn num_weights(&self) -> usize {
-        self.mats.iter().map(Matrix::len).sum()
-    }
 }
 
 /// A first-order optimizer over a [`ParamStore`].
@@ -278,7 +273,6 @@ mod tests {
         assert_eq!(params.name(a), "alpha");
         assert_eq!(params.name(b), "beta");
         assert_eq!(params.len(), 2);
-        assert_eq!(params.num_weights(), 2);
         let names: Vec<_> = params.iter().map(|(n, _)| n.to_string()).collect();
         assert_eq!(names, vec!["alpha", "beta"]);
     }

@@ -54,17 +54,17 @@ pub const BASE_VERSION: u16 = 1;
 ///
 /// `g4check` (the `gnn4ip-analysis` lint driver) cross-checks this table
 /// against the actual [`BinWriter::new`] / [`BinWriter::with_version`]
-/// call sites in source *and* against the artifact-format table in the
-/// README: a writer producing a pair missing here, a stale row no writer
-/// produces anymore, or a README table that drifted all fail CI. That
-/// makes an artifact version bump a three-line, impossible-to-forget
-/// change: the writer, this table, the README row.
+/// call sites in source and against the artifact-format table in the
+/// README. It reports a writer producing a pair missing here, a row here
+/// that no non-test writer produces, and a row here that has no README
+/// row. It does not report a README row whose pair is not registered, so
+/// deleting a kind means deleting its README row by hand. A version bump
+/// is a three-line change: the writer, this table, the README row.
 pub const FORMATS: &[(&str, u16)] = &[
     ("hw2vec-model", 1),
     ("engine-config", 1),
     ("gnn4ip-checkpoint", 1),
     ("gnn4ip-detector", 1),
-    ("gnn4ip-library", 1),
     ("gnn4ip-shard-index", 2),
     ("gnn4ip-audit-index", 2),
     ("gnn4ip-corpus-manifest", 1),

@@ -3,11 +3,10 @@
 //! "the manual review of hardware design is not feasible in practice").
 //!
 //! **Train once, then load.** The first run trains a detector with the
-//! checkpointing training engine, embeds the owned IP cores, and
-//! persists the binary artifacts (detector + embedding library of the
-//! owned cores) under `target/artifacts/ip_audit/`; every later run
-//! loads them in milliseconds and reproduces the same scores bit for bit
-//! — no retraining, no re-embedding. Delete the directory to retrain.
+//! checkpointing training engine and persists it as a binary artifact
+//! under `target/artifacts/ip_audit/`; every later run loads it in
+//! milliseconds, re-embeds the five owned cores, and reproduces the same
+//! scores bit for bit — no retraining. Delete the directory to retrain.
 //!
 //! Run with: `cargo run --release --example ip_audit`
 
@@ -21,14 +20,12 @@ use gnn4ip::{run_training_pipeline, Gnn4Ip};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let artifact_dir = Path::new("target/artifacts/ip_audit");
     let detector_path = artifact_dir.join("detector.bin");
-    let library_path = artifact_dir.join("library.bin");
 
     let detector = if detector_path.exists() {
         let t0 = std::time::Instant::now();
-        let mut d = Gnn4Ip::load(&detector_path)?;
-        let n = d.load_library(&library_path)?;
+        let d = Gnn4Ip::load(&detector_path)?;
         println!(
-            "Loaded trained detector + {n}-entry embedding library from {} in {:.1} ms \
+            "Loaded trained detector from {} in {:.1} ms \
              (delete the directory to retrain).\n",
             artifact_dir.display(),
             t0.elapsed().as_secs_f64() * 1e3
@@ -72,15 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             outcome.delta,
             artifacts.detector.parent().expect("dir").display()
         );
-        // the pipeline cached the training corpus; this audit screens
-        // against the owned cores only, so persist a library of those
-        let d = outcome.detector;
-        d.clear_cache();
-        d
+        outcome.detector
     };
 
-    // The IP library we own: named cores embedded once, in one batch —
-    // a warm start serves all of them from the loaded library artifact.
+    // The IP library we own: named cores embedded once, in one batch.
     let library: Vec<_> = named_rtl_designs()
         .into_iter()
         .filter(|d| ["fpa", "aes", "crc8", "hamming", "barrel"].contains(&d.name.as_str()))
@@ -90,12 +82,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|d| (d.source.as_str(), Some(d.top.as_str())))
         .collect();
     let embeddings = detector.embed_many(&owned)?;
-    let owned_stats = detector.cache_stats();
-    if owned_stats.misses > 0 {
-        // first run: the cache just embedded the owned cores — persist
-        // them so later runs never re-embed
-        detector.save_library(&library_path)?;
-    }
     let mut index = EmbeddingIndex::new(embeddings[0].len());
     for (label, e) in embeddings.iter().enumerate() {
         index.insert(e, label);

@@ -1,7 +1,9 @@
 //! The `gnn4ip` binary end to end: `train` writes a binary detector that
 //! `inspect`, `check` and `scan` read; `scan` ranks every library file;
-//! and a library file that does not parse, or a `--model` that is not a
-//! `G4IP` artifact, fails the command with a message naming the cause.
+//! `ingest` builds and appends to a `.g4a` corpus that `inspect` and
+//! `audit` read; and a library file that does not parse, or a `--model`
+//! that is not a `G4IP` artifact or was not the corpus's, fails the
+//! command with a message naming the cause.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -106,5 +108,93 @@ fn model_flag_refuses_a_text_detector() {
     let check = gnn4ip(&dir, &["check", "a.v", "a.v", "--model", "detector.txt"]);
     assert_eq!(check.status.code(), Some(1), "{}", stderr(&check));
     assert!(stderr(&check).contains("bad magic"), "{}", stderr(&check));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ingest_appends_a_corpus_that_inspect_and_audit_read() {
+    let dir = workdir("corpus");
+    let ingest = gnn4ip(&dir, &["ingest", "a.v", "b.v", "--index", "corpus.g4a"]);
+    assert!(ingest.status.success(), "ingest: {}", stderr(&ingest));
+    assert!(stdout(&ingest).contains("corpus=2"), "{}", stdout(&ingest));
+    let append = gnn4ip(&dir, &["ingest", "c.v", "--index", "corpus.g4a"]);
+    assert!(append.status.success(), "append: {}", stderr(&append));
+    assert!(stdout(&append).contains("corpus=3"), "{}", stdout(&append));
+
+    let inspect = gnn4ip(&dir, &["inspect", "corpus.g4a"]);
+    assert!(inspect.status.success(), "inspect: {}", stderr(&inspect));
+    let text = stdout(&inspect);
+    assert!(text.contains("kind        gnn4ip-audit-index"), "{text}");
+    assert!(text.contains("registered  yes"), "{text}");
+    assert!(text.contains("designs     3"), "{text}");
+
+    let audit = gnn4ip(&dir, &["audit", "a.v", "--index", "corpus.g4a"]);
+    assert!(audit.status.success(), "audit: {}", stderr(&audit));
+    assert!(
+        stdout(&audit).contains("best=a.v:+1.0000"),
+        "{}",
+        stdout(&audit)
+    );
+
+    // 163 bytes that unroll to a million statements: refused with a line
+    // naming the budget, and the command still succeeds
+    let loops = "module m(input a, output reg y); integer i, j; always @(*) begin y = 0; \
+                 for (i = 0; i < 1000; i = i + 1) for (j = 0; j < 1000; j = j + 1) \
+                 y = y ^ a; end endmodule\n";
+    std::fs::write(dir.join("loops.v"), loops).expect("writes");
+    let audit = gnn4ip(&dir, &["audit", "loops.v", "--index", "corpus.g4a"]);
+    assert!(audit.status.success(), "audit: {}", stderr(&audit));
+    let text = stdout(&audit);
+    let budget = format!(
+        "elaboration budget of {} nodes",
+        gnn4ip::hdl::ELABORATION_BUDGET
+    );
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("ERR") && l.contains("loops.v") && l.contains(&budget)),
+        "{text}"
+    );
+    assert!(text.contains("rejected=1"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ingest_check_writes_nothing_when_a_design_fails() {
+    let dir = workdir("check");
+    std::fs::write(dir.join("broken.v"), "modul brok(input a\n").expect("writes");
+    let before = std::fs::read_dir(&dir).expect("lists").count();
+    let check = gnn4ip(&dir, &["ingest", "--check", "a.v", "broken.v"]);
+    assert_eq!(check.status.code(), Some(1), "{}", stderr(&check));
+    let said = format!("{}{}", stdout(&check), stderr(&check));
+    assert!(said.contains("broken.v"), "{said}");
+    assert_eq!(std::fs::read_dir(&dir).expect("lists").count(), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn audit_refuses_a_detector_with_other_weights() {
+    let dir = workdir("weights");
+    let ingest = gnn4ip(&dir, &["ingest", "a.v", "b.v", "--index", "corpus.g4a"]);
+    assert!(ingest.status.success(), "ingest: {}", stderr(&ingest));
+    gnn4ip::Gnn4Ip::with_seed(7)
+        .save(dir.join("other.bin"))
+        .expect("saves");
+    let audit = gnn4ip(
+        &dir,
+        &[
+            "audit",
+            "a.v",
+            "--index",
+            "corpus.g4a",
+            "--model",
+            "other.bin",
+        ],
+    );
+    assert_eq!(audit.status.code(), Some(1), "{}", stdout(&audit));
+    assert!(
+        stderr(&audit).contains("built by weights"),
+        "{}",
+        stderr(&audit)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
