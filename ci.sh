@@ -94,12 +94,21 @@ stage_service() {
     # line while its worker serves on, and five bodies past the
     # elaboration budget -- nested loops and doubling module chains --
     # each answered with an ERR line naming the budget before the next
-    # audit gets its verdict), the in-place body reader against
-    # the per-line reference at every buffer capacity from 1 to 64 bytes,
-    # and the proptest that a query's hits do not depend on the batch it
-    # is scored in
+    # audit gets its verdict), the even split of the queue over the
+    # workers (a_worker_drains_an_even_share_of_the_queue, and
+    # a_burst_split_across_workers_is_answered_in_order_as_serial_audits:
+    # 40 AUDITs, one malformed, to two workers taking at most 8 each,
+    # answered in order with the serial verdicts), the in-place body
+    # reader against the per-line reference at every buffer capacity from
+    # 1 to 64 bytes, and the proptest that a query's hits do not depend
+    # on the batch it is scored in; then
+    # snapshot_audit_many_matches_pipeline: the snapshot's audit_many,
+    # all on the calling thread, gives the verdicts and rejections of the
+    # pipeline's fanned-out one bit for bit, and ingest at one and two
+    # threads writes the same index bytes
     cargo test -q --release --offline -p gnn4ip-core service::
     cargo test -q --release --offline --test properties -- batch_composition
+    cargo test -q --release --offline -p gnn4ip-core snapshot_audit_many_matches_pipeline
 }
 
 stage_corpus() {

@@ -112,7 +112,6 @@ fn bench_query_pruned_vs_exhaustive(c: &mut Criterion) {
     let serial = QueryOptions {
         prune: false,
         threads: 1,
-        parallel_min_rows: usize::MAX,
     };
     let pruned = QueryOptions {
         prune: true,
@@ -148,8 +147,8 @@ fn bench_query_pruned_vs_exhaustive(c: &mut Criterion) {
 }
 
 fn bench_query_parallel_vs_serial(c: &mut Criterion) {
-    // 64 shards x 1k rows: big enough that threading could matter; the
-    // options force the two paths regardless of the default row gate
+    // 64 shards x 1k rows: big enough that threading could matter; an
+    // explicit thread count forces the fan-out below the default row gate
     let entries = random_embeddings(65536, 29);
     let mut index = ShardedEmbeddingIndex::new(DIM, 1024);
     for (i, e) in entries.iter().enumerate() {
@@ -159,12 +158,10 @@ fn bench_query_parallel_vs_serial(c: &mut Criterion) {
     let serial = QueryOptions {
         prune: false,
         threads: 1,
-        parallel_min_rows: usize::MAX,
     };
     let parallel = QueryOptions {
         prune: false,
-        threads: 0,
-        parallel_min_rows: 0,
+        threads: std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
     };
     let (a, _) = index.query_opts(&query, 10, &serial);
     let (b, stats) = index.query_opts(&query, 10, &parallel);

@@ -140,7 +140,6 @@ fn main() {
     let opts = QueryOptions {
         prune: false,
         threads: 1,
-        parallel_min_rows: usize::MAX,
     };
     let queries: Vec<Vec<f32>> = (0..batch)
         .map(|q| clustered_query(q, dim, clusters))

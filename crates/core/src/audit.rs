@@ -7,10 +7,9 @@
 //! loop made concrete:
 //!
 //! ```text
-//! Verilog sources ── batch ──► parse → DFG → GraphInput   (fan_out workers)
-//!                                   │
-//!                                   ▼
-//!                         Hw2Vec::embed_batch             (tape-free)
+//! Verilog sources ── batch ──► parse → DFG → GraphInput → Hw2Vec::forward_infer
+//!                               (one fan_out over AuditConfig::threads;
+//!                                a snapshot runs it on the calling thread)
 //!                                   │
 //!                                   ▼
 //!                      ShardedEmbeddingIndex::insert      (bounded memory)
@@ -18,10 +17,11 @@
 //!        audit(suspect) ──► hw2vec → top-k query ──► AuditVerdict
 //! ```
 //!
-//! Each ingest batch is parsed in parallel, embedded through the batched
-//! tape-free forward pass, inserted into fixed-capacity shards, and then
-//! *dropped* — the pipeline never holds more than one batch of graphs, so
-//! memory stays bounded no matter how large the corpus grows. The filled
+//! Each ingest batch goes through one front-end pass: every source is
+//! parsed, turned into a graph and embedded through the tape-free forward
+//! pass by the same fan-out worker, and each graph is dropped as soon as
+//! it is embedded. The embeddings are inserted into fixed-capacity shards,
+//! so memory stays bounded no matter how large the corpus grows. The filled
 //! index persists through the `G4IP` binary artifact format, pinned to the
 //! detector's weights checksum: an index built by other weights is
 //! rejected at load rather than silently serving stale similarities.
@@ -54,7 +54,7 @@ use gnn4ip_data::{
 use gnn4ip_dfg::graph_from_verilog;
 use gnn4ip_eval::{QueryHit, QueryOptions, ShardedEmbeddingIndex};
 use gnn4ip_hdl::ParseVerilogError;
-use gnn4ip_nn::{fan_out, GraphInput};
+use gnn4ip_nn::{fan_out, GraphInput, Workspace};
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter};
 
 use crate::api::Gnn4Ip;
@@ -79,15 +79,20 @@ pub struct AuditConfig {
     /// Designs parsed + embedded per streaming ingest batch — the memory
     /// high-water mark of [`AuditPipeline::ingest`].
     pub batch_size: usize,
-    /// Worker threads for the parse stage (`0` = one per core).
+    /// Worker threads for the front end (parse, graph, embed) of
+    /// [`AuditPipeline::ingest`] and [`AuditPipeline::audit_many`]
+    /// (`0` = one per core). An [`AuditSnapshot`] ignores it and runs on
+    /// the calling thread: its callers (serve's workers) are the
+    /// parallelism.
     pub threads: usize,
     /// Neighbors reported per [`AuditPipeline::audit`] verdict. `0` is a
     /// degenerate but legal setting: every verdict carries no matches and
     /// never flags piracy.
     pub top_k: usize,
-    /// Query tuning (pruning, threading, the parallel-scan row gate)
-    /// applied to every verdict query. Results are bit-identical for
-    /// every setting; only the work spent changes.
+    /// Query tuning (pruning, threading) applied to every verdict query.
+    /// A snapshot keeps the pruning and scans on the calling thread.
+    /// Results are bit-identical for every setting; only the work spent
+    /// changes.
     pub query: QueryOptions,
 }
 
@@ -460,8 +465,11 @@ impl AuditPipeline {
             index: self.index.snapshot(),
             names: self.names.clone(),
             top_k: self.config.top_k,
-            query: self.config.query,
-            threads: self.config.threads,
+            // readers are threads already: a snapshot's scans stay on them
+            query: QueryOptions {
+                threads: 1,
+                ..self.config.query
+            },
             batch_size: self.config.batch_size,
         }
     }
@@ -491,12 +499,14 @@ impl AuditPipeline {
     }
 
     /// Streams designs into the index in batches of
-    /// [`AuditConfig::batch_size`]: each batch is parsed to [`GraphInput`]s
-    /// across [`fan_out`] workers, embedded through the tape-free
-    /// [`embed_batch`](gnn4ip_nn::Hw2Vec::embed_batch), inserted into the
-    /// shards, and dropped before the next batch starts — memory stays
-    /// bounded by one batch regardless of corpus size. Malformed sources
-    /// are recorded in the report and skipped, never aborting the stream.
+    /// [`AuditConfig::batch_size`]: each batch is parsed and embedded
+    /// across [`fan_out`] workers (parse → DFG → [`GraphInput`] →
+    /// tape-free [`forward_infer`](gnn4ip_nn::Hw2Vec::forward_infer)),
+    /// inserted into the shards, and dropped before the next batch starts
+    /// — memory stays bounded by one batch regardless of corpus size. The
+    /// index bytes do not depend on [`AuditConfig::threads`]. Malformed
+    /// sources are recorded in the report and skipped, never aborting the
+    /// stream.
     pub fn ingest<I>(&mut self, sources: I) -> IngestReport
     where
         I: IntoIterator<Item = AuditSource>,
@@ -515,38 +525,16 @@ impl AuditPipeline {
 
     /// Parses, embeds, and indexes one buffered batch, clearing it.
     fn flush(&mut self, batch: &mut Vec<AuditSource>, report: &mut IngestReport) {
-        if batch.is_empty() {
-            return;
-        }
-        let parsed: Vec<Result<GraphInput, ParseVerilogError>> =
-            fan_out(batch, self.config.threads, |_tid, chunk| {
-                chunk
-                    .iter()
-                    .map(|s| {
-                        graph_from_verilog(&s.source, s.top.as_deref())
-                            .map(|g| GraphInput::from_dfg(&g))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut graphs = Vec::new();
-        let mut graph_sources = Vec::new();
-        for (source, result) in batch.drain(..).zip(parsed) {
+        let embedded = embed_sources(&self.detector, batch, self.config.threads);
+        for (source, result) in batch.drain(..).zip(embedded) {
             match result {
-                Ok(g) => {
-                    graphs.push(g);
-                    graph_sources.push(source);
+                Ok(embedding) => {
+                    self.index.insert(&embedding, self.names.len());
+                    self.names.push(source.name);
+                    report.ingested += 1;
                 }
                 Err(e) => report.rejected.push((source.name, e.to_string())),
             }
-        }
-        let embeddings = self.detector.model().embed_batch(&graphs);
-        for (source, embedding) in graph_sources.into_iter().zip(embeddings) {
-            self.index.insert(&embedding, self.names.len());
-            self.names.push(source.name);
-            report.ingested += 1;
         }
     }
 
@@ -581,14 +569,12 @@ impl AuditPipeline {
     }
 
     /// Audits a whole portfolio of suspects as one pipeline: each batch of
-    /// [`AuditConfig::batch_size`] suspects is parsed across [`fan_out`]
-    /// workers, embedded through the tape-free
-    /// [`embed_batch`](gnn4ip_nn::Hw2Vec::embed_batch), and scored with a
-    /// **single** [`ShardedEmbeddingIndex::query_many`] call — one shard
-    /// pass over the whole batch instead of one walk per suspect —
-    /// so a directory of suspects flows through the same
-    /// parse → DFG → embed → query stages as ingest, with memory bounded
-    /// by one batch.
+    /// [`AuditConfig::batch_size`] suspects goes through ingest's front
+    /// end (parse → DFG → embed, across [`AuditConfig::threads`]
+    /// [`fan_out`] workers) and is scored with a **single**
+    /// [`ShardedEmbeddingIndex::query_many`] call — one shard pass over
+    /// the whole batch instead of one walk per suspect — with memory
+    /// bounded by one batch.
     ///
     /// Returns one verdict per suspect, in input order (`None` for
     /// suspects that failed to parse, with the error recorded in the
@@ -752,9 +738,40 @@ fn verdict_from_hits(hits: Vec<QueryHit>, names: &NameLog, delta: f32) -> AuditV
     }
 }
 
+/// The one front end of ingest and batched audit: each source goes
+/// through parse → DFG → [`GraphInput`] →
+/// [`forward_infer`](gnn4ip_nn::Hw2Vec::forward_infer) inside one
+/// [`fan_out`] over `threads` workers (`1` stays on the calling thread).
+/// Each chunk owns one [`Workspace`], dropped when the call returns, and
+/// each graph is dropped as soon as it is embedded. One result per
+/// source, in input order.
+fn embed_sources(
+    detector: &Gnn4Ip,
+    sources: &[AuditSource],
+    threads: usize,
+) -> Vec<Result<Vec<f32>, ParseVerilogError>> {
+    let model = detector.model();
+    fan_out(sources, threads, |_tid, chunk| {
+        let mut ws = Workspace::new();
+        chunk
+            .iter()
+            .map(|s| -> Result<Vec<f32>, ParseVerilogError> {
+                // the DFG is dropped before the forward pass, whose
+                // scratch can then reuse its memory
+                let graph = GraphInput::from_dfg(&graph_from_verilog(&s.source, s.top.as_deref())?);
+                Ok(model.forward_infer(&graph, &mut ws))
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// The one batched-audit implementation, shared by
 /// [`AuditPipeline::audit_many`] and [`AuditSnapshot::audit_many`]:
-/// chunked parse (fan-out) → batched embed → one `query_many` per chunk.
+/// per chunk, one front-end pass ([`embed_sources`] over `threads`
+/// workers) and one `query_many`.
 #[allow(clippy::too_many_arguments)]
 fn audit_many_impl(
     detector: &Gnn4Ip,
@@ -770,34 +787,18 @@ fn audit_many_impl(
     let mut verdicts: Vec<Option<AuditVerdict>> = Vec::with_capacity(suspects.len());
     let mut report = BatchReport::default();
     for chunk in suspects.chunks(batch_size.max(1)) {
-        let parsed: Vec<Result<GraphInput, ParseVerilogError>> =
-            fan_out(chunk, threads, |_tid, part| {
-                part.iter()
-                    .map(|s| {
-                        graph_from_verilog(&s.source, s.top.as_deref())
-                            .map(|g| GraphInput::from_dfg(&g))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut graphs = Vec::new();
-        let mut slots = Vec::new(); // verdict position of each parsed graph
-        for (suspect, result) in chunk.iter().zip(parsed) {
+        let mut embeddings = Vec::new();
+        let mut slots = Vec::new(); // verdict position of each embedding
+        for (suspect, result) in chunk.iter().zip(embed_sources(detector, chunk, threads)) {
             match result {
-                Ok(g) => {
-                    graphs.push(g);
+                Ok(embedding) => {
+                    embeddings.push(embedding);
                     slots.push(verdicts.len());
-                    verdicts.push(None);
                 }
-                Err(e) => {
-                    report.rejected.push((suspect.name.clone(), e.to_string()));
-                    verdicts.push(None);
-                }
+                Err(e) => report.rejected.push((suspect.name.clone(), e.to_string())),
             }
+            verdicts.push(None);
         }
-        let embeddings = detector.model().embed_batch(&graphs);
         report.audited += slots.len();
         if top_k == 0 || index.is_empty() {
             for slot in slots {
@@ -861,8 +862,8 @@ pub struct AuditSnapshot {
     index: ShardedEmbeddingIndex,
     names: NameLog,
     top_k: usize,
+    /// The pipeline's query options at `threads: 1`.
     query: QueryOptions,
-    threads: usize,
     batch_size: usize,
 }
 
@@ -925,9 +926,11 @@ impl AuditSnapshot {
     }
 
     /// [`AuditPipeline::audit_many`] against the snapshot's frozen
-    /// corpus: chunked parse → batched embed → one `query_many` per
-    /// chunk. This is what serve-loop reader threads run, so a whole
-    /// drained request batch is scored in one shard walk.
+    /// corpus, run entirely on the calling thread: the same front end and
+    /// one `query_many` per chunk, but nothing is spawned. This is what
+    /// serve's workers run, so the worker pool is the service's only
+    /// parallelism and a whole drained request batch is scored in one
+    /// shard walk. Verdicts are bit-identical to the pipeline's.
     pub fn audit_many(&self, suspects: &[AuditSource]) -> (Vec<Option<AuditVerdict>>, BatchReport) {
         audit_many_impl(
             &self.detector,
@@ -935,7 +938,7 @@ impl AuditSnapshot {
             &self.names,
             self.top_k,
             &self.query,
-            self.threads,
+            1,
             self.batch_size,
             suspects,
         )
@@ -1317,18 +1320,65 @@ mod tests {
         assert_eq!((report.audited, report.flagged), (1, 0));
     }
 
+    /// A verdict as `(piracy, [(name, label, score bits, piracy)])`:
+    /// `AuditMatch`'s `==` compares scores as floats.
+    fn verdict_bits(v: &AuditVerdict) -> (bool, Vec<(String, usize, u32, bool)>) {
+        let matches = v.matches.iter();
+        let bits = matches.map(|m| (m.name.clone(), m.label, m.score.to_bits(), m.piracy));
+        (v.piracy, bits.collect())
+    }
+
+    /// The snapshot runs the front end on the calling thread; the
+    /// pipeline fans it out over two workers per batch of two. Verdicts,
+    /// rejections and index bytes do not depend on which.
     #[test]
     fn snapshot_audit_many_matches_pipeline() {
-        let p = pipeline();
+        const AND2: &str = "module a2(input a, input b, output y); assign y = a & b; endmodule";
+        let corpus = [
+            AuditSource::new("inv", INV, None),
+            AuditSource::new("xor2", XOR2, None),
+            AuditSource::new("broken", "module broken(", None),
+            AuditSource::new("add", ADD, None),
+            AuditSource::new("and2", AND2, None),
+        ];
+        let fanned = AuditConfig {
+            threads: 2,
+            batch_size: 2,
+            ..small_config()
+        };
+        let mut p = AuditPipeline::new(Gnn4Ip::with_seed(6), fanned);
+        let mut serial = AuditPipeline::new(Gnn4Ip::with_seed(6), small_config());
+        assert_eq!(p.ingest(corpus.clone()), serial.ingest(corpus));
+        assert_eq!(p.len(), 4);
+        assert_eq!(
+            p.index_bytes(),
+            serial.index_bytes(),
+            "ingest at threads 1 and 2"
+        );
+
         let snap = p.snapshot();
         let suspects = vec![
             AuditSource::new("a", XOR2, None),
             AuditSource::new("b", ADD, None),
+            AuditSource::new("c", "module broken(", None),
+            AuditSource::new("d", AND2, None),
+            AuditSource::new("e", INV, None),
+            AuditSource::new("f", "module m(input a); endmodule", None),
         ];
-        let (from_pipeline, _) = p.audit_many(&suspects);
+        let (from_pipeline, pipeline_report) = p.audit_many(&suspects);
         let (from_snapshot, report) = snap.audit_many(&suspects);
-        assert_eq!(from_pipeline, from_snapshot);
-        assert_eq!(report.audited, 2);
+        assert_eq!(report, pipeline_report);
+        assert_eq!(report.audited, 4);
+        let rejected: Vec<&str> = report.rejected.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(rejected, ["c", "f"]);
+        assert_eq!(from_pipeline.len(), suspects.len());
+        for (i, (a, b)) in from_pipeline.iter().zip(&from_snapshot).enumerate() {
+            assert_eq!(
+                a.as_ref().map(verdict_bits),
+                b.as_ref().map(verdict_bits),
+                "suspect {i}"
+            );
+        }
     }
 
     #[test]

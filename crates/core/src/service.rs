@@ -31,9 +31,11 @@
 //!
 //! ```text
 //! input ──► parser/writer thread ──► BoundedQueue ──► N audit workers
-//!             (INGEST/PUBLISH/          (capacity-      (drain ≤ max_batch,
-//!              STATS/SHUTDOWN            bounded          score one batch per
-//!              handled inline)           push blocks)     snapshot query_many)
+//!             (INGEST/PUBLISH/          (capacity-      (each drains an even
+//!              STATS/SHUTDOWN            bounded          share, ≤ max_batch,
+//!              handled inline)           push blocks)     and scores it on its
+//!                    │                                    own thread: parse →
+//!                    │                                    embed → query_many)
 //!                    │                                         │
 //!                    └────────── response tickets ─────────────┘
 //!                                (responder thread writes in request order)
@@ -42,10 +44,15 @@
 //! The queue is the backpressure valve: when audit workers fall behind,
 //! [`BoundedQueue::push`] blocks the parser, which stops consuming
 //! input, which stalls the client — requests are never dropped and
-//! memory never grows past `queue_capacity` in-flight audits. Workers
-//! drain up to [`ServiceConfig::max_batch`] requests at once and score
-//! them with a single [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) call, so a saturated
-//! service scores each shard once per batch, not once per request. Workers
+//! memory never grows past `queue_capacity` in-flight audits. The workers
+//! are the service's only parallelism: each scores its batch with a
+//! single [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) call, which runs the whole
+//! front end and the shard walk on the worker's own thread and spawns
+//! nothing. A worker takes an even share of what is queued — the request
+//! it popped plus the ones behind it, split over the workers — up to
+//! [`ServiceConfig::max_batch`], so no worker holds the whole in-flight
+//! window while the others sit idle, and a saturated service still scores
+//! each shard once per batch, not once per request. Workers
 //! audit against whatever snapshot the pipeline's
 //! [`PublicationSlot`](crate::PublicationSlot) currently serves
 //! (`load_if_newer`: one atomic read when nothing changed); `INGEST`
@@ -240,13 +247,17 @@ impl<T> BoundedQueue<T> {
 /// Tuning knobs of [`run_service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Audit worker (reader) threads.
+    /// Audit worker (reader) threads: the service's only parallelism,
+    /// since each worker audits its batch on its own thread. Defaults to
+    /// [`std::thread::available_parallelism`], so every core serves.
     pub workers: usize,
     /// Capacity of the bounded request queue — the number of in-flight
     /// audits at which the parser stops consuming input (backpressure).
     pub queue_capacity: usize,
     /// Most audit requests one worker drains into a single
-    /// [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) batch.
+    /// [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) batch. Below the cap a worker
+    /// takes an even share, ⌈(queued + 1) / workers⌉, of the requests
+    /// waiting when it wakes.
     pub max_batch: usize,
     /// Most bytes one AUDIT/INGEST body may hold. A dot-stuffed body
     /// arrives before the handler sees any of it, so without this cap a
@@ -259,7 +270,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            workers: 2,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 64,
             max_batch: 32,
             max_body_bytes: 1 << 20,
@@ -539,6 +550,14 @@ fn read_body(
     }
 }
 
+/// How many requests a worker takes when it wakes with one request popped
+/// and `queued` more behind it: an even share of all of them over
+/// `workers`, at most `max_batch`. Both are at least 1, so the worker
+/// always takes the one it holds.
+fn drain_share(queued: usize, workers: usize, max_batch: usize) -> usize {
+    (queued + 1).div_ceil(workers).min(max_batch)
+}
+
 /// Scores one worker batch against `snapshot` and returns one response
 /// line per suspect, in order. A panic inside the audit answers every
 /// suspect of the batch with `ERR audit <name>: internal error`, counted
@@ -642,11 +661,13 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                 // g4check: allow(unwrap-in-lib): run_service publishes before spawning workers
                 let mut current = slot.load().expect("service publishes before spawning");
                 while let Some(first) = queue.pop() {
-                    // drain whatever else is already queued — up to the
-                    // batch cap — so a saturated service amortizes one
-                    // snapshot lookup and one query_many over the batch
+                    // take an even share of what is queued, up to the
+                    // batch cap: a saturated service amortizes one
+                    // snapshot lookup and one query_many over the batch,
+                    // and leaves the rest to the other workers
+                    let share = drain_share(queue.len(), workers, max_batch);
                     let mut jobs = vec![first];
-                    jobs.extend(std::iter::from_fn(|| queue.try_pop()).take(max_batch - 1));
+                    jobs.extend(std::iter::from_fn(|| queue.try_pop()).take(share - 1));
                     if let Some(newer) = slot.load_if_newer(current.epoch()) {
                         current = newer;
                     }
@@ -1389,6 +1410,74 @@ mod tests {
         assert_eq!(lines[8], "OK bye");
         assert_eq!((report.audits, report.rejected), (3, 2));
         assert_eq!(report.latency.count, 5, "every audit request timed");
+    }
+
+    /// With one request popped and 31 behind it, each of two workers
+    /// takes half; a lone worker takes up to the batch cap.
+    #[test]
+    fn a_worker_drains_an_even_share_of_the_queue() {
+        assert_eq!(drain_share(31, 2, 32), 16);
+        assert_eq!(drain_share(31, 1, 8), 8);
+        assert_eq!(drain_share(31, 1, 64), 32);
+        assert_eq!(drain_share(100, 2, 32), 32, "the cap still holds");
+        assert_eq!(drain_share(2, 4, 32), 1, "never less than the popped one");
+        assert_eq!(drain_share(0, 2, 32), 1);
+    }
+
+    /// A burst of 40 AUDITs, one of them malformed, in one input to two
+    /// workers that take at most 8 requests at a time: one response line
+    /// per request, in request order, and each VERDICT line is the one a
+    /// serial audit of the same body against the served snapshot gives.
+    #[test]
+    fn a_burst_split_across_workers_is_answered_in_order_as_serial_audits() {
+        use gnn4ip_data::{synth_design, SynthSize};
+        let mut pipeline = service_pipeline();
+        let corpus = (0..6)
+            .map(|i| AuditSource::new(format!("c{i}"), synth_design(i, SynthSize::Small), None));
+        assert_eq!(pipeline.ingest(corpus).ingested, 6);
+        let _ = pipeline.publish();
+        // each body as the service stores it: every line ends in `\n`
+        let bodies: Vec<String> = (0..40u64)
+            .map(|i| {
+                let source = match i {
+                    17 => "module broken(".to_string(),
+                    _ => synth_design(i % 9, SynthSize::Small),
+                };
+                source.lines().map(|l| format!("{l}\n")).collect()
+            })
+            .collect();
+        let mut input = String::new();
+        for (i, body) in bodies.iter().enumerate() {
+            input.push_str(&format!("AUDIT s{i}\n"));
+            for line in body.lines() {
+                let stuffed = if line.starts_with('.') { "." } else { "" };
+                input.push_str(&format!("{stuffed}{line}\n"));
+            }
+            input.push_str(".\n");
+        }
+        input.push_str("SHUTDOWN\n");
+        let config = ServiceConfig {
+            workers: 2,
+            max_batch: 8,
+            ..ServiceConfig::default()
+        };
+        let mut out: Vec<u8> = Vec::new();
+        let report =
+            run_service(&mut pipeline, &config, input.as_bytes(), &mut out).expect("service runs");
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 41, "one response per request:\n{text}");
+        let snapshot = pipeline.serving_slot().load().expect("published");
+        for (i, (body, line)) in bodies.iter().zip(&lines).enumerate() {
+            let name = format!("s{i}");
+            match snapshot.audit(body, None) {
+                Ok(verdict) => assert_eq!(*line, verdict_line(&name, &verdict)),
+                Err(_) => assert!(line.starts_with(&format!("ERR audit {name}: ")), "{line}"),
+            }
+        }
+        assert!(lines[17].starts_with("ERR audit s17: "), "{}", lines[17]);
+        assert_eq!(lines[40], "OK bye");
+        assert_eq!((report.audits, report.rejected), (39, 1));
     }
 
     /// Drains lines through the `.` terminator without storing them

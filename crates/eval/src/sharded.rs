@@ -73,11 +73,10 @@ pub const SHARD_INDEX_KIND: &str = "gnn4ip-shard-index";
 /// shard. v1 artifacts still load; the bounds are recomputed.
 const SHARD_INDEX_VERSION: u16 = 2;
 
-/// Default minimum number of indexed rows before [`query`] fans per-shard
-/// scans across worker threads. Below this, thread spawn/join overhead
-/// dwarfs the scan itself and queries stay single-threaded.
-///
-/// [`query`]: ShardedEmbeddingIndex::query
+/// Minimum number of indexed rows before a query at `threads: 0` (the
+/// [`QueryOptions`] default) fans per-shard scans across worker threads.
+/// Below this, thread spawn/join overhead dwarfs the scan itself and
+/// queries stay single-threaded.
 pub const PARALLEL_QUERY_MIN_ROWS: usize = 1 << 17;
 
 /// Additive slack applied to a sealed shard's score bound before it is
@@ -318,20 +317,22 @@ pub struct ShardedEmbeddingIndex {
 /// Tuning knobs for [`ShardedEmbeddingIndex::query_opts`].
 ///
 /// The defaults (used by [`ShardedEmbeddingIndex::query`]) enable bound
-/// pruning and gate the parallel scan behind
-/// [`PARALLEL_QUERY_MIN_ROWS`]. Whatever the options, query *results* are
-/// bit-identical — only the work done to produce them changes.
+/// pruning and let the index decide the threading: one worker per core,
+/// but only past [`PARALLEL_QUERY_MIN_ROWS`]. Whatever the options, query
+/// *results* are bit-identical — only the work done to produce them
+/// changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Skip sealed shards whose score bound cannot beat the query's
     /// floor: the worst score in its running top-k. Rows of a scanned
     /// shard that fall below that score cost one compare either way.
     pub prune: bool,
-    /// Worker threads for the per-shard scans (`0` = one per core).
+    /// Worker threads for the per-shard scans. `0` means one per core
+    /// once the index holds [`PARALLEL_QUERY_MIN_ROWS`] rows, and the
+    /// calling thread below that; `n ≥ 1` means exactly `n`, so a caller
+    /// that is already one of many threads passes `1` and the scan never
+    /// leaves its thread.
     pub threads: usize,
-    /// Minimum total indexed rows before scans fan out across threads;
-    /// smaller corpora always scan on the calling thread.
-    pub parallel_min_rows: usize,
 }
 
 impl Default for QueryOptions {
@@ -339,7 +340,6 @@ impl Default for QueryOptions {
         Self {
             prune: true,
             threads: 0,
-            parallel_min_rows: PARALLEL_QUERY_MIN_ROWS,
         }
     }
 }
@@ -826,15 +826,16 @@ impl ShardedEmbeddingIndex {
     ///   queries whose own bound (plus a rounding slack) still reaches
     ///   their floor, and the walk stops outright when the best remaining
     ///   bound loses to **every** query's full floor.
-    /// - **Parallelism.** When the corpus is at least
-    ///   `parallel_min_rows`, every floor is seeded from the tail and the
-    ///   single best-bound shard instead, the rest are pruned against
-    ///   those fixed floors (lower bounds of the final ones, so still
-    ///   sound), and the surviving `(shard, query subset)` scans fan out
-    ///   across [`fan_out`] workers. Each worker keeps its own top-k per
-    ///   query, and the caller pushes the workers' hits into each
-    ///   query's top-k. This prunes slightly
-    ///   less but keeps workers independent; the result never differs.
+    /// - **Parallelism.** When [`QueryOptions::threads`] asks for more
+    ///   than one worker (at `0`, once the corpus holds
+    ///   [`PARALLEL_QUERY_MIN_ROWS`] rows), every floor is seeded from the
+    ///   tail and the single best-bound shard instead, the rest are pruned
+    ///   against those fixed floors (lower bounds of the final ones, so
+    ///   still sound), and the surviving `(shard, query subset)` scans fan
+    ///   out across [`fan_out`] workers. Each worker keeps its own top-k
+    ///   per query, and the caller pushes the workers' hits into each
+    ///   query's top-k. This prunes slightly less but keeps workers
+    ///   independent; the result never differs.
     ///
     /// Each query gets its own [`QueryStats`]: a shard counts as probed
     /// (and its rows as scanned) for a query only when its rows were
@@ -890,10 +891,12 @@ impl ShardedEmbeddingIndex {
             }
         }
 
-        // worker threads engage only past the row gate, and only when the
-        // chunking would actually produce more than one worker
+        // worker threads engage only when the chunking would actually
+        // produce more than one worker, and at `threads: 0` only past the
+        // row gate
         let threaded = |shards: usize| {
-            total >= opts.parallel_min_rows && worker_count(shards, opts.threads) > 1
+            (opts.threads > 0 || total >= PARALLEL_QUERY_MIN_ROWS)
+                && worker_count(shards, opts.threads) > 1
         };
         // the scan step of both walks below: each `(shard, range of
         // qids)` item scans that shard for those queries, fanned out
@@ -1580,12 +1583,8 @@ mod tests {
     fn option_grid() -> Vec<QueryOptions> {
         let mut grid = Vec::new();
         for prune in [false, true] {
-            for (threads, parallel_min_rows) in [(1, usize::MAX), (3, 0), (0, 0)] {
-                grid.push(QueryOptions {
-                    prune,
-                    threads,
-                    parallel_min_rows,
-                });
+            for threads in [1, 3, 2] {
+                grid.push(QueryOptions { prune, threads });
             }
         }
         grid
@@ -1818,7 +1817,6 @@ mod tests {
         let opts = QueryOptions {
             prune: true,
             threads: 1,
-            parallel_min_rows: usize::MAX,
         };
         let queries = vec![q2.clone(), q5.clone()];
         assert_batch_matches_singletons(&sharded, &queries, 4, &opts, "clustered pair");
@@ -1854,7 +1852,6 @@ mod tests {
         let opts = QueryOptions {
             prune: true,
             threads: 1,
-            parallel_min_rows: usize::MAX,
         };
         let (hits, stats) = sharded.query_opts(&q, 4, &opts);
         assert_eq!(bits(&hits), bits(&flat.query(&q, 4)));
@@ -1886,22 +1883,20 @@ mod tests {
         let opts = QueryOptions {
             prune: false,
             threads: 4,
-            parallel_min_rows: 0,
         };
         let (hits, stats) = sharded.query_opts(&q, 7, &opts);
         assert_eq!(bits(&hits), bits(&flat.query(&q, 7)));
-        assert!(stats.parallel, "threshold 0 must engage the fan-out");
-        // below the threshold the same query stays serial
-        let (same, serial) = sharded.query_opts(
-            &q,
-            7,
-            &QueryOptions {
-                parallel_min_rows: usize::MAX,
-                ..opts
-            },
+        assert!(
+            stats.parallel,
+            "an explicit thread count must engage the fan-out"
         );
-        assert_eq!(bits(&same), bits(&hits));
-        assert!(!serial.parallel);
+        // at `threads: 0` the row gate decides, and 40 rows stay serial;
+        // `threads: 1` never leaves the calling thread
+        for threads in [0, 1] {
+            let (same, serial) = sharded.query_opts(&q, 7, &QueryOptions { threads, ..opts });
+            assert_eq!(bits(&same), bits(&hits));
+            assert!(!serial.parallel, "threads {threads}");
+        }
     }
 
     #[test]
@@ -1989,7 +1984,6 @@ mod tests {
         let opts = QueryOptions {
             prune: true,
             threads: 1,
-            parallel_min_rows: usize::MAX,
         };
         let (hits, stats) = sharded.query_opts(&[1.0, 0.05], 2, &opts);
         assert_eq!(bits(&hits), bits(&flat.query(&[1.0, 0.05], 2)));
@@ -2254,7 +2248,6 @@ mod tests {
         let opts = QueryOptions {
             prune: true,
             threads: 1,
-            parallel_min_rows: usize::MAX,
         };
         let before_hits = index.query(&q, 4);
         let (_, before) = index.query_opts(&q, 4, &opts);

@@ -549,6 +549,103 @@ fn resolve_range(
     }))
 }
 
+/// Binds a child's parameters for one instance: each takes the value of
+/// the last override that sets it — by name, or by position at its own
+/// index — else its default, evaluated with the parent's parameters
+/// substituted. Every matching override is evaluated, in list order, so
+/// one that does not evaluate refuses the design even when a later one
+/// wins. The named overrides are indexed once and each override is
+/// evaluated once, so binding is linear in the two lists.
+fn bind_params(
+    params: &[(String, Expr)],
+    overrides: &[(Option<String>, Expr)],
+    env: &HashMap<String, i64>,
+) -> Result<HashMap<String, i64>, ParseVerilogError> {
+    let mut named: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (j, (name, _)) in overrides.iter().enumerate() {
+        if let Some(name) = name {
+            named.entry(name).or_default().push(j);
+        }
+    }
+    let mut values: Vec<Option<i64>> = vec![None; overrides.len()];
+    let mut bound = HashMap::with_capacity(params.len());
+    for (i, (pname, pdefault)) in params.iter().enumerate() {
+        let mut by_name = named.get(pname.as_str()).map_or(&[][..], Vec::as_slice);
+        if let Some((&last, _)) = by_name.split_last() {
+            // a name bound before had all of its overrides evaluated
+            // then, so only the last one can matter again
+            if values[last].is_some() {
+                by_name = &by_name[by_name.len() - 1..];
+            }
+        }
+        let by_position = overrides
+            .get(i)
+            .filter(|(name, _)| name.is_none())
+            .map(|_| i);
+        let (before, after) = by_name.split_at(by_name.partition_point(|&j| j < i));
+        let mut value = None;
+        for j in before
+            .iter()
+            .copied()
+            .chain(by_position)
+            .chain(after.iter().copied())
+        {
+            value = Some(match values[j] {
+                Some(v) => v,
+                None => *values[j].insert(eval_const(&overrides[j].1, env)?),
+            });
+        }
+        let v = match value {
+            Some(v) => v,
+            None => {
+                // the parent's parameters are substituted before the
+                // child's defaults are evaluated
+                let mut default = pdefault.clone();
+                subst_expr(&mut default, env);
+                eval_const(&default, &bound)?
+            }
+        };
+        bound.insert(pname.clone(), v);
+    }
+    Ok(bound)
+}
+
+/// The connection each child port takes, as an index into `conns`: the
+/// first one that names the port or sits at its position — its index in
+/// the child's header `port_order`, or in `ports` when the child has no
+/// header order. The connections are indexed once, so binding is linear
+/// in the two lists.
+fn bind_ports(
+    ports: &[Port],
+    port_order: &[String],
+    conns: &[(Option<String>, Option<Expr>)],
+) -> Vec<Option<usize>> {
+    let mut first: HashMap<&str, usize> = HashMap::with_capacity(conns.len());
+    for (j, (name, _)) in conns.iter().enumerate() {
+        let port = match name {
+            Some(name) => Some(name.as_str()),
+            None => port_order.get(j).map(String::as_str),
+        };
+        if let Some(port) = port {
+            first.entry(port).or_insert(j);
+        }
+    }
+    ports
+        .iter()
+        .enumerate()
+        .map(|(i, port)| {
+            let headerless = port_order.is_empty() && conns.get(i).is_some_and(|c| c.0.is_none());
+            let by_index = headerless.then_some(i);
+            first
+                .get(port.name.as_str())
+                .copied()
+                .into_iter()
+                .chain(by_index)
+                .min()
+        })
+        .collect()
+}
+
 fn inline_instance(
     unit: &SourceUnit,
     inst: &ModuleInstance,
@@ -564,31 +661,7 @@ fn inline_instance(
         ))
     })?;
     budget.charge(module_nodes(child))?;
-    // Bind child parameters: defaults, then overrides.
-    let mut child_params = HashMap::new();
-    for (i, (pname, pdefault)) in child.params.iter().enumerate() {
-        let mut value = None;
-        for (j, (oname, oexpr)) in inst.param_overrides.iter().enumerate() {
-            let matches = match oname {
-                Some(n) => n == pname,
-                None => j == i,
-            };
-            if matches {
-                value = Some(eval_const(oexpr, env)?);
-            }
-        }
-        let v = match value {
-            Some(v) => v,
-            None => {
-                // the parent's parameters are substituted before the
-                // child's defaults are evaluated
-                let mut default = pdefault.clone();
-                subst_expr(&mut default, env);
-                eval_const(&default, &child_params)?
-            }
-        };
-        child_params.insert(pname.clone(), v);
-    }
+    let child_params = bind_params(&child.params, &inst.param_overrides, env)?;
     let flat_child = flatten_module(unit, child.clone(), &child_params, depth + 1, budget)?;
     let prefix = format!("{}__", inst.name);
     let rename = |n: &str| format!("{prefix}{n}");
@@ -598,26 +671,9 @@ fn inline_instance(
     let per_node = 1 + prefix.len() / 32;
 
     // Declare a net per child port and bridge to the parent expression.
-    for (i, port) in flat_child.ports.iter().enumerate() {
-        // find the parent connection
-        let conn: Option<&Expr> = {
-            let mut found = None;
-            for (j, (cname, cexpr)) in inst.conns.iter().enumerate() {
-                let matches = match cname {
-                    Some(n) => n == &port.name,
-                    None => {
-                        // positional: index in the child's header order
-                        flat_child.port_order.get(j).map(String::as_str) == Some(port.name.as_str())
-                            || (flat_child.port_order.is_empty() && j == i)
-                    }
-                };
-                if matches {
-                    found = cexpr.as_ref();
-                    break;
-                }
-            }
-            found
-        };
+    let bound = bind_ports(&flat_child.ports, &flat_child.port_order, &inst.conns);
+    for (port, conn) in flat_child.ports.iter().zip(bound) {
+        let conn = conn.and_then(|j| inst.conns[j].1.as_ref());
         let bridge = 1 + range_nodes(&port.range) + conn.map_or(0, |e| 1 + expr_nodes(e));
         budget.charge(bridge * per_node)?;
         out.items.push(Item::Decl {
@@ -978,5 +1034,156 @@ mod tests {
         )
         .expect("parses");
         assert!(flatten(&unit, "a").is_err());
+    }
+
+    /// The port scan `bind_ports` replaced: per port, the first
+    /// connection that names it or sits at its position.
+    fn reference_bind_ports(
+        ports: &[Port],
+        port_order: &[String],
+        conns: &[(Option<String>, Option<Expr>)],
+    ) -> Vec<Option<usize>> {
+        let at = |i: usize, j: usize, port: &Port, name: &Option<String>| match name {
+            Some(n) => n == &port.name,
+            None => {
+                port_order.get(j).map(String::as_str) == Some(port.name.as_str())
+                    || (port_order.is_empty() && j == i)
+            }
+        };
+        let ports = ports.iter().enumerate();
+        ports
+            .map(|(i, port)| (0..conns.len()).find(|&j| at(i, j, port, &conns[j].0)))
+            .collect()
+    }
+
+    /// The override scan `bind_params` replaced: every parameter scans
+    /// the whole override list, evaluating each match; the last wins.
+    fn reference_bind_params(
+        params: &[(String, Expr)],
+        overrides: &[(Option<String>, Expr)],
+        env: &HashMap<String, i64>,
+    ) -> Result<HashMap<String, i64>, ParseVerilogError> {
+        let mut child_params = HashMap::new();
+        for (i, (pname, pdefault)) in params.iter().enumerate() {
+            let mut value = None;
+            for (j, (oname, oexpr)) in overrides.iter().enumerate() {
+                let matches = match oname {
+                    Some(n) => n == pname,
+                    None => j == i,
+                };
+                if matches {
+                    value = Some(eval_const(oexpr, env)?);
+                }
+            }
+            let v = match value {
+                Some(v) => v,
+                None => {
+                    let mut default = pdefault.clone();
+                    subst_expr(&mut default, env);
+                    eval_const(&default, &child_params)?
+                }
+            };
+            child_params.insert(pname.clone(), v);
+        }
+        Ok(child_params)
+    }
+
+    /// A seeded xorshift stream for the generated binding lists.
+    struct Lists(u64);
+
+    impl Lists {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        /// A name from a small pool, so names repeat; `z` names nothing.
+        fn name(&mut self) -> String {
+            ["a", "b", "c", "d", "z"][self.below(5)].to_string()
+        }
+    }
+
+    /// Indexed port binding picks the scan's connection for every port
+    /// over generated connection lists: named, positional and mixed,
+    /// duplicate names, names of no port, ports nothing connects, and
+    /// header orders that are full, partial or absent.
+    #[test]
+    fn indexed_port_binding_matches_the_scan() {
+        let mut rng = Lists(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..4000 {
+            let ports: Vec<Port> = (0..rng.below(6))
+                .map(|_| Port {
+                    name: rng.name(),
+                    dir: PortDir::Input,
+                    is_reg: false,
+                    range: None,
+                })
+                .collect();
+            let port_order: Vec<String> = match rng.below(3) {
+                0 => Vec::new(),
+                1 => ports.iter().map(|p| p.name.clone()).collect(),
+                _ => (0..rng.below(6)).map(|_| rng.name()).collect(),
+            };
+            let conns: Vec<(Option<String>, Option<Expr>)> = (0..rng.below(8))
+                .map(|j| {
+                    let name = (rng.below(2) == 0).then(|| rng.name());
+                    let expr = (rng.below(4) > 0).then(|| Expr::ident(format!("n{j}")));
+                    (name, expr)
+                })
+                .collect();
+            assert_eq!(
+                bind_ports(&ports, &port_order, &conns),
+                reference_bind_ports(&ports, &port_order, &conns),
+                "ports {ports:?} order {port_order:?} conns {conns:?}"
+            );
+        }
+    }
+
+    /// Indexed parameter binding gives the scan's values, or its error,
+    /// over generated override lists: named, positional and mixed,
+    /// repeated names in either list, names of no parameter, overrides
+    /// and defaults that do not evaluate, and defaults that read earlier
+    /// parameters.
+    #[test]
+    fn indexed_parameter_binding_matches_the_scan() {
+        let mut rng = Lists(0xD1B5_4A32_D192_ED03);
+        let env = HashMap::from([("W".to_string(), 7i64)]);
+        let mut errors = 0;
+        for _ in 0..4000 {
+            let params: Vec<(String, Expr)> = (0..rng.below(6))
+                .map(|i| {
+                    let default = match rng.below(4) {
+                        0 => Expr::ident(rng.name()),
+                        1 => Expr::ident("W"),
+                        _ => Expr::number(100 + i as u64),
+                    };
+                    (rng.name(), default)
+                })
+                .collect();
+            let overrides: Vec<(Option<String>, Expr)> = (0..rng.below(8))
+                .map(|j| {
+                    let name = (rng.below(2) == 0).then(|| rng.name());
+                    let expr = match rng.below(8) {
+                        0 => Expr::ident(format!("bad{j}")),
+                        1 => Expr::ident("W"),
+                        _ => Expr::number(j as u64),
+                    };
+                    (name, expr)
+                })
+                .collect();
+            let want = reference_bind_params(&params, &overrides, &env);
+            errors += usize::from(want.is_err());
+            assert_eq!(
+                bind_params(&params, &overrides, &env),
+                want,
+                "params {params:?} overrides {overrides:?}"
+            );
+        }
+        assert!(
+            errors > 400,
+            "the lists must exercise failing evaluations: {errors}"
+        );
     }
 }

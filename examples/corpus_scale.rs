@@ -146,7 +146,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exhaustive = QueryOptions {
         prune: false,
         threads: 1,
-        parallel_min_rows: usize::MAX,
     };
     let routed = QueryOptions {
         prune: true,

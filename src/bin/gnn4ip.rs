@@ -296,11 +296,12 @@ fn serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("{path}: {e}"))?;
         eprintln!("corpus: {corpus} design(s)");
     }
+    let defaults = ServiceConfig::default();
     let config = ServiceConfig {
-        workers: flag_usize(args, "--workers", 2)?,
-        queue_capacity: flag_usize(args, "--queue-capacity", 64)?,
-        max_batch: flag_usize(args, "--max-batch", 32)?,
-        max_body_bytes: flag_usize(args, "--max-body-bytes", 1 << 20)?,
+        workers: flag_usize(args, "--workers", defaults.workers)?,
+        queue_capacity: flag_usize(args, "--queue-capacity", defaults.queue_capacity)?,
+        max_batch: flag_usize(args, "--max-batch", defaults.max_batch)?,
+        max_body_bytes: flag_usize(args, "--max-body-bytes", defaults.max_body_bytes)?,
     };
     match flag_value(args, "--socket") {
         Some(path) => serve_socket(&mut pipeline, &config, path),

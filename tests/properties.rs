@@ -387,8 +387,8 @@ proptest! {
             prop_assert_eq!(&a, &hit_bits(&sharded.query(&query, k)));
             // every pruning/threading combination produces the same bits
             for prune in [false, true] {
-                for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
-                    let opts = QueryOptions { prune, threads, parallel_min_rows };
+                for threads in [1, 2, 0] {
+                    let opts = QueryOptions { prune, threads };
                     let (c, _) = sharded.query_opts(&query, k, &opts);
                     prop_assert_eq!(&a, &hit_bits(&c), "opts {:?}", opts);
                 }
@@ -431,8 +431,8 @@ proptest! {
         for query in [target.clone(), skew] {
             let expect = hit_bits(&flat.query(&query, k));
             for prune in [false, true] {
-                for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
-                    let opts = QueryOptions { prune, threads, parallel_min_rows };
+                for threads in [1, 2, 0] {
+                    let opts = QueryOptions { prune, threads };
                     let (hits, _) = sharded.query_opts(&query, k, &opts);
                     prop_assert_eq!(&expect, &hit_bits(&hits), "opts {:?}", opts);
                     let batch = sharded.query_many(&[query.clone(), target.clone()], k, &opts);
@@ -490,8 +490,8 @@ proptest! {
             query[(target + 1) % dim] = 0.1;
         }
         let expect = hit_bits(&flat.query(&query, k));
-        for (threads, parallel_min_rows) in [(1, usize::MAX), (3, 0)] {
-            let opts = QueryOptions { prune: true, threads, parallel_min_rows };
+        for threads in [1, 3] {
+            let opts = QueryOptions { prune: true, threads };
             let (hits, stats) = sharded.query_opts(&query, k, &opts);
             prop_assert_eq!(&expect, &hit_bits(&hits), "opts {:?} stats {:?}", opts, stats);
             prop_assert!(stats.sealed_pruned <= stats.sealed_shards);
@@ -572,7 +572,6 @@ proptest! {
         let exhaustive = QueryOptions {
             prune: false,
             threads: 1,
-            parallel_min_rows: usize::MAX,
         };
         let (before, _) = index.query_opts(&query, k, &exhaustive);
         if rebalance_flag == 1 {
@@ -581,8 +580,8 @@ proptest! {
         let (after, _) = index.query_opts(&query, k, &exhaustive);
         let expect = hit_bits(&after);
         for prune in [false, true] {
-            for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
-                let opts = QueryOptions { prune, threads, parallel_min_rows };
+            for threads in [1, 2, 0] {
+                let opts = QueryOptions { prune, threads };
                 let (hits, _) = index.query_opts(&query, k, &opts);
                 prop_assert_eq!(&expect, &hit_bits(&hits), "opts {:?}", opts);
             }
@@ -636,8 +635,8 @@ proptest! {
             })
             .collect();
         for prune in [false, true] {
-            for (threads, parallel_min_rows) in [(1, usize::MAX), (2, 0), (0, 0)] {
-                let opts = QueryOptions { prune, threads, parallel_min_rows };
+            for threads in [1, 2, 0] {
+                let opts = QueryOptions { prune, threads };
                 let batched = index.query_many(&queries, k, &opts);
                 prop_assert_eq!(batched.len(), queries.len());
                 for (q, (hits, stats)) in queries.iter().zip(&batched) {
