@@ -103,9 +103,9 @@ stage_service() {
     # 1 to 64 bytes, and the proptest that a query's hits do not depend
     # on the batch it is scored in; then
     # snapshot_audit_many_matches_pipeline: the snapshot's audit_many,
-    # all on the calling thread, gives the verdicts and rejections of the
-    # pipeline's fanned-out one bit for bit, and ingest at one and two
-    # threads writes the same index bytes
+    # its front end on the calling thread, gives the verdicts and
+    # rejections of the pipeline's fanned-out one bit for bit, and ingest
+    # at one and two threads writes the same index bytes
     cargo test -q --release --offline -p gnn4ip-core service::
     cargo test -q --release --offline --test properties -- batch_composition
     cargo test -q --release --offline -p gnn4ip-core snapshot_audit_many_matches_pipeline

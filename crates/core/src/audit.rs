@@ -81,18 +81,17 @@ pub struct AuditConfig {
     pub batch_size: usize,
     /// Worker threads for the front end (parse, graph, embed) of
     /// [`AuditPipeline::ingest`] and [`AuditPipeline::audit_many`]
-    /// (`0` = one per core). An [`AuditSnapshot`] ignores it and runs on
-    /// the calling thread: its callers (serve's workers) are the
-    /// parallelism.
+    /// (`0` = one per core). An [`AuditSnapshot`] ignores it and runs its
+    /// front end on the calling thread: its callers (serve's workers) are
+    /// the parallelism.
     pub threads: usize,
     /// Neighbors reported per [`AuditPipeline::audit`] verdict. `0` is a
     /// degenerate but legal setting: every verdict carries no matches and
     /// never flags piracy.
     pub top_k: usize,
-    /// Query tuning (pruning, threading) applied to every verdict query.
-    /// A snapshot keeps the pruning and scans on the calling thread.
-    /// Results are bit-identical for every setting; only the work spent
-    /// changes.
+    /// Query tuning (pruning, threading) applied to every verdict query,
+    /// a snapshot's included. Results are bit-identical for every
+    /// setting; only the work spent changes.
     pub query: QueryOptions,
 }
 
@@ -465,11 +464,7 @@ impl AuditPipeline {
             index: self.index.snapshot(),
             names: self.names.clone(),
             top_k: self.config.top_k,
-            // readers are threads already: a snapshot's scans stay on them
-            query: QueryOptions {
-                threads: 1,
-                ..self.config.query
-            },
+            query: self.config.query,
             batch_size: self.config.batch_size,
         }
     }
@@ -862,7 +857,6 @@ pub struct AuditSnapshot {
     index: ShardedEmbeddingIndex,
     names: NameLog,
     top_k: usize,
-    /// The pipeline's query options at `threads: 1`.
     query: QueryOptions,
     batch_size: usize,
 }
@@ -926,11 +920,14 @@ impl AuditSnapshot {
     }
 
     /// [`AuditPipeline::audit_many`] against the snapshot's frozen
-    /// corpus, run entirely on the calling thread: the same front end and
-    /// one `query_many` per chunk, but nothing is spawned. This is what
-    /// serve's workers run, so the worker pool is the service's only
-    /// parallelism and a whole drained request batch is scored in one
-    /// shard walk. Verdicts are bit-identical to the pipeline's.
+    /// corpus: the same front end, run on the calling thread without
+    /// spawning, and one `query_many` per chunk under the pipeline's
+    /// [`AuditConfig::query`] (at the default `threads: 0` the scan stays
+    /// on the calling thread below
+    /// [`PARALLEL_QUERY_MIN_ROWS`](gnn4ip_eval::PARALLEL_QUERY_MIN_ROWS)
+    /// rows). This is what serve's workers run, so a whole drained request
+    /// batch is scored in one shard walk. Verdicts are bit-identical to
+    /// the pipeline's.
     pub fn audit_many(&self, suspects: &[AuditSource]) -> (Vec<Option<AuditVerdict>>, BatchReport) {
         audit_many_impl(
             &self.detector,

@@ -33,9 +33,9 @@
 //! input ──► parser/writer thread ──► BoundedQueue ──► N audit workers
 //!             (INGEST/PUBLISH/          (capacity-      (each drains an even
 //!              STATS/SHUTDOWN            bounded          share, ≤ max_batch,
-//!              handled inline)           push blocks)     and scores it on its
-//!                    │                                    own thread: parse →
-//!                    │                                    embed → query_many)
+//!              handled inline)           push blocks)     parses and embeds it
+//!                    │                                    on its own thread,
+//!                    │                                    then one query_many)
 //!                    │                                         │
 //!                    └────────── response tickets ─────────────┘
 //!                                (responder thread writes in request order)
@@ -45,10 +45,14 @@
 //! [`BoundedQueue::push`] blocks the parser, which stops consuming
 //! input, which stalls the client — requests are never dropped and
 //! memory never grows past `queue_capacity` in-flight audits. The workers
-//! are the service's only parallelism: each scores its batch with a
-//! single [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) call, which runs the whole
-//! front end and the shard walk on the worker's own thread and spawns
-//! nothing. A worker takes an even share of what is queued — the request
+//! are the service's parallelism: each scores its batch with a single
+//! [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) call, which runs the whole
+//! front end on the worker's own thread and spawns nothing for it. The
+//! shard walk follows the pipeline's
+//! [`AuditConfig::query`](crate::audit::AuditConfig::query); at its
+//! default it too stays on the worker's thread below
+//! [`PARALLEL_QUERY_MIN_ROWS`](gnn4ip_eval::PARALLEL_QUERY_MIN_ROWS)
+//! rows. A worker takes an even share of what is queued — the request
 //! it popped plus the ones behind it, split over the workers — up to
 //! [`ServiceConfig::max_batch`], so no worker holds the whole in-flight
 //! window while the others sit idle, and a saturated service still scores
@@ -247,9 +251,10 @@ impl<T> BoundedQueue<T> {
 /// Tuning knobs of [`run_service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Audit worker (reader) threads: the service's only parallelism,
-    /// since each worker audits its batch on its own thread. Defaults to
-    /// [`std::thread::available_parallelism`], so every core serves.
+    /// Audit worker (reader) threads: the service's parallelism, since
+    /// each worker parses and embeds its batch on its own thread.
+    /// Defaults to [`std::thread::available_parallelism`], so every core
+    /// serves.
     pub workers: usize,
     /// Capacity of the bounded request queue — the number of in-flight
     /// audits at which the parser stops consuming input (backpressure).
