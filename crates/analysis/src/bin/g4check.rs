@@ -1,26 +1,26 @@
 //! `g4check` — the workspace invariant gate.
 //!
 //! ```text
-//! g4check [--root PATH] [--json] [--no-cache] [lint|graph|sched|all]
+//! g4check [--root PATH] [--json] [lint|graph|sched|all]
 //! ```
 //!
 //! - `lint` scans every non-vendored `.rs` file for violations of the
 //!   per-line workspace conventions (see `gnn4ip_analysis::lint::Rule`).
-//! - `graph` builds the workspace symbol index (incrementally, cached
-//!   under `target/g4check/`) and runs the cross-file dataflow rules:
-//!   lock discipline, cast truncation, float determinism, panic
-//!   reachability, and the interprocedural taint rules
-//!   (`untrusted-alloc`, `len-overflow`, `error-swallow`).
+//! - `graph` builds the workspace symbol index from scratch and runs the
+//!   cross-file dataflow rules: lock discipline, cast truncation, float
+//!   determinism, panic reachability, and the interprocedural taint
+//!   rules (`untrusted-alloc`, `len-overflow`, `error-swallow`).
 //! - `sched` exhaustively explores the bounded interleavings of the
 //!   `PublicationSlot` and `BoundedQueue` models and re-confirms the
 //!   checker catches each one's seeded bug.
 //! - `all` (the default) runs everything.
 //!
 //! `--json` writes a machine-readable report to stdout (human output
-//! moves to stderr); `--no-cache` forces a full re-index. The JSON
-//! report carries a `schema_version` and is byte-identical across runs
-//! over an unchanged workspace: violations sort by (path, line, rule)
-//! and nothing time- or machine-dependent is emitted.
+//! moves to stderr). The JSON report carries a `schema_version` and is
+//! byte-identical across runs over an unchanged workspace: every run
+//! indexes the workspace from its files and writes nothing, violations
+//! sort by (path, line, rule), and nothing time- or machine-dependent
+//! is emitted.
 //!
 //! Exit codes, relied on by `ci.sh --stage analysis`:
 //!
@@ -29,12 +29,11 @@
 //! | 0    | clean |
 //! | 1    | violations found |
 //! | 2    | usage error |
-//! | 3    | internal error (workspace unreadable, cache I/O failure) |
+//! | 3    | internal error (workspace unreadable) |
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gnn4ip_analysis::index::cache_path;
 use gnn4ip_analysis::lint::{find_workspace_root, run_lint, LintConfig, Violation};
 use gnn4ip_analysis::models::{verify_bounded_queue, verify_publication_slot};
 use gnn4ip_analysis::rules::run_full;
@@ -47,10 +46,10 @@ const EXIT_INTERNAL: u8 = 3;
 /// whenever a key is added, removed, or changes meaning. The report is
 /// deterministic for a given workspace: violations are sorted by
 /// (path, line, rule) and no timestamps or absolute paths appear.
-const JSON_SCHEMA_VERSION: u32 = 1;
+const JSON_SCHEMA_VERSION: u32 = 2;
 
 fn usage() -> &'static str {
-    "usage: g4check [--root PATH] [--json] [--no-cache] [lint|graph|sched|all]"
+    "usage: g4check [--root PATH] [--json] [lint|graph|sched|all]"
 }
 
 /// Everything one run produces, gathered before rendering so the JSON
@@ -60,8 +59,6 @@ struct RunOutcome {
     violations: Vec<Violation>,
     files_scanned: usize,
     files_indexed: usize,
-    index_reused: usize,
-    index_reindexed: usize,
     sched_schedules: usize,
     sched_failures: Vec<String>,
     stages: Vec<&'static str>,
@@ -71,7 +68,6 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut mode: Option<String> = None;
     let mut json = false;
-    let mut no_cache = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -83,7 +79,6 @@ fn main() -> ExitCode {
                 }
             },
             "--json" => json = true,
-            "--no-cache" => no_cache = true,
             "--help" | "-h" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -110,19 +105,16 @@ fn main() -> ExitCode {
 
     if mode == "graph" || mode == "all" {
         out.stages.push("graph");
-        // `all` runs the line lints through run_full so the index and
-        // the scan share one walk; plain `lint` mode keeps the cheap
-        // index-free path.
+        // `all` takes the line lints from run_full's report, which walks
+        // and reads every file twice (once to index, once to lint);
+        // plain `lint` mode keeps the cheap index-free path.
         if mode == "all" {
             out.stages.push("lint");
         }
-        let cache = (!no_cache).then(|| cache_path(&root));
-        match run_full(&config, cache.as_deref()) {
+        match run_full(&config) {
             Ok(report) => {
                 out.files_scanned = report.lint.files_scanned;
                 out.files_indexed = report.files_indexed;
-                out.index_reused = report.stats.reused;
-                out.index_reindexed = report.stats.reindexed;
                 out.violations.extend(report.graph);
                 if mode == "all" {
                     out.violations.extend(report.lint.violations);
@@ -223,15 +215,13 @@ fn render(out: &RunOutcome, root: &std::path::Path, json: bool) -> ExitCode {
         sink(format!("g4check sched: FAILED — {f}"));
     }
     sink(format!(
-        "g4check [{}]: {} — {} violation(s), {} files scanned, {} indexed \
-         ({} reused, {} re-indexed), {} schedules explored, root {}",
+        "g4check [{}]: {} — {} violation(s), {} files scanned, {} indexed, \
+         {} schedules explored, root {}",
         out.stages.join("+"),
         if clean { "OK" } else { "FAILED" },
         out.violations.len() + out.sched_failures.len(),
         out.files_scanned,
         out.files_indexed,
-        out.index_reused,
-        out.index_reindexed,
         out.sched_schedules,
         root.display(),
     ));
@@ -257,11 +247,6 @@ fn to_json(out: &RunOutcome, clean: bool) -> String {
     ));
     s.push_str(&format!("  \"files_scanned\": {},\n", out.files_scanned));
     s.push_str(&format!("  \"files_indexed\": {},\n", out.files_indexed));
-    s.push_str(&format!("  \"index_reused\": {},\n", out.index_reused));
-    s.push_str(&format!(
-        "  \"index_reindexed\": {},\n",
-        out.index_reindexed
-    ));
     s.push_str(&format!(
         "  \"sched_schedules\": {},\n",
         out.sched_schedules

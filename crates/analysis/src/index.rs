@@ -8,17 +8,10 @@
 //! assignments, call-argument positions, return values, field
 //! projections) consumed by the interprocedural taint fixpoint in the
 //! graph phase. The per-file result ([`FileIndex`]) is a *pure function of
-//! that file's text* — all cross-file reasoning happens in the graph
-//! phase ([`crate::graph`]) — so an index can be updated incrementally:
-//! files whose FNV-1a content hash is unchanged reuse their cached
-//! entry verbatim (the shape borrowed from incremental automaton
-//! construction: build once, update per changed input, query many
-//! analyses).
-//!
-//! The index is serialized to `target/g4check/index.v2` in a
-//! hand-rolled line format (the crate is dependency-free by design); a
-//! cache that fails to parse for any reason is discarded and rebuilt,
-//! never trusted partially.
+//! that file's text*; all cross-file reasoning happens in the graph
+//! phase ([`crate::graph`]). Every run indexes the whole workspace from
+//! its files and writes nothing, so a report depends on the workspace
+//! alone.
 //!
 //! Deliberate precision limits, documented so misses are not mysteries:
 //!
@@ -40,25 +33,11 @@
 //!   over-approximation, never a proof of absence.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::lint::{
     classify, collect_rs_files, parse_allows, strip_source, test_regions, FileKind, StrippedLine,
 };
-
-/// Cache format version; bumped whenever any record shape changes.
-/// v2 added dataflow records and positional parameter names.
-pub const INDEX_VERSION: u32 = 2;
-
-/// FNV-1a 64-bit hash — the workspace's standard content address.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,8 +185,6 @@ impl FnRecord {
 /// The index of one source file — a pure function of its text.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FileIndex {
-    /// FNV-1a hash of the file's bytes, the incremental-reuse key.
-    pub hash: u64,
     /// Every function defined in the file, in source order.
     pub fns: Vec<FnRecord>,
     /// `g4check: allow(rule)` lines: (1-based line, rule name). Each
@@ -230,70 +207,32 @@ pub struct WorkspaceIndex {
     pub files: BTreeMap<String, FileIndex>,
 }
 
-/// What an incremental [`build_index`] pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IndexStats {
-    /// Files tokenized and indexed from scratch.
-    pub reindexed: usize,
-    /// Files reused from the cache by content hash.
-    pub reused: usize,
-    /// Cached files no longer present in the workspace.
-    pub removed: usize,
-}
-
-/// Builds (or incrementally updates) the symbol index for the workspace
-/// at `root`. Files whose content hash matches `cached` are reused
-/// without re-tokenizing.
+/// Builds the symbol index for the workspace at `root`, indexing every
+/// analyzed file from its text.
 ///
 /// # Errors
 ///
 /// Returns an error when the workspace or a source file cannot be read.
-pub fn build_index(
-    root: &Path,
-    cached: Option<&WorkspaceIndex>,
-) -> Result<(WorkspaceIndex, IndexStats), String> {
+pub fn build_index(root: &Path) -> Result<WorkspaceIndex, String> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
 
     let mut index = WorkspaceIndex::default();
-    let mut stats = IndexStats::default();
     for rel in &files {
         if classify(rel).is_none() {
             continue;
         }
-        let rel_key = rel_key(rel);
         let text = std::fs::read_to_string(root.join(rel))
             .map_err(|e| format!("reading {}: {e}", rel.display()))?;
-        let hash = fnv1a(text.as_bytes());
-        if let Some(prev) = cached.and_then(|c| c.files.get(&rel_key)) {
-            if prev.hash == hash {
-                index.files.insert(rel_key, prev.clone());
-                stats.reused += 1;
-                continue;
-            }
-        }
-        index.files.insert(rel_key.clone(), index_file(rel, &text));
-        stats.reindexed += 1;
+        index.files.insert(rel_key(rel), index_file(rel, &text));
     }
-    if let Some(c) = cached {
-        stats.removed = c
-            .files
-            .keys()
-            .filter(|k| !index.files.contains_key(*k))
-            .count();
-    }
-    Ok((index, stats))
+    Ok(index)
 }
 
 /// Normalizes a relative path into the index key form.
 pub fn rel_key(rel: &Path) -> String {
     rel.to_string_lossy().replace('\\', "/")
-}
-
-/// Default cache location under the workspace root.
-pub fn cache_path(root: &Path) -> PathBuf {
-    root.join("target").join("g4check").join("index.v2")
 }
 
 // --- tokenizer ----------------------------------------------------------
@@ -2311,281 +2250,7 @@ pub fn index_file(rel: &Path, text: &str) -> FileIndex {
     allows.sort();
     allows.dedup();
 
-    FileIndex {
-        hash: fnv1a(text.as_bytes()),
-        fns,
-        allows,
-    }
-}
-
-// --- cache serialization ------------------------------------------------
-
-fn esc(s: &str) -> String {
-    s.replace('%', "%25").replace(' ', "%20")
-}
-
-fn unesc(s: &str) -> String {
-    s.replace("%20", " ").replace("%25", "%")
-}
-
-fn opt(s: &Option<String>) -> String {
-    match s {
-        Some(v) if !v.is_empty() => esc(v),
-        _ => "-".to_string(),
-    }
-}
-
-fn list(v: &[String]) -> String {
-    if v.is_empty() {
-        "-".to_string()
-    } else {
-        v.iter().map(|s| esc(s)).collect::<Vec<_>>().join(",")
-    }
-}
-
-fn parse_opt(s: &str) -> Option<String> {
-    if s == "-" {
-        None
-    } else {
-        Some(unesc(s))
-    }
-}
-
-fn parse_list(s: &str) -> Vec<String> {
-    if s == "-" {
-        Vec::new()
-    } else {
-        s.split(',').map(unesc).collect()
-    }
-}
-
-/// Serializes the index into the cache's line format.
-pub fn to_cache_string(index: &WorkspaceIndex) -> String {
-    let mut out = format!("g4check-index {INDEX_VERSION}\n");
-    for (path, fi) in &index.files {
-        out.push_str(&format!("f {} {:016x}\n", esc(path), fi.hash));
-        for (line, rule) in &fi.allows {
-            out.push_str(&format!("a {line} {}\n", esc(rule)));
-        }
-        for f in &fi.fns {
-            let flags = u8::from(f.is_test)
-                | u8::from(f.doc_panics) << 1
-                | u8::from(f.returns_guard) << 2
-                | u8::from(f.sig_float) << 3;
-            out.push_str(&format!(
-                "n {} {} {} {} {} {}\n",
-                f.line,
-                flags,
-                esc(&f.name),
-                opt(&f.owner),
-                if f.module.is_empty() {
-                    "-".to_string()
-                } else {
-                    esc(&f.module)
-                },
-                list(&f.params),
-            ));
-            for c in &f.calls {
-                let cflags = u8::from(c.method) | u8::from(c.consumed_guard) << 1;
-                out.push_str(&format!(
-                    "c {} {} {} {} {} {}\n",
-                    c.line,
-                    cflags,
-                    esc(&c.callee),
-                    opt(&c.recv),
-                    list(&c.held),
-                    list(&c.acquired),
-                ));
-            }
-            for x in &f.casts {
-                out.push_str(&format!(
-                    "x {} {} {}\n",
-                    x.line,
-                    u8::from(x.safe),
-                    esc(&x.ty)
-                ));
-            }
-            for r in &f.reductions {
-                out.push_str(&format!(
-                    "r {} {} {}\n",
-                    r.line,
-                    u8::from(r.hinted),
-                    esc(&r.what)
-                ));
-            }
-            for m in &f.accums {
-                out.push_str(&format!("m {}\n", m.line));
-            }
-            for p in &f.panics {
-                out.push_str(&format!("p {} {}\n", p.line, esc(&p.what)));
-            }
-            for d in &f.flows {
-                out.push_str(&format!(
-                    "d {} {} {} {}\n",
-                    d.line,
-                    esc(&d.what),
-                    esc(&d.dst),
-                    list(&d.srcs),
-                ));
-            }
-        }
-        out.push_str(".\n");
-    }
-    out
-}
-
-/// Parses a cache string back into an index. Any anomaly yields `None` —
-/// a cache is never trusted partially.
-pub fn from_cache_string(text: &str) -> Option<WorkspaceIndex> {
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    let version: u32 = header.strip_prefix("g4check-index ")?.parse().ok()?;
-    if version != INDEX_VERSION {
-        return None;
-    }
-    let mut index = WorkspaceIndex::default();
-    let mut cur: Option<(String, FileIndex)> = None;
-    for line in lines {
-        let mut parts = line.split(' ');
-        let tag = parts.next()?;
-        match tag {
-            "f" => {
-                if cur.is_some() {
-                    return None; // missing terminator
-                }
-                let path = unesc(parts.next()?);
-                let hash = u64::from_str_radix(parts.next()?, 16).ok()?;
-                cur = Some((
-                    path,
-                    FileIndex {
-                        hash,
-                        ..FileIndex::default()
-                    },
-                ));
-            }
-            "." => {
-                let (path, fi) = cur.take()?;
-                index.files.insert(path, fi);
-            }
-            "a" => {
-                let fi = &mut cur.as_mut()?.1;
-                let line_no: u32 = parts.next()?.parse().ok()?;
-                fi.allows.push((line_no, unesc(parts.next()?)));
-            }
-            "n" => {
-                let fi = &mut cur.as_mut()?.1;
-                let line_no: u32 = parts.next()?.parse().ok()?;
-                let flags: u8 = parts.next()?.parse().ok()?;
-                let name = unesc(parts.next()?);
-                let owner = parse_opt(parts.next()?);
-                let module = parse_opt(parts.next()?).unwrap_or_default();
-                let params = parse_list(parts.next()?);
-                fi.fns.push(FnRecord {
-                    name,
-                    owner,
-                    module,
-                    line: line_no,
-                    is_test: flags & 1 != 0,
-                    doc_panics: flags & 2 != 0,
-                    returns_guard: flags & 4 != 0,
-                    sig_float: flags & 8 != 0,
-                    params,
-                    calls: Vec::new(),
-                    casts: Vec::new(),
-                    reductions: Vec::new(),
-                    accums: Vec::new(),
-                    panics: Vec::new(),
-                    flows: Vec::new(),
-                });
-            }
-            "c" => {
-                let f = cur.as_mut()?.1.fns.last_mut()?;
-                let line_no: u32 = parts.next()?.parse().ok()?;
-                let flags: u8 = parts.next()?.parse().ok()?;
-                f.calls.push(CallRecord {
-                    callee: unesc(parts.next()?),
-                    recv: parse_opt(parts.next()?),
-                    method: flags & 1 != 0,
-                    line: line_no,
-                    held: parse_list(parts.next()?),
-                    acquired: parse_list(parts.next()?),
-                    consumed_guard: flags & 2 != 0,
-                });
-            }
-            "x" => {
-                let f = cur.as_mut()?.1.fns.last_mut()?;
-                let line_no: u32 = parts.next()?.parse().ok()?;
-                let safe: u8 = parts.next()?.parse().ok()?;
-                f.casts.push(CastRecord {
-                    line: line_no,
-                    ty: unesc(parts.next()?),
-                    safe: safe != 0,
-                });
-            }
-            "r" => {
-                let f = cur.as_mut()?.1.fns.last_mut()?;
-                let line_no: u32 = parts.next()?.parse().ok()?;
-                let hinted: u8 = parts.next()?.parse().ok()?;
-                f.reductions.push(ReductionRecord {
-                    line: line_no,
-                    what: unesc(parts.next()?),
-                    hinted: hinted != 0,
-                });
-            }
-            "m" => {
-                let f = cur.as_mut()?.1.fns.last_mut()?;
-                f.accums.push(AccumRecord {
-                    line: parts.next()?.parse().ok()?,
-                });
-            }
-            "p" => {
-                let f = cur.as_mut()?.1.fns.last_mut()?;
-                let line_no: u32 = parts.next()?.parse().ok()?;
-                f.panics.push(PanicRecord {
-                    line: line_no,
-                    what: unesc(parts.next()?),
-                });
-            }
-            "d" => {
-                let f = cur.as_mut()?.1.fns.last_mut()?;
-                let line_no: u32 = parts.next()?.parse().ok()?;
-                let what = unesc(parts.next()?);
-                let dst = unesc(parts.next()?);
-                f.flows.push(FlowRecord {
-                    line: line_no,
-                    dst,
-                    srcs: parse_list(parts.next()?),
-                    what,
-                });
-            }
-            _ => return None,
-        }
-    }
-    if cur.is_some() {
-        return None;
-    }
-    Some(index)
-}
-
-/// Loads a cached index from `path`, tolerating absence and corruption
-/// (both yield `None` and force a full rebuild).
-pub fn load_cache(path: &Path) -> Option<WorkspaceIndex> {
-    let text = std::fs::read_to_string(path).ok()?;
-    from_cache_string(&text)
-}
-
-/// Persists the index to `path`, creating parent directories.
-///
-/// # Errors
-///
-/// Returns an error when the cache directory or file cannot be written.
-pub fn save_cache(path: &Path, index: &WorkspaceIndex) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)
-            .map_err(|e| format!("creating cache dir {}: {e}", parent.display()))?;
-    }
-    std::fs::write(path, to_cache_string(index))
-        .map_err(|e| format!("writing cache {}: {e}", path.display()))
+    FileIndex { fns, allows }
 }
 
 #[cfg(test)]
@@ -2759,36 +2424,6 @@ impl S {\n\
         assert_eq!(pushes.len(), 2);
         assert_eq!(pushes[0].recv.as_deref(), Some("BoundedQueue"));
         assert_eq!(pushes[1].recv.as_deref(), Some("BoundedQueue"));
-    }
-
-    #[test]
-    fn cache_round_trips_losslessly() {
-        let src = "struct S { a: Mutex<u32> }\n\
-impl S {\n\
-    fn f(&self, xs: &[f32]) -> f32 {\n\
-        let g = self.a.lock().unwrap_or_else(|e| e.into_inner());\n\
-        let n = g.checked_add(1);\n\
-        let q = *xs.first().unwrap_or(&0.0) as i8;\n\
-        xs.iter().map(|v| v * v).sum::<f32>() + f64::from(q) as f32\n\
-    }\n\
-}\n";
-        let fi = idx(src);
-        let mut ws = WorkspaceIndex::default();
-        ws.files.insert("crates/demo/src/lib.rs".to_string(), fi);
-        let text = to_cache_string(&ws);
-        let back = from_cache_string(&text).expect("parse");
-        assert_eq!(ws, back);
-    }
-
-    #[test]
-    fn corrupt_cache_is_rejected() {
-        assert!(from_cache_string("g4check-index 999\n").is_none());
-        assert!(from_cache_string("g4check-index 2\nf a 00").is_none());
-        assert!(
-            from_cache_string("g4check-index 1\n").is_none(),
-            "a v1 cache is stale once flows exist"
-        );
-        assert!(from_cache_string("garbage").is_none());
     }
 
     #[test]

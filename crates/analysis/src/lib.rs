@@ -18,11 +18,11 @@
 //! - [`index`] + [`graph`] + [`rules`] — the two-phase cross-file
 //!   analyzer. Phase 1 builds a workspace *symbol index*: per-file fn
 //!   definitions, call edges with live-guard sets, narrowing casts,
-//!   float reductions, and panic sites, serialized under
-//!   `target/g4check/` so incremental runs only re-index changed files.
-//!   Phase 2 assembles the [`graph::SymbolGraph`] and runs the
-//!   dataflow rules: lock discipline, cast truncation, float
-//!   determinism, and panic reachability (see `RULES.md`).
+//!   float reductions, and panic sites, rebuilt from the files on every
+//!   run (nothing is written to disk). Phase 2 assembles the
+//!   [`graph::SymbolGraph`] and runs the dataflow rules: lock
+//!   discipline, cast truncation, float determinism, and panic
+//!   reachability (see `RULES.md`).
 //! - [`sched`] — a loom-lite deterministic-interleaving checker: a
 //!   cooperative scheduler that exhaustively explores every bounded
 //!   interleaving of the step-level [`sched::Program`] model of a
@@ -40,7 +40,7 @@
 //! ```
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage error, `3`
-//! internal error (workspace unreadable, cache I/O failure).
+//! internal error (workspace unreadable).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +53,7 @@ pub mod rules;
 pub mod sched;
 
 pub use graph::SymbolGraph;
-pub use index::{build_index, FileIndex, FnRecord, IndexStats, WorkspaceIndex};
+pub use index::{build_index, FileIndex, FnRecord, WorkspaceIndex};
 pub use lint::{run_lint, LintConfig, LintReport, Rule, Violation};
 pub use rules::{run_full, run_graph_rules, AnalysisReport};
 pub use sched::{ExploreReport, Explorer, Program, ScheduleViolation, Step};

@@ -18,8 +18,8 @@
 //!   [`crate::lint::Rule::LenOverflow`],
 //!   [`crate::lint::Rule::ErrorSwallow`]).
 //!
-//! [`run_full`] is the whole-analyzer driver: incremental index build
-//! (phase 1), graph rules (phase 2), and the line lints, in one report.
+//! [`run_full`] is the whole-analyzer driver: index build (phase 1),
+//! graph rules (phase 2), and the line lints, in one report.
 
 pub mod casts;
 pub mod floatdet;
@@ -27,10 +27,8 @@ pub mod locks;
 pub mod panics;
 pub mod taint;
 
-use std::path::Path;
-
 use crate::graph::SymbolGraph;
-use crate::index::{build_index, load_cache, save_cache, IndexStats, WorkspaceIndex};
+use crate::index::{build_index, WorkspaceIndex};
 use crate::lint::{run_lint, LintConfig, LintReport, Violation};
 
 /// Runs every graph rule over an already-built index.
@@ -53,8 +51,6 @@ pub struct AnalysisReport {
     pub lint: LintReport,
     /// Graph-lint findings.
     pub graph: Vec<Violation>,
-    /// What the incremental index build did.
-    pub stats: IndexStats,
     /// Files in the symbol index.
     pub files_indexed: usize,
 }
@@ -78,26 +74,20 @@ impl AnalysisReport {
     }
 }
 
-/// Runs the full two-phase analysis over `config.root`. When `cache` is
-/// set, a prior serialized index at that path is reused for files whose
-/// content hash is unchanged, and the updated index is written back.
+/// Runs the full two-phase analysis over `config.root`, indexing every
+/// file from scratch and writing nothing.
 ///
 /// # Errors
 ///
-/// Returns an error when the workspace cannot be read or the cache
-/// cannot be written — infrastructure failures, never lint findings.
-pub fn run_full(config: &LintConfig, cache: Option<&Path>) -> Result<AnalysisReport, String> {
-    let cached = cache.and_then(load_cache);
-    let (index, stats) = build_index(&config.root, cached.as_ref())?;
-    if let Some(path) = cache {
-        save_cache(path, &index)?;
-    }
+/// Returns an error when the workspace cannot be read — an
+/// infrastructure failure, never a lint finding.
+pub fn run_full(config: &LintConfig) -> Result<AnalysisReport, String> {
+    let index = build_index(&config.root)?;
     let graph = run_graph_rules(&index);
     let lint = run_lint(config)?;
     Ok(AnalysisReport {
         lint,
         graph,
-        stats,
         files_indexed: index.files.len(),
     })
 }

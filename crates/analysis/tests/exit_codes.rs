@@ -9,7 +9,7 @@
 //! | 2    | usage error |
 //! | 3    | internal error |
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn g4check(args: &[&str]) -> Output {
@@ -61,7 +61,7 @@ fn clean_workspace_exits_zero() {
             "#![forbid(unsafe_code)]\npub fn f() -> u32 {\n    2\n}\n",
         )],
     );
-    let out = g4check(&["--root", &ws.arg(), "--no-cache", "graph"]);
+    let out = g4check(&["--root", &ws.arg(), "graph"]);
     assert_eq!(
         code(&out),
         0,
@@ -79,7 +79,7 @@ fn violations_exit_one() {
             "pub fn q(v: f32) -> i8 {\n    v as i8\n}\n",
         )],
     );
-    let out = g4check(&["--root", &ws.arg(), "--no-cache", "graph"]);
+    let out = g4check(&["--root", &ws.arg(), "graph"]);
     assert_eq!(
         code(&out),
         1,
@@ -112,7 +112,7 @@ fn unreadable_workspace_exits_three() {
 }
 
 #[test]
-fn json_report_carries_violations_and_reuse() {
+fn json_report_carries_violations() {
     let ws = Workspace::with(
         "json",
         &[(
@@ -120,7 +120,7 @@ fn json_report_carries_violations_and_reuse() {
             "pub fn q(v: f32) -> i8 {\n    v as i8\n}\n",
         )],
     );
-    // first run: cold index, violation present, machine report on stdout
+    // violation present, machine report on stdout
     let out = g4check(&["--root", &ws.arg(), "--json", "graph"]);
     assert_eq!(code(&out), 1);
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -129,23 +129,50 @@ fn json_report_carries_violations_and_reuse() {
         stdout.contains("\"rule\": \"cast-truncation\""),
         "stdout: {stdout}"
     );
-    assert!(stdout.contains("\"index_reused\": 0"), "stdout: {stdout}");
-
-    // second run: the serialized index is reused for every file
-    let out = g4check(&["--root", &ws.arg(), "--json", "graph"]);
-    assert_eq!(code(&out), 1);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"index_reused\": 1"), "stdout: {stdout}");
-    assert!(
-        stdout.contains("\"index_reindexed\": 0"),
-        "stdout: {stdout}"
-    );
 }
 
-/// The machine report is versioned and deterministic: two runs over an
-/// unchanged workspace produce byte-identical stdout. `--no-cache`
-/// keeps the cold/warm counters out of the comparison — determinism is
-/// a property of the workspace, not of cache history.
+/// Every path under `root`, files and directories alike, relative to it
+/// and sorted.
+fn tree(root: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).expect("readable dir") {
+            let path = entry.expect("dir entry").path();
+            out.push(path.strip_prefix(root).expect("under root").to_path_buf());
+            if path.is_dir() {
+                dirs.push(path);
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A run is a function of the workspace alone: it reads the files under
+/// `--root` and leaves their set as it found it.
+#[test]
+fn graph_run_leaves_the_file_set_unchanged() {
+    let ws = Workspace::with(
+        "read-only",
+        &[(
+            "crates/eval/src/manifest.rs",
+            "pub fn q(v: f32) -> i8 {\n    v as i8\n}\n",
+        )],
+    );
+    let before = tree(&ws.root);
+    let out = g4check(&["--root", &ws.arg(), "graph"]);
+    assert_eq!(
+        code(&out),
+        1,
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(before, tree(&ws.root), "the run wrote under its root");
+}
+
+/// The machine report is versioned and deterministic: two default runs
+/// over an unchanged workspace produce byte-identical stdout.
 #[test]
 fn json_report_is_versioned_and_byte_identical() {
     let ws = Workspace::with(
@@ -161,8 +188,8 @@ fn json_report_is_versioned_and_byte_identical() {
             ),
         ],
     );
-    let first = g4check(&["--root", &ws.arg(), "--json", "--no-cache", "graph"]);
-    let second = g4check(&["--root", &ws.arg(), "--json", "--no-cache", "graph"]);
+    let first = g4check(&["--root", &ws.arg(), "--json", "graph"]);
+    let second = g4check(&["--root", &ws.arg(), "--json", "graph"]);
     assert_eq!(code(&first), 1);
     assert_eq!(code(&second), 1);
     assert_eq!(
@@ -173,7 +200,7 @@ fn json_report_is_versioned_and_byte_identical() {
         String::from_utf8_lossy(&second.stdout)
     );
     let stdout = String::from_utf8_lossy(&first.stdout);
-    assert!(stdout.contains("\"schema_version\": 1"), "stdout: {stdout}");
+    assert!(stdout.contains("\"schema_version\": 2"), "stdout: {stdout}");
     // the stable (path, line, rule) sort puts crates/eval/src/manifest.rs
     // before crates/tensor/src/serialize.rs
     let manifest = stdout.find("manifest.rs").expect("manifest violation");

@@ -59,7 +59,7 @@ impl Fixture {
     /// Runs only the phase-2 graph rules (no line lints), so graph
     /// fixtures don't need `#![forbid(unsafe_code)]` boilerplate.
     fn graph(&self) -> Vec<Violation> {
-        let (index, _) = build_index(&self.root, None).expect("fixture index builds");
+        let index = build_index(&self.root).expect("fixture index builds");
         run_graph_rules(&index)
     }
 }
@@ -736,7 +736,8 @@ fn live_workspace_is_clean() {
 /// graph rule (lock discipline, cast truncation, float determinism,
 /// panic reachability, and the three taint rules — including the
 /// registry staleness checks, which only arm on the live workspace).
-/// Runs without a cache so the result cannot be stale.
+/// The index is built from the files as they are, so the result cannot
+/// be stale.
 #[test]
 fn live_workspace_graph_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -744,7 +745,7 @@ fn live_workspace_graph_is_clean() {
         .and_then(Path::parent)
         .expect("crates/analysis sits two levels under the root")
         .to_path_buf();
-    let report = run_full(&LintConfig { root }, None).expect("workspace analysis runs");
+    let report = run_full(&LintConfig { root }).expect("workspace analysis runs");
     assert!(
         report.is_clean(),
         "live workspace has analysis violations:\n{}",

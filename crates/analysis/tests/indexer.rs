@@ -1,38 +1,9 @@
 //! Integration tests for the phase-1 symbol indexer: structural edge
-//! cases (nested modules, impl blocks, raw strings) and the incremental
-//! rebuild contract — a cached rebuild must be byte-for-byte equivalent
-//! to a cold one.
+//! cases (nested modules, impl blocks, raw strings).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use gnn4ip_analysis::build_index;
-use gnn4ip_analysis::index::{index_file, load_cache, save_cache};
-
-/// A throwaway workspace under the OS temp dir, deleted on drop.
-struct Workspace {
-    root: PathBuf,
-}
-
-impl Workspace {
-    fn with(name: &str, files: &[(&str, &str)]) -> Self {
-        let root =
-            std::env::temp_dir().join(format!("g4check-indexer-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let base: &[(&str, &str)] = &[("Cargo.toml", "[workspace]\nmembers = []\n")];
-        for (rel, content) in base.iter().chain(files) {
-            let path = root.join(rel);
-            std::fs::create_dir_all(path.parent().expect("paths nest")).expect("mkdir");
-            std::fs::write(path, content).expect("write file");
-        }
-        Self { root }
-    }
-}
-
-impl Drop for Workspace {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
+use gnn4ip_analysis::index::index_file;
 
 #[test]
 fn nested_modules_qualify_fn_records() {
@@ -89,119 +60,4 @@ fn raw_strings_hide_call_like_text() {
     let f = &fi.fns[0];
     assert!(f.calls.is_empty(), "{:?}", f.calls);
     assert!(f.panics.is_empty(), "{:?}", f.panics);
-}
-
-#[test]
-fn incremental_rebuild_equals_full_rebuild() {
-    let ws = Workspace::with(
-        "incremental",
-        &[
-            (
-                "crates/demo/src/lib.rs",
-                "pub fn stable() -> u32 {\n    41\n}\n",
-            ),
-            (
-                "crates/demo/src/other.rs",
-                "pub fn other() -> u32 {\n    1\n}\n",
-            ),
-        ],
-    );
-    let (cold, stats0) = build_index(&ws.root, None).expect("cold build");
-    assert_eq!(stats0.reindexed, 2);
-    assert_eq!(stats0.reused, 0);
-
-    // unchanged workspace: everything reuses, nothing changes
-    let (warm, stats1) = build_index(&ws.root, Some(&cold)).expect("warm build");
-    assert_eq!(stats1.reused, 2);
-    assert_eq!(stats1.reindexed, 0);
-    assert_eq!(warm, cold);
-
-    // edit one file (giving it let/arg/return dataflow records, so the
-    // equivalence below covers the v2 flow serialization), delete the
-    // other, add a third
-    std::fs::write(
-        ws.root.join("crates/demo/src/lib.rs"),
-        "pub fn stable() -> u32 {\n    42\n}\n\
-         pub fn fresh(n: usize) -> usize {\n    let m = n.min(4);\n    grow(m)\n}\n\
-         fn grow(m: usize) -> usize {\n    m + 1\n}\n",
-    )
-    .expect("edit file");
-    std::fs::remove_file(ws.root.join("crates/demo/src/other.rs")).expect("remove file");
-    std::fs::write(
-        ws.root.join("crates/demo/src/third.rs"),
-        "pub fn third() {}\n",
-    )
-    .expect("add file");
-
-    let (incremental, stats2) = build_index(&ws.root, Some(&cold)).expect("incremental build");
-    let (full, _) = build_index(&ws.root, None).expect("full rebuild");
-    assert_eq!(
-        incremental, full,
-        "incremental result must match a from-scratch build"
-    );
-    assert_eq!(stats2.reindexed, 2, "edited + added");
-    assert_eq!(stats2.removed, 1, "deleted file leaves the index");
-    assert!(!incremental.files.contains_key("crates/demo/src/other.rs"));
-
-    // the equivalence must extend to the dataflow records, not just the
-    // structural ones: the edited fn's let/arg flows and positional
-    // params are present on both sides
-    let fresh = incremental.files["crates/demo/src/lib.rs"]
-        .fns
-        .iter()
-        .find(|f| f.name == "fresh")
-        .expect("fresh indexed");
-    assert_eq!(fresh.params, vec!["n"]);
-    assert!(
-        fresh
-            .flows
-            .iter()
-            .any(|d| d.dst == "v:m" && d.what == "let"),
-        "{:#?}",
-        fresh.flows
-    );
-}
-
-#[test]
-fn cache_file_round_trips_through_disk() {
-    let ws = Workspace::with(
-        "cache-disk",
-        &[(
-            "crates/demo/src/lib.rs",
-            "pub struct S { x: std::sync::Mutex<u64> }\n\
-             impl S {\n\
-             \x20   pub fn get(&self) -> u64 {\n\
-             \x20       *self.x.lock().unwrap()\n\
-             \x20   }\n\
-             \x20   pub fn grow(&self, n: usize) -> Vec<u64> {\n\
-             \x20       let cap = n.min(9);\n\
-             \x20       Vec::with_capacity(cap)\n\
-             \x20   }\n\
-             }\n",
-        )],
-    );
-    let (index, _) = build_index(&ws.root, None).expect("build");
-    let cache = ws.root.join("target/g4check/index.v2");
-    save_cache(&cache, &index).expect("save cache");
-    let loaded = load_cache(&cache).expect("cache parses");
-    assert_eq!(loaded, index);
-    // the v2 additions survive the disk round-trip explicitly: `d`
-    // dataflow lines and positional parameter names on the `n` line
-    let grow = loaded.files["crates/demo/src/lib.rs"]
-        .fns
-        .iter()
-        .find(|f| f.name == "grow")
-        .expect("grow indexed");
-    assert_eq!(grow.params, vec!["n"], "self is skipped, n keeps slot 0");
-    assert!(
-        grow.flows
-            .iter()
-            .any(|d| d.dst == "v:cap" && d.what == "let"),
-        "{:#?}",
-        grow.flows
-    );
-
-    let (rebuilt, stats) = build_index(&ws.root, Some(&loaded)).expect("rebuild from disk cache");
-    assert_eq!(rebuilt, index);
-    assert_eq!(stats.reused, 1);
 }

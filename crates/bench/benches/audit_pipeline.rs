@@ -5,17 +5,15 @@
 //! 1. **sharded query ≈ flat query** — splitting a 1k-entry index into
 //!    fixed-capacity shards (per-shard top-k + heap merge) must stay
 //!    within ~10% of the monolithic scan it replaces.
-//! 2. **blocked precision@k** — the shard×shard blocked path must not
-//!    cost more than the materialized Gram it avoids.
-//! 3. **ingest scales linearly** — streaming N designs through
+//! 2. **ingest scales linearly** — streaming N designs through
 //!    parse → DFG → embed_batch → shard-insert must cost ~constant time
 //!    per design as N grows (bounded batches, no quadratic rebuilds).
-//! 4. **artifact latency** — persisting and reloading a 1k-entry index
+//! 3. **artifact latency** — persisting and reloading a 1k-entry index
 //!    must stay in the low-millisecond range so warm starts are free.
-//! 5. **bound pruning pays** — on a clustered 1k-entry corpus, the
+//! 4. **bound pruning pays** — on a clustered 1k-entry corpus, the
 //!    centroid/radius bounds must skip at least half the sealed shards
 //!    (asserted here) and beat the exhaustive scan on latency.
-//! 6. **parallel scan is gated honestly** — fanned-out per-shard scans
+//! 5. **parallel scan is gated honestly** — fanned-out per-shard scans
 //!    vs one thread on a 64k-entry corpus; on a single-core
 //!    container the two collapse to the same inline path.
 
@@ -59,26 +57,6 @@ fn bench_query_flat_vs_sharded(c: &mut Criterion) {
     });
     group.bench_function("sharded_cap256", |b| {
         b.iter(|| std::hint::black_box(sharded.query(&query, 10)))
-    });
-    group.finish();
-}
-
-fn bench_precision_blocked_vs_gram(c: &mut Criterion) {
-    let entries = random_embeddings(512, 13);
-    let mut flat = EmbeddingIndex::new(DIM);
-    let mut sharded = ShardedEmbeddingIndex::new(DIM, 128);
-    for (i, e) in entries.iter().enumerate() {
-        flat.insert(e, i % 20);
-        sharded.insert(e, i % 20);
-    }
-    let mut group = c.benchmark_group("audit_pipeline/precision_at_5_of_512");
-    group.sample_size(20);
-    group.bench_function("flat_materialized_gram", |b| {
-        b.iter(|| std::hint::black_box(flat.precision_at_k(5)))
-    });
-    let mut ws = gnn4ip_tensor::Workspace::new();
-    group.bench_function("sharded_blocked", |b| {
-        b.iter(|| std::hint::black_box(sharded.precision_at_k_ws(5, &mut ws)))
     });
     group.finish();
 }
@@ -251,7 +229,6 @@ criterion_group!(
     bench_query_flat_vs_sharded,
     bench_query_pruned_vs_exhaustive,
     bench_query_parallel_vs_serial,
-    bench_precision_blocked_vs_gram,
     bench_ingest_scaling,
     bench_artifact_io
 );

@@ -58,10 +58,7 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-use gnn4ip_tensor::{
-    fan_out, read_artifact, worker_count, write_artifact, BinReader, BinWriter, Fnv64, Matrix,
-    Workspace,
-};
+use gnn4ip_tensor::{fan_out, worker_count, BinReader, BinWriter, Fnv64};
 
 use crate::index::{normalize_into, query_norm, EmbeddingIndex, QueryHit};
 
@@ -1086,99 +1083,6 @@ impl ShardedEmbeddingIndex {
         }
     }
 
-    /// Visits the cosine-similarity Gram matrix one shard×shard block at a
-    /// time: `f(row_offset, col_offset, block)` where `block[i][j]` is the
-    /// similarity of global rows `row_offset + i` and `col_offset + j`.
-    ///
-    /// Block buffers come from `ws` and are recycled across blocks, so the
-    /// peak footprint is three `shard_capacity`-bounded matrices no matter
-    /// how large the corpus grows — the full `n×n` Gram is never
-    /// materialized. Each element is the same contiguous-row dot product
-    /// the flat index's [`EmbeddingIndex::pairwise_similarity`] computes,
-    /// so block values match it bit for bit.
-    fn for_each_similarity_block<F>(&self, ws: &mut Workspace, mut f: F)
-    where
-        F: FnMut(usize, usize, &Matrix),
-    {
-        let mut row_offset = 0;
-        for qb in 0..self.num_shards() {
-            let qn = self.block_labels(qb).len();
-            let mut qm = ws.acquire(qn, self.dim);
-            self.copy_block_into(qb, qm.as_mut_slice());
-            let mut col_offset = 0;
-            for db in 0..self.num_shards() {
-                let dn = self.block_labels(db).len();
-                let mut dm = ws.acquire(dn, self.dim);
-                self.copy_block_into(db, dm.as_mut_slice());
-                let mut block = ws.acquire(qn, dn);
-                qm.matmul_nt_into(&dm, &mut block);
-                f(row_offset, col_offset, &block);
-                ws.release(block);
-                ws.release(dm);
-                col_offset += dn;
-            }
-            ws.release(qm);
-            row_offset += qn;
-        }
-    }
-
-    /// Mean precision@k of same-label retrieval — the sharded, blocked
-    /// form of [`EmbeddingIndex::precision_at_k`], and numerically
-    /// identical to it: `k` clamps to `len() - 1`, fewer than two points
-    /// report 0.0, and the per-query neighbor sets agree exactly because
-    /// both sides select under the same total order on finite scores.
-    ///
-    /// Peak memory is `O(n·k)` for the per-row candidate keepers plus one
-    /// shard×shard block, never the `n×n` Gram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn precision_at_k(&self, k: usize) -> f64 {
-        self.precision_at_k_ws(k, &mut Workspace::new())
-    }
-
-    /// [`ShardedEmbeddingIndex::precision_at_k`] with a caller-provided
-    /// workspace, so repeated evaluations reuse warm block buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn precision_at_k_ws(&self, k: usize, ws: &mut Workspace) -> f64 {
-        assert!(k > 0, "k must be positive");
-        let n = self.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let k = k.min(n - 1);
-        let mut tops: Vec<TopK> = (0..n).map(|_| TopK::new(k)).collect();
-        self.for_each_similarity_block(ws, |row_offset, col_offset, block| {
-            for i in 0..block.rows() {
-                let q = row_offset + i;
-                for (j, &score) in block.row(i).iter().enumerate() {
-                    let g = col_offset + j;
-                    if g != q {
-                        tops[q].push(QueryHit {
-                            index: g,
-                            label: 0, // resolved after selection
-                            score,
-                        });
-                    }
-                }
-            }
-        });
-        let mut total = 0.0f64;
-        for (q, top) in tops.into_iter().enumerate() {
-            let own = self.label(q);
-            let hits = top
-                .into_hits()
-                .filter(|h| self.label(h.index) == own)
-                .count();
-            total += hits as f64 / k as f64;
-        }
-        total / n as f64
-    }
-
     // --- rebalance (IVF routing) ---------------------------------------
 
     /// Re-clusters the *sealed* rows into centroid-aligned shards so the
@@ -1413,17 +1317,6 @@ impl ShardedEmbeddingIndex {
         w.finish()
     }
 
-    /// Reads back the checksum an artifact was pinned to, without
-    /// deserializing the shards (e.g. to report *which* weights an index
-    /// belongs to before deciding to load it).
-    ///
-    /// # Errors
-    ///
-    /// Fails on a corrupt or wrong-kind artifact.
-    pub fn pinned_checksum(bytes: &[u8]) -> Result<u64, String> {
-        BinReader::open_versioned(bytes, SHARD_INDEX_KIND, SHARD_INDEX_VERSION)?.u64()
-    }
-
     /// Restores an index serialized by [`ShardedEmbeddingIndex::to_bytes`].
     /// v2 artifacts restore the sealed-shard bounds directly; v1 artifacts
     /// (which predate the bounds) load by recomputing them, producing a
@@ -1525,28 +1418,6 @@ impl ShardedEmbeddingIndex {
             sealed,
             tail,
         })
-    }
-
-    /// Writes the artifact to `path` (atomic: temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error as text.
-    pub fn save(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        pinned_checksum: u64,
-    ) -> Result<(), String> {
-        write_artifact(path.as_ref(), &self.to_bytes(pinned_checksum))
-    }
-
-    /// Loads an artifact written by [`ShardedEmbeddingIndex::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O, format, or checksum-pin errors as text.
-    pub fn load(path: impl AsRef<std::path::Path>, expected_checksum: u64) -> Result<Self, String> {
-        Self::from_bytes(&read_artifact(path.as_ref())?, expected_checksum)
     }
 }
 
@@ -1921,20 +1792,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_matches_flat_exactly() {
-        for cap in [1, 4, 9, 64] {
-            let (flat, sharded) = both(17, 5, cap);
-            for k in [1, 3, 8, 30] {
-                assert_eq!(
-                    flat.precision_at_k(k).to_bits(),
-                    sharded.precision_at_k(k).to_bits(),
-                    "cap {cap} k {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn non_finite_rows_behave_like_flat() {
         // non-finite rows are stored as zero rows (in both sealed shards
         // and the tail here). Against a query with no positive component
@@ -2011,7 +1868,6 @@ mod tests {
         let idx = ShardedEmbeddingIndex::new(3, 8);
         assert!(idx.is_empty());
         assert!(idx.query(&[1.0, 0.0, 0.0], 5).is_empty());
-        assert_eq!(idx.precision_at_k(2), 0.0);
         // k == 0 is "report nothing", not a panic — matching the flat index
         let (_, filled) = both(5, 3, 2);
         assert!(filled.query(&[1.0, 0.0, 0.0], 0).is_empty());
@@ -2021,39 +1877,9 @@ mod tests {
     }
 
     #[test]
-    fn similarity_blocks_tile_the_full_gram() {
-        let (flat, sharded) = both(13, 4, 5);
-        let gram = flat.pairwise_similarity();
-        let mut ws = Workspace::new();
-        let mut seen = [false; 13 * 13];
-        sharded.for_each_similarity_block(&mut ws, |ro, co, block| {
-            for i in 0..block.rows() {
-                for j in 0..block.cols() {
-                    let (g_i, g_j) = (ro + i, co + j);
-                    assert_eq!(
-                        block.get(i, j).to_bits(),
-                        gram.get(g_i, g_j).to_bits(),
-                        "({g_i},{g_j})"
-                    );
-                    seen[g_i * 13 + g_j] = true;
-                }
-            }
-        });
-        assert!(seen.iter().all(|&s| s), "blocks must cover the full Gram");
-        // and the workspace pools block buffers instead of reallocating
-        let warm = ws.allocations();
-        sharded.for_each_similarity_block(&mut ws, |_, _, _| {});
-        assert_eq!(ws.allocations(), warm, "warm workspace re-allocated");
-    }
-
-    #[test]
     fn artifact_roundtrips_bit_exactly() {
         let (_, sharded) = both(19, 4, 6);
         let bytes = sharded.to_bytes(0xDEAD_BEEF);
-        assert_eq!(
-            ShardedEmbeddingIndex::pinned_checksum(&bytes).expect("pin"),
-            0xDEAD_BEEF
-        );
         let back = ShardedEmbeddingIndex::from_bytes(&bytes, 0xDEAD_BEEF).expect("loads");
         assert_eq!(back, sharded);
         // save -> load -> save is byte-identical (bounds included)
@@ -2203,19 +2029,6 @@ mod tests {
         }
         let err = ShardedEmbeddingIndex::from_bytes(&w.finish(), 0).expect_err("must reject");
         assert!(err.contains("capacity"), "{err}");
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("gnn4ip-shard-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let (_, sharded) = both(9, 3, 4);
-        let path = dir.join("index.bin");
-        sharded.save(&path, 42).expect("saves");
-        let back = ShardedEmbeddingIndex::load(&path, 42).expect("loads");
-        assert_eq!(back, sharded);
-        assert!(ShardedEmbeddingIndex::load(&path, 43).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // --- rebalance ------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Golden embeddings: fixed designs pinned to their trimmed DFG shape
 //! (nodes, edges, trim statistics), to an FNV-1a hash of the f32 bits
 //! of the `Gnn4Ip::with_seed(42)` embedding, and to their absolute
-//! `design_fingerprint` (persisted in embedding-library artifacts). Any
+//! `design_fingerprint` (the key of the detector's embedding cache). Any
 //! front-end, trim, adjacency or model change that moves one bit of one
 //! embedding or fingerprint fails here; a pure speed-up must pass it
 //! unchanged.

@@ -498,30 +498,6 @@ proptest! {
         }
     }
 
-    /// Sharded precision@k equals the flat index exactly (same f64 bits):
-    /// the blocked shard×shard path selects the same neighbor sets as the
-    /// materialized Gram.
-    #[test]
-    fn sharded_precision_matches_flat_bitwise(
-        n in 2usize..32,
-        dim in 1usize..6,
-        cap in 1usize..10,
-        k in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let rows = index_rows(n, dim, seed);
-        let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        let flat = EmbeddingIndex::from_embeddings_dim(dim, &rows, &labels);
-        let mut sharded = ShardedEmbeddingIndex::new(dim, cap);
-        for (row, &l) in rows.iter().zip(&labels) {
-            sharded.insert(row, l);
-        }
-        prop_assert_eq!(
-            flat.precision_at_k(k).to_bits(),
-            sharded.precision_at_k(k).to_bits()
-        );
-    }
-
     /// The shard artifact round-trips to an identical index: same bytes
     /// back out, same query answers.
     #[test]
