@@ -69,7 +69,11 @@ stage_examples() {
 
 stage_audit() {
     # corpus-scale audit pipeline on the synthetic corpus: streaming
-    # ingest, recall harness, and shard-index persistence round-trip
+    # ingest, recall harness, and the corpus checkpoint directory: it
+    # checkpoints, reopens, ingests more and checkpoints again, asserting
+    # that the second checkpoint writes only the newly sealed shard and
+    # name-block files plus the manifest, and that every reopened verdict
+    # is bit-identical
     cargo run --release --offline --example audit_pipeline -- --designs 300 --variants 2
 }
 
@@ -105,7 +109,7 @@ stage_service() {
     # snapshot_audit_many_matches_pipeline: the snapshot's audit_many,
     # its front end on the calling thread, gives the verdicts and
     # rejections of the pipeline's fanned-out one bit for bit, and ingest
-    # at one and two threads writes the same index bytes
+    # at one and two threads builds the same in-memory index and names
     cargo test -q --release --offline -p gnn4ip-core service::
     cargo test -q --release --offline --test properties -- batch_composition
     cargo test -q --release --offline -p gnn4ip-core snapshot_audit_many_matches_pipeline

@@ -106,8 +106,8 @@ fn main() -> ExitCode {
     if mode == "graph" || mode == "all" {
         out.stages.push("graph");
         // `all` takes the line lints from run_full's report, which walks
-        // and reads every file twice (once to index, once to lint);
-        // plain `lint` mode keeps the cheap index-free path.
+        // and reads every file once for both phases; plain `lint` mode
+        // keeps the cheap index-free path.
         if mode == "all" {
             out.stages.push("lint");
         }

@@ -33,10 +33,10 @@
 //!   over-approximation, never a proof of absence.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::lint::{
-    classify, collect_rs_files, parse_allows, strip_source, test_regions, FileKind, StrippedLine,
+    classify, parse_allows, read_sources, strip_source, test_regions, FileKind, StrippedLine,
 };
 
 /// One call site inside a function body.
@@ -214,20 +214,19 @@ pub struct WorkspaceIndex {
 ///
 /// Returns an error when the workspace or a source file cannot be read.
 pub fn build_index(root: &Path) -> Result<WorkspaceIndex, String> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
+    Ok(index_sources(&read_sources(root)?))
+}
 
+/// [`build_index`] over sources already read: every file `classify`
+/// accepts.
+pub(crate) fn index_sources(sources: &[(PathBuf, String)]) -> WorkspaceIndex {
     let mut index = WorkspaceIndex::default();
-    for rel in &files {
-        if classify(rel).is_none() {
-            continue;
+    for (rel, text) in sources {
+        if classify(rel).is_some() {
+            index.files.insert(rel_key(rel), index_file(rel, text));
         }
-        let text = std::fs::read_to_string(root.join(rel))
-            .map_err(|e| format!("reading {}: {e}", rel.display()))?;
-        index.files.insert(rel_key(rel), index_file(rel, &text));
     }
-    Ok(index)
+    index
 }
 
 /// Normalizes a relative path into the index key form.

@@ -224,17 +224,34 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// Returns an error when the root or a source file cannot be read — an
 /// unreadable workspace must fail loudly, not pass vacuously.
 pub fn run_lint(config: &LintConfig) -> Result<LintReport, String> {
-    let root = &config.root;
+    lint_sources(&config.root, &read_sources(&config.root)?)
+}
+
+/// Every `.rs` file under `root` with its text, sorted by relative path:
+/// the one walk and read that the symbol index and the line lints share.
+pub(crate) fn read_sources(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
+    files
+        .into_iter()
+        .map(|rel| {
+            let text = std::fs::read_to_string(root.join(&rel))
+                .map_err(|e| format!("reading {}: {e}", rel.display()))?;
+            Ok((rel, text))
+        })
+        .collect()
+}
 
+/// [`run_lint`] over sources already read by [`read_sources`].
+pub(crate) fn lint_sources(
+    root: &Path,
+    sources: &[(PathBuf, String)],
+) -> Result<LintReport, String> {
     let mut report = LintReport::default();
     let mut registry = RegistryScan::default();
-    for rel in &files {
-        let text = std::fs::read_to_string(root.join(rel))
-            .map_err(|e| format!("reading {}: {e}", rel.display()))?;
-        lint_source(rel, &text, &mut report.violations, &mut registry);
+    for (rel, text) in sources {
+        lint_source(rel, text, &mut report.violations, &mut registry);
         report.files_scanned += 1;
     }
     check_registry(root, &registry, &mut report.violations)?;

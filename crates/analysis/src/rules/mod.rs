@@ -28,8 +28,8 @@ pub mod panics;
 pub mod taint;
 
 use crate::graph::SymbolGraph;
-use crate::index::{build_index, WorkspaceIndex};
-use crate::lint::{run_lint, LintConfig, LintReport, Violation};
+use crate::index::{index_sources, WorkspaceIndex};
+use crate::lint::{lint_sources, read_sources, LintConfig, LintReport, Violation};
 
 /// Runs every graph rule over an already-built index.
 pub fn run_graph_rules(index: &WorkspaceIndex) -> Vec<Violation> {
@@ -75,16 +75,18 @@ impl AnalysisReport {
 }
 
 /// Runs the full two-phase analysis over `config.root`, indexing every
-/// file from scratch and writing nothing.
+/// file from scratch and writing nothing. Each file is read once, for
+/// both phases.
 ///
 /// # Errors
 ///
 /// Returns an error when the workspace cannot be read — an
 /// infrastructure failure, never a lint finding.
 pub fn run_full(config: &LintConfig) -> Result<AnalysisReport, String> {
-    let index = build_index(&config.root)?;
+    let sources = read_sources(&config.root)?;
+    let index = index_sources(&sources);
     let graph = run_graph_rules(&index);
-    let lint = run_lint(config)?;
+    let lint = lint_sources(&config.root, &sources)?;
     Ok(AnalysisReport {
         lint,
         graph,

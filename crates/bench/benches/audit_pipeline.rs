@@ -8,8 +8,10 @@
 //! 2. **ingest scales linearly** — streaming N designs through
 //!    parse → DFG → embed_batch → shard-insert must cost ~constant time
 //!    per design as N grows (bounded batches, no quadratic rebuilds).
-//! 3. **artifact latency** — persisting and reloading a 1k-entry index
-//!    must stay in the low-millisecond range so warm starts are free.
+//! 3. **checkpoint latency** — checkpointing a 1k-design corpus into a
+//!    directory and opening it again must stay in the low-millisecond
+//!    range so warm starts are free; a checkpoint with nothing newly
+//!    sealed writes the manifest alone.
 //! 4. **bound pruning pays** — on a clustered 1k-entry corpus, the
 //!    centroid/radius bounds must skip at least half the sealed shards
 //!    (asserted here) and beat the exhaustive scan on latency.
@@ -195,33 +197,32 @@ fn bench_ingest_scaling(c: &mut Criterion) {
 }
 
 fn bench_artifact_io(c: &mut Criterion) {
+    // 1024 designs: four sealed shards and name blocks at capacity 256
     let mut p = AuditPipeline::new(Gnn4Ip::with_seed(7), AuditConfig::default());
-    let entries = random_embeddings(1024, 17);
-    // index synthetic embeddings directly at corpus scale: artifact cost
-    // is about serialization, not the model
-    let mut sharded = ShardedEmbeddingIndex::new(DIM, 256);
-    for (i, e) in entries.iter().enumerate() {
-        sharded.insert(e, i);
-    }
-    let report = p.ingest(corpus(8));
-    assert_eq!(report.ingested, 8);
-    let bytes = p.index_bytes();
+    assert_eq!(p.ingest(corpus(1024)).ingested, 1024);
+    let root = std::env::temp_dir().join(format!("gnn4ip-bench-io-{}", std::process::id()));
+    let (dir, fresh) = (root.join("corpus"), root.join("fresh"));
+    p.checkpoint(&dir).expect("checkpoints");
+    let weights = p.detector().to_bytes();
     let mut group = c.benchmark_group("audit_pipeline/artifact");
-    group.bench_function("shard_index_to_bytes_1024", |b| {
-        b.iter(|| std::hint::black_box(sharded.to_bytes(42)))
+    group.bench_function("checkpoint_1024_fresh", |b| {
+        b.iter(|| {
+            std::fs::remove_dir_all(&fresh).ok();
+            std::hint::black_box(p.checkpoint(&fresh).expect("checkpoints"))
+        })
     });
-    let shard_bytes = sharded.to_bytes(42);
-    group.bench_function("shard_index_from_bytes_1024", |b| {
-        b.iter(|| std::hint::black_box(ShardedEmbeddingIndex::from_bytes(&shard_bytes, 42)))
+    group.bench_function("checkpoint_1024_unchanged", |b| {
+        b.iter(|| std::hint::black_box(p.checkpoint(&dir).expect("checkpoints")))
     });
-    let mut fresh = AuditPipeline::new(
-        Gnn4Ip::from_bytes(&p.detector().to_bytes()).expect("loads"),
-        AuditConfig::default(),
-    );
-    group.bench_function("pipeline_load_index_bytes", |b| {
-        b.iter(|| std::hint::black_box(fresh.load_index_bytes(&bytes).expect("loads")))
+    group.bench_function("open_1024", |b| {
+        b.iter(|| {
+            let detector = Gnn4Ip::from_bytes(&weights).expect("loads");
+            let opened = AuditPipeline::open(detector, AuditConfig::default(), &dir);
+            std::hint::black_box(opened.expect("opens").len())
+        })
     });
     group.finish();
+    std::fs::remove_dir_all(&root).ok();
 }
 
 criterion_group!(

@@ -14,6 +14,9 @@
 //!                                   ▼
 //!                      ShardedEmbeddingIndex::insert      (bounded memory)
 //!                                   │
+//!                         checkpoint / open              (corpus directory,
+//!                                   │                     pinned to weights)
+//!                                   ▼
 //!        audit(suspect) ──► hw2vec → top-k query ──► AuditVerdict
 //! ```
 //!
@@ -21,10 +24,14 @@
 //! parsed, turned into a graph and embedded through the tape-free forward
 //! pass by the same fan-out worker, and each graph is dropped as soon as
 //! it is embedded. The embeddings are inserted into fixed-capacity shards,
-//! so memory stays bounded no matter how large the corpus grows. The filled
-//! index persists through the `G4IP` binary artifact format, pinned to the
-//! detector's weights checksum: an index built by other weights is
-//! rejected at load rather than silently serving stale similarities.
+//! so memory stays bounded no matter how large the corpus grows. The
+//! corpus — embeddings, labels and names — persists as a checkpoint
+//! directory ([`AuditPipeline::checkpoint`] / [`AuditPipeline::open`]):
+//! each sealed shard and name block is written once, as a
+//! content-addressed file, so a checkpoint writes only what was sealed
+//! since the last one, plus the manifest. The manifest is pinned to the
+//! detector's weights checksum: a corpus embedded by other weights is
+//! refused at open rather than silently serving stale similarities.
 //!
 //! The pipeline also *serves while it grows*:
 //! [`AuditPipeline::snapshot`] captures an immutable [`AuditSnapshot`] in
@@ -44,6 +51,7 @@
 //! source design is retrieved (recall@1 / recall@k).
 
 use std::collections::HashSet;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,24 +60,14 @@ use gnn4ip_data::{
     SynthSize, VariationConfig,
 };
 use gnn4ip_dfg::graph_from_verilog;
-use gnn4ip_eval::{QueryHit, QueryOptions, ShardedEmbeddingIndex};
+use gnn4ip_eval::{
+    CheckpointReport, ManifestError, NameLog, QueryHit, QueryOptions, ShardedEmbeddingIndex,
+};
 use gnn4ip_hdl::ParseVerilogError;
 use gnn4ip_nn::{fan_out, GraphInput, Workspace};
-use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter};
 
 use crate::api::Gnn4Ip;
 use crate::serve::PublicationSlot;
-
-/// Kind tag of the persisted audit-index artifact (names + shard index,
-/// pinned to the detector weights that produced the embeddings).
-pub const AUDIT_INDEX_KIND: &str = "gnn4ip-audit-index";
-
-/// Format version the audit-index artifact is written at. Its own field
-/// layout is unchanged since v1, but the nested shard-index blob became
-/// v2 (sealed-shard bounds), so the envelope says v2 too — a pre-v2
-/// reader is rejected up front instead of failing deep inside the
-/// nested blob. v1 artifacts (nested v1 blob) still load.
-const AUDIT_INDEX_VERSION: u16 = 2;
 
 /// Tuning knobs of an [`AuditPipeline`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,46 +151,33 @@ pub struct BatchReport {
     pub rejected: Vec<(String, String)>,
 }
 
-/// Failure modes of the audit-index persistence surface
-/// ([`AuditPipeline::save_index`] / [`load_index`](AuditPipeline::load_index) /
-/// [`load_index_bytes`](AuditPipeline::load_index_bytes)), one variant per
-/// distinct cause in the style of `gnn4ip_eval::ManifestError` — so the
-/// serve loop and the CLI map failures to protocol responses and exit
-/// codes by matching, never by searching error strings.
+/// Why [`AuditPipeline::open`] refused a corpus checkpoint, one variant
+/// per distinct cause — so the serve loop and the CLI map failures to
+/// responses and exit codes by matching, never by searching error
+/// strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditError {
-    /// Reading or writing the artifact file failed (underlying I/O error
-    /// as text).
-    Io(String),
-    /// The artifact bytes are malformed: bad magic, unsupported version,
-    /// checksum failure, truncation, or a corrupt nested shard blob.
-    Format(String),
-    /// The artifact was produced by different detector weights —
-    /// embeddings are only valid for the exact weights that made them.
-    WeightsMismatch {
-        /// Weights checksum stamped into the artifact.
-        artifact: u64,
-        /// This detector's weights checksum.
-        detector: u64,
-    },
-    /// The artifact pairs an index and a name table of different sizes.
+    /// The directory holds no readable checkpoint for this detector's
+    /// weights: embeddings are only valid for the weights that made them.
+    Checkpoint(ManifestError),
+    /// The checkpoint pairs rows and names of different counts.
     NameCountMismatch {
-        /// Embedding rows the index holds.
+        /// Embedding rows the checkpoint holds.
         embeddings: usize,
-        /// Names the artifact carries.
+        /// Names the checkpoint holds.
         names: usize,
     },
-    /// A stored label points past the artifact's name table.
+    /// A stored label points past the checkpoint's names.
     LabelOutOfRange {
         /// The out-of-range label.
         label: usize,
-        /// Names the artifact carries.
+        /// Names the checkpoint holds.
         names: usize,
     },
-    /// The artifact's embedding dimension does not match the detector's
+    /// The checkpoint's embedding dimension does not match the detector's
     /// embedding width.
     DimMismatch {
-        /// Dimension stored in the artifact.
+        /// Dimension stored in the checkpoint.
         artifact: usize,
         /// The detector's embedding width.
         detector: usize,
@@ -202,25 +187,18 @@ pub enum AuditError {
 impl std::fmt::Display for AuditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "audit index i/o failed: {e}"),
-            Self::Format(e) => write!(f, "audit index artifact is malformed: {e}"),
-            Self::WeightsMismatch { artifact, detector } => write!(
-                f,
-                "audit index was built by weights {artifact:#018x}, this detector \
-                 has {detector:#018x}; re-ingest instead of loading"
-            ),
+            Self::Checkpoint(e) => e.fmt(f),
             Self::NameCountMismatch { embeddings, names } => write!(
                 f,
-                "audit index holds {embeddings} embeddings but {names} names"
+                "corpus checkpoint holds {embeddings} embeddings but {names} names"
             ),
             Self::LabelOutOfRange { label, names } => write!(
                 f,
-                "audit index references label {label} but only {names} names exist; \
-                 the artifact pairs mismatched index and name tables"
+                "corpus checkpoint references label {label} but only {names} names exist"
             ),
             Self::DimMismatch { artifact, detector } => write!(
                 f,
-                "audit index dimension {artifact} != detector embedding width {detector}"
+                "corpus checkpoint dimension {artifact} != detector embedding width {detector}"
             ),
         }
     }
@@ -256,70 +234,6 @@ impl AuditVerdict {
     /// The best match, when the index is non-empty.
     pub fn best(&self) -> Option<&AuditMatch> {
         self.matches.first()
-    }
-}
-
-/// Label (insertion index) → ingested name, stored with the same
-/// sealed/tail discipline as the embedding shards: full blocks are
-/// immutable and `Arc`-shared, only the open tail is copied by a
-/// snapshot. Block size tracks the index's shard capacity so the two
-/// structures seal in lockstep.
-#[derive(Debug, Clone)]
-struct NameLog {
-    block: usize,
-    sealed: Vec<Arc<Vec<String>>>,
-    tail: Vec<String>,
-}
-
-impl NameLog {
-    fn new(block: usize) -> Self {
-        assert!(block > 0, "name block size must be positive");
-        Self {
-            block,
-            sealed: Vec::new(),
-            tail: Vec::new(),
-        }
-    }
-
-    fn from_names(names: Vec<String>, block: usize) -> Self {
-        let mut log = Self::new(block);
-        for name in names {
-            log.push(name);
-        }
-        log
-    }
-
-    fn push(&mut self, name: String) {
-        self.tail.push(name);
-        if self.tail.len() == self.block {
-            self.sealed.push(Arc::new(std::mem::take(&mut self.tail)));
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.sealed.len() * self.block + self.tail.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
-    }
-
-    fn get(&self, i: usize) -> Option<&str> {
-        let b = i / self.block;
-        if b < self.sealed.len() {
-            self.sealed[b].get(i % self.block).map(String::as_str)
-        } else {
-            self.tail
-                .get(i - self.sealed.len() * self.block)
-                .map(String::as_str)
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &str> {
-        self.sealed
-            .iter()
-            .flat_map(|b| b.iter().map(String::as_str))
-            .chain(self.tail.iter().map(String::as_str))
     }
 }
 
@@ -402,26 +316,11 @@ impl AuditPipeline {
     }
 
     /// Name a label was ingested under, or `None` for an out-of-range
-    /// label.
-    pub fn try_name_of(&self, label: usize) -> Option<&str> {
+    /// label. The labels of this pipeline's verdicts always have one:
+    /// [`AuditPipeline::open`] refuses a checkpoint whose labels point
+    /// past its names.
+    pub fn name_of(&self, label: usize) -> Option<&str> {
         self.names.get(label)
-    }
-
-    /// Name a label was ingested under.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `label` is out of bounds. Labels coming from this
-    /// pipeline's own verdicts or from a successfully loaded artifact are
-    /// always in range — [`AuditPipeline::load_index_bytes`] rejects
-    /// artifacts whose index references names that do not exist.
-    pub fn name_of(&self, label: usize) -> &str {
-        self.try_name_of(label).unwrap_or_else(|| {
-            panic!(
-                "label {label} out of range: {} designs ingested",
-                self.names.len()
-            )
-        })
     }
 
     /// Captures an immutable, self-contained serving snapshot: the sealed
@@ -499,7 +398,7 @@ impl AuditPipeline {
     /// tape-free [`forward_infer`](gnn4ip_nn::Hw2Vec::forward_infer)),
     /// inserted into the shards, and dropped before the next batch starts
     /// — memory stays bounded by one batch regardless of corpus size. The
-    /// index bytes do not depend on [`AuditConfig::threads`]. Malformed
+    /// index and names do not depend on [`AuditConfig::threads`]. Malformed
     /// sources are recorded in the report and skipped, never aborting the
     /// stream.
     pub fn ingest<I>(&mut self, sources: I) -> IngestReport
@@ -592,58 +491,49 @@ impl AuditPipeline {
 
     // --- persistence ---------------------------------------------------
 
-    /// Serializes the audit index — names plus the nested shard-index
-    /// artifact — pinned to the detector's weights checksum.
-    pub fn index_bytes(&self) -> Vec<u8> {
-        let checksum = self.detector.model().weights_checksum();
-        let mut w = BinWriter::with_version(AUDIT_INDEX_KIND, AUDIT_INDEX_VERSION);
-        w.u64(checksum);
-        w.len_of(self.names.len());
-        for name in self.names.iter() {
-            w.str(name);
-        }
-        w.bytes(&self.index.to_bytes(checksum));
-        w.finish()
-    }
-
-    /// Restores an index serialized by [`AuditPipeline::index_bytes`],
-    /// replacing the current one. The loaded shard capacity comes from the
-    /// artifact (it wins over [`AuditConfig::shard_capacity`], which only
-    /// seeds fresh pipelines). Returns the number of designs restored.
+    /// Checkpoints the corpus — embeddings, labels and names — into `dir`,
+    /// pinned to the detector's weights checksum: only what was sealed
+    /// since the last checkpoint into `dir` is written, then the manifest
+    /// ([`ShardedEmbeddingIndex::checkpoint_dir`]).
     ///
     /// # Errors
     ///
-    /// Fails on corrupt artifacts, on an index built by different weights
-    /// (embeddings are only valid for the exact weights that produced
-    /// them), on name/embedding count or dimension mismatches, and on an
-    /// index whose stored labels reference names that do not exist — a
-    /// mismatched artifact is rejected here, descriptively, instead of
-    /// deferring a panic to the first query that retrieves the bad label.
-    /// Every failure mode is a distinct [`AuditError`] variant.
-    pub fn load_index_bytes(&mut self, bytes: &[u8]) -> Result<usize, AuditError> {
-        let mut r = BinReader::open_versioned(bytes, AUDIT_INDEX_KIND, AUDIT_INDEX_VERSION)
-            .map_err(AuditError::Format)?;
-        let checksum = r.u64().map_err(AuditError::Format)?;
-        let own = self.detector.model().weights_checksum();
-        if checksum != own {
-            return Err(AuditError::WeightsMismatch {
-                artifact: checksum,
-                detector: own,
+    /// Returns the filesystem failure as [`ManifestError::Io`].
+    pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<CheckpointReport, ManifestError> {
+        let pin = self.detector.model().weights_checksum();
+        self.index.checkpoint_dir(&self.names, dir, pin)
+    }
+
+    /// Opens a corpus that [`AuditPipeline::checkpoint`] wrote into `dir`
+    /// as a pipeline around `detector`. The shard capacity comes from the
+    /// checkpoint: it wins over [`AuditConfig::shard_capacity`], which
+    /// only seeds fresh pipelines.
+    ///
+    /// # Errors
+    ///
+    /// [`AuditError::Checkpoint`] when `dir` holds no readable checkpoint
+    /// for this detector's weights ([`ShardedEmbeddingIndex::load_dir`]
+    /// lists the causes), and the other [`AuditError`] variants when its
+    /// rows and names do not make a corpus this detector can serve.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`AuditPipeline::new`] does.
+    pub fn open(
+        detector: Gnn4Ip,
+        config: AuditConfig,
+        dir: impl AsRef<Path>,
+    ) -> Result<Self, AuditError> {
+        let pin = detector.model().weights_checksum();
+        let loaded = ShardedEmbeddingIndex::load_dir(dir, pin);
+        let (index, names) = loaded.map_err(AuditError::Checkpoint)?;
+        let width = detector.model().config().hidden;
+        if index.dim() != width {
+            return Err(AuditError::DimMismatch {
+                artifact: index.dim(),
+                detector: width,
             });
         }
-        // every name carries a 4-byte length prefix
-        let n = r.count_of(4).map_err(AuditError::Format)?;
-        let mut names = Vec::with_capacity(n);
-        for _ in 0..n {
-            names.push(r.str().map_err(AuditError::Format)?);
-        }
-        let nested = r.bytes().map_err(AuditError::Format)?;
-        // the nested blob is pinned to the same checksum the envelope
-        // carries (already matched against our weights above), so any
-        // failure in here — including its pin check — is artifact
-        // corruption, not a weights mismatch
-        let index = ShardedEmbeddingIndex::from_bytes(nested, own).map_err(AuditError::Format)?;
-        r.done().map_err(AuditError::Format)?;
         if index.len() != names.len() {
             return Err(AuditError::NameCountMismatch {
                 embeddings: index.len(),
@@ -656,39 +546,10 @@ impl AuditPipeline {
                 names: names.len(),
             });
         }
-        if index.dim() != self.index.dim() {
-            return Err(AuditError::DimMismatch {
-                artifact: index.dim(),
-                detector: self.index.dim(),
-            });
-        }
-        // the artifact's shard capacity wins; keep names sealing in
-        // lockstep with it
-        self.names = NameLog::from_names(names, index.shard_capacity());
-        self.index = index;
-        Ok(n)
-    }
-
-    /// Writes the audit-index artifact to `path` (atomic: temp file +
-    /// rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O failure as [`AuditError::Io`].
-    pub fn save_index(&self, path: impl AsRef<std::path::Path>) -> Result<(), AuditError> {
-        write_artifact(path.as_ref(), &self.index_bytes()).map_err(AuditError::Io)
-    }
-
-    /// Loads an audit-index artifact written by
-    /// [`AuditPipeline::save_index`]. Returns the number of designs
-    /// restored.
-    ///
-    /// # Errors
-    ///
-    /// [`AuditError::Io`] for file-system failures, otherwise whatever
-    /// [`AuditPipeline::load_index_bytes`] rejects the bytes with.
-    pub fn load_index(&mut self, path: impl AsRef<std::path::Path>) -> Result<usize, AuditError> {
-        self.load_index_bytes(&read_artifact(path.as_ref()).map_err(AuditError::Io)?)
+        let mut pipeline = Self::new(detector, config);
+        pipeline.index = index;
+        pipeline.names = names;
+        Ok(pipeline)
     }
 }
 
@@ -719,7 +580,7 @@ fn verdict_from_hits(hits: Vec<QueryHit>, names: &NameLog, delta: f32) -> AuditV
         .map(|h| AuditMatch {
             name: names
                 .get(h.label)
-                // g4check: allow(unwrap-in-lib): ingest appends the name before the row, and load_index_bytes rejects artifacts whose labels exceed the name table
+                // g4check: allow(unwrap-in-lib): ingest appends the name before the row, and open refuses checkpoints whose labels exceed the names
                 .expect("labels are validated against the name table at ingest and load")
                 .to_string(),
             label: h.label,
@@ -885,7 +746,7 @@ impl AuditSnapshot {
 
     /// Name a label was ingested under, or `None` for an out-of-range
     /// label.
-    pub fn try_name_of(&self, label: usize) -> Option<&str> {
+    pub fn name_of(&self, label: usize) -> Option<&str> {
         self.names.get(label)
     }
 
@@ -1047,8 +908,8 @@ pub fn run_audit_scenarios(
     let ingest_secs = t0.elapsed().as_secs_f64();
     // the parser may have rejected designs, so recall only counts the ones
     // that actually landed in the index this run
-    let ingested_names: HashSet<String> = (base..pipeline.len())
-        .map(|l| pipeline.name_of(l).to_string())
+    let ingested_names: HashSet<&str> = (base..pipeline.len())
+        .filter_map(|l| pipeline.name_of(l))
         .collect();
 
     let mut audited = 0usize;
@@ -1057,7 +918,7 @@ pub fn run_audit_scenarios(
     let mut top_score_sum = 0.0f64;
     let t1 = Instant::now();
     for (di, design) in designs.iter().enumerate() {
-        if !ingested_names.contains(&design.name) {
+        if !ingested_names.contains(design.name.as_str()) {
             continue; // the parser rejected this design at ingest
         }
         for v in 1..=spec.variants_per_design {
@@ -1155,8 +1016,8 @@ mod tests {
         assert_eq!(p.len(), 3);
         // capacity 2 -> two shards for three designs
         assert_eq!(p.index().num_shards(), 2);
-        assert_eq!(p.name_of(0), "inv");
-        assert_eq!(p.name_of(2), "add");
+        assert_eq!(p.name_of(0), Some("inv"));
+        assert_eq!(p.name_of(2), Some("add"));
     }
 
     #[test]
@@ -1200,8 +1061,8 @@ mod tests {
         assert_eq!(report.rejected[0].0, "broken");
         assert_eq!(p.len(), 2);
         // labels stay dense: the rejected design claims no label
-        assert_eq!(p.name_of(0), "good");
-        assert_eq!(p.name_of(1), "also_good");
+        assert_eq!(p.name_of(0), Some("good"));
+        assert_eq!(p.name_of(1), Some("also_good"));
     }
 
     #[test]
@@ -1236,32 +1097,73 @@ mod tests {
         assert!(snap.audit(INV, None).expect("audits").matches.is_empty());
     }
 
+    /// A fresh directory for one test's checkpoints.
+    fn tmp_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gnn4ip-audit-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every file in `dir` as `(name, bytes)`, sorted by name.
+    fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("lists")
+            .map(|e| {
+                let e = e.expect("entry");
+                let bytes = std::fs::read(e.path()).expect("reads");
+                (e.file_name().to_string_lossy().into_owned(), bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Opens `dir` around a copy of `p`'s detector, rebuilt from its bytes.
+    fn reopen(p: &AuditPipeline, dir: &Path) -> Result<AuditPipeline, AuditError> {
+        let detector = Gnn4Ip::from_bytes(&p.detector().to_bytes()).expect("loads");
+        AuditPipeline::open(detector, small_config(), dir)
+    }
+
     #[test]
-    fn mismatched_name_table_is_rejected_at_load() {
-        // regression: an artifact whose index labels point past the name
-        // table used to load fine and panic later, inside name_of, on the
-        // first query that retrieved the bad label — now it is a
-        // descriptive load-time error
-        let mut p = AuditPipeline::new(Gnn4Ip::with_seed(6), small_config());
-        let checksum = p.detector().model().weights_checksum();
-        let dim = p.index().dim();
-        let mut index = ShardedEmbeddingIndex::new(dim, 2);
-        let row: Vec<f32> = (0..dim).map(|j| 1.0 - j as f32 * 0.01).collect();
-        index.insert(&row, 7); // label 7, but only one name below
-        let mut w = BinWriter::with_version(AUDIT_INDEX_KIND, 2);
-        w.u64(checksum);
-        w.len_of(1);
-        w.str("only_name");
-        w.bytes(&index.to_bytes(checksum));
-        let err = p.load_index_bytes(&w.finish()).expect_err("must reject");
-        assert!(
-            matches!(err, AuditError::LabelOutOfRange { label: 7, names: 1 }),
-            "{err:?}"
-        );
+    fn checkpoints_that_make_no_corpus_are_refused() {
+        // regression: an index whose labels point past the names used to
+        // load fine and panic later, inside name_of, on the first query
+        // that retrieved the bad label — now each mismatch is a typed
+        // error at open
+        let p = AuditPipeline::new(Gnn4Ip::with_seed(6), small_config());
+        let (pin, dim) = (p.detector().model().weights_checksum(), p.index().dim());
+        let dir = tmp_dir("refusals");
+        let refused = |dim: usize, label: usize, names: &[&str]| {
+            let mut index = ShardedEmbeddingIndex::new(dim, 2);
+            index.insert(&vec![0.5; dim], label);
+            let mut log = NameLog::new(2);
+            names.iter().for_each(|n| log.push(n.to_string()));
+            index.checkpoint_dir(&log, &dir, pin).expect("checkpoints");
+            reopen(&p, &dir).expect_err("must refuse")
+        };
+        let err = refused(dim, 7, &["only_name"]);
+        assert_eq!(err, AuditError::LabelOutOfRange { label: 7, names: 1 });
         assert!(err.to_string().contains("label 7"), "{err}");
-        assert!(p.is_empty(), "a rejected artifact must not half-load");
+        // rows without names, as a manifest from before names were stored
+        let (embeddings, names) = (1, 0);
+        let count = AuditError::NameCountMismatch { embeddings, names };
+        assert_eq!(refused(dim, 0, &[]), count);
+        let (artifact, detector) = (dim + 1, dim);
+        let wide = AuditError::DimMismatch { artifact, detector };
+        assert_eq!(refused(dim + 1, 0, &["wide"]), wide);
+        // this detector's corpus, opened under other weights
+        pipeline().checkpoint(&dir).expect("checkpoints");
+        let other = AuditPipeline::open(Gnn4Ip::with_seed(99), small_config(), &dir);
+        let err = other.expect_err("must refuse");
+        let pinned = matches!(
+            err,
+            AuditError::Checkpoint(ManifestError::PinMismatch { .. })
+        );
+        assert!(pinned, "{err:?}");
+        assert!(err.to_string().contains("built by weights"), "{err}");
         // out-of-range lookups on a live pipeline answer None, not garbage
-        assert!(p.try_name_of(7).is_none());
+        assert!(p.name_of(7).is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1319,7 +1221,9 @@ mod tests {
 
     /// A verdict as `(piracy, [(name, label, score bits, piracy)])`:
     /// `AuditMatch`'s `==` compares scores as floats.
-    fn verdict_bits(v: &AuditVerdict) -> (bool, Vec<(String, usize, u32, bool)>) {
+    type VerdictBits = (bool, Vec<(String, usize, u32, bool)>);
+
+    fn verdict_bits(v: &AuditVerdict) -> VerdictBits {
         let matches = v.matches.iter();
         let bits = matches.map(|m| (m.name.clone(), m.label, m.score.to_bits(), m.piracy));
         (v.piracy, bits.collect())
@@ -1327,7 +1231,7 @@ mod tests {
 
     /// The snapshot runs the front end on the calling thread; the
     /// pipeline fans it out over two workers per batch of two. Verdicts,
-    /// rejections and index bytes do not depend on which.
+    /// rejections, the index and the names do not depend on which.
     #[test]
     fn snapshot_audit_many_matches_pipeline() {
         const AND2: &str = "module a2(input a, input b, output y); assign y = a & b; endmodule";
@@ -1347,11 +1251,8 @@ mod tests {
         let mut serial = AuditPipeline::new(Gnn4Ip::with_seed(6), small_config());
         assert_eq!(p.ingest(corpus.clone()), serial.ingest(corpus));
         assert_eq!(p.len(), 4);
-        assert_eq!(
-            p.index_bytes(),
-            serial.index_bytes(),
-            "ingest at threads 1 and 2"
-        );
+        assert_eq!(p.index(), serial.index(), "ingest at threads 1 and 2");
+        assert_eq!(p.names, serial.names, "ingest at threads 1 and 2");
 
         let snap = p.snapshot();
         let suspects = vec![
@@ -1475,10 +1376,7 @@ mod tests {
                         }
                         for m in &verdict.matches {
                             assert!(m.label < snap.len(), "label beyond snapshot");
-                            assert_eq!(
-                                snap.try_name_of(m.label).expect("label resolvable"),
-                                m.name
-                            );
+                            assert_eq!(snap.name_of(m.label).expect("label resolvable"), m.name);
                             assert!(m.score.is_finite());
                         }
                         // immutability: the same snapshot must answer the
@@ -1519,48 +1417,86 @@ mod tests {
         assert_eq!(v.best().expect("hit").name, "xor2");
     }
 
-    #[test]
-    fn index_artifact_roundtrips_bit_exactly() {
-        let p = pipeline();
-        let bytes = p.index_bytes();
-        let mut fresh = AuditPipeline::new(
-            Gnn4Ip::from_bytes(&p.detector().to_bytes()).expect("loads"),
-            small_config(),
-        );
-        assert_eq!(fresh.load_index_bytes(&bytes).expect("loads"), 3);
-        assert_eq!(fresh.len(), 3);
-        assert_eq!(fresh.index_bytes(), bytes, "save→load→save drifted");
-        let (a, b) = (
-            p.audit(XOR2, None).expect("a"),
-            fresh.audit(XOR2, None).expect("b"),
-        );
-        assert_eq!(a, b);
+    /// Verdicts of every suspect, by bits, from `audit_many`.
+    fn all_verdicts(p: &AuditPipeline) -> Vec<Option<VerdictBits>> {
+        let suspects =
+            [INV, XOR2, ADD, "module broken("].map(|src| AuditSource::new("s", src, None));
+        let (verdicts, _) = p.audit_many(&suspects);
+        verdicts
+            .iter()
+            .map(|v| v.as_ref().map(verdict_bits))
+            .collect()
     }
 
+    /// A checkpoint reopens to the same corpus and verdicts, score bits
+    /// included, and checkpointing the reopened corpus afresh writes the
+    /// same files. After more designs are sealed, a second checkpoint
+    /// writes one shard and one name block besides the manifest.
     #[test]
-    fn index_from_other_weights_is_rejected() {
-        let p = pipeline();
-        let mut other = AuditPipeline::new(Gnn4Ip::with_seed(99), small_config());
-        let err = other
-            .load_index_bytes(&p.index_bytes())
-            .expect_err("must reject");
-        assert!(matches!(err, AuditError::WeightsMismatch { .. }), "{err:?}");
-        assert!(err.to_string().contains("weights"), "{err}");
-    }
+    fn checkpoints_reopen_identically_and_grow_by_new_files() {
+        let p = pipeline(); // 3 designs, capacity 2: 1 shard sealed
+        let (dir, fresh) = (tmp_dir("reopen"), tmp_dir("reopen-fresh"));
+        p.checkpoint(&dir).expect("checkpoints");
+        let mut reopened = reopen(&p, &dir).expect("opens");
+        assert_eq!((reopened.index(), &reopened.names), (p.index(), &p.names));
+        assert_eq!(all_verdicts(&reopened), all_verdicts(&p));
+        reopened.checkpoint(&fresh).expect("checkpoints");
+        assert_eq!(files(&fresh), files(&dir), "checkpoint→open→checkpoint");
 
-    #[test]
-    fn index_file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("gnn4ip-audit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let p = pipeline();
-        let path = dir.join("audit-index.bin");
-        p.save_index(&path).expect("saves");
-        let mut fresh = AuditPipeline::new(
-            Gnn4Ip::from_bytes(&p.detector().to_bytes()).expect("loads"),
-            small_config(),
-        );
-        assert_eq!(fresh.load_index(&path).expect("loads"), 3);
+        let before = files(&dir);
+        let late = [("late_xor", XOR2), ("late_inv", INV)];
+        reopened.ingest(late.map(|(name, src)| AuditSource::new(name, src, None)));
+        let report = reopened.checkpoint(&dir).expect("checkpoints");
+        assert_eq!((report.shards_written, report.name_blocks_written), (1, 1));
+        assert_eq!((report.shards_reused, report.name_blocks_reused), (1, 1));
+        // the first checkpoint's block files are kept byte for byte
+        let after = files(&dir);
+        assert!(before
+            .iter()
+            .all(|f| f.0 == "manifest.g4m" || after.contains(f)));
+        let new = after.iter().filter(|f| !before.contains(f));
+        let kinds: Vec<&str> = new.map(|f| f.0.split(['-', '.']).next().unwrap()).collect();
+        assert_eq!(kinds, ["manifest", "names", "shard"]);
+        let grown = reopen(&p, &dir).expect("opens");
+        assert_eq!(grown.name_of(4), Some("late_inv"));
+        assert_eq!(all_verdicts(&grown), all_verdicts(&reopened));
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&fresh).ok();
+    }
+
+    /// A checkpoint cut off after its block files are written but before
+    /// the manifest's rename leaves the previous corpus: its manifest
+    /// lists none of the new files, and `gc` removes exactly those.
+    #[test]
+    fn a_checkpoint_cut_before_its_manifest_leaves_the_previous_corpus() {
+        let mut p = pipeline();
+        let (dir, cut) = (tmp_dir("crash"), tmp_dir("crash-cut"));
+        p.checkpoint(&dir).expect("checkpoints");
+        let previous = all_verdicts(&p);
+        let late = [("late_xor", XOR2), ("late_add", ADD), ("late_inv", INV)];
+        p.ingest(late.map(|(name, src)| AuditSource::new(name, src, None)));
+        // the cut checkpoint: its block files, and its manifest left in
+        // `manifest.tmp`, never renamed into place
+        p.checkpoint(&cut).expect("checkpoints");
+        let mut stranded = Vec::new();
+        for (name, bytes) in files(&cut) {
+            let name = name.replace("manifest.g4m", "manifest.tmp");
+            if !dir.join(&name).exists() {
+                std::fs::write(dir.join(&name), bytes).expect("writes");
+                stranded.push(name);
+            }
+        }
+        let reopened = reopen(&p, &dir).expect("opens");
+        assert_eq!(reopened.len(), 3);
+        assert_eq!(all_verdicts(&reopened), previous);
+        // the 2 new shards and 2 new name blocks are orphans, nothing else
+        let gc = gnn4ip_eval::gc_checkpoint_dir(&dir, false).expect("collects");
+        stranded.retain(|n| n != "manifest.tmp");
+        assert_eq!((gc.orphans.len(), gc.live), (4, 2));
+        assert_eq!(gc.orphans, stranded);
+        assert_eq!(all_verdicts(&reopen(&p, &dir).expect("opens")), previous);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&cut).ok();
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub use api::{Gnn4Ip, Verdict, DETECTOR_KIND};
 pub use audit::{
     run_audit_scenarios, AuditConfig, AuditError, AuditMatch, AuditPipeline, AuditSnapshot,
     AuditSource, AuditVerdict, BatchReport, IngestReport, ScenarioReport, ScenarioSpec,
-    AUDIT_INDEX_KIND,
 };
 pub use cache::{CacheStats, EmbeddingCache};
 pub use experiment::{

@@ -22,6 +22,7 @@
 mod confusion;
 mod index;
 mod manifest;
+mod names;
 mod pca;
 mod retrieval;
 mod roc;
@@ -32,15 +33,16 @@ mod tsne;
 pub use confusion::ConfusionMatrix;
 pub use index::{EmbeddingIndex, QueryHit};
 pub use manifest::{
-    gc_checkpoint_dir, shard_file_name, CheckpointReport, GcReport, ManifestError,
-    CORPUS_MANIFEST_KIND, CORPUS_SHARD_KIND, MANIFEST_FILE,
+    gc_checkpoint_dir, shard_file_name, CheckpointReport, GcReport, ManifestError, ManifestHead,
+    CORPUS_MANIFEST_KIND, CORPUS_NAMES_KIND, CORPUS_SHARD_KIND, MANIFEST_FILE,
 };
+pub use names::NameLog;
 pub use pca::{cluster_separation, pca, PcaProjection};
 pub use retrieval::retrieval_precision_at_k;
 pub use roc::{auc, roc_curve, RocPoint};
 pub use scores::{ScoreRow, ScoreTable};
 pub use sharded::{
     QueryOptions, QueryStats, RebalanceOptions, RebalanceReport, ShardedEmbeddingIndex,
-    PARALLEL_QUERY_MIN_ROWS, SHARD_INDEX_KIND,
+    PARALLEL_QUERY_MIN_ROWS,
 };
 pub use tsne::{tsne, TsneConfig};

@@ -1,49 +1,59 @@
-//! Append-only corpus checkpoints: a manifest plus one file per sealed
-//! shard, so checkpointing a growing corpus writes only the shards
-//! sealed since the last checkpoint instead of rewriting every byte.
+//! Corpus checkpoints, the one on-disk form of a corpus: a directory
+//! holding a manifest plus one file per sealed shard and per sealed name
+//! block, so checkpointing a growing corpus writes only what was sealed
+//! since the last checkpoint instead of rewriting every byte.
 //!
 //! # Layout
 //!
 //! ```text
 //! <dir>/
-//!   manifest.g4m             gnn4ip-corpus-manifest: pin, geometry,
-//!                            content-id list, open tail rows
+//!   manifest.g4m             gnn4ip-corpus-manifest: pin, geometry, the
+//!                            live shard and name-block ids, the open
+//!                            tail's rows and names
 //!   shard-<id:016x>.g4s      gnn4ip-corpus-shard: one sealed shard,
 //!                            named by its content id
+//!   names-<id:016x>.g4n      gnn4ip-corpus-names: one sealed [`NameLog`]
+//!                            block, named by its content id
 //! ```
 //!
-//! Shard files are *content-addressed*: the name is the FNV-1a-64 of the
-//! shard's labels and stored row payload, so an unchanged shard maps to
-//! an existing file and is skipped, and two checkpoints of the same
-//! corpus converge on the same file set. The manifest is written **last**
-//! (atomically, like every G4IP artifact), so a crash mid-checkpoint
-//! leaves the previous manifest intact with at worst some orphaned —
-//! harmless — shard files. Shard files superseded by a
+//! Shard and name-block files are *content-addressed*: a shard's name is
+//! the FNV-1a-64 of its labels and stored row payload, a name block's
+//! that of its names, so an unchanged block maps to an existing file and
+//! is skipped, and two checkpoints of the same corpus converge on the
+//! same file set. The manifest is written **last** (atomically, like
+//! every G4IP artifact), so a crash mid-checkpoint leaves the previous
+//! manifest intact with at worst some orphaned — harmless — block files.
+//! Shard files superseded by a
 //! [`rebalance`](crate::ShardedEmbeddingIndex::rebalance) are likewise
-//! left behind rather than deleted; the manifest alone decides which
-//! files are live.
+//! left behind; the manifest alone decides which files are live, and
+//! [`gc_checkpoint_dir`] removes the rest.
 //!
-//! Loading cross-checks every shard file against the manifest: a missing
+//! Loading cross-checks every block file against the manifest: a missing
 //! file, a file whose recomputed content id disagrees with its name, or
 //! a file whose geometry disagrees with the manifest each fail with a
 //! dedicated [`ManifestError`] variant instead of a panic or a silently
 //! wrong index. Rows are f32 (storage tag 0); a manifest or shard file
 //! with another tag, such as the int8 rows of tag 1, is refused as
-//! [`ManifestError::Format`].
+//! [`ManifestError::Format`]. A v1 manifest, written before names were
+//! stored, loads as rows with no names.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter};
 
+use crate::names::{NameBlock, NameLog};
 use crate::sharded::{check_rows, SealedShard, Shard, ShardedEmbeddingIndex, F32_ROWS};
 
 /// Artifact kind of the corpus manifest file.
 pub const CORPUS_MANIFEST_KIND: &str = "gnn4ip-corpus-manifest";
 /// Artifact kind of one sealed-shard file.
 pub const CORPUS_SHARD_KIND: &str = "gnn4ip-corpus-shard";
-/// Version both corpus kinds are written at.
-const CORPUS_VERSION: u16 = 1;
+/// Artifact kind of one sealed name-block file.
+pub const CORPUS_NAMES_KIND: &str = "gnn4ip-corpus-names";
+/// Version the manifest is written at: v2 added the name-block ids and
+/// the tail's names. Shard and name-block files are v1.
+const MANIFEST_VERSION: u16 = 2;
 /// File name of the manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.g4m";
 
@@ -76,13 +86,18 @@ pub fn shard_file_name(content_id: u64) -> String {
     format!("shard-{content_id:016x}.g4s")
 }
 
+/// File name of the sealed name block with the given content id.
+fn names_file_name(content_id: u64) -> String {
+    format!("names-{content_id:016x}.g4n")
+}
+
 /// Why a corpus checkpoint could not be written or loaded. Every variant
 /// names the offending file where one exists, so an operator can tell a
-/// deleted shard from a corrupted one from a manifest for the wrong
-/// weights.
+/// deleted block from a corrupted one from a manifest for the wrong
+/// weights. A *block* is a shard file or a name-block file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManifestError {
-    /// Filesystem failure (other than a missing shard file).
+    /// Filesystem failure (other than a missing block file).
     Io(String),
     /// A file parsed but its contents are malformed or implausible.
     Format(String),
@@ -93,14 +108,14 @@ pub enum ManifestError {
         /// Checksum the caller expected.
         expected: u64,
     },
-    /// The manifest references a shard file that does not exist.
-    MissingShard {
+    /// The manifest references a block file that does not exist.
+    MissingBlock {
         /// File name relative to the checkpoint directory.
         file: String,
     },
-    /// A shard file's recomputed content id disagrees with the id it was
+    /// A block file's recomputed content id disagrees with the id it was
     /// stored under — the payload was corrupted or substituted.
-    ShardChecksumMismatch {
+    BlockChecksumMismatch {
         /// File name relative to the checkpoint directory.
         file: String,
         /// Content id the manifest (and file name) promise.
@@ -108,9 +123,9 @@ pub enum ManifestError {
         /// Content id recomputed from the file's payload.
         actual: u64,
     },
-    /// A shard file is internally consistent but does not belong to this
+    /// A block file is internally consistent but does not belong to this
     /// manifest (wrong geometry or self-declared id).
-    ShardMismatch {
+    BlockMismatch {
         /// File name relative to the checkpoint directory.
         file: String,
         /// What disagreed.
@@ -128,23 +143,20 @@ impl std::fmt::Display for ManifestError {
                 "corpus manifest was built by weights {pinned:#018x}, \
                  expected {expected:#018x}; re-embed instead of loading"
             ),
-            Self::MissingShard { file } => {
-                write!(f, "corpus manifest references missing shard file {file}")
+            Self::MissingBlock { file } => {
+                write!(f, "corpus manifest references missing file {file}")
             }
-            Self::ShardChecksumMismatch {
+            Self::BlockChecksumMismatch {
                 file,
                 expected,
                 actual,
             } => write!(
                 f,
-                "shard file {file} content id mismatch: \
+                "{file} content id mismatch: \
                  stored under {expected:#018x}, payload hashes to {actual:#018x}"
             ),
-            Self::ShardMismatch { file, detail } => {
-                write!(
-                    f,
-                    "shard file {file} does not belong to this manifest: {detail}"
-                )
+            Self::BlockMismatch { file, detail } => {
+                write!(f, "{file} does not belong to this manifest: {detail}")
             }
         }
     }
@@ -159,7 +171,11 @@ pub struct CheckpointReport {
     pub shards_written: usize,
     /// Sealed shards whose content-addressed file already existed.
     pub shards_reused: usize,
-    /// Bytes written for new shard files (manifest excluded).
+    /// Name-block files newly written by this checkpoint.
+    pub name_blocks_written: usize,
+    /// Sealed name blocks whose content-addressed file already existed.
+    pub name_blocks_reused: usize,
+    /// Bytes of the new shard and name-block files.
     pub bytes_written: usize,
     /// Bytes of the (always rewritten) manifest.
     pub manifest_bytes: usize,
@@ -168,7 +184,7 @@ pub struct CheckpointReport {
 /// Serializes one sealed shard into its content-addressed artifact.
 fn shard_bytes(index: &ShardedEmbeddingIndex, si: usize) -> Vec<u8> {
     let (shard, dim) = (&index.sealed[si], index.dim);
-    let mut w = BinWriter::with_version(CORPUS_SHARD_KIND, CORPUS_VERSION);
+    let mut w = BinWriter::new(CORPUS_SHARD_KIND);
     w.u64(shard.content_id);
     w.len_of(dim);
     w.len_of(shard.labels.len());
@@ -189,6 +205,17 @@ fn shard_bytes(index: &ShardedEmbeddingIndex, si: usize) -> Vec<u8> {
     w.finish()
 }
 
+/// Serializes one sealed name block into its content-addressed artifact.
+fn names_bytes(block: &NameBlock) -> Vec<u8> {
+    let mut w = BinWriter::new(CORPUS_NAMES_KIND);
+    w.u64(block.content_id);
+    w.len_of(block.names.len());
+    for name in &block.names {
+        w.str(name);
+    }
+    w.finish()
+}
+
 /// Parses and validates one shard file against the geometry and content
 /// id the manifest promises for it.
 fn parse_shard(
@@ -199,23 +226,13 @@ fn parse_shard(
     expected_id: u64,
 ) -> Result<SealedShard, ManifestError> {
     let fmt = |e: String| ManifestError::Format(format!("{file}: {e}"));
-    let mut r = BinReader::open_versioned(bytes, CORPUS_SHARD_KIND, CORPUS_VERSION).map_err(fmt)?;
-    let declared_id = r.u64().map_err(fmt)?;
-    if declared_id != expected_id {
-        return Err(ManifestError::ShardMismatch {
-            file: file.to_string(),
-            detail: format!(
-                "declares content id {declared_id:#018x}, manifest expects {expected_id:#018x}"
-            ),
-        });
-    }
+    let mut r = BinReader::open(bytes, CORPUS_SHARD_KIND).map_err(fmt)?;
+    check_declared_id(&mut r, file, expected_id)?;
     let file_dim = r.len_of().map_err(fmt)?;
     let rows = r.count_of(8).map_err(fmt)?;
     if file_dim != dim || rows != shard_capacity {
-        return Err(ManifestError::ShardMismatch {
-            file: file.to_string(),
-            detail: format!("geometry {rows}x{file_dim}, manifest expects {shard_capacity}x{dim}"),
-        });
+        let detail = format!("geometry {rows}x{file_dim}, manifest expects {shard_capacity}x{dim}");
+        return Err(mismatch(file, detail));
     }
     let mut labels = Vec::with_capacity(rows);
     for _ in 0..rows {
@@ -239,9 +256,8 @@ fn parse_shard(
     let radius = r.f32().map_err(fmt)?;
     let max_norm = r.f32().map_err(fmt)?;
     r.done().map_err(fmt)?;
-    // same sanity gate as the monolithic loader: a forged non-finite or
-    // negative bound would silently over-prune, which is worse than
-    // failing loudly
+    // a forged non-finite or negative bound would silently over-prune,
+    // which is worse than failing loudly
     let sane = |v: f32| v.is_finite() && v >= 0.0;
     if !sane(radius) || !sane(max_norm) || centroid.iter().any(|v| !v.is_finite()) {
         return Err(fmt(format!(
@@ -252,55 +268,221 @@ fn parse_shard(
     // score NaN or outside [-1, 1]
     check_rows(data.iter().copied(), dim).map_err(fmt)?;
     let shard = SealedShard::from_parts(data, labels, dim, centroid, radius, max_norm);
-    // the payload must hash to the name it was stored under — catches a
-    // substituted or bit-rotted file whose own artifact checksum is valid
-    if shard.content_id != expected_id {
-        return Err(ManifestError::ShardChecksumMismatch {
-            file: file.to_string(),
-            expected: expected_id,
-            actual: shard.content_id,
-        });
-    }
+    check_content_id(file, expected_id, shard.content_id)?;
     Ok(shard)
 }
 
-impl ShardedEmbeddingIndex {
-    /// Writes an append-only checkpoint of the index into `dir`: one
-    /// content-addressed file per sealed shard (skipping files that
-    /// already exist — an unchanged shard costs zero bytes) and the
-    /// manifest, written last so a crash can never publish a manifest
-    /// whose shards are missing. Checkpointing a corpus that grew by `N`
-    /// rows since the last checkpoint therefore writes `O(N)` bytes, not
-    /// `O(corpus)`.
-    ///
-    /// `pinned_checksum` follows the same discipline as
-    /// [`ShardedEmbeddingIndex::to_bytes`]: the weights checksum of the
-    /// model whose embeddings fill the index.
+fn mismatch(file: &str, detail: String) -> ManifestError {
+    let file = file.to_string();
+    ManifestError::BlockMismatch { file, detail }
+}
+
+/// Refuses a block file declaring another id than the manifest lists.
+fn check_declared_id(
+    r: &mut BinReader<'_>,
+    file: &str,
+    expected: u64,
+) -> Result<(), ManifestError> {
+    let declared = r
+        .u64()
+        .map_err(|e| ManifestError::Format(format!("{file}: {e}")))?;
+    if declared == expected {
+        return Ok(());
+    }
+    let detail = format!("declares content id {declared:#018x}, manifest expects {expected:#018x}");
+    Err(mismatch(file, detail))
+}
+
+/// Refuses a block whose payload does not hash to the id it is stored
+/// under: a substituted or bit-rotted file with a valid artifact checksum.
+fn check_content_id(file: &str, expected: u64, actual: u64) -> Result<(), ManifestError> {
+    if actual == expected {
+        return Ok(());
+    }
+    let file = file.to_string();
+    Err(ManifestError::BlockChecksumMismatch {
+        file,
+        expected,
+        actual,
+    })
+}
+
+/// Reads a count of items at least `min_bytes` long each, bounded by the
+/// payload before any allocation, then the items.
+fn read_list<'a, T>(
+    r: &mut BinReader<'a>,
+    min_bytes: usize,
+    item: impl Fn(&mut BinReader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let count = r.count_of(min_bytes)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
+/// Parses and validates one name-block file against the block size and
+/// content id the manifest promises for it.
+fn parse_names(
+    bytes: &[u8],
+    file: &str,
+    block: usize,
+    expected_id: u64,
+) -> Result<NameBlock, ManifestError> {
+    let fmt = |e: String| ManifestError::Format(format!("{file}: {e}"));
+    let mut r = BinReader::open(bytes, CORPUS_NAMES_KIND).map_err(fmt)?;
+    check_declared_id(&mut r, file, expected_id)?;
+    // every name carries a 4-byte length prefix
+    let names = read_list(&mut r, 4, BinReader::str).map_err(fmt)?;
+    r.done().map_err(fmt)?;
+    if names.len() != block {
+        let detail = format!("holds {} names, manifest expects {block}", names.len());
+        return Err(mismatch(file, detail));
+    }
+    let sealed = NameBlock::seal(names);
+    check_content_id(file, expected_id, sealed.content_id)?;
+    Ok(sealed)
+}
+
+/// Reads one block file a manifest lists; a missing file is
+/// [`ManifestError::MissingBlock`].
+fn read_block(dir: &Path, file: &str) -> Result<Vec<u8>, ManifestError> {
+    match std::fs::read(dir.join(file)) {
+        Ok(bytes) => Ok(bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(ManifestError::MissingBlock {
+            file: file.to_string(),
+        }),
+        Err(e) => Err(ManifestError::Io(format!("reading {file}: {e}"))),
+    }
+}
+
+/// Writes `bytes()` to `file` in `dir` unless the file exists: a block
+/// file is content-addressed, so an existing one holds these bytes.
+/// Returns whether it wrote, adding what it wrote to `written`.
+fn write_once(
+    dir: &Path,
+    file: &str,
+    bytes: impl FnOnce() -> Vec<u8>,
+    written: &mut usize,
+) -> Result<bool, ManifestError> {
+    let path = dir.join(file);
+    if path.exists() {
+        return Ok(false);
+    }
+    let bytes = bytes();
+    write_artifact(&path, &bytes).map_err(ManifestError::Io)?;
+    *written += bytes.len();
+    Ok(true)
+}
+
+/// What a manifest lists, read without its open tail and without
+/// checking the pin, geometry or storage tag, which only
+/// [`ShardedEmbeddingIndex::load_dir`] needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ManifestHead {
+    /// Weights checksum the corpus was embedded under.
+    pub pinned: u64,
+    /// Embedding dimension.
+    pub dim: usize,
+    /// Rows per sealed shard, and names per sealed name block.
+    pub shard_capacity: usize,
+    /// Content ids of the live shard files, in shard order.
+    pub shard_ids: Vec<u64>,
+    /// Content ids of the live name-block files, in label order (none in
+    /// a v1 manifest).
+    pub name_ids: Vec<u64>,
+    tag: u8,
+}
+
+impl ManifestHead {
+    /// Reads the head of the manifest artifact `bytes`.
     ///
     /// # Errors
     ///
-    /// Fails on filesystem errors; never on index contents.
+    /// [`ManifestError::Format`] when the bytes are not a readable
+    /// manifest.
+    pub fn parse(bytes: &[u8]) -> Result<Self, ManifestError> {
+        read_head(bytes).map(|(head, _)| head)
+    }
+}
+
+/// Reads a manifest's head and returns it with the reader positioned at
+/// the open tail.
+fn read_head(bytes: &[u8]) -> Result<(ManifestHead, BinReader<'_>), ManifestError> {
+    let mfmt = |e: String| ManifestError::Format(format!("{MANIFEST_FILE}: {e}"));
+    let mut r =
+        BinReader::open_versioned(bytes, CORPUS_MANIFEST_KIND, MANIFEST_VERSION).map_err(mfmt)?;
+    let pinned = r.u64().map_err(mfmt)?;
+    let dim = r.len_of().map_err(mfmt)?;
+    let shard_capacity = r.len_of().map_err(mfmt)?;
+    let tag = r.u8().map_err(mfmt)?;
+    let shard_ids = read_list(&mut r, 8, BinReader::u64).map_err(mfmt)?;
+    // a v1 manifest predates names: it lists no name blocks
+    let name_ids = if r.version() >= 2 {
+        read_list(&mut r, 8, BinReader::u64).map_err(mfmt)?
+    } else {
+        Vec::new()
+    };
+    let head = ManifestHead {
+        pinned,
+        dim,
+        shard_capacity,
+        shard_ids,
+        name_ids,
+        tag,
+    };
+    Ok((head, r))
+}
+
+impl ShardedEmbeddingIndex {
+    /// Writes an append-only checkpoint of the index and its `names`
+    /// into `dir`: one content-addressed file per sealed shard and per
+    /// sealed name block, skipping files that already exist, then the
+    /// manifest, last, so a crash can never publish a manifest whose
+    /// blocks are missing. A corpus that grew by `N` rows since the last
+    /// checkpoint costs `O(N)` bytes, not `O(corpus)`. An index
+    /// checkpointed without names passes an empty log. `pinned_checksum`
+    /// is the weights checksum of the model whose embeddings fill the
+    /// index, so a stale corpus cannot serve scores for other weights.
+    ///
+    /// # Errors
+    ///
+    /// [`ManifestError::Io`] on filesystem errors, and
+    /// [`ManifestError::Format`] when `names` seals in blocks of another
+    /// size than the shard capacity.
     pub fn checkpoint_dir(
         &self,
+        names: &NameLog,
         dir: impl AsRef<Path>,
         pinned_checksum: u64,
     ) -> Result<CheckpointReport, ManifestError> {
         let dir = dir.as_ref();
+        if names.block != self.shard_capacity {
+            return Err(ManifestError::Format(format!(
+                "names seal every {} rows but shards every {}",
+                names.block, self.shard_capacity
+            )));
+        }
         std::fs::create_dir_all(dir)
             .map_err(|e| ManifestError::Io(format!("creating {}: {e}", dir.display())))?;
         let mut report = CheckpointReport::default();
+        let bytes = &mut report.bytes_written;
+        let mut shards_written = 0;
         for (si, shard) in self.sealed.iter().enumerate() {
-            let file = dir.join(shard_file_name(shard.content_id));
-            if file.exists() {
-                report.shards_reused += 1;
-                continue;
-            }
-            let bytes = shard_bytes(self, si);
-            write_artifact(&file, &bytes).map_err(ManifestError::Io)?;
-            report.shards_written += 1;
-            report.bytes_written += bytes.len();
+            let file = shard_file_name(shard.content_id);
+            shards_written += usize::from(write_once(dir, &file, || shard_bytes(self, si), bytes)?);
         }
-        let mut w = BinWriter::with_version(CORPUS_MANIFEST_KIND, CORPUS_VERSION);
+        let mut names_written = 0;
+        for block in &names.sealed {
+            let file = names_file_name(block.content_id);
+            names_written += usize::from(write_once(dir, &file, || names_bytes(block), bytes)?);
+        }
+        report.shards_written = shards_written;
+        report.shards_reused = self.sealed.len() - shards_written;
+        report.name_blocks_written = names_written;
+        report.name_blocks_reused = names.sealed.len() - names_written;
+        let mut w = BinWriter::with_version(CORPUS_MANIFEST_KIND, MANIFEST_VERSION);
         w.u64(pinned_checksum);
         w.len_of(self.dim);
         w.len_of(self.shard_capacity);
@@ -309,12 +491,20 @@ impl ShardedEmbeddingIndex {
         for shard in &self.sealed {
             w.u64(shard.content_id);
         }
+        w.len_of(names.sealed.len());
+        for block in &names.sealed {
+            w.u64(block.content_id);
+        }
         w.len_of(self.tail.labels.len());
         for &l in &self.tail.labels {
             w.u64(l as u64);
         }
         for &v in &self.tail.data {
             w.f32(v);
+        }
+        w.len_of(names.tail.len());
+        for name in &names.tail {
+            w.str(name);
         }
         let manifest = w.finish();
         report.manifest_bytes = manifest.len();
@@ -323,38 +513,31 @@ impl ShardedEmbeddingIndex {
     }
 
     /// Loads a checkpoint written by
-    /// [`ShardedEmbeddingIndex::checkpoint_dir`], validating every shard
-    /// file against the manifest.
+    /// [`ShardedEmbeddingIndex::checkpoint_dir`]: the index and its
+    /// names, every block file validated against the manifest.
     ///
     /// # Errors
     ///
-    /// [`ManifestError::PinMismatch`] when the manifest was built by
-    /// different weights; [`ManifestError::MissingShard`] when a
-    /// referenced shard file does not exist;
-    /// [`ManifestError::ShardChecksumMismatch`] when a shard file's
-    /// payload no longer hashes to its content id;
-    /// [`ManifestError::ShardMismatch`] when a (valid) shard file does
-    /// not belong to this manifest; [`ManifestError::Format`] /
-    /// [`ManifestError::Io`] for corrupt files and filesystem failures.
-    /// A manifest or shard file whose storage tag is not that of f32
-    /// rows (such as the int8 rows of tag 1) is a
+    /// [`ManifestError::PinMismatch`] for a manifest built by other
+    /// weights, and the [`ManifestError`] variant naming each missing,
+    /// substituted or corrupt file. A manifest or shard file whose storage
+    /// tag is not that of f32 rows (such as the int8 rows of tag 1) is a
     /// [`ManifestError::Format`].
-    pub fn load_dir(dir: impl AsRef<Path>, expected_checksum: u64) -> Result<Self, ManifestError> {
+    pub fn load_dir(
+        dir: impl AsRef<Path>,
+        expected_checksum: u64,
+    ) -> Result<(Self, NameLog), ManifestError> {
         let dir = dir.as_ref();
         let manifest_bytes = read_artifact(&dir.join(MANIFEST_FILE)).map_err(ManifestError::Io)?;
         let mfmt = |e: String| ManifestError::Format(format!("{MANIFEST_FILE}: {e}"));
-        let mut r =
-            BinReader::open_versioned(&manifest_bytes, CORPUS_MANIFEST_KIND, CORPUS_VERSION)
-                .map_err(mfmt)?;
-        let pinned = r.u64().map_err(mfmt)?;
-        if pinned != expected_checksum {
+        let (head, mut r) = read_head(&manifest_bytes)?;
+        if head.pinned != expected_checksum {
             return Err(ManifestError::PinMismatch {
-                pinned,
+                pinned: head.pinned,
                 expected: expected_checksum,
             });
         }
-        let dim = r.len_of().map_err(mfmt)?;
-        let shard_capacity = r.len_of().map_err(mfmt)?;
+        let (dim, shard_capacity) = (head.dim, head.shard_capacity);
         if dim == 0 || shard_capacity == 0 {
             return Err(mfmt(format!(
                 "zero dim ({dim}) or shard capacity ({shard_capacity})"
@@ -369,14 +552,8 @@ impl ShardedEmbeddingIndex {
                  (limits {MAX_SHARD_ROWS}x{MAX_DIM})"
             )));
         }
-        let tag = r.u8().map_err(mfmt)?;
-        if tag != F32_ROWS {
-            return Err(mfmt(unsupported_tag(tag, "manifest")));
-        }
-        let n_sealed = r.count_of(8).map_err(mfmt)?;
-        let mut ids = Vec::with_capacity(n_sealed);
-        for _ in 0..n_sealed {
-            ids.push(r.u64().map_err(mfmt)?);
+        if head.tag != F32_ROWS {
+            return Err(mfmt(unsupported_tag(head.tag, "manifest")));
         }
         let row_bytes = dim
             .checked_mul(4)
@@ -398,59 +575,58 @@ impl ShardedEmbeddingIndex {
         for _ in 0..tail_rows * dim {
             tail.data.push(r.f32().map_err(mfmt)?);
         }
+        let mut names = NameLog::new(shard_capacity);
+        if r.version() >= 2 {
+            names.tail = read_list(&mut r, 4, BinReader::str).map_err(mfmt)?;
+        }
         r.done().map_err(mfmt)?;
+        if names.tail.len() >= shard_capacity {
+            return Err(mfmt(format!(
+                "tail holds {} names, capacity {shard_capacity} would have sealed them",
+                names.tail.len()
+            )));
+        }
         check_rows(tail.data.iter().copied(), dim).map_err(|e| mfmt(format!("tail {e}")))?;
 
-        let mut sealed = Vec::with_capacity(n_sealed);
-        for id in ids {
+        let mut sealed = Vec::with_capacity(head.shard_ids.len());
+        for id in head.shard_ids {
             let file = shard_file_name(id);
-            let bytes = match std::fs::read(dir.join(&file)) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    return Err(ManifestError::MissingShard { file });
-                }
-                Err(e) => return Err(ManifestError::Io(format!("reading {file}: {e}"))),
-            };
-            sealed.push(Arc::new(parse_shard(
-                &bytes,
-                &file,
-                dim,
-                shard_capacity,
-                id,
-            )?));
+            let bytes = read_block(dir, &file)?;
+            let shard = parse_shard(&bytes, &file, dim, shard_capacity, id)?;
+            sealed.push(Arc::new(shard));
         }
-        Ok(Self {
+        for id in head.name_ids {
+            let file = names_file_name(id);
+            let block = parse_names(&read_block(dir, &file)?, &file, shard_capacity, id)?;
+            names.sealed.push(Arc::new(block));
+        }
+        let index = Self {
             dim,
             shard_capacity,
             sealed,
             tail,
-        })
+        };
+        Ok((index, names))
     }
 }
 
 /// What [`gc_checkpoint_dir`] found (and, unless dry-run, removed).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Manifest-referenced shard files present in the directory.
+    /// Manifest-listed shard and name-block files present in the
+    /// directory.
     pub live: usize,
-    /// Shard files no manifest entry references, sorted by name. In a
-    /// dry run these are what *would* be removed; otherwise they were.
+    /// Block files the manifest does not list, sorted by name. In a dry
+    /// run these are what *would* be removed; otherwise they were.
     pub orphans: Vec<String>,
     /// Total size of the orphaned files.
     pub orphan_bytes: u64,
-    /// True when nothing was deleted.
-    pub dry_run: bool,
 }
 
-/// Removes orphaned `shard-*.g4s` files from a checkpoint directory.
-///
-/// Checkpoints are content-addressed and append-only: a rebalance (or
-/// any reshard) writes new shard files and a new manifest, but the old
-/// generation's shard files stay behind forever. This walks `dir`,
-/// parses the manifest's live content-id list (without pin validation —
-/// garbage is garbage whichever weights wrote it), and deletes every
-/// well-formed shard file whose id the manifest no longer references.
-/// Files that don't match the `shard-<16 hex>.g4s` pattern are never
+/// Removes the `shard-<16 hex>.g4s` and `names-<16 hex>.g4n` files the
+/// manifest does not list: those a rebalance superseded, or a checkpoint
+/// cut off before its manifest left behind. The pin is not checked —
+/// garbage is garbage whichever weights wrote it — and no other file is
 /// touched. With `dry_run` the report lists the orphans and nothing is
 /// deleted.
 ///
@@ -461,33 +637,23 @@ pub struct GcReport {
 pub fn gc_checkpoint_dir(dir: impl AsRef<Path>, dry_run: bool) -> Result<GcReport, ManifestError> {
     let dir = dir.as_ref();
     let manifest_bytes = read_artifact(&dir.join(MANIFEST_FILE)).map_err(ManifestError::Io)?;
-    let mfmt = |e: String| ManifestError::Format(format!("{MANIFEST_FILE}: {e}"));
-    let mut r = BinReader::open_versioned(&manifest_bytes, CORPUS_MANIFEST_KIND, CORPUS_VERSION)
-        .map_err(mfmt)?;
-    r.u64().map_err(mfmt)?; // pinned checksum — irrelevant to GC
-    r.len_of().map_err(mfmt)?; // dim
-    r.len_of().map_err(mfmt)?; // shard capacity
-    r.u8().map_err(mfmt)?; // storage tag, unchecked: a refused checkpoint is still cleaned
-    let n_sealed = r.count_of(8).map_err(mfmt)?;
-    let mut live_ids = Vec::with_capacity(n_sealed);
-    for _ in 0..n_sealed {
-        live_ids.push(r.u64().map_err(mfmt)?);
-    }
+    let head = ManifestHead::parse(&manifest_bytes)?;
 
-    let mut report = GcReport {
-        dry_run,
-        ..GcReport::default()
-    };
+    let mut report = GcReport::default();
     let entries = std::fs::read_dir(dir)
         .map_err(|e| ManifestError::Io(format!("reading {}: {e}", dir.display())))?;
     for entry in entries {
         let entry = entry.map_err(|e| ManifestError::Io(format!("reading dir entry: {e}")))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let Some(id) = parse_shard_file_name(name) else {
+        let live = if let Some(id) = block_id(name, "shard-", ".g4s") {
+            head.shard_ids.contains(&id)
+        } else if let Some(id) = block_id(name, "names-", ".g4n") {
+            head.name_ids.contains(&id)
+        } else {
             continue;
         };
-        if live_ids.contains(&id) {
+        if live {
             report.live += 1;
             continue;
         }
@@ -507,10 +673,11 @@ pub fn gc_checkpoint_dir(dir: impl AsRef<Path>, dry_run: bool) -> Result<GcRepor
     Ok(report)
 }
 
-/// Inverts [`shard_file_name`]: the content id of a well-formed
-/// `shard-<16 hex>.g4s` name, or `None` for anything else.
-fn parse_shard_file_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("shard-")?.strip_suffix(".g4s")?;
+/// Inverts [`shard_file_name`] and [`names_file_name`]: the content id of
+/// a well-formed `<prefix><16 hex><suffix>` name, or `None` for anything
+/// else.
+fn block_id(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+    let hex = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
     if hex.len() != 16 {
         return None;
     }
@@ -520,18 +687,25 @@ fn parse_shard_file_name(name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QueryOptions, RebalanceOptions};
+    use crate::RebalanceOptions;
 
-    fn synthetic_index(rows: usize) -> ShardedEmbeddingIndex {
+    /// `rows` rows of dim 6 in shards of 4, and a name per row.
+    fn synthetic_corpus(rows: usize) -> (ShardedEmbeddingIndex, NameLog) {
         let dim = 6;
         let mut index = ShardedEmbeddingIndex::new(dim, 4);
+        let mut names = NameLog::new(4);
         for i in 0..rows {
             let row: Vec<f32> = (0..dim)
                 .map(|d| ((i * 31 + d * 17) % 13) as f32 * 0.21 - 1.2)
                 .collect();
             index.insert(&row, i % 5);
+            names.push(format!("design_{i}"));
         }
-        index
+        (index, names)
+    }
+
+    fn load(dir: &Path, pin: u64) -> Result<ShardedEmbeddingIndex, ManifestError> {
+        ShardedEmbeddingIndex::load_dir(dir, pin).map(|(index, _)| index)
     }
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -541,148 +715,97 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrips_bit_identically() {
-        let index = synthetic_index(19);
-        let dir = tmp_dir("roundtrip");
-        let report = index.checkpoint_dir(&dir, 0xfeed).unwrap();
-        assert_eq!(report.shards_written, index.num_sealed_shards());
-        assert_eq!(report.shards_reused, 0);
-        let loaded = ShardedEmbeddingIndex::load_dir(&dir, 0xfeed).unwrap();
-        assert_eq!(loaded, index);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn second_checkpoint_writes_only_new_shards() {
-        let mut index = synthetic_index(17); // 4 sealed + tail
-        let dir = tmp_dir("incremental");
-        let first = index.checkpoint_dir(&dir, 1).unwrap();
-        assert_eq!(first.shards_written, 4);
-        for i in 17..26 {
-            index.insert(&[i as f32 * 0.1; 6], i);
-        }
-        let second = index.checkpoint_dir(&dir, 1).unwrap();
-        assert_eq!(second.shards_reused, 4);
-        assert_eq!(second.shards_written, index.num_sealed_shards() - 4);
-        assert!(second.shards_written >= 1);
-        let loaded = ShardedEmbeddingIndex::load_dir(&dir, 1).unwrap();
-        assert_eq!(loaded, index);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn gc_removes_rebalance_orphans_and_honors_dry_run() {
-        let mut index = synthetic_index(25);
+    fn gc_removes_orphans_and_honors_dry_run() {
+        let (mut index, names) = synthetic_corpus(25);
         let dir = tmp_dir("gc-rebalance");
-        index.checkpoint_dir(&dir, 3).unwrap();
+        index.checkpoint_dir(&names, &dir, 3).unwrap();
 
-        // a rebalance regroups rows into fresh content-addressed shards;
+        // a rebalance regroups rows into fresh content-addressed shards,
+        // and renaming the first design seals a new first name block:
         // checkpointing again strands the first generation's files
         index.rebalance(&RebalanceOptions::default());
-        index.checkpoint_dir(&dir, 3).unwrap();
+        let mut renamed = NameLog::new(4);
+        for i in 0..25 {
+            renamed.push(format!("design_{}", if i == 0 { 99 } else { i }));
+        }
+        index.checkpoint_dir(&renamed, &dir, 3).unwrap();
+        // files that are not block files are never touched
+        let unrelated = ["notes.txt", "shard-zz.g4s", "names-zz.g4n"];
+        for name in unrelated {
+            std::fs::write(dir.join(name), b"keep me").unwrap();
+        }
 
         let dry = gc_checkpoint_dir(&dir, true).unwrap();
-        assert!(dry.dry_run);
-        assert!(!dry.orphans.is_empty(), "rebalance left no orphans?");
+        assert!(dry.orphans.iter().any(|n| n.ends_with(".g4s")), "{dry:?}");
+        let stale_names = dry.orphans.iter().filter(|n| n.ends_with(".g4n"));
+        assert_eq!(stale_names.count(), 1, "{dry:?}");
         assert!(dry.orphan_bytes > 0);
         for name in &dry.orphans {
             assert!(dir.join(name).exists(), "dry run must not delete {name}");
         }
 
         let real = gc_checkpoint_dir(&dir, false).unwrap();
-        assert_eq!(real.orphans, dry.orphans);
-        assert_eq!(real.orphan_bytes, dry.orphan_bytes);
+        assert_eq!(
+            (&real.orphans, real.orphan_bytes),
+            (&dry.orphans, dry.orphan_bytes)
+        );
         for name in &real.orphans {
             assert!(!dir.join(name).exists(), "{name} should be gone");
         }
 
         // the live checkpoint survives the sweep, and a second GC is a no-op
         let loaded = ShardedEmbeddingIndex::load_dir(&dir, 3).unwrap();
-        assert_eq!(loaded, index);
+        assert_eq!(loaded, (index.clone(), renamed));
         let again = gc_checkpoint_dir(&dir, false).unwrap();
         assert!(again.orphans.is_empty());
-        assert_eq!(again.live, index.num_sealed_shards());
+        assert_eq!(again.live, 2 * index.num_sealed_shards());
+        assert!(unrelated.iter().all(|name| dir.join(name).exists()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Each way a listed block file can be damaged — deleted, replaced by
+    /// another block's file, or bit-flipped under a resealed artifact
+    /// checksum — fails with its typed error, for shards and name blocks.
     #[test]
-    fn gc_ignores_unrelated_files_and_bad_names() {
-        let index = synthetic_index(13);
-        let dir = tmp_dir("gc-ignores");
-        index.checkpoint_dir(&dir, 9).unwrap();
-        std::fs::write(dir.join("notes.txt"), b"keep me").unwrap();
-        std::fs::write(dir.join("shard-zz.g4s"), b"not a shard name").unwrap();
-        let report = gc_checkpoint_dir(&dir, false).unwrap();
-        assert!(report.orphans.is_empty(), "{report:?}");
-        assert_eq!(report.live, index.num_sealed_shards());
-        assert!(dir.join("notes.txt").exists());
-        assert!(dir.join("shard-zz.g4s").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pin_mismatch_is_typed() {
-        let index = synthetic_index(9);
-        let dir = tmp_dir("pin");
-        index.checkpoint_dir(&dir, 7).unwrap();
-        match ShardedEmbeddingIndex::load_dir(&dir, 8) {
-            Err(ManifestError::PinMismatch {
-                pinned: 7,
-                expected: 8,
-            }) => {}
-            other => panic!("expected PinMismatch, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_shard_file_is_typed() {
-        let index = synthetic_index(9);
-        let dir = tmp_dir("missing");
-        index.checkpoint_dir(&dir, 0).unwrap();
-        let victim = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|e| e == "g4s"))
-            .unwrap();
-        std::fs::remove_file(&victim).unwrap();
-        match ShardedEmbeddingIndex::load_dir(&dir, 0) {
-            Err(ManifestError::MissingShard { file }) => {
-                assert_eq!(victim.file_name().unwrap().to_str().unwrap(), file);
+    fn damaged_block_files_are_typed() {
+        for ext in ["g4s", "g4n"] {
+            for damage in ["missing", "swapped", "flipped"] {
+                let (index, names) = synthetic_corpus(13); // 3 sealed blocks each
+                let dir = tmp_dir(&format!("{damage}-{ext}"));
+                index.checkpoint_dir(&names, &dir, 0).unwrap();
+                let mut files: Vec<_> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .filter(|p| p.extension().is_some_and(|e| e == ext))
+                    .collect();
+                files.sort();
+                let victim = &files[0];
+                let mut bytes = std::fs::read(victim).unwrap();
+                match damage {
+                    "missing" => std::fs::remove_file(victim).unwrap(),
+                    "swapped" => std::fs::copy(&files[1], victim).map(drop).unwrap(),
+                    _ => {
+                        let mid = bytes.len() / 2;
+                        bytes[mid] ^= 0x01;
+                        let body_len = bytes.len() - 8;
+                        let sum = gnn4ip_tensor::fnv1a64(&bytes[..body_len]);
+                        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+                        std::fs::write(victim, &bytes).unwrap();
+                    }
+                }
+                let name = victim.file_name().unwrap().to_str().unwrap();
+                match (damage, load(&dir, 0).expect_err("refused")) {
+                    ("missing", ManifestError::MissingBlock { file }) => assert_eq!(file, name),
+                    ("swapped", ManifestError::BlockMismatch { .. }) => {}
+                    // the flipped bit may land in a length or bounds field
+                    // and fail structural validation first: also typed
+                    ("flipped", ManifestError::BlockChecksumMismatch { .. })
+                    | ("flipped", ManifestError::Format(_)) => {}
+                    (_, other) => panic!("{damage} {ext}: {other:?}"),
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
             }
-            other => panic!("expected MissingShard, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupted_shard_payload_is_typed() {
-        let index = synthetic_index(9);
-        let dir = tmp_dir("corrupt");
-        index.checkpoint_dir(&dir, 0).unwrap();
-        let victim = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|e| e == "g4s"))
-            .unwrap();
-        // flip one payload bit, then re-seal the artifact checksum so
-        // only the content-id cross-check (or structural validation) can
-        // catch the substitution
-        let mut bytes = std::fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        let body_len = bytes.len() - 8;
-        let sum = gnn4ip_tensor::fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&victim, &bytes).unwrap();
-        match ShardedEmbeddingIndex::load_dir(&dir, 0) {
-            Err(ManifestError::ShardChecksumMismatch { .. }) => {}
-            // the flipped byte may instead land in a length/bounds field
-            // and fail structural validation first — also typed, also fine
-            Err(ManifestError::Format(_)) | Err(ManifestError::ShardMismatch { .. }) => {}
-            other => panic!("expected a typed shard error, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -692,7 +815,7 @@ mod tests {
         // valid rows; each file is otherwise consistent, content id
         // included (the id covers labels and rows, not bounds)
         let forge = |what: &str| {
-            let mut index = synthetic_index(13); // 3 sealed + 1 tail
+            let (mut index, _) = synthetic_corpus(13); // 3 sealed + 1 tail
             if what == "tail" {
                 index.tail.data[4] = f32::NAN;
             } else {
@@ -711,8 +834,8 @@ mod tests {
                     Arc::new(SealedShard::from_parts(rows, labels, index.dim, c, r, m));
             }
             let dir = tmp_dir(&format!("implausible-{what}"));
-            index.checkpoint_dir(&dir, 0).unwrap();
-            let err = ShardedEmbeddingIndex::load_dir(&dir, 0).expect_err("must refuse");
+            index.checkpoint_dir(&NameLog::new(4), &dir, 0).unwrap();
+            let err = load(&dir, 0).expect_err("must refuse");
             std::fs::remove_dir_all(&dir).unwrap();
             err
         };
@@ -731,53 +854,14 @@ mod tests {
     }
 
     #[test]
-    fn swapped_shard_files_are_rejected() {
-        let index = synthetic_index(13); // 3 sealed shards
-        let dir = tmp_dir("swap");
-        index.checkpoint_dir(&dir, 0).unwrap();
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "g4s"))
-            .collect();
-        files.sort();
-        assert!(files.len() >= 2);
-        let a = std::fs::read(&files[0]).unwrap();
-        let b = std::fs::read(&files[1]).unwrap();
-        std::fs::write(&files[0], &b).unwrap();
-        std::fs::write(&files[1], &a).unwrap();
-        match ShardedEmbeddingIndex::load_dir(&dir, 0) {
-            Err(ManifestError::ShardMismatch { .. }) => {}
-            other => panic!("expected ShardMismatch, got {other:?}"),
+    fn names_sealing_at_another_size_are_refused() {
+        let (index, _) = synthetic_corpus(9);
+        let dir = tmp_dir("block-size");
+        match index.checkpoint_dir(&NameLog::new(3), &dir, 0) {
+            Err(ManifestError::Format(e)) => assert!(e.contains("every 3 rows"), "{e}"),
+            other => panic!("expected Format, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn loaded_checkpoint_answers_queries_identically() {
-        let index = synthetic_index(23);
-        let dir = tmp_dir("queries");
-        index.checkpoint_dir(&dir, 3).unwrap();
-        let loaded = ShardedEmbeddingIndex::load_dir(&dir, 3).unwrap();
-        let query = [0.4f32, -0.2, 0.9, 0.1, -0.7, 0.3];
-        for opts in [
-            QueryOptions::default(),
-            QueryOptions {
-                prune: false,
-                ..QueryOptions::default()
-            },
-        ] {
-            // by score bits: `QueryHit`'s `==` cannot tell -0.0 from 0.0
-            let bits = |hits: Vec<crate::QueryHit>| -> Vec<(usize, usize, u32)> {
-                hits.iter()
-                    .map(|h| (h.index, h.label, h.score.to_bits()))
-                    .collect()
-            };
-            let (a, _) = index.query_opts(&query, 5, &opts);
-            let (b, _) = loaded.query_opts(&query, 5, &opts);
-            assert_eq!(bits(a), bits(b));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(!dir.exists(), "a refused checkpoint writes nothing");
     }
 
     /// A shard file as the int8 writer laid it out (row tag 1): two
@@ -798,7 +882,7 @@ mod tests {
         h.update(&[0]); // zero point
         h.update(&code_bytes);
         let id = h.finish();
-        let mut w = BinWriter::with_version(CORPUS_SHARD_KIND, CORPUS_VERSION);
+        let mut w = BinWriter::new(CORPUS_SHARD_KIND);
         w.u64(id);
         w.len_of(2); // dim
         w.len_of(2); // rows
@@ -815,10 +899,11 @@ mod tests {
         (id, w.finish())
     }
 
-    /// A manifest (dim 2, 2 rows per shard, no tail) listing `ids`
-    /// under storage tag `tag`.
-    fn manifest_file(tag: u8, ids: &[u64]) -> Vec<u8> {
-        let mut w = BinWriter::with_version(CORPUS_MANIFEST_KIND, CORPUS_VERSION);
+    /// A v1 manifest, as written before names were stored (dim 2, 2 rows
+    /// per shard), listing `ids` under storage tag `tag`, with a tail of
+    /// one row when `tail`.
+    fn v1_manifest(tag: u8, ids: &[u64], tail: bool) -> Vec<u8> {
+        let mut w = BinWriter::new(CORPUS_MANIFEST_KIND);
         w.u64(0); // pin
         w.len_of(2);
         w.len_of(2);
@@ -827,7 +912,12 @@ mod tests {
         for &id in ids {
             w.u64(id);
         }
-        w.len_of(0);
+        w.len_of(usize::from(tail));
+        if tail {
+            w.u64(0);
+            w.f32(0.6);
+            w.f32(0.8);
+        }
         w.finish()
     }
 
@@ -839,12 +929,16 @@ mod tests {
         for (manifest_tag, what) in [(1, "manifest"), (0, "row")] {
             let dir = tmp_dir(&format!("int8-{what}"));
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join(MANIFEST_FILE), manifest_file(manifest_tag, &[id])).unwrap();
+            std::fs::write(
+                dir.join(MANIFEST_FILE),
+                v1_manifest(manifest_tag, &[id], false),
+            )
+            .unwrap();
             std::fs::write(dir.join(shard_file_name(id)), &shard).unwrap();
             // a stranded shard of an earlier generation
             let orphan = shard_file_name(id ^ 1);
             std::fs::write(dir.join(&orphan), &shard).unwrap();
-            match ShardedEmbeddingIndex::load_dir(&dir, 0) {
+            match load(&dir, 0) {
                 Err(ManifestError::Format(e)) => {
                     assert!(e.contains(&format!("{what} storage tag 1")), "{e}");
                     assert!(e.contains("int8"), "{e}");
@@ -861,11 +955,64 @@ mod tests {
         // any other tag is unknown, not int8
         let dir = tmp_dir("tag-7");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(MANIFEST_FILE), manifest_file(7, &[])).unwrap();
-        match ShardedEmbeddingIndex::load_dir(&dir, 0) {
+        std::fs::write(dir.join(MANIFEST_FILE), v1_manifest(7, &[], false)).unwrap();
+        match load(&dir, 0) {
             Err(ManifestError::Format(e)) => assert!(e.contains("unknown manifest storage tag 7")),
             other => panic!("expected Format, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v1_manifests_load_rows_without_names() {
+        let dir = tmp_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), v1_manifest(0, &[], true)).unwrap();
+        let (index, names) = ShardedEmbeddingIndex::load_dir(&dir, 0).unwrap();
+        assert_eq!((index.len(), names.len()), (1, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A v2 manifest of dim 2 and 2 rows per shard with nothing sealed,
+    /// no tail rows, and the bytes `names` writes where the tail's names go.
+    fn v2_manifest(names: impl FnOnce(&mut BinWriter)) -> Vec<u8> {
+        let mut w = BinWriter::with_version(CORPUS_MANIFEST_KIND, MANIFEST_VERSION);
+        w.u64(0);
+        w.len_of(2);
+        w.len_of(2);
+        w.u8(F32_ROWS);
+        w.len_of(0); // shards
+        w.len_of(0); // name blocks
+        w.len_of(0); // tail rows
+        names(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn hostile_name_counts_and_lengths_are_refused() {
+        let dir = tmp_dir("hostile-names");
+        std::fs::create_dir_all(&dir).unwrap();
+        // a count no payload can hold, one the tail could not hold, and a
+        // string length past the end of the file; name-block files read
+        // their names through the same `read_list`
+        let refused = |names: &dyn Fn(&mut BinWriter), expect: &str| {
+            std::fs::write(dir.join(MANIFEST_FILE), v2_manifest(names)).unwrap();
+            match load(&dir, 0) {
+                Err(ManifestError::Format(e)) => assert!(e.contains(expect), "{e}"),
+                other => panic!("expected Format ({expect}), got {other:?}"),
+            }
+        };
+        refused(&|w| w.len_of(1 << 60), "implausible element count");
+        let three = |w: &mut BinWriter| {
+            w.len_of(3);
+            ["a", "b", "c"].iter().for_each(|n| w.str(n));
+        };
+        refused(&three, "tail holds 3 names");
+        let endless = |w: &mut BinWriter| {
+            w.len_of(1);
+            w.u32(u32::MAX);
+        };
+        refused(&endless, "truncated payload");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

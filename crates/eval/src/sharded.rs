@@ -47,28 +47,21 @@
 //! IVF probe of the nearest-centroid shards regardless of how the corpus
 //! arrived.
 //!
-//! The whole structure persists through the `G4IP` binary artifact format
-//! (format v2 serializes the sealed-shard bounds; v1 artifacts still load
-//! by recomputing them), pinned to the checksum of the model weights that
-//! produced the embeddings. For growing corpora the append-only
-//! manifest layout in [`crate::manifest`] checkpoints only newly sealed
-//! shards instead of rewriting the monolithic artifact.
+//! The index persists, with its [`NameLog`](crate::NameLog), as a
+//! corpus checkpoint directory
+//! ([`checkpoint_dir`](ShardedEmbeddingIndex::checkpoint_dir) /
+//! [`load_dir`](ShardedEmbeddingIndex::load_dir)) pinned to the checksum
+//! of the model weights that produced the embeddings: each sealed shard
+//! is written once, as a content-addressed file with its bounds, so a
+//! checkpoint writes only the shards sealed since the last one.
 
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-use gnn4ip_tensor::{fan_out, worker_count, BinReader, BinWriter, Fnv64};
+use gnn4ip_tensor::{fan_out, worker_count, Fnv64};
 
 use crate::index::{normalize_into, query_norm, EmbeddingIndex, QueryHit};
-
-/// Kind tag of the persisted shard-index artifact.
-pub const SHARD_INDEX_KIND: &str = "gnn4ip-shard-index";
-
-/// Format version the shard-index artifact is written at: v2 appended
-/// the sealed-shard bounds (centroid, radius, max norm) to each full
-/// shard. v1 artifacts still load; the bounds are recomputed.
-const SHARD_INDEX_VERSION: u16 = 2;
 
 /// Minimum number of indexed rows before a query at `threads: 0` (the
 /// [`QueryOptions`] default) fans per-shard scans across worker threads.
@@ -252,7 +245,7 @@ impl SealedShard {
     }
 
     /// Assembles a sealed shard from row-major parts with already computed
-    /// (validated) bounds — the load path of both on-disk formats. The
+    /// (validated) bounds — the load path of a checkpoint's shard files. The
     /// rows are transposed to dim-major here.
     pub(crate) fn from_parts(
         data: Vec<f32>,
@@ -678,20 +671,6 @@ impl ShardedEmbeddingIndex {
     /// Number of sealed (immutable, bound-carrying) shards.
     pub fn num_sealed_shards(&self) -> usize {
         self.sealed.len()
-    }
-
-    /// Label of the embedding at global insertion index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of bounds.
-    pub fn label(&self, i: usize) -> usize {
-        let block = i / self.shard_capacity;
-        if block < self.sealed.len() {
-            self.sealed[block].labels[i % self.shard_capacity]
-        } else {
-            self.tail.labels[i - self.sealed.len() * self.shard_capacity]
-        }
     }
 
     /// Labels of all embeddings in insertion order.
@@ -1272,153 +1251,6 @@ impl ShardedEmbeddingIndex {
             moved,
         }
     }
-
-    // --- persistence ---------------------------------------------------
-
-    /// Serializes the index through the `G4IP` artifact format (v2: the
-    /// sealed-shard bounds ride along, so loading skips recomputing
-    /// them), pinned to `pinned_checksum` — by convention the weights
-    /// checksum of the model whose embeddings fill the index, so a stale
-    /// index cannot silently serve scores for weights that no longer
-    /// exist. Rows and bounds round-trip bit-exactly.
-    pub fn to_bytes(&self, pinned_checksum: u64) -> Vec<u8> {
-        let mut w = BinWriter::with_version(SHARD_INDEX_KIND, SHARD_INDEX_VERSION);
-        w.u64(pinned_checksum);
-        w.len_of(self.dim);
-        w.len_of(self.shard_capacity);
-        w.len_of(self.num_shards());
-        let mut rows: Vec<f32> = Vec::new();
-        for (si, shard) in self.sealed.iter().enumerate() {
-            w.len_of(shard.labels.len());
-            for &l in &shard.labels {
-                w.u64(l as u64);
-            }
-            rows.resize(shard.labels.len() * self.dim, 0.0);
-            self.copy_block_into(si, &mut rows);
-            for &v in &rows {
-                w.f32(v);
-            }
-            // v2: full shards carry their bounds
-            for &v in &shard.centroid {
-                w.f32(v);
-            }
-            w.f32(shard.radius);
-            w.f32(shard.max_norm);
-        }
-        if !self.tail.labels.is_empty() {
-            w.len_of(self.tail.labels.len());
-            for &l in &self.tail.labels {
-                w.u64(l as u64);
-            }
-            for &v in &self.tail.data {
-                w.f32(v);
-            }
-        }
-        w.finish()
-    }
-
-    /// Restores an index serialized by [`ShardedEmbeddingIndex::to_bytes`].
-    /// v2 artifacts restore the sealed-shard bounds directly; v1 artifacts
-    /// (which predate the bounds) load by recomputing them, producing a
-    /// bit-identical index either way.
-    ///
-    /// # Errors
-    ///
-    /// Fails on corrupt artifacts, on a checksum-pin mismatch (an index
-    /// built by different weights is rejected rather than silently serving
-    /// stale similarities), and on shard layouts that violate the
-    /// fixed-capacity invariant.
-    pub fn from_bytes(bytes: &[u8], expected_checksum: u64) -> Result<Self, String> {
-        let mut r = BinReader::open_versioned(bytes, SHARD_INDEX_KIND, SHARD_INDEX_VERSION)?;
-        let pinned = r.u64()?;
-        if pinned != expected_checksum {
-            return Err(format!(
-                "shard index was built by weights {pinned:#018x}, \
-                 expected {expected_checksum:#018x}; re-embed instead of loading"
-            ));
-        }
-        let dim = r.len_of()?;
-        let shard_capacity = r.len_of()?;
-        if dim == 0 || shard_capacity == 0 {
-            return Err(format!(
-                "shard index declares zero dim ({dim}) or capacity ({shard_capacity})"
-            ));
-        }
-        let row_bytes = dim
-            .checked_mul(4)
-            .and_then(|b| b.checked_add(8))
-            .ok_or_else(|| format!("implausible dimension {dim}"))?;
-        let n_shards = r.count_of(8)?; // every shard carries a row count
-        let mut sealed = Vec::with_capacity(n_shards);
-        let mut tail = Shard::new(0, dim);
-        for si in 0..n_shards {
-            let rows = r.count_of(row_bytes)?;
-            let expect_full = si + 1 < n_shards;
-            if rows > shard_capacity || rows == 0 || (expect_full && rows != shard_capacity) {
-                return Err(format!(
-                    "shard {si} holds {rows} rows, violating capacity {shard_capacity}"
-                ));
-            }
-            // reserve from `rows` (count_of-bounded by remaining payload),
-            // never from the untrusted `shard_capacity` field — a forged
-            // capacity must not drive a multi-GB allocation
-            let mut shard = Shard::new(rows, dim);
-            for _ in 0..rows {
-                shard.labels.push(
-                    usize::try_from(r.u64()?).map_err(|_| "label overflows usize".to_string())?,
-                );
-            }
-            for _ in 0..rows * dim {
-                shard.data.push(r.f32()?);
-            }
-            check_rows(shard.data.iter().copied(), dim).map_err(|e| format!("shard {si} {e}"))?;
-            if rows == shard_capacity {
-                // a full shard is sealed; its bounds are stored from v2 on
-                let block = if r.version() >= 2 {
-                    let mut centroid = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        centroid.push(r.f32()?);
-                    }
-                    let radius = r.f32()?;
-                    let max_norm = r.f32()?;
-                    // reject corrupt bounds outright: a forged -inf
-                    // centroid component or negative radius would not
-                    // crash, it would silently over-prune true top-k
-                    // hits, which is worse (NaN alone degrades safely —
-                    // every pruning comparison fails — but there is no
-                    // reason to accept it)
-                    let sane = |v: f32| v.is_finite() && v >= 0.0;
-                    if !sane(radius) || !sane(max_norm) || centroid.iter().any(|v| !v.is_finite()) {
-                        return Err(format!(
-                            "shard {si} carries corrupt bounds \
-                             (radius {radius}, max_norm {max_norm}, or non-finite centroid)"
-                        ));
-                    }
-                    SealedShard::from_parts(
-                        shard.data,
-                        shard.labels,
-                        dim,
-                        centroid,
-                        radius,
-                        max_norm,
-                    )
-                } else {
-                    SealedShard::seal(shard, dim)
-                };
-                sealed.push(Arc::new(block));
-            } else {
-                // the (non-full) last shard becomes the open tail
-                tail = shard;
-            }
-        }
-        r.done()?;
-        Ok(Self {
-            dim,
-            shard_capacity,
-            sealed,
-            tail,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1520,10 +1352,8 @@ mod tests {
         assert_eq!(sharded.len(), 10);
         assert_eq!(sharded.num_shards(), 3); // 4 + 4 + 2
         assert_eq!(sharded.num_sealed_shards(), 2);
-        for i in 0..10 {
-            assert_eq!(sharded.label(i), i % 5);
-        }
-        assert_eq!(sharded.labels().collect::<Vec<_>>().len(), 10);
+        let labels: Vec<usize> = sharded.labels().collect();
+        assert_eq!(labels, (0..10).map(|i| i % 5).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1874,161 +1704,6 @@ mod tests {
         let (hits, stats) = filled.query_opts(&[1.0, 0.0, 0.0], 0, &QueryOptions::default());
         assert!(hits.is_empty());
         assert_eq!(stats.rows_scanned, 0);
-    }
-
-    #[test]
-    fn artifact_roundtrips_bit_exactly() {
-        let (_, sharded) = both(19, 4, 6);
-        let bytes = sharded.to_bytes(0xDEAD_BEEF);
-        let back = ShardedEmbeddingIndex::from_bytes(&bytes, 0xDEAD_BEEF).expect("loads");
-        assert_eq!(back, sharded);
-        // save -> load -> save is byte-identical (bounds included)
-        assert_eq!(back.to_bytes(0xDEAD_BEEF), bytes);
-    }
-
-    /// Serializes an index in the v1 layout (no sealed-shard bounds), as
-    /// PR 4 wrote it.
-    fn v1_bytes(index: &ShardedEmbeddingIndex, pin: u64) -> Vec<u8> {
-        let mut w = BinWriter::with_version(SHARD_INDEX_KIND, 1);
-        w.u64(pin);
-        w.len_of(index.dim);
-        w.len_of(index.shard_capacity);
-        w.len_of(index.num_shards());
-        for b in 0..index.num_shards() {
-            let labels = index.block_labels(b);
-            w.len_of(labels.len());
-            for &l in labels {
-                w.u64(l as u64);
-            }
-            let mut data = vec![0.0f32; labels.len() * index.dim];
-            index.copy_block_into(b, &mut data);
-            for &v in &data {
-                w.f32(v);
-            }
-        }
-        w.finish()
-    }
-
-    #[test]
-    fn v1_artifacts_load_by_recomputing_bounds() {
-        let (_, sharded) = both(19, 4, 6);
-        let old = v1_bytes(&sharded, 7);
-        let back = ShardedEmbeddingIndex::from_bytes(&old, 7).expect("v1 loads");
-        // recomputed bounds are bit-identical to the originals, so the
-        // whole index compares equal — and queries (pruning included)
-        // behave identically
-        assert_eq!(back, sharded);
-        // re-saving a v1 load produces a current (v2) artifact
-        assert_eq!(back.to_bytes(7), sharded.to_bytes(7));
-    }
-
-    #[test]
-    fn corrupt_v2_bounds_are_rejected() {
-        let mut w = BinWriter::with_version(SHARD_INDEX_KIND, SHARD_INDEX_VERSION);
-        w.u64(0);
-        w.len_of(3); // dim
-        w.len_of(4); // capacity
-        w.len_of(1); // one shard
-        w.len_of(4); // full -> sealed -> carries bounds
-        for i in 0..4u64 {
-            w.u64(i);
-        }
-        for _ in 0..12 {
-            w.f32(0.5);
-        }
-        for _ in 0..3 {
-            w.f32(0.1); // centroid
-        }
-        w.f32(-1.0); // negative radius: corrupt
-        w.f32(1.0);
-        let err = ShardedEmbeddingIndex::from_bytes(&w.finish(), 0).expect_err("must reject");
-        assert!(err.contains("bounds"), "{err}");
-    }
-
-    #[test]
-    fn implausible_rows_are_rejected() {
-        // a sealed shard (first) and a tail (second) each forged with one
-        // component no normalized row holds
-        for bad in [f32::NAN, f32::INFINITY, -1.5, 1.0 + 1e-5] {
-            for tail in [false, true] {
-                let mut w = BinWriter::with_version(SHARD_INDEX_KIND, SHARD_INDEX_VERSION);
-                w.u64(0);
-                w.len_of(2); // dim
-                w.len_of(2); // capacity
-                w.len_of(2); // two shards: one sealed, then a 1-row tail
-                w.len_of(2);
-                w.u64(0);
-                w.u64(1);
-                for v in [1.0, 0.0, 0.6, if tail { 0.8 } else { bad }] {
-                    w.f32(v);
-                }
-                for v in [0.8, 0.4, 0.2] {
-                    w.f32(v); // centroid, radius
-                }
-                w.f32(1.0); // max_norm
-                w.len_of(1);
-                w.u64(2);
-                for v in [if tail { bad } else { 0.0 }, -1.0] {
-                    w.f32(v);
-                }
-                let err = ShardedEmbeddingIndex::from_bytes(&w.finish(), 0)
-                    .expect_err("forged row must be refused");
-                let shard = if tail {
-                    "shard 1 row 0"
-                } else {
-                    "shard 0 row 1"
-                };
-                assert!(err.contains(shard), "{bad} tail {tail}: {err}");
-            }
-        }
-        // real rows load
-        let (_, sharded) = both(9, 3, 4);
-        assert!(ShardedEmbeddingIndex::from_bytes(&sharded.to_bytes(3), 3).is_ok());
-    }
-
-    #[test]
-    fn checksum_pin_mismatch_is_rejected() {
-        let (_, sharded) = both(5, 3, 2);
-        let bytes = sharded.to_bytes(1);
-        let err = ShardedEmbeddingIndex::from_bytes(&bytes, 2).expect_err("must reject");
-        assert!(err.contains("weights"), "{err}");
-    }
-
-    #[test]
-    fn hostile_shard_capacity_does_not_drive_allocation() {
-        // a forged artifact declaring an absurd shard capacity but tiny
-        // payload must not reserve capacity*dim floats — the checksum is
-        // integrity, not authentication
-        let mut w = BinWriter::new(SHARD_INDEX_KIND);
-        w.u64(0); // pin
-        w.len_of(2); // dim
-        w.len_of(1 << 56); // hostile capacity
-        w.len_of(1); // one shard
-        w.len_of(1); // one row
-        w.u64(9);
-        w.f32(1.0);
-        w.f32(0.0);
-        let back = ShardedEmbeddingIndex::from_bytes(&w.finish(), 0).expect("loads cheaply");
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.label(0), 9);
-    }
-
-    #[test]
-    fn corrupt_shard_layouts_are_rejected() {
-        // hand-build an artifact whose interior shard is not full
-        let mut w = BinWriter::new(SHARD_INDEX_KIND);
-        w.u64(0); // pin
-        w.len_of(2); // dim
-        w.len_of(4); // capacity
-        w.len_of(2); // two shards
-        for _ in 0..2 {
-            w.len_of(1); // 1 row each — first shard must hold 4
-            w.u64(0);
-            w.f32(1.0);
-            w.f32(0.0);
-        }
-        let err = ShardedEmbeddingIndex::from_bytes(&w.finish(), 0).expect_err("must reject");
-        assert!(err.contains("capacity"), "{err}");
     }
 
     // --- rebalance ------------------------------------------------------

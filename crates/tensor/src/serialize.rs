@@ -25,10 +25,10 @@
 //! versions *newer* than they understand; older versions stay readable
 //! for as long as a field layout for them exists. Writers stamp the
 //! version their payload layout corresponds to, so unchanged kinds stay
-//! readable by older releases. Version history: v2 added precomputed
-//! per-sealed-shard score bounds to the `gnn4ip-shard-index` payload —
-//! that kind alone writes v2 (and recomputes the bounds when handed a v1
-//! artifact); every other kind still writes the v1 layout.
+//! readable by older releases. Version history: v2 added the name-block
+//! ids and the open tail's names to the `gnn4ip-corpus-manifest` payload
+//! — that kind alone writes v2 (and reads a v1 manifest as rows without
+//! names); every other kind still writes the v1 layout.
 
 use crate::optim::{Adam, Sgd};
 use crate::Matrix;
@@ -40,7 +40,7 @@ pub const MAGIC: [u8; 4] = *b"G4IP";
 /// [`BinWriter::with_version`] allows). Writers stamp the version their
 /// *payload layout* corresponds to — [`BinWriter::new`] writes v1, the
 /// baseline layout every kind still uses, and only kinds whose payload
-/// actually changed (currently `gnn4ip-shard-index`) opt into newer
+/// actually changed (currently `gnn4ip-corpus-manifest`) opt into newer
 /// versions — so artifacts stay readable by older releases for as long
 /// as their layout is unchanged.
 pub const FORMAT_VERSION: u16 = 2;
@@ -65,10 +65,9 @@ pub const FORMATS: &[(&str, u16)] = &[
     ("engine-config", 1),
     ("gnn4ip-checkpoint", 1),
     ("gnn4ip-detector", 1),
-    ("gnn4ip-shard-index", 2),
-    ("gnn4ip-audit-index", 2),
-    ("gnn4ip-corpus-manifest", 1),
+    ("gnn4ip-corpus-manifest", 2),
     ("gnn4ip-corpus-shard", 1),
+    ("gnn4ip-corpus-names", 1),
 ];
 
 /// Streaming FNV-1a 64-bit hasher, for content ids computed over data
@@ -131,7 +130,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// files).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactInfo {
-    /// Kind tag, e.g. `"gnn4ip-shard-index"`.
+    /// Kind tag, e.g. `"gnn4ip-corpus-manifest"`.
     pub kind: String,
     /// Format version stamped in the header.
     pub version: u16,

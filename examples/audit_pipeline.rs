@@ -8,9 +8,11 @@
 //! disguised with the behaviour-preserving transforms — `vary_design` for
 //! RTL, `obfuscate_netlist` for gate-level netlists — and audited. A
 //! healthy pipeline retrieves the true source design at rank 1 for almost
-//! every disguise. The filled index is persisted through the `G4IP`
-//! binary artifact format (pinned to the detector weights) and reloaded
-//! to prove warm starts skip re-embedding the corpus. Finally, the
+//! every disguise. The corpus is checkpointed into a directory (pinned to
+//! the detector weights) and reopened to prove warm starts skip
+//! re-embedding it and serve bit-identical verdicts; the reopened
+//! pipeline then ingests more and checkpoints again, writing only the
+//! newly sealed shard and name-block files and the manifest. Finally, the
 //! read-mostly serving path is demonstrated: an immutable snapshot keeps
 //! answering (identically) while the writer ingests more designs, and
 //! the query stats show how much of the corpus bound-pruning skipped.
@@ -20,7 +22,23 @@
 
 use std::path::Path;
 
-use gnn4ip::{run_audit_scenarios, AuditConfig, AuditPipeline, Gnn4Ip, ScenarioSpec};
+use gnn4ip::data::{rtl_designs, SynthSize};
+use gnn4ip::{
+    run_audit_scenarios, AuditConfig, AuditPipeline, AuditSource, AuditVerdict, Gnn4Ip,
+    ScenarioSpec,
+};
+
+/// Every verdict of `suspects` against `pipeline`, score bits included.
+fn verdict_bits(pipeline: &AuditPipeline, suspects: &[AuditSource]) -> Vec<Vec<(usize, u32)>> {
+    let (verdicts, _) = pipeline.audit_many(suspects);
+    let bits = |v: &AuditVerdict| {
+        v.matches
+            .iter()
+            .map(|m| (m.label, m.score.to_bits()))
+            .collect()
+    };
+    verdicts.iter().flatten().map(bits).collect()
+}
 
 fn arg_value(args: &[String], flag: &str, default: usize) -> usize {
     args.iter()
@@ -100,41 +118,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &netlist,
     );
 
-    // Persistence — save the filled index, reload it into a fresh pipeline
+    // Persistence — checkpoint the corpus into a directory, reopen it
     // around the same weights, and prove the warm start serves identical
-    // verdicts without re-embedding anything.
-    let artifact_dir = Path::new("target/artifacts/audit_pipeline");
-    std::fs::create_dir_all(artifact_dir)?;
-    let index_path = artifact_dir.join("audit-index.bin");
-    pipeline.save_index(&index_path)?;
-    let bytes = std::fs::metadata(&index_path)?.len();
-    let t0 = std::time::Instant::now();
-    let mut warm = AuditPipeline::new(
-        Gnn4Ip::from_bytes(&pipeline.detector().to_bytes()).map_err(std::io::Error::other)?,
-        config,
+    // verdicts without re-embedding anything. Then the reopened pipeline
+    // ingests more and checkpoints again: every block file is kept, and
+    // only the newly sealed shards and name blocks are written.
+    let dir = Path::new("target/artifacts/audit_pipeline/corpus");
+    let _ = std::fs::remove_dir_all(dir);
+    let first = pipeline.checkpoint(dir)?;
+    let same_weights = || Gnn4Ip::from_bytes(&pipeline.detector().to_bytes());
+    let mut warm = AuditPipeline::open(same_weights()?, config.clone(), dir)?;
+    let named = gnn4ip::data::named_rtl_designs().into_iter();
+    let suspects: Vec<AuditSource> = named
+        .map(|d| AuditSource::new(d.name, d.source, Some(&d.top)))
+        .collect();
+    let bits = verdict_bits(&pipeline, &suspects);
+    assert_eq!(verdict_bits(&warm, &suspects), bits, "reopened verdicts");
+    println!(
+        "[persistence] {} designs checkpointed to {} ({} block files, {}-byte manifest) \
+         and reopened; verdicts identical bit for bit",
+        warm.len(),
+        dir.display(),
+        first.shards_written + first.name_blocks_written,
+        first.manifest_bytes
     );
-    let restored = warm
-        .load_index(&index_path)
-        .map_err(std::io::Error::other)?;
-    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let suspect = gnn4ip::data::named_rtl_designs()
-        .into_iter()
-        .find(|d| d.name == "crc8")
+    let files_before = std::fs::read_dir(dir)?.count();
+    let more = rtl_designs(300, SynthSize::Small).into_iter();
+    warm.ingest(more.map(|d| AuditSource::new(format!("more/{}", d.name), d.source, Some(&d.top))));
+    let second = warm.checkpoint(dir)?;
+    let written = second.shards_written + second.name_blocks_written;
+    let kept = (second.shards_reused, second.name_blocks_reused);
+    assert_eq!(kept, (first.shards_written, first.name_blocks_written));
+    assert_eq!(std::fs::read_dir(dir)?.count(), files_before + written);
+    let sealed = warm.index().num_sealed_shards();
+    assert_eq!(second.shards_written, sealed - first.shards_written);
+    let reopened = AuditPipeline::open(same_weights()?, config, dir)?;
+    let bits = verdict_bits(&warm, &suspects);
+    assert_eq!(verdict_bits(&reopened, &suspects), bits, "grown verdicts");
+    println!(
+        "  +300 designs: checkpoint #2 wrote {written} block files ({} bytes, {}-byte \
+         manifest) and kept the {} earlier ones; verdicts identical again",
+        second.bytes_written,
+        second.manifest_bytes,
+        kept.0 + kept.1
+    );
+    let suspect = suspects
+        .iter()
+        .find(|s| s.name == "crc8")
         .expect("crc8 exists");
-    let cold = pipeline.audit(&suspect.source, Some(&suspect.top))?;
-    let hot = warm.audit(&suspect.source, Some(&suspect.top))?;
-    assert_eq!(cold, hot, "reloaded index must serve identical verdicts");
-    println!(
-        "[persistence] {restored} embeddings reloaded from {} ({:.1} KiB) in {load_ms:.1} ms; \
-         verdicts identical bit for bit",
-        index_path.display(),
-        bytes as f64 / 1024.0
-    );
-    println!(
-        "  suspect 'crc8' -> best match '{}' ({:+.4})",
-        hot.best().expect("non-empty").name,
-        hot.best().expect("non-empty").score
-    );
 
     // Concurrent serving — freeze a snapshot, keep ingesting into the
     // pipeline, and show the snapshot's verdicts are (a) isolated from
@@ -142,9 +173,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // snapshot time. Sealed shards are Arc-shared, so the snapshot cost
     // is one tail copy, not a corpus copy.
     let snapshot = pipeline.snapshot();
-    let frozen = snapshot.audit(&suspect.source, Some(&suspect.top))?;
+    let frozen = snapshot.audit(&suspect.source, suspect.top.as_deref())?;
     let more = run_audit_scenarios(&mut pipeline, &ScenarioSpec::rtl(nl_designs, 1))?;
-    let after = snapshot.audit(&suspect.source, Some(&suspect.top))?;
+    let after = snapshot.audit(&suspect.source, suspect.top.as_deref())?;
     assert_eq!(frozen, after, "snapshot verdicts must be immutable");
     println!(
         "\n[serving] snapshot of {} designs kept serving identical verdicts \
@@ -157,7 +188,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Query anatomy — how much work the default query options skipped.
     let emb = pipeline
         .detector()
-        .hw2vec(&suspect.source, Some(&suspect.top))?;
+        .hw2vec(&suspect.source, suspect.top.as_deref())?;
     let (_, stats) = pipeline.index().query_opts(
         &emb,
         pipeline.config().top_k,

@@ -15,7 +15,7 @@
 //! 2. `checkpoint_dir` writes content-addressed shard files once: the
 //!    second checkpoint after ingesting more rows re-writes only the
 //!    newly sealed shards (asserted), and `load_dir` answers queries
-//!    identically to the writer (asserted).
+//!    identically to the writer (asserted). The rows carry no names.
 //!
 //! All data is generated from splitmix64 — no RNG state, so every run
 //! (and every machine) sees the same corpus. Timing numbers are printed
@@ -27,7 +27,9 @@
 
 use std::time::Instant;
 
-use gnn4ip::eval::{QueryHit, QueryOptions, QueryStats, RebalanceOptions, ShardedEmbeddingIndex};
+use gnn4ip::eval::{
+    NameLog, QueryHit, QueryOptions, QueryStats, RebalanceOptions, ShardedEmbeddingIndex,
+};
 
 /// Arbitrary stand-in for a detector-weights checksum pin.
 const PIN: u64 = 0x00C0_FFEE_1234_5678;
@@ -223,7 +225,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- 3. append-only checkpoints ------------------------------------
     let dir = std::env::temp_dir().join(format!("g4ip-corpus-scale-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let first = index.checkpoint_dir(&dir, PIN)?;
+    let no_names = NameLog::new(cap);
+    let first = index.checkpoint_dir(&no_names, &dir, PIN)?;
     println!(
         "checkpoint #1: {} shards written ({} bytes + {} manifest)",
         first.shards_written, first.bytes_written, first.manifest_bytes
@@ -234,7 +237,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         index.insert(&clustered_row(rows + i, dim, clusters), rows + i);
     }
     let newly_sealed = index.num_sealed_shards() - sealed_before;
-    let second = index.checkpoint_dir(&dir, PIN)?;
+    let second = index.checkpoint_dir(&no_names, &dir, PIN)?;
     println!(
         "checkpoint #2 after +{grow} rows: {} shards reused, {} written ({} bytes + {} manifest)",
         second.shards_reused, second.shards_written, second.bytes_written, second.manifest_bytes
@@ -247,7 +250,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         second.shards_written, newly_sealed,
         "the second checkpoint must write only the newly sealed shards"
     );
-    let loaded = ShardedEmbeddingIndex::load_dir(&dir, PIN)?;
+    let (loaded, _) = ShardedEmbeddingIndex::load_dir(&dir, PIN)?;
     let (lh, _, _) = run_queries(&loaded, &queries, k, &routed);
     let (wh, _, _) = run_queries(&index, &queries, k, &routed);
     assert_bitwise_equal(&lh, &wh, "loaded checkpoint vs writer index");

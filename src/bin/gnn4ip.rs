@@ -3,9 +3,9 @@
 //! Corpus workflow (the audit service surface):
 //!
 //! ```text
-//! gnn4ip ingest PATH... --index corpus.g4a [--model detector.bin] [--check]
-//! gnn4ip audit PATH... --index corpus.g4a [--model detector.bin]
-//! gnn4ip serve [--index corpus.g4a] [--socket PATH] [--workers N]
+//! gnn4ip ingest PATH... --index CORPUS_DIR [--model detector.bin] [--check]
+//! gnn4ip audit PATH... --index CORPUS_DIR [--model detector.bin]
+//! gnn4ip serve [--index CORPUS_DIR] [--socket PATH] [--workers N]
 //!              [--queue-capacity N] [--max-batch N] [--max-body-bytes N]
 //!              [--model detector.bin]
 //! gnn4ip inspect FILE...
@@ -13,12 +13,14 @@
 //! ```
 //!
 //! `PATH` arguments accept files and directories; directories are walked
-//! recursively for `.v` sources. `ingest --check` validates every input
-//! and exits nonzero on any rejection without writing the index. `serve`
-//! speaks the line protocol documented in `gnn4ip_core::run_service`
-//! over stdin/stdout, or over a Unix socket with `--socket`. `inspect`
-//! prints the `G4IP` envelope of any artifact (kind, version, checksum)
-//! plus kind-specific headers (shard count, pinned weights).
+//! recursively for `.v` sources, without following links to directories.
+//! `CORPUS_DIR` is a corpus checkpoint directory, which `ingest` opens or
+//! creates and then checkpoints; `ingest --check` validates every input
+//! and exits nonzero on any rejection without writing. `serve` speaks the
+//! line protocol documented in `gnn4ip_core::run_service` over
+//! stdin/stdout, or over a Unix socket with `--socket`. `inspect` prints
+//! the `G4IP` envelope of any artifact (kind, version, checksum), and for
+//! a corpus manifest its pin, geometry and shard and name-block counts.
 //!
 //! Pairwise workflow (the original demo driver):
 //!
@@ -40,12 +42,11 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use gnn4ip::core::AUDIT_INDEX_KIND;
 use gnn4ip::data::{Corpus, CorpusSpec, Level, SynthSize};
 use gnn4ip::dfg::graph_with_report;
-use gnn4ip::eval::SHARD_INDEX_KIND;
+use gnn4ip::eval::{ManifestHead, CORPUS_MANIFEST_KIND, MANIFEST_FILE};
 use gnn4ip::nn::{Hw2VecConfig, TrainConfig};
-use gnn4ip::tensor::{describe_artifact, BinReader, FORMAT_VERSION};
+use gnn4ip::tensor::describe_artifact;
 use gnn4ip::{
     run_experiment, run_service, AuditConfig, AuditPipeline, AuditSource, Gnn4Ip, ServiceConfig,
 };
@@ -107,12 +108,19 @@ fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, Stri
 
 /// Expands files and directories into a sorted, deduplicated list of
 /// Verilog sources; directories are walked recursively for `.v` files.
+/// The walk descends into real directories only: a link to a directory
+/// (`up -> ..`, say) would revisit the tree until the OS's link limit.
+/// A directory named on the command line is walked even through a link.
 fn discover_verilog(inputs: &[&str]) -> Result<Vec<PathBuf>, String> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         for entry in entries {
-            let path = entry.map_err(|e| format!("{}: {e}", dir.display()))?.path();
-            if path.is_dir() {
+            let entry = entry.map_err(|e| format!("{}: {e}", dir.display()))?;
+            let path = entry.path();
+            let kind = entry
+                .file_type()
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            if kind.is_dir() {
                 walk(&path, out)?;
             } else if path.extension().is_some_and(|ext| ext == "v") {
                 out.push(path);
@@ -168,9 +176,9 @@ fn run(args: &[String]) -> Result<(), String> {
             println!(
                 "gnn4ip — hardware IP piracy detection (GNN4IP, DAC 2021 reproduction)\n\n\
                  corpus workflow:\n  \
-                 gnn4ip ingest PATH... --index corpus.g4a [--model detector.bin] [--check]\n  \
-                 gnn4ip audit PATH... --index corpus.g4a [--model detector.bin]\n  \
-                 gnn4ip serve [--index corpus.g4a] [--socket PATH] [--workers N]\n  \
+                 gnn4ip ingest PATH... --index CORPUS_DIR [--model detector.bin] [--check]\n  \
+                 gnn4ip audit PATH... --index CORPUS_DIR [--model detector.bin]\n  \
+                 gnn4ip serve [--index CORPUS_DIR] [--socket PATH] [--workers N]\n  \
                  \x20            [--queue-capacity N] [--max-batch N] [--max-body-bytes N]\n  \
                  \x20            [--model detector.bin]\n  \
                  gnn4ip inspect FILE...\n  \
@@ -194,20 +202,17 @@ fn ingest(args: &[String]) -> Result<(), String> {
         return Err("ingest needs Verilog files or directories to ingest".to_string());
     }
     let check_only = args.iter().any(|a| a == "--check");
-    let index_path = flag_value(args, "--index");
-    let Some(out_path) = index_path.or(check_only.then_some("")) else {
+    let index_dir = flag_value(args, "--index");
+    let Some(out_dir) = index_dir.or(check_only.then_some("")) else {
         return Err(
-            "ingest needs --index OUT.g4a (or --check to validate without writing)".to_string(),
+            "ingest needs --index CORPUS_DIR (or --check to validate without writing)".to_string(),
         );
     };
     let detector = load_detector(args)?;
-    let mut pipeline = AuditPipeline::new(detector, AuditConfig::default());
-    if let Some(path) = index_path.filter(|p| Path::new(p).exists()) {
-        let restored = pipeline
-            .load_index(path)
-            .map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("appending to existing index ({restored} designs)");
-    }
+    let mut pipeline = match index_dir.filter(|d| Path::new(d).join(MANIFEST_FILE).exists()) {
+        Some(dir) => open_corpus(detector, dir)?,
+        None => AuditPipeline::new(detector, AuditConfig::default()),
+    };
     let files = discover_verilog(&inputs)?;
     eprintln!("discovered {} Verilog file(s)", files.len());
     let report = pipeline.ingest(read_sources(&files)?);
@@ -232,11 +237,23 @@ fn ingest(args: &[String]) -> Result<(), String> {
             ))
         };
     }
-    pipeline
-        .save_index(out_path)
-        .map_err(|e| format!("{out_path}: {e}"))?;
-    println!("index written to {out_path}");
+    let written = pipeline
+        .checkpoint(out_dir)
+        .map_err(|e| format!("{out_dir}: {e}"))?;
+    println!(
+        "corpus written to {out_dir}: {} new shard file(s), {} new name block(s), \
+         {}-byte manifest",
+        written.shards_written, written.name_blocks_written, written.manifest_bytes
+    );
     Ok(())
+}
+
+/// Opens the corpus checkpoint in `dir` around `detector`.
+fn open_corpus(detector: Gnn4Ip, dir: &str) -> Result<AuditPipeline, String> {
+    let opened = AuditPipeline::open(detector, AuditConfig::default(), dir);
+    let pipeline = opened.map_err(|e| format!("{dir}: {e}"))?;
+    eprintln!("corpus: {} design(s)", pipeline.len());
+    Ok(pipeline)
 }
 
 fn audit(args: &[String]) -> Result<(), String> {
@@ -244,14 +261,9 @@ fn audit(args: &[String]) -> Result<(), String> {
     if inputs.is_empty() {
         return Err("audit needs suspect Verilog files or directories".to_string());
     }
-    let index_path =
-        flag_value(args, "--index").ok_or("audit needs --index CORPUS.g4a".to_string())?;
-    let detector = load_detector(args)?;
-    let mut pipeline = AuditPipeline::new(detector, AuditConfig::default());
-    let corpus = pipeline
-        .load_index(index_path)
-        .map_err(|e| format!("{index_path}: {e}"))?;
-    eprintln!("corpus: {corpus} design(s)");
+    let index_dir =
+        flag_value(args, "--index").ok_or("audit needs --index CORPUS_DIR".to_string())?;
+    let pipeline = open_corpus(load_detector(args)?, index_dir)?;
     let suspects = read_sources(&discover_verilog(&inputs)?)?;
     let (verdicts, report) = pipeline.audit_many(&suspects);
     let mut parse_errors = report.rejected.iter();
@@ -289,13 +301,10 @@ fn audit(args: &[String]) -> Result<(), String> {
 
 fn serve(args: &[String]) -> Result<(), String> {
     let detector = load_detector(args)?;
-    let mut pipeline = AuditPipeline::new(detector, AuditConfig::default());
-    if let Some(path) = flag_value(args, "--index") {
-        let corpus = pipeline
-            .load_index(path)
-            .map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("corpus: {corpus} design(s)");
-    }
+    let mut pipeline = match flag_value(args, "--index") {
+        Some(dir) => open_corpus(detector, dir)?,
+        None => AuditPipeline::new(detector, AuditConfig::default()),
+    };
     let defaults = ServiceConfig::default();
     let config = ServiceConfig {
         workers: flag_usize(args, "--workers", defaults.workers)?,
@@ -335,9 +344,22 @@ fn serve_socket(
     config: &ServiceConfig,
     path: &str,
 ) -> Result<(), String> {
+    use std::os::unix::fs::FileTypeExt;
     use std::os::unix::net::UnixListener;
-    // a stale socket file from a previous run would make bind fail
-    let _ = std::fs::remove_file(path);
+    // a stale socket from a previous run would make bind fail; anything
+    // else at the path is not this server's to delete
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if meta.file_type().is_socket() => {
+            std::fs::remove_file(path).map_err(|e| format!("{path}: {e}"))?;
+        }
+        Ok(_) => {
+            return Err(format!(
+                "{path}: exists and is not a socket; not replacing it"
+            ))
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(format!("{path}: {e}")),
+    }
     let listener = UnixListener::bind(path).map_err(|e| format!("{path}: {e}"))?;
     eprintln!("listening on {path} (one session at a time; Ctrl-C stops the server)");
     for stream in listener.incoming() {
@@ -361,7 +383,8 @@ fn serve_socket(
     Err("--socket requires a Unix platform; use stdin/stdout mode".to_string())
 }
 
-/// `gnn4ip gc CHECKPOINT_DIR [--dry-run]` — sweep orphaned shard files.
+/// `gnn4ip gc CHECKPOINT_DIR [--dry-run]` — sweep orphaned shard and
+/// name-block files.
 fn gc(args: &[String]) -> Result<(), String> {
     let dirs = positional(args);
     let [dir] = dirs.as_slice() else {
@@ -376,7 +399,7 @@ fn gc(args: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "{}: {} live shard file(s), {} orphan(s), {} byte(s){}",
+        "{}: {} live block file(s), {} orphan(s), {} byte(s){}",
         dir,
         report.live,
         report.orphans.len(),
@@ -425,46 +448,25 @@ fn inspect_one(path: &str) -> Result<(), String> {
             "no — not a (kind, version) any writer in this workspace produces"
         }
     );
-    match info.kind.as_str() {
-        k if k == SHARD_INDEX_KIND => print_shard_header(&bytes)?,
-        k if k == AUDIT_INDEX_KIND => print_audit_header(&bytes)?,
-        _ => {}
+    if info.kind == CORPUS_MANIFEST_KIND {
+        print_manifest_header(&bytes)?;
     }
     Ok(())
 }
 
-/// Peeks the shard-index payload header: pinned weights checksum,
-/// embedding dim, rows per shard, shard count.
-fn print_shard_header(bytes: &[u8]) -> Result<(), String> {
-    let mut r = BinReader::open_versioned(bytes, SHARD_INDEX_KIND, FORMAT_VERSION)?;
-    let pin = r.u64()?;
-    let dim = r.len_of()?;
-    let capacity = r.len_of()?;
-    let shards = r.count_of(8)?;
-    println!("  weights     {pin:#018x}");
-    println!("  dim         {dim}");
-    println!("  shards      {shards} ({capacity} rows/shard capacity)");
-    Ok(())
-}
-
-/// Peeks the audit-index payload header — designs and the nested
-/// shard-index artifact it wraps.
-fn print_audit_header(bytes: &[u8]) -> Result<(), String> {
-    let mut r = BinReader::open_versioned(bytes, AUDIT_INDEX_KIND, FORMAT_VERSION)?;
-    let pin = r.u64()?;
-    let designs = r.count_of(4)?; // every name carries a 4-byte length prefix
-    for _ in 0..designs {
-        r.str()?;
-    }
-    let nested = r.bytes()?;
-    let inner = describe_artifact(nested)?;
-    println!("  weights     {pin:#018x}");
-    println!("  designs     {designs}");
+/// Prints what a corpus manifest lists: pinned weights, geometry, and
+/// the counts of live shard and name-block files.
+fn print_manifest_header(bytes: &[u8]) -> Result<(), String> {
+    let head = ManifestHead::parse(bytes).map_err(|e| e.to_string())?;
+    println!("  weights     {:#018x}", head.pinned);
+    println!("  dim         {}", head.dim);
     println!(
-        "  nested      {} v{} ({} bytes)",
-        inner.kind, inner.version, inner.payload_bytes
+        "  shards      {} ({} rows/shard capacity)",
+        head.shard_ids.len(),
+        head.shard_capacity
     );
-    print_shard_header(nested)
+    println!("  name blocks {}", head.name_ids.len());
+    Ok(())
 }
 
 fn train(args: &[String]) -> Result<(), String> {

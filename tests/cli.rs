@@ -1,12 +1,14 @@
 //! The `gnn4ip` binary end to end: `train` writes a binary detector that
 //! `inspect`, `check` and `scan` read; `scan` ranks every library file;
-//! `ingest` builds and appends to a `.g4a` corpus that `inspect` and
-//! `audit` read; and a library file that does not parse, or a `--model`
-//! that is not a `G4IP` artifact or was not the corpus's, fails the
-//! command with a message naming the cause.
+//! `ingest` builds and appends to a corpus checkpoint directory that
+//! `inspect`, `audit` and `gc` read; and a library file that does not
+//! parse, or a `--model` that is not a `G4IP` artifact or was not the
+//! corpus's, fails the command with a message naming the cause. Source
+//! discovery does not follow links to directories, and `serve --socket`
+//! refuses a path that holds anything but a socket.
 
 use std::path::{Path, PathBuf};
-use std::process::Output;
+use std::process::{Output, Stdio};
 
 const INV: &str = "module inv(input a, output y); assign y = ~a; endmodule\n";
 const XOR: &str = "module x2(input a, input b, output y); assign y = a ^ b; endmodule\n";
@@ -28,6 +30,27 @@ fn stdout(out: &Output) -> String {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// The names of the files in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).expect("lists");
+    let mut names: Vec<String> = entries
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Writes `count` small designs `<sub><i>.v` into `dir/sub`.
+fn library(dir: &Path, sub: &str, count: usize) {
+    std::fs::create_dir_all(dir.join(sub)).expect("mkdir");
+    for i in 0..count {
+        let src = format!(
+            "module {sub}{i}(input [3:0] a, output [3:0] y); assign y = a ^ {i}; endmodule"
+        );
+        std::fs::write(dir.join(sub).join(format!("{sub}{i}.v")), src).expect("writes");
+    }
 }
 
 /// A fresh directory holding `a.v`, `b.v` and `c.v`.
@@ -111,24 +134,46 @@ fn model_flag_refuses_a_text_detector() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `ingest` creates the corpus directory, and a second `ingest` appends
+/// to it by writing only the newly sealed shard and name block plus the
+/// manifest. Each run seals a 256-row shard, so each ingests a generated
+/// library beside the named designs.
 #[test]
 fn ingest_appends_a_corpus_that_inspect_and_audit_read() {
     let dir = workdir("corpus");
-    let ingest = gnn4ip(&dir, &["ingest", "a.v", "b.v", "--index", "corpus.g4a"]);
-    assert!(ingest.status.success(), "ingest: {}", stderr(&ingest));
-    assert!(stdout(&ingest).contains("corpus=2"), "{}", stdout(&ingest));
-    let append = gnn4ip(&dir, &["ingest", "c.v", "--index", "corpus.g4a"]);
-    assert!(append.status.success(), "append: {}", stderr(&append));
-    assert!(stdout(&append).contains("corpus=3"), "{}", stdout(&append));
+    library(&dir, "lib", 300);
+    library(&dir, "more", 230);
+    let ingest = gnn4ip(&dir, &["ingest", "a.v", "b.v", "lib", "--index", "corpus"]);
+    let said = stdout(&ingest);
+    assert!(said.contains("corpus=302"), "{said}{}", stderr(&ingest));
+    let before = listing(&dir.join("corpus"));
+    let append = gnn4ip(&dir, &["ingest", "c.v", "more", "--index", "corpus"]);
+    let said = stdout(&append);
+    assert!(said.contains("corpus=533"), "{said}{}", stderr(&append));
+    // the second run kept every file of the first (block files are
+    // content-addressed: a kept name is kept bytes), rewrote the manifest
+    // and added one shard and one name block
+    let after = listing(&dir.join("corpus"));
+    assert_eq!(before.len(), 3, "{before:?}");
+    assert!(before.iter().all(|f| after.contains(f)), "{after:?}");
+    let added = after.iter().filter(|f| !before.contains(f));
+    let kinds: Vec<&str> = added.map(|f| f.split('-').next().unwrap()).collect();
+    assert_eq!(kinds, ["names", "shard"]);
 
-    let inspect = gnn4ip(&dir, &["inspect", "corpus.g4a"]);
-    assert!(inspect.status.success(), "inspect: {}", stderr(&inspect));
+    let inspect = gnn4ip(&dir, &["inspect", "corpus/manifest.g4m"]);
     let text = stdout(&inspect);
-    assert!(text.contains("kind        gnn4ip-audit-index"), "{text}");
-    assert!(text.contains("registered  yes"), "{text}");
-    assert!(text.contains("designs     3"), "{text}");
+    let pin = gnn4ip::Gnn4Ip::with_seed(42).model().weights_checksum();
+    for line in [
+        "kind        gnn4ip-corpus-manifest",
+        "registered  yes",
+        &format!("weights     {pin:#018x}"),
+        "shards      2 (256 rows/shard capacity)",
+        "name blocks 2",
+    ] {
+        assert!(text.contains(line), "{text}{}", stderr(&inspect));
+    }
 
-    let audit = gnn4ip(&dir, &["audit", "a.v", "--index", "corpus.g4a"]);
+    let audit = gnn4ip(&dir, &["audit", "a.v", "--index", "corpus"]);
     assert!(audit.status.success(), "audit: {}", stderr(&audit));
     assert!(
         stdout(&audit).contains("best=a.v:+1.0000"),
@@ -136,13 +181,18 @@ fn ingest_appends_a_corpus_that_inspect_and_audit_read() {
         stdout(&audit)
     );
 
+    let gc = gnn4ip(&dir, &["gc", "corpus", "--dry-run"]);
+    let text = stdout(&gc);
+    assert!(text.contains("4 live block file(s), 0 orphan(s)"), "{text}");
+    assert!(!text.contains("would remove"), "{text}");
+
     // 163 bytes that unroll to a million statements: refused with a line
     // naming the budget, and the command still succeeds
     let loops = "module m(input a, output reg y); integer i, j; always @(*) begin y = 0; \
                  for (i = 0; i < 1000; i = i + 1) for (j = 0; j < 1000; j = j + 1) \
                  y = y ^ a; end endmodule\n";
     std::fs::write(dir.join("loops.v"), loops).expect("writes");
-    let audit = gnn4ip(&dir, &["audit", "loops.v", "--index", "corpus.g4a"]);
+    let audit = gnn4ip(&dir, &["audit", "loops.v", "--index", "corpus"]);
     assert!(audit.status.success(), "audit: {}", stderr(&audit));
     let text = stdout(&audit);
     let budget = format!(
@@ -174,21 +224,14 @@ fn ingest_check_writes_nothing_when_a_design_fails() {
 #[test]
 fn audit_refuses_a_detector_with_other_weights() {
     let dir = workdir("weights");
-    let ingest = gnn4ip(&dir, &["ingest", "a.v", "b.v", "--index", "corpus.g4a"]);
+    let ingest = gnn4ip(&dir, &["ingest", "a.v", "b.v", "--index", "corpus"]);
     assert!(ingest.status.success(), "ingest: {}", stderr(&ingest));
     gnn4ip::Gnn4Ip::with_seed(7)
         .save(dir.join("other.bin"))
         .expect("saves");
     let audit = gnn4ip(
         &dir,
-        &[
-            "audit",
-            "a.v",
-            "--index",
-            "corpus.g4a",
-            "--model",
-            "other.bin",
-        ],
+        &["audit", "a.v", "--index", "corpus", "--model", "other.bin"],
     );
     assert_eq!(audit.status.code(), Some(1), "{}", stdout(&audit));
     assert!(
@@ -196,5 +239,54 @@ fn audit_refuses_a_detector_with_other_weights() {
         "{}",
         stderr(&audit)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A walk that followed `up -> ..` would revisit the tree until the OS's
+/// link limit; discovery takes `d/a.v` once. A link named on the command
+/// line is still walked.
+#[cfg(unix)]
+#[test]
+fn discovery_does_not_follow_directory_links() {
+    let dir = workdir("links");
+    std::fs::create_dir_all(dir.join("d")).expect("mkdir");
+    std::fs::write(dir.join("d/a.v"), INV).expect("writes");
+    std::os::unix::fs::symlink("..", dir.join("d/up")).expect("links");
+    std::os::unix::fs::symlink("d", dir.join("linked")).expect("links");
+    for root in ["d", "linked"] {
+        let said = stderr(&gnn4ip(&dir, &["ingest", root, "--check"]));
+        assert!(said.contains("discovered 1 Verilog file(s)"), "{said}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `serve --socket` removes a stale socket before binding, and nothing
+/// else: a regular file at the path fails the command and keeps its
+/// bytes. A server that did bind would block in `accept`, so the test
+/// polls the child for a bounded time and kills it rather than hang.
+#[cfg(unix)]
+#[test]
+fn serve_socket_refuses_to_replace_a_regular_file() {
+    let dir = workdir("socket");
+    std::fs::write(dir.join("keep.txt"), "precious").expect("writes");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_gnn4ip"))
+        .current_dir(&dir)
+        .args(["serve", "--socket", "keep.txt"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns gnn4ip");
+    let pause = std::time::Duration::from_millis(20);
+    let exited = (0..1000).any(|_| {
+        std::thread::sleep(pause);
+        child.try_wait().expect("polls").is_some()
+    });
+    if !exited {
+        child.kill().ok();
+    }
+    let out = child.wait_with_output().expect("reaps");
+    assert_eq!(out.status.code().filter(|_| exited), Some(1));
+    assert!(stderr(&out).contains("keep.txt"), "{}", stderr(&out));
+    let kept = std::fs::read(dir.join("keep.txt")).expect("reads");
+    assert_eq!(kept, b"precious");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -70,17 +70,20 @@ proptest! {
 
 }
 
+/// Six small RTL designs: the training set of the resume tests and the
+/// corpus of the pinned pipeline checkpoint.
+const SOURCES: [&str; 6] = [
+    "module inv(input a, output y); assign y = ~a; endmodule",
+    "module buf2(input a, output y); assign y = a; endmodule",
+    "module x2(input a, input b, output y); assign y = a ^ b; endmodule",
+    "module a2(input a, input b, output y); assign y = a & b; endmodule",
+    "module o2(input a, input b, output y); assign y = a | b; endmodule",
+    "module add(input [3:0] a, input [3:0] b, output [3:0] s); assign s = a + b; endmodule",
+];
+
 /// Small real-RTL training set for the resume tests.
 fn training_set() -> (Vec<GraphInput>, Vec<PairSample>) {
-    let sources = [
-        "module inv(input a, output y); assign y = ~a; endmodule",
-        "module buf2(input a, output y); assign y = a; endmodule",
-        "module x2(input a, input b, output y); assign y = a ^ b; endmodule",
-        "module a2(input a, input b, output y); assign y = a & b; endmodule",
-        "module o2(input a, input b, output y); assign y = a | b; endmodule",
-        "module add(input [3:0] a, input [3:0] b, output [3:0] s); assign s = a + b; endmodule",
-    ];
-    let graphs: Vec<GraphInput> = sources
+    let graphs: Vec<GraphInput> = SOURCES
         .iter()
         .map(|s| GraphInput::from_dfg(&graph_from_verilog(s, None).expect("graph")))
         .collect();
@@ -182,44 +185,69 @@ fn pinned_index(rows: usize) -> gnn4ip::eval::ShardedEmbeddingIndex {
     index
 }
 
-/// The on-disk bytes of both corpus formats are pinned: an FNV-1a digest
-/// of the monolithic `to_bytes` artifact, and the name and digest of
-/// every file `checkpoint_dir` writes, for an index that holds a tail.
-/// How sealed rows are laid out in memory must never change a byte on
-/// disk.
+/// The name and FNV-1a digest of every file `write` puts in a fresh
+/// directory named after `test`, sorted by name.
+fn file_digests(test: &str, write: impl FnOnce(&std::path::Path)) -> Vec<(String, u64)> {
+    let dir = std::env::temp_dir().join(format!("gnn4ip-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write(&dir);
+    let mut written: Vec<(String, u64)> = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .map(|e| {
+            let e = e.expect("entry");
+            let digest = gnn4ip::tensor::fnv1a64(&std::fs::read(e.path()).expect("read"));
+            (e.file_name().into_string().expect("utf-8 name"), digest)
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    written.sort();
+    written
+}
+
+/// The on-disk bytes of a checkpoint of rows alone are pinned: the name
+/// and digest of every file `checkpoint_dir` writes, for an index that
+/// holds a tail. How sealed rows are laid out in memory must never change
+/// a byte on disk.
 #[test]
 fn shard_index_bytes_are_pinned() {
-    use gnn4ip::tensor::fnv1a64;
-
     let index = pinned_index(37);
-    assert_eq!(
-        fnv1a64(&index.to_bytes(0xfeed)),
-        0x6a5d_2ca6_e1e9_f731,
-        "to_bytes digest"
-    );
-    let files: &[(&str, u64)] = &[
-        ("manifest.g4m", 0x1929_e748_d876_c290),
+    let no_names = gnn4ip::eval::NameLog::new(index.shard_capacity());
+    let written = file_digests("pinned-rows", |dir| {
+        index
+            .checkpoint_dir(&no_names, dir, 0xfeed)
+            .expect("checkpoint");
+    });
+    let files = [
+        ("manifest.g4m", 0x8729_35c3_11b6_f57b),
         ("shard-067cdebcd44fa36f.g4s", 0x4e3a_6050_274c_a821),
         ("shard-336541af8eabd4ac.g4s", 0xbe45_6092_3410_2587),
         ("shard-71f7247f60e5604c.g4s", 0x186e_89fb_50ab_a0df),
         ("shard-f04489465b3454da.g4s", 0xff93_d0d8_18da_549f),
     ];
-    let dir = std::env::temp_dir().join(format!("gnn4ip-pinned-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    index.checkpoint_dir(&dir, 0xfeed).expect("checkpoint");
-    let mut written: Vec<(String, u64)> = std::fs::read_dir(&dir)
-        .expect("read dir")
-        .map(|e| {
-            let e = e.expect("entry");
-            let bytes = std::fs::read(e.path()).expect("read");
-            (
-                e.file_name().to_string_lossy().into_owned(),
-                fnv1a64(&bytes),
-            )
-        })
-        .collect();
-    written.sort();
-    std::fs::remove_dir_all(&dir).ok();
-    let expect: Vec<(String, u64)> = files.iter().map(|&(n, d)| (n.to_string(), d)).collect();
-    assert_eq!(written, expect, "checkpoint files");
+    assert_eq!(written, files.map(|(n, d)| (n.to_string(), d)));
+}
+
+/// A whole pipeline checkpoint is pinned — shards, name blocks and the
+/// manifest with its tail — for six designs embedded by a seeded
+/// detector into shards of four.
+#[test]
+fn pipeline_checkpoint_bytes_are_pinned() {
+    use gnn4ip::{AuditConfig, AuditPipeline, AuditSource};
+
+    let config = AuditConfig {
+        shard_capacity: 4,
+        ..AuditConfig::default()
+    };
+    let mut pipeline = AuditPipeline::new(Gnn4Ip::with_seed(11), config);
+    let named = SOURCES.iter().enumerate();
+    pipeline.ingest(named.map(|(i, src)| AuditSource::new(format!("d{i}"), *src, None)));
+    let written = file_digests("pinned-pipeline", |dir| {
+        pipeline.checkpoint(dir).expect("checkpoint");
+    });
+    let files = [
+        ("manifest.g4m", 0x4f11_3543_2310_aae1),
+        ("names-7c2be74e1c94a095.g4n", 0xf792_4334_121e_d7f2),
+        ("shard-7fb8c9d7e1483e2a.g4s", 0x03bf_71c0_0981_7fbc),
+    ];
+    assert_eq!(written, files.map(|(n, d)| (n.to_string(), d)));
 }

@@ -327,7 +327,9 @@ proptest! {
 
 // ------------------------------------------------------------------- eval
 
-use gnn4ip::eval::{EmbeddingIndex, QueryOptions, RebalanceOptions, ShardedEmbeddingIndex};
+use gnn4ip::eval::{
+    EmbeddingIndex, NameLog, QueryOptions, RebalanceOptions, ShardedEmbeddingIndex,
+};
 
 /// Deterministic pseudo-random embeddings; every 7th row gets a
 /// non-finite component so the zero-row hardening stays under test.
@@ -498,31 +500,6 @@ proptest! {
         }
     }
 
-    /// The shard artifact round-trips to an identical index: same bytes
-    /// back out, same query answers.
-    #[test]
-    fn shard_artifact_save_load_query_identity(
-        n in 1usize..24,
-        dim in 1usize..6,
-        cap in 1usize..8,
-        seed in 0u64..1000,
-    ) {
-        let rows = index_rows(n, dim, seed);
-        let mut sharded = ShardedEmbeddingIndex::new(dim, cap);
-        for (i, row) in rows.iter().enumerate() {
-            sharded.insert(row, i);
-        }
-        let bytes = sharded.to_bytes(seed);
-        let back = ShardedEmbeddingIndex::from_bytes(&bytes, seed).expect("loads");
-        prop_assert_eq!(&back, &sharded);
-        prop_assert_eq!(back.to_bytes(seed), bytes); // save→load→save identity
-        let query: Vec<f32> = (0..dim).map(|j| 1.0 - j as f32 * 0.25).collect();
-        let k = (n / 2).max(1);
-        prop_assert_eq!(hit_bits(&sharded.query(&query, k)), hit_bits(&back.query(&query, k)));
-        // and a different pin is refused
-        prop_assert!(ShardedEmbeddingIndex::from_bytes(&bytes, seed ^ 1).is_err());
-    }
-
     /// Every routed/pruned/parallel option combination returns
     /// bit-identical hits to the exhaustive single-threaded walk, with and
     /// without a rebalance, and a deterministic rebalance preserves the
@@ -631,11 +608,11 @@ proptest! {
         }
     }
 
-    /// A v2 monolithic artifact migrates to the append-only checkpoint
-    /// layout and back byte-identically, and the loaded corpus answers
-    /// queries exactly like the original.
+    /// A checkpoint directory round-trips to an identical index and
+    /// names, the loaded corpus answers queries exactly like the original,
+    /// and a different pin is refused.
     #[test]
-    fn monolithic_and_append_only_layouts_agree(
+    fn checkpoint_round_trips_rows_names_and_queries(
         n in 1usize..24,
         dim in 1usize..6,
         cap in 1usize..8,
@@ -643,29 +620,24 @@ proptest! {
     ) {
         let rows = index_rows(n, dim, seed);
         let mut index = ShardedEmbeddingIndex::new(dim, cap);
+        let mut names = NameLog::new(cap);
         for (i, row) in rows.iter().enumerate() {
             index.insert(row, i);
+            names.push(format!("design_{i}"));
         }
         let dir = std::env::temp_dir().join(format!(
-            "g4ip-prop-migrate-{}-{n}-{dim}-{cap}-{seed}",
+            "g4ip-prop-checkpoint-{}-{n}-{dim}-{cap}-{seed}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        index.checkpoint_dir(&dir, seed).expect("checkpoint");
-        let loaded = ShardedEmbeddingIndex::load_dir(&dir, seed).expect("load_dir");
+        index.checkpoint_dir(&names, &dir, seed).expect("checkpoint");
+        let (loaded, loaded_names) = ShardedEmbeddingIndex::load_dir(&dir, seed).expect("load_dir");
         prop_assert_eq!(&loaded, &index);
-        // append-only → monolithic: byte-identical to serializing the
-        // original directly
-        prop_assert_eq!(loaded.to_bytes(seed), index.to_bytes(seed));
-        // monolithic v2 → append-only: the migrated corpus answers
-        // queries bit-identically
-        let mono = ShardedEmbeddingIndex::from_bytes(&index.to_bytes(seed), seed).expect("v2");
-        let migrated_dir = dir.join("migrated");
-        mono.checkpoint_dir(&migrated_dir, seed).expect("migrate");
-        let migrated = ShardedEmbeddingIndex::load_dir(&migrated_dir, seed).expect("reload");
+        prop_assert_eq!(&loaded_names, &names);
         let query: Vec<f32> = (0..dim).map(|j| 1.0 - j as f32 * 0.25).collect();
         let k = (n / 2).max(1);
-        prop_assert_eq!(hit_bits(&migrated.query(&query, k)), hit_bits(&index.query(&query, k)));
+        prop_assert_eq!(hit_bits(&loaded.query(&query, k)), hit_bits(&index.query(&query, k)));
+        prop_assert!(ShardedEmbeddingIndex::load_dir(&dir, seed ^ 1).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
