@@ -109,10 +109,22 @@ stage_service() {
     # snapshot_audit_many_matches_pipeline: the snapshot's audit_many,
     # its front end on the calling thread, gives the verdicts and
     # rejections of the pipeline's fanned-out one bit for bit, and ingest
-    # at one and two threads builds the same in-memory index and names
+    # at one and two threads builds the same in-memory index and names.
+    # The service:: tests include the STATS counters
+    # (stats_reports_the_sessions_cache_hits_and_misses: one body twice is
+    # cache_hits=1 cache_misses=1 with two identical VERDICT lines) and
+    # the latency window (the most recent 65,536 samples). Then the
+    # embedding cache: BLAKE2b's known answers (blake2b::), the table's
+    # footprint against its 2 MiB budget, no allocation before the first
+    # insert, and oldest-first deterministic eviction (cache::), and
+    # cache_behavior: one lookup counted per source at one and two
+    # threads, and warm answers of every cached entry point equal to a
+    # cold detector's bit for bit
     cargo test -q --release --offline -p gnn4ip-core service::
     cargo test -q --release --offline --test properties -- batch_composition
     cargo test -q --release --offline -p gnn4ip-core snapshot_audit_many_matches_pipeline
+    cargo test -q --release --offline -p gnn4ip-core --lib -- blake2b:: cache::
+    cargo test -q --release --offline -p gnn4ip-core --test cache_behavior
 }
 
 stage_corpus() {

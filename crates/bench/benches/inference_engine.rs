@@ -1,20 +1,23 @@
 //! Inference-engine benchmarks: the batched/cached deployment path.
 //!
-//! Three claims to keep honest (BASELINE.md records the medians):
+//! Four claims to keep honest (BASELINE.md records the medians):
 //!
 //! 1. **cold vs. cached** — a repeat `check` of a design pair this detector
 //!    has seen must be an order of magnitude faster than a cold one (the
-//!    fingerprint lookup skips parse, flatten, DFG extraction, and the
-//!    forward pass).
+//!    digest lookup skips parse, flatten, DFG extraction, and the forward
+//!    pass).
 //! 2. **batch-size scaling** — `embed_many` over m distinct designs should
 //!    scale sublinearly in wall-clock as workers fan out.
 //! 3. **index query** — a top-k query against a corpus-scale
 //!    `EmbeddingIndex` stays in the microsecond range, and the full
 //!    pairwise Gram matrix goes through the blocked gemm.
+//! 4. **cache key** — the BLAKE2b digest every cached call pays per
+//!    source runs at 0.7 GB/s or more: the rows at 4 KiB (an RTL body)
+//!    and 40 KiB (an obfuscated netlist) report the time per digest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use gnn4ip_core::Gnn4Ip;
+use gnn4ip_core::{source_key, Gnn4Ip};
 use gnn4ip_data::{designs::synth_design, SynthSize};
 use gnn4ip_eval::EmbeddingIndex;
 use rand::rngs::StdRng;
@@ -85,10 +88,24 @@ fn bench_index(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_source_key(c: &mut Criterion) {
+    let mut group = c.benchmark_group("inference_engine/source_key");
+    for kib in [4usize, 40] {
+        let body: String = (0..kib << 10)
+            .map(|i| (b'a' + (i % 26) as u8) as char)
+            .collect();
+        group.bench_function(format!("blake2b_{kib}KiB"), |bench| {
+            bench.iter(|| std::hint::black_box(source_key(&body, None)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_check_cold_vs_cached,
     bench_batch_scaling,
-    bench_index
+    bench_index,
+    bench_source_key
 );
 criterion_main!(benches);

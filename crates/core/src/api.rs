@@ -4,20 +4,26 @@
 //! `gnn4ip(p1, p2)` compares two designs by cosine similarity and applies
 //! the decision boundary δ.
 //!
-//! Every source-level entry point is backed by a content-addressed
-//! [`EmbeddingCache`]: a design is parsed and embedded once per detector,
-//! then served by fingerprint lookup. [`Gnn4Ip::check_many`] and
-//! [`Gnn4Ip::embed_many`] are the batched forms — distinct designs in a
-//! batch are embedded in parallel via the tape-free inference path.
+//! Every source-level embedding goes through one front end,
+//! [`embed_sources`] (parse → DFG → `GraphInput` → tape-free forward
+//! pass), and every call that audits or checks a design puts the
+//! detector's bounded [`EmbeddingCache`] in front of it: [`Gnn4Ip::hw2vec`],
+//! [`Gnn4Ip::embed_many`], [`Gnn4Ip::check`], [`Gnn4Ip::check_many`], and
+//! the audits of [`AuditPipeline`](crate::AuditPipeline) and
+//! [`AuditSnapshot`](crate::AuditSnapshot), which is every `serve` audit.
+//! A call digests each source's exact bytes ([`source_key`]), looks every
+//! digest up under one lock, runs the front end once per distinct miss,
+//! and stores what embedded. Only ingest runs the front end without the
+//! cache: a corpus row is embedded once by definition.
 
 use std::sync::{Mutex, MutexGuard};
 
 use gnn4ip_dfg::graph_from_verilog;
-use gnn4ip_hdl::{design_fingerprint, Fingerprint, ParseVerilogError, StableHasher};
-use gnn4ip_nn::{cosine_of, GraphInput, Hw2Vec, Hw2VecConfig};
+use gnn4ip_hdl::ParseVerilogError;
+use gnn4ip_nn::{cosine_of, fan_out, GraphInput, Hw2Vec, Hw2VecConfig, Workspace};
 use gnn4ip_tensor::{read_artifact, write_artifact, BinReader, BinWriter};
 
-use crate::cache::{CacheStats, EmbeddingCache};
+use crate::cache::{source_key, CacheStats, EmbeddingCache, SourceKey};
 
 /// Kind tag of the binary detector artifact (model + δ).
 pub const DETECTOR_KIND: &str = "gnn4ip-detector";
@@ -50,8 +56,9 @@ pub struct Verdict {
 pub struct Gnn4Ip {
     model: Hw2Vec,
     delta: f32,
-    /// Fingerprint → embedding. A `Mutex` (not `RefCell`) so a detector can
-    /// be shared across scan threads; it is never held across an embedding.
+    /// Source digest → embedding. A `Mutex` (not `RefCell`) so a detector
+    /// can be shared across serve workers; it is never held across an
+    /// embedding.
     cache: Mutex<EmbeddingCache>,
 }
 
@@ -69,7 +76,7 @@ impl Gnn4Ip {
     /// Locks the embedding cache, recovering from poisoning instead of
     /// cascading the panic: the cache is a pure memo whose individual
     /// operations never leave it half-updated, so the state behind a
-    /// poisoned lock is still coherent — at worst a panicking scan thread
+    /// poisoned lock is still coherent — at worst a panicking thread
     /// failed to record one embedding, which only costs a recompute.
     fn cache_lock(&self) -> MutexGuard<'_, EmbeddingCache> {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
@@ -88,10 +95,11 @@ impl Gnn4Ip {
 
     /// Wraps an externally trained model.
     pub fn from_model(model: Hw2Vec, delta: f32) -> Self {
+        let cache = EmbeddingCache::new(model.config().hidden);
         Self {
             model,
             delta,
-            cache: Mutex::new(EmbeddingCache::new()),
+            cache: Mutex::new(cache),
         }
     }
 
@@ -111,81 +119,88 @@ impl Gnn4Ip {
         self.delta = delta;
     }
 
-    /// `hw2vec(p)`: Verilog source → graph embedding, served from the
-    /// content-addressed cache when this detector has embedded an
-    /// equivalent design before.
+    /// `hw2vec(p)`: Verilog source → graph embedding, on the calling
+    /// thread, served from the cache when this detector has embedded the
+    /// same bytes at the same `top` before.
     ///
     /// # Errors
     ///
     /// Propagates parse/elaboration failures from the DFG pipeline.
     pub fn hw2vec(&self, verilog: &str, top: Option<&str>) -> Result<Vec<f32>, ParseVerilogError> {
-        let fp = self.fingerprint(verilog, top)?;
-        if let Some(e) = self.cache_lock().get(fp) {
-            return Ok(e);
-        }
-        // Parse and embed outside the lock: misses are the slow path.
-        let g = graph_from_verilog(verilog, top)?;
-        let e = self.model.embed(&GraphInput::from_dfg(&g));
-        self.cache_lock().insert(fp, e.clone());
-        Ok(e)
+        let mut one = self.embed_cached(&[(verilog, top)], 1);
+        // g4check: allow(unwrap-in-lib): embed_cached returns one result per source
+        one.pop().expect("one source, one result")
     }
 
-    /// Embeds a batch of `(source, top)` designs, in input order.
-    ///
-    /// Cached designs are served by fingerprint lookup; the distinct
-    /// uncached designs are parsed once each (duplicates inside the batch
-    /// collapse onto one embedding) and embedded in parallel through the
-    /// tape-free batched forward pass.
+    /// Embeds a batch of `(source, top)` designs, in input order, fanning
+    /// the front end out over every core. Cached designs are served from
+    /// the cache, and each distinct uncached design is embedded once, so
+    /// duplicates inside the batch share one embedding.
     ///
     /// # Errors
     ///
-    /// Propagates the first parse/elaboration failure; no partial results.
+    /// Propagates the first parse/elaboration failure in input order; no
+    /// partial results.
     pub fn embed_many(
         &self,
         sources: &[(&str, Option<&str>)],
     ) -> Result<Vec<Vec<f32>>, ParseVerilogError> {
-        let mut fps = Vec::with_capacity(sources.len());
-        for &(src, top) in sources {
-            fps.push(self.fingerprint(src, top)?);
-        }
-        // resolve hits and collect the distinct misses
-        let mut out: Vec<Option<Vec<f32>>> = vec![None; sources.len()];
-        let mut miss_fps = Vec::new();
-        let mut seen_misses = std::collections::HashSet::new();
-        let mut miss_graphs = Vec::new();
+        self.embed_cached(sources, 0).into_iter().collect()
+    }
+
+    /// The cached embed path: one result per source, in input order.
+    ///
+    /// Every source is digested and looked up first, under one lock, so
+    /// the counters see exactly one lookup per source at any thread
+    /// count: a source found in the table, or repeating an earlier source
+    /// of the same call, is a hit; every other source is a miss. The
+    /// misses then go through [`embed_sources`] over `threads` workers,
+    /// with the lock released, and those that embedded are stored. A
+    /// failed parse is not cached.
+    pub(crate) fn embed_cached(
+        &self,
+        sources: &[(&str, Option<&str>)],
+        threads: usize,
+    ) -> Vec<Result<Vec<f32>, ParseVerilogError>> {
+        let keys: Vec<SourceKey> = sources.iter().map(|&(s, top)| source_key(s, top)).collect();
+        let first = first_occurrences(&keys);
+        // repeats and misses hold a placeholder until they are resolved
+        let mut out: Vec<Result<Vec<f32>, ParseVerilogError>> = Vec::with_capacity(keys.len());
+        let mut misses = Vec::new();
         {
             let mut cache = self.cache_lock();
-            for (i, &fp) in fps.iter().enumerate() {
-                if let Some(e) = cache.get(fp) {
-                    out[i] = Some(e);
+            for (i, key) in keys.iter().enumerate() {
+                if first[i] != i {
+                    cache.record_repeat();
+                    out.push(Ok(Vec::new()));
+                } else if let Some(embedding) = cache.get(key) {
+                    out.push(Ok(embedding));
+                } else {
+                    misses.push(i);
+                    out.push(Ok(Vec::new()));
                 }
             }
         }
-        for (i, &fp) in fps.iter().enumerate() {
-            if out[i].is_some() || !seen_misses.insert(fp) {
-                continue;
-            }
-            let (src, top) = sources[i];
-            miss_fps.push(fp);
-            miss_graphs.push(GraphInput::from_dfg(&graph_from_verilog(src, top)?));
-        }
-        if !miss_graphs.is_empty() {
-            let embedded = self.model.embed_batch(&miss_graphs);
+        if !misses.is_empty() {
+            let run: Vec<(&str, Option<&str>)> = misses.iter().map(|&i| sources[i]).collect();
+            let embedded = embed_sources(&self.model, &run, threads);
             let mut cache = self.cache_lock();
-            for (fp, e) in miss_fps.iter().zip(embedded) {
-                cache.insert(*fp, e);
-            }
-            for (i, fp) in fps.iter().enumerate() {
-                if out[i].is_none() {
-                    out[i] = cache.peek(*fp).cloned();
+            for (&i, result) in misses.iter().zip(&embedded) {
+                if let Ok(embedding) = result {
+                    cache.insert(keys[i], embedding);
                 }
             }
+            drop(cache);
+            for (&i, result) in misses.iter().zip(embedded) {
+                out[i] = result;
+            }
         }
-        Ok(out
-            .into_iter()
-            // g4check: allow(unwrap-in-lib): every miss was inserted into the cache in the loop above, under the same lock this resolve uses
-            .map(|e| e.expect("every fingerprint resolved"))
-            .collect())
+        for i in 0..out.len() {
+            if first[i] != i {
+                out[i] = out[first[i]].clone();
+            }
+        }
+        out
     }
 
     /// Embeds an already-extracted graph (no parsing, no caching).
@@ -251,32 +266,8 @@ impl Gnn4Ip {
         }
     }
 
-    /// Content fingerprint of a design, memoized on the raw source text:
-    /// a byte-identical resubmission skips even preprocessing and lexing.
-    fn fingerprint(
-        &self,
-        verilog: &str,
-        top: Option<&str>,
-    ) -> Result<Fingerprint, ParseVerilogError> {
-        let mut h = StableHasher::new();
-        h.write_str(verilog);
-        match top {
-            Some(t) => {
-                h.write(&[1]);
-                h.write_str(t);
-            }
-            None => h.write(&[0]),
-        }
-        let raw_key = h.finish();
-        if let Some(fp) = self.cache_lock().fingerprint_for_raw(raw_key) {
-            return Ok(fp);
-        }
-        let fp = design_fingerprint(verilog, top)?;
-        self.cache_lock().remember_raw(raw_key, fp);
-        Ok(fp)
-    }
-
-    /// Hit/miss/entry counters of the embedding cache.
+    /// Hit/miss/entry counters of the embedding cache since it was made
+    /// or last cleared.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache_lock().stats()
     }
@@ -328,6 +319,48 @@ impl Gnn4Ip {
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, String> {
         Self::from_bytes(&read_artifact(path.as_ref())?)
     }
+}
+
+/// The one front end of every source-level embedding, cached or not: each
+/// source goes through parse → DFG → [`GraphInput`] →
+/// [`forward_infer`](Hw2Vec::forward_infer) inside one [`fan_out`] over
+/// `threads` workers (`1` stays on the calling thread). Each chunk owns
+/// one [`Workspace`], dropped when the call returns, and each graph is
+/// dropped as soon as it is embedded. One result per source, in input
+/// order.
+pub(crate) fn embed_sources(
+    model: &Hw2Vec,
+    sources: &[(&str, Option<&str>)],
+    threads: usize,
+) -> Vec<Result<Vec<f32>, ParseVerilogError>> {
+    fan_out(sources, threads, |_tid, chunk| {
+        let mut ws = Workspace::new();
+        chunk
+            .iter()
+            .map(|&(source, top)| -> Result<Vec<f32>, ParseVerilogError> {
+                // the DFG is dropped before the forward pass, whose
+                // scratch can then reuse its memory
+                let graph = GraphInput::from_dfg(&graph_from_verilog(source, top)?);
+                Ok(model.forward_infer(&graph, &mut ws))
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// For each key, the position of its first occurrence in `keys`.
+fn first_occurrences(keys: &[SourceKey]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_unstable_by_key(|&i| (keys[i], i));
+    let mut first: Vec<usize> = (0..keys.len()).collect();
+    for pair in order.windows(2) {
+        if keys[pair[0]] == keys[pair[1]] {
+            first[pair[1]] = first[pair[0]];
+        }
+    }
+    first
 }
 
 /// Refuses a NaN or infinite δ: a NaN or +inf δ clears every suspect, and
@@ -393,16 +426,6 @@ mod tests {
         assert_eq!((s.hits, s.misses), (2, 2));
         d.clear_cache();
         assert_eq!(d.cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn comment_only_changes_share_a_cache_entry() {
-        let d = Gnn4Ip::with_seed(9);
-        let _ = d.hw2vec(INV, None).expect("embeds");
-        let commented = format!("// resubmitted\n{INV}");
-        let _ = d.hw2vec(&commented, None).expect("embeds");
-        let s = d.cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
 
     #[test]

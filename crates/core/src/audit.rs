@@ -8,8 +8,7 @@
 //!
 //! ```text
 //! Verilog sources ── batch ──► parse → DFG → GraphInput → Hw2Vec::forward_infer
-//!                               (one fan_out over AuditConfig::threads;
-//!                                a snapshot runs it on the calling thread)
+//!                               (one fan_out over AuditConfig::threads)
 //!                                   │
 //!                                   ▼
 //!                      ShardedEmbeddingIndex::insert      (bounded memory)
@@ -17,13 +16,19 @@
 //!                         checkpoint / open              (corpus directory,
 //!                                   │                     pinned to weights)
 //!                                   ▼
-//!        audit(suspect) ──► hw2vec → top-k query ──► AuditVerdict
+//!  audit / audit_many(suspects) ──► BLAKE2b digest → embedding cache
+//!                                     (misses: the same front end; a
+//!                                      snapshot runs it on the calling
+//!                                      thread) → top-k query ──► AuditVerdict
 //! ```
 //!
 //! Each ingest batch goes through one front-end pass: every source is
 //! parsed, turned into a graph and embedded through the tape-free forward
 //! pass by the same fan-out worker, and each graph is dropped as soon as
-//! it is embedded. The embeddings are inserted into fixed-capacity shards,
+//! it is embedded. Ingest does not touch the detector's embedding cache:
+//! a corpus row is embedded once. Every audit does: a suspect whose exact
+//! bytes were audited before is answered from the cache without running
+//! the front end, and a batch embeds each distinct miss once. The embeddings are inserted into fixed-capacity shards,
 //! so memory stays bounded no matter how large the corpus grows. The
 //! corpus — embeddings, labels and names — persists as a checkpoint
 //! directory ([`AuditPipeline::checkpoint`] / [`AuditPipeline::open`]):
@@ -55,19 +60,16 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::api::{embed_sources, Gnn4Ip};
+use crate::serve::PublicationSlot;
 use gnn4ip_data::{
     netlist_designs, obfuscate_netlist, rtl_designs, vary_design, Level, ObfuscationConfig,
     SynthSize, VariationConfig,
 };
-use gnn4ip_dfg::graph_from_verilog;
 use gnn4ip_eval::{
     CheckpointReport, ManifestError, NameLog, QueryHit, QueryOptions, ShardedEmbeddingIndex,
 };
 use gnn4ip_hdl::ParseVerilogError;
-use gnn4ip_nn::{fan_out, GraphInput, Workspace};
-
-use crate::api::Gnn4Ip;
-use crate::serve::PublicationSlot;
 
 /// Tuning knobs of an [`AuditPipeline`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -337,9 +339,10 @@ impl AuditPipeline {
     /// [`serving_slot`](AuditPipeline::serving_slot) and audit against
     /// what it returns. The index side is lock-free
     /// ([`AuditSnapshot::audit_embedding`] touches no shared mutable
-    /// state); source-level [`AuditSnapshot::audit`] additionally takes
-    /// the detector's shared embedding-cache mutex, held only for
-    /// hash-map lookups.
+    /// state); source-level [`AuditSnapshot::audit`] and
+    /// [`AuditSnapshot::audit_many`] additionally take the detector's
+    /// shared embedding-cache mutex, held only for the table lookups and
+    /// inserts of one call.
     ///
     /// Every snapshot goes **through the serving slot**: this method
     /// publishes the captured snapshot (advancing the slot epoch) and
@@ -394,7 +397,8 @@ impl AuditPipeline {
 
     /// Streams designs into the index in batches of
     /// [`AuditConfig::batch_size`]: each batch is parsed and embedded
-    /// across [`fan_out`] workers (parse → DFG → [`GraphInput`] →
+    /// across [`fan_out`](gnn4ip_nn::fan_out) workers (parse → DFG →
+    /// [`GraphInput`](gnn4ip_nn::GraphInput) →
     /// tape-free [`forward_infer`](gnn4ip_nn::Hw2Vec::forward_infer)),
     /// inserted into the shards, and dropped before the next batch starts
     /// — memory stays bounded by one batch regardless of corpus size. The
@@ -417,9 +421,11 @@ impl AuditPipeline {
         report
     }
 
-    /// Parses, embeds, and indexes one buffered batch, clearing it.
+    /// Parses, embeds, and indexes one buffered batch, clearing it. The
+    /// front end runs without the cache: a corpus row is embedded once.
     fn flush(&mut self, batch: &mut Vec<AuditSource>, report: &mut IngestReport) {
-        let embedded = embed_sources(&self.detector, batch, self.config.threads);
+        let model = self.detector.model();
+        let embedded = embed_sources(model, &source_pairs(batch), self.config.threads);
         for (source, result) in batch.drain(..).zip(embedded) {
             match result {
                 Ok(embedding) => {
@@ -433,8 +439,9 @@ impl AuditPipeline {
     }
 
     /// Audits one suspect source against the whole ingested corpus: embed
-    /// (served by the detector's content-addressed cache on resubmission),
-    /// query the shard index for the top-k neighbors, apply δ.
+    /// on the calling thread (served by the detector's embedding cache
+    /// when the same bytes were audited before), query the shard index
+    /// for the top-k neighbors, apply δ.
     ///
     /// # Errors
     ///
@@ -463,9 +470,11 @@ impl AuditPipeline {
     }
 
     /// Audits a whole portfolio of suspects as one pipeline: each batch of
-    /// [`AuditConfig::batch_size`] suspects goes through ingest's front
-    /// end (parse → DFG → embed, across [`AuditConfig::threads`]
-    /// [`fan_out`] workers) and is scored with a **single**
+    /// [`AuditConfig::batch_size`] suspects goes through the detector's
+    /// cached embed path (its misses through ingest's front end: parse →
+    /// DFG → embed, across [`AuditConfig::threads`]
+    /// [`fan_out`](gnn4ip_nn::fan_out) workers) and is scored with a
+    /// **single**
     /// [`ShardedEmbeddingIndex::query_many`] call — one shard pass over
     /// the whole batch instead of one walk per suspect — with memory
     /// bounded by one batch.
@@ -553,6 +562,14 @@ impl AuditPipeline {
     }
 }
 
+/// Each source as the `(source, top)` pair the embed paths take.
+fn source_pairs(sources: &[AuditSource]) -> Vec<(&str, Option<&str>)> {
+    sources
+        .iter()
+        .map(|s| (s.source.as_str(), s.top.as_deref()))
+        .collect()
+}
+
 /// The one verdict construction, shared by the live pipeline and its
 /// snapshots so both rank, resolve, and threshold identically.
 fn build_verdict(
@@ -594,40 +611,11 @@ fn verdict_from_hits(hits: Vec<QueryHit>, names: &NameLog, delta: f32) -> AuditV
     }
 }
 
-/// The one front end of ingest and batched audit: each source goes
-/// through parse → DFG → [`GraphInput`] →
-/// [`forward_infer`](gnn4ip_nn::Hw2Vec::forward_infer) inside one
-/// [`fan_out`] over `threads` workers (`1` stays on the calling thread).
-/// Each chunk owns one [`Workspace`], dropped when the call returns, and
-/// each graph is dropped as soon as it is embedded. One result per
-/// source, in input order.
-fn embed_sources(
-    detector: &Gnn4Ip,
-    sources: &[AuditSource],
-    threads: usize,
-) -> Vec<Result<Vec<f32>, ParseVerilogError>> {
-    let model = detector.model();
-    fan_out(sources, threads, |_tid, chunk| {
-        let mut ws = Workspace::new();
-        chunk
-            .iter()
-            .map(|s| -> Result<Vec<f32>, ParseVerilogError> {
-                // the DFG is dropped before the forward pass, whose
-                // scratch can then reuse its memory
-                let graph = GraphInput::from_dfg(&graph_from_verilog(&s.source, s.top.as_deref())?);
-                Ok(model.forward_infer(&graph, &mut ws))
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// The one batched-audit implementation, shared by
 /// [`AuditPipeline::audit_many`] and [`AuditSnapshot::audit_many`]:
-/// per chunk, one front-end pass ([`embed_sources`] over `threads`
-/// workers) and one `query_many`.
+/// per chunk, one pass through the detector's cached embed path (the
+/// front end over `threads` workers for the distinct misses) and one
+/// `query_many`.
 #[allow(clippy::too_many_arguments)]
 fn audit_many_impl(
     detector: &Gnn4Ip,
@@ -645,7 +633,8 @@ fn audit_many_impl(
     for chunk in suspects.chunks(batch_size.max(1)) {
         let mut embeddings = Vec::new();
         let mut slots = Vec::new(); // verdict position of each embedding
-        for (suspect, result) in chunk.iter().zip(embed_sources(detector, chunk, threads)) {
+        let embedded = detector.embed_cached(&source_pairs(chunk), threads);
+        for (suspect, result) in chunk.iter().zip(embedded) {
             match result {
                 Ok(embedding) => {
                     embeddings.push(embedding);
@@ -685,10 +674,11 @@ fn audit_many_impl(
 /// name blocks, a private copy of the tails, and the detector behind its
 /// own `Arc` — so it audits without borrowing from or racing the
 /// pipeline it came from. [`audit_embedding`](AuditSnapshot::audit_embedding)
-/// acquires no lock at all; [`audit`](AuditSnapshot::audit) briefly takes
-/// the detector's shared embedding-cache mutex (a hash-map lookup, never
-/// held across an embedding), which it shares with every other user of
-/// that detector. Its verdicts never change: auditing the same suspect
+/// acquires no lock at all; [`audit`](AuditSnapshot::audit) and
+/// [`audit_many`](AuditSnapshot::audit_many) briefly take the detector's
+/// shared embedding-cache mutex (table lookups, then the inserts of the
+/// misses, never held across an embedding), which they share with every
+/// other user of that detector. Its verdicts never change: auditing the same suspect
 /// twice against one snapshot returns bit-identical results no matter
 /// what the writer ingests in between.
 ///
@@ -781,8 +771,9 @@ impl AuditSnapshot {
     }
 
     /// [`AuditPipeline::audit_many`] against the snapshot's frozen
-    /// corpus: the same front end, run on the calling thread without
-    /// spawning, and one `query_many` per chunk under the pipeline's
+    /// corpus: the same cached embed path, its misses embedded on the
+    /// calling thread without spawning, and one `query_many` per chunk
+    /// under the pipeline's
     /// [`AuditConfig::query`] (at the default `threads: 0` the scan stays
     /// on the calling thread below
     /// [`PARALLEL_QUERY_MIN_ROWS`](gnn4ip_eval::PARALLEL_QUERY_MIN_ROWS)
@@ -1466,7 +1457,8 @@ mod tests {
 
     /// A checkpoint cut off after its block files are written but before
     /// the manifest's rename leaves the previous corpus: its manifest
-    /// lists none of the new files, and `gc` removes exactly those.
+    /// lists none of the new files, and `gc` removes exactly those and the
+    /// staged manifest.
     #[test]
     fn a_checkpoint_cut_before_its_manifest_leaves_the_previous_corpus() {
         let mut p = pipeline();
@@ -1489,10 +1481,11 @@ mod tests {
         let reopened = reopen(&p, &dir).expect("opens");
         assert_eq!(reopened.len(), 3);
         assert_eq!(all_verdicts(&reopened), previous);
-        // the 2 new shards and 2 new name blocks are orphans, nothing else
+        // the 2 new shards, the 2 new name blocks and the staged manifest
+        // are orphans, nothing else
         let gc = gnn4ip_eval::gc_checkpoint_dir(&dir, false).expect("collects");
-        stranded.retain(|n| n != "manifest.tmp");
-        assert_eq!((gc.orphans.len(), gc.live), (4, 2));
+        stranded.sort();
+        assert_eq!((gc.orphans.len(), gc.live), (5, 2));
         assert_eq!(gc.orphans, stranded);
         assert_eq!(all_verdicts(&reopen(&p, &dir).expect("opens")), previous);
         std::fs::remove_dir_all(&dir).ok();

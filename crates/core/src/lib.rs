@@ -6,8 +6,9 @@
 //! similarity against a decision boundary δ (Algorithm 1).
 //!
 //! - [`Gnn4Ip`] — the detector: `hw2vec(p)`, `check(p1, p2)` → [`Verdict`],
-//!   plus the batched/cached forms `check_many` and `embed_many` backed by a
-//!   content-addressed [`EmbeddingCache`].
+//!   plus the batched forms `check_many` and `embed_many`. Each, and every
+//!   audit, is served through one bounded [`EmbeddingCache`] keyed by a
+//!   BLAKE2b digest of the exact source bytes ([`source_key`]).
 //! - [`run_experiment`] — the Table-I protocol: corpus → train with the
 //!   `TrainEngine` → tune δ → held-out confusion matrix + per-sample
 //!   timing. [`run_training_pipeline`] runs the same body with
@@ -49,6 +50,7 @@
 
 mod api;
 mod audit;
+mod blake2b;
 mod cache;
 mod experiment;
 mod serve;
@@ -59,7 +61,7 @@ pub use audit::{
     run_audit_scenarios, AuditConfig, AuditError, AuditMatch, AuditPipeline, AuditSnapshot,
     AuditSource, AuditVerdict, BatchReport, IngestReport, ScenarioReport, ScenarioSpec,
 };
-pub use cache::{CacheStats, EmbeddingCache};
+pub use cache::{source_key, CacheStats, EmbeddingCache, SourceKey};
 pub use experiment::{
     corpus_inputs, run_experiment, run_training_pipeline, to_pair_samples, ExperimentOutcome,
     PipelineArtifacts,

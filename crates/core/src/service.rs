@@ -22,6 +22,9 @@
 //! .
 //! STATS                 → STATS requests=… audits=… flagged=… ingested=… epoch=…
 //!                               queue_high_water=… p50_us=… p99_us=…
+//!                               cache_hits=… cache_misses=… cache_entries=…
+//!                           (p50/p99 over the most recent 65,536 audits;
+//!                            cache hits and misses since the session began)
 //! PUBLISH               → OK epoch=<epoch>
 //! SHUTDOWN              → OK bye          (EOF acts as SHUTDOWN without the response)
 //! <anything else>       → ERR unknown command: <line>
@@ -46,8 +49,12 @@
 //! input, which stalls the client — requests are never dropped and
 //! memory never grows past `queue_capacity` in-flight audits. The workers
 //! are the service's parallelism: each scores its batch with a single
-//! [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) call, which runs the whole
-//! front end on the worker's own thread and spawns nothing for it. The
+//! [`AuditSnapshot::audit_many`](crate::audit::AuditSnapshot::audit_many) call, which answers a body
+//! the detector's embedding cache holds without the front end, and runs
+//! the whole front end for the rest on the worker's own thread, spawning
+//! nothing for it. `STATS` reports the cache's hits and misses since the
+//! session began, and the latency percentiles of the most recent 65,536
+//! audits. The
 //! shard walk follows the pipeline's
 //! [`AuditConfig::query`](crate::audit::AuditConfig::query); at its
 //! default it too stays on the worker's thread below
@@ -293,19 +300,50 @@ struct LiveStats {
     rejected: AtomicU64,
     publishes: AtomicU64,
     /// Per-request latency samples in microseconds (enqueue → response
-    /// ready), pushed by workers, summarized by `STATS` and the final
-    /// report.
-    latencies_us: Mutex<Vec<u64>>,
+    /// ready) of the most recent audits, pushed by workers, summarized by
+    /// `STATS` and the final report.
+    latencies_us: Mutex<LatencyWindow>,
 }
 
 impl LiveStats {
+    /// Copies the window under its lock and sorts the copy after
+    /// releasing it, so a `STATS` never holds up a worker's push.
     fn latency(&self) -> LatencySummary {
-        let lats = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
-        LatencySummary::from_samples(&lats)
+        let samples = self
+            .latencies_us
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .samples
+            .clone();
+        LatencySummary::from_owned(samples)
     }
 }
 
-/// Order statistics over the service's per-request audit latencies.
+/// Audit latency samples a service keeps: the most recent 65,536
+/// (512 KiB).
+const LATENCY_WINDOW: usize = 1 << 16;
+
+/// A ring of the most recent [`LATENCY_WINDOW`] latency samples.
+#[derive(Debug, Default)]
+struct LatencyWindow {
+    samples: Vec<u64>,
+    /// Where the next sample goes once the ring is full.
+    next: usize,
+}
+
+impl LatencyWindow {
+    fn push(&mut self, us: u64) {
+        if self.samples.len() < LATENCY_WINDOW {
+            self.samples.push(us);
+        } else {
+            self.samples[self.next] = us;
+            self.next = (self.next + 1) % LATENCY_WINDOW;
+        }
+    }
+}
+
+/// Order statistics over the service's per-request audit latencies, over
+/// the most recent 65,536 audits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Requests measured.
@@ -322,10 +360,14 @@ impl LatencySummary {
     /// Nearest-rank percentiles of `samples` (order irrelevant; empty →
     /// all zeros).
     pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
+        Self::from_owned(samples.to_vec())
+    }
+
+    /// [`LatencySummary::from_samples`], sorting `samples` in place.
+    fn from_owned(mut sorted: Vec<u64>) -> Self {
+        if sorted.is_empty() {
             return Self::default();
         }
-        let mut sorted = samples.to_vec();
         sorted.sort_unstable();
         let rank = |p: f64| {
             let idx = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
@@ -358,8 +400,17 @@ pub struct ServiceReport {
     pub publishes: u64,
     /// Deepest request-queue occupancy reached.
     pub queue_high_water: usize,
-    /// Per-audit latency order statistics.
+    /// Per-audit latency order statistics over the most recent 65,536
+    /// audits.
     pub latency: LatencySummary,
+    /// Embedding-cache lookups answered without running the front end,
+    /// since the session began.
+    pub cache_hits: u64,
+    /// Embedding-cache lookups that ran the front end, since the session
+    /// began.
+    pub cache_misses: u64,
+    /// Designs in the embedding cache when the session ended.
+    pub cache_entries: usize,
 }
 
 /// One queued audit request: the suspect plus its enqueue timestamp and
@@ -648,6 +699,12 @@ pub fn run_service<R: BufRead, W: Write + Send>(
     let max_batch = config.max_batch.max(1);
     let queue: Arc<BoundedQueue<AuditJob>> = Arc::new(BoundedQueue::new(config.queue_capacity));
     let stats = Arc::new(LiveStats::default());
+    // the detector's cache outlives sessions: count from where it stands
+    let cache0 = pipeline.detector().cache_stats();
+    let cache_since = |now: crate::CacheStats| {
+        let hits = now.hits.saturating_sub(cache0.hits);
+        (hits, now.misses.saturating_sub(cache0.misses), now.entries)
+    };
     let slot = pipeline.serving_slot();
     // workers must always have a snapshot to serve, even before the
     // first PUBLISH — an empty corpus answers with empty verdicts
@@ -689,8 +746,8 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                         // nobody is listening anymore; keep draining
                         let _ = reply.send(line);
                     }
-                    let mut lats = stats.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
-                    lats.extend(samples);
+                    let mut window = stats.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
+                    samples.into_iter().for_each(|us| window.push(us));
                 }
             });
         }
@@ -796,9 +853,11 @@ pub fn run_service<R: BufRead, W: Write + Send>(
                 }
                 "STATS" => {
                     let lat = stats.latency();
+                    let (hits, misses, entries) = cache_since(pipeline.detector().cache_stats());
                     let _ = reply_tx.send(format!(
                         "STATS requests={} audits={} flagged={} ingested={} epoch={} \
-                         queue_high_water={} p50_us={} p99_us={}",
+                         queue_high_water={} p50_us={} p99_us={} \
+                         cache_hits={hits} cache_misses={misses} cache_entries={entries}",
                         stats.requests.load(Ordering::Relaxed),
                         stats.audits.load(Ordering::Relaxed),
                         stats.flagged.load(Ordering::Relaxed),
@@ -829,6 +888,7 @@ pub fn run_service<R: BufRead, W: Write + Send>(
         io_result = responder.join().unwrap_or(Ok(()));
     });
 
+    let (cache_hits, cache_misses, cache_entries) = cache_since(pipeline.detector().cache_stats());
     let report = ServiceReport {
         requests: stats.requests.load(Ordering::Relaxed),
         audits: stats.audits.load(Ordering::Relaxed),
@@ -838,6 +898,9 @@ pub fn run_service<R: BufRead, W: Write + Send>(
         publishes: stats.publishes.load(Ordering::Relaxed),
         queue_high_water: queue.high_water(),
         latency: stats.latency(),
+        cache_hits,
+        cache_misses,
+        cache_entries,
     };
     io_result.map(|()| report)
 }
@@ -921,6 +984,66 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
         let _ = BoundedQueue::<u8>::new(0);
+    }
+
+    /// Past 65,536 samples the window keeps the most recent ones, and
+    /// `STATS` summarizes exactly those.
+    #[test]
+    fn the_latency_window_keeps_the_most_recent_samples() {
+        let stats = LiveStats::default();
+        for us in 1..=70_000 {
+            stats.latencies_us.lock().expect("unpoisoned").push(us);
+        }
+        let window = stats
+            .latencies_us
+            .lock()
+            .expect("unpoisoned")
+            .samples
+            .clone();
+        assert_eq!(window.len(), LATENCY_WINDOW);
+        assert_eq!(window.iter().min(), Some(&(70_000 - 65_535)));
+        let s = stats.latency();
+        assert_eq!(s.count, 65_536);
+        // nearest rank over 4,465..=70,000
+        assert_eq!((s.p50_us, s.p99_us, s.max_us), (37_233, 69_345, 70_000));
+    }
+
+    /// One body audited twice is one miss and one hit since the session
+    /// began, whatever the detector served before it, and both audits get
+    /// the same verdict. `STATS` is sent once both verdicts are back.
+    #[test]
+    fn stats_reports_the_sessions_cache_hits_and_misses() {
+        use std::io::BufReader;
+        use std::os::unix::net::UnixStream;
+
+        let mut pipeline = service_pipeline();
+        pipeline.ingest([AuditSource::new("inv", INV, None)]);
+        pipeline.detector().hw2vec(XOR2, None).expect("embeds");
+        let (mut client, server) = UnixStream::pair().expect("socket pair");
+        let input = BufReader::new(server.try_clone().expect("clones"));
+        let replies = BufReader::new(client.try_clone().expect("clones"));
+        let mut replies = replies.lines().map(|l| l.expect("reads"));
+        let config = ServiceConfig::default();
+        std::thread::scope(|scope| {
+            let service = scope.spawn(|| run_service(&mut pipeline, &config, input, server));
+            write!(client, "AUDIT s\n{INV}\n.\nAUDIT s\n{INV}\n.\n").expect("sends");
+            let (first, second) = (replies.next(), replies.next());
+            assert!(first
+                .as_deref()
+                .is_some_and(|l| l.starts_with("VERDICT s ")));
+            assert_eq!(first, second, "a hit answers as the miss did");
+            client.write_all(b"STATS\nSHUTDOWN\n").expect("sends");
+            let stats = replies.next().expect("a STATS line");
+            assert!(stats.starts_with("STATS requests=3 audits=2 "), "{stats}");
+            assert!(
+                stats.ends_with(" cache_hits=1 cache_misses=1 cache_entries=2"),
+                "{stats}"
+            );
+            assert_eq!(replies.next().as_deref(), Some("OK bye"));
+            let report = service.join().expect("joins").expect("serves");
+            let cache = (report.cache_hits, report.cache_misses, report.cache_entries);
+            assert_eq!(cache, (1, 1, 2));
+        });
     }
 
     #[test]

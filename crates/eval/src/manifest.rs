@@ -624,11 +624,17 @@ pub struct GcReport {
 }
 
 /// Removes the `shard-<16 hex>.g4s` and `names-<16 hex>.g4n` files the
-/// manifest does not list: those a rebalance superseded, or a checkpoint
-/// cut off before its manifest left behind. The pin is not checked —
-/// garbage is garbage whichever weights wrote it — and no other file is
-/// touched. With `dry_run` the report lists the orphans and nothing is
-/// deleted.
+/// manifest does not list — those a rebalance superseded, or a checkpoint
+/// cut off before its manifest left behind — and the files a cut
+/// checkpoint was still staging: `manifest.tmp`, `shard-<16 hex>.tmp` and
+/// `names-<16 hex>.tmp`. The pin is not checked — garbage is garbage
+/// whichever weights wrote it — and no other file is touched. With
+/// `dry_run` the report lists the orphans and nothing is deleted.
+///
+/// A gc run beside a live checkpoint into the same directory can remove
+/// a file that checkpoint is staging. The checkpoint then fails with an
+/// I/O error when it renames the file, and the previous manifest stays
+/// in force.
 ///
 /// # Errors
 ///
@@ -650,6 +656,8 @@ pub fn gc_checkpoint_dir(dir: impl AsRef<Path>, dry_run: bool) -> Result<GcRepor
             head.shard_ids.contains(&id)
         } else if let Some(id) = block_id(name, "names-", ".g4n") {
             head.name_ids.contains(&id)
+        } else if is_staged(name) {
+            false
         } else {
             continue;
         };
@@ -671,6 +679,14 @@ pub fn gc_checkpoint_dir(dir: impl AsRef<Path>, dry_run: bool) -> Result<GcRepor
         }
     }
     Ok(report)
+}
+
+/// Whether `name` is a file [`write_artifact`] stages a checkpoint's
+/// manifest or block file in before renaming it into place.
+fn is_staged(name: &str) -> bool {
+    name == "manifest.tmp"
+        || block_id(name, "shard-", ".tmp").is_some()
+        || block_id(name, "names-", ".tmp").is_some()
 }
 
 /// Inverts [`shard_file_name`] and [`names_file_name`]: the content id of
@@ -729,16 +745,34 @@ mod tests {
             renamed.push(format!("design_{}", if i == 0 { 99 } else { i }));
         }
         index.checkpoint_dir(&renamed, &dir, 3).unwrap();
-        // files that are not block files are never touched
-        let unrelated = ["notes.txt", "shard-zz.g4s", "names-zz.g4n"];
+        // files that are neither block files nor staged ones are never
+        // touched
+        let unrelated = [
+            "notes.txt",
+            "notes.tmp",
+            "shard-zz.g4s",
+            "shard-zz.tmp",
+            "names-zz.g4n",
+        ];
         for name in unrelated {
             std::fs::write(dir.join(name), b"keep me").unwrap();
+        }
+        // what a checkpoint cut mid-write leaves staged
+        let staged = [
+            "manifest.tmp",
+            "names-00000000000000aa.tmp",
+            "shard-00000000000000bb.tmp",
+        ];
+        for name in staged {
+            std::fs::write(dir.join(name), b"staged").unwrap();
         }
 
         let dry = gc_checkpoint_dir(&dir, true).unwrap();
         assert!(dry.orphans.iter().any(|n| n.ends_with(".g4s")), "{dry:?}");
         let stale_names = dry.orphans.iter().filter(|n| n.ends_with(".g4n"));
         assert_eq!(stale_names.count(), 1, "{dry:?}");
+        let tmp = dry.orphans.iter().filter(|n| n.ends_with(".tmp"));
+        assert!(tmp.eq(&staged), "{dry:?}");
         assert!(dry.orphan_bytes > 0);
         for name in &dry.orphans {
             assert!(dir.join(name).exists(), "dry run must not delete {name}");

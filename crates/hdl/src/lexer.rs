@@ -571,6 +571,33 @@ mod tests {
         }
     }
 
+    /// Whether `a` and `b` lex to equal token streams after preprocessing.
+    fn same_tokens(a: &str, b: &str) -> bool {
+        let pre = |src| crate::preprocess(src, &crate::IncludeMap::new()).expect("preprocesses");
+        let (a, b) = (pre(a), pre(b));
+        kinds(&a) == kinds(&b)
+    }
+
+    /// Comments, a macro spelling of an operator and reformatting change
+    /// the bytes of a design, not its token stream; a real edit does.
+    #[test]
+    fn neutral_edits_lex_to_the_same_token_stream() {
+        const INV: &str = "module inv(input a, output y); assign y = ~a; endmodule";
+        let edits = [
+            format!("/* owned IP */ {INV} // checked"),
+            format!("// vendor resubmission\n{INV}"),
+            format!("/* block\n   comment */\n{INV}\n\n\n"),
+            "`define OP ~\nmodule inv(input a, output y); assign y = `OP a; endmodule".to_string(),
+            "module inv (\n  input  a,\n  output y\n);\n  assign y=~a;\nendmodule".to_string(),
+            INV.replace(' ', "  "),
+            INV.replace("; ", ";\n\t"),
+        ];
+        for edited in &edits {
+            assert!(same_tokens(edited, INV), "{edited:?}");
+        }
+        assert!(!same_tokens(&INV.replace("~a", "a"), INV));
+    }
+
     #[test]
     fn oversized_literals_are_errors() {
         assert!(lex("99999999999999999999").is_err());

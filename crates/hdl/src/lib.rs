@@ -59,7 +59,6 @@
 pub mod ast;
 mod error;
 mod eval;
-mod fingerprint;
 mod flatten;
 mod lexer;
 mod parser;
@@ -72,7 +71,6 @@ pub use ast::{
 };
 pub use error::ParseVerilogError;
 pub use eval::Evaluator;
-pub use fingerprint::{design_fingerprint, Fingerprint, StableHasher};
 pub use flatten::{eval_const, flatten, ELABORATION_BUDGET};
 pub use lexer::lex;
 pub use parser::{parse, MAX_NESTING};

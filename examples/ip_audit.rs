@@ -137,13 +137,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // A vendor resubmits the same checksum file (new comments only): the
-    // content-addressed cache answers without re-parsing or re-embedding.
+    // A CI gate re-scans the vendor delivery: the checksum file comes back
+    // byte for byte, and the cache, keyed by a digest of its exact bytes,
+    // answers without re-parsing or re-embedding.
     let before = detector.cache_stats();
-    let resubmitted = format!("// resubmission, rev B\n{disguised_crc}");
-    let again = detector.hw2vec(&resubmitted, Some("crc8"))?;
+    let again = detector.hw2vec(&disguised_crc, Some("crc8"))?;
     let best = index.query(&again, 1)[0];
     let after = detector.cache_stats();
+    assert_eq!(
+        after.hits,
+        before.hits + 1,
+        "a byte-for-byte resubmission hits"
+    );
     println!(
         "\nResubmitted vendor_checksum.v: best match {} ({:+.4}), served from cache \
          ({} -> {} hits, {} designs embedded total, hit rate {:.0}%).",
@@ -153,6 +158,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         after.hits,
         after.entries,
         100.0 * after.hit_rate()
+    );
+    // An edit of comments alone is new bytes, so a new entry: it re-embeds,
+    // to the same bits.
+    let commented = format!("// resubmission, rev B\n{disguised_crc}");
+    let rev_b = detector.hw2vec(&commented, Some("crc8"))?;
+    let same = rev_b
+        .iter()
+        .map(|v| v.to_bits())
+        .eq(again.iter().map(|v| v.to_bits()));
+    assert!(same, "comments change the bytes, not the embedding");
+    assert_eq!(detector.cache_stats().misses, after.misses + 1);
+    println!(
+        "Rev B with new comments only: embedded afresh ({} designs cached), \
+         bit-identical embedding.",
+        detector.cache_stats().entries
     );
     println!(
         "Disguised copies surface their originals as best match with near-1 scores; \

@@ -384,7 +384,7 @@ fn serve_socket(
 }
 
 /// `gnn4ip gc CHECKPOINT_DIR [--dry-run]` — sweep orphaned shard and
-/// name-block files.
+/// name-block files, and the staged `*.tmp` files of a cut checkpoint.
 fn gc(args: &[String]) -> Result<(), String> {
     let dirs = positional(args);
     let [dir] = dirs.as_slice() else {

@@ -6,7 +6,7 @@
 //! same CSR entries down to the value bits.
 //!
 //! The corpus runs also pin what the Verilog front end hands on: one
-//! FNV-1a digest over every design's `design_fingerprint` and one over
+//! FNV-1a digest over every design's token-stream digest and one over
 //! every trimmed DFG, so a front-end rewrite must reproduce both bit for
 //! bit. Over the same generators, `preprocess` is held to its full
 //! two-pass path, `preprocess_owned`, wherever it borrows the source.
@@ -21,10 +21,11 @@ use gnn4ip::data::{
     VariationConfig,
 };
 use gnn4ip::dfg::{extract, trim, Dfg, NodeKind, TrimStats};
-use gnn4ip::hdl::{
-    design_fingerprint, elaborate, flatten, parse, preprocess, preprocess_owned, StableHasher,
-};
-use gnn4ip::tensor::{mean_adjacency, normalized_adjacency, CsrMatrix};
+use gnn4ip::hdl::{elaborate, flatten, parse, preprocess, preprocess_owned};
+use gnn4ip::tensor::{mean_adjacency, normalized_adjacency, CsrMatrix, Fnv64};
+
+mod token_digest;
+use token_digest::token_stream_digest;
 
 // ------------------------------------------------------------- references
 
@@ -242,31 +243,36 @@ fn assert_same_trim(g: &Dfg) -> Dfg {
 /// FNV-1a digests of a corpus run, fed in corpus order.
 #[derive(Default)]
 struct CorpusDigest {
-    /// Every design's `design_fingerprint`.
-    fingerprints: StableHasher,
+    /// Every design's token-stream digest.
+    fingerprints: Fnv64,
     /// Every trimmed DFG: node kinds and labels, edges, roots.
-    graphs: StableHasher,
+    graphs: Fnv64,
+}
+
+/// Feeds `v`'s little-endian bytes.
+fn word(h: &mut Fnv64, v: usize) {
+    h.update(&(v as u64).to_le_bytes());
 }
 
 impl CorpusDigest {
-    fn absorb(&mut self, label: &str, source: &str, top: &str, trimmed: &Dfg) {
-        let fp = design_fingerprint(source, Some(top)).unwrap_or_else(|e| panic!("{label}: {e}"));
-        self.fingerprints.write_u64(fp.as_u64());
+    fn absorb(&mut self, source: &str, top: &str, trimmed: &Dfg) {
+        let tokens = token_stream_digest(source, Some(top));
+        self.fingerprints.update(&tokens.to_le_bytes());
         let h = &mut self.graphs;
-        h.write_u64(trimmed.node_count() as u64);
+        word(h, trimmed.node_count());
         for node in trimmed.nodes() {
-            h.write_u64(node.kind.index() as u64);
-            h.write_str(&node.label);
-            h.write(&[0xff]);
+            word(h, node.kind.index());
+            h.update(node.label.as_bytes());
+            h.update(&[0xff]);
         }
-        h.write_u64(trimmed.edge_count() as u64);
+        word(h, trimmed.edge_count());
         for &(f, t) in trimmed.edges() {
-            h.write_u64(f as u64);
-            h.write_u64(t as u64);
+            word(h, f);
+            word(h, t);
         }
-        h.write_u64(trimmed.roots().len() as u64);
+        word(h, trimmed.roots().len());
         for &r in trimmed.roots() {
-            h.write_u64(r as u64);
+            word(h, r);
         }
     }
 
@@ -286,7 +292,7 @@ fn assert_same_pipeline(label: &str, source: &str, top: &str, digest: &mut Corpu
     let flat = elaborate(source, Some(top)).unwrap_or_else(|e| panic!("{label}: {e}"));
     let trimmed = assert_same_trim(&extract(&flat));
     assert_same_adjacency(trimmed.node_count(), trimmed.edges());
-    digest.absorb(label, source, top, &trimmed);
+    digest.absorb(source, top, &trimmed);
 }
 
 /// `elaborate` moves the top module into flatten; the borrowed entry

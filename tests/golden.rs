@@ -1,19 +1,20 @@
 //! Golden embeddings: fixed designs pinned to their trimmed DFG shape
 //! (nodes, edges, trim statistics), to an FNV-1a hash of the f32 bits
-//! of the `Gnn4Ip::with_seed(42)` embedding, and to their absolute
-//! `design_fingerprint` (the key of the detector's embedding cache). Any
-//! front-end, trim, adjacency or model change that moves one bit of one
-//! embedding or fingerprint fails here; a pure speed-up must pass it
-//! unchanged.
+//! of the `Gnn4Ip::with_seed(42)` embedding, and to the FNV-1a digest of
+//! their preprocessed token stream. Any front-end, trim, adjacency or
+//! model change that moves one bit of one embedding or token fails here;
+//! a pure speed-up must pass it unchanged.
 
 use gnn4ip::data::iscas::{c432, c6288_sized};
 use gnn4ip::data::{
     obfuscate_netlist, synth_design, vary_design, ObfuscationConfig, SynthSize, VariationConfig,
 };
 use gnn4ip::dfg::{graph_with_report, PipelineReport, TrimStats};
-use gnn4ip::hdl::design_fingerprint;
 use gnn4ip::nn::GraphInput;
 use gnn4ip::Gnn4Ip;
+
+mod token_digest;
+use token_digest::token_stream_digest;
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
 fn fnv1a(values: &[f32]) -> u64 {
@@ -28,7 +29,7 @@ fn fnv1a(values: &[f32]) -> u64 {
 }
 
 /// One pinned design: `(nodes, edges, unreachable_removed,
-/// passthrough_collapsed, embedding hash, fingerprint)`.
+/// passthrough_collapsed, embedding hash, token-stream digest)`.
 type Pin = (usize, usize, usize, usize, u64, u64);
 
 fn observe(source: &str, top: &str) -> Pin {
@@ -44,14 +45,14 @@ fn observe(source: &str, top: &str) -> Pin {
         ..
     } = report;
     let embedding = Gnn4Ip::with_seed(42).embed(&GraphInput::from_dfg(&g));
-    let fingerprint = design_fingerprint(source, Some(top)).expect("golden design fingerprints");
+    let tokens = token_stream_digest(source, Some(top));
     (
         nodes,
         edges,
         unreachable_removed,
         passthrough_collapsed,
         fnv1a(&embedding),
-        fingerprint.as_u64(),
+        tokens,
     )
 }
 
